@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 numerical failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 from . import asymptotics, conjectures, love
 from .errors import LoveLabError
 
-_MIN_KAPPA = 0.01     # below this the dense solve is refused; use asymptotics
+_MIN_KAPPA = 0.01     # below this the node budget cannot resolve the kernel
 _TOL_RANGE = (1e-14, 1e-4)
 
 _DIGIT_THRESHOLDS = {
@@ -43,6 +44,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_cell(value) -> str:
+    """One JSON value: finite floats as 17-digit cells, other floats null."""
+    if isinstance(value, float):
+        return _fmt(value) if math.isfinite(value) else "null"
+    if value is None or isinstance(value, (str, bool)):
+        return json.dumps(value)
+    return _fmt(value)
+
+
 def _write_rows(columns: Sequence[str], rows: Iterable[dict], fmt: str,
                 path: str | None) -> None:
     lines: list[str] = []
@@ -53,15 +63,7 @@ def _write_rows(columns: Sequence[str], rows: Iterable[dict], fmt: str,
     else:
         body = []
         for row in rows:
-            cells = []
-            for c in columns:
-                v = row.get(c)
-                if v is None:
-                    cells.append(f'"{c}": null')
-                elif isinstance(v, str):
-                    cells.append(f'"{c}": "{v}"')
-                else:
-                    cells.append(f'"{c}": {_fmt(v)}')
+            cells = [f"{json.dumps(c)}: {_json_cell(row.get(c))}" for c in columns]
             body.append("  {" + ", ".join(cells) + "}")
         lines.append("[")
         lines.append(",\n".join(body))
@@ -105,23 +107,26 @@ def _resolve(args: argparse.Namespace, key: str, default, cast):
 
 def _workers(args: argparse.Namespace) -> int:
     env = os.environ.get("LOVE_LAB_THREADS")
-    default = int(env) if env else 1
+    try:
+        default = int(env) if env else 1
+    except ValueError:
+        raise ValueError(f"LOVE_LAB_THREADS must be an integer, got {env!r}") from None
     return max(1, _resolve(args, "workers", default, int))
 
 
 def _kappa_grid(args: argparse.Namespace) -> list[float]:
     kappa = _resolve(args, "kappa", None, float)
     if kappa is not None:
-        if kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {kappa:g}")
+        if not 0 < kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {kappa:g}")
         return [float(kappa)]
     kmin = _resolve(args, "kappa_min", None, float)
     kmax = _resolve(args, "kappa_max", None, float)
     points = _resolve(args, "kappa_points", 5, int)
     if kmin is None or kmax is None:
         raise ValueError("provide --kappa or both --kappa-min and --kappa-max")
-    if not 0 < kmin <= kmax:
-        raise ValueError("need 0 < kappa-min <= kappa-max")
+    if not 0 < kmin <= kmax < math.inf:
+        raise ValueError("need 0 < kappa-min <= kappa-max < inf")
     if points < 1:
         raise ValueError("kappa-points must be >= 1")
     return [float(v) for v in np.geomspace(kmin, kmax, points)]
@@ -157,13 +162,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         nodes = _resolve(args, "nodes", None, int)
         if any(k < _MIN_KAPPA for k in grid):
             raise ValueError(
-                f"kappa < {_MIN_KAPPA} is refused by the direct solver; "
+                f"kappa < {_MIN_KAPPA} is refused by the solver; "
                 "use the asymptotic expansions (compare-asymptotics, "
                 "third-moment machinery) in that regime")
     except ValueError as exc:
         return _usage_error(str(exc))
-    workers = _workers(args)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
         rows = list(pool.map(lambda k: _solve_row(k, nodes), grid))
     _write_rows(["kappa", "gamma", "capacitance", "energy", "residual", "error"],
                 rows, args.format, args.output)
@@ -203,7 +207,7 @@ def cmd_fit_weak(args: argparse.Namespace) -> int:
             sol = love.solve_love(love.LoveProblem(kappa=kappa), n=nodes)
             return love.observables(sol)
 
-        with ThreadPoolExecutor(max_workers=_workers(args)) as pool:
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
             pts = list(pool.map(solve_point, grid))
     try:
         c2, residual = love.weak_coupling_fit(pts)
@@ -251,7 +255,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         tasks = _verify_tasks(which)
     except ValueError as exc:
         return _usage_error(str(exc))
-    with ThreadPoolExecutor(max_workers=_workers(args)) as pool:
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
         produced = list(pool.map(lambda task: task(), tasks))
     reports = []
     for item in produced:
@@ -277,7 +281,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if any(k > 0.3 for k in grid):
             raise ValueError("capacitance expansions need kappa <= 0.3")
         if any(k < _MIN_KAPPA for k in grid):
-            raise ValueError(f"kappa < {_MIN_KAPPA} is refused by the direct solver")
+            raise ValueError(f"kappa < {_MIN_KAPPA} is refused by the solver")
         nodes = _resolve(args, "nodes", None, int)
     except ValueError as exc:
         return _usage_error(str(exc))
@@ -297,7 +301,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             out["error"] = str(exc)
         return out
 
-    with ThreadPoolExecutor(max_workers=_workers(args)) as pool:
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
         rows = list(pool.map(row, grid))
     _write_rows(["kappa", "c_numeric", "c_kirchhoff", "c_extended",
                  "err_kirchhoff", "err_extended", "error"],
@@ -367,8 +371,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
     try:
-        tol = _resolve(args, "tol", 1e-10, float)
-        _check_tol(tol)
+        _check_tol(_resolve(args, "tol", 1e-10, float))
+        args.workers = _workers(args)
     except ValueError as exc:
         return _usage_error(str(exc))
     try:

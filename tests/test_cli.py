@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from lovelab.cli import main
+from lovelab.cli import _write_rows, main
 
 PI = math.pi
 
@@ -45,6 +45,20 @@ def test_solve_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--kappa", "inf"],
+    ["solve", "--kappa", "nan"],
+    ["solve", "--kappa-min", "nan", "--kappa-max", "1"],
+    ["solve", "--kappa-min", "0.1", "--kappa-max", "inf"],
+    ["compare-asymptotics", "--kappa", "nan"],
+])
+def test_non_finite_kappa_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_solve_strong_coupling_row(capsys):
     code, out = run(capsys, ["solve", "--kappa", "100"])
     assert code == 0
@@ -77,6 +91,17 @@ def test_seventeen_digit_cells(capsys):
     for key in ("kappa", "gamma", "capacitance", "energy"):
         assert FLOAT_17.match(row[key]), row[key]
         assert float(f"{float(row[key]):.16e}") == float(row[key])
+
+
+def test_json_escapes_strings_and_nulls_non_finite(capsys):
+    message = 'bad "value" in C:\\tmp'
+    _write_rows(["kappa", "gamma", "energy", "error"],
+                [{"kappa": 1.0, "gamma": math.nan, "energy": math.inf,
+                  "error": message}], "json", None)
+    out = capsys.readouterr().out
+    assert json.loads(out) == [{"kappa": 1.0, "gamma": None, "energy": None,
+                                "error": message}]
+    assert '"kappa": 1.0000000000000000e+00' in out
 
 
 def test_json_output(capsys):
@@ -204,3 +229,14 @@ def test_env_var_thread_override(capsys, monkeypatch):
 def test_tol_validation(capsys):
     assert main(["solve", "--kappa", "1", "--tol", "1e-20"]) == 2
     capsys.readouterr()
+
+
+def test_bad_thread_count_is_usage_error(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("LOVE_LAB_THREADS", "abc")
+    assert main(["solve", "--kappa", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: LOVE_LAB_THREADS")
+    monkeypatch.delenv("LOVE_LAB_THREADS")
+    config = tmp_path / "run.cfg"
+    config.write_text("workers = many\n")
+    assert main(["--config", str(config), "verify", "--which", "gamma1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -1,20 +1,26 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lovelab as ll
-from lovelab.errors import DomainError, ResolutionError, WindowError
+from lovelab import love
+from lovelab.errors import ConvergenceError, DomainError, ResolutionError, WindowError
 
 PI = math.pi
 
 
+def dense_kernel(kappa, x, y, wy):
+    """Dense Nystrom kernel matrix k(x_i - y_j) wy_j (test-side oracle)."""
+    return (kappa / PI) * wy[None, :] / ((x[:, None] - y[None, :]) ** 2 + kappa * kappa)
+
+
 def kernel_apply(sol, values):
     """One application of the discrete Love operator (test-side)."""
-    k = sol.problem.kappa
-    mat = (k / PI) * sol.weights[None, :] / (
-        (sol.nodes[:, None] - sol.nodes[None, :]) ** 2 + k * k)
-    return mat @ values
+    return dense_kernel(sol.problem.kappa, sol.nodes, sol.nodes, sol.weights) @ values
 
 
 # ----------------------------------------------------------------------
@@ -89,6 +95,94 @@ def test_solver_guards():
         ll.solve_love(ll.LoveProblem(kappa=0.002))
     with pytest.raises(DomainError):
         ll.solve_love(ll.LoveProblem(kappa=1.0), n=4)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kappa": math.inf}, {"kappa": math.nan},
+    {"kappa": 1.0, "v0": math.inf}, {"kappa": 1.0, "v0": math.nan},
+])
+def test_problem_requires_finite_data(kwargs):
+    with pytest.raises(DomainError):
+        ll.LoveProblem(**kwargs)
+
+
+def test_residual_gate_rejects_nan(monkeypatch):
+    monkeypatch.setattr(love, "_collocation_residual", lambda *args: math.nan)
+    with pytest.raises(ResolutionError):
+        ll.solve_love(ll.LoveProblem(kappa=1.0))
+
+
+def test_conjugate_gradients_rejects_nan():
+    with pytest.raises(ConvergenceError):
+        love._conjugate_gradients(lambda u: u * math.nan, np.ones((4, 8)), 1.0)
+
+
+def test_conjugate_gradients_iteration_cap(monkeypatch):
+    monkeypatch.setattr(love, "_CG_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError):
+        ll.solve_love(ll.LoveProblem(kappa=0.1))
+
+
+# ----------------------------------------------------------------------
+# matrix-free kernel products.
+# ----------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(kappa=st.floats(0.02, 100.0), n=st.integers(16, 2000),
+       fine_targets=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_panel_kernel_matches_dense_product(kappa, n, fine_targets, seed):
+    # targets: the mesh nodes themselves, or the doubled Gauss rule on the
+    # same panels (the residual check's cross product)
+    panels, rule = love._mesh(kappa, n)
+    y, w = love._nodes(panels, rule)
+    target = ll.gauss_legendre(2 * len(rule)) if fine_targets else rule
+    x, _ = love._nodes(panels, target)
+    u = np.random.default_rng(seed).standard_normal(len(y))
+    k = dense_kernel(kappa, x, y, w)
+    apply = love._panel_kernel(kappa, panels, target.nodes / panels,
+                               rule.nodes / panels, rule.weights / panels)
+    fast = apply(u.reshape(panels, len(rule))).ravel()
+    # relative to |K| |u|, the scale of rounding in any matvec: at large
+    # kappa, K u of a zero-mean u cancels far below it
+    assert np.max(np.abs(fast - k @ u)) <= 1e-13 * np.max(np.abs(k) @ np.abs(u))
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.1, 0.02, 0.01])
+def test_solve_matches_dense_oracle(kappa):
+    sol = ll.solve_love(ll.LoveProblem(kappa=kappa))
+    a = dense_kernel(kappa, sol.nodes, sol.nodes, sol.weights)
+    np.negative(a, out=a)
+    a[np.diag_indices_from(a)] += 1.0
+    f = np.linalg.solve(a, np.full(len(sol.nodes), sol.problem.v0))
+    del a
+    dense = ll.observables(dataclasses.replace(sol, f=f))
+    fast = ll.observables(sol)
+    assert fast.gamma == pytest.approx(dense.gamma, rel=1e-13, abs=0.0)
+    assert fast.capacitance == pytest.approx(dense.capacitance, rel=1e-13, abs=0.0)
+    assert fast.energy == pytest.approx(dense.energy, rel=1e-13, abs=0.0)
+
+
+def test_solve_forms_no_dense_matrix():
+    problem = ll.LoveProblem(kappa=0.01)
+    ll.solve_love(problem)                # warm the Gauss-rule cache
+    tracemalloc.start()
+    try:
+        sol = ll.solve_love(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(sol.nodes) ** 2 / 4
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.1, 0.02])
+def test_residual_gate_flags_perturbed_solution(kappa):
+    problem = ll.LoveProblem(kappa=kappa)
+    sol = ll.solve_love(problem)
+    panels, rule = love._mesh(kappa, ll.default_node_count(kappa))
+    tol = love._RESIDUAL_TOL * problem.v0
+    assert love._collocation_residual(problem, panels, rule, sol.f) <= tol
+    perturbed = sol.f * (1.0 + 1e-7)
+    assert not love._collocation_residual(problem, panels, rule, perturbed) <= tol
 
 
 # ----------------------------------------------------------------------
@@ -241,3 +335,11 @@ def test_fit_window_guards():
     bad = good + [ll.EnergyPoint(math.nan, 0.3, math.nan, 0.3)]
     with pytest.raises(WindowError):
         ll.weak_coupling_fit(bad)
+
+
+def test_fit_rejects_nan_gamma():
+    points = [ll.EnergyPoint(math.nan, g, math.nan, g) for g in
+              np.geomspace(2e-3, 4e-2, 6)]
+    points.append(ll.EnergyPoint(math.nan, math.nan, math.nan, math.nan))
+    with pytest.raises(WindowError):
+        ll.weak_coupling_fit(points)
