@@ -29,8 +29,6 @@ from .quadrature import (
     QuadratureRule,
     fit_log_tail,
     gauss_legendre,
-    integrate,
-    integrate_semi_infinite,
 )
 from .love import (
     GAS_POTENTIAL,

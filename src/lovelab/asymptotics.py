@@ -23,7 +23,7 @@ import numpy as np
 
 from .capacitor2d import _phi, phi_prime_polylog_integral
 from .errors import DomainError, WindowError
-from .quadrature import _log_edges, _panel_sum, _tanh_sinh
+from .quadrature import _composite, _log_edges, _tanh_sinh
 from .specfun import _agm_ke, _i1e, _i2e, _k1e, elliptic_ke
 
 __all__ = [
@@ -52,6 +52,12 @@ _LOG8 = math.log(8.0)
 # 1/6 - 1/pi^2 and the rival 1/8 - 1/pi^2.
 ENERGY_GAMMA2 = 1.0 / 6.0 - 1.0 / _PI ** 2
 ENERGY_GAMMA2_RIVAL = 1.0 / 8.0 - 1.0 / _PI ** 2
+
+# Constants of the cumulative edge-potential integrals, checked numerically
+# in conjectures: int_0^X Phi dt - (log X)/pi -> GAMMA0 and
+# int_0^X Phi log t dt - (log X)^2/(2 pi) -> GAMMA1.
+GAMMA0 = (1.0 + math.log(_PI)) / _PI
+GAMMA1 = _PI / 6.0 - 1.0 / _PI - math.log(_PI) / _PI - math.log(_PI) ** 2 / (2.0 * _PI)
 
 
 # ----------------------------------------------------------------------
@@ -381,11 +387,6 @@ def _k3_part(r: float) -> float:
     return 2.0 * r * r * pair.E + (1.0 - 2.0 * r * r) * pair.K
 
 
-def _k3_vec(r: np.ndarray) -> np.ndarray:
-    K, E = _agm_ke(1.0 / r)
-    return 2.0 * r * r * E + (1.0 - 2.0 * r * r) * K
-
-
 def kernel_k(part: str, r: float, epsilon: float = math.nan) -> float:
     """Kernels of the third-moment identity, for r >= 1.
 
@@ -502,12 +503,10 @@ def j_split(epsilon: float, delta: float | None = None) -> tuple[float, float]:
     def inner(x: np.ndarray) -> np.ndarray:
         return _phi(x) * (0.5 * np.log(x * epsilon / 8.0) + 2.0)
 
-    j1, _ = _tanh_sinh(inner, 0.0, 1.0, tol=1e-13)
-    j1 += _panel_sum(inner, _log_edges(1.0, cutoff, per_decade=6))
-    j1 *= epsilon
+    j1 = epsilon * _composite(inner, [0.0, *_log_edges(1.0, cutoff, per_decade=6)])
 
     S = 1.0 / (1.0 + delta)
-    val, _ = _tanh_sinh(_outer_subtracted, 0.0, S, tol=1e-13)
+    val, _ = _tanh_sinh(_outer_subtracted, 0.0, S)
     om = 1.0 - S                      # = delta / (1 + delta)
     val += -0.5 * _SUB_C0 * math.log(om) ** 2 - _SUB_C1 * math.log(om)
     j2 = epsilon * val
@@ -521,8 +520,6 @@ def j_split(epsilon: float, delta: float | None = None) -> tuple[float, float]:
 # epsilon-order coefficient of int phi' k dr, in closed form and as the
 # combination of the extracted integral constants; the two agree to
 # rounding (cross-checked in the tests).
-_GAMMA0 = (1.0 + math.log(_PI)) / _PI
-_GAMMA1 = _PI / 6.0 - 1.0 / _PI - math.log(_PI) / _PI - math.log(_PI) ** 2 / (2.0 * _PI)
 _GAMMA2 = -2.0 / _PI - _PI / 4.0
 
 
@@ -533,7 +530,7 @@ def _eps_bracket_closed() -> float:
 
 
 def _eps_bracket_from_constants() -> float:
-    inner = ((2.0 - 0.5 * _LOG8) * _GAMMA0 + 0.5 * _GAMMA1 + _GAMMA2
+    inner = ((2.0 - 0.5 * _LOG8) * GAMMA0 + 0.5 * GAMMA1 + _GAMMA2
              + 2.0 * _LOG8 / _PI - _LOG8 ** 2 / (4.0 * _PI))
     return (2.0 / _PI) * inner + 1.0 / (2.0 * _PI ** 2)
 

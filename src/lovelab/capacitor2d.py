@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegimeWarning
-from .quadrature import _log_edges, _panel_sum, _tanh_sinh
+from .quadrature import _composite, _log_edges
 from .specfun import _polylog_exp_neg, _w_upper_from_offset
 
 __all__ = [
@@ -150,10 +150,7 @@ def cumulative_phi(X: float) -> float:
     """
     if not X >= 1.0:
         raise DomainError(f"need X >= 1, got {X!r}")
-    head, _ = _tanh_sinh(_phi, 0.0, 1.0, tol=1e-13)
-    if X == 1.0:
-        return head
-    return head + _panel_sum(_phi, _log_edges(1.0, X))
+    return _composite(_phi, [0.0, *_log_edges(1.0, X)])
 
 
 def cumulative_phi_log(X: float) -> float:
@@ -164,10 +161,7 @@ def cumulative_phi_log(X: float) -> float:
     def integrand(t: np.ndarray) -> np.ndarray:
         return _phi(t) * np.log(t)
 
-    head, _ = _tanh_sinh(integrand, 0.0, 1.0, tol=1e-13)
-    if X == 1.0:
-        return head
-    return head + _panel_sum(integrand, _log_edges(1.0, X))
+    return _composite(integrand, [0.0, *_log_edges(1.0, X)])
 
 
 # Beyond this point Li_n(e^{-pi x}) < 1e-17 for every n >= 1; the omitted
@@ -191,6 +185,4 @@ def phi_prime_polylog_integral(n: int) -> float:
                          dtype=float, count=len(x))
         return dphi * li
 
-    value, _ = _tanh_sinh(integrand, 0.0, 1.0, tol=1e-13)
-    edges = np.linspace(1.0, _POLYLOG_CUTOFF, 14)
-    return value + _panel_sum(integrand, edges)
+    return _composite(integrand, [0.0, *np.linspace(1.0, _POLYLOG_CUTOFF, 14)])

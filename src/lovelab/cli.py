@@ -22,7 +22,12 @@ from . import asymptotics, conjectures, love
 from .errors import LoveLabError
 
 _MIN_KAPPA = 0.01     # below this the node budget cannot resolve the kernel
-_TOL_RANGE = (1e-14, 1e-4)
+
+# epsilon_of_gamma truncates its series, so a solve aimed at gamma lands
+# slightly below it (relative 1.1e-5 at gamma = 1e-3, growing with gamma);
+# solver targets stay this factor above the fit window's lower edge so every
+# solved point falls inside the window.
+_TARGET_FLOOR = 1.0 + 5e-5
 
 _DIGIT_THRESHOLDS = {
     "gamma0": 8, "gamma1": 8,
@@ -115,28 +120,27 @@ def _workers(args: argparse.Namespace) -> int:
 
 
 def _kappa_grid(args: argparse.Namespace) -> list[float]:
+    """The --kappa point or the --kappa-min/max/points grid; never empty."""
     kappa = _resolve(args, "kappa", None, float)
     if kappa is not None:
         if not 0 < kappa < math.inf:
             raise ValueError(f"kappa must be positive and finite, got {kappa:g}")
-        return [float(kappa)]
-    kmin = _resolve(args, "kappa_min", None, float)
-    kmax = _resolve(args, "kappa_max", None, float)
-    points = _resolve(args, "kappa_points", 5, int)
-    if kmin is None or kmax is None:
-        raise ValueError("provide --kappa or both --kappa-min and --kappa-max")
-    if not 0 < kmin <= kmax < math.inf:
-        raise ValueError("need 0 < kappa-min <= kappa-max < inf")
-    if points < 1:
-        raise ValueError("kappa-points must be >= 1")
-    return [float(v) for v in np.geomspace(kmin, kmax, points)]
-
-
-def _check_tol(tol: float) -> float:
-    lo, hi = _TOL_RANGE
-    if not lo <= tol <= hi:
-        raise ValueError(f"tol must lie in [{lo:g}, {hi:g}], got {tol:g}")
-    return tol
+        grid = [float(kappa)]
+    else:
+        kmin = _resolve(args, "kappa_min", None, float)
+        kmax = _resolve(args, "kappa_max", None, float)
+        points = _resolve(args, "kappa_points", 5, int)
+        if kmin is None or kmax is None:
+            raise ValueError("provide --kappa or both --kappa-min and --kappa-max")
+        if not 0 < kmin <= kmax < math.inf:
+            raise ValueError("need 0 < kappa-min <= kappa-max < inf")
+        if points < 1:
+            raise ValueError("kappa-points must be >= 1")
+        grid = [float(v) for v in np.geomspace(kmin, kmax, points)]
+    if min(grid) < _MIN_KAPPA:
+        raise ValueError(f"kappa < {_MIN_KAPPA} is refused by the solver; "
+                         "use the asymptotic expansions in that regime")
+    return grid
 
 
 # ----------------------------------------------------------------------
@@ -160,11 +164,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         grid = _kappa_grid(args)
         nodes = _resolve(args, "nodes", None, int)
-        if any(k < _MIN_KAPPA for k in grid):
-            raise ValueError(
-                f"kappa < {_MIN_KAPPA} is refused by the solver; "
-                "use the asymptotic expansions (compare-asymptotics, "
-                "third-moment machinery) in that regime")
     except ValueError as exc:
         return _usage_error(str(exc))
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
@@ -183,8 +182,9 @@ def cmd_fit_weak(args: argparse.Namespace) -> int:
         gmin = _resolve(args, "gamma_min", 2e-3, float)
         gmax = _resolve(args, "gamma_max", 5e-2, float)
         points = _resolve(args, "gamma_points", 9, int)
-        if not 1e-3 <= gmin <= gmax <= 5e-2:
-            raise ValueError("gamma grid must lie inside [1e-3, 5e-2]")
+        lo, hi = love._WEAK_WINDOW
+        if not lo <= gmin <= gmax <= hi:
+            raise ValueError(f"gamma grid must lie inside [{lo:g}, {hi:g}]")
         if points < 5:
             raise ValueError("need at least 5 gamma points")
         nodes = _resolve(args, "nodes", None, int)
@@ -203,6 +203,7 @@ def cmd_fit_weak(args: argparse.Namespace) -> int:
                for g in grid]
     else:
         def solve_point(gamma_target: float) -> love.EnergyPoint:
+            gamma_target = max(gamma_target, lo * _TARGET_FLOOR)
             kappa = 2.0 * asymptotics.epsilon_of_gamma(gamma_target)
             sol = love.solve_love(love.LoveProblem(kappa=kappa), n=nodes)
             return love.observables(sol)
@@ -276,12 +277,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
         grid = _kappa_grid(args)
-        if not grid:
-            raise ValueError("empty kappa grid")
         if any(k > 0.3 for k in grid):
             raise ValueError("capacitance expansions need kappa <= 0.3")
-        if any(k < _MIN_KAPPA for k in grid):
-            raise ValueError(f"kappa < {_MIN_KAPPA} is refused by the solver")
         nodes = _resolve(args, "nodes", None, int)
     except ValueError as exc:
         return _usage_error(str(exc))
@@ -325,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write table here instead of stdout")
         p.add_argument("--workers", type=int,
                        help="worker threads (default: LOVE_LAB_THREADS or 1)")
-        p.add_argument("--tol", type=float, help="numerical tolerance")
 
     p_solve = sub.add_parser("solve", help="solve the Love equation on a kappa grid")
     p_solve.add_argument("--kappa", type=float)
@@ -371,7 +367,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
     try:
-        _check_tol(_resolve(args, "tol", 1e-10, float))
         args.workers = _workers(args)
     except ValueError as exc:
         return _usage_error(str(exc))

@@ -18,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .asymptotics import _outer_subtracted
+from .asymptotics import GAMMA0, GAMMA1, _outer_subtracted
 from .capacitor2d import cumulative_phi, cumulative_phi_log, phi_prime_polylog_integral
 from .errors import DomainError
-from .quadrature import _panel_sum, _tanh_sinh, fit_log_tail
+from .quadrature import _composite, _tanh_sinh, fit_log_tail
 from .specfun import _dk_vec, _w_upper_from_offset
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
 _PI = math.pi
 _LOG8 = math.log(8.0)
 
-GAMMA0 = (1.0 + math.log(_PI)) / _PI
-GAMMA1 = _PI / 6.0 - 1.0 / _PI - math.log(_PI) / _PI - math.log(_PI) ** 2 / (2.0 * _PI)
 GAMMA2_TILDE = -2.0 / _PI - _PI / 4.0 - _LOG8 ** 2 / (4.0 * _PI) + 2.0 * _LOG8 / _PI
 INTEGRAL4 = -2.0 / _PI - _PI / 2.0 + 2.0 * _LOG8 / _PI
 
@@ -114,7 +112,7 @@ def verify_polylog_claim(n: int) -> ConjectureReport:
 # Residue identity over the branch cut.
 # ----------------------------------------------------------------------
 
-def residue_identity(k: int, tol: float = 1e-12) -> ConjectureReport:
+def residue_identity(k: int) -> ConjectureReport:
     """Branch-cut integral against the pole residue k^k e^{-k} / (k-1)!.
 
     After x = -e^{t-1} the integral becomes
@@ -130,9 +128,7 @@ def residue_identity(k: int, tol: float = 1e-12) -> ConjectureReport:
         im = -W.imag / ((1.0 + W.real) ** 2 + W.imag ** 2)
         return np.exp(-k * t) * im
 
-    value, _ = _tanh_sinh(integrand, 0.0, 1.0, tol=tol)
-    edges = np.linspace(1.0, 40.0 / k + 5.0, 20)
-    value += _panel_sum(integrand, edges)
+    value = _composite(integrand, [0.0, *np.linspace(1.0, 40.0 / k + 5.0, 20)])
     computed = -(k / _PI) * value
     target = k ** k * math.exp(-k) / math.factorial(k - 1)
     return _report(f"residue_k{k}", computed, target,
@@ -178,7 +174,7 @@ def _integral4_value() -> float:
         omr2 = (1.0 - r) * (1.0 + r)
         return 2.0 * (omr2 / r) * dk * dk - 1.0 / (1.0 - r)
 
-    value, _ = _tanh_sinh(integrand, 0.0, 1.0, tol=1e-13)
+    value, _ = _tanh_sinh(integrand, 0.0, 1.0)
     return (2.0 / _PI) * value
 
 
@@ -199,7 +195,7 @@ def verify_gamma2() -> list[ConjectureReport]:
     Both must match -2/pi - pi/4 - log^2(8)/(4 pi) + 2 log(8)/pi.
     """
     route_a = _integral4_value() + _PI / 4.0 - 9.0 * math.log(2.0) ** 2 / (4.0 * _PI)
-    direct, _ = _tanh_sinh(_outer_subtracted, 0.0, 1.0, tol=1e-13)
+    direct, _ = _tanh_sinh(_outer_subtracted, 0.0, 1.0)
     return [
         _report("gamma2_tilde_via_integral4", route_a, GAMMA2_TILDE,
                 "elliptic-derivative integral plus exact companion terms"),

@@ -80,10 +80,8 @@ class LoveSolution:
     def interpolate(self, x: np.ndarray) -> np.ndarray:
         """Nystrom interpolant: exact off-node extension of the discrete f."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        kappa, v0 = self.problem.kappa, self.problem.v0
-        kern = (kappa / _PI) * self.weights[None, :] / (
-            (x[:, None] - self.nodes[None, :]) ** 2 + kappa * kappa)
-        return v0 + kern @ self.f
+        kern = _kernel_matrix(self.problem.kappa, x, self.nodes, self.weights)
+        return self.problem.v0 + kern @ self.f
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
-"""Integration engines: Gauss-Legendre rules, adaptive subdivision, tanh-sinh
-(double-exponential) quadrature for endpoint singularities, a semi-infinite
-transform, and least-squares extraction of constants from logarithmically
-growing integrals.
+"""Integration engines: Gauss-Legendre rules, tanh-sinh (double-exponential)
+quadrature for endpoint singularities, the composite path that joins the two
+(a tanh-sinh head where the singularity sits, Gauss panels on the tail), and
+least-squares extraction of constants from logarithmically growing integrals.
 
-Integrands are called with numpy arrays of abscissae; plain scalar callables
-are detected and wrapped transparently.
+Integrands are called with numpy arrays of abscissae.
 """
 
 from __future__ import annotations
@@ -16,14 +15,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConditioningError, ConvergenceError, DivergenceError, DomainError
+from .errors import ConditioningError, ConvergenceError, DomainError
 
 __all__ = [
     "QuadratureRule",
     "LogTailFit",
     "gauss_legendre",
-    "integrate",
-    "integrate_semi_infinite",
     "fit_log_tail",
 ]
 
@@ -112,23 +109,8 @@ def gauss_legendre(n: int) -> QuadratureRule:
 
 
 # ----------------------------------------------------------------------
-# Integrand plumbing.
+# Gauss panels.
 # ----------------------------------------------------------------------
-
-def _vectorized(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """Accept either array-aware or scalar integrands."""
-
-    def call(x: np.ndarray) -> np.ndarray:
-        try:
-            y = np.asarray(f(x), dtype=float)
-            if y.shape == x.shape:
-                return y
-        except (TypeError, ValueError):
-            pass
-        return np.fromiter((float(f(v)) for v in x), dtype=float, count=len(x))
-
-    return call
-
 
 def _panel_sum(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float],
                points: int = 24) -> float:
@@ -154,10 +136,11 @@ def _log_edges(a: float, b: float, per_decade: int = 4) -> np.ndarray:
 
 _TS_TMAX = 6.1
 _TS_MAX_LEVEL = 12
+_TOL = 1e-13            # relative tolerance of every tanh-sinh integral here
 
 
-def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-               tol: float = 1e-12) -> tuple[float, float]:
+def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
+               b: float) -> tuple[float, float]:
     """Double-exponential quadrature on (a, b).
 
     Nodes near the endpoints are generated as exact distances s from a or b
@@ -167,7 +150,8 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     are below double precision for any integrable singularity.
 
     Stops when two consecutive level refinements change the value by less
-    than tol (relative to max(1, |I|)); level cap 12.
+    than _TOL (relative to max(1, |I|)); raises ConvergenceError, carrying
+    the last value and change, if level 12 gets there first.
     """
     width = b - a
 
@@ -209,90 +193,23 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             scale = max(1.0, abs(value))
             d1 = abs(history[-1] - history[-2])
             d2 = abs(history[-2] - history[-3])
-            if d1 < tol * scale and d2 < tol * scale:
+            if d1 < _TOL * scale and d2 < _TOL * scale:
                 return value, max(d1, 4e-16 * scale)
-    return value, abs(history[-1] - history[-2])
+    raise ConvergenceError(
+        f"tanh-sinh on ({a:g}, {b:g}) missed tolerance {_TOL:g} "
+        f"at level {_TS_MAX_LEVEL}",
+        value, abs(history[-1] - history[-2]))
 
 
-# ----------------------------------------------------------------------
-# Adaptive Gauss subdivision.
-# ----------------------------------------------------------------------
+def _composite(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]) -> float:
+    """Integral of f over [edges[0], edges[-1]].
 
-def _adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-              tol: float, max_panels: int = 4000) -> tuple[float, float]:
-    rule = gauss_legendre(15)
-
-    def q(lo: float, hi: float) -> float:
-        x, w = rule.mapped(lo, hi)
-        return float(np.dot(w, f(x)))
-
-    import heapq
-
-    whole = q(a, b)
-    half = q(a, 0.5 * (a + b)) + q(0.5 * (a + b), b)
-    heap = [(-abs(whole - half), a, b, half)]
-    total, err = half, abs(whole - half)
-    panels = 1
-    while err > tol * max(1.0, abs(total)) and panels < max_panels:
-        neg_e, lo, hi, val = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        for lo2, hi2 in ((lo, mid), (mid, hi)):
-            whole2 = q(lo2, hi2)
-            m2 = 0.5 * (lo2 + hi2)
-            half2 = q(lo2, m2) + q(m2, hi2)
-            heapq.heappush(heap, (-abs(whole2 - half2), lo2, hi2, half2))
-        total = sum(item[3] for item in heap)
-        err = sum(-item[0] for item in heap)
-        panels += 1
-    if err > tol * max(1.0, abs(total)) * 10.0:
-        raise ConvergenceError("adaptive quadrature stalled", total, err)
-    return total, err
-
-
-def integrate(f: Callable, a: float, b: float, tol: float = 1e-10,
-              scheme: str = "adaptive") -> tuple[float, float]:
-    """Integrate f over (a, b); returns (value, error_estimate).
-
-    scheme "adaptive" bisects Gauss panels where the 15-point rule and its
-    split disagree most; scheme "tanh_sinh" applies the double-exponential
-    transform and tolerates integrable endpoint singularities.
+    tanh-sinh takes the head [edges[0], edges[1]], where an integrable
+    endpoint singularity may sit; 24-point Gauss panels take the smooth
+    remainder between the later edges.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"need finite a < b, got ({a!r}, {b!r})")
-    fv = _vectorized(f)
-    if scheme == "adaptive":
-        return _adaptive(fv, a, b, tol)
-    if scheme == "tanh_sinh":
-        return _tanh_sinh(fv, a, b, tol)
-    raise DomainError(f"unknown scheme {scheme!r}; expected adaptive or tanh_sinh")
-
-
-def integrate_semi_infinite(f: Callable, a: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Integrate f over (a, inf) via the substitution x = a + t/(1 - t).
-
-    Requires decay at least like x^{-2} (or faster); a coarse probe of
-    |f| x^2 at three widely spaced points rejects clearly non-decaying
-    integrands before any work is done.
-    """
-    fv = _vectorized(f)
-    scale = 1.0 + abs(a)
-    probes = a + scale * np.array([1e3, 1e6, 1e9])
-    with np.errstate(over="ignore", invalid="ignore"):
-        mags = np.abs(fv(probes)) * (probes - a) ** 2
-    mags = np.nan_to_num(mags, nan=np.inf)
-    if mags[-1] > 10.0 * (mags[0] + 1e-300) and mags[-1] > 1e-12:
-        raise DivergenceError(
-            "integrand does not appear to decay like x^-2 or faster")
-
-    def transformed(t: np.ndarray) -> np.ndarray:
-        s = 1.0 - t                         # exact: t arrives as 1 - s
-        x = a + t / s
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            y = fv(x)
-            out = np.where(y == 0.0, 0.0, y / (s * s))
-        return np.nan_to_num(out, nan=0.0)
-
-    return _tanh_sinh(transformed, 0.0, 1.0, tol)
+    head, _ = _tanh_sinh(f, edges[0], edges[1])
+    return head + _panel_sum(f, edges[1:])
 
 
 # ----------------------------------------------------------------------

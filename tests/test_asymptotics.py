@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 
 import lovelab as ll
 from lovelab.asymptotics import (
@@ -111,16 +112,10 @@ def test_far_field_against_double_integral():
     # F(r) = (1/(2 pi)) int_0^{2pi} int_0^1 r1 dr1 dth /
     #        (r^2 + r1^2 - 2 r r1 cos th)^{3/2}
     r = 2.0
-
-    def theta_slice(theta):
-        value, _ = ll.integrate(
-            lambda r1: r1 / (r * r + r1 * r1 - 2.0 * r * r1 * math.cos(theta)) ** 1.5,
-            0.0, 1.0, tol=1e-12, scheme="tanh_sinh")
-        return value
-
-    total, _ = ll.integrate(lambda th: np.array([theta_slice(t) for t in np.atleast_1d(th)]),
-                            0.0, 2.0 * PI, tol=1e-11, scheme="adaptive")
-    assert ll.far_field(r) == pytest.approx(total / (2.0 * PI), abs=1e-8)
+    total, _ = dblquad(
+        lambda r1, th: r1 / (r * r + r1 * r1 - 2.0 * r * r1 * math.cos(th)) ** 1.5,
+        0.0, 2.0 * PI, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
+    assert ll.far_field(r) == pytest.approx(total / (2.0 * PI), abs=1e-12)
 
 
 def test_far_field_domain():

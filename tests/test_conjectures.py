@@ -90,14 +90,6 @@ def test_residue_targets_and_digits():
         assert ll.residue_identity(k).digits >= 8
 
 
-def test_residue_digits_improve_with_tolerance():
-    for k in (2, 4):
-        loose = ll.residue_identity(k, tol=1e-8)
-        tight = ll.residue_identity(k, tol=1e-12)
-        assert tight.digits >= loose.digits
-        assert tight.digits >= 8
-
-
 def test_residue_integrand_has_one_sign():
     # Im(1/(1+W)) < 0 along the upper cut, so the integrand never oscillates
     from lovelab.specfun import _w_upper_from_offset

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import lovelab as ll
-from lovelab.errors import DivergenceError, DomainError
+from lovelab.errors import ConvergenceError, DomainError
+from lovelab.quadrature import _composite, _tanh_sinh
 
 PI = math.pi
 
@@ -76,83 +77,57 @@ def test_rule_size_guards():
 
 
 # ----------------------------------------------------------------------
-# integrate.
+# tanh-sinh and the composite head-plus-panels path.
 # ----------------------------------------------------------------------
 
 def test_polynomial_both_schemes():
-    for scheme in ("adaptive", "tanh_sinh"):
-        value, est = ll.integrate(lambda x: x * x, 0.0, 1.0, tol=1e-12,
-                                  scheme=scheme)
-        assert value == pytest.approx(1.0 / 3.0, abs=1e-13)
+    value, est = _tanh_sinh(lambda x: x * x, 0.0, 1.0)
+    assert value == pytest.approx(1.0 / 3.0, abs=1e-13)
+    assert est < 1e-13
+    value = _composite(lambda x: x * x, [0.0, 0.5, 1.0, 2.0])
+    assert value == pytest.approx(8.0 / 3.0, abs=1e-13)
 
 
 def test_tanh_sinh_inverse_sqrt_singularity():
-    value, _ = ll.integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0,
-                            tol=1e-13, scheme="tanh_sinh")
+    value, _ = _tanh_sinh(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
     assert value == pytest.approx(2.0, abs=1e-12)
+    # the singular head goes to tanh-sinh, the panels never see x = 0
+    value = _composite(lambda x: 1.0 / np.sqrt(x), [0.0, 1.0, 2.0, 4.0])
+    assert value == pytest.approx(4.0, abs=1e-12)
 
 
 def test_log_endpoint_singularity():
     # antiderivative (1-x) log(1-x) - (1-x)  =>  integral is exactly 1
-    value, _ = ll.integrate(lambda x: np.log(1.0 / (1.0 - x)), 0.0, 1.0,
-                            tol=1e-13, scheme="tanh_sinh")
+    value, _ = _tanh_sinh(lambda x: np.log(1.0 / (1.0 - x)), 0.0, 1.0)
     assert value == pytest.approx(1.0, abs=1e-12)
-    value, est = ll.integrate(lambda x: np.log(1.0 / (1.0 - x)), 0.0, 1.0,
-                              tol=1e-10, scheme="adaptive")
-    assert abs(value - 1.0) <= max(1e-10, est)
+    # and log t on (0, 1] as a composite head: int_0^e log t dt = 0
+    value = _composite(np.log, [0.0, 1.0, math.e])
+    assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_scheme_cross_check_smooth():
     f = lambda x: np.exp(-x * x) * np.cos(3.0 * x)
-    a, _ = ll.integrate(f, 0.0, 2.0, tol=1e-12, scheme="adaptive")
-    b, _ = ll.integrate(f, 0.0, 2.0, tol=1e-12, scheme="tanh_sinh")
-    assert a == pytest.approx(b, abs=1e-11)
+    a, _ = _tanh_sinh(f, 0.0, 2.0)
+    b = _composite(f, np.linspace(0.0, 2.0, 5))
+    assert a == pytest.approx(b, abs=1e-13)
 
 
-def test_scalar_integrands_accepted():
-    value, _ = ll.integrate(lambda x: math.sin(x), 0.0, PI, tol=1e-11)
-    assert value == pytest.approx(2.0, abs=1e-10)
+def test_composite_zero_width_tail_adds_nothing():
+    f = lambda x: 1.0 / np.sqrt(x)
+    head, _ = _tanh_sinh(f, 0.0, 1.0)
+    assert _composite(f, [0.0, 1.0, 1.0]) == head
 
 
-def test_integrate_guards():
-    with pytest.raises(DomainError):
-        ll.integrate(lambda x: x, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        ll.integrate(lambda x: x, 0.0, 1.0, scheme="simpson")
-
-
-# ----------------------------------------------------------------------
-# integrate_semi_infinite.
-# ----------------------------------------------------------------------
-
-def test_semi_infinite_exponential():
-    value, _ = ll.integrate_semi_infinite(lambda x: np.exp(-x), 0.0, tol=1e-12)
-    assert value == pytest.approx(1.0, abs=1e-11)
-
-
-def test_semi_infinite_algebraic():
-    value, _ = ll.integrate_semi_infinite(lambda x: 1.0 / (1.0 + x) ** 2, 0.0,
-                                          tol=1e-12)
-    assert value == pytest.approx(1.0, abs=1e-11)
-
-
-def test_semi_infinite_exponential_integral():
-    # int_0^inf e^{-pi x}/(1+x) dx = e^pi E_1(pi); E_1 from its ascending
-    # series -gamma - log z - sum (-z)^k/(k k!)
-    z = PI
-    total, term = 0.0, 1.0
-    for k in range(1, 60):
-        term *= -z / k
-        total += term / k
-    oracle = math.exp(z) * (-0.5772156649015329 - math.log(z) - total)
-    value, _ = ll.integrate_semi_infinite(
-        lambda x: np.exp(-PI * x) / (1.0 + x), 0.0, tol=1e-12)
-    assert value == pytest.approx(oracle, abs=1e-10)
-
-
-def test_semi_infinite_detects_non_decay():
-    with pytest.raises(DivergenceError):
-        ll.integrate_semi_infinite(lambda x: 1.0 / (1.0 + x), 0.0)
+@pytest.mark.parametrize("f, best", [
+    (lambda x: 1.0 / x, None),                        # divergent
+    (lambda x: np.where(x < 0.3, 1.0, 0.0), 0.3),     # interior jump
+])
+def test_tanh_sinh_raises_at_level_cap(f, best):
+    with pytest.raises(ConvergenceError) as info:
+        _tanh_sinh(f, 0.0, 1.0)
+    assert info.value.estimate > 1e-13
+    if best is not None:
+        assert info.value.best == pytest.approx(best, abs=1e-3)
 
 
 # ----------------------------------------------------------------------
