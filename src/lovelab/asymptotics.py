@@ -59,6 +59,11 @@ ENERGY_GAMMA2_RIVAL = 1.0 / 8.0 - 1.0 / _PI ** 2
 GAMMA0 = (1.0 + math.log(_PI)) / _PI
 GAMMA1 = _PI / 6.0 - 1.0 / _PI - math.log(_PI) / _PI - math.log(_PI) ** 2 / (2.0 * _PI)
 
+# The outer-integral constant and the elliptic-derivative integral, both
+# checked numerically in conjectures by their own routes.
+GAMMA2_TILDE = -2.0 / _PI - _PI / 4.0 - _LOG8 ** 2 / (4.0 * _PI) + 2.0 * _LOG8 / _PI
+INTEGRAL4 = -2.0 / _PI - _PI / 2.0 + 2.0 * _LOG8 / _PI
+
 
 # ----------------------------------------------------------------------
 # Truncated log-power series.
@@ -517,11 +522,9 @@ def j_split(epsilon: float, delta: float | None = None) -> tuple[float, float]:
 # Third-moment expansion and the ground-state assembly.
 # ----------------------------------------------------------------------
 
-# epsilon-order coefficient of int phi' k dr, in closed form and as the
+# The epsilon-order bracket of int phi' k dr, in closed form and as the
 # combination of the extracted integral constants; the two agree to
 # rounding (cross-checked in the tests).
-_GAMMA2 = -2.0 / _PI - _PI / 4.0
-
 
 def _eps_bracket_closed() -> float:
     l8p = math.log(8.0 * _PI)
@@ -530,8 +533,7 @@ def _eps_bracket_closed() -> float:
 
 
 def _eps_bracket_from_constants() -> float:
-    inner = ((2.0 - 0.5 * _LOG8) * GAMMA0 + 0.5 * GAMMA1 + _GAMMA2
-             + 2.0 * _LOG8 / _PI - _LOG8 ** 2 / (4.0 * _PI))
+    inner = (2.0 - 0.5 * _LOG8) * GAMMA0 + 0.5 * GAMMA1 + GAMMA2_TILDE
     return (2.0 / _PI) * inner + 1.0 / (2.0 * _PI ** 2)
 
 

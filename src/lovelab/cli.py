@@ -21,21 +21,11 @@ import numpy as np
 from . import asymptotics, conjectures, love
 from .errors import LoveLabError
 
-_MIN_KAPPA = 0.01     # below this the node budget cannot resolve the kernel
-
 # epsilon_of_gamma truncates its series, so a solve aimed at gamma lands
 # slightly below it (relative 1.1e-5 at gamma = 1e-3, growing with gamma);
 # solver targets stay this factor above the fit window's lower edge so every
 # solved point falls inside the window.
 _TARGET_FLOOR = 1.0 + 5e-5
-
-_DIGIT_THRESHOLDS = {
-    "gamma0": 8, "gamma1": 8,
-    "gamma2_tilde_via_integral4": 9, "gamma2_tilde_direct": 9,
-    "integral4": 9,
-    "polylog_n1": 9, "polylog_n2": 9, "polylog_n3": 9, "polylog_n4": 9,
-    "residue_k1": 8, "residue_k2": 8, "residue_k3": 8, "residue_k4": 8,
-}
 
 
 def _fmt(value) -> str:
@@ -125,22 +115,17 @@ def _kappa_grid(args: argparse.Namespace) -> list[float]:
     if kappa is not None:
         if not 0 < kappa < math.inf:
             raise ValueError(f"kappa must be positive and finite, got {kappa:g}")
-        grid = [float(kappa)]
-    else:
-        kmin = _resolve(args, "kappa_min", None, float)
-        kmax = _resolve(args, "kappa_max", None, float)
-        points = _resolve(args, "kappa_points", 5, int)
-        if kmin is None or kmax is None:
-            raise ValueError("provide --kappa or both --kappa-min and --kappa-max")
-        if not 0 < kmin <= kmax < math.inf:
-            raise ValueError("need 0 < kappa-min <= kappa-max < inf")
-        if points < 1:
-            raise ValueError("kappa-points must be >= 1")
-        grid = [float(v) for v in np.geomspace(kmin, kmax, points)]
-    if min(grid) < _MIN_KAPPA:
-        raise ValueError(f"kappa < {_MIN_KAPPA} is refused by the solver; "
-                         "use the asymptotic expansions in that regime")
-    return grid
+        return [float(kappa)]
+    kmin = _resolve(args, "kappa_min", None, float)
+    kmax = _resolve(args, "kappa_max", None, float)
+    points = _resolve(args, "kappa_points", 5, int)
+    if kmin is None or kmax is None:
+        raise ValueError("provide --kappa or both --kappa-min and --kappa-max")
+    if not 0 < kmin <= kmax < math.inf:
+        raise ValueError("need 0 < kappa-min <= kappa-max < inf")
+    if points < 1:
+        raise ValueError("kappa-points must be >= 1")
+    return [float(v) for v in np.geomspace(kmin, kmax, points)]
 
 
 # ----------------------------------------------------------------------
@@ -230,43 +215,24 @@ def cmd_fit_weak(args: argparse.Namespace) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _verify_tasks(which: str) -> list:
-    """Independent report producers, merged in deterministic order."""
-    tasks = {
-        "gamma0": [conjectures.verify_gamma0],
-        "gamma1": [conjectures.verify_gamma1],
-        "gamma2": [conjectures.verify_gamma2],
-        "integral4": [conjectures.verify_integral4],
-        "polylog": [lambda n=n: conjectures.verify_polylog_claim(n)
-                    for n in range(1, 5)],
-        "residue": [lambda k=k: conjectures.residue_identity(k)
-                    for k in range(1, 5)],
-    }
-    if which == "all":
-        return [t for group in tasks.values() for t in group]
-    if which not in tasks:
-        raise ValueError(f"unknown conjecture {which!r}; expected one of "
-                         "all, gamma0, gamma1, gamma2, integral4, polylog, residue")
-    return tasks[which]
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     which = _resolve(args, "which", "all", str)
-    try:
-        tasks = _verify_tasks(which)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    suite = conjectures.SUITE
+    if which != "all" and which not in suite:
+        return _usage_error(f"unknown conjecture {which!r}; expected one of "
+                            + ", ".join(["all", *suite]))
+    groups = list(suite.values()) if which == "all" else [suite[which]]
+    tasks = [task for group in groups for task in group.tasks]
+    min_digits = {k: v for group in groups for k, v in group.min_digits.items()}
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        produced = list(pool.map(lambda task: task(), tasks))
-    reports = []
-    for item in produced:
-        reports.extend(item if isinstance(item, list) else [item])
+        reports = [r for produced in pool.map(lambda task: task(), tasks)
+                   for r in produced]
     rows = [{"name": r.name, "computed": r.computed, "target": r.target,
              "abs_error": r.abs_error, "digits": r.digits, "method": r.method}
             for r in reports]
     _write_rows(["name", "computed", "target", "abs_error", "digits", "method"],
                 rows, args.format, args.output)
-    ok = all(r.digits >= _DIGIT_THRESHOLDS.get(r.name, 8) for r in reports)
+    ok = all(r.digits >= min_digits[r.name] for r in reports)
     return 0 if ok else 1
 
 
@@ -366,6 +332,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         args._config = _read_config(args.config) if args.config else {}
     except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
+    # the namespace holds one attribute per option of the chosen command
+    options = set(vars(args)) - {"command", "config", "_config", "func"}
+    unknown = sorted(set(args._config) - options)
+    if unknown:
+        return _usage_error(f"{args.config}: not an option of {args.command}: "
+                            + ", ".join(unknown))
     try:
         args.workers = _workers(args)
     except ValueError as exc:

@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .asymptotics import GAMMA0, GAMMA1, _outer_subtracted
+from .asymptotics import GAMMA0, GAMMA1, GAMMA2_TILDE, INTEGRAL4, _outer_subtracted
 from .capacitor2d import cumulative_phi, cumulative_phi_log, phi_prime_polylog_integral
 from .errors import DomainError
 from .quadrature import _composite, _tanh_sinh, fit_log_tail
@@ -34,14 +34,12 @@ __all__ = [
     "verify_gamma1",
     "verify_gamma2",
     "verify_integral4",
+    "SuiteGroup",
+    "SUITE",
     "run_all",
 ]
 
 _PI = math.pi
-_LOG8 = math.log(8.0)
-
-GAMMA2_TILDE = -2.0 / _PI - _PI / 4.0 - _LOG8 ** 2 / (4.0 * _PI) + 2.0 * _LOG8 / _PI
-INTEGRAL4 = -2.0 / _PI - _PI / 2.0 + 2.0 * _LOG8 / _PI
 
 
 @dataclass(frozen=True)
@@ -204,12 +202,31 @@ def verify_gamma2() -> list[ConjectureReport]:
     ]
 
 
+class SuiteGroup(NamedTuple):
+    """One selectable group of the suite: its independent report producers,
+    each returning a list of reports, and the significant digits each of
+    the group's reports must match."""
+
+    tasks: list[Callable[[], list[ConjectureReport]]]
+    min_digits: dict[str, int]
+
+
+# The suite in report order.  The producers look their check up by name
+# when called, so a wrapper put on a module attribute sees every call.
+SUITE = {
+    "gamma0": SuiteGroup([lambda: [verify_gamma0()]], {"gamma0": 8}),
+    "gamma1": SuiteGroup([lambda: [verify_gamma1()]], {"gamma1": 8}),
+    "gamma2": SuiteGroup([lambda: verify_gamma2()],
+                         {"gamma2_tilde_via_integral4": 9, "gamma2_tilde_direct": 9}),
+    "integral4": SuiteGroup([lambda: [verify_integral4()]], {"integral4": 9}),
+    "polylog": SuiteGroup([lambda n=n: [verify_polylog_claim(n)] for n in range(1, 5)],
+                          {f"polylog_n{n}": 9 for n in range(1, 5)}),
+    "residue": SuiteGroup([lambda k=k: [residue_identity(k)] for k in range(1, 5)],
+                          {f"residue_k{k}": 8 for k in range(1, 5)}),
+}
+
+
 def run_all() -> list[ConjectureReport]:
-    """The full harness: gamma0, gamma1, both gamma2 routes, integral4,
-    polylog claims n = 1..4, residue identities k = 1..4."""
-    reports = [verify_gamma0(), verify_gamma1()]
-    reports += verify_gamma2()
-    reports.append(verify_integral4())
-    reports += [verify_polylog_claim(n) for n in range(1, 5)]
-    reports += [residue_identity(k) for k in range(1, 5)]
-    return reports
+    """The full suite in SUITE order: gamma0, gamma1, both gamma2 routes,
+    integral4, polylog claims n = 1..4, residue identities k = 1..4."""
+    return [r for group in SUITE.values() for task in group.tasks for r in task()]

@@ -12,15 +12,16 @@ the mesh uses uniform panels of width ~min(kappa, 1/4) with the polynomial
 order set by the node budget.  Every panel carries the same Gauss rule, so
 the kernel matrix is block-Toeplitz in the panel lag: the solver never forms
 it, applying it by FFT in O(N log N) inside conjugate gradients, and the
-residual check uses the same structure.  The node budget stays below 4100,
-which sets the kappa floor.
+residual check uses the same structure.  One node budget, _MAX_NODES =
+48000 (the default mesh at kappa = 1e-3), is the solver's kappa floor:
+_mesh refuses a larger mesh before any kernel is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -47,10 +48,11 @@ _PI = math.pi
 #: Right-hand side for the gas problem; the capacitor normalization is v0 = 1.
 GAS_POTENTIAL = 1.0 / (2.0 * _PI)
 
-_MAX_NODES = 4100
+_MAX_NODES = 48000                       # 2000 panels x 24 points: kappa >= 1e-3
 _RESIDUAL_TOL = 1e-8
 _CG_TOL = 1e-15
-_CG_MAX_ITER = 500                       # ~50 suffice at the kappa floor
+_CG_MAX_ITER = 500                       # 156 used at the kappa floor
+_ROW_BLOCK = 1 << 18                     # entries per dense kernel block (2 MiB)
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,9 @@ class LoveSolution:
     def interpolate(self, x: np.ndarray) -> np.ndarray:
         """Nystrom interpolant: exact off-node extension of the discrete f."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        kern = _kernel_matrix(self.problem.kappa, x, self.nodes, self.weights)
-        return self.problem.v0 + kern @ self.f
+        blocks = _kernel_rows(self.problem.kappa, x, self.nodes, self.weights)
+        parts = [np.empty(0), *(k @ self.f for k in blocks)]
+        return self.problem.v0 + np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,8 @@ class EnergyPoint:
 
 
 def default_node_count(kappa: float) -> int:
-    """Node budget resolving the Lorentzian ridge: ~48/kappa, clamped."""
-    return int(min(3600, max(240, math.ceil(48.0 / kappa))))
+    """Node budget resolving the Lorentzian ridge: ~48/kappa, at least 240."""
+    return int(max(240, math.ceil(48.0 / kappa)))
 
 
 def _mesh(kappa: float, n: int) -> tuple[int, QuadratureRule]:
@@ -111,11 +114,9 @@ def _mesh(kappa: float, n: int) -> tuple[int, QuadratureRule]:
     if panels % 2 == 1:
         panels += 1                      # symmetric mesh about x = 0
     if panels * points > _MAX_NODES:
-        points = _MAX_NODES // panels    # keep the kernel-resolving panels
-    if points < 8:
         raise ResolutionError(
-            f"kappa={kappa!r} needs more than {_MAX_NODES} nodes to resolve "
-            "the kernel width; use the asymptotic expansions instead")
+            f"kappa={kappa!r} needs {panels * points} nodes but the solver "
+            f"allows at most {_MAX_NODES}; use the asymptotic expansions instead")
     return panels, gauss_legendre(points)
 
 
@@ -129,9 +130,14 @@ def _nodes(panels: int, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _kernel_matrix(kappa: float, x: np.ndarray, y: np.ndarray,
-                   wy: np.ndarray) -> np.ndarray:
-    return (kappa / _PI) * wy[None, :] / ((x[:, None] - y[None, :]) ** 2 + kappa * kappa)
+def _kernel_rows(kappa: float, x: np.ndarray, y: np.ndarray,
+                 wy: np.ndarray) -> Iterator[np.ndarray]:
+    """Dense kernel k(x_i - y_j) wy_j, in row blocks of at most _ROW_BLOCK
+    entries so that memory stays bounded however many targets x there are."""
+    step = max(1, _ROW_BLOCK // len(y))
+    for start in range(0, len(x), step):
+        diff = x[start:start + step, None] - y[None, :]
+        yield (kappa / _PI) * wy[None, :] / (diff * diff + kappa * kappa)
 
 
 def _panel_kernel(kappa: float, panels: int, tau: np.ndarray, s: np.ndarray,
@@ -274,8 +280,7 @@ def operator_norm_discrete(kappa: float, n: int | None = None) -> float:
         n = default_node_count(kappa)
     y, w = _nodes(*_mesh(kappa, n))
     x = np.append(y, 0.0)
-    rows = _kernel_matrix(kappa, x, y, w).sum(axis=1)
-    return float(np.max(rows))
+    return max(float(np.max(k.sum(axis=1))) for k in _kernel_rows(kappa, x, y, w))
 
 
 def moments(sol: LoveSolution) -> tuple[float, float]:

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from lovelab import conjectures
 from lovelab.cli import _write_rows, main
 
 PI = math.pi
@@ -40,7 +41,6 @@ def test_solve_single_row(capsys):
 
 def test_solve_usage_errors(capsys):
     assert main(["solve", "--kappa", "-1"]) == 2
-    assert main(["solve", "--kappa", "0.005"]) == 2
     assert main(["solve"]) == 2
     capsys.readouterr()
 
@@ -177,6 +177,15 @@ def test_verify_all(capsys):
     assert all(int(r["digits"]) >= 8 for r in rows)
 
 
+def test_verify_exit_follows_suite_thresholds(capsys, monkeypatch):
+    group = conjectures.SUITE["gamma1"]
+    monkeypatch.setitem(conjectures.SUITE, "gamma1",
+                        conjectures.SuiteGroup(group.tasks, {"gamma1": 18}))
+    code, out = run(capsys, ["verify", "--which", "gamma1"])
+    assert code == 1
+    assert len(parse_csv(out)) == 1
+
+
 def test_verify_unknown_name(capsys):
     assert main(["verify", "--which", "nonsense"]) == 2
     capsys.readouterr()
@@ -202,8 +211,18 @@ def test_compare_usage_errors(capsys):
     assert main(["compare-asymptotics", "--kappa-points", "0",
                  "--kappa-min", "0.05", "--kappa-max", "0.1"]) == 2
     assert main(["compare-asymptotics", "--kappa", "0.5"]) == 2
-    assert main(["compare-asymptotics", "--kappa", "0.005"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare-asymptotics"])
+def test_kappa_below_floor_is_error_row(capsys, command):
+    code, out = run(capsys, [command, "--kappa-min", "9e-4", "--kappa-max",
+                             "0.05", "--kappa-points", "2"])
+    assert code == 1
+    below, solved = parse_csv(out)
+    assert float(below["kappa"]) == 9e-4
+    assert "the solver allows at most 48000" in below["error"]
+    assert solved["error"] == ""
 
 
 # ----------------------------------------------------------------------
@@ -225,6 +244,21 @@ def test_config_file_rejects_garbage(capsys, tmp_path):
     config.write_text("kappa 2.0\n")
     assert main(["--config", str(config), "solve", "--kappa", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("lines, named", [
+    ("kapa = 0.5\ntol = 1e-30\n", "kapa, tol"),
+    ("which = all\n", "which"),            # an option of verify, not of solve
+    ("config = other.cfg\n", "config"),
+])
+def test_config_file_rejects_unknown_keys(capsys, tmp_path, lines, named):
+    config = tmp_path / "bad.cfg"
+    config.write_text(lines)
+    assert main(["--config", str(config), "solve", "--kappa", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.rstrip().endswith(named)
 
 
 def test_env_var_thread_override(capsys, monkeypatch):

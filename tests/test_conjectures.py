@@ -170,6 +170,10 @@ def test_run_all_contents_and_digits():
     names = [r.name for r in reports]
     assert names == sorted(names, key=names.index)  # deterministic order
     assert {"gamma0", "gamma1", "integral4"} <= set(names)
+    thresholds = [(name, digits) for group in ll.conjectures.SUITE.values()
+                  for name, digits in group.min_digits.items()]
+    assert names == [name for name, _ in thresholds]
+    assert all(r.digits >= d for r, (_, d) in zip(reports, thresholds))
     for report in reports:
         assert report.digits >= 8
         assert report.abs_error == abs(report.computed - report.target)

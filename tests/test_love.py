@@ -92,9 +92,31 @@ def test_solver_guards():
     with pytest.raises(DomainError):
         ll.LoveProblem(kappa=1.0, v0=0.0)
     with pytest.raises(ResolutionError):
-        ll.solve_love(ll.LoveProblem(kappa=0.002))
+        ll.solve_love(ll.LoveProblem(kappa=9e-4))
     with pytest.raises(DomainError):
         ll.solve_love(ll.LoveProblem(kappa=1.0), n=4)
+
+
+def test_kappa_floor_refused_before_any_kernel(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("kernel built below the kappa floor")
+
+    monkeypatch.setattr(love, "_panel_kernel", no_kernel)
+    with pytest.raises(ResolutionError):
+        ll.solve_love(ll.LoveProblem(kappa=9e-4))
+    with pytest.raises(ResolutionError):          # an explicit budget too
+        ll.solve_love(ll.LoveProblem(kappa=1.0), n=love._MAX_NODES + 48)
+
+
+def test_solve_at_the_kappa_floor():
+    problem = ll.LoveProblem(kappa=1e-3)
+    sol = ll.solve_love(problem)
+    assert ll.default_node_count(1e-3) == len(sol.nodes) == love._MAX_NODES
+    assert sol.residual <= love._RESIDUAL_TOL * problem.v0
+    c = ll.observables(sol).capacitance
+    ce = ll.capacitance_series("extended", 1e-3)
+    ck = ll.capacitance_series("kirchhoff", 1e-3)
+    assert abs(c - ce) < 1e-2 * abs(c - ck)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -198,6 +220,27 @@ def test_operator_norm_closed_forms():
 @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 5.0])
 def test_discrete_operator_norm_matches(kappa):
     assert abs(ll.operator_norm_discrete(kappa) - ll.operator_norm(kappa)) < 1e-6
+
+
+def test_dense_helpers_work_in_bounded_blocks(monkeypatch):
+    sol = ll.solve_love(ll.LoveProblem(kappa=0.05))
+    x = np.linspace(-1.0, 1.0, 301)
+    whole = sol.problem.v0 + dense_kernel(0.05, x, sol.nodes, sol.weights) @ sol.f
+    norm = ll.operator_norm_discrete(0.05)
+    monkeypatch.setattr(love, "_ROW_BLOCK", 7 * len(sol.nodes))   # 43 blocks
+    np.testing.assert_allclose(sol.interpolate(x), whole, rtol=1e-14, atol=0.0)
+    assert ll.operator_norm_discrete(0.05) == norm
+
+
+def test_operator_norm_discrete_memory_bounded():
+    ll.operator_norm_discrete(0.05)            # warm the 24-point Gauss rule
+    tracemalloc.start()
+    try:
+        ll.operator_norm_discrete(0.005)       # 9600 nodes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 # ----------------------------------------------------------------------
