@@ -180,9 +180,6 @@ def phi_prime_polylog_integral(n: int) -> float:
         raise DomainError(f"order must be an integer in [1, 7], got {n!r}")
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        dphi = _phi_prime(x)
-        li = np.fromiter((_polylog_exp_neg(n, _PI * v) for v in x),
-                         dtype=float, count=len(x))
-        return dphi * li
+        return _phi_prime(x) * _polylog_exp_neg(n, _PI * x)
 
     return _composite(integrand, [0.0, *np.linspace(1.0, _POLYLOG_CUTOFF, 14)])

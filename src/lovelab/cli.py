@@ -9,6 +9,8 @@ Exit codes: 0 success, 1 numerical failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -26,6 +28,8 @@ from .errors import LoveLabError
 # solver targets stay this factor above the fit window's lower edge so every
 # solved point falls inside the window.
 _TARGET_FLOOR = 1.0 + 5e-5
+
+_FORMATS = ("csv", "json")
 
 
 def _fmt(value) -> str:
@@ -50,20 +54,20 @@ def _json_cell(value) -> str:
 
 def _write_rows(columns: Sequence[str], rows: Iterable[dict], fmt: str,
                 path: str | None) -> None:
-    lines: list[str] = []
     if fmt == "csv":
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(row.get(c)) for c in columns))
+        # minimal quoting: only cells holding a comma, quote or newline
+        # (error messages, method notes) are quoted
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
+        text = buffer.getvalue()
     else:
         body = []
         for row in rows:
             cells = [f"{json.dumps(c)}: {_json_cell(row.get(c))}" for c in columns]
             body.append("  {" + ", ".join(cells) + "}")
-        lines.append("[")
-        lines.append(",\n".join(body))
-        lines.append("]")
-    text = "\n".join(lines) + "\n"
+        text = "[\n" + ",\n".join(body) + "\n]\n"
     if path:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -107,6 +111,13 @@ def _workers(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValueError(f"LOVE_LAB_THREADS must be an integer, got {env!r}") from None
     return max(1, _resolve(args, "workers", default, int))
+
+
+def _format(args: argparse.Namespace) -> str:
+    fmt = _resolve(args, "format", "csv", str)
+    if fmt not in _FORMATS:
+        raise ValueError(f"format must be one of {', '.join(_FORMATS)}, got {fmt!r}")
+    return fmt
 
 
 def _kappa_grid(args: argparse.Namespace) -> list[float]:
@@ -284,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=_FORMATS, help="table format (default: csv)")
         p.add_argument("--output", help="write table here instead of stdout")
         p.add_argument("--workers", type=int,
                        help="worker threads (default: LOVE_LAB_THREADS or 1)")
@@ -340,6 +351,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                             + ", ".join(unknown))
     try:
         args.workers = _workers(args)
+        args.format = _format(args)
+        args.output = _resolve(args, "output", None, str)
     except ValueError as exc:
         return _usage_error(str(exc))
     try:

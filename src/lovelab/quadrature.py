@@ -37,8 +37,9 @@ class QuadratureRule:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def mapped(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """Affinely map the rule onto (a, b)."""
+    def mapped(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """Affinely map the rule onto (a, b); column arrays of a and b give
+        one row of nodes and weights per interval."""
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         return mid + half * self.nodes, half * self.weights
 
@@ -114,12 +115,19 @@ def gauss_legendre(n: int) -> QuadratureRule:
 
 def _panel_sum(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float],
                points: int = 24) -> float:
-    """Composite Gauss-Legendre sum over consecutive panels."""
-    rule = gauss_legendre(points)
+    """Composite Gauss-Legendre sum over consecutive panels.
+
+    The abscissae of all panels form one (panels, points) array, and the
+    integrand sees them in a single call (flattened, panel after panel).
+    Each panel's weighted sum is formed on its own row, and the panel sums
+    are added in edge order.
+    """
+    edges = np.asarray(edges, dtype=float)
+    x, w = gauss_legendre(points).mapped(edges[:-1, None], edges[1:, None])
+    fx = f(x.ravel()).reshape(x.shape)
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = rule.mapped(a, b)
-        total += float(np.dot(w, f(x)))
+    for part in np.sum(w * fx, axis=1).tolist():
+        total += part
     return total
 
 
@@ -147,7 +155,9 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
     (s = e^{-2u}/(1 + e^{-2u}) with u = (pi/2) sinh t), so integrands with
     integrable endpoint singularities receive cancellation-free abscissae.
     Nodes whose position rounds onto an endpoint are dropped; their weights
-    are below double precision for any integrable singularity.
+    are below double precision for any integrable singularity.  Each level
+    calls f once, with the new nodes at both endpoints (level 0 also takes
+    the midpoint).
 
     Stops when two consecutive level refinements change the value by less
     than _TOL (relative to max(1, |I|)); raises ConvergenceError, carrying
@@ -155,12 +165,11 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
     """
     width = b - a
 
-    def level_contribution(h: float, only_odd: bool) -> float:
+    def level_sum(h: float, only_odd: bool, x0=(), w0=()) -> float:
+        """Weighted sum of f over one level's nodes and the extra nodes x0."""
         k = np.arange(1, int(math.floor(_TS_TMAX / h)) + 1)
         if only_odd:
             k = k[k % 2 == 1]
-        if len(k) == 0:
-            return 0.0
         t = k * h
         u = 0.5 * _PI * np.sinh(t)
         q = np.exp(-2.0 * u)                    # underflows harmlessly to 0
@@ -170,23 +179,19 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
         s, w = s[keep], w[keep]
         xl = a + width * s
         xr = b - width * s
-        total = 0.0
-        lok = xl > a
-        if np.any(lok):
-            total += float(np.dot(w[lok], f(xl[lok])))
-        rok = xr < b
-        if np.any(rok):
-            total += float(np.dot(w[rok], f(xr[rok])))
-        return total
+        lok, rok = xl > a, xr < b
+        x = np.concatenate([x0, xl[lok], xr[rok]])
+        if not len(x):
+            return 0.0
+        return float(np.dot(np.concatenate([w0, w[lok], w[rok]]), f(x)))
 
     h = 1.0
-    raw = 0.5 * _PI * float(f(np.asarray([a + 0.5 * width]))[0])
-    raw += level_contribution(h, only_odd=False)
+    raw = level_sum(h, only_odd=False, x0=[a + 0.5 * width], w0=[0.5 * _PI])
     value = 0.5 * width * h * raw
     history = [value]
     for level in range(1, _TS_MAX_LEVEL + 1):
         h *= 0.5
-        raw += level_contribution(h, only_odd=True)
+        raw += level_sum(h, only_odd=True)
         value = 0.5 * width * h * raw
         history.append(value)
         if level >= 3:

@@ -24,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ive, kve
 
-from .errors import BranchError, DivergenceError, DomainError, PoleError
+from .errors import (BranchError, ConvergenceError, DivergenceError, DomainError,
+                     PoleError)
 
 __all__ = [
     "EllipticPair",
@@ -259,40 +260,63 @@ def lambert_w(x: float) -> float:
     return w
 
 
+_HALLEY_MAX_ITER = 60
+
+
 def _w_upper_from_offset(d) -> np.ndarray:
     """Upper-cut Lambert W at z = -e^{d-1}, parametrized by d = log(-z) + 1 >= 0.
 
     The branch with Im W in (0, pi) satisfies W + Log W = (d - 1) + i pi,
     which is solved entirely in the log domain so d (hence -z = e^{d-1}) may
     reach ~1e16 and beyond without overflow.  d = 0 is the branch point.
+
+    Below d = 3e-4 the branch-point series is the value.  Elsewhere Halley
+    refines a seed, and each element stops on its own: when its relative
+    step falls below 2e-16, or when the step no longer shrinks (the rounding
+    floor, reached first near the branch point, where the update divides by
+    W + 1 ~ sqrt(2d)).  A stopped element is never updated again, so every
+    value depends on its own d alone, not on the batch it arrives in.  An
+    element still converging after _HALLEY_MAX_ITER steps raises
+    ConvergenceError.
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    W = np.empty(d.shape, dtype=complex)
-    tiny = d < 3e-4
-    if np.any(tiny):
-        p = 1j * np.sqrt(2.0 * np.expm1(d[tiny]))
-        W[tiny] = _w_branch_series(p)
-    rest = ~tiny
-    if np.any(rest):
-        dr = d[rest]
-        Wr = np.empty(dr.shape, dtype=complex)
-        near = dr < 0.5
-        p = 1j * np.sqrt(2.0 * np.expm1(dr[near]))
-        Wr[near] = _w_branch_series(p)
-        t = dr[~near] - 1.0 + 1j * _PI
-        lt = np.log(t)
-        Wr[~near] = t - lt + lt / t
-        target = dr - 1.0 + 1j * _PI
-        for _ in range(60):
-            f = Wr + np.log(Wr) - target
-            fp = (Wr + 1.0) / Wr
-            halley = f * (-1.0 / (Wr * Wr)) / (2.0 * fp)
-            step = f / (fp - halley)
-            Wr = Wr - step
-            if np.max(np.abs(step) / (1.0 + np.abs(Wr))) < 2e-16:
-                break
-        W[rest] = Wr
-    return W
+    d = np.asarray(d, dtype=float)
+    flat = d.ravel()
+    W = np.empty(flat.shape, dtype=complex)
+    tiny = flat < 3e-4
+    W[tiny] = _w_branch_series(1j * np.sqrt(2.0 * np.expm1(flat[tiny])))
+    rest = np.flatnonzero(~tiny)
+    dr = flat[rest]
+    near = dr < 0.5
+    Wr = np.empty(dr.shape, dtype=complex)
+    Wr[near] = _w_branch_series(1j * np.sqrt(2.0 * np.expm1(dr[near])))
+    t = dr[~near] - 1.0 + 1j * _PI
+    lt = np.log(t)
+    Wr[~near] = t - lt + lt / t
+    target = dr - 1.0 + 1j * _PI
+    last = np.full(dr.shape, np.inf)     # each element's previous step size
+    active = np.arange(len(dr))
+    for _ in range(_HALLEY_MAX_ITER):
+        w = Wr[active]
+        f = w + np.log(w) - target[active]
+        fp = (w + 1.0) / w
+        halley = f * (-1.0 / (w * w)) / (2.0 * fp)
+        step = f / (fp - halley)
+        w = w - step
+        Wr[active] = w
+        size = np.abs(step) / (1.0 + np.abs(w))
+        done = (size < 2e-16) | (size >= last[active])
+        last[active] = size
+        active = active[~done]
+        if not len(active):
+            break
+    else:
+        worst = active[np.argmax(last[active])]
+        raise ConvergenceError(
+            f"Halley iteration for the upper-cut Lambert W at d = {dr[worst]!r} "
+            f"still converging after {_HALLEY_MAX_ITER} steps",
+            complex(Wr[worst]), float(last[worst]))
+    W[rest] = Wr
+    return W.reshape(d.shape) if d.ndim else W
 
 
 def lambert_w_upper_cut(x: float) -> complex:
@@ -377,44 +401,57 @@ for _j in range(1, 40):
     _HARMONIC.append(_HARMONIC[-1] + 1.0 / _j)
 
 
-def _polylog_exp_neg(n: int, t: float) -> float:
+# The direct series runs on x = e^{-t} <= 1/2, where term k is at most
+# 2^{1-k} times the first: 57 terms leave a tail below 1e-17 relative for
+# every order.  The expansion about the unit argument runs on |mu| = t <=
+# log 2, where |mu|^{k+1}/k! < 1e-19 from power k = 19 on.
+_DIRECT_TERMS = 57
+_EXPANSION_ORDER = 19
+
+
+def _polylog_exp_neg(n: int, t):
     """Li_n(e^{-t}) for t >= 0, with the argument kept in the exponent.
 
     Callers integrating against e^{-pi x} tails pass t = pi x directly, so
     arguments exponentially close to 1 lose no precision to exp/log round
-    trips.  t = 0 requires n >= 2 (Li_1 diverges there).
+    trips.  t = 0 requires n >= 2 (Li_1 diverges there).  t may be a float,
+    which gives a float, or an array, evaluated elementwise with a fixed
+    number of terms per branch, so each value depends on its own t alone.
     """
-    if t < 0.0:
-        raise DomainError(f"need t >= 0, got {t!r}")
+    ta = np.asarray(t, dtype=float)
+    flat = ta.ravel()
+    bad = flat[~(flat >= 0.0)]
+    if len(bad):
+        raise DomainError(f"need t >= 0, got {bad[0]!r}")
+    direct = flat > math.log(2.0)
+    x = np.exp(-flat[direct])
     if n == 1:
-        if t == 0.0:
+        if np.any(flat == 0.0):
             raise DivergenceError("Li_1(1) diverges")
-        return -math.log(-math.expm1(-t))
-    if t == 0.0:
-        return _zeta(n)
-    if t > math.log(2.0):
-        # direct series in x = e^{-t} <= 1/2
-        x = math.exp(-t)
-        total, xk = 0.0, 1.0
-        for k in range(1, 400):
-            xk *= x
-            term = xk / float(k) ** n
-            total += term
-            if abs(term) <= 1e-17 * abs(total):
-                break
-        return total
-    # expansion in mu = log x = -t about the unit argument
-    # (DLMF 25.12.12); converges for |mu| < 2 pi, fast for |mu| <= log 2
-    mu = -t
-    total = mu ** (n - 1) / math.factorial(n - 1) * (_HARMONIC[n - 1] - math.log(t))
-    muk = 1.0
-    for k in range(0, 80):
-        if k != n - 1:
-            total += _zeta(n - k) * muk / math.factorial(k)
-        muk *= mu
-        if k > n and abs(muk) / math.factorial(k) < 1e-19:
-            break
-    return total
+        # -log(1 - x): log1p keeps x = e^{-t} << 1, expm1 keeps t << 1
+        out = np.empty_like(flat)
+        out[direct] = -np.log1p(-x)
+        out[~direct] = -np.log(-np.expm1(-flat[~direct]))
+    else:
+        out = np.full(flat.shape, _zeta(n))      # t = 0: zeta(n)
+        # direct series in x = e^{-t} <= 1/2, by Horner
+        acc = np.zeros_like(x)
+        for k in range(_DIRECT_TERMS, 0, -1):
+            acc = (acc + 1.0 / float(k) ** n) * x
+        out[direct] = acc
+        # expansion in mu = log x = -t about the unit argument (DLMF
+        # 25.12.12); converges for |mu| < 2 pi, fast for |mu| <= log 2.  The
+        # k = n - 1 term carries (H_{n-1} - log t) in place of zeta(1).
+        expand = ~direct & (flat > 0.0)
+        if np.any(expand):
+            te = flat[expand]
+            mu = -te
+            acc = np.zeros_like(mu)
+            for k in range(max(n + 1, _EXPANSION_ORDER), -1, -1):
+                c = _HARMONIC[n - 1] if k == n - 1 else _zeta(n - k)
+                acc = acc * mu + c / math.factorial(k)
+            out[expand] = acc - mu ** (n - 1) / math.factorial(n - 1) * np.log(te)
+    return float(out[0]) if ta.ndim == 0 else out.reshape(ta.shape)
 
 
 def polylog(n: int, x: float) -> float:

@@ -1,10 +1,12 @@
+import csv
+import io
 import json
 import math
 import re
 
 import pytest
 
-from lovelab import conjectures
+from lovelab import conjectures, love
 from lovelab.cli import _write_rows, main
 
 PI = math.pi
@@ -102,6 +104,16 @@ def test_json_escapes_strings_and_nulls_non_finite(capsys):
     assert json.loads(out) == [{"kappa": 1.0, "gamma": None, "energy": None,
                                 "error": message}]
     assert '"kappa": 1.0000000000000000e+00' in out
+
+
+def test_csv_quotes_cells_holding_commas(capsys, monkeypatch):
+    # a ConvergenceError message ends in "(best=..., estimate=...)"
+    monkeypatch.setattr(love, "_CG_MAX_ITER", 2)
+    code, out = run(capsys, ["solve", "--kappa", "0.1"])
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(r) for r in rows] == [6, 6]
+    assert "," in rows[1][5] and rows[1][0] == "1.0000000000000001e-01"
 
 
 def test_json_output(capsys):
@@ -237,6 +249,24 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     _, from_flag = run(capsys, ["--config", str(config), "solve",
                                 "--kappa", "1.0"])
     assert float(parse_csv(from_flag)[0]["kappa"]) == 1.0
+
+
+def test_config_file_sets_format_and_output(capsys, tmp_path):
+    table = tmp_path / "rows.json"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"format = json\noutput = {table}\n")
+    code, out = run(capsys, ["--config", str(config), "solve", "--kappa", "1"])
+    assert code == 0 and out == ""
+    assert json.loads(table.read_text())[0]["kappa"] == 1.0
+    # the flags beat the file
+    other = tmp_path / "rows.csv"
+    code, _ = run(capsys, ["--config", str(config), "solve", "--kappa", "2",
+                           "--format", "csv", "--output", str(other)])
+    assert code == 0 and other.read_text().startswith("kappa,")
+    assert json.loads(table.read_text())[0]["kappa"] == 1.0
+    config.write_text("format = xml\n")
+    assert main(["--config", str(config), "solve", "--kappa", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: format")
 
 
 def test_config_file_rejects_garbage(capsys, tmp_path):

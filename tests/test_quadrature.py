@@ -5,7 +5,7 @@ import pytest
 
 import lovelab as ll
 from lovelab.errors import ConvergenceError, DomainError
-from lovelab.quadrature import _composite, _tanh_sinh
+from lovelab.quadrature import _composite, _panel_sum, _tanh_sinh
 
 PI = math.pi
 
@@ -116,6 +116,28 @@ def test_composite_zero_width_tail_adds_nothing():
     f = lambda x: 1.0 / np.sqrt(x)
     head, _ = _tanh_sinh(f, 0.0, 1.0)
     assert _composite(f, [0.0, 1.0, 1.0]) == head
+
+
+def test_one_integrand_call_per_panel_set_and_per_level():
+    calls = []
+
+    def f(x):
+        calls.append(np.array(x))
+        return 1.0 / x
+
+    edges = np.geomspace(1.0, 1e3, 13)
+    value = _panel_sum(f, edges)
+    assert value == pytest.approx(math.log(1e3), abs=1e-13)
+    assert len(calls) == 1 and calls[0].shape == (12 * 24,)
+    # abscissae arrive panel after panel, in edge order
+    assert np.all(np.diff(calls[0]) > 0.0)
+    calls.clear()
+    value, _ = _tanh_sinh(f, 1.0, 3.0)
+    assert value == pytest.approx(math.log(3.0), abs=1e-13)
+    # one call per level: each holds nodes near both endpoints
+    assert 4 <= len(calls) <= 13
+    for x in calls:
+        assert x.min() < 2.0 < x.max()
 
 
 @pytest.mark.parametrize("f, best", [

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lovelab as ll
-from lovelab.errors import BranchError, DivergenceError, DomainError, PoleError
+from lovelab import specfun
+from lovelab.errors import (BranchError, ConvergenceError, DivergenceError, DomainError,
+                            PoleError)
 
 PI = math.pi
 
@@ -257,6 +259,52 @@ def test_upper_cut_asymptotic_seed_form():
     assert 0.5 * next_order < gap < 2.0 * next_order
 
 
+# d = log(-z) + 1 across the seams of _w_upper_from_offset: the branch-point
+# series below 3e-4, Halley from the series seed below 0.5, from the
+# asymptotic seed above, out to d = 1e16.
+_W_OFFSETS = np.concatenate([
+    [0.0, 3e-4, 0.5],
+    np.nextafter([3e-4, 3e-4, 0.5, 0.5], [0.0, 1.0, 0.0, 1.0]),
+    np.geomspace(1e-9, 1e-2, 120),
+    np.linspace(0.25, 0.75, 41),
+    np.geomspace(1.0, 1e16, 120),
+])
+
+
+def test_upper_cut_offset_form_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    W = specfun._w_upper_from_offset(_W_OFFSETS)
+    with mpmath.workdps(30):
+        for d, w in zip(_W_OFFSETS, W):
+            z = -mpmath.exp(mpmath.mpf(float(d)) - 1)
+            # the principal branch, approached from above its cut
+            ref = mpmath.lambertw(mpmath.mpc(z, mpmath.mpf(10) ** -40))
+            assert abs(mpmath.mpc(w) - ref) <= 3e-14 * abs(ref), d
+
+
+def test_upper_cut_offset_form_is_batch_independent():
+    # a value must not depend on which abscissae share the call: the same
+    # bits one at a time, in one batch, and in a reversed batch
+    batch = specfun._w_upper_from_offset(_W_OFFSETS)
+    single = np.array([specfun._w_upper_from_offset(d)[0] for d in _W_OFFSETS])
+    reverse = specfun._w_upper_from_offset(_W_OFFSETS[::-1])[::-1]
+    assert batch.tobytes() == single.tobytes()
+    assert reverse.tobytes() == single.tobytes()
+    grid = specfun._w_upper_from_offset(_W_OFFSETS.reshape(-1, 2))
+    assert grid.shape == (len(_W_OFFSETS) // 2, 2)
+    assert grid.ravel().tobytes() == single.tobytes()
+
+
+def test_upper_cut_offset_form_refuses_unconverged(monkeypatch):
+    monkeypatch.setattr(specfun, "_HALLEY_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError) as info:
+        specfun._w_upper_from_offset(np.array([1e-4, 0.3, 40.0]))
+    assert 0.0 < info.value.best.imag < PI
+    assert info.value.estimate >= 2e-16
+    # the branch-point series needs no iteration
+    assert specfun._w_upper_from_offset(1e-4).shape == (1,)
+
+
 def test_upper_cut_wrong_branch_errors():
     with pytest.raises(BranchError):
         ll.lambert_w_upper_cut(-0.3)
@@ -321,3 +369,33 @@ def test_polylog_errors():
         ll.polylog(2, 1.5)
     with pytest.raises(DomainError):
         ll.polylog(2, -0.1)
+
+
+def test_polylog_exp_neg_vectorized_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    log2 = math.log(2.0)
+    # both sides of the switch from the expansion about 1 to the direct series
+    t = np.concatenate([np.geomspace(1e-6, 40.0, 150),
+                        np.nextafter(log2, [0.0, 1.0]), [log2]])
+    with mpmath.workdps(30):
+        for n in range(1, 8):
+            values = specfun._polylog_exp_neg(n, t)
+            assert values.shape == t.shape
+            for ti, v in zip(t, values):
+                ref = mpmath.polylog(n, mpmath.exp(-mpmath.mpf(float(ti))))
+                assert abs(v - ref) <= 1e-14 * abs(ref), (n, ti)
+
+
+def test_polylog_exp_neg_scalar_and_array_agree():
+    t = np.array([0.0, 1e-3, 0.5, math.log(2.0), 2.0, 30.0])
+    for n in (2, 3, 7):
+        values = specfun._polylog_exp_neg(n, t)
+        for ti, v in zip(t, values):
+            scalar = specfun._polylog_exp_neg(n, float(ti))
+            assert isinstance(scalar, float)
+            assert scalar == v
+        assert values[0] == ll.polylog(n, 1.0)
+    with pytest.raises(DivergenceError):
+        specfun._polylog_exp_neg(1, t)
+    with pytest.raises(DomainError):
+        specfun._polylog_exp_neg(2, np.array([1.0, -1e-3]))
