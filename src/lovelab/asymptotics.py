@@ -24,7 +24,7 @@ import numpy as np
 from .capacitor2d import _phi, phi_prime_polylog_integral
 from .errors import DomainError, WindowError
 from .quadrature import _composite, _log_edges, _tanh_sinh
-from .specfun import _agm_ke, _i1e, _i2e, _k1e, elliptic_ke
+from .specfun import _i1e, _i2e, _k1e, _ke_vec, elliptic_ke
 
 __all__ = [
     "AsymptoticSeries",
@@ -313,8 +313,9 @@ def far_field(r: float) -> float:
     order) and diverges like 1/(pi (r-1)) at the edge."""
     if not r > 1.0:
         raise DomainError(f"far field needs r > 1, got {r!r}")
-    k = 2.0 * math.sqrt(r) / (1.0 + r)
-    K, E = _agm_ke(np.asarray(min(k, 1.0 - 1e-17), dtype=float))
+    k = min(2.0 * math.sqrt(r) / (1.0 + r), 1.0)
+    kc = (r - 1.0) / (r + 1.0)      # 1 - k^2 = kc^2, exact as r -> 1
+    K, E = _ke_vec(k, kc * kc)
     return float(E) / (_PI * (r - 1.0)) - float(K) / (_PI * (r + 1.0))
 
 
@@ -378,13 +379,16 @@ def _k2_sum(r: float, epsilon: float, n_terms: int | None = None,
 
 
 def _k1_part(r: float, epsilon: float) -> float:
+    # the eps-free elliptic terms are summed first, so adding -1/(8 eps)
+    # last rounds once and k1 + 1/(8 eps) is the same for every eps to
+    # half an ulp of 1/(8 eps)
     if r == 1.0:
         # (1 - r^2) K(1/r) -> 0; only the E term survives
-        return -1.0 / (8.0 * epsilon) - 2.0 / (3.0 * _PI)
+        return -2.0 / (3.0 * _PI) - 1.0 / (8.0 * epsilon)
     pair = elliptic_ke(1.0 / r)
-    return (-1.0 / (8.0 * epsilon)
-            - 4.0 * r * (1.0 - r * r) * pair.K / (3.0 * _PI)
-            + 2.0 * r * (1.0 - 2.0 * r * r) * pair.E / (3.0 * _PI))
+    elliptic = (-4.0 * r * (1.0 - r * r) * pair.K / (3.0 * _PI)
+                + 2.0 * r * (1.0 - 2.0 * r * r) * pair.E / (3.0 * _PI))
+    return elliptic - 1.0 / (8.0 * epsilon)
 
 
 def _k3_part(r: float) -> float:
@@ -471,8 +475,8 @@ def _outer_transformed(s: np.ndarray) -> np.ndarray:
         out[small] = -(_PI / 32.0) * ss ** 3 * pa * pb / (1.0 - s2)
     sl = s[~small]
     if sl.size:
-        K, E = _agm_ke(sl)
         oms2 = (1.0 - sl) * (1.0 + sl)
+        K, E = _ke_vec(sl, oms2)
         A = 2.0 * E - (2.0 - sl * sl) * K
         B = E - oms2 * K
         out[~small] = (2.0 / (_PI * sl ** 3 * oms2)) * A * B

@@ -13,16 +13,22 @@ Conventions
 * lambert_w is the real principal branch W_0 on [-1/e, inf).  For arguments
   below the branch point -1/e the function is complex; lambert_w_upper_cut
   returns the limit from above the cut, the branch with Im W in (0, pi).
+
+What scipy.special serves is taken from it: K and E (ellipkm1, ellipe), the
+scaled Bessel functions (ive, kve), W_0 (lambertw) and zeta(n) (zeta).  Kept
+here is only what it cannot serve: the upper-cut W solved in the log domain
+(offsets up to ~1e16), Li_n(e^{-t}) with the argument kept in the exponent,
+the Bessel expansions above 1e8 (where ive and kve degrade), the dK/dr series
+at small r (where the closed form cancels), and W's branch-point series.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ive, kve
+from scipy.special import ellipe, ellipkm1, ive, kve, lambertw, zeta
 
 from .errors import (BranchError, ConvergenceError, DivergenceError, DomainError,
                      PoleError)
@@ -51,42 +57,31 @@ class EllipticPair(NamedTuple):
 
 
 # ----------------------------------------------------------------------
-# Complete elliptic integrals via the arithmetic-geometric mean.
+# Complete elliptic integrals (scipy-backed).
 # ----------------------------------------------------------------------
 
-def _agm_ke(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized AGM iteration; k in [0, 1) elementwise.
+def _ke_vec(k: np.ndarray, kc2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K(k) and E(k) elementwise for k in [0, 1).
 
-    K = pi / (2 agm(1, k')) and E = K (1 - sum 2^{n-1} c_n^2) with
-    c_0 = k, c_{n+1} = (a_n - b_n)/2.  Quadratic convergence: ~6 sweeps.
+    kc2 is the complementary parameter 1 - k^2, formed by the caller without
+    cancellation ((1 - k)(1 + k), or exactly from its own geometry), so K
+    keeps its logarithmic growth at moduli exponentially close to 1.
     """
-    a = np.ones_like(k)
-    b = np.sqrt((1.0 - k) * (1.0 + k))
-    c2sum = 0.5 * k * k
-    scale = 1.0
-    for _ in range(60):
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        scale *= 2.0
-        c2sum = c2sum + 0.5 * scale * c * c
-        if np.max(c) < 1e-17:
-            break
-    K = _PI / (2.0 * a)
-    return K, K * (1.0 - c2sum)
+    return ellipkm1(kc2), ellipe(k * k)
 
 
 def elliptic_ke(k: float) -> EllipticPair:
     """Complete elliptic integrals (K, E) for modulus k in [0, 1).
 
-    Computed by the arithmetic-geometric mean, accurate to ~1e-15 relative
-    uniformly in k, including moduli exponentially close to 1.
+    Accurate to ~1e-15 relative uniformly in k, including moduli
+    exponentially close to 1.
     """
     if not 0.0 <= k <= 1.0:
         raise DomainError(f"modulus must lie in [0, 1], got {k!r}")
     if k == 1.0:
         raise PoleError("K(k) has a logarithmic pole at k = 1; "
                         "use elliptic_e for E(1) = 1")
-    K, E = _agm_ke(np.asarray(k, dtype=float))
+    K, E = _ke_vec(k, (1.0 - k) * (1.0 + k))
     return EllipticPair(k, float(K), float(E))
 
 
@@ -99,10 +94,12 @@ def elliptic_e(k: float) -> float:
     return elliptic_ke(k).E
 
 
-# dK/dr = (pi/2) sum 2n c_n^2 r^{2n-1} with c_n = binom(2n, n)/4^n; the
-# closed form below cancels catastrophically for small r, so switch to the
-# leading series terms there (truncation ~r^11, < 1e-13 relative at r=0.05).
-_DK_SERIES = (0.5, 9.0 / 16.0, 75.0 / 128.0, 1225.0 / 2048.0, 19845.0 / 32768.0)
+# dK/dr = (pi/2) sum 2n c_n^2 r^{2n-1} with c_n = binom(2n, n)/4^n.  The
+# closed form below loses digits like 1/r^2 as r -> 0 (2.4e-13 relative at
+# r = 0.05, 1.5e-14 at 0.2), so the series takes over below r = 0.2, where
+# its first 12 terms leave a truncation below 1e-16 relative.
+_DK_SWITCH = 0.2
+_DK_SERIES = tuple(2 * n * (math.comb(2 * n, n) / 4.0 ** n) ** 2 for n in range(1, 13))
 
 
 def _dk_small(r: np.ndarray) -> np.ndarray:
@@ -122,13 +119,13 @@ def elliptic_k_derivative(r: float) -> float:
 
 def _dk_vec(r: np.ndarray) -> np.ndarray:
     out = np.empty_like(r)
-    small = r < 0.05
+    small = r < _DK_SWITCH
     out[small] = _dk_small(r[small])
     big = ~small
     if np.any(big):
         rb = r[big]
-        K, E = _agm_ke(rb)
         omr2 = (1.0 - rb) * (1.0 + rb)
+        K, E = _ke_vec(rb, omr2)
         out[big] = (E - omr2 * K) / (rb * omr2)
     return out
 
@@ -198,8 +195,8 @@ def bessel_scaled(kind: str, x: float) -> float:
 _MU = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0,
        769.0 / 17280.0, -221.0 / 8505.0, 680863.0 / 43545600.0)
 
-# Below this |p| the series alone beats Halley (whose update divides by
-# W + 1 ~ p and amplifies rounding near the branch point).
+# Below this |p| the series is the value of W_0: no iteration, and as accurate
+# as scipy's lambertw there (both are bound by W's conditioning ~1/p).
 _P_SERIES = 0.025
 
 
@@ -213,8 +210,10 @@ def _w_branch_series(p):
 def lambert_w(x: float) -> float:
     """Principal real branch W_0: the solution of w e^w = x for x >= -1/e.
 
-    Halley iteration from piecewise asymptotic seeds; the round trip
-    |W e^W - x| stays below 1e-13 max(1, |x|) over the whole branch.
+    scipy's lambertw, except at the branch point itself (-1, also for
+    float(-1/e), where lambertw returns nan) and within |p| < _P_SERIES of
+    it, where the series is the value.  The round trip |W e^W - x| stays
+    below 1e-13 max(1, |x|) over the whole branch.
     """
     if math.isnan(x):
         raise DomainError("lambert_w needs a real argument, got nan")
@@ -228,36 +227,7 @@ def lambert_w(x: float) -> float:
     p = math.sqrt(2.0 * ex1)
     if p < _P_SERIES:
         return float(_w_branch_series(np.float64(p)))
-    # seeds
-    if x < 0.0:
-        w = float(_w_branch_series(np.float64(p)))
-    elif x < 3.0:
-        w = x * (1.0 - x + 1.5 * x * x) if x < 0.25 else math.log1p(x) * 0.7 + 0.1
-    else:
-        L = math.log(x)
-        ll = math.log(L)
-        w = L - ll + ll / L
-    if x < 3.0:
-        # Halley on f(w) = w e^w - x
-        for _ in range(100):
-            ew = math.exp(w)
-            f = w * ew - x
-            fp = ew * (w + 1.0)
-            step = f / (fp - f * (w + 2.0) / (2.0 * (w + 1.0)))
-            w -= step
-            if abs(step) <= 1e-16 * (1.0 + abs(w)):
-                break
-    else:
-        # log form avoids overflow of e^w for huge x
-        Lx = math.log(x)
-        for _ in range(100):
-            f = w + math.log(w) - Lx
-            fp = (w + 1.0) / w
-            step = f / (fp + f / (2.0 * w * fp))
-            w -= step
-            if abs(step) <= 1e-16 * (1.0 + abs(w)):
-                break
-    return w
+    return float(lambertw(x).real)
 
 
 _HALLEY_MAX_ITER = 60
@@ -343,63 +313,8 @@ def lambert_w_upper_cut(x: float) -> complex:
 
 
 # ----------------------------------------------------------------------
-# Riemann zeta at integers and the polylogarithm on [0, 1].
+# The polylogarithm on [0, 1].
 # ----------------------------------------------------------------------
-
-def _bernoulli(count: int) -> list[Fraction]:
-    """B_0 .. B_count as exact fractions (B_1 = -1/2 convention)."""
-    B = [Fraction(1)]
-    for n in range(1, count + 1):
-        acc = Fraction(0)
-        for k in range(n):
-            acc += Fraction(math.comb(n + 1, k)) * B[k]
-        B.append(-acc / Fraction(n + 1))
-    return B
-
-
-_BER = _bernoulli(42)
-
-
-def _zeta_int(n: int) -> float:
-    """zeta(n) for integer n != 1.
-
-    Positive arguments by Euler-Maclaurin off a short partial sum; negative
-    arguments from Bernoulli numbers, zeta(-m) = -B_{m+1}/(m+1).
-    """
-    if n == 1:
-        raise PoleError("zeta has a pole at 1")
-    if n == 0:
-        return -0.5
-    if n < 0:
-        m = -n
-        if m % 2 == 0:
-            return 0.0
-        return -float(_BER[m + 1]) / (m + 1)
-    N, M = 20, 10
-    s = sum(j ** (-float(n)) for j in range(1, N))
-    s += 0.5 * N ** (-float(n)) + N ** (1.0 - n) / (n - 1.0)
-    fact = float(n)
-    power = N ** (-float(n) - 1.0)
-    for m in range(1, M + 1):
-        s += float(_BER[2 * m]) / math.factorial(2 * m) * fact * power
-        fact *= (n + 2 * m - 1) * (n + 2 * m)
-        power /= N * N
-    return s
-
-
-_ZETA_CACHE: dict[int, float] = {}
-
-
-def _zeta(n: int) -> float:
-    if n not in _ZETA_CACHE:
-        _ZETA_CACHE[n] = _zeta_int(n)
-    return _ZETA_CACHE[n]
-
-
-_HARMONIC = [0.0]
-for _j in range(1, 40):
-    _HARMONIC.append(_HARMONIC[-1] + 1.0 / _j)
-
 
 # The direct series runs on x = e^{-t} <= 1/2, where term k is at most
 # 2^{1-k} times the first: 57 terms leave a tail below 1e-17 relative for
@@ -433,7 +348,7 @@ def _polylog_exp_neg(n: int, t):
         out[direct] = -np.log1p(-x)
         out[~direct] = -np.log(-np.expm1(-flat[~direct]))
     else:
-        out = np.full(flat.shape, _zeta(n))      # t = 0: zeta(n)
+        out = np.full(flat.shape, zeta(n))      # t = 0: zeta(n)
         # direct series in x = e^{-t} <= 1/2, by Horner
         acc = np.zeros_like(x)
         for k in range(_DIRECT_TERMS, 0, -1):
@@ -446,9 +361,10 @@ def _polylog_exp_neg(n: int, t):
         if np.any(expand):
             te = flat[expand]
             mu = -te
+            harmonic = math.fsum(1.0 / j for j in range(1, n))   # H_{n-1}
             acc = np.zeros_like(mu)
             for k in range(max(n + 1, _EXPANSION_ORDER), -1, -1):
-                c = _HARMONIC[n - 1] if k == n - 1 else _zeta(n - k)
+                c = harmonic if k == n - 1 else zeta(n - k)
                 acc = acc * mu + c / math.factorial(k)
             out[expand] = acc - mu ** (n - 1) / math.factorial(n - 1) * np.log(te)
     return float(out[0]) if ta.ndim == 0 else out.reshape(ta.shape)
@@ -472,5 +388,5 @@ def polylog(n: int, x: float) -> float:
             raise DivergenceError("Li_1(1) diverges")
         return -math.log1p(-x)
     if x == 1.0:
-        return _zeta(n)
+        return float(zeta(n))
     return _polylog_exp_neg(n, -math.log(x))

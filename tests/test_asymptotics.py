@@ -118,6 +118,20 @@ def test_far_field_against_double_integral():
     assert ll.far_field(r) == pytest.approx(total / (2.0 * PI), abs=1e-12)
 
 
+def test_far_field_near_the_edge_against_mpmath():
+    # K needs 1 - k^2 = ((r-1)/(r+1))^2 exactly: from the rounded modulus
+    # it vanishes once r - 1 < ~4e-8 and K turns infinite
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for d in np.geomspace(1e-15, 1e-2, 40):
+            r = 1.0 + float(d)
+            rm = mpmath.mpf(r)
+            m = 4 * rm / (1 + rm) ** 2
+            ref = (mpmath.ellipe(m) / (mpmath.pi * (rm - 1))
+                   - mpmath.ellipk(m) / (mpmath.pi * (rm + 1)))
+            assert abs(ll.far_field(r) - ref) <= 2e-14 * ref, d
+
+
 def test_far_field_domain():
     with pytest.raises(DomainError):
         ll.far_field(1.0)

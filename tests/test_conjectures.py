@@ -153,6 +153,13 @@ def test_gamma2_two_routes():
         assert report.abs_error <= abs(report.target) * 1e-9
 
 
+def test_elliptic_routes_reach_fourteen_digits():
+    # with K, E and dK/dr at rounding level, integral4 and both gamma2
+    # routes are limited by quadrature alone
+    for report in (ll.verify_integral4(), *ll.verify_gamma2()):
+        assert report.digits >= 14, report
+
+
 def test_constants_closed_forms():
     assert GAMMA0 == pytest.approx((1.0 + math.log(PI)) / PI, rel=1e-15)
     assert GAMMA1 == pytest.approx(-0.367647624035, abs=1e-12)

@@ -112,6 +112,33 @@ def test_k_derivative_guards():
             ll.elliptic_k_derivative(bad)
 
 
+def test_elliptic_ke_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    ks = np.concatenate([np.linspace(0.0, 0.99, 100),
+                         1.0 - np.geomspace(1e-16, 1e-2, 60)])
+    with mpmath.workdps(30):
+        for k in ks:
+            pair = ll.elliptic_ke(float(k))
+            m = mpmath.mpf(float(k)) ** 2
+            assert abs(pair.K - mpmath.ellipk(m)) <= 1e-15 * mpmath.ellipk(m), k
+            assert abs(pair.E - mpmath.ellipe(m)) <= 1e-15 * mpmath.ellipe(m), k
+
+
+def test_k_derivative_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    # dense from r = 0.05 to 0.4, where the closed form cancels worst and
+    # the small-r series hands over to it (at r = 0.2)
+    rs = np.concatenate([np.geomspace(1e-6, 0.05, 60), np.linspace(0.05, 0.4, 400),
+                         np.nextafter(0.2, [0.0, 1.0]),
+                         np.linspace(0.4, 0.99, 60), 1.0 - np.geomspace(1e-12, 1e-2, 20)])
+    with mpmath.workdps(40):
+        for r in rs:
+            rm = mpmath.mpf(float(r))
+            m = rm * rm
+            ref = (mpmath.ellipe(m) - (1 - m) * mpmath.ellipk(m)) / (rm * (1 - m))
+            assert abs(ll.elliptic_k_derivative(float(r)) - ref) <= 3e-14 * ref, r
+
+
 # ----------------------------------------------------------------------
 # Scaled Bessel functions.
 # ----------------------------------------------------------------------
@@ -189,6 +216,20 @@ def test_bessel_asymptotic_switch_is_seamless():
         float(kve(1, x * 1.0000001)), rel=1e-12)
 
 
+def test_bessel_scaled_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    # spans scipy's range and the asymptotic expansions above 1e8
+    xs = np.concatenate([np.geomspace(1e-3, 1e12, 60), [1e8, np.nextafter(1e8, 2e8)]])
+    with mpmath.workdps(30):
+        for x in xs:
+            xm = mpmath.mpf(float(x))
+            refs = {"I1": mpmath.besseli(1, xm) * mpmath.exp(-xm),
+                    "I2": mpmath.besseli(2, xm) * mpmath.exp(-xm),
+                    "K1": mpmath.besselk(1, xm) * mpmath.exp(xm)}
+            for kind, ref in refs.items():
+                assert abs(ll.bessel_scaled(kind, float(x)) - ref) <= 3e-15 * ref, (kind, x)
+
+
 def test_bessel_domain_errors():
     with pytest.raises(DomainError):
         ll.bessel_scaled("I1", 0.0)
@@ -224,6 +265,17 @@ def test_lambert_w_round_trip_grid():
 def test_lambert_w_round_trip_property(x):
     w = ll.lambert_w(x)
     assert abs(w * math.exp(w) - x) <= 1e-13 * max(1.0, abs(x))
+
+
+def test_lambert_w_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    # away from the branch point -1/e (where W' diverges), out to 1e300
+    xs = np.concatenate([np.linspace(-0.36, -1e-3, 60), -np.geomspace(1e-300, 1e-3, 30),
+                         [0.0], np.geomspace(1e-300, 1e300, 120)])
+    with mpmath.workdps(30):
+        for x in xs:
+            ref = mpmath.lambertw(mpmath.mpf(float(x))).real
+            assert abs(ll.lambert_w(float(x)) - ref) <= 1e-15 * abs(ref), x
 
 
 def test_lambert_w_branch_error():
@@ -337,6 +389,26 @@ def test_li2_at_one_against_summation_oracle():
     value = ll.polylog(2, 1.0)
     assert abs(value - partial) <= bound
     assert value == pytest.approx(PI * PI / 6.0, abs=1e-14)
+
+
+def test_polylog_at_one_is_zeta_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for n in range(2, 61):
+            ref = mpmath.zeta(n)
+            assert abs(ll.polylog(n, 1.0) - ref) <= 1e-15 * ref, n
+
+
+def test_polylog_any_order_against_mpmath():
+    # the expansion about x = 1 needs H_{n-1} at every order, not only n <= 40
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        cases = [(ll.polylog(41, 0.9), mpmath.polylog(41, mpmath.mpf(0.9))),
+                 (ll.polylog(60, 0.99), mpmath.polylog(60, mpmath.mpf(0.99))),
+                 (specfun._polylog_exp_neg(45, 0.1),
+                  mpmath.polylog(45, mpmath.exp(-mpmath.mpf(0.1))))]
+        for value, ref in cases:
+            assert abs(value - ref) <= 1e-14 * ref
 
 
 def test_polylog_series_ladder_consistency():
