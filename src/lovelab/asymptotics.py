@@ -17,14 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .capacitor2d import _phi, phi_prime_polylog_integral
 from .errors import DomainError, WindowError
 from .quadrature import _composite, _log_edges, _tanh_sinh
-from .specfun import _i1e, _i2e, _k1e, _ke_vec, elliptic_ke
+from .specfun import _i1e, _i2e, _k1e, _ke_vec, elliptic_k_derivative, elliptic_ke
 
 __all__ = [
     "AsymptoticSeries",
@@ -310,9 +310,12 @@ def far_field(r: float) -> float:
     F(r) = E(2 sqrt(r)/(1+r)) / (pi (r-1)) - K(2 sqrt(r)/(1+r)) / (pi (r+1)),
     valid for r > 1; decays like 1/(2 r^3) far out (the naive K, E -> pi/2
     limit suggests 1/(r^2 - 1), but the modulus corrections cancel that
-    order) and diverges like 1/(pi (r-1)) at the edge."""
+    order) and diverges like 1/(pi (r-1)) at the edge.  The two terms cancel
+    ~2 log10 r digits, so from r = 5 on F = (2/pi) s^2 dK/ds at s = 1/r."""
     if not r > 1.0:
         raise DomainError(f"far field needs r > 1, got {r!r}")
+    if r >= 5.0:
+        return (2.0 / _PI) * elliptic_k_derivative(1.0 / r) / (r * r)
     k = min(2.0 * math.sqrt(r) / (1.0 + r), 1.0)
     kc = (r - 1.0) / (r + 1.0)      # 1 - k^2 = kc^2, exact as r -> 1
     K, E = _ke_vec(k, kc * kc)
@@ -320,6 +323,21 @@ def far_field(r: float) -> float:
 
 
 _SUM_CAP = 3_000_000
+
+
+def _bessel_sum(terms: Callable[[np.ndarray], np.ndarray], rel: float) -> float:
+    """sum_{n >= 1} terms(n) for positive, decaying terms, taken in doubling
+    chunks of n; stops once a chunk's last term is below `rel` of the
+    running total, or after _SUM_CAP terms."""
+    total, n0, chunk = 0.0, 1, 64
+    while n0 <= _SUM_CAP:
+        t = terms(np.arange(n0, min(n0 + chunk, _SUM_CAP + 1), dtype=float))
+        total += float(np.sum(t))
+        if t[-1] < rel * max(abs(total), 1e-300):
+            break
+        n0 += len(t)
+        chunk = min(2 * chunk, 500_000)
+    return total
 
 
 def green_traces(r: float, r1: float, epsilon: float) -> tuple[float, float]:
@@ -337,45 +355,27 @@ def green_traces(r: float, r1: float, epsilon: float) -> tuple[float, float]:
     if not epsilon > 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     rlt, rgt = min(r, r1), max(r, r1)
-    total = 0.0
-    n0, chunk = 1, 64
-    while n0 <= _SUM_CAP:
-        n = np.arange(n0, min(n0 + chunk, _SUM_CAP + 1), dtype=float)
+
+    def terms(n: np.ndarray) -> np.ndarray:
         a = n * _PI * rlt / epsilon
         b = n * _PI * rgt / epsilon
-        terms = _i1e(a) * _k1e(b) * np.exp(a - b)
-        total += float(np.sum(terms))
-        if terms[-1] < 1e-16 * max(abs(total), 1e-300):
-            break
-        n0 += len(n)
-        chunk = min(2 * chunk, 500_000)
+        return _i1e(a) * _k1e(b) * np.exp(a - b)
+
+    total = _bessel_sum(terms, 1e-16)
     g_minus = -(rlt / rgt) / (2.0 * epsilon) - (2.0 / epsilon) * total
     pair = elliptic_ke(rlt / rgt)
     g_plus = (2.0 / (_PI * rlt)) * (pair.E - pair.K)
     return g_minus, g_plus
 
 
-def _k2_sum(r: float, epsilon: float, n_terms: int | None = None,
-            rel: float = 1e-15) -> float:
-    """sum_n (1/n) I_2(n pi/eps) K_1(n pi r/eps), scaled-product form.
-
-    With n_terms set, sums exactly that many terms (truncation-stability
-    hook); otherwise stops at relative `rel` or at the term cap.
-    """
-    cap = n_terms if n_terms is not None else _SUM_CAP
-    total = 0.0
-    n0, chunk = 1, 64
-    while n0 <= cap:
-        n = np.arange(n0, min(n0 + chunk, cap + 1), dtype=float)
+def _k2_sum(r: float, epsilon: float) -> float:
+    """sum_n (1/n) I_2(n pi/eps) K_1(n pi r/eps), to relative 1e-15."""
+    def terms(n: np.ndarray) -> np.ndarray:
         a = n * _PI / epsilon
         b = n * _PI * r / epsilon
-        terms = (1.0 / n) * _i2e(a) * _k1e(b) * np.exp(a - b)
-        total += float(np.sum(terms))
-        if n_terms is None and terms[-1] < rel * max(abs(total), 1e-300):
-            break
-        n0 += len(n)
-        chunk = min(2 * chunk, 500_000)
-    return total
+        return (1.0 / n) * _i2e(a) * _k1e(b) * np.exp(a - b)
+
+    return _bessel_sum(terms, 1e-15)
 
 
 def _k1_part(r: float, epsilon: float) -> float:

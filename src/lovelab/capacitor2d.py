@@ -1,7 +1,7 @@
 """Two-dimensional semi-infinite parallel-plate capacitor on the symmetry
 half-line: the potential Phi(x, 0), its harmonic conjugate Psi(x, 0), their
 derivatives and series expansions, and the cumulative integrals whose
-constants the verification harness extracts.
+constants past their log growth are gamma0 and gamma1.
 
 The complex potential is evaluated through the upper-cut Lambert W branch:
 with W = W(-e^{pi x - 1}) the defining transcendental equation gives the

@@ -100,10 +100,12 @@ def test_epsilon_series_evaluation_matches_closed_form():
 def test_far_field_limits():
     # far out the K, E -> pi/2 contributions cancel through O(1/r^2) and
     # the true tail is the dipole-like 1/(2 r^3) (checked against the
-    # defining double integral in the next test)
-    for r in (1e2, 1e4):
-        assert ll.far_field(r) == pytest.approx(1.0 / (2.0 * r ** 3),
-                                                rel=2e-2 / r)
+    # defining double integral in the next test); its first correction is
+    # 9/(8 r^2), the next one 75/(64 r^4)
+    for r in (1e2, 1e4, 1e6, 1e8):
+        tail = (1.0 + 9.0 / (8.0 * r * r)) / (2.0 * r ** 3)
+        assert ll.far_field(r) == pytest.approx(tail, rel=3e-15 + 1.2 / r ** 4,
+                                                abs=0.0)
     r = 1.0 + 1e-6
     assert ll.far_field(r) == pytest.approx(1.0 / (PI * (r - 1.0)), rel=1e-3)
 
@@ -130,6 +132,19 @@ def test_far_field_near_the_edge_against_mpmath():
             ref = (mpmath.ellipe(m) / (mpmath.pi * (rm - 1))
                    - mpmath.ellipk(m) / (mpmath.pi * (rm + 1)))
             assert abs(ll.far_field(r) - ref) <= 2e-14 * ref, d
+
+
+def test_far_field_far_out_against_mpmath():
+    # the reference's own E/K difference cancels about 2 log10 r digits,
+    # so it is evaluated with 60 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for r in np.geomspace(5.0, 1e8, 60):
+            rm = mpmath.mpf(float(r))
+            m = 4 * rm / (1 + rm) ** 2
+            ref = (mpmath.ellipe(m) / (mpmath.pi * (rm - 1))
+                   - mpmath.ellipk(m) / (mpmath.pi * (rm + 1)))
+            assert abs(ll.far_field(float(r)) - ref) <= 3e-15 * ref, r
 
 
 def test_far_field_domain():
@@ -225,7 +240,11 @@ def test_k2_truncation_stability():
 
 def test_k2_capped_sum_matches_adaptive_for_decaying_tail():
     r, eps = 1.5, 0.01
-    assert _k2_sum(r, eps) == pytest.approx(_k2_sum(r, eps, n_terms=5000), rel=1e-14)
+    n = np.arange(1, 5001, dtype=float)
+    a = n * PI / eps
+    b = n * PI * r / eps
+    brute = float(np.sum((1.0 / n) * _i2e(a) * _k1e(b) * np.exp(a - b)))
+    assert _k2_sum(r, eps) == pytest.approx(brute, rel=1e-14)
 
 
 def test_kernel_guards():

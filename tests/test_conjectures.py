@@ -113,15 +113,29 @@ def test_residue_guards():
 def test_gamma0_report():
     report = ll.verify_gamma0()
     assert report.target == pytest.approx(0.682689, abs=1e-6)
-    assert report.abs_error <= 1e-8
-    assert report.digits >= 8
+    assert report.abs_error <= 1e-15
+    assert report.digits >= 15
 
 
 def test_gamma1_report():
     report = ll.verify_gamma1()
     assert report.target == pytest.approx(-0.367647, abs=1e-6)
-    assert report.abs_error <= 1e-8
-    assert report.digits >= 8
+    assert report.abs_error <= 1e-13
+    assert report.digits >= 13
+
+
+def test_cumulative_route_approaches_the_constants():
+    # The cumulative integrals miss the constants by their tails beyond X,
+    # whose leading terms follow from Phi ~ 1/(pi t) + log(pi t)/(pi t)^2;
+    # the next order leaves a relative deviation of about log X / X.
+    X = 1e6
+    lx, lpx = math.log(X), math.log(PI * X)
+    tail0 = (lpx + 1.0) / (PI ** 2 * X)
+    tail1 = (lpx * lx + lpx + lx + 2.0) / (PI ** 2 * X)
+    gap0 = ll.verify_gamma0().computed - (ll.cumulative_phi(X) - lx / PI)
+    gap1 = ll.verify_gamma1().computed - (ll.cumulative_phi_log(X) - lx * lx / (2.0 * PI))
+    assert abs(gap0 / tail0 - 1.0) <= 1e-5
+    assert abs(gap1 / tail1 - 1.0) <= 1e-5
 
 
 def test_gamma0_fit_self_consistency():
