@@ -14,6 +14,7 @@ coefficient is produced to rounding, not to a fitted tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,9 +22,9 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .capacitor2d import _phi, phi_prime_polylog_integral
+from .capacitor2d import cumulative_phi, cumulative_phi_log, phi_prime_polylog_integral
 from .errors import DomainError, WindowError
-from .quadrature import _composite, _log_edges, _tanh_sinh
+from .quadrature import _tanh_sinh
 from .specfun import _i1e, _i2e, _k1e, _ke_vec, elliptic_k_derivative, elliptic_ke
 
 __all__ = [
@@ -492,7 +493,9 @@ def j_split(epsilon: float, delta: float | None = None) -> tuple[float, float]:
     """Inner/outer split of eps * int_1^inf phi(r) k3(r) dr at r = 1 + delta.
 
     J1 = eps int_0^{delta/eps} Phi(x) [ (1/2) log(x eps / 8) + 2 ] dx uses
-    the edge forms of both factors; J2 = eps int_{1+delta}^inf F(r) k3(r) dr
+    the edge forms of both factors and is taken as the two cumulative
+    integrals whose constants are gamma0 and gamma1;
+    J2 = eps int_{1+delta}^inf F(r) k3(r) dr
     uses the outer forms, computed after r -> 1/s with the logarithmic
     endpoint growth removed by the exact subtraction above.  J1 + J2 must
     be insensitive to the (arbitrary) delta inside the admissible window;
@@ -508,11 +511,8 @@ def j_split(epsilon: float, delta: float | None = None) -> tuple[float, float]:
             "eps/delta <= 0.2 and delta <= 0.2")
 
     cutoff = delta / epsilon
-
-    def inner(x: np.ndarray) -> np.ndarray:
-        return _phi(x) * (0.5 * np.log(x * epsilon / 8.0) + 2.0)
-
-    j1 = epsilon * _composite(inner, [0.0, *_log_edges(1.0, cutoff, per_decade=6)])
+    j1 = epsilon * (0.5 * cumulative_phi_log(cutoff)
+                    + (0.5 * math.log(epsilon / 8.0) + 2.0) * cumulative_phi(cutoff))
 
     S = 1.0 / (1.0 + delta)
     val, _ = _tanh_sinh(_outer_subtracted, 0.0, S)
@@ -526,15 +526,9 @@ def j_split(epsilon: float, delta: float | None = None) -> tuple[float, float]:
 # Third-moment expansion and the ground-state assembly.
 # ----------------------------------------------------------------------
 
-# The epsilon-order bracket of int phi' k dr, in closed form and as the
-# combination of the extracted integral constants; the two agree to
-# rounding (cross-checked in the tests).
-
-def _eps_bracket_closed() -> float:
-    l8p = math.log(8.0 * _PI)
-    return (-1.0 / 3.0 - 1.0 / (2.0 * _PI ** 2) + 3.0 * l8p / _PI ** 2
-            - l8p ** 2 / (2.0 * _PI ** 2))
-
+# The epsilon-order bracket of int phi' k dr, as the combination of the
+# integral constants that conjectures checks numerically (the tests compare
+# it with its closed form).
 
 def _eps_bracket_from_constants() -> float:
     inner = (2.0 - 0.5 * _LOG8) * GAMMA0 + 0.5 * GAMMA1 + GAMMA2_TILDE
@@ -566,7 +560,7 @@ def third_moment_expansion(epsilon: float) -> ThirdMomentBreakdown:
     constant = 2.0 / (3.0 * _PI)
     log2_term = -epsilon * le * le / (2.0 * _PI ** 2)
     log_term = (math.log(8.0 * _PI) - 3.0) / _PI ** 2 * epsilon * le
-    order_eps = _eps_bracket_closed() * epsilon
+    order_eps = _eps_bracket_from_constants() * epsilon
     total = leading + constant + log2_term + log_term + order_eps
     c1 = 4.0 * capacitance_series("extended", 2.0 * epsilon)
     return ThirdMomentBreakdown(
@@ -575,9 +569,7 @@ def third_moment_expansion(epsilon: float) -> ThirdMomentBreakdown:
         total=total, capacitance_c1=c1, third_moment=c1 - 2.0 * total)
 
 
-_ground_state_cache: AsymptoticSeries | None = None
-
-
+@functools.cache
 def ground_state_series() -> AsymptoticSeries:
     """The weak-coupling energy as a series in gamma, assembled symbolically.
 
@@ -587,9 +579,6 @@ def ground_state_series() -> AsymptoticSeries:
     and the quadratic coefficient lands on 1/6 - 1/pi^2; the returned series
     is truncated at gamma^2 (higher orders are incomplete by construction).
     """
-    global _ground_state_cache
-    if _ground_state_cache is not None:
-        return _ground_state_cache
     work = Fraction(3)
     eps = epsilon_series(max_power=work)
     kappa = eps * 2.0
@@ -603,11 +592,10 @@ def ground_state_series() -> AsymptoticSeries:
     T = (eps.reciprocal() * 0.125 + 2.0 / (3.0 * _PI)
          + eps * log_eps * log_eps * (-1.0 / (2.0 * _PI ** 2))
          + eps * log_eps * ((math.log(8.0 * _PI) - 3.0) / _PI ** 2)
-         + eps * _eps_bracket_closed())
+         + eps * _eps_bracket_from_constants())
     Cinv = C.reciprocal()
     energy = Cinv * Cinv * 0.5 - T * Cinv * Cinv * Cinv * 0.25
-    _ground_state_cache = energy.truncated(Fraction(2))
-    return _ground_state_cache
+    return energy.truncated(Fraction(2))
 
 
 def assemble_ground_state(gamma: float) -> float:

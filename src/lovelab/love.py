@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -82,9 +82,16 @@ class LoveSolution:
     def interpolate(self, x: np.ndarray) -> np.ndarray:
         """Nystrom interpolant: exact off-node extension of the discrete f."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        blocks = _kernel_rows(self.problem.kappa, x, self.nodes, self.weights)
-        parts = [np.empty(0), *(k @ self.f for k in blocks)]
-        return self.problem.v0 + np.concatenate(parts)
+        kappa, y = self.problem.kappa, self.nodes
+        # arbitrary targets repeat no panel structure: dense kernel rows,
+        # in blocks of at most _ROW_BLOCK entries so memory stays bounded
+        step = max(1, _ROW_BLOCK // len(y))
+        out = np.empty(len(x))
+        for start in range(0, len(x), step):
+            diff = x[start:start + step, None] - y[None, :]
+            rows = (kappa / _PI) * self.weights[None, :] / (diff * diff + kappa * kappa)
+            out[start:start + step] = rows @ self.f
+        return self.problem.v0 + out
 
 
 @dataclass(frozen=True)
@@ -123,21 +130,8 @@ def _mesh(kappa: float, n: int) -> tuple[int, QuadratureRule]:
 def _nodes(panels: int, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the rule repeated on uniform panels of [-1, 1]."""
     edges = np.linspace(-1.0, 1.0, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
-    w = (half[:, None] * rule.weights[None, :]).ravel()
-    return x, w
-
-
-def _kernel_rows(kappa: float, x: np.ndarray, y: np.ndarray,
-                 wy: np.ndarray) -> Iterator[np.ndarray]:
-    """Dense kernel k(x_i - y_j) wy_j, in row blocks of at most _ROW_BLOCK
-    entries so that memory stays bounded however many targets x there are."""
-    step = max(1, _ROW_BLOCK // len(y))
-    for start in range(0, len(x), step):
-        diff = x[start:start + step, None] - y[None, :]
-        yield (kappa / _PI) * wy[None, :] / (diff * diff + kappa * kappa)
+    x, w = rule.mapped(edges[:-1, None], edges[1:, None])
+    return x.ravel(), w.ravel()
 
 
 def _panel_kernel(kappa: float, panels: int, tau: np.ndarray, s: np.ndarray,
@@ -266,7 +260,7 @@ def operator_norm(kappa: float) -> float:
 def operator_norm_discrete(kappa: float, n: int | None = None) -> float:
     """Discrete counterpart of operator_norm: the largest weighted row sum
     of the Nystrom kernel matrix over collocation points (x = 0 included,
-    where the row integral is maximal).
+    where the row integral is maximal), as one panel-kernel product K 1.
 
     Converges to (2/pi) arctan(1/kappa) with the quadrature; the agreement
     to ~1e-12 is a mesh-quality check.  Note the matrix sup-norm, not its
@@ -278,9 +272,13 @@ def operator_norm_discrete(kappa: float, n: int | None = None) -> float:
         raise DomainError(f"kappa must be positive, got {kappa!r}")
     if n is None:
         n = default_node_count(kappa)
-    y, w = _nodes(*_mesh(kappa, n))
-    x = np.append(y, 0.0)
-    return max(float(np.max(k.sum(axis=1))) for k in _kernel_rows(kappa, x, y, w))
+    panels, rule = _mesh(kappa, n)
+    tau, w = rule.nodes / panels, rule.weights / panels
+    # targets: the nodes and each panel's left edge; _mesh makes the panel
+    # count even, so the left edge of panel panels // 2 is x = 0
+    targets = np.append(tau, -1.0 / panels)
+    sums = _panel_kernel(kappa, panels, targets, tau, w)(np.ones((panels, len(tau))))
+    return max(float(np.max(sums[:, :-1])), float(sums[panels // 2, -1]))
 
 
 def moments(sol: LoveSolution) -> tuple[float, float]:

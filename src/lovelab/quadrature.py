@@ -113,17 +113,16 @@ def gauss_legendre(n: int) -> QuadratureRule:
 # Gauss panels.
 # ----------------------------------------------------------------------
 
-def _panel_sum(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float],
-               points: int = 24) -> float:
-    """Composite Gauss-Legendre sum over consecutive panels.
+def _panel_sum(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]) -> float:
+    """Composite 24-point Gauss-Legendre sum over consecutive panels.
 
-    The abscissae of all panels form one (panels, points) array, and the
+    The abscissae of all panels form one (panels, 24) array, and the
     integrand sees them in a single call (flattened, panel after panel).
     Each panel's weighted sum is formed on its own row, and the panel sums
     are added in edge order.
     """
     edges = np.asarray(edges, dtype=float)
-    x, w = gauss_legendre(points).mapped(edges[:-1, None], edges[1:, None])
+    x, w = gauss_legendre(24).mapped(edges[:-1, None], edges[1:, None])
     fx = f(x.ravel()).reshape(x.shape)
     total = 0.0
     for part in np.sum(w * fx, axis=1).tolist():
@@ -131,10 +130,9 @@ def _panel_sum(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float],
     return total
 
 
-def _log_edges(a: float, b: float, per_decade: int = 4) -> np.ndarray:
-    """Geometrically spaced panel edges on [a, b], 0 < a < b."""
-    decades = math.log10(b / a)
-    n = max(1, int(math.ceil(per_decade * decades)))
+def _log_edges(a: float, b: float) -> np.ndarray:
+    """Geometrically spaced panel edges on [a, b], 0 < a < b, four per decade."""
+    n = max(1, int(math.ceil(4 * math.log10(b / a))))
     return np.exp(np.linspace(math.log(a), math.log(b), n + 1))
 
 

@@ -6,13 +6,10 @@ import pytest
 from scipy.integrate import dblquad
 
 import lovelab as ll
-from lovelab.asymptotics import (
-    _eps_bracket_closed,
-    _eps_bracket_from_constants,
-    _k2_sum,
-    _outer_subtracted,
-)
+from lovelab.asymptotics import _eps_bracket_from_constants, _k2_sum, _outer_subtracted
+from lovelab.capacitor2d import _phi
 from lovelab.errors import DomainError, WindowError
+from lovelab.quadrature import _composite
 from lovelab.specfun import _i2e, _k1e, _polylog_exp_neg
 
 PI = math.pi
@@ -310,6 +307,23 @@ def test_j_split_constant_term():
     assert gaps[-1] < 0.01
 
 
+@pytest.mark.parametrize("eps,delta", [(1e-2, None), (1e-3, None), (1e-3, 0.03),
+                                        (1e-3, 0.06), (1e-4, None), (1e-5, 0.2)])
+def test_j_split_inner_against_one_integral(eps, delta):
+    # oracle: J1 as one composite integral of Phi(x) [log(x eps/8)/2 + 2]
+    # on six panels per decade, independent of the cumulative integrals
+    delta = ll.default_delta(eps) if delta is None else delta
+    cutoff = delta / eps
+    n = math.ceil(6 * math.log10(cutoff))
+    edges = np.exp(np.linspace(0.0, math.log(cutoff), n + 1))
+
+    def inner(x):
+        return _phi(x) * (0.5 * np.log(x * eps / 8.0) + 2.0)
+
+    j1, _ = ll.j_split(eps, delta)
+    assert j1 == pytest.approx(eps * _composite(inner, [0.0, *edges]), rel=1e-14, abs=0.0)
+
+
 def test_j_split_window_guards():
     with pytest.raises(WindowError):
         ll.j_split(1e-3, delta=0.3)
@@ -330,8 +344,12 @@ def test_outer_subtracted_integrand_is_tame():
 # ----------------------------------------------------------------------
 
 def test_bracket_forms_agree():
-    assert _eps_bracket_closed() == pytest.approx(
-        _eps_bracket_from_constants(), abs=1e-12)
+    # the closed form of the epsilon-order bracket against its assembly
+    # from gamma0, gamma1 and gamma2_tilde
+    l8p = math.log(8.0 * PI)
+    closed = (-1.0 / 3.0 - 1.0 / (2.0 * PI ** 2) + 3.0 * l8p / PI ** 2
+              - l8p ** 2 / (2.0 * PI ** 2))
+    assert _eps_bracket_from_constants() == pytest.approx(closed, rel=1e-14, abs=0.0)
 
 
 def test_third_moment_breakdown_consistency():
@@ -357,7 +375,7 @@ def test_ground_state_series_coefficients():
         -4.0 / (3.0 * PI), abs=1e-12)
     assert abs(series.coefficient(2, 1)) <= 1e-10
     assert abs(series.coefficient(2, 2)) <= 1e-10
-    assert series.coefficient(2, 0) == pytest.approx(ll.ENERGY_GAMMA2, abs=1e-10)
+    assert series.coefficient(2, 0) == pytest.approx(ll.ENERGY_GAMMA2, abs=1e-15)
     # nothing below the leading physical order survives the assembly
     for term in series.terms:
         assert term.power >= 1 or abs(term.coefficient) < 1e-12

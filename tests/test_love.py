@@ -232,6 +232,25 @@ def test_dense_helpers_work_in_bounded_blocks(monkeypatch):
     assert ll.operator_norm_discrete(0.05) == norm
 
 
+@pytest.mark.parametrize("kappa,n", [(5.0, None), (1.0, None), (0.05, None),
+                                     (0.01, None), (0.3, 17), (0.3, 333)])
+def test_operator_norm_discrete_matches_dense_rows(kappa, n):
+    # the dense row sums over the nodes and x = 0, where the row integral
+    # is largest, against the panel-kernel product
+    panels, rule = love._mesh(kappa, ll.default_node_count(kappa) if n is None else n)
+    y, w = love._nodes(panels, rule)
+    x = np.append(y, 0.0)
+    dense = max(float(np.max(dense_kernel(kappa, x[i:i + 256], y, w).sum(axis=1)))
+                for i in range(0, len(x), 256))
+    assert ll.operator_norm_discrete(kappa, n) == pytest.approx(dense, rel=0.0, abs=1e-15)
+
+
+def test_operator_norm_discrete_at_the_kappa_floor():
+    # 48000 nodes: dense rows would take seconds here
+    assert ll.operator_norm_discrete(1e-3) == pytest.approx(
+        ll.operator_norm(1e-3), rel=0.0, abs=1e-12)
+
+
 def test_operator_norm_discrete_memory_bounded():
     ll.operator_norm_discrete(0.05)            # warm the 24-point Gauss rule
     tracemalloc.start()
