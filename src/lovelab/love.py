@@ -12,9 +12,12 @@ the mesh uses uniform panels of width ~min(kappa, 1/4) with the polynomial
 order set by the node budget.  Every panel carries the same Gauss rule, so
 the kernel matrix is block-Toeplitz in the panel lag: the solver never forms
 it, applying it by FFT in O(N log N) inside conjugate gradients, and the
-residual check uses the same structure.  One node budget, _MAX_NODES =
-48000 (the default mesh at kappa = 1e-3), is the solver's kappa floor:
-_mesh refuses a larger mesh before any kernel is built.
+residual check uses the same structure.  The mesh and its rules are mirror
+symmetric about each panel centre, so the lag-block spectrum of the lower
+half of the target offsets is the conjugate of the upper half's: only half
+of each spectrum is computed, on 5-smooth FFT lengths.  One node budget,
+_MAX_NODES = 48000 (the default mesh at kappa = 1e-3), is the solver's
+kappa floor: _mesh refuses a larger mesh before any kernel is built.
 """
 
 from __future__ import annotations
@@ -134,6 +137,18 @@ def _nodes(panels: int, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
     return x.ravel(), w.ravel()
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT serves fast."""
+    while True:
+        rest = n
+        for factor in (2, 3, 5):
+            while rest % factor == 0:
+                rest //= factor
+        if rest == 1:
+            return n
+        n += 1
+
+
 def _panel_kernel(kappa: float, panels: int, tau: np.ndarray, s: np.ndarray,
                   ws: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Kernel product between two point sets that repeat panel by panel.
@@ -145,19 +160,46 @@ def _panel_kernel(kappa: float, panels: int, tau: np.ndarray, s: np.ndarray,
     zero-padded real FFT of the lag blocks, then per frequency a
     len(tau) x len(s) contraction.  Returns u (panels, len(s)) ->
     (panels, len(tau)) in O(N log N + N len(s)).
+
+    Both offset sets must be mirror-symmetric (tau reversed is -tau, and
+    likewise s, with ws reversed equal to ws), or DomainError is raised.
+    Then, k being even, the lag sequence of the pair (nt-1-i, ns-1-j) is
+    that of (i, j) reversed, and with lag d stored at index d mod L its
+    spectrum is the conjugate of the (i, j) spectrum: only the top
+    ceil(nt/2) target rows are evaluated and transformed.  L is the
+    smallest 2^a 3^b 5^c >= 2 panels - 1, so the circular convolution
+    never wraps.
     """
+    if not (np.array_equal(tau, -tau[::-1]) and np.array_equal(s, -s[::-1])
+            and np.array_equal(ws, ws[::-1])):
+        raise DomainError("panel offsets and weights must be mirror-symmetric")
     h = 2.0 / panels
-    # lags 1-panels .. panels-1 in order, zero-padded to a power of two so
-    # the circular convolution never wraps; output p sits at p + panels - 1
-    length = 1 << (2 * panels - 2).bit_length()
-    diff = h * np.arange(1 - panels, panels)[:, None, None] + (tau[:, None] - s[None, :])
-    spectrum = np.fft.rfft((kappa / _PI) * ws / (diff * diff + kappa * kappa),
-                           n=length, axis=0)
+    nt, ns = len(tau), len(s)
+    top = (nt + 1) // 2
+    # lag d at index d mod L along the last, contiguous axis, so that output
+    # p of the circular convolution is entry p and a reversed lag sequence
+    # transforms to the plain conjugate; lags beyond +-(panels-1) are zero
+    length = _smooth_length(2 * panels - 1)
+    lags = np.arange(length)
+    lags[panels:] -= length
+    block = np.subtract.outer(tau[:top], s)[:, :, None] + h * lags
+    np.multiply(block, block, out=block)
+    block += kappa * kappa
+    np.divide(((kappa / _PI) * ws)[:, None], block, out=block)
+    block[:, :, panels:length - panels + 1] = 0.0
+    half = np.fft.rfft(block, axis=-1)
+    del block
+    # spectrum[k, i, j], frequency first for the per-frequency contraction;
+    # row nt-1-i, column ns-1-j is the conjugate of row i, column j
+    spectrum = np.empty((half.shape[-1], nt, ns), dtype=complex)
+    spectrum[:, :top] = half.transpose(2, 0, 1)
+    np.conjugate(half[:nt - top].transpose(2, 0, 1), out=spectrum[:, top:][:, ::-1, ::-1])
+    del half
 
     def apply(u: np.ndarray) -> np.ndarray:
         uh = np.fft.rfft(u, n=length, axis=0)
         product = np.matmul(spectrum, uh[:, :, None])[:, :, 0]
-        return np.fft.irfft(product, n=length, axis=0)[panels - 1:2 * panels - 1]
+        return np.fft.irfft(product, n=length, axis=0)[:panels]
 
     return apply
 
@@ -230,19 +272,22 @@ def _collocation_residual(problem: LoveProblem, panels: int,
     The interpolant v0 + K f is evaluated at the midpoints and at the nodes
     of the doubled Gauss rule on the same panels; the integral term is the
     doubled rule's quadrature of the interpolant.  The midpoint between two
-    panels sits on their common edge; the last one, at x = 1, is dropped.
+    panels sits on their common edge.  Each panel's targets are its two
+    edges and its interior midpoints, a mirror-symmetric set; the left
+    edges, each the previous panel's right edge or x = -1, and the last
+    right edge, x = 1, are dropped.
     """
     kappa, v0 = problem.kappa, problem.v0
     half = 1.0 / panels                  # panel half-width
     tau, w = half * rule.nodes, half * rule.weights
     fine = gauss_legendre(2 * len(rule))
     tau_f, w_f = half * fine.nodes, half * fine.weights
-    tau_m = np.append(0.5 * (tau[:-1] + tau[1:]), 0.5 * (tau[-1] + tau[0]) + half)
+    tau_m = np.concatenate([[-half], 0.5 * (tau[:-1] + tau[1:]), [half]])
     f = f.reshape(panels, len(rule))
     at_mid = _panel_kernel(kappa, panels, tau_m, tau, w)(f)
     at_fine = v0 + _panel_kernel(kappa, panels, tau_f, tau, w)(f)
     integral = _panel_kernel(kappa, panels, tau_m, tau_f, w_f)(at_fine)
-    return float(np.max(np.abs(at_mid - integral).ravel()[:-1]))
+    return float(np.max(np.abs(at_mid - integral)[:, 1:].ravel()[:-1]))
 
 
 def operator_norm(kappa: float) -> float:
@@ -274,11 +319,11 @@ def operator_norm_discrete(kappa: float, n: int | None = None) -> float:
         n = default_node_count(kappa)
     panels, rule = _mesh(kappa, n)
     tau, w = rule.nodes / panels, rule.weights / panels
-    # targets: the nodes and each panel's left edge; _mesh makes the panel
+    # targets: each panel's two edges and its nodes; _mesh makes the panel
     # count even, so the left edge of panel panels // 2 is x = 0
-    targets = np.append(tau, -1.0 / panels)
+    targets = np.concatenate([[-1.0 / panels], tau, [1.0 / panels]])
     sums = _panel_kernel(kappa, panels, targets, tau, w)(np.ones((panels, len(tau))))
-    return max(float(np.max(sums[:, :-1])), float(sums[panels // 2, -1]))
+    return max(float(np.max(sums[:, 1:-1])), float(sums[panels // 2, 0]))
 
 
 def moments(sol: LoveSolution) -> tuple[float, float]:

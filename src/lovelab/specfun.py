@@ -207,13 +207,40 @@ def _w_branch_series(p):
     return acc
 
 
+# e as the two-double math.e + _E_LO, and math.e split into 26-bit halves
+# (Veltkamp), so that _e_x_plus_one forms e x + 1 without rounding in the
+# cancellation near the branch point (math.fma needs Python 3.13).
+_E_LO = 1.4456468917292502e-16
+_VELTKAMP = 134217729.0                  # 2^27 + 1
+
+
+def _split(a: float) -> tuple[float, float]:
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_E_HI, _E_HI_LO = _split(math.e)
+
+
+def _e_x_plus_one(x: float) -> float:
+    """e x + 1 for -1/e <= x < 0, to a few units of its own last place:
+    Dekker's error-free product math.e * x, then the e - math.e term."""
+    prod = math.e * x
+    hi, lo = _split(x)
+    err = ((_E_HI * hi - prod) + _E_HI * lo + _E_HI_LO * hi) + _E_HI_LO * lo
+    return (prod + 1.0) + (err + _E_LO * x)
+
+
 def lambert_w(x: float) -> float:
     """Principal real branch W_0: the solution of w e^w = x for x >= -1/e.
 
     scipy's lambertw, except at the branch point itself (-1, also for
     float(-1/e), where lambertw returns nan) and within |p| < _P_SERIES of
-    it, where the series is the value.  The round trip |W e^W - x| stays
-    below 1e-13 max(1, |x|) over the whole branch.
+    it, where the series is the value.  p = sqrt(2 (e x + 1)) is formed from
+    the exact e x + 1 of the double x, so the series keeps full relative
+    precision right up to the branch point.  The round trip |W e^W - x|
+    stays below 1e-13 max(1, |x|) over the whole branch.
     """
     if math.isnan(x):
         raise DomainError("lambert_w needs a real argument, got nan")
@@ -221,8 +248,9 @@ def lambert_w(x: float) -> float:
         raise BranchError(
             f"{x!r} is below the branch point -1/e; the principal branch is "
             "complex there (use lambert_w_upper_cut)")
-    ex1 = math.e * x + 1.0          # distance above the branch point, scaled
-    if ex1 <= 0.0:                  # x == -1/e up to rounding
+    # distance above the branch point, scaled
+    ex1 = _e_x_plus_one(x) if x < 0.0 else math.e * x + 1.0
+    if ex1 <= 0.0:                  # x == -1/e up to rounding (float(-1/e) < -1/e)
         return -1.0
     p = math.sqrt(2.0 * ex1)
     if p < _P_SERIES:

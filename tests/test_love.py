@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lovelab as ll
 from lovelab import love
@@ -151,22 +151,51 @@ def test_conjugate_gradients_iteration_cap(monkeypatch):
 
 @settings(max_examples=25, deadline=None)
 @given(kappa=st.floats(0.02, 100.0), n=st.integers(16, 2000),
-       fine_targets=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_panel_kernel_matches_dense_product(kappa, n, fine_targets, seed):
-    # targets: the mesh nodes themselves, or the doubled Gauss rule on the
-    # same panels (the residual check's cross product)
+       targets=st.sampled_from(["nodes", "fine", "midpoints"]),
+       fine_sources=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(kappa=1.0, n=72, targets="midpoints", fine_sources=False, seed=0)  # 9-point rule
+@example(kappa=1.0, n=72, targets="nodes", fine_sources=True, seed=1)
+def test_panel_kernel_matches_dense_product(kappa, n, targets, fine_sources, seed):
+    # targets: the mesh nodes themselves, the doubled Gauss rule on the same
+    # panels, or the panel edges and node midpoints (the residual check's
+    # products); sources: the mesh rule or the doubled rule (B x 2B blocks)
     panels, rule = love._mesh(kappa, n)
-    y, w = love._nodes(panels, rule)
-    target = ll.gauss_legendre(2 * len(rule)) if fine_targets else rule
-    x, _ = love._nodes(panels, target)
+    source = ll.gauss_legendre(2 * len(rule)) if fine_sources else rule
+    y, w = love._nodes(panels, source)
+    if targets == "midpoints":
+        tau = rule.nodes / panels
+        tau = np.concatenate([[-1.0 / panels], 0.5 * (tau[:-1] + tau[1:]), [1.0 / panels]])
+        centres = np.linspace(-1.0, 1.0, panels + 1)[:-1] + 1.0 / panels
+        x = (centres[:, None] + tau).ravel()
+    else:
+        target = ll.gauss_legendre(2 * len(rule)) if targets == "fine" else rule
+        tau = target.nodes / panels
+        x, _ = love._nodes(panels, target)
     u = np.random.default_rng(seed).standard_normal(len(y))
     k = dense_kernel(kappa, x, y, w)
-    apply = love._panel_kernel(kappa, panels, target.nodes / panels,
-                               rule.nodes / panels, rule.weights / panels)
-    fast = apply(u.reshape(panels, len(rule))).ravel()
+    apply = love._panel_kernel(kappa, panels, tau, source.nodes / panels,
+                               source.weights / panels)
+    fast = apply(u.reshape(panels, len(source))).ravel()
     # relative to |K| |u|, the scale of rounding in any matvec: at large
     # kappa, K u of a zero-mean u cancels far below it
     assert np.max(np.abs(fast - k @ u)) <= 1e-13 * np.max(np.abs(k) @ np.abs(u))
+
+
+@pytest.mark.parametrize("which", ["targets", "sources", "weights"])
+def test_panel_kernel_refuses_unmirrored_offsets(which):
+    # the spectrum of the lower target rows is the mirror image of the upper
+    # ones only for mirror-symmetric offsets and weights
+    panels, rule = love._mesh(1.0, 240)
+    tau, w = rule.nodes / panels, rule.weights / panels
+    args = {"tau": tau, "s": tau, "ws": w}
+    if which == "targets":
+        args["tau"] = np.append(tau, -1.0 / panels)
+    elif which == "sources":
+        args["s"], args["ws"] = tau + 0.1 / panels, w
+    else:
+        args["ws"] = w * np.linspace(1.0, 2.0, len(w))
+    with pytest.raises(DomainError):
+        love._panel_kernel(1.0, panels, **args)
 
 
 @pytest.mark.parametrize("kappa", [1.0, 0.1, 0.02, 0.01])
@@ -196,6 +225,25 @@ def test_solve_forms_no_dense_matrix():
     assert peak < 8 * len(sol.nodes) ** 2 / 4
 
 
+def dense_defect(problem, panels, rule, f):
+    """Test-side residual check: the defect of the Nystrom interpolant at
+    each node midpoint and each interior panel edge, from dense kernel rows
+    in blocks of 256 targets."""
+    kappa, v0 = problem.kappa, problem.v0
+    y, w = love._nodes(panels, rule)
+    z, wz = love._nodes(panels, ll.gauss_legendre(2 * len(rule)))
+    edges = np.linspace(-1.0, 1.0, panels + 1)
+    nodes = y.reshape(panels, len(rule))
+    mid = np.column_stack([0.5 * (nodes[:, :-1] + nodes[:, 1:]), edges[1:]]).ravel()[:-1]
+
+    def apply(x, ys, ws, u):
+        return np.concatenate([dense_kernel(kappa, x[i:i + 256], ys, ws) @ u
+                               for i in range(0, len(x), 256)])
+
+    interpolant = v0 + apply(z, y, w, f)
+    return float(np.max(np.abs(apply(mid, y, w, f) - apply(mid, z, wz, interpolant))))
+
+
 @pytest.mark.parametrize("kappa", [1.0, 0.1, 0.02])
 def test_residual_gate_flags_perturbed_solution(kappa):
     problem = ll.LoveProblem(kappa=kappa)
@@ -203,8 +251,19 @@ def test_residual_gate_flags_perturbed_solution(kappa):
     panels, rule = love._mesh(kappa, ll.default_node_count(kappa))
     tol = love._RESIDUAL_TOL * problem.v0
     assert love._collocation_residual(problem, panels, rule, sol.f) <= tol
-    perturbed = sol.f * (1.0 + 1e-7)
-    assert not love._collocation_residual(problem, panels, rule, perturbed) <= tol
+    # f raised by 1e-7 everywhere, by 1e-6 on the two panels that meet at
+    # x = 0 (the defect peaks on that panel edge), and by 1e-4 at the last
+    # node (the defect would peak at x = 1, which the check leaves out)
+    h, x = 2.0 / panels, sol.nodes
+    for bump in (np.full_like(x, 1e-7), 1e-6 * (np.abs(x) < h), 1e-4 * (x == x[-1])):
+        perturbed = sol.f * (1.0 + bump)
+        residual = love._collocation_residual(problem, panels, rule, perturbed)
+        assert not residual <= tol
+        # the same check points and the same defect as dense rows give; the
+        # defect is a small difference of O(max f) terms, so the two agree to
+        # about 1e-15 max f (measured: at most 3.4e-7 relative, at kappa 0.02)
+        assert residual == pytest.approx(dense_defect(problem, panels, rule, perturbed),
+                                         rel=1e-6, abs=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -223,13 +282,13 @@ def test_discrete_operator_norm_matches(kappa):
 
 
 def test_dense_helpers_work_in_bounded_blocks(monkeypatch):
+    # interpolate, the one dense-row helper, at 43 blocks and at one row each
     sol = ll.solve_love(ll.LoveProblem(kappa=0.05))
     x = np.linspace(-1.0, 1.0, 301)
     whole = sol.problem.v0 + dense_kernel(0.05, x, sol.nodes, sol.weights) @ sol.f
-    norm = ll.operator_norm_discrete(0.05)
-    monkeypatch.setattr(love, "_ROW_BLOCK", 7 * len(sol.nodes))   # 43 blocks
-    np.testing.assert_allclose(sol.interpolate(x), whole, rtol=1e-14, atol=0.0)
-    assert ll.operator_norm_discrete(0.05) == norm
+    for rows in (7, 1):
+        monkeypatch.setattr(love, "_ROW_BLOCK", rows * len(sol.nodes))
+        np.testing.assert_allclose(sol.interpolate(x), whole, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("kappa,n", [(5.0, None), (1.0, None), (0.05, None),

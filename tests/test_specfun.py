@@ -276,6 +276,13 @@ def test_lambert_w_against_mpmath():
         for x in xs:
             ref = mpmath.lambertw(mpmath.mpf(float(x))).real
             assert abs(ll.lambert_w(float(x)) - ref) <= 1e-15 * abs(ref), x
+    # just above the branch point, p = sqrt(2 (e x + 1)) in [1e-6, 0.2]: the
+    # series' p must come from the exact e x + 1 of the double x
+    ps = np.geomspace(1e-6, 0.2, 400)
+    with mpmath.workdps(40):
+        for x in (0.5 * ps * ps - 1.0) / math.e:
+            ref = mpmath.lambertw(mpmath.mpf(float(x))).real
+            assert abs(ll.lambert_w(float(x)) - ref) <= 5e-15 * abs(ref), x
 
 
 def test_lambert_w_branch_error():
