@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,17 +170,32 @@ def cumulative_phi_log(X: float) -> float:
 _POLYLOG_CUTOFF = (17.0 * math.log(10.0) + 2.0) / _PI
 
 
-def phi_prime_polylog_integral(n: int) -> float:
+def _orders(n, name: str, top: int) -> list[int]:
+    """One order, or a non-empty sequence of them, as a list; every order
+    must be an integer in [1, top]."""
+    orders = list(n) if isinstance(n, Sequence) else [n]
+    if not orders:
+        raise DomainError(f"need at least one {name}")
+    for m in orders:
+        if not isinstance(m, int) or not 1 <= m <= top:
+            raise DomainError(f"{name} must be an integer in [1, {top}], got {m!r}")
+    return orders
+
+
+def phi_prime_polylog_integral(n: int | Sequence[int]) -> float | list[float]:
     """int_0^inf Phi'(x) Li_n(e^{-pi x}) dx for 1 <= n <= 7.
 
     The integrand carries the x^{-1/2} singularity of Phi' at the edge (and
     for n = 1 an additional log factor); a tanh-sinh panel on [0, 1] absorbs
     both, with Gauss panels covering the exponentially decaying remainder.
+    A sequence of orders gives the list of their integrals, taken on shared
+    abscissae, so Phi' is evaluated once per abscissa for all of them.
     """
-    if not isinstance(n, int) or not 1 <= n <= 7:
-        raise DomainError(f"order must be an integer in [1, 7], got {n!r}")
+    orders = _orders(n, "order", 7)
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return _phi_prime(x) * _polylog_exp_neg(n, _PI * x)
+        dphi = _phi_prime(x)
+        return np.array([dphi * _polylog_exp_neg(m, _PI * x) for m in orders])
 
-    return _composite(integrand, [0.0, *np.linspace(1.0, _POLYLOG_CUTOFF, 14)])
+    values = _composite(integrand, [0.0, *np.linspace(1.0, _POLYLOG_CUTOFF, 14)])
+    return [float(v) for v in values] if isinstance(n, Sequence) else float(values[0])

@@ -360,6 +360,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except LoveLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # the one file a command opens is its --output table
+        return _usage_error(f"cannot write the table: {exc}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .asymptotics import GAMMA0, GAMMA1, GAMMA2_TILDE, INTEGRAL4, _outer_subtracted
-from .capacitor2d import _phi, phi_prime_polylog_integral
+from .capacitor2d import _orders, _phi, phi_prime_polylog_integral
 from .errors import DomainError
 from .quadrature import _composite, _log_edges, _tanh_sinh
 from .specfun import _dk_vec, _w_upper_from_offset
@@ -96,42 +96,46 @@ def tn_first(n: int) -> Fraction:
     return seq[0]
 
 
-def verify_polylog_claim(n: int) -> ConjectureReport:
-    """int_0^inf Phi'(x) Li_n(e^{-pi x}) dx against the exact (T^n[N])_1."""
-    if not isinstance(n, int) or not 1 <= n <= 6:
-        raise DomainError(f"n must be an integer in [1, 6], got {n!r}")
-    computed = phi_prime_polylog_integral(n)
-    target = float(tn_first(n))
-    return _report(f"polylog_n{n}", computed, target,
-                   "tanh-sinh + Gauss panels of Phi' Li_n(e^{-pi x}) vs exact "
-                   "sequence transform")
+def verify_polylog_claim(n: int | Sequence[int]) -> ConjectureReport | list[ConjectureReport]:
+    """int_0^inf Phi'(x) Li_n(e^{-pi x}) dx against the exact (T^n[N])_1.
+
+    A sequence of orders gives a list of reports, from integrals taken on
+    shared abscissae."""
+    orders = _orders(n, "n", 6)
+    reports = [_report(f"polylog_n{m}", computed, float(tn_first(m)),
+                       "tanh-sinh + Gauss panels of Phi' Li_n(e^{-pi x}) vs exact "
+                       "sequence transform")
+               for m, computed in zip(orders, phi_prime_polylog_integral(orders))]
+    return reports if isinstance(n, Sequence) else reports[0]
 
 
 # ----------------------------------------------------------------------
 # Residue identity over the branch cut.
 # ----------------------------------------------------------------------
 
-def residue_identity(k: int) -> ConjectureReport:
+def residue_identity(k: int | Sequence[int]) -> ConjectureReport | list[ConjectureReport]:
     """Branch-cut integral against the pole residue k^k e^{-k} / (k-1)!.
 
     After x = -e^{t-1} the integral becomes
     -(k/pi) int_0^inf e^{-k t} Im(1/(1 + W(-e^{t-1}))) dt with W on the
     upper cut; the integrand has a t^{-1/2} edge singularity (tanh-sinh)
     and then decays like e^{-k t} (Gauss panels, count scaled with 1/k).
+    A sequence of orders gives a list of reports: their e^{-k t} rows share
+    one W evaluation per abscissa, on the panels of the smallest k.
     """
-    if not isinstance(k, int) or not 1 <= k <= 8:
-        raise DomainError(f"k must be an integer in [1, 8], got {k!r}")
+    orders = _orders(k, "k", 8)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         W = _w_upper_from_offset(t)
         im = -W.imag / ((1.0 + W.real) ** 2 + W.imag ** 2)
-        return np.exp(-k * t) * im
+        return np.array([np.exp(-j * t) * im for j in orders])
 
-    value = _composite(integrand, [0.0, *np.linspace(1.0, 40.0 / k + 5.0, 20)])
-    computed = -(k / _PI) * value
-    target = k ** k * math.exp(-k) / math.factorial(k - 1)
-    return _report(f"residue_k{k}", computed, target,
-                   "upper-cut Lambert W branch integral, t = log(-e x) substitution")
+    values = _composite(integrand, [0.0, *np.linspace(1.0, 40.0 / min(orders) + 5.0, 20)])
+    reports = [_report(f"residue_k{j}", -(j / _PI) * float(value),
+                       j ** j * math.exp(-j) / math.factorial(j - 1),
+                       "upper-cut Lambert W branch integral, t = log(-e x) substitution")
+               for j, value in zip(orders, values)]
+    return reports if isinstance(k, Sequence) else reports[0]
 
 
 # ----------------------------------------------------------------------
@@ -218,9 +222,9 @@ SUITE = {
     "gamma2": SuiteGroup([lambda: verify_gamma2()],
                          {"gamma2_tilde_via_integral4": 9, "gamma2_tilde_direct": 9}),
     "integral4": SuiteGroup([lambda: [verify_integral4()]], {"integral4": 9}),
-    "polylog": SuiteGroup([lambda n=n: [verify_polylog_claim(n)] for n in range(1, 5)],
+    "polylog": SuiteGroup([lambda: verify_polylog_claim(range(1, 5))],
                           {f"polylog_n{n}": 9 for n in range(1, 5)}),
-    "residue": SuiteGroup([lambda k=k: [residue_identity(k)] for k in range(1, 5)],
+    "residue": SuiteGroup([lambda: residue_identity(range(1, 5))],
                           {f"residue_k{k}": 8 for k in range(1, 5)}),
 }
 

@@ -3,7 +3,10 @@ quadrature for endpoint singularities, the composite path that joins the two
 (a tanh-sinh head where the singularity sits, Gauss panels on the tail), and
 least-squares extraction of constants from logarithmically growing integrals.
 
-Integrands are called with numpy arrays of abscissae.
+Integrands are called with numpy arrays of abscissae.  An integrand returns
+either one value per abscissa or an (m, len(x)) array, one row for each of m
+integrals sharing those abscissae; the composite path then returns m values,
+and whatever the rows have in common is evaluated once per abscissa.
 """
 
 from __future__ import annotations
@@ -113,21 +116,24 @@ def gauss_legendre(n: int) -> QuadratureRule:
 # Gauss panels.
 # ----------------------------------------------------------------------
 
-def _panel_sum(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]) -> float:
+def _panel_sum(f: Callable[[np.ndarray], np.ndarray],
+               edges: Sequence[float]) -> float | np.ndarray:
     """Composite 24-point Gauss-Legendre sum over consecutive panels.
 
     The abscissae of all panels form one (panels, 24) array, and the
     integrand sees them in a single call (flattened, panel after panel).
     Each panel's weighted sum is formed on its own row, and the panel sums
-    are added in edge order.
+    are added in edge order.  A float, or an array of m values for an
+    integrand of m rows.
     """
     edges = np.asarray(edges, dtype=float)
     x, w = gauss_legendre(24).mapped(edges[:-1, None], edges[1:, None])
-    fx = f(x.ravel()).reshape(x.shape)
+    fx = np.asarray(f(x.ravel()))
+    parts = np.sum(w * fx.reshape(fx.shape[:-1] + x.shape), axis=-1)
     total = 0.0
-    for part in np.sum(w * fx, axis=1).tolist():
-        total += part
-    return total
+    for part in np.moveaxis(parts, -1, 0):
+        total = total + part
+    return float(total) if fx.ndim == 1 else total
 
 
 def _log_edges(a: float, b: float) -> np.ndarray:
@@ -146,7 +152,7 @@ _TOL = 1e-13            # relative tolerance of every tanh-sinh integral here
 
 
 def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
-               b: float) -> tuple[float, float]:
+               b: float) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Double-exponential quadrature on (a, b).
 
     Nodes near the endpoints are generated as exact distances s from a or b
@@ -157,14 +163,21 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
     calls f once, with the new nodes at both endpoints (level 0 also takes
     the midpoint).
 
-    Stops when two consecutive level refinements change the value by less
-    than _TOL (relative to max(1, |I|)); raises ConvergenceError, carrying
-    the last value and change, if level 12 gets there first.
+    A row converges when two consecutive level refinements change its value
+    by less than _TOL (relative to max(1, |I|)), and keeps the value of that
+    level: a row's result does not depend on the rows it shares f with.
+    Returns (value, error estimate), as floats or, for an integrand of m
+    rows, as arrays of m values, once every row has converged; raises
+    ConvergenceError, carrying the last value and change of the first row
+    that missed, if level 12 gets there first.
     """
     width = b - a
+    ndim = 1
 
-    def level_sum(h: float, only_odd: bool, x0=(), w0=()) -> float:
-        """Weighted sum of f over one level's nodes and the extra nodes x0."""
+    def level_sum(h: float, only_odd: bool, x0=(), w0=()) -> float | np.ndarray:
+        """Weighted sums of f's rows over one level's nodes and the extra
+        nodes x0."""
+        nonlocal ndim
         k = np.arange(1, int(math.floor(_TS_TMAX / h)) + 1)
         if only_odd:
             k = k[k % 2 == 1]
@@ -181,31 +194,44 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
         x = np.concatenate([x0, xl[lok], xr[rok]])
         if not len(x):
             return 0.0
-        return float(np.dot(np.concatenate([w0, w[lok], w[rok]]), f(x)))
+        wx = np.concatenate([w0, w[lok], w[rok]])
+        fx = np.asarray(f(x))
+        ndim = fx.ndim
+        return np.array([np.dot(wx, row) for row in fx.reshape(-1, len(x))])
 
     h = 1.0
     raw = level_sum(h, only_odd=False, x0=[a + 0.5 * width], w0=[0.5 * _PI])
     value = 0.5 * width * h * raw
     history = [value]
+    best, error = value.copy(), np.zeros_like(value)
+    done = np.zeros(value.shape, dtype=bool)
     for level in range(1, _TS_MAX_LEVEL + 1):
         h *= 0.5
         raw += level_sum(h, only_odd=True)
         value = 0.5 * width * h * raw
         history.append(value)
         if level >= 3:
-            scale = max(1.0, abs(value))
-            d1 = abs(history[-1] - history[-2])
-            d2 = abs(history[-2] - history[-3])
-            if d1 < _TOL * scale and d2 < _TOL * scale:
-                return value, max(d1, 4e-16 * scale)
+            scale = np.maximum(1.0, np.abs(value))
+            d1 = np.abs(history[-1] - history[-2])
+            d2 = np.abs(history[-2] - history[-3])
+            now = ~done & (d1 < _TOL * scale) & (d2 < _TOL * scale)
+            best[now] = value[now]
+            error[now] = np.maximum(d1, 4e-16 * scale)[now]
+            done |= now
+            if done.all():
+                return (float(best[0]), float(error[0])) if ndim == 1 else (best, error)
+    row = int(np.flatnonzero(~done)[0])
+    where = "" if ndim == 1 else f", row {row}"
     raise ConvergenceError(
-        f"tanh-sinh on ({a:g}, {b:g}) missed tolerance {_TOL:g} "
+        f"tanh-sinh on ({a:g}, {b:g}){where} missed tolerance {_TOL:g} "
         f"at level {_TS_MAX_LEVEL}",
-        value, abs(history[-1] - history[-2]))
+        float(value[row]), float(abs(history[-1][row] - history[-2][row])))
 
 
-def _composite(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]) -> float:
-    """Integral of f over [edges[0], edges[-1]].
+def _composite(f: Callable[[np.ndarray], np.ndarray],
+               edges: Sequence[float]) -> float | np.ndarray:
+    """Integral of f over [edges[0], edges[-1]]: a float, or an array of m
+    values for an integrand of m rows.
 
     tanh-sinh takes the head [edges[0], edges[1]], where an integrable
     endpoint singularity may sit; 24-point Gauss panels take the smooth

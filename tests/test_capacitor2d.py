@@ -200,3 +200,22 @@ def test_phi_prime_polylog_integral_guards():
         ll.phi_prime_polylog_integral(0)
     with pytest.raises(DomainError):
         ll.phi_prime_polylog_integral(8)
+
+
+def test_phi_prime_polylog_integral_sequence_matches_per_order():
+    # one Phi' evaluation serves every order; the rows meet the same
+    # abscissae and stop at their own levels, and the measured gap to the
+    # per-order calls is 0
+    orders = [1, 2, 3, 4, 5, 6, 7]
+    together = ll.phi_prime_polylog_integral(orders)
+    assert isinstance(together, list) and len(together) == len(orders)
+    for n, value in zip(orders, together):
+        single = ll.phi_prime_polylog_integral(n)
+        assert isinstance(single, float)
+        assert abs(value - single) <= 4e-16 * abs(single)
+
+
+@pytest.mark.parametrize("orders", [[1, 8], [0, 2], [2, 2.0], (3, None), []])
+def test_phi_prime_polylog_integral_sequence_guards(orders):
+    with pytest.raises(DomainError):
+        ll.phi_prime_polylog_integral(orders)

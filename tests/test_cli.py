@@ -1,10 +1,14 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lovelab import conjectures, love
 from lovelab.cli import _write_rows, main
@@ -79,12 +83,13 @@ def test_solve_grid_sorted(capsys):
     assert len(kappas) == 4
 
 
-def test_output_deterministic_across_workers(capsys, tmp_path):
-    argv = ["solve", "--kappa-min", "0.3", "--kappa-max", "1.0",
-            "--kappa-points", "3"]
-    _, first = run(capsys, argv + ["--workers", "1"])
-    _, second = run(capsys, argv + ["--workers", "3"])
-    assert first == second
+def test_output_deterministic_across_workers(capsys):
+    for argv in (["solve", "--kappa-min", "0.3", "--kappa-max", "1.0",
+                  "--kappa-points", "3"],
+                 ["verify", "--which", "all"]):
+        _, first = run(capsys, argv + ["--workers", "1"])
+        _, second = run(capsys, argv + ["--workers", "3"])
+        assert first == second
 
 
 def test_seventeen_digit_cells(capsys):
@@ -129,6 +134,20 @@ def test_output_file(capsys, tmp_path):
     code, _ = run(capsys, ["solve", "--kappa", "1", "--output", str(path)])
     assert code == 0
     assert path.read_text().startswith("kappa,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--kappa", "1"],
+    ["verify", "--which", "gamma0"],
+    ["fit-weak", "--synthetic", "takahashi"],
+])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "rows.csv"
+    assert main(argv + ["--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write the table")
+    assert len(captured.err.splitlines()) == 1
 
 
 # ----------------------------------------------------------------------
@@ -309,3 +328,103 @@ def test_bad_thread_count_is_usage_error(capsys, monkeypatch, tmp_path):
     config.write_text("workers = many\n")
     assert main(["--config", str(config), "verify", "--which", "gamma1"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# ----------------------------------------------------------------------
+# The exit contract over generated input: every malformed flag value,
+# config line or environment value exits 2 with an error line, and no
+# exception escapes.  No strategy builds an input that would start a solve.
+# ----------------------------------------------------------------------
+
+def run_quiet(argv):
+    """Exit status, stdout and stderr of one in-process run; argparse's own
+    usage errors leave through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_usage_error(argv):
+    code, out, err = run_quiet(argv)
+    assert code == 2, (argv, out, err)
+    assert out == ""
+    assert "error:" in err.rstrip("\n").split("\n")[-1]
+
+
+def text(exclude=""):
+    return st.text(st.characters(blacklist_categories=("Cs",),
+                                 blacklist_characters="\x00" + exclude), max_size=12)
+
+
+def refused_by(cast, strategy):
+    """The strategy's texts that cast rejects with a ValueError."""
+    def refused(value):
+        try:
+            cast(value)
+        except ValueError:
+            return True
+        return False
+    return strategy.filter(refused)
+
+
+def bad_kappa(strategy):
+    return st.one_of(refused_by(float, strategy), st.floats(max_value=0.0).map(repr),
+                     st.sampled_from(["nan", "inf", "-inf"]))
+
+
+def bad_count(floor):
+    """Text int() rejects, or an integer below floor."""
+    return st.one_of(refused_by(int, text()), st.integers(max_value=floor - 1).map(str))
+
+
+GRID = ["--kappa-min", "0.5", "--kappa-max", "1", "--kappa-points", "2"]
+
+BAD_FLAGS = st.one_of(
+    bad_kappa(text()).map(lambda v: ["solve", f"--kappa={v}"]),
+    bad_kappa(text()).map(lambda v: ["compare-asymptotics", f"--kappa={v}"]),
+    bad_count(1).map(lambda v: ["solve", *GRID[:4], f"--kappa-points={v}"]),
+    bad_count(5).map(lambda v: ["fit-weak", f"--gamma-points={v}"]),
+    text().filter(lambda v: v != "all" and v not in conjectures.SUITE).map(
+        lambda v: ["verify", f"--which={v}"]),
+    text().filter(lambda v: v not in ("csv", "json")).map(
+        lambda v: ["verify", "--which", "gamma0", f"--format={v}"]),
+)
+
+# one config line: '#' starts a comment and '=' splits key from value
+CONFIG_TEXT = text(exclude="\n\r#=")
+SOLVE_OPTIONS = {"kappa", "kappa_min", "kappa_max", "kappa_points", "nodes",
+                 "format", "output", "workers"}
+BAD_CONFIG_LINES = st.one_of(
+    CONFIG_TEXT.filter(str.strip),                         # no '='
+    st.tuples(CONFIG_TEXT.filter(
+        lambda k: k.strip().replace("-", "_") not in SOLVE_OPTIONS),
+              CONFIG_TEXT).map(" = ".join),                # unknown key
+    bad_kappa(CONFIG_TEXT).map("kappa = {}".format),
+    refused_by(int, CONFIG_TEXT).map("workers = {}".format),
+    CONFIG_TEXT.filter(lambda v: v.strip() not in ("csv", "json")).map("format = {}".format),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=BAD_FLAGS)
+def test_malformed_flag_values_exit_2(argv):
+    assert_usage_error(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(line=BAD_CONFIG_LINES)
+def test_malformed_config_lines_exit_2(tmp_path_factory, line):
+    config = tmp_path_factory.mktemp("config") / "run.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    assert_usage_error(["--config", str(config), "solve", *GRID])
+
+
+@settings(max_examples=20, deadline=None)
+@given(value=refused_by(int, text()).filter(bool))
+def test_malformed_thread_counts_exit_2(value):
+    with mock.patch.dict(os.environ, {"LOVE_LAB_THREADS": value}):
+        assert_usage_error(["solve", "--kappa", "1"])

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import lovelab as ll
+from lovelab import capacitor2d, conjectures, quadrature, specfun
+from lovelab.cli import main
 from lovelab.conjectures import GAMMA0, GAMMA1, GAMMA2_TILDE, INTEGRAL4
 from lovelab.errors import DomainError
 
@@ -104,6 +106,68 @@ def test_residue_guards():
         ll.residue_identity(0)
     with pytest.raises(DomainError):
         ll.residue_identity(9)
+
+
+@pytest.mark.parametrize("check, orders", [
+    (ll.verify_polylog_claim, [1, 2, 3, 4, 5, 6]),
+    (ll.residue_identity, [1, 2, 3, 4, 5, 6, 7, 8]),
+    (ll.residue_identity, (3, 8)),
+])
+def test_sequence_forms_match_per_order_calls(check, orders):
+    # the residue rows share the panels of the smallest k; measured gap to
+    # the per-order calls (each on its own panels) is 0
+    together = check(orders)
+    assert isinstance(together, list)
+    singles = [check(n) for n in orders]
+    assert [r.name for r in together] == [r.name for r in singles]
+    for joint, single in zip(together, singles):
+        assert joint.target == single.target and joint.method == single.method
+        assert abs(joint.computed - single.computed) <= 4e-16 * abs(single.computed)
+
+
+@pytest.mark.parametrize("check, bad", [
+    (ll.verify_polylog_claim, [1, 7]),
+    (ll.verify_polylog_claim, [0, 1]),
+    (ll.residue_identity, [2, 9]),
+    (ll.residue_identity, [1, 2.0]),
+    (ll.residue_identity, []),
+])
+def test_sequence_guards_reject_a_bad_order_anywhere(check, bad):
+    with pytest.raises(DomainError):
+        check(bad)
+
+
+@pytest.mark.parametrize("which", ["polylog", "residue"])
+def test_one_w_evaluation_per_level_and_one_for_the_panels(capsys, monkeypatch, which):
+    # the group's orders share one W per abscissa set: at most one call per
+    # tanh-sinh level plus one for the Gauss panels, and the same count on
+    # a repeat, since nothing is kept from one command to the next
+    w_calls, levels = [], []
+    w_upper = specfun._w_upper_from_offset
+    tanh_sinh = quadrature._tanh_sinh
+
+    def counted_w(d):
+        w_calls.append(d)
+        return w_upper(d)
+
+    def counted_levels(f, a, b):
+        def level(x):
+            levels.append(x)
+            return f(x)
+        return tanh_sinh(level, a, b)
+
+    for module in (capacitor2d, conjectures):
+        monkeypatch.setattr(module, "_w_upper_from_offset", counted_w)
+    monkeypatch.setattr(quadrature, "_tanh_sinh", counted_levels)
+    counts = []
+    for _ in range(2):
+        w_calls.clear()
+        levels.clear()
+        assert main(["verify", "--which", which]) == 0
+        assert 0 < len(w_calls) <= len(levels) + 1
+        counts.append(len(w_calls))
+    capsys.readouterr()
+    assert counts[0] == counts[1]
 
 
 # ----------------------------------------------------------------------

@@ -152,6 +152,38 @@ def test_tanh_sinh_raises_at_level_cap(f, best):
         assert info.value.best == pytest.approx(best, abs=1e-3)
 
 
+# the narrow Lorentzian converges at level 8, three levels after the others
+ROWS = [lambda x: x * x, lambda x: 1.0 / np.sqrt(x),
+        lambda x: np.log(1.0 / (1.0 - x)), lambda x: 1.0 / (0.01 + (x - 0.5) ** 2)]
+
+
+def stacked(x):
+    return np.array([f(x) for f in ROWS])
+
+
+def test_vector_integrand_rows_equal_scalar_calls_bit_for_bit():
+    # each row keeps the value of the level at which it converged; refined
+    # on to the Lorentzian's level, x^2 would move in its last bit
+    values, errors = _tanh_sinh(stacked, 0.0, 1.0)
+    assert values.shape == errors.shape == (4,)
+    for f, value, error in zip(ROWS, values, errors):
+        assert (value, error) == _tanh_sinh(f, 0.0, 1.0)
+    edges = [0.0, 0.5, 0.75, 0.9, 0.99]
+    values = _composite(stacked, edges)
+    assert values.tolist() == [_composite(f, edges) for f in ROWS]
+    values = _panel_sum(stacked, edges[1:])
+    assert values.tolist() == [_panel_sum(f, edges[1:]) for f in ROWS]
+
+
+def test_vector_tanh_sinh_raises_when_one_row_diverges():
+    def f(x):
+        return np.array([x * x, 1.0 / x])
+
+    with pytest.raises(ConvergenceError, match="row 1") as info:
+        _tanh_sinh(f, 0.0, 1.0)
+    assert info.value.estimate > 1e-13
+
+
 # ----------------------------------------------------------------------
 # fit_log_tail.
 # ----------------------------------------------------------------------
