@@ -172,12 +172,12 @@ _POLYLOG_CUTOFF = (17.0 * math.log(10.0) + 2.0) / _PI
 
 def _orders(n, name: str, top: int) -> list[int]:
     """One order, or a non-empty sequence of them, as a list; every order
-    must be an integer in [1, top]."""
+    must be an integer in [1, top], and not a bool."""
     orders = list(n) if isinstance(n, Sequence) else [n]
     if not orders:
         raise DomainError(f"need at least one {name}")
     for m in orders:
-        if not isinstance(m, int) or not 1 <= m <= top:
+        if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= top:
             raise DomainError(f"{name} must be an integer in [1, {top}], got {m!r}")
     return orders
 

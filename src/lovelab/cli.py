@@ -355,6 +355,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.output = _resolve(args, "output", None, str)
     except ValueError as exc:
         return _usage_error(str(exc))
+    if args.output:
+        # refuse a table that could not be written before doing the work
+        directory = os.path.dirname(os.path.abspath(args.output))
+        if not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+            return _usage_error(f"cannot write the table: {directory!r} is not "
+                                f"a writable directory")
     try:
         return args.func(args)
     except LoveLabError as exc:

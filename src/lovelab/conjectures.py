@@ -88,7 +88,7 @@ def tn_first(n: int) -> Fraction:
     Each application consumes one element, so the seed 1..n+1 is the
     shortest that determines the answer.
     """
-    if not isinstance(n, int) or not 1 <= n <= 7:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 7:
         raise DomainError(f"n must be an integer in [1, 7], got {n!r}")
     seq: list[Fraction] = [Fraction(i) for i in range(1, n + 2)]
     for _ in range(n):

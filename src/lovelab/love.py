@@ -6,30 +6,36 @@ on [-1, 1], and the physical observables built from the moments of f:
 capacitance, dimensionless coupling, ground-state energy per particle, and
 the third moment of the disc charge density.
 
-The kernel is a Lorentzian of width kappa centered on the diagonal, so the
-quadrature must resolve scale kappa *everywhere*, not only near the edges:
-the mesh uses uniform panels of width ~min(kappa, 1/4) with the polynomial
-order set by the node budget.  Every panel carries the same Gauss rule, so
-the kernel matrix is block-Toeplitz in the panel lag: the solver never forms
-it, applying it by FFT in O(N log N) inside conjugate gradients, and the
-residual check uses the same structure.  The mesh and its rules are mirror
-symmetric about each panel centre, so the lag-block spectrum of the lower
-half of the target offsets is the conjugate of the upper half's: only half
-of each spectrum is computed, on 5-smooth FFT lengths.  One node budget,
-_MAX_NODES = 48000 (the default mesh at kappa = 1e-3), is the solver's
-kappa floor: _mesh refuses a larger mesh before any kernel is built.
+The kernel is a Lorentzian of width kappa, but the solution f is smooth:
+its singularities sit at x = +-1 + i m kappa, off the interval ends.  So
+the mesh resolves f, not the kernel.  f is even, and it is held on [0, 1]
+in the distance d = 1 - |x| from the edge, on Gauss panels with edges 0,
+kappa/2, kappa, 2 kappa, ... below d = 1/2 and uniform panels of width at
+most 1/4 above: O(log 1/kappa) panels, 208 unknowns at kappa = 1e-3.
+
+The kernel is a Cauchy kernel, k(x - y) = (1/pi) Im 1/(y - x - i kappa),
+so the weights that integrate the panel interpolant of f exactly against
+k(x - y) + k(x + y) (product integration) come from the Legendre moments
+of 1/(u - z) on each panel.  One rows builder, _rows, maps any targets to
+these weights; the system matrix, the defect check, the interpolant and
+the discrete operator norm all use it.  A dense solve of (I - W) f = v0 is
+refined once with the residual of the subtracted form
+    leak_i f_i + sum_j W_ij (f_i - f_j) = v0,
+whose leak 1 - int k is exact, so the large near-diagonal weights at small
+kappa act on differences of f only.  The solver's floor is kappa >= 1e-3
+(_KAPPA_MIN), checked before any weight is built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ResolutionError, WindowError
-from .quadrature import QuadratureRule, gauss_legendre
+from .errors import DomainError, ResolutionError, WindowError
+from .quadrature import gauss_legendre
 
 __all__ = [
     "LoveProblem",
@@ -51,11 +57,13 @@ _PI = math.pi
 #: Right-hand side for the gas problem; the capacitor normalization is v0 = 1.
 GAS_POTENTIAL = 1.0 / (2.0 * _PI)
 
-_MAX_NODES = 48000                       # 2000 panels x 24 points: kappa >= 1e-3
+_KAPPA_MIN = 1e-3
 _RESIDUAL_TOL = 1e-8
-_CG_TOL = 1e-15
-_CG_MAX_ITER = 500                       # 156 used at the kappa floor
-_ROW_BLOCK = 1 << 18                     # entries per dense kernel block (2 MiB)
+_ORDER = 16                              # Gauss points per panel: the default,
+_MAX_ORDER = 32                          # and the most a node budget buys
+_FINE_ORDER = 64                         # rule for poles at 1.5 < rho <= 4
+# semi-major axes (rho + 1/rho)/2 of the Bernstein ellipses rho = 4 and 1.5
+_FAR, _NEAR = 2.125, 13.0 / 12.0
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,7 @@ class LoveProblem:
 
 @dataclass(frozen=True)
 class LoveSolution:
-    """Discretized solution f on its own quadrature rule."""
+    """Discretized solution f on its own quadrature rule over [-1, 1]."""
 
     problem: LoveProblem
     nodes: np.ndarray
@@ -83,18 +91,16 @@ class LoveSolution:
     residual: float
 
     def interpolate(self, x: np.ndarray) -> np.ndarray:
-        """Nystrom interpolant: exact off-node extension of the discrete f."""
+        """Nystrom interpolant: f(x) solving the subtracted equation at x,
+        (v0 + sum_j W_xj f_j) / (leak(x) + sum_j W_xj); it returns f at
+        the nodes themselves."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        kappa, y = self.problem.kappa, self.nodes
-        # arbitrary targets repeat no panel structure: dense kernel rows,
-        # in blocks of at most _ROW_BLOCK entries so memory stays bounded
-        step = max(1, _ROW_BLOCK // len(y))
-        out = np.empty(len(x))
-        for start in range(0, len(x), step):
-            diff = x[start:start + step, None] - y[None, :]
-            rows = (kappa / _PI) * self.weights[None, :] / (diff * diff + kappa * kappa)
-            out[start:start + step] = rows @ self.f
-        return self.problem.v0 + out
+        kappa = self.problem.kappa
+        edges, order = _mesh(kappa, len(self.nodes))
+        d = 1.0 - np.abs(x)
+        w = _rows(kappa, edges, order, d)
+        f = self.f[:len(self.f) // 2]    # the half x <= 0, in ascending d
+        return (self.problem.v0 + w @ f) / (_leak(kappa, d) + w.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -107,187 +113,181 @@ class EnergyPoint:
     energy: float
 
 
+def _edges(kappa: float) -> np.ndarray:
+    """Panel edges in d: 0, kappa/2, kappa, 2 kappa, ... below 1/2, then
+    uniform panels of width at most 1/4 up to d = 1."""
+    if not kappa > 0.0:
+        raise DomainError(f"kappa must be positive, got {kappa!r}")
+    edges = [0.0]
+    edge = 0.5 * kappa
+    while edge < 0.5:
+        edges.append(edge)
+        edge *= 2.0
+    last = edges[-1]
+    uniform = np.linspace(last, 1.0, math.ceil((1.0 - last) / 0.25) + 1)
+    return np.concatenate([edges, uniform[1:]])
+
+
 def default_node_count(kappa: float) -> int:
-    """Node budget resolving the Lorentzian ridge: ~48/kappa, at least 240."""
-    return int(max(240, math.ceil(48.0 / kappa)))
+    """Nodes on [-1, 1] of the default mesh: 16 per panel, both halves."""
+    return 2 * _ORDER * (len(_edges(kappa)) - 1)
 
 
-def _mesh(kappa: float, n: int) -> tuple[int, QuadratureRule]:
-    """Panel count and per-panel Gauss rule for a budget of about n nodes."""
-    width = min(0.25, kappa)
-    panels = int(math.ceil(2.0 / width))
-    points = int(round(n / panels))
-    if points > 24:
-        panels = int(math.ceil(n / 24.0))
-        points = 24
-    points = max(points, 8)
-    if panels % 2 == 1:
-        panels += 1                      # symmetric mesh about x = 0
-    if panels * points > _MAX_NODES:
-        raise ResolutionError(
-            f"kappa={kappa!r} needs {panels * points} nodes but the solver "
-            f"allows at most {_MAX_NODES}; use the asymptotic expansions instead")
-    return panels, gauss_legendre(points)
+def _mesh(kappa: float, n: int) -> tuple[np.ndarray, int]:
+    """Panel edges and Gauss order for a budget of n nodes on [-1, 1].
 
-
-def _nodes(panels: int, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the rule repeated on uniform panels of [-1, 1]."""
-    edges = np.linspace(-1.0, 1.0, panels + 1)
-    x, w = rule.mapped(edges[:-1, None], edges[1:, None])
-    return x.ravel(), w.ravel()
-
-
-def _smooth_length(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT serves fast."""
-    while True:
-        rest = n
-        for factor in (2, 3, 5):
-            while rest % factor == 0:
-                rest //= factor
-        if rest == 1:
-            return n
-        n += 1
-
-
-def _panel_kernel(kappa: float, panels: int, tau: np.ndarray, s: np.ndarray,
-                  ws: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Kernel product between two point sets that repeat panel by panel.
-
-    Targets sit at c_p + tau_i and weighted sources at c_q + s_j, where c
-    are the centres of the uniform panels of width h = 2/panels.  The block
-    coupling panel p to panel q is k(h (p - q) + tau_i - s_j) ws_j, so the
-    product is a block-Toeplitz convolution along the panel axis: one
-    zero-padded real FFT of the lag blocks, then per frequency a
-    len(tau) x len(s) contraction.  Returns u (panels, len(s)) ->
-    (panels, len(tau)) in O(N log N + N len(s)).
-
-    Both offset sets must be mirror-symmetric (tau reversed is -tau, and
-    likewise s, with ws reversed equal to ws), or DomainError is raised.
-    Then, k being even, the lag sequence of the pair (nt-1-i, ns-1-j) is
-    that of (i, j) reversed, and with lag d stored at index d mod L its
-    spectrum is the conjugate of the (i, j) spectrum: only the top
-    ceil(nt/2) target rows are evaluated and transformed.  L is the
-    smallest 2^a 3^b 5^c >= 2 panels - 1, so the circular convolution
-    never wraps.
+    The edges depend on kappa alone; the budget sets the order, n // (2
+    panels) clamped to [16, 32].  So any budget up to the default gives
+    order 16, and twice the default gives order 32.  Refuses kappa below
+    the solver floor.
     """
-    if not (np.array_equal(tau, -tau[::-1]) and np.array_equal(s, -s[::-1])
-            and np.array_equal(ws, ws[::-1])):
-        raise DomainError("panel offsets and weights must be mirror-symmetric")
-    h = 2.0 / panels
-    nt, ns = len(tau), len(s)
-    top = (nt + 1) // 2
-    # lag d at index d mod L along the last, contiguous axis, so that output
-    # p of the circular convolution is entry p and a reversed lag sequence
-    # transforms to the plain conjugate; lags beyond +-(panels-1) are zero
-    length = _smooth_length(2 * panels - 1)
-    lags = np.arange(length)
-    lags[panels:] -= length
-    block = np.subtract.outer(tau[:top], s)[:, :, None] + h * lags
-    np.multiply(block, block, out=block)
-    block += kappa * kappa
-    np.divide(((kappa / _PI) * ws)[:, None], block, out=block)
-    block[:, :, panels:length - panels + 1] = 0.0
-    half = np.fft.rfft(block, axis=-1)
-    del block
-    # spectrum[k, i, j], frequency first for the per-frequency contraction;
-    # row nt-1-i, column ns-1-j is the conjugate of row i, column j
-    spectrum = np.empty((half.shape[-1], nt, ns), dtype=complex)
-    spectrum[:, :top] = half.transpose(2, 0, 1)
-    np.conjugate(half[:nt - top].transpose(2, 0, 1), out=spectrum[:, top:][:, ::-1, ::-1])
-    del half
-
-    def apply(u: np.ndarray) -> np.ndarray:
-        uh = np.fft.rfft(u, n=length, axis=0)
-        product = np.matmul(spectrum, uh[:, :, None])[:, :, 0]
-        return np.fft.irfft(product, n=length, axis=0)[:panels]
-
-    return apply
+    if not kappa >= _KAPPA_MIN:
+        raise ResolutionError(
+            f"kappa={kappa!r} is below the solver floor {_KAPPA_MIN:g}; for "
+            f"smaller kappa, use the asymptotic expansions")
+    edges = _edges(kappa)
+    order = min(_MAX_ORDER, max(_ORDER, n // (2 * (len(edges) - 1))))
+    return edges, order
 
 
-def _conjugate_gradients(apply: Callable[[np.ndarray], np.ndarray],
-                         b: np.ndarray, kappa: float) -> np.ndarray:
-    """Solve apply(g) = b for a symmetric positive definite operator."""
-    g = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rr = bb = float(np.vdot(r, r))
-    stop = _CG_TOL * _CG_TOL * bb
-    for _ in range(_CG_MAX_ITER):
-        if not rr > stop:                # converged, or NaN
-            break
-        q = apply(p)
-        alpha = rr / float(np.vdot(p, q))
-        g += alpha * p
-        r -= alpha * q
-        rr, previous = float(np.vdot(r, r)), rr
-        p = r + (rr / previous) * p
-    if not rr <= stop:
-        raise ConvergenceError(
-            f"conjugate gradients did not reach relative residual "
-            f"{_CG_TOL:g} in {_CG_MAX_ITER} iterations at kappa={kappa!r}",
-            best=math.nan, estimate=math.sqrt(rr / bb))
-    return g
+def _nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending d) and weights of the order-point rule on each panel."""
+    d, w = gauss_legendre(order).mapped(edges[:-1, None], edges[1:, None])
+    return d.ravel(), w.ravel()
+
+
+def _legendre(u: np.ndarray, order: int) -> np.ndarray:
+    """P_0 .. P_{order-1} at u, one row per point."""
+    p = np.empty((len(u), order))
+    p[:, 0] = 1.0
+    p[:, 1] = u
+    for k in range(1, order - 1):
+        p[:, k + 1] = ((2 * k + 1) * u * p[:, k] - k * p[:, k - 1]) / (k + 1)
+    return p
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of the order-point panel on [-1, 1]: to_nodes maps
+    Legendre moments int P_k(u) g(u) du to weights at the Gauss nodes, so
+    that they integrate the interpolant exactly; to_fine and to_mid map
+    node values to the interpolant at the 64-point rule and at the
+    midpoints between adjacent nodes."""
+    rule, fine = gauss_legendre(order), gauss_legendre(_FINE_ORDER)
+    u = rule.nodes
+    to_nodes = (_legendre(u, order) * rule.weights[:, None] * (np.arange(order) + 0.5)).T
+    tables = (to_nodes, _legendre(fine.nodes, order) @ to_nodes,
+              _legendre(0.5 * (u[:-1] + u[1:]), order) @ to_nodes)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _cauchy_moments(z: np.ndarray, order: int) -> np.ndarray:
+    """q_k = int_{-1}^{1} P_k(u) / (u - z) du, k < order, for Im z > 0, by
+    forward recurrence, which is accurate only for z near [-1, 1]."""
+    q = np.empty((len(z), order), dtype=complex)
+    q[:, 0] = np.log(1.0 - z) - np.log(-1.0 - z)
+    q[:, 1] = 2.0 + z * q[:, 0]
+    for k in range(1, order - 1):
+        q[:, k + 1] = ((2 * k + 1) * z * q[:, k] - k * q[:, k - 1]) / (k + 1)
+    return q
+
+
+def _rows(kappa: float, edges: np.ndarray, order: int, d: np.ndarray) -> np.ndarray:
+    """Product-integration weights W, (len(d), nodes), at targets x = 1 - d.
+
+    W @ f is int_0^1 [k(x - y) + k(x + y)] p(y) dy for the panel
+    interpolant p of f.  On a panel c + h u, each kernel is (1/pi) Im
+    1/(u - z) with z = (d - c + i kappa) / h for k(x - y) and
+    (2 - d - c + i kappa) / h for k(x + y).  By the Bernstein ellipse rho
+    of z: plain Gauss for rho > 4, the 64-point rule on the interpolant for
+    1.5 < rho <= 4, and Legendre moments for rho <= 1.5.
+    """
+    rule, fine = gauss_legendre(order), gauss_legendre(_FINE_ORDER)
+    to_nodes, to_fine, _ = _tables(order)
+    c, h = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    y = kappa / h
+    x = (np.stack([d, 2.0 - d])[:, :, None] - c) / h      # (2, targets, panels)
+    w = rule.nodes - x[..., None]
+    w *= w
+    w += (y * y)[:, None]
+    np.divide((rule.weights / _PI) * y[:, None], w, out=w)
+    # z = x + i y lies inside the Bernstein ellipse of semi-major axis a
+    # (foci +-1) where x^2 / a^2 + y^2 / (a^2 - 1) <= 1
+    y = np.broadcast_to(y, x.shape)
+    mid = x * x / (_FAR * _FAR) + y * y / (_FAR * _FAR - 1.0) <= 1.0
+    near = x * x / (_NEAR * _NEAR) + y * y / (_NEAR * _NEAR - 1.0) <= 1.0
+    mid &= ~near
+    if mid.any():
+        xm, ym = x[mid][:, None], y[mid][:, None]
+        w[mid] = ((fine.weights / _PI) * ym / ((fine.nodes - xm) ** 2 + ym * ym)) @ to_fine
+    if near.any():
+        w[near] = _cauchy_moments(x[near] + 1j * y[near], order).imag @ to_nodes / _PI
+    return (w[0] + w[1]).reshape(len(d), -1)
+
+
+def _leak(kappa: float, d: np.ndarray) -> np.ndarray:
+    """1 - int_{-1}^{1} k(x - y) dy at x = 1 - d, without cancellation."""
+    return (np.arctan2(kappa, d) + np.arctan2(kappa, 2.0 - d)) / _PI
+
+
+def _subtracted(leak: np.ndarray, w: np.ndarray, t: np.ndarray,
+                f: np.ndarray) -> np.ndarray:
+    """leak_i t_i + sum_j W_ij (t_i - f_j): (I - K) applied to the
+    interpolant of the node values f, at targets where it takes values t."""
+    return leak * t + np.sum(w * (t[:, None] - f), axis=1)
+
+
+def _defect(kappa: float, v0: float, edges: np.ndarray, order: int,
+            d: np.ndarray, f: np.ndarray) -> float:
+    """Largest |p - v0 - K p| of the panel interpolant p of f, given at the
+    nodes d, at the midpoints between adjacent nodes of each panel."""
+    *_, to_mid = _tables(order)
+    d, f = d.reshape(-1, order), f.reshape(-1, order)
+    mid = 0.5 * (d[:, :-1] + d[:, 1:]).ravel()
+    p = (f @ to_mid.T).ravel()
+    w = _rows(kappa, edges, order, mid)
+    return float(np.max(np.abs(_subtracted(_leak(kappa, mid), w, p, f.ravel()) - v0)))
 
 
 def solve_love(problem: LoveProblem, n: int | None = None,
                check_residual: bool = True) -> LoveSolution:
-    """Solve the Love equation by collocation on a composite Gauss mesh.
+    """Solve the Love equation by Nystrom product integration on a graded mesh.
 
-    n is a total node budget (default ~48/kappa).  The Nystrom system is
-    solved matrix-free: conjugate gradients on the symmetrized system
-    (I - W^1/2 K W^1/2) g = W^1/2 v0, f = W^-1/2 g, with the kernel applied
-    as a block-Toeplitz FFT product.  The returned residual is the
-    integral-equation defect of the Nystrom interpolant, measured at
-    inter-node midpoints against a quadrature of the interpolant itself by
-    the doubled Gauss rule on the same panels; it must not exceed 1e-8 v0.
+    n is a budget of nodes on [-1, 1], at least 16: it sets the Gauss
+    order of the panels, from 16 (any budget up to default_node_count) to
+    32 (twice the default or more); the panels themselves depend on kappa
+    alone.  The unknowns are f at the nodes of [0, 1].  A dense solve of
+    (I - W) f = v0 and one step of iterative refinement, with the residual
+    in the subtracted form, solve the subtracted system to rounding
+    (further steps move m0 and e by at most 6e-16).  The returned residual is the largest
+    integral-equation defect of the panel interpolant at the midpoints
+    between adjacent nodes; it must not exceed 1e-8 v0.  The solution is
+    returned on all of [-1, 1], mirrored.
     """
     kappa, v0 = problem.kappa, problem.v0
     if n is None:
         n = default_node_count(kappa)
     if n < 16:
         raise DomainError(f"node budget too small: {n!r}")
-    panels, rule = _mesh(kappa, n)
-    x, w = _nodes(panels, rule)
-    tau, root_w = rule.nodes / panels, np.sqrt(rule.weights / panels)
-    kernel = _panel_kernel(kappa, panels, tau, tau, root_w)
-    g = _conjugate_gradients(lambda u: u - root_w * kernel(u),
-                             root_w * np.full((panels, len(tau)), v0), kappa)
-    f = (g / root_w).ravel()
+    edges, order = _mesh(kappa, n)
+    d, weights = _nodes(edges, order)
+    w = _rows(kappa, edges, order, d)
+    system = np.eye(len(d)) - w
+    f = np.linalg.solve(system, np.full(len(d), v0))
+    f += np.linalg.solve(system, v0 - _subtracted(_leak(kappa, d), w, f, f))
     residual = math.nan
     if check_residual:
-        residual = _collocation_residual(problem, panels, rule, f)
+        residual = _defect(kappa, v0, edges, order, d, f)
         if not residual <= _RESIDUAL_TOL * v0:
             raise ResolutionError(
                 f"collocation residual {residual:.3e} exceeds "
                 f"{_RESIDUAL_TOL * v0:.3e} at kappa={kappa!r}",
                 suggested_n=2 * n)
-    return LoveSolution(problem=problem, nodes=x, weights=w, f=f,
-                        residual=residual)
-
-
-def _collocation_residual(problem: LoveProblem, panels: int,
-                          rule: QuadratureRule, f: np.ndarray) -> float:
-    """Largest defect of the Nystrom interpolant of f at the node midpoints.
-
-    The interpolant v0 + K f is evaluated at the midpoints and at the nodes
-    of the doubled Gauss rule on the same panels; the integral term is the
-    doubled rule's quadrature of the interpolant.  The midpoint between two
-    panels sits on their common edge.  Each panel's targets are its two
-    edges and its interior midpoints, a mirror-symmetric set; the left
-    edges, each the previous panel's right edge or x = -1, and the last
-    right edge, x = 1, are dropped.
-    """
-    kappa, v0 = problem.kappa, problem.v0
-    half = 1.0 / panels                  # panel half-width
-    tau, w = half * rule.nodes, half * rule.weights
-    fine = gauss_legendre(2 * len(rule))
-    tau_f, w_f = half * fine.nodes, half * fine.weights
-    tau_m = np.concatenate([[-half], 0.5 * (tau[:-1] + tau[1:]), [half]])
-    f = f.reshape(panels, len(rule))
-    at_mid = _panel_kernel(kappa, panels, tau_m, tau, w)(f)
-    at_fine = v0 + _panel_kernel(kappa, panels, tau_f, tau, w)(f)
-    integral = _panel_kernel(kappa, panels, tau_m, tau_f, w_f)(at_fine)
-    return float(np.max(np.abs(at_mid - integral)[:, 1:].ravel()[:-1]))
+    return LoveSolution(problem=problem, nodes=np.concatenate([d - 1.0, (1.0 - d)[::-1]]),
+                        weights=np.concatenate([weights, weights[::-1]]),
+                        f=np.concatenate([f, f[::-1]]), residual=residual)
 
 
 def operator_norm(kappa: float) -> float:
@@ -303,9 +303,9 @@ def operator_norm(kappa: float) -> float:
 
 
 def operator_norm_discrete(kappa: float, n: int | None = None) -> float:
-    """Discrete counterpart of operator_norm: the largest weighted row sum
-    of the Nystrom kernel matrix over collocation points (x = 0 included,
-    where the row integral is maximal), as one panel-kernel product K 1.
+    """Discrete counterpart of operator_norm: the largest row sum of the
+    product-integration weights over the nodes and x = 0, where the row
+    integral is maximal.
 
     Converges to (2/pi) arctan(1/kappa) with the quadrature; the agreement
     to ~1e-12 is a mesh-quality check.  Note the matrix sup-norm, not its
@@ -317,13 +317,9 @@ def operator_norm_discrete(kappa: float, n: int | None = None) -> float:
         raise DomainError(f"kappa must be positive, got {kappa!r}")
     if n is None:
         n = default_node_count(kappa)
-    panels, rule = _mesh(kappa, n)
-    tau, w = rule.nodes / panels, rule.weights / panels
-    # targets: each panel's two edges and its nodes; _mesh makes the panel
-    # count even, so the left edge of panel panels // 2 is x = 0
-    targets = np.concatenate([[-1.0 / panels], tau, [1.0 / panels]])
-    sums = _panel_kernel(kappa, panels, targets, tau, w)(np.ones((panels, len(tau))))
-    return max(float(np.max(sums[:, 1:-1])), float(sums[panels // 2, 0]))
+    edges, order = _mesh(kappa, n)
+    d, _ = _nodes(edges, order)
+    return float(np.max(_rows(kappa, edges, order, np.append(d, 1.0)).sum(axis=1)))
 
 
 def moments(sol: LoveSolution) -> tuple[float, float]:

@@ -111,14 +111,13 @@ def test_json_escapes_strings_and_nulls_non_finite(capsys):
     assert '"kappa": 1.0000000000000000e+00' in out
 
 
-def test_csv_quotes_cells_holding_commas(capsys, monkeypatch):
-    # a ConvergenceError message ends in "(best=..., estimate=...)"
-    monkeypatch.setattr(love, "_CG_MAX_ITER", 2)
-    code, out = run(capsys, ["solve", "--kappa", "0.1"])
+def test_csv_quotes_cells_holding_commas(capsys):
+    # the solver-floor message reads "...; for smaller kappa, use ..."
+    code, out = run(capsys, ["solve", "--kappa", "9e-4"])
     assert code == 1
     rows = list(csv.reader(io.StringIO(out)))
     assert [len(r) for r in rows] == [6, 6]
-    assert "," in rows[1][5] and rows[1][0] == "1.0000000000000001e-01"
+    assert "," in rows[1][5] and rows[1][0] == "8.9999999999999998e-04"
 
 
 def test_json_output(capsys):
@@ -148,6 +147,18 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write the table")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_unwritable_output_is_refused_before_the_work(capsys, tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the --output check")
+
+    monkeypatch.setattr(love, "solve_love", no_solve)
+    path = tmp_path / "missing" / "x.csv"
+    assert main(["solve", "--kappa", "0.5", "--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write the table")
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +263,7 @@ def test_kappa_below_floor_is_error_row(capsys, command):
     assert code == 1
     below, solved = parse_csv(out)
     assert float(below["kappa"]) == 9e-4
-    assert "the solver allows at most 48000" in below["error"]
+    assert "is below the solver floor 0.001" in below["error"]
     assert solved["error"] == ""
 
 

@@ -54,7 +54,7 @@ def test_tn_first_values():
 
 
 def test_tn_first_guards():
-    for bad in (0, 8):
+    for bad in (0, 8, True):
         with pytest.raises(DomainError):
             ll.tn_first(bad)
 
@@ -104,6 +104,8 @@ def test_residue_integrand_has_one_sign():
 def test_residue_guards():
     with pytest.raises(DomainError):
         ll.residue_identity(0)
+    with pytest.raises(DomainError):       # isinstance(True, int) holds
+        ll.residue_identity(True)
     with pytest.raises(DomainError):
         ll.residue_identity(9)
 
@@ -131,6 +133,7 @@ def test_sequence_forms_match_per_order_calls(check, orders):
     (ll.residue_identity, [2, 9]),
     (ll.residue_identity, [1, 2.0]),
     (ll.residue_identity, []),
+    (ll.verify_polylog_claim, [1, True]),    # isinstance(True, int) holds
 ])
 def test_sequence_guards_reject_a_bad_order_anywhere(check, bad):
     with pytest.raises(DomainError):

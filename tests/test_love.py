@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import lovelab as ll
 from lovelab import love
-from lovelab.errors import ConvergenceError, DomainError, ResolutionError, WindowError
+from lovelab.errors import DomainError, ResolutionError, WindowError
 
 PI = math.pi
 
@@ -21,6 +21,41 @@ def dense_kernel(kappa, x, y, wy):
 def kernel_apply(sol, values):
     """One application of the discrete Love operator (test-side)."""
     return dense_kernel(sol.problem.kappa, sol.nodes, sol.nodes, sol.weights) @ values
+
+
+def lagrange_factors(u, s):
+    """l_j(s) of the Gauss-Legendre nodes u, by the barycentric formula."""
+    lam = (-1.0) ** np.arange(len(u)) * np.sqrt((1.0 - u * u) * ll.gauss_legendre(len(u)).weights)
+    terms = lam / (s[:, None] - u)
+    return terms / terms.sum(axis=1, keepdims=True)
+
+
+def brute_rows(kappa, edges, order, d):
+    """Test-side oracle of love._rows: int_0^1 [k(x - y) + k(x + y)] l_j(y) dy
+    at x = 1 - d for every panel's Lagrange basis l_j, by 40-point Gauss
+    on sub-panels graded by factors of 2 away from each pole's real part,
+    starting at its distance kappa from the axis."""
+    u, sub = ll.gauss_legendre(order).nodes, ll.gauss_legendre(40)
+    out = np.zeros((len(d), (len(edges) - 1) * order))
+    for p, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        y = kappa / h                    # on the reference panel [-1, 1]
+        for i, t in enumerate(d):
+            for x in ((t - c) / h, (2.0 - t - c) / h):
+                x0 = min(1.0, max(-1.0, x))
+                steps = y * 2.0 ** np.arange(60)
+                cuts = np.concatenate([[-1.0, x0, 1.0], x0 - steps, x0 + steps])
+                cuts = np.unique(cuts[(cuts >= -1.0) & (cuts <= 1.0)])
+                s, ws = sub.mapped(cuts[:-1, None], cuts[1:, None])
+                s, ws = s.ravel(), ws.ravel()
+                k = ws * (y / PI) / ((s - x) ** 2 + y * y)
+                out[i, p * order:(p + 1) * order] += k @ lagrange_factors(u, s)
+    return out
+
+
+def leak(kappa, d):
+    """1 - int_{-1}^{1} k(x - y) dy at x = 1 - d."""
+    return (np.arctan2(kappa, d) + np.arctan2(kappa, 2.0 - d)) / PI
 
 
 # ----------------------------------------------------------------------
@@ -99,19 +134,23 @@ def test_solver_guards():
 
 def test_kappa_floor_refused_before_any_kernel(monkeypatch):
     def no_kernel(*args):
-        raise AssertionError("kernel built below the kappa floor")
+        raise AssertionError("kernel weights built below the kappa floor")
 
-    monkeypatch.setattr(love, "_panel_kernel", no_kernel)
-    with pytest.raises(ResolutionError):
+    monkeypatch.setattr(love, "_rows", no_kernel)
+    with pytest.raises(ResolutionError, match="below the solver floor 0.001"):
         ll.solve_love(ll.LoveProblem(kappa=9e-4))
     with pytest.raises(ResolutionError):          # an explicit budget too
-        ll.solve_love(ll.LoveProblem(kappa=1.0), n=love._MAX_NODES + 48)
+        ll.solve_love(ll.LoveProblem(kappa=9e-4), n=10 ** 6)
+    with pytest.raises(ResolutionError):
+        ll.operator_norm_discrete(9e-4)
 
 
 def test_solve_at_the_kappa_floor():
+    # 13 panels of 16 points on each half: 0, kappa/2, ..., 0.256, then 3
+    # uniform panels up to d = 1
     problem = ll.LoveProblem(kappa=1e-3)
     sol = ll.solve_love(problem)
-    assert ll.default_node_count(1e-3) == len(sol.nodes) == love._MAX_NODES
+    assert ll.default_node_count(1e-3) == len(sol.nodes) == 2 * 13 * 16
     assert sol.residual <= love._RESIDUAL_TOL * problem.v0
     c = ll.observables(sol).capacitance
     ce = ll.capacitance_series("extended", 1e-3)
@@ -129,140 +168,141 @@ def test_problem_requires_finite_data(kwargs):
 
 
 def test_residual_gate_rejects_nan(monkeypatch):
-    monkeypatch.setattr(love, "_collocation_residual", lambda *args: math.nan)
+    monkeypatch.setattr(love, "_defect", lambda *args: math.nan)
     with pytest.raises(ResolutionError):
         ll.solve_love(ll.LoveProblem(kappa=1.0))
 
 
-def test_conjugate_gradients_rejects_nan():
-    with pytest.raises(ConvergenceError):
-        love._conjugate_gradients(lambda u: u * math.nan, np.ones((4, 8)), 1.0)
+def test_node_budget_sets_the_panel_order():
+    # the panels depend on kappa alone; the budget buys orders 16 to 32
+    panels = ll.default_node_count(0.01) // 32
+    assert panels == 10
+    for n, order in ((16, 16), (320, 16), (480, 24), (639, 31), (640, 32), (10 ** 6, 32)):
+        edges, got = love._mesh(0.01, n)
+        assert len(edges) == panels + 1 and got == order
+    assert len(ll.solve_love(ll.LoveProblem(kappa=0.01), n=640).nodes) == 640
 
 
-def test_conjugate_gradients_iteration_cap(monkeypatch):
-    monkeypatch.setattr(love, "_CG_MAX_ITER", 2)
-    with pytest.raises(ConvergenceError):
-        ll.solve_love(ll.LoveProblem(kappa=0.1))
+@pytest.mark.parametrize("kappa", [0.1, 0.01, 1e-3])
+def test_panel_orders_agree(kappa):
+    # orders 16, 24 and 32 on the same panels: the mesh resolves f
+    panels = ll.default_node_count(kappa) // 32
+    points = [ll.observables(ll.solve_love(ll.LoveProblem(kappa=kappa), n=2 * panels * order))
+              for order in (16, 24, 32)]
+    for q in ("gamma", "capacitance", "energy"):
+        values = [getattr(p, q) for p in points]
+        assert max(values) - min(values) <= 1e-14 * values[0]
+
+
+def test_weak_coupling_series_oracle():
+    # e3 = gamma - (4/3pi) gamma^1.5 + (1/6 - 1/pi^2) gamma^2 + c3 gamma^2.5
+    # with c3 = (3 zeta(3)/8 - 1/2)/pi^3; the omitted c4 gamma^3 term is
+    # 2.7e-15 relative at kappa = 1e-3, and an error independent of the
+    # node count (an N-independent bias) cannot pass
+    point = ll.observables(ll.solve_love(ll.LoveProblem(kappa=1e-3)))
+    g = point.gamma
+    c3 = (3.0 * 1.2020569031595942 / 8.0 - 0.5) / PI ** 3
+    e3 = g - 4.0 / (3.0 * PI) * g ** 1.5 + (1.0 / 6.0 - 1.0 / PI ** 2) * g ** 2 + c3 * g ** 2.5
+    assert abs(point.energy - e3) <= 1e-14 * point.energy
 
 
 # ----------------------------------------------------------------------
-# matrix-free kernel products.
+# product-integration weights against the brute-force oracle.
 # ----------------------------------------------------------------------
 
 @settings(max_examples=25, deadline=None)
-@given(kappa=st.floats(0.02, 100.0), n=st.integers(16, 2000),
-       targets=st.sampled_from(["nodes", "fine", "midpoints"]),
-       fine_sources=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-@example(kappa=1.0, n=72, targets="midpoints", fine_sources=False, seed=0)  # 9-point rule
-@example(kappa=1.0, n=72, targets="nodes", fine_sources=True, seed=1)
-def test_panel_kernel_matches_dense_product(kappa, n, targets, fine_sources, seed):
-    # targets: the mesh nodes themselves, the doubled Gauss rule on the same
-    # panels, or the panel edges and node midpoints (the residual check's
-    # products); sources: the mesh rule or the doubled rule (B x 2B blocks)
-    panels, rule = love._mesh(kappa, n)
-    source = ll.gauss_legendre(2 * len(rule)) if fine_sources else rule
-    y, w = love._nodes(panels, source)
-    if targets == "midpoints":
-        tau = rule.nodes / panels
-        tau = np.concatenate([[-1.0 / panels], 0.5 * (tau[:-1] + tau[1:]), [1.0 / panels]])
-        centres = np.linspace(-1.0, 1.0, panels + 1)[:-1] + 1.0 / panels
-        x = (centres[:, None] + tau).ravel()
-    else:
-        target = ll.gauss_legendre(2 * len(rule)) if targets == "fine" else rule
-        tau = target.nodes / panels
-        x, _ = love._nodes(panels, target)
-    u = np.random.default_rng(seed).standard_normal(len(y))
-    k = dense_kernel(kappa, x, y, w)
-    apply = love._panel_kernel(kappa, panels, tau, source.nodes / panels,
-                               source.weights / panels)
-    fast = apply(u.reshape(panels, len(source))).ravel()
-    # relative to |K| |u|, the scale of rounding in any matvec: at large
-    # kappa, K u of a zero-mean u cancels far below it
-    assert np.max(np.abs(fast - k @ u)) <= 1e-13 * np.max(np.abs(k) @ np.abs(u))
-
-
-@pytest.mark.parametrize("which", ["targets", "sources", "weights"])
-def test_panel_kernel_refuses_unmirrored_offsets(which):
-    # the spectrum of the lower target rows is the mirror image of the upper
-    # ones only for mirror-symmetric offsets and weights
-    panels, rule = love._mesh(1.0, 240)
-    tau, w = rule.nodes / panels, rule.weights / panels
-    args = {"tau": tau, "s": tau, "ws": w}
-    if which == "targets":
-        args["tau"] = np.append(tau, -1.0 / panels)
-    elif which == "sources":
-        args["s"], args["ws"] = tau + 0.1 / panels, w
-    else:
-        args["ws"] = w * np.linspace(1.0, 2.0, len(w))
-    with pytest.raises(DomainError):
-        love._panel_kernel(1.0, panels, **args)
+@given(kappa=st.floats(1e-3, 100.0), order=st.integers(16, 32),
+       targets=st.sampled_from(["nodes", "midpoints", "uniform"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(kappa=1e-3, order=32, targets="uniform", seed=0)
+@example(kappa=0.05, order=16, targets="midpoints", seed=1)
+def test_rows_match_brute_force_weights(kappa, order, targets, seed):
+    # rows applied to a smooth f, the kind the solver sees: single weights
+    # differ more, by up to ~rho^-order where plain Gauss serves (rho > 4)
+    rng = np.random.default_rng(seed)
+    edges = love._edges(kappa)
+    d, _ = love._nodes(edges, order)
+    pool = {"nodes": d, "midpoints": 0.5 * (d[1:] + d[:-1]),
+            "uniform": rng.uniform(0.0, 1.0, 40)}[targets]
+    t = rng.choice(pool, min(40, len(pool)), replace=False)
+    f = 2.0 + np.cos(rng.uniform(-4.0, 4.0) * d + rng.uniform(0.0, 2.0 * PI))
+    brute = brute_rows(kappa, edges, order, t)
+    fast = love._rows(kappa, edges, order, t)
+    assert np.max(np.abs(fast @ f - brute @ f)) <= 1e-14 * np.max(np.abs(brute) @ f)
 
 
 @pytest.mark.parametrize("kappa", [1.0, 0.1, 0.02, 0.01])
 def test_solve_matches_dense_oracle(kappa):
+    # the subtracted system on brute-force weights, solved densely
     sol = ll.solve_love(ll.LoveProblem(kappa=kappa))
-    a = dense_kernel(kappa, sol.nodes, sol.nodes, sol.weights)
-    np.negative(a, out=a)
-    a[np.diag_indices_from(a)] += 1.0
-    f = np.linalg.solve(a, np.full(len(sol.nodes), sol.problem.v0))
-    del a
-    dense = ll.observables(dataclasses.replace(sol, f=f))
+    edges, order = love._mesh(kappa, len(sol.nodes))
+    d, _ = love._nodes(edges, order)
+    w = brute_rows(kappa, edges, order, d)
+    a = np.diag(leak(kappa, d) + w.sum(axis=1)) - w
+    f = np.linalg.solve(a, np.full(len(d), sol.problem.v0))
+    dense = ll.observables(dataclasses.replace(sol, f=np.concatenate([f, f[::-1]])))
     fast = ll.observables(sol)
     assert fast.gamma == pytest.approx(dense.gamma, rel=1e-13, abs=0.0)
     assert fast.capacitance == pytest.approx(dense.capacitance, rel=1e-13, abs=0.0)
     assert fast.energy == pytest.approx(dense.energy, rel=1e-13, abs=0.0)
 
 
-def test_solve_forms_no_dense_matrix():
-    problem = ll.LoveProblem(kappa=0.01)
-    ll.solve_love(problem)                # warm the Gauss-rule cache
+def test_solve_memory_at_the_kappa_floor():
+    problem = ll.LoveProblem(kappa=1e-3)
+    ll.solve_love(problem)                # warm the per-order tables
     tracemalloc.start()
     try:
-        sol = ll.solve_love(problem)
+        ll.solve_love(problem)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * len(sol.nodes) ** 2 / 4
+    assert peak < 16 * 2 ** 20
 
 
-def dense_defect(problem, panels, rule, f):
-    """Test-side residual check: the defect of the Nystrom interpolant at
-    each node midpoint and each interior panel edge, from dense kernel rows
-    in blocks of 256 targets."""
+def test_interpolate_matches_brute_force_rows():
+    # the Nystrom interpolant of the subtracted equation, from oracle rows
+    sol = ll.solve_love(ll.LoveProblem(kappa=0.05))
+    edges, order = love._mesh(0.05, len(sol.nodes))
+    x = np.linspace(-1.0, 1.0, 301)
+    d = 1.0 - np.abs(x)
+    w = brute_rows(0.05, edges, order, d)
+    f = sol.f[:len(sol.f) // 2]
+    expected = (sol.problem.v0 + w @ f) / (leak(0.05, d) + w.sum(axis=1))
+    np.testing.assert_allclose(sol.interpolate(x), expected, rtol=1e-14, atol=0.0)
+    half = len(sol.nodes) // 2
+    np.testing.assert_allclose(sol.interpolate(sol.nodes[:half]), f, rtol=1e-14, atol=0.0)
+
+
+def dense_defect(problem, edges, order, f):
+    """Test-side residual check: the defect of the panel interpolant of f
+    at the midpoints between adjacent nodes, from brute-force rows."""
     kappa, v0 = problem.kappa, problem.v0
-    y, w = love._nodes(panels, rule)
-    z, wz = love._nodes(panels, ll.gauss_legendre(2 * len(rule)))
-    edges = np.linspace(-1.0, 1.0, panels + 1)
-    nodes = y.reshape(panels, len(rule))
-    mid = np.column_stack([0.5 * (nodes[:, :-1] + nodes[:, 1:]), edges[1:]]).ravel()[:-1]
-
-    def apply(x, ys, ws, u):
-        return np.concatenate([dense_kernel(kappa, x[i:i + 256], ys, ws) @ u
-                               for i in range(0, len(x), 256)])
-
-    interpolant = v0 + apply(z, y, w, f)
-    return float(np.max(np.abs(apply(mid, y, w, f) - apply(mid, z, wz, interpolant))))
+    u = ll.gauss_legendre(order).nodes
+    d, _ = love._nodes(edges, order)
+    d = d.reshape(-1, order)
+    mid = 0.5 * (d[:, 1:] + d[:, :-1]).ravel()
+    p = (f.reshape(-1, order) @ lagrange_factors(u, 0.5 * (u[1:] + u[:-1])).T).ravel()
+    return float(np.max(np.abs(p - v0 - brute_rows(kappa, edges, order, mid) @ f)))
 
 
 @pytest.mark.parametrize("kappa", [1.0, 0.1, 0.02])
 def test_residual_gate_flags_perturbed_solution(kappa):
     problem = ll.LoveProblem(kappa=kappa)
     sol = ll.solve_love(problem)
-    panels, rule = love._mesh(kappa, ll.default_node_count(kappa))
+    edges, order = love._mesh(kappa, len(sol.nodes))
+    d, _ = love._nodes(edges, order)
+    f = sol.f[:len(d)]
     tol = love._RESIDUAL_TOL * problem.v0
-    assert love._collocation_residual(problem, panels, rule, sol.f) <= tol
-    # f raised by 1e-7 everywhere, by 1e-6 on the two panels that meet at
-    # x = 0 (the defect peaks on that panel edge), and by 1e-4 at the last
-    # node (the defect would peak at x = 1, which the check leaves out)
-    h, x = 2.0 / panels, sol.nodes
-    for bump in (np.full_like(x, 1e-7), 1e-6 * (np.abs(x) < h), 1e-4 * (x == x[-1])):
-        perturbed = sol.f * (1.0 + bump)
-        residual = love._collocation_residual(problem, panels, rule, perturbed)
+    assert love._defect(kappa, problem.v0, edges, order, d, f) <= tol
+    # f raised by 1e-7 everywhere, by 1e-6 on the panel next to x = 0, and
+    # by 1e-4 at the node nearest x = 1
+    for bump in (np.full_like(d, 1e-7), 1e-6 * (d > edges[-2]), 1e-4 * (d == d[0])):
+        perturbed = f * (1.0 + bump)
+        residual = love._defect(kappa, problem.v0, edges, order, d, perturbed)
         assert not residual <= tol
-        # the same check points and the same defect as dense rows give; the
-        # defect is a small difference of O(max f) terms, so the two agree to
-        # about 1e-15 max f (measured: at most 3.4e-7 relative, at kappa 0.02)
-        assert residual == pytest.approx(dense_defect(problem, panels, rule, perturbed),
+        # the same check points and the same defect as brute-force rows
+        # give; the defect is a small difference of O(max f) terms
+        assert residual == pytest.approx(dense_defect(problem, edges, order, perturbed),
                                          rel=1e-6, abs=0.0)
 
 
@@ -281,40 +321,27 @@ def test_discrete_operator_norm_matches(kappa):
     assert abs(ll.operator_norm_discrete(kappa) - ll.operator_norm(kappa)) < 1e-6
 
 
-def test_dense_helpers_work_in_bounded_blocks(monkeypatch):
-    # interpolate, the one dense-row helper, at 43 blocks and at one row each
-    sol = ll.solve_love(ll.LoveProblem(kappa=0.05))
-    x = np.linspace(-1.0, 1.0, 301)
-    whole = sol.problem.v0 + dense_kernel(0.05, x, sol.nodes, sol.weights) @ sol.f
-    for rows in (7, 1):
-        monkeypatch.setattr(love, "_ROW_BLOCK", rows * len(sol.nodes))
-        np.testing.assert_allclose(sol.interpolate(x), whole, rtol=1e-14, atol=0.0)
-
-
 @pytest.mark.parametrize("kappa,n", [(5.0, None), (1.0, None), (0.05, None),
                                      (0.01, None), (0.3, 17), (0.3, 333)])
 def test_operator_norm_discrete_matches_dense_rows(kappa, n):
-    # the dense row sums over the nodes and x = 0, where the row integral
-    # is largest, against the panel-kernel product
-    panels, rule = love._mesh(kappa, ll.default_node_count(kappa) if n is None else n)
-    y, w = love._nodes(panels, rule)
-    x = np.append(y, 0.0)
-    dense = max(float(np.max(dense_kernel(kappa, x[i:i + 256], y, w).sum(axis=1)))
-                for i in range(0, len(x), 256))
+    # the oracle's row sums over the nodes and x = 0, where the row
+    # integral is largest
+    edges, order = love._mesh(kappa, ll.default_node_count(kappa) if n is None else n)
+    d, _ = love._nodes(edges, order)
+    dense = float(np.max(brute_rows(kappa, edges, order, np.append(d, 1.0)).sum(axis=1)))
     assert ll.operator_norm_discrete(kappa, n) == pytest.approx(dense, rel=0.0, abs=1e-15)
 
 
 def test_operator_norm_discrete_at_the_kappa_floor():
-    # 48000 nodes: dense rows would take seconds here
     assert ll.operator_norm_discrete(1e-3) == pytest.approx(
         ll.operator_norm(1e-3), rel=0.0, abs=1e-12)
 
 
 def test_operator_norm_discrete_memory_bounded():
-    ll.operator_norm_discrete(0.05)            # warm the 24-point Gauss rule
+    ll.operator_norm_discrete(0.005)           # warm the per-order tables
     tracemalloc.start()
     try:
-        ll.operator_norm_discrete(0.005)       # 9600 nodes
+        ll.operator_norm_discrete(0.005)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
