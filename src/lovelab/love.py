@@ -209,15 +209,16 @@ def _rows(kappa: float, edges: np.ndarray, order: int, d: np.ndarray) -> np.ndar
     c, h = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     y = kappa / h
     x = (np.stack([d, 2.0 - d])[:, :, None] - c) / h      # (2, targets, panels)
-    w = rule.nodes - x[..., None]
-    w *= w
-    w += (y * y)[:, None]
-    np.divide((rule.weights / _PI) * y[:, None], w, out=w)
-    # z = x + i y lies inside the Bernstein ellipse of semi-major axis a
-    # (foci +-1) where x^2 / a^2 + y^2 / (a^2 - 1) <= 1
-    y = np.broadcast_to(y, x.shape)
-    mid = x * x / (_FAR * _FAR) + y * y / (_FAR * _FAR - 1.0) <= 1.0
-    near = x * x / (_NEAR * _NEAR) + y * y / (_NEAR * _NEAR - 1.0) <= 1.0
+    with np.errstate(over="ignore"):     # y^2 = inf at kappa > 1e153: w = 0, far
+        w = rule.nodes - x[..., None]
+        w *= w
+        w += (y * y)[:, None]
+        np.divide((rule.weights / _PI) * y[:, None], w, out=w)
+        # z = x + i y lies inside the Bernstein ellipse of semi-major axis a
+        # (foci +-1) where x^2 / a^2 + y^2 / (a^2 - 1) <= 1
+        y = np.broadcast_to(y, x.shape)
+        mid = x * x / (_FAR * _FAR) + y * y / (_FAR * _FAR - 1.0) <= 1.0
+        near = x * x / (_NEAR * _NEAR) + y * y / (_NEAR * _NEAR - 1.0) <= 1.0
     mid &= ~near
     if mid.any():
         xm, ym = x[mid][:, None], y[mid][:, None]

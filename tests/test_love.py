@@ -403,6 +403,13 @@ def test_free_fermion_limit_value():
     assert point.gamma == pytest.approx(PI * 1e6, rel=1e-5)
 
 
+def test_huge_kappa_reaches_the_free_limit_quietly():
+    # the kernel vanishes: f = v0, with no overflow warning on the way
+    sol = ll.solve_love(ll.LoveProblem(kappa=1e200, v0=1.0))
+    np.testing.assert_allclose(sol.f, 1.0, rtol=1e-15, atol=0.0)
+    assert sol.residual <= 1e-8
+
+
 def test_infinite_plate_capacitance_limit():
     # 4 kappa C -> 1 like O(kappa log kappa)
     for kappa in (0.1, 0.02):
