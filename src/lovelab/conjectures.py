@@ -220,12 +220,12 @@ SUITE = {
     "gamma0": SuiteGroup([lambda: [verify_gamma0()]], {"gamma0": 13}),
     "gamma1": SuiteGroup([lambda: [verify_gamma1()]], {"gamma1": 13}),
     "gamma2": SuiteGroup([lambda: verify_gamma2()],
-                         {"gamma2_tilde_via_integral4": 9, "gamma2_tilde_direct": 9}),
-    "integral4": SuiteGroup([lambda: [verify_integral4()]], {"integral4": 9}),
+                         {"gamma2_tilde_via_integral4": 13, "gamma2_tilde_direct": 13}),
+    "integral4": SuiteGroup([lambda: [verify_integral4()]], {"integral4": 13}),
     "polylog": SuiteGroup([lambda: verify_polylog_claim(range(1, 5))],
-                          {f"polylog_n{n}": 9 for n in range(1, 5)}),
+                          {f"polylog_n{n}": 13 for n in range(1, 5)}),
     "residue": SuiteGroup([lambda: residue_identity(range(1, 5))],
-                          {f"residue_k{k}": 8 for k in range(1, 5)}),
+                          {f"residue_k{k}": 13 for k in range(1, 5)}),
 }
 
 

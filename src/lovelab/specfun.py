@@ -20,6 +20,10 @@ here is only what it cannot serve: the upper-cut W solved in the log domain
 (offsets up to ~1e16), Li_n(e^{-t}) with the argument kept in the exponent,
 the Bessel expansions above 1e8 (where ive and kve degrade), the dK/dr series
 at small r (where the closed form cancels), and W's branch-point series.
+
+scipy.special is imported by the functions that use it, on first call, so
+importing lovelab, solving and fitting never load scipy; only the identity
+suite (`verify`) does.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ellipe, ellipkm1, ive, kve, lambertw, zeta
 
 from .errors import (BranchError, ConvergenceError, DivergenceError, DomainError,
                      PoleError)
@@ -67,6 +70,7 @@ def _ke_vec(k: np.ndarray, kc2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cancellation ((1 - k)(1 + k), or exactly from its own geometry), so K
     keeps its logarithmic growth at moduli exponentially close to 1.
     """
+    from scipy.special import ellipe, ellipkm1
     return ellipkm1(kc2), ellipe(k * k)
 
 
@@ -146,6 +150,7 @@ def _bessel_large(x: np.ndarray, c1: float, c2: float, front: float,
 
 
 def _i1e(x: np.ndarray) -> np.ndarray:
+    from scipy.special import ive
     x = np.asarray(x, dtype=float)
     big = x > _BESSEL_ASYMPTOTIC
     out = ive(1, np.where(big, 1.0, x))
@@ -154,6 +159,7 @@ def _i1e(x: np.ndarray) -> np.ndarray:
 
 
 def _i2e(x: np.ndarray) -> np.ndarray:
+    from scipy.special import ive
     x = np.asarray(x, dtype=float)
     big = x > _BESSEL_ASYMPTOTIC
     out = ive(2, np.where(big, 1.0, x))
@@ -162,6 +168,7 @@ def _i2e(x: np.ndarray) -> np.ndarray:
 
 
 def _k1e(x: np.ndarray) -> np.ndarray:
+    from scipy.special import kve
     x = np.asarray(x, dtype=float)
     big = x > _BESSEL_ASYMPTOTIC
     out = kve(1, np.where(big, 1.0, x))
@@ -255,6 +262,7 @@ def lambert_w(x: float) -> float:
     p = math.sqrt(2.0 * ex1)
     if p < _P_SERIES:
         return float(_w_branch_series(np.float64(p)))
+    from scipy.special import lambertw
     return float(lambertw(x).real)
 
 
@@ -361,6 +369,7 @@ def _polylog_exp_neg(n: int, t):
     which gives a float, or an array, evaluated elementwise with a fixed
     number of terms per branch, so each value depends on its own t alone.
     """
+    from scipy.special import zeta
     ta = np.asarray(t, dtype=float)
     flat = ta.ravel()
     bad = flat[~(flat >= 0.0)]
@@ -415,6 +424,4 @@ def polylog(n: int, x: float) -> float:
         if x == 1.0:
             raise DivergenceError("Li_1(1) diverges")
         return -math.log1p(-x)
-    if x == 1.0:
-        return float(zeta(n))
     return _polylog_exp_neg(n, -math.log(x))

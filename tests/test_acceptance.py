@@ -79,7 +79,7 @@ def test_04_gamma1(capsys):
 def test_05_gamma2_two_routes(capsys):
     route_a, route_b = ll.verify_gamma2()
     agreement = abs(route_a.computed - route_b.computed)
-    ok = (agreement <= 1e-9 and route_a.digits >= 9 and route_b.digits >= 9
+    ok = (agreement <= 1e-9 and route_a.digits >= 13 and route_b.digits >= 13
           and abs(route_a.target - (-0.442303459247)) < 1e-12)
     with capsys.disabled():
         report(5, ok, f"routes agree to {agreement:.2e}; digits "
@@ -88,7 +88,7 @@ def test_05_gamma2_two_routes(capsys):
 
 def test_06_integral4(capsys):
     r = ll.verify_integral4()
-    ok = r.digits >= 9
+    ok = r.digits >= 13
     with capsys.disabled():
         report(6, ok, f"integral4 digits={r.digits} error {r.abs_error:.2e}")
 
@@ -96,7 +96,7 @@ def test_06_integral4(capsys):
 def test_07_polylog_claims(capsys):
     reports = [ll.verify_polylog_claim(n) for n in (1, 2, 3, 4)]
     targets = [-1.0, -0.5, -5.0 / 12.0, -7.0 / 18.0]
-    ok = all(r.digits >= 9 for r in reports) and all(
+    ok = all(r.digits >= 13 for r in reports) and all(
         r.target == pytest.approx(t, rel=1e-15)
         for r, t in zip(reports, targets))
     with capsys.disabled():
@@ -105,7 +105,7 @@ def test_07_polylog_claims(capsys):
 
 def test_08_residue_identities(capsys):
     reports = [ll.residue_identity(k) for k in (1, 2, 3, 4)]
-    ok = all(r.digits >= 8 for r in reports)
+    ok = all(r.digits >= 13 for r in reports)
     with capsys.disabled():
         report(8, ok, "digits " + ", ".join(str(r.digits) for r in reports))
 

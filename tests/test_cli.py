@@ -5,6 +5,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -90,6 +93,57 @@ def test_output_deterministic_across_workers(capsys):
         _, first = run(capsys, argv + ["--workers", "1"])
         _, second = run(capsys, argv + ["--workers", "3"])
         assert first == second
+
+
+# ----------------------------------------------------------------------
+# Fresh interpreters: what a command imports, and first imports inside the
+# worker pool.
+# ----------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, check=True, timeout=120).stdout
+
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import lovelab.cli
+steps = [["import lovelab.cli", 0, scipy_modules()]]
+for argv in (["solve", "--kappa", "0.5"], ["fit-weak"],
+             ["compare-asymptotics", "--kappa", "0.05"],
+             ["verify", "--which", "polylog"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = lovelab.cli.main(argv)
+    steps.append([" ".join(argv), code, scipy_modules()])
+print(json.dumps(steps))
+"""
+
+
+def test_solver_commands_import_no_scipy():
+    steps = json.loads(run_python(SCIPY_PROBE))
+    *solver, verify = steps
+    for step, code, scipy in solver:
+        assert code == 0, step
+        assert scipy == [], step
+    step, code, scipy = verify
+    assert code == 0
+    assert "scipy.special" in scipy
+
+
+def test_first_scipy_use_inside_the_worker_pool():
+    # scipy.special is first imported by whichever pool thread reaches it
+    cli = "import sys; from lovelab.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["verify", "--which", "all", "--workers"]
+    assert run_python(cli, *argv, "1") == run_python(cli, *argv, "3")
 
 
 def test_seventeen_digit_cells(capsys):
@@ -208,7 +262,7 @@ def test_verify_single(capsys):
     assert code == 0
     rows = parse_csv(out)
     assert len(rows) == 1
-    assert int(rows[0]["digits"]) >= 8
+    assert int(rows[0]["digits"]) >= 13
 
 
 def test_verify_all(capsys):
@@ -216,7 +270,7 @@ def test_verify_all(capsys):
     assert code == 0
     rows = parse_csv(out)
     assert len(rows) == 13
-    assert all(int(r["digits"]) >= 8 for r in rows)
+    assert all(int(r["digits"]) >= 13 for r in rows)
 
 
 def test_verify_exit_follows_suite_thresholds(capsys, monkeypatch):

@@ -67,14 +67,14 @@ def test_polylog_claim_reports():
     r2 = ll.verify_polylog_claim(2)
     assert r2.target == -0.5
     assert r2.abs_error <= 1e-9
-    assert r2.digits >= 9
+    assert r2.digits >= 13
     r1 = ll.verify_polylog_claim(1)
     assert r1.target == -1.0
-    assert r1.digits >= 9
+    assert r1.digits >= 13
     r5 = ll.verify_polylog_claim(5)
     assert r5.target == pytest.approx(-1631.0 / 4320.0, rel=1e-15)
     assert r5.target == pytest.approx(-0.377546296, abs=1e-9)
-    assert r5.digits >= 9
+    assert r5.digits >= 13
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +89,7 @@ def test_residue_targets_and_digits():
     assert r2.target == pytest.approx(4.0 * math.exp(-2.0), rel=1e-15)
     assert r2.target == pytest.approx(0.5413411, abs=1e-7)
     for k in range(1, 5):
-        assert ll.residue_identity(k).digits >= 8
+        assert ll.residue_identity(k).digits >= 13
 
 
 def test_residue_integrand_has_one_sign():
@@ -222,7 +222,7 @@ def test_integral4_report():
     report = ll.verify_integral4()
     assert report.target == pytest.approx(-2.0 / PI - PI / 2.0 + 2.0 * math.log(8.0) / PI,
                                           rel=1e-15)
-    assert report.digits >= 9
+    assert report.digits >= 13
 
 
 def test_gamma2_two_routes():
@@ -230,7 +230,7 @@ def test_gamma2_two_routes():
     assert abs(route_a.computed - route_b.computed) <= 1e-9
     for report in (route_a, route_b):
         assert report.target == pytest.approx(-0.442303459247, abs=1e-12)
-        assert report.digits >= 9
+        assert report.digits >= 13
         assert report.abs_error <= abs(report.target) * 1e-9
 
 
@@ -263,7 +263,7 @@ def test_run_all_contents_and_digits():
     assert names == [name for name, _ in thresholds]
     assert all(r.digits >= d for r, (_, d) in zip(reports, thresholds))
     for report in reports:
-        assert report.digits >= 8
+        assert report.digits >= 13
         assert report.abs_error == abs(report.computed - report.target)
         # digits is the floor of the matched significant digits
         rel = report.abs_error / abs(report.target)
