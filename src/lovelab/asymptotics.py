@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
@@ -171,6 +172,9 @@ class AsymptoticSeries:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other: float) -> "AsymptoticSeries":
+        return self * (1.0 / other)
+
     def _leading(self) -> tuple[Fraction, int, float]:
         if not self._terms:
             raise DomainError("empty series")
@@ -244,6 +248,33 @@ def energy_series(which: str, gamma: float) -> float:
     raise DomainError(f"unknown energy series {which!r}")
 
 
+# The expansions that compose into the gamma^2 coefficient are each written
+# once, from +, * and division by float constants, with the powers and
+# logarithms of the variable passed in; the float evaluators and
+# ground_state_series run the same forms, on floats and on AsymptoticSeries.
+
+_L16P = math.log(16.0 * _PI)
+_L32P = math.log(32.0 * _PI)
+
+
+def _capacitance(kappa, inv_kappa, log_kappa, extended: bool):
+    """C(kappa) of capacitance_series, Kirchhoff or extended."""
+    value = inv_kappa * 0.25 - log_kappa / (4.0 * _PI) + (_L16P - 1.0) / (4.0 * _PI)
+    if extended:
+        shifted = log_kappa - _L16P
+        value = value + kappa / (16.0 * _PI ** 2) * (shifted * shifted - 2.0)
+    return value
+
+
+def _epsilon(root, gamma, log_gamma):
+    """eps(gamma) through gamma^{3/2}; root is gamma^{1/2}."""
+    return (0.25 * root - 1.0 / (32.0 * _PI) * gamma * log_gamma
+            + (_L32P - 1.0) / (16.0 * _PI) * gamma
+            + gamma * root * (1.0 / (256.0 * _PI ** 2) * log_gamma * log_gamma
+                              + (1.0 - _L32P) / (64.0 * _PI ** 2) * log_gamma
+                              + (1.0 - 4.0 * _L32P + 2.0 * _L32P ** 2) / (128.0 * _PI ** 2)))
+
+
 def capacitance_series(which: str, kappa: float) -> float:
     """Small-separation capacitance of the unit disc pair.
 
@@ -252,54 +283,28 @@ def capacitance_series(which: str, kappa: float) -> float:
     """
     if not kappa > 0.0:
         raise DomainError(f"kappa must be positive, got {kappa!r}")
-    value = (1.0 / (4.0 * kappa) + math.log(1.0 / kappa) / (4.0 * _PI)
-             + (math.log(16.0 * _PI) - 1.0) / (4.0 * _PI))
-    if which == "kirchhoff":
-        return value
-    if which == "extended":
-        return value + kappa / (16.0 * _PI ** 2) * (
-            math.log(kappa / (16.0 * _PI)) ** 2 - 2.0)
-    raise DomainError(f"unknown capacitance series {which!r}")
+    if which not in ("kirchhoff", "extended"):
+        raise DomainError(f"unknown capacitance series {which!r}")
+    inv_kappa = 1.0 / kappa
+    # log kappa taken as -log(1/kappa), the log term as the formula reads
+    return _capacitance(kappa, inv_kappa, -math.log(inv_kappa), which == "extended")
 
 
-_L32 = math.log(32.0 * _PI)
-_EPS_COEFFS = (
-    0.25,                                # gamma^{1/2}
-    -1.0 / (32.0 * _PI),                 # gamma log gamma
-    (_L32 - 1.0) / (16.0 * _PI),         # gamma
-    1.0 / (256.0 * _PI ** 2),            # gamma^{3/2} log^2 gamma
-    (1.0 - _L32) / (64.0 * _PI ** 2),    # gamma^{3/2} log gamma
-    (1.0 - 4.0 * _L32 + 2.0 * _L32 ** 2) / (128.0 * _PI ** 2),  # gamma^{3/2}
-)
-
-
-def epsilon_series(max_power: Fraction | int = Fraction(3)) -> AsymptoticSeries:
-    """The half-separation as a series in the coupling, epsilon(gamma).
-
-    Inverts gamma = 2 epsilon / C(2 epsilon) through order gamma^{3/2} with
-    its log^2 and log companions; see epsilon_of_gamma for the evaluated
-    form.  (Terms are stored against log(1/gamma), hence the sign flips on
-    odd log powers.)
-    """
-    a0, a1, a2, a3, a4, a5 = _EPS_COEFFS
-    h = Fraction(1, 2)
-    return AsymptoticSeries("gamma", [
-        (h, 0, a0),
-        (1, 1, -a1), (1, 0, a2),
-        (3 * h, 2, a3), (3 * h, 1, -a4), (3 * h, 0, a5),
-    ], Fraction(max_power))
+def epsilon_series() -> AsymptoticSeries:
+    """The half-separation as a series in the coupling, epsilon(gamma):
+    the form of epsilon_of_gamma run on series in gamma."""
+    return _epsilon(AsymptoticSeries("gamma", [(Fraction(1, 2), 0, 1.0)]),
+                    AsymptoticSeries("gamma", [(1, 0, 1.0)]),
+                    AsymptoticSeries("gamma", [(0, 1, -1.0)]))
 
 
 def epsilon_of_gamma(gamma: float) -> float:
-    """Half-separation epsilon with gamma = 2 epsilon / C(2 epsilon):
-    a0 sqrt(gamma) + a1 gamma log gamma + a2 gamma + gamma^{3/2} (a3 log^2
-    gamma + a4 log gamma + a5).  Meaningful for gamma well below 1."""
+    """Half-separation epsilon with gamma = 2 epsilon / C(2 epsilon),
+    inverted through order gamma^{3/2} with its log^2 and log companions.
+    Meaningful for gamma well below 1."""
     if not gamma > 0.0:
         raise DomainError(f"gamma must be positive, got {gamma!r}")
-    a0, a1, a2, a3, a4, a5 = _EPS_COEFFS
-    lg = math.log(gamma)
-    return (a0 * math.sqrt(gamma) + a1 * gamma * lg + a2 * gamma
-            + gamma ** 1.5 * (a3 * lg * lg + a4 * lg + a5))
+    return _epsilon(math.sqrt(gamma), gamma, math.log(gamma))
 
 
 # ----------------------------------------------------------------------
@@ -551,22 +556,26 @@ class ThirdMomentBreakdown:
     third_moment: float     # 4 pi int_0^1 r^3 sigma dr
 
 
+def _kernel_integral_terms(eps, inv_eps, log_eps):
+    """The five terms of T(eps) = int_1^inf phi'(r) k(r) dr, in the order
+    of ThirdMomentBreakdown."""
+    return (inv_eps * 0.125,
+            2.0 / (3.0 * _PI),
+            -eps * log_eps * log_eps / (2.0 * _PI ** 2),
+            (math.log(8.0 * _PI) - 3.0) / _PI ** 2 * eps * log_eps,
+            _eps_bracket_from_constants() * eps)
+
+
 def third_moment_expansion(epsilon: float) -> ThirdMomentBreakdown:
     """Evaluate the kernel integral expansion and the implied third moment."""
     if not 0.0 < epsilon <= 0.05:
         raise WindowError(f"expansion needs 0 < eps <= 0.05, got {epsilon!r}")
-    le = math.log(epsilon)
-    leading = 1.0 / (8.0 * epsilon)
-    constant = 2.0 / (3.0 * _PI)
-    log2_term = -epsilon * le * le / (2.0 * _PI ** 2)
-    log_term = (math.log(8.0 * _PI) - 3.0) / _PI ** 2 * epsilon * le
-    order_eps = _eps_bracket_from_constants() * epsilon
-    total = leading + constant + log2_term + log_term + order_eps
+    terms = _kernel_integral_terms(epsilon, 1.0 / epsilon, math.log(epsilon))
+    # left to right, as for the series (sum() compensates floats from 3.12 on)
+    total = functools.reduce(operator.add, terms)
     c1 = 4.0 * capacitance_series("extended", 2.0 * epsilon)
-    return ThirdMomentBreakdown(
-        epsilon=epsilon, leading=leading, constant=constant,
-        log2_term=log2_term, log_term=log_term, order_eps_term=order_eps,
-        total=total, capacitance_c1=c1, third_moment=c1 - 2.0 * total)
+    return ThirdMomentBreakdown(epsilon, *terms, total=total, capacitance_c1=c1,
+                                third_moment=c1 - 2.0 * total)
 
 
 @functools.cache
@@ -575,36 +584,26 @@ def ground_state_series() -> AsymptoticSeries:
 
     Composes e = 1/(2 C^2) - T/(4 C^3) (from the third-moment identity with
     C1 = 4C) with C = C_extended(2 eps), T the kernel-integral expansion,
-    and eps = eps(gamma).  Every log(gamma) coefficient cancels to rounding
-    and the quadratic coefficient lands on 1/6 - 1/pi^2; the returned series
-    is truncated at gamma^2 (higher orders are incomplete by construction).
+    and eps = eps(gamma), each the same form the float evaluators run.
+    Every log(gamma) coefficient cancels to rounding and the quadratic
+    coefficient lands on 1/6 - 1/pi^2; the returned series is truncated at
+    gamma^2 (higher orders are incomplete by construction).
     """
-    work = Fraction(3)
-    eps = epsilon_series(max_power=work)
+    eps = epsilon_series()
     kappa = eps * 2.0
-    log_kappa = kappa.log()
-    l16p = math.log(16.0 * _PI)
-    shifted = log_kappa - l16p
-    C = (kappa.reciprocal() * 0.25 + log_kappa * (-1.0 / (4.0 * _PI))
-         + (l16p - 1.0) / (4.0 * _PI)
-         + kappa * (1.0 / (16.0 * _PI ** 2)) * (shifted * shifted - 2.0))
-    log_eps = eps.log()
-    T = (eps.reciprocal() * 0.125 + 2.0 / (3.0 * _PI)
-         + eps * log_eps * log_eps * (-1.0 / (2.0 * _PI ** 2))
-         + eps * log_eps * ((math.log(8.0 * _PI) - 3.0) / _PI ** 2)
-         + eps * _eps_bracket_from_constants())
+    C = _capacitance(kappa, kappa.reciprocal(), kappa.log(), True)
+    T = functools.reduce(operator.add,
+                         _kernel_integral_terms(eps, eps.reciprocal(), eps.log()))
     Cinv = C.reciprocal()
     energy = Cinv * Cinv * 0.5 - T * Cinv * Cinv * Cinv * 0.25
     return energy.truncated(Fraction(2))
 
 
 def assemble_ground_state(gamma: float) -> float:
-    """Evaluate the assembled weak-coupling energy at the given coupling.
+    """Evaluate the assembled weak-coupling energy at a coupling in (0, 1).
 
     By construction this reproduces the takahashi series through gamma^2
     (all logarithm coefficients cancel); use ground_state_series() for the
     coefficient report.
     """
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma!r}")
     return ground_state_series().evaluate(gamma)

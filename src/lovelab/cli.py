@@ -233,10 +233,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(f"unknown conjecture {which!r}; expected one of "
                             + ", ".join(["all", *suite]))
     groups = list(suite.values()) if which == "all" else [suite[which]]
-    tasks = [task for group in groups for task in group.tasks]
     min_digits = {k: v for group in groups for k, v in group.min_digits.items()}
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        reports = [r for produced in pool.map(lambda task: task(), tasks)
+        reports = [r for produced in pool.map(lambda group: group.task(), groups)
                    for r in produced]
     rows = [{"name": r.name, "computed": r.computed, "target": r.target,
              "abs_error": r.abs_error, "digits": r.digits, "method": r.method}

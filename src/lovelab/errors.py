@@ -39,12 +39,6 @@ class ConvergenceError(LoveLabError):
 class ResolutionError(LoveLabError):
     """A discretization is too coarse for the requested problem."""
 
-    def __init__(self, message: str, suggested_n: int | None = None):
-        if suggested_n is not None:
-            message = f"{message}; retry with n >= {suggested_n}"
-        super().__init__(message)
-        self.suggested_n = suggested_n
-
 
 class WindowError(LoveLabError, ValueError):
     """Parameters violate a validity window (fit ranges, scale separations)."""

@@ -284,8 +284,7 @@ def solve_love(problem: LoveProblem, n: int | None = None,
         if not residual <= _RESIDUAL_TOL * v0:
             raise ResolutionError(
                 f"collocation residual {residual:.3e} exceeds "
-                f"{_RESIDUAL_TOL * v0:.3e} at kappa={kappa!r}",
-                suggested_n=2 * n)
+                f"{_RESIDUAL_TOL * v0:.3e} at kappa={kappa!r}")
     return LoveSolution(problem=problem, nodes=np.concatenate([d - 1.0, (1.0 - d)[::-1]]),
                         weights=np.concatenate([weights, weights[::-1]]),
                         f=np.concatenate([f, f[::-1]]), residual=residual)

@@ -28,6 +28,7 @@ suite (`verify`) does.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -143,40 +144,27 @@ def _dk_vec(r: np.ndarray) -> np.ndarray:
 # omitted term is O(x^-3) with an O(100) numerator).
 _BESSEL_ASYMPTOTIC = 1e8
 
+# kind: (scipy.special function, order, the coefficients c1, c2 of the
+# large-x expansion front x^{-1/2} (1 + c1/x + c2/x^2), front)
+_BESSEL_KINDS = {
+    "I1": ("ive", 1, -3.0 / 8.0, -15.0 / 128.0, 1.0 / math.sqrt(2.0 * _PI)),
+    "I2": ("ive", 2, -15.0 / 8.0, 105.0 / 128.0, 1.0 / math.sqrt(2.0 * _PI)),
+    "K1": ("kve", 1, 3.0 / 8.0, -15.0 / 128.0, math.sqrt(_PI / 2.0)),
+}
 
-def _bessel_large(x: np.ndarray, c1: float, c2: float, front: float,
-                  power: float) -> np.ndarray:
-    return front * x ** power * (1.0 + (c1 + c2 / x) / x)
 
-
-def _i1e(x: np.ndarray) -> np.ndarray:
-    from scipy.special import ive
+def _bessel_vec(kind: str, x: np.ndarray) -> np.ndarray:
+    from scipy import special
+    name, order, c1, c2, front = _BESSEL_KINDS[kind]
     x = np.asarray(x, dtype=float)
     big = x > _BESSEL_ASYMPTOTIC
-    out = ive(1, np.where(big, 1.0, x))
-    return np.where(big, _bessel_large(x, -3.0 / 8.0, -15.0 / 128.0,
-                                       1.0 / math.sqrt(2.0 * _PI), -0.5), out)
+    out = getattr(special, name)(order, np.where(big, 1.0, x))
+    return np.where(big, front * x ** -0.5 * (1.0 + (c1 + c2 / x) / x), out)
 
 
-def _i2e(x: np.ndarray) -> np.ndarray:
-    from scipy.special import ive
-    x = np.asarray(x, dtype=float)
-    big = x > _BESSEL_ASYMPTOTIC
-    out = ive(2, np.where(big, 1.0, x))
-    return np.where(big, _bessel_large(x, -15.0 / 8.0, 105.0 / 128.0,
-                                       1.0 / math.sqrt(2.0 * _PI), -0.5), out)
-
-
-def _k1e(x: np.ndarray) -> np.ndarray:
-    from scipy.special import kve
-    x = np.asarray(x, dtype=float)
-    big = x > _BESSEL_ASYMPTOTIC
-    out = kve(1, np.where(big, 1.0, x))
-    return np.where(big, _bessel_large(x, 3.0 / 8.0, -15.0 / 128.0,
-                                       math.sqrt(_PI / 2.0), -0.5), out)
-
-
-_BESSEL_KINDS = {"I1": _i1e, "I2": _i2e, "K1": _k1e}
+_i1e = functools.partial(_bessel_vec, "I1")
+_i2e = functools.partial(_bessel_vec, "I2")
+_k1e = functools.partial(_bessel_vec, "K1")
 
 
 def bessel_scaled(kind: str, x: float) -> float:
@@ -190,7 +178,7 @@ def bessel_scaled(kind: str, x: float) -> float:
         raise DomainError(f"unknown Bessel kind {kind!r}; expected I1, I2 or K1")
     if not x > 0.0:
         raise DomainError(f"argument must be positive, got {x!r}")
-    return float(_BESSEL_KINDS[kind](np.asarray(x, dtype=float)))
+    return float(_bessel_vec(kind, x))
 
 
 # ----------------------------------------------------------------------
@@ -352,12 +340,23 @@ def lambert_w_upper_cut(x: float) -> complex:
 # The polylogarithm on [0, 1].
 # ----------------------------------------------------------------------
 
-# The direct series runs on x = e^{-t} <= 1/2, where term k is at most
-# 2^{1-k} times the first: 57 terms leave a tail below 1e-17 relative for
-# every order.  The expansion about the unit argument runs on |mu| = t <=
-# log 2, where |mu|^{k+1}/k! < 1e-19 from power k = 19 on.
+# The direct series runs on x <= 1/2, where term k is at most 2^{1-k} times
+# the first: 57 terms leave a tail below 1e-17 relative for every order.
+# The expansion about the unit argument runs on |mu| = t <= log 2, where
+# |mu|^{k+1}/k! < 1e-19 from power k = 19 on.
 _DIRECT_TERMS = 57
 _EXPANSION_ORDER = 19
+
+
+def _polylog_direct(n: int, x):
+    """Li_n(x) for 0 <= x <= 1/2 (float or array) from its defining series,
+    by Horner; -log(1 - x) by log1p for n = 1."""
+    if n == 1:
+        return -np.log1p(-x)
+    acc = np.zeros_like(x)
+    for k in range(_DIRECT_TERMS, 0, -1):
+        acc = (acc + 1.0 / float(k) ** n) * x
+    return acc
 
 
 def _polylog_exp_neg(n: int, t):
@@ -376,21 +375,14 @@ def _polylog_exp_neg(n: int, t):
     if len(bad):
         raise DomainError(f"need t >= 0, got {bad[0]!r}")
     direct = flat > math.log(2.0)
-    x = np.exp(-flat[direct])
     if n == 1:
         if np.any(flat == 0.0):
             raise DivergenceError("Li_1(1) diverges")
-        # -log(1 - x): log1p keeps x = e^{-t} << 1, expm1 keeps t << 1
+        # -log(1 - x): expm1 keeps t << 1
         out = np.empty_like(flat)
-        out[direct] = -np.log1p(-x)
         out[~direct] = -np.log(-np.expm1(-flat[~direct]))
     else:
         out = np.full(flat.shape, zeta(n))      # t = 0: zeta(n)
-        # direct series in x = e^{-t} <= 1/2, by Horner
-        acc = np.zeros_like(x)
-        for k in range(_DIRECT_TERMS, 0, -1):
-            acc = (acc + 1.0 / float(k) ** n) * x
-        out[direct] = acc
         # expansion in mu = log x = -t about the unit argument (DLMF
         # 25.12.12); converges for |mu| < 2 pi, fast for |mu| <= log 2.  The
         # k = n - 1 term carries (H_{n-1} - log t) in place of zeta(1).
@@ -404,24 +396,22 @@ def _polylog_exp_neg(n: int, t):
                 c = harmonic if k == n - 1 else zeta(n - k)
                 acc = acc * mu + c / math.factorial(k)
             out[expand] = acc - mu ** (n - 1) / math.factorial(n - 1) * np.log(te)
+    out[direct] = _polylog_direct(n, np.exp(-flat[direct]))
     return float(out[0]) if ta.ndim == 0 else out.reshape(ta.shape)
 
 
 def polylog(n: int, x: float) -> float:
     """Polylogarithm Li_n(x) = sum_{k>=1} x^k / k^n for n >= 1, x in [0, 1].
 
-    Direct summation for x <= 1/2; for x > 1/2 the expansion about x = 1 in
-    powers of log x, which keeps full accuracy up to and including x = 1
-    (where the value is zeta(n)).  Li_1(1) diverges.
+    Direct summation in x itself below x = 1/2, so tiny x keeps full
+    relative accuracy; from 1/2 on the expansion about x = 1 in powers of
+    log x, which keeps full accuracy up to and including x = 1 (where the
+    value is zeta(n)).  Li_1(1) diverges.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"order must be an integer >= 1, got {n!r}")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"argument must lie in [0, 1], got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if n == 1:
-        if x == 1.0:
-            raise DivergenceError("Li_1(1) diverges")
-        return -math.log1p(-x)
+    if x < 0.5:
+        return float(_polylog_direct(n, x))
     return _polylog_exp_neg(n, -math.log(x))

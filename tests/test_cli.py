@@ -276,7 +276,7 @@ def test_verify_all(capsys):
 def test_verify_exit_follows_suite_thresholds(capsys, monkeypatch):
     group = conjectures.SUITE["gamma1"]
     monkeypatch.setitem(conjectures.SUITE, "gamma1",
-                        conjectures.SuiteGroup(group.tasks, {"gamma1": 18}))
+                        conjectures.SuiteGroup(group.task, {"gamma1": 18}))
     code, out = run(capsys, ["verify", "--which", "gamma1"])
     assert code == 1
     assert len(parse_csv(out)) == 1

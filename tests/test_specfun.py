@@ -418,6 +418,23 @@ def test_polylog_any_order_against_mpmath():
             assert abs(value - ref) <= 1e-14 * ref
 
 
+def test_polylog_small_argument_against_mpmath():
+    # below x = 1/2 the series runs in x itself, so tiny x keeps full
+    # relative accuracy; mpmath.polylog returns 0 at x = 1e-300, so the
+    # oracle there is the summed series
+    mpmath = pytest.importorskip("mpmath")
+    xs = [1e-300, 1e-100, 1e-20, 1e-5, 0.3, 0.4999999, 0.5, 0.75, 0.999999]
+    with mpmath.workdps(40):
+        for n in (1, 2, 3, 5, 8):
+            for x in xs:
+                xm = mpmath.mpf(x)
+                if x < 0.5:
+                    ref = mpmath.nsum(lambda k: xm ** k / k ** n, [1, mpmath.inf])
+                else:
+                    ref = mpmath.polylog(n, xm)
+                assert abs(ll.polylog(n, x) - ref) <= 1e-15 * ref, (n, x)
+
+
 def test_polylog_series_ladder_consistency():
     # the direct series and the log-expansion route agree at a common point
     from lovelab.specfun import _polylog_exp_neg
