@@ -77,27 +77,28 @@ class SeriesTerm(NamedTuple):
     coefficient: float
 
 
+# Terms beyond t^3 are dropped on every operation: the energy needs C^{-3}
+# through gamma^{5/2}, against the gamma^{-1/2} leading term of T.
+_MAX_POWER = Fraction(3)
+
+
 class AsymptoticSeries:
     """Truncated expansion sum_i c_i t^{p_i} log(1/t)^{q_i} for small t > 0.
 
     Supports ring arithmetic plus reciprocal and logarithm of series whose
-    leading term is a positive log-free power; terms beyond max_power are
+    leading term is a positive log-free power; terms beyond _MAX_POWER are
     dropped on every operation.
     """
 
-    __slots__ = ("variable", "max_power", "_terms")
+    __slots__ = ("_terms",)
 
-    def __init__(self, variable: str,
-                 terms: Iterable[tuple[Fraction | int, int, float]] = (),
-                 max_power: Fraction = Fraction(3)):
-        self.variable = variable
-        self.max_power = Fraction(max_power)
+    def __init__(self, terms: Iterable[tuple[Fraction | int, int, float]] = ()):
         self._terms: dict[tuple[Fraction, int], float] = {}
         for p, q, c in terms:
             self._add_term(Fraction(p), int(q), float(c))
 
     def _add_term(self, p: Fraction, q: int, c: float) -> None:
-        if p > self.max_power or c == 0.0:
+        if p > _MAX_POWER or c == 0.0:
             return
         key = (p, q)
         new = self._terms.get(key, 0.0) + c
@@ -123,22 +124,19 @@ class AsymptoticSeries:
                    for (p, q), c in self._terms.items())
 
     def truncated(self, max_power: Fraction | int) -> "AsymptoticSeries":
-        out = AsymptoticSeries(self.variable, max_power=Fraction(max_power))
-        for (p, q), c in self._terms.items():
-            out._add_term(p, q, c)
-        return out
+        return AsymptoticSeries((p, q, c) for (p, q), c in self._terms.items()
+                                if p <= max_power)
 
     # -- arithmetic --------------------------------------------------
 
     def _coerce(self, other) -> "AsymptoticSeries":
         if isinstance(other, AsymptoticSeries):
             return other
-        return AsymptoticSeries(self.variable, [(0, 0, float(other))],
-                                self.max_power)
+        return AsymptoticSeries([(0, 0, float(other))])
 
     def __add__(self, other) -> "AsymptoticSeries":
         other = self._coerce(other)
-        out = AsymptoticSeries(self.variable, max_power=self.max_power)
+        out = AsymptoticSeries()
         for (p, q), c in self._terms.items():
             out._add_term(p, q, c)
         for (p, q), c in other._terms.items():
@@ -148,9 +146,7 @@ class AsymptoticSeries:
     __radd__ = __add__
 
     def __neg__(self) -> "AsymptoticSeries":
-        return AsymptoticSeries(self.variable,
-                                [(p, q, -c) for (p, q), c in self._terms.items()],
-                                self.max_power)
+        return AsymptoticSeries((p, q, -c) for (p, q), c in self._terms.items())
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -160,11 +156,9 @@ class AsymptoticSeries:
 
     def __mul__(self, other) -> "AsymptoticSeries":
         if not isinstance(other, AsymptoticSeries):
-            return AsymptoticSeries(
-                self.variable,
-                [(p, q, c * float(other)) for (p, q), c in self._terms.items()],
-                self.max_power)
-        out = AsymptoticSeries(self.variable, max_power=self.max_power)
+            return AsymptoticSeries((p, q, c * float(other))
+                                    for (p, q), c in self._terms.items())
+        out = AsymptoticSeries()
         for (p1, q1), c1 in self._terms.items():
             for (p2, q2), c2 in other._terms.items():
                 out._add_term(p1 + p2, q1 + q2, c1 * c2)
@@ -182,7 +176,7 @@ class AsymptoticSeries:
         return p, q, self._terms[(p, q)]
 
     def _relative_rest(self, p0: Fraction, c0: float) -> "AsymptoticSeries":
-        rest = AsymptoticSeries(self.variable, max_power=self.max_power)
+        rest = AsymptoticSeries()
         for (p, q), c in self._terms.items():
             if (p, q) != (p0, 0):
                 rest._add_term(p - p0, q, c / c0)
@@ -193,17 +187,14 @@ class AsymptoticSeries:
         if q0 != 0:
             raise DomainError("reciprocal needs a log-free leading term")
         rest = self._relative_rest(p0, c0)
-        geom = AsymptoticSeries(self.variable, [(0, 0, 1.0)], self.max_power)
-        term = AsymptoticSeries(self.variable, [(0, 0, 1.0)], self.max_power)
+        geom = AsymptoticSeries([(0, 0, 1.0)])
+        term = AsymptoticSeries([(0, 0, 1.0)])
         for _ in range(80):
             term = term * rest * (-1.0)
             if not term._terms:
                 break
             geom = geom + term
-        return AsymptoticSeries(
-            self.variable,
-            [(p - p0, q, c / c0) for (p, q), c in geom._terms.items()],
-            self.max_power)
+        return AsymptoticSeries((p - p0, q, c / c0) for (p, q), c in geom._terms.items())
 
     def log(self) -> "AsymptoticSeries":
         """log of the series; leading term must be a positive log-free power."""
@@ -211,10 +202,8 @@ class AsymptoticSeries:
         if q0 != 0 or c0 <= 0.0:
             raise DomainError("log needs a positive log-free leading term")
         rest = self._relative_rest(p0, c0)
-        out = AsymptoticSeries(self.variable,
-                               [(0, 0, math.log(c0)), (0, 1, -float(p0))],
-                               self.max_power)
-        term = AsymptoticSeries(self.variable, [(0, 0, 1.0)], self.max_power)
+        out = AsymptoticSeries([(0, 0, math.log(c0)), (0, 1, -float(p0))])
+        term = AsymptoticSeries([(0, 0, 1.0)])
         sign = -1.0
         for k in range(1, 80):
             term = term * rest
@@ -229,6 +218,16 @@ class AsymptoticSeries:
 # Energy and capacitance expansions.
 # ----------------------------------------------------------------------
 
+# The gamma^2 coefficient of each series energy_series accepts.
+_ENERGY_SERIES = {"bogoliubov": 0.0, "takahashi": ENERGY_GAMMA2,
+                  "kaminaka_wadati": ENERGY_GAMMA2_RIVAL}
+
+# The capacitance expansions hold for kappa <= _KAPPA_WINDOW (at the edge the
+# extended series is off by 1.8e-3 relative; at kappa = 21.5 it is negative);
+# epsilon_of_gamma is held to the same window in kappa = 2 eps.
+_KAPPA_WINDOW = 0.3
+
+
 def energy_series(which: str, gamma: float) -> float:
     """Truncated weak-coupling ground-state energy e(gamma).
 
@@ -238,14 +237,9 @@ def energy_series(which: str, gamma: float) -> float:
     """
     if gamma < 0.0:
         raise DomainError(f"gamma must be >= 0, got {gamma!r}")
-    base = gamma - 4.0 / (3.0 * _PI) * gamma ** 1.5
-    if which == "bogoliubov":
-        return base
-    if which == "takahashi":
-        return base + ENERGY_GAMMA2 * gamma * gamma
-    if which == "kaminaka_wadati":
-        return base + ENERGY_GAMMA2_RIVAL * gamma * gamma
-    raise DomainError(f"unknown energy series {which!r}")
+    if which not in _ENERGY_SERIES:
+        raise DomainError(f"unknown energy series {which!r}")
+    return gamma - 4.0 / (3.0 * _PI) * gamma ** 1.5 + _ENERGY_SERIES[which] * gamma * gamma
 
 
 # The expansions that compose into the gamma^2 coefficient are each written
@@ -280,9 +274,14 @@ def capacitance_series(which: str, kappa: float) -> float:
 
     "kirchhoff":  1/(4 kappa) + log(1/kappa)/(4 pi) + (log(16 pi) - 1)/(4 pi)
     "extended":   ... + kappa/(16 pi^2) [log^2(kappa/(16 pi)) - 2]
+
+    WindowError above kappa = 0.3, where the expansions lose their regime.
     """
     if not kappa > 0.0:
         raise DomainError(f"kappa must be positive, got {kappa!r}")
+    if kappa > _KAPPA_WINDOW:
+        raise WindowError(f"capacitance expansions need kappa <= {_KAPPA_WINDOW:g}, "
+                          f"got {kappa!r}")
     if which not in ("kirchhoff", "extended"):
         raise DomainError(f"unknown capacitance series {which!r}")
     inv_kappa = 1.0 / kappa
@@ -293,18 +292,22 @@ def capacitance_series(which: str, kappa: float) -> float:
 def epsilon_series() -> AsymptoticSeries:
     """The half-separation as a series in the coupling, epsilon(gamma):
     the form of epsilon_of_gamma run on series in gamma."""
-    return _epsilon(AsymptoticSeries("gamma", [(Fraction(1, 2), 0, 1.0)]),
-                    AsymptoticSeries("gamma", [(1, 0, 1.0)]),
-                    AsymptoticSeries("gamma", [(0, 1, -1.0)]))
+    return _epsilon(AsymptoticSeries([(Fraction(1, 2), 0, 1.0)]),
+                    AsymptoticSeries([(1, 0, 1.0)]),
+                    AsymptoticSeries([(0, 1, -1.0)]))
 
 
 def epsilon_of_gamma(gamma: float) -> float:
     """Half-separation epsilon with gamma = 2 epsilon / C(2 epsilon),
     inverted through order gamma^{3/2} with its log^2 and log companions.
-    Meaningful for gamma well below 1."""
+    WindowError when 2 eps would pass the capacitance window kappa <= 0.3
+    (from gamma ~ 0.2501 on)."""
     if not gamma > 0.0:
         raise DomainError(f"gamma must be positive, got {gamma!r}")
-    return _epsilon(math.sqrt(gamma), gamma, math.log(gamma))
+    eps = _epsilon(math.sqrt(gamma), gamma, math.log(gamma))
+    if not 2.0 * eps <= _KAPPA_WINDOW:
+        raise WindowError(f"eps(gamma) needs 2 eps <= {_KAPPA_WINDOW:g}, got gamma {gamma!r}")
+    return eps
 
 
 # ----------------------------------------------------------------------

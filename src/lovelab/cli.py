@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -140,33 +140,59 @@ def _kappa_grid(args: argparse.Namespace) -> list[float]:
 
 
 # ----------------------------------------------------------------------
-# solve
+# kappa scans: solve and compare-asymptotics
 # ----------------------------------------------------------------------
 
-def _solve_row(kappa: float, nodes: int | None) -> dict:
-    row = {"kappa": kappa, "gamma": None, "capacitance": None,
-           "energy": None, "residual": None, "error": None}
-    try:
-        sol = love.solve_love(love.LoveProblem(kappa=kappa), n=nodes)
-        point = love.observables(sol)
-        row.update(gamma=point.gamma, capacitance=point.capacitance,
-                   energy=point.energy, residual=sol.residual)
-    except LoveLabError as exc:
-        row["error"] = str(exc)
-    return row
-
-
-def cmd_solve(args: argparse.Namespace) -> int:
+def _kappa_scan(args: argparse.Namespace, columns: Sequence[str],
+                cells: Callable[[love.LoveSolution], dict],
+                kappa_max: float = math.inf) -> int:
+    """Solve at each kappa of the grid on the worker pool and write one row
+    per kappa: the cells computed from the solution, or the message of a
+    LoveLabError in the error column.  A grid past kappa_max (the validity
+    window of the expansions a command compares with) is a usage error,
+    raised before any solve.  Exit 1 when any row failed."""
     try:
         grid = _kappa_grid(args)
+        if grid[-1] > kappa_max:
+            raise ValueError(f"capacitance expansions need kappa <= {kappa_max:g}")
         nodes = _resolve(args, "nodes", None, int)
     except ValueError as exc:
         return _usage_error(str(exc))
+
+    def row(kappa: float) -> dict:
+        try:
+            sol = love.solve_love(love.LoveProblem(kappa=kappa), n=nodes)
+            return {"kappa": kappa, **cells(sol)}
+        except LoveLabError as exc:
+            return {"kappa": kappa, "error": str(exc)}
+
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        rows = list(pool.map(lambda k: _solve_row(k, nodes), grid))
-    _write_rows(["kappa", "gamma", "capacitance", "energy", "residual", "error"],
-                rows, args.format, args.output)
-    return 1 if any(r["error"] for r in rows) else 0
+        rows = list(pool.map(row, grid))
+    _write_rows(["kappa", *columns, "error"], rows, args.format, args.output)
+    return 1 if any(r.get("error") for r in rows) else 0
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    def cells(sol: love.LoveSolution) -> dict:
+        point = love.observables(sol)
+        return {"gamma": point.gamma, "capacitance": point.capacitance,
+                "energy": point.energy, "residual": sol.residual}
+
+    return _kappa_scan(args, ["gamma", "capacitance", "energy", "residual"], cells)
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
+    def cells(sol: love.LoveSolution) -> dict:
+        kappa = sol.problem.kappa
+        c = love.observables(sol).capacitance
+        ck = asymptotics.capacitance_series("kirchhoff", kappa)
+        ce = asymptotics.capacitance_series("extended", kappa)
+        return {"c_numeric": c, "c_kirchhoff": ck, "c_extended": ce,
+                "err_kirchhoff": abs(c - ck), "err_extended": abs(c - ce)}
+
+    return _kappa_scan(args, ["c_numeric", "c_kirchhoff", "c_extended",
+                              "err_kirchhoff", "err_extended"], cells,
+                       kappa_max=asymptotics._KAPPA_WINDOW)
 
 
 # ----------------------------------------------------------------------
@@ -185,8 +211,7 @@ def cmd_fit_weak(args: argparse.Namespace) -> int:
             raise ValueError("need at least 5 gamma points")
         nodes = _resolve(args, "nodes", None, int)
         synthetic = _resolve(args, "synthetic", None, str)
-        if synthetic is not None and synthetic not in (
-                "takahashi", "kaminaka_wadati", "bogoliubov"):
+        if synthetic is not None and synthetic not in asymptotics._ENERGY_SERIES:
             raise ValueError(f"unknown synthetic source {synthetic!r}")
     except ValueError as exc:
         return _usage_error(str(exc))
@@ -232,54 +257,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if which != "all" and which not in suite:
         return _usage_error(f"unknown conjecture {which!r}; expected one of "
                             + ", ".join(["all", *suite]))
-    groups = list(suite.values()) if which == "all" else [suite[which]]
-    min_digits = {k: v for group in groups for k, v in group.min_digits.items()}
+    tasks = list(suite.values()) if which == "all" else [suite[which]]
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        reports = [r for produced in pool.map(lambda group: group.task(), groups)
+        reports = [r for produced in pool.map(lambda task: task(), tasks)
                    for r in produced]
     rows = [{"name": r.name, "computed": r.computed, "target": r.target,
              "abs_error": r.abs_error, "digits": r.digits, "method": r.method}
             for r in reports]
     _write_rows(["name", "computed", "target", "abs_error", "digits", "method"],
                 rows, args.format, args.output)
-    ok = all(r.digits >= min_digits[r.name] for r in reports)
-    return 0 if ok else 1
-
-
-# ----------------------------------------------------------------------
-# compare-asymptotics
-# ----------------------------------------------------------------------
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        grid = _kappa_grid(args)
-        if any(k > 0.3 for k in grid):
-            raise ValueError("capacitance expansions need kappa <= 0.3")
-        nodes = _resolve(args, "nodes", None, int)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-
-    def row(kappa: float) -> dict:
-        out = {"kappa": kappa, "c_numeric": None, "c_kirchhoff": None,
-               "c_extended": None, "err_kirchhoff": None, "err_extended": None,
-               "error": None}
-        try:
-            sol = love.solve_love(love.LoveProblem(kappa=kappa), n=nodes)
-            c = love.observables(sol).capacitance
-            ck = asymptotics.capacitance_series("kirchhoff", kappa)
-            ce = asymptotics.capacitance_series("extended", kappa)
-            out.update(c_numeric=c, c_kirchhoff=ck, c_extended=ce,
-                       err_kirchhoff=abs(c - ck), err_extended=abs(c - ce))
-        except LoveLabError as exc:
-            out["error"] = str(exc)
-        return out
-
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        rows = list(pool.map(row, grid))
-    _write_rows(["kappa", "c_numeric", "c_kirchhoff", "c_extended",
-                 "err_kirchhoff", "err_extended", "error"],
-                rows, args.format, args.output)
-    return 1 if any(r["error"] for r in rows) else 0
+    return 0 if all(r.digits >= conjectures.MIN_DIGITS for r in reports) else 1
 
 
 # ----------------------------------------------------------------------
@@ -299,13 +286,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int,
                        help="worker threads (default: LOVE_LAB_THREADS or 1)")
 
+    def kappa_scan(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--kappa", type=float)
+        p.add_argument("--kappa-min", type=float, dest="kappa_min")
+        p.add_argument("--kappa-max", type=float, dest="kappa_max")
+        p.add_argument("--kappa-points", type=int, dest="kappa_points")
+        p.add_argument("--nodes", type=int)
+        common(p)
+
     p_solve = sub.add_parser("solve", help="solve the Love equation on a kappa grid")
-    p_solve.add_argument("--kappa", type=float)
-    p_solve.add_argument("--kappa-min", type=float, dest="kappa_min")
-    p_solve.add_argument("--kappa-max", type=float, dest="kappa_max")
-    p_solve.add_argument("--kappa-points", type=int, dest="kappa_points")
-    p_solve.add_argument("--nodes", type=int)
-    common(p_solve)
+    kappa_scan(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_fit = sub.add_parser("fit-weak", help="extract the gamma^2 energy coefficient")
@@ -325,12 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare-asymptotics",
                            help="numeric capacitance vs truncated expansions")
-    p_cmp.add_argument("--kappa", type=float)
-    p_cmp.add_argument("--kappa-min", type=float, dest="kappa_min")
-    p_cmp.add_argument("--kappa-max", type=float, dest="kappa_max")
-    p_cmp.add_argument("--kappa-points", type=int, dest="kappa_points")
-    p_cmp.add_argument("--nodes", type=int)
-    common(p_cmp)
+    kappa_scan(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
     return parser
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ __all__ = [
     "verify_gamma1",
     "verify_gamma2",
     "verify_integral4",
-    "SuiteGroup",
+    "MIN_DIGITS",
     "SUITE",
     "run_all",
 ]
@@ -205,31 +205,23 @@ def verify_gamma2() -> list[ConjectureReport]:
     ]
 
 
-class SuiteGroup(NamedTuple):
-    """One selectable group of the suite: its report producer, returning a
-    list of reports, and the significant digits each of the group's reports
-    must match."""
+# Every report of the suite must match this many significant digits.
+MIN_DIGITS = 13
 
-    task: Callable[[], list[ConjectureReport]]
-    min_digits: dict[str, int]
-
-
-# The suite in report order.  The producers look their check up by name
-# when called, so a wrapper put on a module attribute sees every call.
-SUITE = {
-    "gamma0": SuiteGroup(lambda: [verify_gamma0()], {"gamma0": 13}),
-    "gamma1": SuiteGroup(lambda: [verify_gamma1()], {"gamma1": 13}),
-    "gamma2": SuiteGroup(lambda: verify_gamma2(),
-                         {"gamma2_tilde_via_integral4": 13, "gamma2_tilde_direct": 13}),
-    "integral4": SuiteGroup(lambda: [verify_integral4()], {"integral4": 13}),
-    "polylog": SuiteGroup(lambda: verify_polylog_claim(range(1, 5)),
-                          {f"polylog_n{n}": 13 for n in range(1, 5)}),
-    "residue": SuiteGroup(lambda: residue_identity(range(1, 5)),
-                          {f"residue_k{k}": 13 for k in range(1, 5)}),
+# The suite in report order, each group name with its report producer.  The
+# producers look their check up by name when called, so a wrapper put on a
+# module attribute sees every call.
+SUITE: dict[str, Callable[[], list[ConjectureReport]]] = {
+    "gamma0": lambda: [verify_gamma0()],
+    "gamma1": lambda: [verify_gamma1()],
+    "gamma2": lambda: verify_gamma2(),
+    "integral4": lambda: [verify_integral4()],
+    "polylog": lambda: verify_polylog_claim(range(1, 5)),
+    "residue": lambda: residue_identity(range(1, 5)),
 }
 
 
 def run_all() -> list[ConjectureReport]:
     """The full suite in SUITE order: gamma0, gamma1, both gamma2 routes,
     integral4, polylog claims n = 1..4, residue identities k = 1..4."""
-    return [r for group in SUITE.values() for r in group.task()]
+    return [r for task in SUITE.values() for r in task()]

@@ -102,7 +102,7 @@ def gauss_legendre(n: int) -> QuadratureRule:
     Rules are cached; the cache is guarded by a lock so concurrent callers
     are safe.
     """
-    if not isinstance(n, int) or not 1 <= n <= 10000:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 10000:
         raise DomainError(f"rule size must be an integer in [1, 10000], got {n!r}")
     with _rule_lock:
         rule = _rule_cache.get(n)

@@ -55,6 +55,19 @@ def test_series_name_guards():
         ll.capacitance_series("maxwell", 0.1)
 
 
+def test_expansions_reject_arguments_past_their_window():
+    # past kappa = 0.3 the extended series drifts (0.29 relative at
+    # kappa = 5) and at kappa = 21.5 turns negative; eps(gamma) is held to
+    # the same window in kappa = 2 eps, which it leaves near gamma = 0.2501
+    for which in ("kirchhoff", "extended"):
+        assert ll.capacitance_series(which, 0.3) > 1.0
+        with pytest.raises(WindowError):
+            ll.capacitance_series(which, 0.31)
+    assert 0.1 < 2.0 * ll.epsilon_of_gamma(0.25) <= 0.3
+    with pytest.raises(WindowError):
+        ll.epsilon_of_gamma(0.26)
+
+
 # ----------------------------------------------------------------------
 # epsilon(gamma).
 # ----------------------------------------------------------------------

@@ -174,12 +174,16 @@ def test_csv_quotes_cells_holding_commas(capsys):
     assert "," in rows[1][5] and rows[1][0] == "8.9999999999999998e-04"
 
 
-def test_json_output(capsys):
-    code, out = run(capsys, ["solve", "--kappa", "1", "--format", "json"])
+@pytest.mark.parametrize("argv, column, value", [
+    (["solve", "--kappa", "1"], "capacitance", 0.5795738606506108),
+    (["compare-asymptotics", "--kappa", "0.05"], "c_numeric", 5.4851577466051582),
+], ids=["solve", "compare-asymptotics"])
+def test_json_output(capsys, argv, column, value):
+    code, out = run(capsys, argv + ["--format", "json"])
     assert code == 0
     rows = json.loads(out)
     assert rows[0]["error"] is None
-    assert rows[0]["capacitance"] == pytest.approx(0.5795738606506108, rel=1e-12)
+    assert rows[0][column] == pytest.approx(value, rel=1e-12)
 
 
 def test_output_file(capsys, tmp_path):
@@ -193,6 +197,7 @@ def test_output_file(capsys, tmp_path):
     ["solve", "--kappa", "1"],
     ["verify", "--which", "gamma0"],
     ["fit-weak", "--synthetic", "takahashi"],
+    ["compare-asymptotics", "--kappa", "0.05"],
 ])
 def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
     path = tmp_path / "missing" / "rows.csv"
@@ -274,9 +279,7 @@ def test_verify_all(capsys):
 
 
 def test_verify_exit_follows_suite_thresholds(capsys, monkeypatch):
-    group = conjectures.SUITE["gamma1"]
-    monkeypatch.setitem(conjectures.SUITE, "gamma1",
-                        conjectures.SuiteGroup(group.task, {"gamma1": 18}))
+    monkeypatch.setattr(conjectures, "MIN_DIGITS", 18)
     code, out = run(capsys, ["verify", "--which", "gamma1"])
     assert code == 1
     assert len(parse_csv(out)) == 1

@@ -71,7 +71,7 @@ def test_doubling_never_hurts_on_smooth_integrand():
 
 
 def test_rule_size_guards():
-    for bad in (0, -3, 10001):
+    for bad in (0, -3, 10001, True):
         with pytest.raises(DomainError):
             ll.gauss_legendre(bad)
 
