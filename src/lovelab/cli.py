@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -273,6 +274,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # Entry point.
 # ----------------------------------------------------------------------
 
+# built once per process: parse_args never changes the parser, and building
+# it (hundreds of help-formatter lookups) costs about a millisecond
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lovelab",

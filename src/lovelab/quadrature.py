@@ -7,6 +7,13 @@ Integrands are called with numpy arrays of abscissae.  An integrand returns
 either one value per abscissa or an (m, len(x)) array, one row for each of m
 integrals sharing those abscissae; the composite path then returns m values,
 and whatever the rows have in common is evaluated once per abscissa.
+
+Every abscissa is evaluated once, and calls are few: tanh-sinh passes the
+nodes of its levels 0-3 in one call and each later level in a call of its
+own, the composite path adds all Gauss-tail abscissae to that first call,
+and a lone panel sum makes one call.  Sums are formed per level and per
+panel from their own values, so results keep their bits provided a value
+depends on its own abscissa alone, as every integrand here does.
 """
 
 from __future__ import annotations
@@ -149,6 +156,33 @@ def _log_edges(a: float, b: float) -> np.ndarray:
 _TS_TMAX = 6.1
 _TS_MAX_LEVEL = 12
 _TOL = 1e-13            # relative tolerance of every tanh-sinh integral here
+# the level of the first convergence test: every level up to it is
+# evaluated on every call, so the integrand sees them all in its first call
+_TS_FIRST_TEST = 3
+
+
+def _ts_level(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissae and weights that tanh-sinh level `level` adds on (a, b):
+    the midpoint (level 0 only), then the new nodes near a, then those
+    near b."""
+    width = b - a
+    h = 0.5 ** level
+    k = np.arange(1, int(math.floor(_TS_TMAX / h)) + 1)
+    if level:
+        k = k[k % 2 == 1]
+    t = k * h
+    u = 0.5 * _PI * np.sinh(t)
+    q = np.exp(-2.0 * u)                    # underflows harmlessly to 0
+    s = q / (1.0 + q)                       # distance from the endpoint
+    w = 2.0 * _PI * np.cosh(t) * q / (1.0 + q) ** 2
+    keep = w > 0.0
+    s, w = s[keep], w[keep]
+    xl = a + width * s
+    xr = b - width * s
+    lok, rok = xl > a, xr < b
+    x0, w0 = ([a + 0.5 * width], [0.5 * _PI]) if level == 0 else ([], [])
+    return (np.concatenate([x0, xl[lok], xr[rok]]),
+            np.concatenate([w0, w[lok], w[rok]]))
 
 
 def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
@@ -159,9 +193,12 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
     (s = e^{-2u}/(1 + e^{-2u}) with u = (pi/2) sinh t), so integrands with
     integrable endpoint singularities receive cancellation-free abscissae.
     Nodes whose position rounds onto an endpoint are dropped; their weights
-    are below double precision for any integrable singularity.  Each level
-    calls f once, with the new nodes at both endpoints (level 0 also takes
-    the midpoint).
+    are below double precision for any integrable singularity.  The first
+    call of f holds the nodes of levels 0-3, level after level (level 0
+    also takes the midpoint); from level 4 on, each level calls f once.
+    Every level's nodes sit near both endpoints, and its weighted sum is
+    formed from its own values, so the batching moves no bit as long as a
+    value of f depends on its own abscissa alone.
 
     A row converges when two consecutive level refinements change its value
     by less than _TOL (relative to max(1, |I|)), and keeps the value of that
@@ -174,43 +211,34 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
     width = b - a
     ndim = 1
 
-    def level_sum(h: float, only_odd: bool, x0=(), w0=()) -> float | np.ndarray:
-        """Weighted sums of f's rows over one level's nodes and the extra
-        nodes x0."""
+    def level_sums(levels: Iterable[int]) -> list:
+        """Each level's weighted sums of f's rows, from one call of f on the
+        nodes of all the levels."""
         nonlocal ndim
-        k = np.arange(1, int(math.floor(_TS_TMAX / h)) + 1)
-        if only_odd:
-            k = k[k % 2 == 1]
-        t = k * h
-        u = 0.5 * _PI * np.sinh(t)
-        q = np.exp(-2.0 * u)                    # underflows harmlessly to 0
-        s = q / (1.0 + q)                       # distance from the endpoint
-        w = 2.0 * _PI * np.cosh(t) * q / (1.0 + q) ** 2
-        keep = w > 0.0
-        s, w = s[keep], w[keep]
-        xl = a + width * s
-        xr = b - width * s
-        lok, rok = xl > a, xr < b
-        x = np.concatenate([x0, xl[lok], xr[rok]])
+        nodes = [_ts_level(a, b, level) for level in levels]
+        x = np.concatenate([xj for xj, _ in nodes])
         if not len(x):
-            return 0.0
-        wx = np.concatenate([w0, w[lok], w[rok]])
+            return [0.0] * len(nodes)
         fx = np.asarray(f(x))
         ndim = fx.ndim
-        return np.array([np.dot(wx, row) for row in fx.reshape(-1, len(x))])
+        rows = fx.reshape(-1, len(x))
+        ends = np.cumsum([len(xj) for xj, _ in nodes])
+        return [np.array([np.dot(wj, row[end - len(wj):end]) for row in rows])
+                for (_, wj), end in zip(nodes, ends)]
 
+    head = level_sums(range(_TS_FIRST_TEST + 1))
     h = 1.0
-    raw = level_sum(h, only_odd=False, x0=[a + 0.5 * width], w0=[0.5 * _PI])
+    raw = head[0]
     value = 0.5 * width * h * raw
     history = [value]
     best, error = value.copy(), np.zeros_like(value)
     done = np.zeros(value.shape, dtype=bool)
     for level in range(1, _TS_MAX_LEVEL + 1):
         h *= 0.5
-        raw += level_sum(h, only_odd=True)
+        raw += head[level] if level < len(head) else level_sums([level])[0]
         value = 0.5 * width * h * raw
         history.append(value)
-        if level >= 3:
+        if level >= _TS_FIRST_TEST:
             scale = np.maximum(1.0, np.abs(value))
             d1 = np.abs(history[-1] - history[-2])
             d2 = np.abs(history[-2] - history[-3])
@@ -235,10 +263,28 @@ def _composite(f: Callable[[np.ndarray], np.ndarray],
 
     tanh-sinh takes the head [edges[0], edges[1]], where an integrable
     endpoint singularity may sit; 24-point Gauss panels take the smooth
-    remainder between the later edges.
+    remainder between the later edges.  The tail's abscissae ride along in
+    the head's first call of f: _panel_sum hands them to `tail`, which runs
+    the head and returns their values from that call.
     """
-    head, _ = _tanh_sinh(f, edges[0], edges[1])
-    return head + _panel_sum(f, edges[1:])
+    head = None
+
+    def tail(xt: np.ndarray) -> np.ndarray:
+        nonlocal head
+        ft = []
+
+        def g(x: np.ndarray) -> np.ndarray:
+            if ft:
+                return f(x)
+            fx = np.asarray(f(np.concatenate([x, xt])))
+            ft.append(fx[..., len(x):])
+            return fx[..., :len(x)]
+
+        head, _ = _tanh_sinh(g, edges[0], edges[1])
+        return ft[0]
+
+    tail_sum = _panel_sum(tail, edges[1:])     # runs the head, setting head
+    return head + tail_sum
 
 
 # ----------------------------------------------------------------------

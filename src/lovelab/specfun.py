@@ -348,14 +348,31 @@ _DIRECT_TERMS = 57
 _EXPANSION_ORDER = 19
 
 
+@functools.cache
+def _direct_coefficients(n: int) -> tuple[float, ...]:
+    """1/k^n of the defining series of Li_n, highest k first."""
+    return tuple(1.0 / float(k) ** n for k in range(_DIRECT_TERMS, 0, -1))
+
+
+@functools.cache
+def _expansion_coefficients(n: int) -> tuple:
+    """zeta(n), and the coefficients c_k / k! of the expansion of Li_n about
+    the unit argument, highest power first (c_{n-1} = H_{n-1}, the rest
+    zeta(n - k)).  Built on first use, so importing loads no scipy."""
+    from scipy.special import zeta
+    harmonic = math.fsum(1.0 / j for j in range(1, n))   # H_{n-1}
+    return zeta(n), tuple((harmonic if k == n - 1 else zeta(n - k)) / math.factorial(k)
+                          for k in range(max(n + 1, _EXPANSION_ORDER), -1, -1))
+
+
 def _polylog_direct(n: int, x):
     """Li_n(x) for 0 <= x <= 1/2 (float or array) from its defining series,
     by Horner; -log(1 - x) by log1p for n = 1."""
     if n == 1:
         return -np.log1p(-x)
     acc = np.zeros_like(x)
-    for k in range(_DIRECT_TERMS, 0, -1):
-        acc = (acc + 1.0 / float(k) ** n) * x
+    for c in _direct_coefficients(n):
+        acc = (acc + c) * x
     return acc
 
 
@@ -368,7 +385,6 @@ def _polylog_exp_neg(n: int, t):
     which gives a float, or an array, evaluated elementwise with a fixed
     number of terms per branch, so each value depends on its own t alone.
     """
-    from scipy.special import zeta
     ta = np.asarray(t, dtype=float)
     flat = ta.ravel()
     bad = flat[~(flat >= 0.0)]
@@ -382,7 +398,8 @@ def _polylog_exp_neg(n: int, t):
         out = np.empty_like(flat)
         out[~direct] = -np.log(-np.expm1(-flat[~direct]))
     else:
-        out = np.full(flat.shape, zeta(n))      # t = 0: zeta(n)
+        zeta_n, coefficients = _expansion_coefficients(n)
+        out = np.full(flat.shape, zeta_n)       # t = 0: zeta(n)
         # expansion in mu = log x = -t about the unit argument (DLMF
         # 25.12.12); converges for |mu| < 2 pi, fast for |mu| <= log 2.  The
         # k = n - 1 term carries (H_{n-1} - log t) in place of zeta(1).
@@ -390,11 +407,9 @@ def _polylog_exp_neg(n: int, t):
         if np.any(expand):
             te = flat[expand]
             mu = -te
-            harmonic = math.fsum(1.0 / j for j in range(1, n))   # H_{n-1}
             acc = np.zeros_like(mu)
-            for k in range(max(n + 1, _EXPANSION_ORDER), -1, -1):
-                c = harmonic if k == n - 1 else zeta(n - k)
-                acc = acc * mu + c / math.factorial(k)
+            for c in coefficients:
+                acc = acc * mu + c
             out[expand] = acc - mu ** (n - 1) / math.factorial(n - 1) * np.log(te)
     out[direct] = _polylog_direct(n, np.exp(-flat[direct]))
     return float(out[0]) if ta.ndim == 0 else out.reshape(ta.shape)

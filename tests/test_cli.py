@@ -139,6 +139,42 @@ def test_solver_commands_import_no_scipy():
     assert "scipy.special" in scipy
 
 
+SEQUENCE_PROBE = """
+import contextlib, io, json, sys
+import lovelab.cli
+
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = lovelab.cli.main(argv)
+        except SystemExit as exit:
+            code = exit.code
+    outputs.append([code, out.getvalue()])
+print(json.dumps(outputs))
+"""
+
+
+def run_sequence(*argvs):
+    """[exit code, stdout] of each argv, run one after the other in one process."""
+    return json.loads(run_python(SEQUENCE_PROBE, json.dumps(argvs)))
+
+
+def test_parser_reuse_carries_no_option_over():
+    # the parser is built once per process; a command must read exactly as
+    # it does when it is the process's first
+    default, help_text = ["solve", "--kappa", "0.5"], ["--help"]
+    json_run, second, helped = run_sequence(
+        ["solve", "--kappa", "0.5", "--nodes", "100", "--format", "json"],
+        default, help_text)
+    assert json_run[0] == 0 and json_run[1].startswith("[")
+    assert second == run_sequence(default)[0]
+    assert second[0] == 0 and second[1].startswith("kappa,")
+    assert helped == run_sequence(help_text)[0]
+    assert helped[0] == 0 and "usage: lovelab" in helped[1]
+
+
 def test_first_scipy_use_inside_the_worker_pool():
     # scipy.special is first imported by whichever pool thread reaches it
     cli = "import sys; from lovelab.cli import main; sys.exit(main(sys.argv[1:]))"

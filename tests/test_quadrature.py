@@ -5,7 +5,8 @@ import pytest
 
 import lovelab as ll
 from lovelab.errors import ConvergenceError, DomainError
-from lovelab.quadrature import _composite, _panel_sum, _tanh_sinh
+from lovelab.quadrature import (_TOL, _TS_MAX_LEVEL, _TS_TMAX, _composite, _panel_sum,
+                                _tanh_sinh)
 
 PI = math.pi
 
@@ -118,6 +119,57 @@ def test_composite_zero_width_tail_adds_nothing():
     assert _composite(f, [0.0, 1.0, 1.0]) == head
 
 
+def level_by_level_tanh_sinh(f, a, b):
+    """The nested tanh-sinh rule with one integrand call per level, in the
+    plainest form: the oracle whose (value, error) bits, and whose
+    ConvergenceError, the batched _tanh_sinh must reproduce.  Level j adds
+    the nodes t = k 2^-j for odd k (every k at level 0, plus the midpoint).
+    Returns the abscissae of each level along with the result."""
+    width = b - a
+    xs, history = [], []
+    raw = ndim = done = best = error = value = None
+    for level in range(_TS_MAX_LEVEL + 1):
+        h = 0.5 ** level
+        k = np.arange(1, int(math.floor(_TS_TMAX / h)) + 1)
+        if level:
+            k = k[k % 2 == 1]
+        t = k * h
+        q = np.exp(-2.0 * (0.5 * PI * np.sinh(t)))
+        s = q / (1.0 + q)
+        w = 2.0 * PI * np.cosh(t) * q / (1.0 + q) ** 2
+        s, w = s[w > 0.0], w[w > 0.0]
+        xl, xr = a + width * s, b - width * s
+        lok, rok = xl > a, xr < b
+        x = np.concatenate([[a + 0.5 * width] if level == 0 else [], xl[lok], xr[rok]])
+        w = np.concatenate([[0.5 * PI] if level == 0 else [], w[lok], w[rok]])
+        xs.append(x)
+        part = 0.0
+        if len(x):
+            fx = np.asarray(f(x))
+            ndim = fx.ndim
+            part = np.array([np.dot(w, row) for row in fx.reshape(-1, len(x))])
+        raw = part if raw is None else raw + part
+        value = 0.5 * width * h * raw
+        history.append(value)
+        if level == 0:
+            best, error = value.copy(), np.zeros_like(value)
+            done = np.zeros(value.shape, dtype=bool)
+        if level >= 3:
+            scale = np.maximum(1.0, np.abs(value))
+            d1 = np.abs(history[-1] - history[-2])
+            d2 = np.abs(history[-2] - history[-3])
+            now = ~done & (d1 < _TOL * scale) & (d2 < _TOL * scale)
+            best[now] = value[now]
+            error[now] = np.maximum(d1, 4e-16 * scale)[now]
+            done |= now
+            if done.all():
+                result = (float(best[0]), float(error[0])) if ndim == 1 else (best, error)
+                return result, xs
+    row = int(np.flatnonzero(~done)[0])
+    raise ConvergenceError("level cap", float(value[row]),
+                           float(abs(history[-1][row] - history[-2][row])))
+
+
 def test_one_integrand_call_per_panel_set_and_per_level():
     calls = []
 
@@ -131,13 +183,30 @@ def test_one_integrand_call_per_panel_set_and_per_level():
     assert len(calls) == 1 and calls[0].shape == (12 * 24,)
     # abscissae arrive panel after panel, in edge order
     assert np.all(np.diff(calls[0]) > 0.0)
+    tail = calls[0]
+
     calls.clear()
     value, _ = _tanh_sinh(f, 1.0, 3.0)
     assert value == pytest.approx(math.log(3.0), abs=1e-13)
-    # one call per level: each holds nodes near both endpoints
-    assert 4 <= len(calls) <= 13
-    for x in calls:
+    _, levels = level_by_level_tanh_sinh(lambda x: 1.0 / x, 1.0, 3.0)
+    # the first call holds levels 0-3, with nodes near both endpoints; each
+    # later call holds one level; no abscissa is evaluated twice
+    assert len(levels) >= 5 and len(calls) == len(levels) - 3
+    assert calls[0].tolist() == np.concatenate(levels[:4]).tolist()
+    assert calls[0].min() < 1.0 + 1e-4 and calls[0].max() > 3.0 - 1e-4
+    for x, level in zip(calls[1:], levels[4:]):
+        assert x.tolist() == level.tolist()
         assert x.min() < 2.0 < x.max()
+
+    # under _composite the first call also holds every tail abscissa
+    calls.clear()
+    value = _composite(f, np.concatenate([[0.5], edges]))
+    assert value == pytest.approx(math.log(2e3), abs=1e-13)
+    _, levels = level_by_level_tanh_sinh(lambda x: 1.0 / x, 0.5, 1.0)
+    assert len(calls) == len(levels) - 3
+    assert calls[0].tolist() == np.concatenate(levels[:4] + [tail]).tolist()
+    for x, level in zip(calls[1:], levels[4:]):
+        assert x.tolist() == level.tolist()
 
 
 @pytest.mark.parametrize("f, best", [
@@ -173,6 +242,31 @@ def test_vector_integrand_rows_equal_scalar_calls_bit_for_bit():
     assert values.tolist() == [_composite(f, edges) for f in ROWS]
     values = _panel_sum(stacked, edges[1:])
     assert values.tolist() == [_panel_sum(f, edges[1:]) for f in ROWS]
+
+
+def test_batched_levels_match_the_level_by_level_oracle_bit_for_bit():
+    edges = [0.0, 0.5, 0.75, 0.9, 0.99]
+    for f in [stacked, *ROWS]:
+        (value, error), _ = level_by_level_tanh_sinh(f, 0.0, 1.0)
+        got_value, got_error = _tanh_sinh(f, 0.0, 1.0)
+        assert np.asarray(got_value).tobytes() == np.asarray(value).tobytes()
+        assert np.asarray(got_error).tobytes() == np.asarray(error).tobytes()
+        (head, _), _ = level_by_level_tanh_sinh(f, edges[0], edges[1])
+        expected = head + _panel_sum(f, edges[1:])
+        assert np.asarray(_composite(f, edges)).tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: 1.0 / x,                                # divergent
+    lambda x: np.where(x < 0.3, 1.0, 0.0),            # interior jump
+    lambda x: np.array([x * x, 1.0 / x]),             # one row diverges
+])
+def test_level_cap_error_matches_the_level_by_level_oracle(f):
+    with pytest.raises(ConvergenceError) as want:
+        level_by_level_tanh_sinh(f, 0.0, 1.0)
+    with pytest.raises(ConvergenceError) as got:
+        _tanh_sinh(f, 0.0, 1.0)
+    assert (got.value.best, got.value.estimate) == (want.value.best, want.value.estimate)
 
 
 def test_vector_tanh_sinh_raises_when_one_row_diverges():

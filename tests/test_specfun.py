@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lovelab as ll
-from lovelab import specfun
+from lovelab import asymptotics, capacitor2d, quadrature, specfun
 from lovelab.errors import (BranchError, ConvergenceError, DivergenceError, DomainError,
                             PoleError)
 
@@ -352,6 +352,38 @@ def test_upper_cut_offset_form_is_batch_independent():
     grid = specfun._w_upper_from_offset(_W_OFFSETS.reshape(-1, 2))
     assert grid.shape == (len(_W_OFFSETS) // 2, 2)
     assert grid.ravel().tobytes() == single.tobytes()
+
+
+# two abscissa sets per integrand building block: the nodes of a tanh-sinh
+# head on (0, 1) (levels 0-3, down to ~1e-275 from either end), and a set
+# reaching every other branch, with points one ulp either side of each switch
+_HEAD = np.concatenate([quadrature._ts_level(0.0, 1.0, j)[0] for j in range(4)])
+_UNIT = np.concatenate([
+    np.geomspace(1e-12, 1e-2, 30), np.linspace(0.01, 0.99, 50),
+    np.nextafter([0.05, 0.05, 0.2, 0.2], [0.0, 1.0, 0.0, 1.0]),
+])
+_LOG2 = math.log(2.0)
+_POLYLOG_T = np.concatenate([
+    PI * _UNIT, np.nextafter([_LOG2, _LOG2], [0.0, 1.0]), np.linspace(_LOG2, 45.0, 40)])
+
+
+@pytest.mark.parametrize("func, first, second", [
+    (capacitor2d._phi, _HEAD, np.concatenate([_UNIT, np.geomspace(1.0, 1e18, 40)])),
+    (capacitor2d._phi_prime, _HEAD, np.concatenate([_UNIT, np.geomspace(1.0, 1e18, 40)])),
+    *[(lambda t, n=n: specfun._polylog_exp_neg(n, t), PI * _HEAD, _POLYLOG_T)
+      for n in range(1, 5)],
+    (specfun._dk_vec, _HEAD, _UNIT),
+    (asymptotics._outer_subtracted, _HEAD, _UNIT),
+], ids=["phi", "phi_prime", "polylog_n1", "polylog_n2", "polylog_n3", "polylog_n4",
+        "dk", "outer_subtracted"])
+def test_integrand_building_blocks_are_batch_independent(func, first, second):
+    # the quadrature evaluates several tanh-sinh levels and the Gauss tail in
+    # one call; that keeps every bit only if a value depends on its own
+    # abscissa alone
+    alone = np.concatenate([func(first), func(second)])
+    together = func(np.concatenate([first, second]))
+    assert np.all(np.isfinite(alone))
+    assert together.tobytes() == alone.tobytes()
 
 
 def test_upper_cut_offset_form_refuses_unconverged(monkeypatch):
