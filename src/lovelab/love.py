@@ -18,8 +18,12 @@ so the weights that integrate the panel interpolant of f exactly against
 k(x - y) + k(x + y) (product integration) come from the Legendre moments
 of 1/(u - z) on each panel.  One rows builder, _rows, maps any targets to
 these weights; the system matrix, the defect check, the interpolant and
-the discrete operator norm all use it.  A dense solve of (I - W) f = v0 is
-refined once with the residual of the subtracted form
+the discrete operator norm all use it.  A solve makes one _rows call, on
+its nodes followed by its defect-check midpoints, and slices the system
+rows and the check rows from it; _rows lays its far field out with the
+targets innermost, so its elementwise loops run along the targets.  A
+dense solve of (I - W) f = v0 is refined once with the residual of the
+subtracted form
     leak_i f_i + sum_j W_ij (f_i - f_j) = v0,
 whose leak 1 - int k is exact, so the large near-diagonal weights at small
 kappa act on differences of f only.  The solver's floor is kappa >= 1e-3
@@ -93,8 +97,12 @@ class LoveSolution:
     def interpolate(self, x: np.ndarray) -> np.ndarray:
         """Nystrom interpolant: f(x) solving the subtracted equation at x,
         (v0 + sum_j W_xj f_j) / (leak(x) + sum_j W_xj); it returns f at
-        the nodes themselves."""
+        the nodes themselves.  For |x| > 1 it is the equation's own
+        extension v0 + (K f)(x), and v0, the limit, at x = +-inf.  NaN is
+        refused."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.isnan(x).any():
+            raise DomainError("interpolate needs x that is not NaN")
         kappa = self.problem.kappa
         edges, order = _mesh(kappa, len(self.nodes))
         d = 1.0 - np.abs(x)
@@ -133,21 +141,25 @@ def default_node_count(kappa: float) -> int:
     return 2 * _ORDER * (len(_edges(kappa)) - 1)
 
 
-def _mesh(kappa: float, n: int) -> tuple[np.ndarray, int]:
-    """Panel edges and Gauss order for a budget of n nodes on [-1, 1].
+def _mesh(kappa: float, n: int | None = None) -> tuple[np.ndarray, int]:
+    """Panel edges and Gauss order for a budget of n nodes on [-1, 1], at
+    least 16; None is the default budget, default_node_count(kappa).
 
     The edges depend on kappa alone; the budget sets the order, n // (2
     panels) clamped to [16, 32].  So any budget up to the default gives
-    order 16, and twice the default gives order 32.  Refuses kappa below
-    the solver floor.
+    order 16, and twice the default gives order 32.  Refuses a budget
+    below 16, then kappa below the solver floor.
     """
+    if n is not None and n < 16:
+        raise DomainError(f"node budget too small: {n!r}")
     if not kappa >= _KAPPA_MIN:
         raise ResolutionError(
             f"kappa={kappa!r} is below the solver floor {_KAPPA_MIN:g}; for "
             f"smaller kappa, use the asymptotic expansions")
     edges = _edges(kappa)
-    order = min(_MAX_ORDER, max(_ORDER, n // (2 * (len(edges) - 1))))
-    return edges, order
+    if n is None:
+        return edges, _ORDER
+    return edges, min(_MAX_ORDER, max(_ORDER, n // (2 * (len(edges) - 1))))
 
 
 def _nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -194,8 +206,9 @@ def _cauchy_moments(z: np.ndarray, order: int) -> np.ndarray:
     return q
 
 
-def _rows(kappa: float, edges: np.ndarray, order: int, d: np.ndarray) -> np.ndarray:
-    """Product-integration weights W, (len(d), nodes), at targets x = 1 - d.
+def _rows(kappa: float, edges: np.ndarray, order: int,
+          d: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
+    """Product-integration weights W, (targets, nodes), at targets x = 1 - d.
 
     W @ f is int_0^1 [k(x - y) + k(x + y)] p(y) dy for the panel
     interpolant p of f.  On a panel c + h u, each kernel is (1/pi) Im
@@ -203,29 +216,57 @@ def _rows(kappa: float, edges: np.ndarray, order: int, d: np.ndarray) -> np.ndar
     (2 - d - c + i kappa) / h for k(x + y).  By the Bernstein ellipse rho
     of z: plain Gauss for rho > 4, the 64-point rule on the interpolant for
     1.5 < rho <= 4, and Legendre moments for rho <= 1.5.
+
+    d is one array of targets, or a tuple of arrays whose rows are stacked
+    in that order: a solve passes its nodes and its defect-check midpoints
+    in one call.  The far field is built in a (2, panels, order, targets)
+    layout, so each elementwise loop runs along the targets.  Each block's
+    mid and near contractions are products of their own, so its rows carry
+    the bits of a call on that block alone (a BLAS product's bits depend on
+    its row count).
     """
+    blocks = d if isinstance(d, tuple) else (d,)
+    d = np.concatenate(blocks)
     rule, fine = gauss_legendre(order), gauss_legendre(_FINE_ORDER)
     to_nodes, to_fine, _ = _tables(order)
     c, h = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     y = kappa / h
-    x = (np.stack([d, 2.0 - d])[:, :, None] - c) / h      # (2, targets, panels)
+    x = np.empty((2, len(c), len(d)))   # (2, panels, targets)
+    np.subtract(d, c[:, None], out=x[0])
+    np.subtract(2.0 - d, c[:, None], out=x[1])
+    x /= h[:, None]
     with np.errstate(over="ignore"):     # y^2 = inf at kappa > 1e153: w = 0, far
-        w = rule.nodes - x[..., None]
+        w = rule.nodes[:, None] - x[:, :, None, :]
         w *= w
-        w += (y * y)[:, None]
-        np.divide((rule.weights / _PI) * y[:, None], w, out=w)
+        y2 = y * y
+        w += y2[:, None, None]
+        np.divide(((rule.weights / _PI) * y[:, None])[..., None], w, out=w)
         # z = x + i y lies inside the Bernstein ellipse of semi-major axis a
         # (foci +-1) where x^2 / a^2 + y^2 / (a^2 - 1) <= 1
-        y = np.broadcast_to(y, x.shape)
-        mid = x * x / (_FAR * _FAR) + y * y / (_FAR * _FAR - 1.0) <= 1.0
-        near = x * x / (_NEAR * _NEAR) + y * y / (_NEAR * _NEAR - 1.0) <= 1.0
+        x2 = x * x
+        mid = x2 / (_FAR * _FAR) + (y2 / (_FAR * _FAR - 1.0))[:, None] <= 1.0
+        near = x2 / (_NEAR * _NEAR) + (y2 / (_NEAR * _NEAR - 1.0))[:, None] <= 1.0
     mid &= ~near
-    if mid.any():
-        xm, ym = x[mid][:, None], y[mid][:, None]
-        w[mid] = ((fine.weights / _PI) * ym / ((fine.nodes - xm) ** 2 + ym * ym)) @ to_fine
-    if near.any():
-        w[near] = _cauchy_moments(x[near] + 1j * y[near], order).imag @ to_nodes / _PI
-    return (w[0] + w[1]).reshape(len(d), -1)
+    if mid.any() or near.any():
+        y = np.broadcast_to(y[:, None], x.shape)
+        pairs = w.transpose(0, 1, 3, 2)      # (2, panels, targets, order) view of w
+        start = 0
+        for block in blocks:
+            span = slice(start, start + len(block))
+            start = span.stop
+            xb, yb, wb = x[..., span], y[..., span], pairs[..., span, :]
+            mb, nb = mid[..., span], near[..., span]
+            if mb.any():
+                ym = yb[mb][:, None]
+                fw = fine.nodes - xb[mb][:, None]
+                fw *= fw
+                fw += ym * ym
+                np.divide((fine.weights / _PI) * ym, fw, out=fw)
+                wb[mb] = fw @ to_fine
+            if nb.any():
+                wb[nb] = _cauchy_moments(xb[nb] + 1j * yb[nb], order).imag @ to_nodes / _PI
+    w = np.add(w[0], w[1], out=w[0]).reshape(-1, len(d))
+    return np.ascontiguousarray(w.T)
 
 
 def _leak(kappa: float, d: np.ndarray) -> np.ndarray:
@@ -237,19 +278,24 @@ def _subtracted(leak: np.ndarray, w: np.ndarray, t: np.ndarray,
                 f: np.ndarray) -> np.ndarray:
     """leak_i t_i + sum_j W_ij (t_i - f_j): (I - K) applied to the
     interpolant of the node values f, at targets where it takes values t."""
-    return leak * t + np.sum(w * (t[:, None] - f), axis=1)
+    terms = t[:, None] - f
+    terms *= w
+    return leak * t + np.sum(terms, axis=1)
 
 
-def _defect(kappa: float, v0: float, edges: np.ndarray, order: int,
-            d: np.ndarray, f: np.ndarray) -> float:
-    """Largest |p - v0 - K p| of the panel interpolant p of f, given at the
-    nodes d, at the midpoints between adjacent nodes of each panel."""
+def _midpoints(d: np.ndarray, order: int) -> np.ndarray:
+    """The midpoints between adjacent nodes d of each panel."""
+    d = d.reshape(-1, order)
+    return 0.5 * (d[:, :-1] + d[:, 1:]).ravel()
+
+
+def _defect(v0: float, order: int, w: np.ndarray, leak: np.ndarray,
+            f: np.ndarray) -> float:
+    """Largest |p - v0 - K p| of the panel interpolant p of the node values
+    f at the midpoints, given their rows w and leak."""
     *_, to_mid = _tables(order)
-    d, f = d.reshape(-1, order), f.reshape(-1, order)
-    mid = 0.5 * (d[:, :-1] + d[:, 1:]).ravel()
-    p = (f @ to_mid.T).ravel()
-    w = _rows(kappa, edges, order, mid)
-    return float(np.max(np.abs(_subtracted(_leak(kappa, mid), w, p, f.ravel()) - v0)))
+    p = (f.reshape(-1, order) @ to_mid.T).ravel()
+    return float(np.max(np.abs(_subtracted(leak, w, p, f) - v0)))
 
 
 def solve_love(problem: LoveProblem, n: int | None = None,
@@ -264,23 +310,26 @@ def solve_love(problem: LoveProblem, n: int | None = None,
     in the subtracted form, solve the subtracted system to rounding
     (further steps move m0 and e by at most 6e-16).  The returned residual is the largest
     integral-equation defect of the panel interpolant at the midpoints
-    between adjacent nodes; it must not exceed 1e-8 v0.  The solution is
-    returned on all of [-1, 1], mirrored.
+    between adjacent nodes; it must not exceed 1e-8 v0.  One _rows call
+    gives the rows at the nodes and, with check_residual, at the
+    midpoints; without the check the residual is NaN and no midpoint row
+    is built.  The solution is returned on all of [-1, 1], mirrored.
     """
     kappa, v0 = problem.kappa, problem.v0
-    if n is None:
-        n = default_node_count(kappa)
-    if n < 16:
-        raise DomainError(f"node budget too small: {n!r}")
     edges, order = _mesh(kappa, n)
     d, weights = _nodes(edges, order)
-    w = _rows(kappa, edges, order, d)
-    system = np.eye(len(d)) - w
-    f = np.linalg.solve(system, np.full(len(d), v0))
-    f += np.linalg.solve(system, v0 - _subtracted(_leak(kappa, d), w, f, f))
+    m = len(d)
+    targets = (d, _midpoints(d, order)) if check_residual else (d,)
+    rows = _rows(kappa, edges, order, targets)
+    leak = _leak(kappa, np.concatenate(targets))
+    w = rows[:m]
+    system = -w
+    system.flat[::m + 1] += 1.0
+    f = np.linalg.solve(system, np.full(m, v0))
+    f += np.linalg.solve(system, v0 - _subtracted(leak[:m], w, f, f))
     residual = math.nan
     if check_residual:
-        residual = _defect(kappa, v0, edges, order, d, f)
+        residual = _defect(v0, order, rows[m:], leak[m:], f)
         if not residual <= _RESIDUAL_TOL * v0:
             raise ResolutionError(
                 f"collocation residual {residual:.3e} exceeds "
@@ -315,8 +364,6 @@ def operator_norm_discrete(kappa: float, n: int | None = None) -> float:
     """
     if not kappa > 0.0:
         raise DomainError(f"kappa must be positive, got {kappa!r}")
-    if n is None:
-        n = default_node_count(kappa)
     edges, order = _mesh(kappa, n)
     d, _ = _nodes(edges, order)
     return float(np.max(_rows(kappa, edges, order, np.append(d, 1.0)).sum(axis=1)))

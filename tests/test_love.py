@@ -132,6 +132,18 @@ def test_solver_guards():
         ll.solve_love(ll.LoveProblem(kappa=1.0), n=4)
 
 
+def test_node_budget_guard_is_shared():
+    # the solve and the discrete operator norm refuse the same budgets,
+    # in the one mesh helper both call
+    calls = (lambda n: ll.solve_love(ll.LoveProblem(kappa=0.1), n=n),
+             lambda n: ll.operator_norm_discrete(0.1, n))
+    for call in calls:
+        for n in (2, 15):
+            with pytest.raises(DomainError, match=f"node budget too small: {n}$"):
+                call(n)
+        call(16)
+
+
 def test_kappa_floor_refused_before_any_kernel(monkeypatch):
     def no_kernel(*args):
         raise AssertionError("kernel weights built below the kappa floor")
@@ -273,6 +285,65 @@ def test_interpolate_matches_brute_force_rows():
     np.testing.assert_allclose(sol.interpolate(sol.nodes[:half]), f, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("order", [16, 32])
+@pytest.mark.parametrize("kappa", [1e-3, 0.05, 1.0, 100.0])
+def test_one_rows_call_serves_the_system_and_the_defect_check(kappa, order):
+    # a solve's one rows call over its nodes and its midpoints gives each
+    # block the rows of a call on that block alone: bit for bit when the
+    # blocks are passed as a tuple (each block's BLAS products are its own),
+    # and to rounding when they are passed as one array
+    edges = love._edges(kappa)
+    d, _ = love._nodes(edges, order)
+    mid = love._midpoints(d, order)
+    alone = (love._rows(kappa, edges, order, d), love._rows(kappa, edges, order, mid))
+    fused = love._rows(kappa, edges, order, (d, mid))
+    joined = love._rows(kappa, edges, order, np.concatenate([d, mid]))
+    for rows in (fused, joined):
+        assert rows.shape == (len(d) + len(mid), len(d)) and rows.flags.c_contiguous
+    for block, rows in zip((slice(0, len(d)), slice(len(d), None)), alone):
+        np.testing.assert_array_equal(fused[block], rows)
+        scale = np.max(np.abs(rows), axis=1, keepdims=True)
+        assert np.all(np.abs(joined[block] - rows) <= 1e-15 * scale)
+
+
+def test_solve_without_the_check_builds_no_midpoint_rows(monkeypatch):
+    targets, rows_of = [], love._rows
+
+    def rows(kappa, edges, order, d):
+        targets.append(sum(map(len, d)) if isinstance(d, tuple) else len(d))
+        return rows_of(kappa, edges, order, d)
+
+    monkeypatch.setattr(love, "_rows", rows)
+    sol = ll.solve_love(ll.LoveProblem(kappa=0.05), check_residual=False)
+    nodes = len(sol.nodes) // 2          # on [0, 1], 16 per panel
+    assert targets == [nodes] and math.isnan(sol.residual)
+    ll.solve_love(ll.LoveProblem(kappa=0.05))
+    assert targets[1] == nodes + nodes // 16 * 15
+
+
+def test_interpolate_refuses_nan(gas_solution_k1):
+    with pytest.raises(DomainError):
+        gas_solution_k1.interpolate(np.array([0.5, math.nan]))
+
+
+def test_interpolate_at_infinity_is_v0(gas_solution_k1):
+    # f(x) = v0 + (K f)(x) and (K f)(x) -> 0 as |x| -> inf
+    sol = gas_solution_k1
+    np.testing.assert_array_equal(sol.interpolate(np.array([-math.inf, math.inf])),
+                                  sol.problem.v0)
+
+
+def test_interpolate_beyond_the_interval_extends_the_equation():
+    # for |x| > 1 the interpolant is v0 + (K f)(x), from oracle rows
+    kappa = 0.05
+    sol = ll.solve_love(ll.LoveProblem(kappa=kappa))
+    edges, order = love._mesh(kappa, len(sol.nodes))
+    x = np.array([-3.0, -1.2, -1.0 - 1e-6, 1.0 + 1e-3, 1.5, 10.0])
+    f = sol.f[:len(sol.f) // 2]
+    expected = sol.problem.v0 + brute_rows(kappa, edges, order, 1.0 - np.abs(x)) @ f
+    np.testing.assert_allclose(sol.interpolate(x), expected, rtol=1e-13, atol=0.0)
+
+
 def dense_defect(problem, edges, order, f):
     """Test-side residual check: the defect of the panel interpolant of f
     at the midpoints between adjacent nodes, from brute-force rows."""
@@ -293,12 +364,17 @@ def test_residual_gate_flags_perturbed_solution(kappa):
     d, _ = love._nodes(edges, order)
     f = sol.f[:len(d)]
     tol = love._RESIDUAL_TOL * problem.v0
-    assert love._defect(kappa, problem.v0, edges, order, d, f) <= tol
+    # the midpoint rows and leak as the solve takes them, from its one
+    # rows call over the nodes and the midpoints
+    mid = love._midpoints(d, order)
+    w = love._rows(kappa, edges, order, (d, mid))[len(d):]
+    leak = love._leak(kappa, mid)
+    assert love._defect(problem.v0, order, w, leak, f) <= tol
     # f raised by 1e-7 everywhere, by 1e-6 on the panel next to x = 0, and
     # by 1e-4 at the node nearest x = 1
     for bump in (np.full_like(d, 1e-7), 1e-6 * (d > edges[-2]), 1e-4 * (d == d[0])):
         perturbed = f * (1.0 + bump)
-        residual = love._defect(kappa, problem.v0, edges, order, d, perturbed)
+        residual = love._defect(problem.v0, order, w, leak, perturbed)
         assert not residual <= tol
         # the same check points and the same defect as brute-force rows
         # give; the defect is a small difference of O(max f) terms
@@ -394,6 +470,31 @@ def test_strong_coupling_energy_limit():
     point = ll.observables(sol)
     tonks = PI ** 2 / 3.0 * (point.gamma / (point.gamma + 2.0)) ** 2
     assert point.energy == pytest.approx(tonks, rel=1e-4)
+
+
+def strong_coupling_series(gamma, terms):
+    """The first terms of e(gamma) = (pi^2/3) (1 - 4/gamma + 12/gamma^2 +
+    (32/15)(pi^2 - 15)/gamma^3 - (16/3)(4 pi^2 - 15)/gamma^4 + ...)."""
+    coefficients = (1.0, -4.0, 12.0, (32.0 / 15.0) * (PI ** 2 - 15.0),
+                    -(16.0 / 3.0) * (4.0 * PI ** 2 - 15.0))
+    return PI ** 2 / 3.0 * sum(c / gamma ** k for k, c in enumerate(coefficients[:terms]))
+
+
+@pytest.mark.parametrize("kappa,bound", [(300.0, 3e-12), (1e3, 1e-14), (3e3, 1e-14)])
+def test_strong_coupling_series_oracle(kappa, bound):
+    # the five-term 1/gamma series misses by about c5/gamma^5, c5 ~ +800:
+    # 1.1e-12 at kappa = 300, 2.3e-15 at 1e3 and -6.8e-16 at 3e3 (all
+    # relative).  Every (target, panel) pair takes
+    # the plain-Gauss far branch here, and a leak that disagrees with the
+    # rows shows as a break in e(gamma); an error in the weights' scale acts
+    # as a change of kappa and does not
+    point = ll.observables(ll.solve_love(ll.LoveProblem(kappa=kappa)))
+    e5 = strong_coupling_series(point.gamma, 5)
+    assert abs(point.energy - e5) <= bound * point.energy
+    if kappa == 1e3:
+        # four terms miss by 1.3e-12: the bound tells the gamma^-4 term apart
+        e4 = strong_coupling_series(point.gamma, 4)
+        assert not abs(point.energy - e4) <= bound * point.energy
 
 
 def test_free_fermion_limit_value():
