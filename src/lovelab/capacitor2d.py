@@ -194,8 +194,7 @@ def phi_prime_polylog_integral(n: int | Sequence[int]) -> float | list[float]:
     orders = _orders(n, "order", 7)
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        dphi = _phi_prime(x)
-        return np.array([dphi * _polylog_exp_neg(m, _PI * x) for m in orders])
+        return _phi_prime(x) * _polylog_exp_neg(orders, _PI * x)
 
     values = _composite(integrand, [0.0, *np.linspace(1.0, _POLYLOG_CUTOFF, 14)])
     return [float(v) for v in values] if isinstance(n, Sequence) else float(values[0])

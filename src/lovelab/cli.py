@@ -109,9 +109,14 @@ def _workers(args: argparse.Namespace) -> int:
     env = os.environ.get("LOVE_LAB_THREADS")
     try:
         default = int(env) if env else 1
+        if default < 1:
+            raise ValueError
     except ValueError:
-        raise ValueError(f"LOVE_LAB_THREADS must be an integer, got {env!r}") from None
-    return max(1, _resolve(args, "workers", default, int))
+        raise ValueError(f"LOVE_LAB_THREADS must be an integer >= 1, got {env!r}") from None
+    workers = _resolve(args, "workers", default, int)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def _format(args: argparse.Namespace) -> str:

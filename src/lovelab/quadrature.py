@@ -9,15 +9,19 @@ integrals sharing those abscissae; the composite path then returns m values,
 and whatever the rows have in common is evaluated once per abscissa.
 
 Every abscissa is evaluated once, and calls are few: tanh-sinh passes the
-nodes of its levels 0-3 in one call and each later level in a call of its
+nodes of its levels 0-5 in one call and each later level in a call of its
 own, the composite path adds all Gauss-tail abscissae to that first call,
-and a lone panel sum makes one call.  Sums are formed per level and per
-panel from their own values, so results keep their bits provided a value
-depends on its own abscissa alone, as every integrand here does.
+and a lone panel sum makes one call.  Every identity of the suite converges
+at level 5, so each of its integrals calls its integrand once.  Sums are
+formed per level and per panel from their own values, so results keep their
+bits provided a value depends on its own abscissa alone, as every integrand
+here does.  The nodes of each tanh-sinh level on the unit interval are
+built once, as read-only tables.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -157,15 +161,19 @@ _TS_TMAX = 6.1
 _TS_MAX_LEVEL = 12
 _TOL = 1e-13            # relative tolerance of every tanh-sinh integral here
 # the level of the first convergence test: every level up to it is
-# evaluated on every call, so the integrand sees them all in its first call
+# evaluated on every call
 _TS_FIRST_TEST = 3
+# the last level of the integrand's first call: the identity suite's
+# integrals converge at level 5, so they need no further call, while an
+# integrand that converges at level 3 or 4 evaluates the rest for nothing
+_TS_FIRST_CALL = 5
 
 
-def _ts_level(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Abscissae and weights that tanh-sinh level `level` adds on (a, b):
-    the midpoint (level 0 only), then the new nodes near a, then those
-    near b."""
-    width = b - a
+@functools.lru_cache(maxsize=None)
+def _ts_unit_level(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables of the nodes tanh-sinh level `level` adds near each
+    end of the unit interval: their distances s from the endpoint and their
+    weights, the midpoint of level 0 left out."""
     h = 0.5 ** level
     k = np.arange(1, int(math.floor(_TS_TMAX / h)) + 1)
     if level:
@@ -176,7 +184,18 @@ def _ts_level(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
     s = q / (1.0 + q)                       # distance from the endpoint
     w = 2.0 * _PI * np.cosh(t) * q / (1.0 + q) ** 2
     keep = w > 0.0
-    s, w = s[keep], w[keep]
+    tables = (s[keep], w[keep])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _ts_level(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissae and weights that tanh-sinh level `level` adds on (a, b):
+    the midpoint (level 0 only), then the new nodes near a, then those
+    near b."""
+    s, w = _ts_unit_level(level)
+    width = b - a
     xl = a + width * s
     xr = b - width * s
     lok, rok = xl > a, xr < b
@@ -194,8 +213,8 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
     integrable endpoint singularities receive cancellation-free abscissae.
     Nodes whose position rounds onto an endpoint are dropped; their weights
     are below double precision for any integrable singularity.  The first
-    call of f holds the nodes of levels 0-3, level after level (level 0
-    also takes the midpoint); from level 4 on, each level calls f once.
+    call of f holds the nodes of levels 0-5, level after level (level 0
+    also takes the midpoint); from level 6 on, each level calls f once.
     Every level's nodes sit near both endpoints, and its weighted sum is
     formed from its own values, so the batching moves no bit as long as a
     value of f depends on its own abscissa alone.
@@ -226,7 +245,7 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
         return [np.array([np.dot(wj, row[end - len(wj):end]) for row in rows])
                 for (_, wj), end in zip(nodes, ends)]
 
-    head = level_sums(range(_TS_FIRST_TEST + 1))
+    head = level_sums(range(_TS_FIRST_CALL + 1))
     h = 1.0
     raw = head[0]
     value = 0.5 * width * h * raw

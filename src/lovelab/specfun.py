@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -365,18 +366,30 @@ def _expansion_coefficients(n: int) -> tuple:
                           for k in range(max(n + 1, _EXPANSION_ORDER), -1, -1))
 
 
-def _polylog_direct(n: int, x):
-    """Li_n(x) for 0 <= x <= 1/2 (float or array) from its defining series,
-    by Horner; -log(1 - x) by log1p for n = 1."""
-    if n == 1:
-        return -np.log1p(-x)
-    acc = np.zeros_like(x)
-    for c in _direct_coefficients(n):
-        acc = (acc + c) * x
-    return acc
+def _split_orders(orders: list[int]) -> tuple[list[int], list[int]]:
+    """The row indices of order 1 (the log form), and those of the others."""
+    return ([i for i, m in enumerate(orders) if m == 1],
+            [i for i, m in enumerate(orders) if m > 1])
 
 
-def _polylog_exp_neg(n: int, t):
+def _polylog_direct(orders: list[int], x: np.ndarray) -> np.ndarray:
+    """Li_n(x) for 0 <= x <= 1/2, one row per order, from the defining
+    series by one Horner pass over all rows; -log(1 - x) by log1p for
+    n = 1."""
+    out = np.empty((len(orders), len(x)))
+    logs, series = _split_orders(orders)
+    if logs:
+        out[logs] = -np.log1p(-x)
+    if series:
+        coefficients = np.array([_direct_coefficients(orders[i]) for i in series]).T
+        acc = np.zeros((len(series), len(x)))
+        for c in coefficients:
+            acc = (acc + c[:, None]) * x
+        out[series] = acc
+    return out
+
+
+def _polylog_exp_neg(n: int | Sequence[int], t):
     """Li_n(e^{-t}) for t >= 0, with the argument kept in the exponent.
 
     Callers integrating against e^{-pi x} tails pass t = pi x directly, so
@@ -384,35 +397,49 @@ def _polylog_exp_neg(n: int, t):
     trips.  t = 0 requires n >= 2 (Li_1 diverges there).  t may be a float,
     which gives a float, or an array, evaluated elementwise with a fixed
     number of terms per branch, so each value depends on its own t alone.
+
+    n may also be a sequence of orders: the result then has one row per
+    order, each holding the bits the order alone gives, from one Horner
+    pass over all rows per branch (tables of unequal length start from
+    leading zeros, which leave the sum unchanged).
     """
+    orders = list(n) if isinstance(n, Sequence) else [n]
     ta = np.asarray(t, dtype=float)
     flat = ta.ravel()
     bad = flat[~(flat >= 0.0)]
     if len(bad):
         raise DomainError(f"need t >= 0, got {bad[0]!r}")
     direct = flat > math.log(2.0)
-    if n == 1:
+    out = np.empty((len(orders), len(flat)))
+    logs, series = _split_orders(orders)
+    if logs:
         if np.any(flat == 0.0):
             raise DivergenceError("Li_1(1) diverges")
         # -log(1 - x): expm1 keeps t << 1
-        out = np.empty_like(flat)
-        out[~direct] = -np.log(-np.expm1(-flat[~direct]))
-    else:
-        zeta_n, coefficients = _expansion_coefficients(n)
-        out = np.full(flat.shape, zeta_n)       # t = 0: zeta(n)
+        out[np.ix_(logs, ~direct)] = -np.log(-np.expm1(-flat[~direct]))
+    if series:
+        tables = [_expansion_coefficients(orders[i]) for i in series]
+        out[series] = np.array([[zeta_n] for zeta_n, _ in tables])   # t = 0: zeta(n)
         # expansion in mu = log x = -t about the unit argument (DLMF
         # 25.12.12); converges for |mu| < 2 pi, fast for |mu| <= log 2.  The
         # k = n - 1 term carries (H_{n-1} - log t) in place of zeta(1).
         expand = ~direct & (flat > 0.0)
         if np.any(expand):
+            width = max(len(c) for _, c in tables)
+            coefficients = np.array([(0.0,) * (width - len(c)) + c for _, c in tables]).T
             te = flat[expand]
             mu = -te
-            acc = np.zeros_like(mu)
+            acc = np.zeros((len(series), len(te)))
             for c in coefficients:
-                acc = acc * mu + c
-            out[expand] = acc - mu ** (n - 1) / math.factorial(n - 1) * np.log(te)
-    out[direct] = _polylog_direct(n, np.exp(-flat[direct]))
-    return float(out[0]) if ta.ndim == 0 else out.reshape(ta.shape)
+                acc = acc * mu + c[:, None]
+            log_te = np.log(te)
+            for i, row in zip(series, acc):
+                m = orders[i]
+                out[i, expand] = row - mu ** (m - 1) / math.factorial(m - 1) * log_te
+    out[:, direct] = _polylog_direct(orders, np.exp(-flat[direct]))
+    if isinstance(n, Sequence):
+        return out.reshape((len(orders),) + ta.shape)
+    return float(out[0, 0]) if ta.ndim == 0 else out[0].reshape(ta.shape)
 
 
 def polylog(n: int, x: float) -> float:
@@ -428,5 +455,5 @@ def polylog(n: int, x: float) -> float:
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"argument must lie in [0, 1], got {x!r}")
     if x < 0.5:
-        return float(_polylog_direct(n, x))
+        return float(_polylog_direct([n], np.array([x]))[0, 0])
     return _polylog_exp_neg(n, -math.log(x))

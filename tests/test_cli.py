@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lovelab import conjectures, love
 from lovelab.cli import _write_rows, main
@@ -492,6 +492,7 @@ BAD_FLAGS = st.one_of(
     bad_kappa(text()).map(lambda v: ["compare-asymptotics", f"--kappa={v}"]),
     bad_count(1).map(lambda v: ["solve", *GRID[:4], f"--kappa-points={v}"]),
     bad_count(5).map(lambda v: ["fit-weak", f"--gamma-points={v}"]),
+    bad_count(1).map(lambda v: ["verify", "--which", "residue", f"--workers={v}"]),
     text().filter(lambda v: v != "all" and v not in conjectures.SUITE).map(
         lambda v: ["verify", f"--which={v}"]),
     text().filter(lambda v: v not in ("csv", "json")).map(
@@ -509,18 +510,21 @@ BAD_CONFIG_LINES = st.one_of(
               CONFIG_TEXT).map(" = ".join),                # unknown key
     bad_kappa(CONFIG_TEXT).map("kappa = {}".format),
     refused_by(int, CONFIG_TEXT).map("workers = {}".format),
+    st.integers(max_value=0).map("workers = {}".format),
     CONFIG_TEXT.filter(lambda v: v.strip() not in ("csv", "json")).map("format = {}".format),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(argv=BAD_FLAGS)
+@example(argv=["verify", "--which", "residue", "--workers", "0"])
 def test_malformed_flag_values_exit_2(argv):
     assert_usage_error(argv)
 
 
 @settings(max_examples=40, deadline=None)
 @given(line=BAD_CONFIG_LINES)
+@example(line="workers = 0")
 def test_malformed_config_lines_exit_2(tmp_path_factory, line):
     config = tmp_path_factory.mktemp("config") / "run.cfg"
     config.write_text(line + "\n", encoding="utf-8")
@@ -528,7 +532,9 @@ def test_malformed_config_lines_exit_2(tmp_path_factory, line):
 
 
 @settings(max_examples=20, deadline=None)
-@given(value=refused_by(int, text()).filter(bool))
+@given(value=st.one_of(refused_by(int, text()).filter(bool),
+                       st.integers(max_value=0).map(str)))
+@example(value="-3")
 def test_malformed_thread_counts_exit_2(value):
     with mock.patch.dict(os.environ, {"LOVE_LAB_THREADS": value}):
         assert_usage_error(["solve", "--kappa", "1"])

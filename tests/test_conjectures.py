@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import lovelab as ll
-from lovelab import capacitor2d, conjectures, quadrature, specfun
+from lovelab import asymptotics, capacitor2d, conjectures, quadrature, specfun
 from lovelab.cli import main
 from lovelab.conjectures import GAMMA0, GAMMA1, GAMMA2_TILDE, INTEGRAL4
 from lovelab.errors import DomainError
@@ -172,6 +172,35 @@ def test_one_w_evaluation_per_level_and_one_for_the_panels(capsys, monkeypatch, 
         counts.append(len(w_calls))
     capsys.readouterr()
     assert counts[0] == counts[1]
+
+
+def test_one_integrand_call_per_integral_of_the_suite(monkeypatch):
+    # every tanh-sinh integral of the suite converges at level 5, so its
+    # integrand's first call (levels 0-5 and any Gauss tail) is its only
+    # one; the four W integrals call W once each, and the polylog orders
+    # share one _polylog_exp_neg call; per-level calls would make 21, 12
+    # and 12
+    calls = {"integrand": 0, "w": 0, "polylog": 0}
+    tanh_sinh = quadrature._tanh_sinh
+
+    def counted(key, func):
+        def wrapper(*args):
+            calls[key] += 1
+            return func(*args)
+        return wrapper
+
+    def counted_integrand(f, a, b):
+        return tanh_sinh(counted("integrand", f), a, b)
+
+    for module in (quadrature, conjectures, asymptotics):
+        monkeypatch.setattr(module, "_tanh_sinh", counted_integrand)
+    w_upper = counted("w", specfun._w_upper_from_offset)
+    for module in (capacitor2d, conjectures):
+        monkeypatch.setattr(module, "_w_upper_from_offset", w_upper)
+    monkeypatch.setattr(capacitor2d, "_polylog_exp_neg",
+                        counted("polylog", specfun._polylog_exp_neg))
+    assert len(conjectures.run_all()) == 13
+    assert calls == {"integrand": 7, "w": 4, "polylog": 1}
 
 
 # ----------------------------------------------------------------------

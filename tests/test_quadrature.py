@@ -5,8 +5,8 @@ import pytest
 
 import lovelab as ll
 from lovelab.errors import ConvergenceError, DomainError
-from lovelab.quadrature import (_TOL, _TS_MAX_LEVEL, _TS_TMAX, _composite, _panel_sum,
-                                _tanh_sinh)
+from lovelab.quadrature import (_TOL, _TS_FIRST_CALL, _TS_MAX_LEVEL, _TS_TMAX, _composite,
+                                _panel_sum, _tanh_sinh, _ts_unit_level)
 
 PI = math.pi
 
@@ -173,9 +173,13 @@ def level_by_level_tanh_sinh(f, a, b):
 def test_one_integrand_call_per_panel_set_and_per_level():
     calls = []
 
-    def f(x):
-        calls.append(np.array(x))
-        return 1.0 / x
+    def recorded(g):
+        def h(x):
+            calls.append(np.array(x))
+            return g(x)
+        return h
+
+    f = recorded(lambda x: 1.0 / x)
 
     edges = np.geomspace(1.0, 1e3, 13)
     value = _panel_sum(f, edges)
@@ -189,24 +193,41 @@ def test_one_integrand_call_per_panel_set_and_per_level():
     value, _ = _tanh_sinh(f, 1.0, 3.0)
     assert value == pytest.approx(math.log(3.0), abs=1e-13)
     _, levels = level_by_level_tanh_sinh(lambda x: 1.0 / x, 1.0, 3.0)
-    # the first call holds levels 0-3, with nodes near both endpoints; each
-    # later call holds one level; no abscissa is evaluated twice
-    assert len(levels) >= 5 and len(calls) == len(levels) - 3
-    assert calls[0].tolist() == np.concatenate(levels[:4]).tolist()
+    # the first call holds levels 0-5, with nodes near both endpoints: 1/x
+    # converges at level 5, so it makes no other call
+    assert len(levels) == _TS_FIRST_CALL + 1 and len(calls) == 1
+    assert calls[0].tolist() == np.concatenate(levels).tolist()
     assert calls[0].min() < 1.0 + 1e-4 and calls[0].max() > 3.0 - 1e-4
-    for x, level in zip(calls[1:], levels[4:]):
+
+    # the narrow Lorentzian converges at level 8: each level after the
+    # first call holds one call; no abscissa is evaluated twice
+    lorentzian = ROWS[3]
+    calls.clear()
+    got = _tanh_sinh(recorded(lorentzian), 0.0, 1.0)
+    want, levels = level_by_level_tanh_sinh(lorentzian, 0.0, 1.0)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert len(levels) == 9 and len(calls) == len(levels) - _TS_FIRST_CALL
+    assert calls[0].tolist() == np.concatenate(levels[:_TS_FIRST_CALL + 1]).tolist()
+    for x, level in zip(calls[1:], levels[_TS_FIRST_CALL + 1:]):
         assert x.tolist() == level.tolist()
-        assert x.min() < 2.0 < x.max()
+        assert x.min() < 0.5 < x.max()
 
     # under _composite the first call also holds every tail abscissa
     calls.clear()
     value = _composite(f, np.concatenate([[0.5], edges]))
     assert value == pytest.approx(math.log(2e3), abs=1e-13)
     _, levels = level_by_level_tanh_sinh(lambda x: 1.0 / x, 0.5, 1.0)
-    assert len(calls) == len(levels) - 3
-    assert calls[0].tolist() == np.concatenate(levels[:4] + [tail]).tolist()
-    for x, level in zip(calls[1:], levels[4:]):
-        assert x.tolist() == level.tolist()
+    assert len(levels) == _TS_FIRST_CALL + 1 and len(calls) == 1
+    assert calls[0].tolist() == np.concatenate(levels + [tail]).tolist()
+
+
+def test_level_tables_are_read_only():
+    for level in range(_TS_MAX_LEVEL + 1):
+        for table in _ts_unit_level(level):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.5
+    assert _ts_unit_level(4) is _ts_unit_level(4)
 
 
 @pytest.mark.parametrize("f, best", [

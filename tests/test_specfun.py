@@ -355,9 +355,11 @@ def test_upper_cut_offset_form_is_batch_independent():
 
 
 # two abscissa sets per integrand building block: the nodes of a tanh-sinh
-# head on (0, 1) (levels 0-3, down to ~1e-275 from either end), and a set
-# reaching every other branch, with points one ulp either side of each switch
-_HEAD = np.concatenate([quadrature._ts_level(0.0, 1.0, j)[0] for j in range(4)])
+# head on (0, 1) (levels 0-5, its first call, down to ~1e-275 from either
+# end), and a set reaching every other branch, with points one ulp either side
+# of each switch
+_HEAD = np.concatenate([quadrature._ts_level(0.0, 1.0, j)[0]
+                        for j in range(quadrature._TS_FIRST_CALL + 1)])
 _UNIT = np.concatenate([
     np.geomspace(1e-12, 1e-2, 30), np.linspace(0.01, 0.99, 50),
     np.nextafter([0.05, 0.05, 0.2, 0.2], [0.0, 1.0, 0.0, 1.0]),
@@ -527,3 +529,31 @@ def test_polylog_exp_neg_scalar_and_array_agree():
         specfun._polylog_exp_neg(1, t)
     with pytest.raises(DomainError):
         specfun._polylog_exp_neg(2, np.array([1.0, -1e-3]))
+
+
+@pytest.mark.parametrize("orders", [(1, 2, 3, 4), (2, 7), (5, 19, 45)])
+def test_polylog_exp_neg_order_rows_equal_single_orders_bit_for_bit(orders):
+    # both branches, their switch at log 2, and t = 0 where no row is the
+    # log form; the expansion tables of 19 and 45 are longer than the rest
+    log2 = math.log(2.0)
+    t = np.concatenate([np.geomspace(1e-17, 50.0, 200),
+                        np.nextafter(log2, [0.0, 1.0]), [log2]])
+    if 1 not in orders:
+        t = np.concatenate([[0.0], t])
+    for ts in (t, t[:200].reshape(10, 20)):
+        rows = specfun._polylog_exp_neg(list(orders), ts)
+        assert rows.shape == (len(orders),) + ts.shape
+        for n, row in zip(orders, rows):
+            assert row.tobytes() == specfun._polylog_exp_neg(n, ts).tobytes()
+    rows = specfun._polylog_exp_neg(orders, 0.25)
+    assert rows.tolist() == [specfun._polylog_exp_neg(n, 0.25) for n in orders]
+
+
+def test_polylog_exp_neg_order_rows_refuse_bad_arguments():
+    for bad in (np.array([0.5, np.nan]), np.array([1.0, -1e-3]), -2.0):
+        with pytest.raises(DomainError):
+            specfun._polylog_exp_neg([2, 3], bad)
+    with pytest.raises(DivergenceError):
+        specfun._polylog_exp_neg([3, 1], np.array([0.5, 0.0]))
+    # the log form diverges only at t = 0
+    assert np.all(np.isfinite(specfun._polylog_exp_neg([3, 1], np.array([0.5, 1e-300]))))
