@@ -235,8 +235,8 @@ def energy_series(which: str, gamma: float) -> float:
     "takahashi":        ... + (1/6 - 1/pi^2) gamma^2
     "kaminaka_wadati":  ... + (1/8 - 1/pi^2) gamma^2   (the rival value)
     """
-    if gamma < 0.0:
-        raise DomainError(f"gamma must be >= 0, got {gamma!r}")
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma!r}")
     if which not in _ENERGY_SERIES:
         raise DomainError(f"unknown energy series {which!r}")
     return gamma - 4.0 / (3.0 * _PI) * gamma ** 1.5 + _ENERGY_SERIES[which] * gamma * gamma
@@ -420,12 +420,11 @@ def kernel_k(part: str, r: float, epsilon: float = math.nan) -> float:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     if part == "k1":
         return _k1_part(r, epsilon)
-    if part == "k2":
-        return -(2.0 / _PI) * r * _k2_sum(r, epsilon)
     if part == "k3":
         return _k3_part(r)
-    if part == "full":
-        return _k1_part(r, epsilon) - (2.0 / _PI) * r * _k2_sum(r, epsilon)
+    if part in ("k2", "full"):
+        k2 = -(2.0 / _PI) * r * _k2_sum(r, epsilon)
+        return k2 if part == "k2" else _k1_part(r, epsilon) + k2
     raise DomainError(f"unknown kernel part {part!r}")
 
 

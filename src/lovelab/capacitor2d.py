@@ -51,24 +51,29 @@ class EdgePotentialSample:
     phi_prime: float
 
 
-def _values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (Phi, Psi, Phi') on x > 0 (x = 0 allowed for Phi, Psi)."""
-    W = _w_upper_from_offset(_PI * np.asarray(x, dtype=float))
-    u, v = W.real, W.imag
-    phi = np.arctan2(v, u) / _PI
-    psi = -np.log(np.abs(W)) / _PI
-    opu = 1.0 + u
+def _w(x) -> np.ndarray:
+    """The upper-cut W(-e^{pi x - 1}) at the points x >= 0."""
+    return _w_upper_from_offset(_PI * np.asarray(x, dtype=float))
+
+
+def _phi_of_w(W: np.ndarray) -> np.ndarray:
+    """Phi = arg(W) / pi."""
+    return np.arctan2(W.imag, W.real) / _PI
+
+
+def _phi_prime_of_w(W: np.ndarray) -> np.ndarray:
+    """Phi' = -Im W / |1 + W|^2, and -inf at the branch point W = -1."""
+    opu = 1.0 + W.real
     with np.errstate(divide="ignore", invalid="ignore"):
-        dphi = np.where(v == 0.0, -np.inf, -v / (opu * opu + v * v))
-    return phi, psi, dphi
+        return np.where(W.imag == 0.0, -np.inf, -W.imag / (opu * opu + W.imag * W.imag))
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
-    return _values(x)[0]
+    return _phi_of_w(_w(x))
 
 
 def _phi_prime(x: np.ndarray) -> np.ndarray:
-    return _values(x)[2]
+    return _phi_prime_of_w(_w(x))
 
 
 def phi_psi(x: float) -> EdgePotentialSample:
@@ -80,7 +85,9 @@ def phi_psi(x: float) -> EdgePotentialSample:
     """
     if not x >= 0.0:
         raise DomainError(f"the modeled half-line is x >= 0, got {x!r}")
-    phi, psi, dphi = (float(a[0]) for a in _values(np.asarray([x])))
+    W = _w([x])
+    phi, psi, dphi = (float(a[0]) for a in (_phi_of_w(W), -np.log(np.abs(W)) / _PI,
+                                            _phi_prime_of_w(W)))
     return EdgePotentialSample(x=x, phi=phi, psi=psi, phi_prime=dphi)
 
 
@@ -110,8 +117,8 @@ def phi_series(x: float, regime: str) -> float:
               - pi^{3/2}/(540 sqrt 2) x^{5/2}        + O(x^{7/2})
     large:  1/(pi x) + log(pi x)/(pi x)^2 ... /pi^2 x^2  + O(log^2 x / x^3)
     """
-    if x < 0.0:
-        raise DomainError(f"need x >= 0, got {x!r}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"need finite x >= 0, got {x!r}")
     _regime_check(x, regime)
     if regime == "small":
         rx = math.sqrt(x)
@@ -129,8 +136,8 @@ def psi_series(x: float, regime: str) -> float:
             validated against the exact evaluator in the tests.
     large:  -(1/pi) log(pi x) + (log(pi x) + 1)/(pi^2 x) + O(log^2 x / x^2)
     """
-    if x < 0.0:
-        raise DomainError(f"need x >= 0, got {x!r}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"need finite x >= 0, got {x!r}")
     _regime_check(x, regime)
     if regime == "small":
         return -x / 3.0 + 2.0 * _PI / 135.0 * x * x + 4.0 * _PI ** 2 / 8505.0 * x ** 3

@@ -126,6 +126,15 @@ def _format(args: argparse.Namespace) -> str:
     return fmt
 
 
+def _nodes(args: argparse.Namespace) -> int | None:
+    """The node budget, None for the solver's default; a budget below the
+    solver's minimum is a usage error."""
+    nodes = _resolve(args, "nodes", None, int)
+    if nodes is not None and nodes < love._MIN_NODES:
+        raise ValueError(f"nodes must be >= {love._MIN_NODES}, got {nodes}")
+    return nodes
+
+
 def _kappa_grid(args: argparse.Namespace) -> list[float]:
     """The --kappa point or the --kappa-min/max/points grid; never empty."""
     kappa = _resolve(args, "kappa", None, float)
@@ -161,7 +170,7 @@ def _kappa_scan(args: argparse.Namespace, columns: Sequence[str],
         grid = _kappa_grid(args)
         if grid[-1] > kappa_max:
             raise ValueError(f"capacitance expansions need kappa <= {kappa_max:g}")
-        nodes = _resolve(args, "nodes", None, int)
+        nodes = _nodes(args)
     except ValueError as exc:
         return _usage_error(str(exc))
 
@@ -213,9 +222,11 @@ def cmd_fit_weak(args: argparse.Namespace) -> int:
         lo, hi = love._WEAK_WINDOW
         if not lo <= gmin <= gmax <= hi:
             raise ValueError(f"gamma grid must lie inside [{lo:g}, {hi:g}]")
+        if gmin == gmax:
+            raise ValueError("need gamma-min < gamma-max")
         if points < 5:
             raise ValueError("need at least 5 gamma points")
-        nodes = _resolve(args, "nodes", None, int)
+        nodes = _nodes(args)
         synthetic = _resolve(args, "synthetic", None, str)
         if synthetic is not None and synthetic not in asymptotics._ENERGY_SERIES:
             raise ValueError(f"unknown synthetic source {synthetic!r}")

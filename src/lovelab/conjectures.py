@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .asymptotics import GAMMA0, GAMMA1, GAMMA2_TILDE, INTEGRAL4, _outer_subtracted
-from .capacitor2d import _orders, _phi, phi_prime_polylog_integral
+from .capacitor2d import _orders, _phi, _phi_prime_of_w, phi_prime_polylog_integral
 from .errors import DomainError
 from .quadrature import _composite, _log_edges, _tanh_sinh
 from .specfun import _dk_vec, _w_upper_from_offset
@@ -126,8 +126,7 @@ def residue_identity(k: int | Sequence[int]) -> ConjectureReport | list[Conjectu
     orders = _orders(k, "k", 8)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        W = _w_upper_from_offset(t)
-        im = -W.imag / ((1.0 + W.real) ** 2 + W.imag ** 2)
+        im = _phi_prime_of_w(_w_upper_from_offset(t))   # Im 1/(1 + W)
         return np.array([np.exp(-j * t) * im for j in orders])
 
     values = _composite(integrand, [0.0, *np.linspace(1.0, 40.0 / min(orders) + 5.0, 20)])

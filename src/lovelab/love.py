@@ -63,6 +63,7 @@ GAS_POTENTIAL = 1.0 / (2.0 * _PI)
 
 _KAPPA_MIN = 1e-3
 _RESIDUAL_TOL = 1e-8
+_MIN_NODES = 16                          # the smallest node budget
 _ORDER = 16                              # Gauss points per panel: the default,
 _MAX_ORDER = 32                          # and the most a node budget buys
 _FINE_ORDER = 64                         # rule for poles at 1.5 < rho <= 4
@@ -150,7 +151,7 @@ def _mesh(kappa: float, n: int | None = None) -> tuple[np.ndarray, int]:
     order 16, and twice the default gives order 32.  Refuses a budget
     below 16, then kappa below the solver floor.
     """
-    if n is not None and n < 16:
+    if n is not None and n < _MIN_NODES:
         raise DomainError(f"node budget too small: {n!r}")
     if not kappa >= _KAPPA_MIN:
         raise ResolutionError(
@@ -168,13 +169,14 @@ def _nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return d.ravel(), w.ravel()
 
 
-def _legendre(u: np.ndarray, order: int) -> np.ndarray:
-    """P_0 .. P_{order-1} at u, one row per point."""
-    p = np.empty((len(u), order))
-    p[:, 0] = 1.0
-    p[:, 1] = u
+def _recurrence(p0, p1, z: np.ndarray, order: int) -> np.ndarray:
+    """p_0 .. p_{order-1} of the Legendre recurrence (k + 1) p_{k+1} =
+    (2k + 1) z p_k - k p_{k-1}, started from p_0 and p_1; one row per z."""
+    p = np.empty((len(z), order), dtype=np.result_type(p0, p1, z))
+    p[:, 0] = p0
+    p[:, 1] = p1
     for k in range(1, order - 1):
-        p[:, k + 1] = ((2 * k + 1) * u * p[:, k] - k * p[:, k - 1]) / (k + 1)
+        p[:, k + 1] = ((2 * k + 1) * z * p[:, k] - k * p[:, k - 1]) / (k + 1)
     return p
 
 
@@ -187,9 +189,10 @@ def _tables(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     midpoints between adjacent nodes."""
     rule, fine = gauss_legendre(order), gauss_legendre(_FINE_ORDER)
     u = rule.nodes
-    to_nodes = (_legendre(u, order) * rule.weights[:, None] * (np.arange(order) + 0.5)).T
-    tables = (to_nodes, _legendre(fine.nodes, order) @ to_nodes,
-              _legendre(0.5 * (u[:-1] + u[1:]), order) @ to_nodes)
+    at_nodes, at_fine, at_mid = (_recurrence(1, x, x, order)
+                                 for x in (u, fine.nodes, 0.5 * (u[:-1] + u[1:])))
+    to_nodes = (at_nodes * rule.weights[:, None] * (np.arange(order) + 0.5)).T
+    tables = (to_nodes, at_fine @ to_nodes, at_mid @ to_nodes)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -198,12 +201,8 @@ def _tables(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _cauchy_moments(z: np.ndarray, order: int) -> np.ndarray:
     """q_k = int_{-1}^{1} P_k(u) / (u - z) du, k < order, for Im z > 0, by
     forward recurrence, which is accurate only for z near [-1, 1]."""
-    q = np.empty((len(z), order), dtype=complex)
-    q[:, 0] = np.log(1.0 - z) - np.log(-1.0 - z)
-    q[:, 1] = 2.0 + z * q[:, 0]
-    for k in range(1, order - 1):
-        q[:, k + 1] = ((2 * k + 1) * z * q[:, k] - k * q[:, k - 1]) / (k + 1)
-    return q
+    q0 = np.log(1.0 - z) - np.log(-1.0 - z)
+    return _recurrence(q0, 2.0 + z * q0, z, order)
 
 
 def _rows(kappa: float, edges: np.ndarray, order: int,
@@ -413,7 +412,8 @@ def weak_coupling_fit(points: list[EnergyPoint]) -> tuple[float, float]:
 
     The reduced quantity r(gamma) = (e - gamma + (4/(3 pi)) gamma^{3/2}) /
     gamma^2 is fitted with c2 + c3 sqrt(gamma); returns (c2, rms residual).
-    Demands at least five points with gamma inside [1e-3, 5e-2].
+    Demands at least five points with gamma inside [1e-3, 5e-2], and at
+    least two distinct gammas among them.
     """
     if len(points) < 5:
         raise WindowError(f"need at least 5 points, got {len(points)}")
@@ -424,6 +424,8 @@ def weak_coupling_fit(points: list[EnergyPoint]) -> tuple[float, float]:
         raise WindowError(
             f"points must have gamma in [{lo:g}, {hi:g}]; got range "
             f"[{g.min():.3g}, {g.max():.3g}]")
+    if len(np.unique(g)) < 2:
+        raise WindowError("need at least two distinct gamma values")
     r = (e - g + 4.0 / (3.0 * _PI) * g ** 1.5) / g ** 2
     design = np.column_stack([np.ones_like(g), np.sqrt(g)])
     coef, *_ = np.linalg.lstsq(design, r, rcond=None)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -72,10 +71,6 @@ class LogTailFit:
 # Gauss-Legendre rules (Newton iteration on P_n, cached per n).
 # ----------------------------------------------------------------------
 
-_rule_cache: dict[int, QuadratureRule] = {}
-_rule_lock = threading.Lock()
-
-
 def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p0 = np.ones_like(x)
     p1 = x.copy()
@@ -85,6 +80,7 @@ def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return p1, dp
 
 
+@functools.cache
 def _build_rule(n: int) -> QuadratureRule:
     if n == 1:
         return QuadratureRule(np.zeros(1), np.full(1, 2.0))
@@ -110,17 +106,11 @@ def _build_rule(n: int) -> QuadratureRule:
 def gauss_legendre(n: int) -> QuadratureRule:
     """The n-point Gauss-Legendre rule on (-1, 1), exact through degree 2n-1.
 
-    Rules are cached; the cache is guarded by a lock so concurrent callers
-    are safe.
+    Each rule is built once per n and cached.
     """
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 10000:
         raise DomainError(f"rule size must be an integer in [1, 10000], got {n!r}")
-    with _rule_lock:
-        rule = _rule_cache.get(n)
-        if rule is None:
-            rule = _build_rule(n)
-            _rule_cache[n] = rule
-    return rule
+    return _build_rule(n)
 
 
 # ----------------------------------------------------------------------

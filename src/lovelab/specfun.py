@@ -277,27 +277,22 @@ def _w_upper_from_offset(d) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     flat = d.ravel()
     W = np.empty(flat.shape, dtype=complex)
-    tiny = flat < 3e-4
-    W[tiny] = _w_branch_series(1j * np.sqrt(2.0 * np.expm1(flat[tiny])))
-    rest = np.flatnonzero(~tiny)
-    dr = flat[rest]
-    near = dr < 0.5
-    Wr = np.empty(dr.shape, dtype=complex)
-    Wr[near] = _w_branch_series(1j * np.sqrt(2.0 * np.expm1(dr[near])))
-    t = dr[~near] - 1.0 + 1j * _PI
+    near = flat < 0.5                    # seeds: the series, else the asymptote
+    W[near] = _w_branch_series(1j * np.sqrt(2.0 * np.expm1(flat[near])))
+    t = flat[~near] - 1.0 + 1j * _PI
     lt = np.log(t)
-    Wr[~near] = t - lt + lt / t
-    target = dr - 1.0 + 1j * _PI
-    last = np.full(dr.shape, np.inf)     # each element's previous step size
-    active = np.arange(len(dr))
+    W[~near] = t - lt + lt / t
+    target = flat - 1.0 + 1j * _PI
+    last = np.full(flat.shape, np.inf)   # each element's previous step size
+    active = np.flatnonzero(~(flat < 3e-4))
     for _ in range(_HALLEY_MAX_ITER):
-        w = Wr[active]
+        w = W[active]
         f = w + np.log(w) - target[active]
         fp = (w + 1.0) / w
         halley = f * (-1.0 / (w * w)) / (2.0 * fp)
         step = f / (fp - halley)
         w = w - step
-        Wr[active] = w
+        W[active] = w
         size = np.abs(step) / (1.0 + np.abs(w))
         done = (size < 2e-16) | (size >= last[active])
         last[active] = size
@@ -307,10 +302,9 @@ def _w_upper_from_offset(d) -> np.ndarray:
     else:
         worst = active[np.argmax(last[active])]
         raise ConvergenceError(
-            f"Halley iteration for the upper-cut Lambert W at d = {dr[worst]!r} "
+            f"Halley iteration for the upper-cut Lambert W at d = {flat[worst]!r} "
             f"still converging after {_HALLEY_MAX_ITER} steps",
-            complex(Wr[worst]), float(last[worst]))
-    W[rest] = Wr
+            complex(W[worst]), float(last[worst]))
     return W.reshape(d.shape) if d.ndim else W
 
 
@@ -347,6 +341,9 @@ def lambert_w_upper_cut(x: float) -> complex:
 # |mu|^{k+1}/k! < 1e-19 from power k = 19 on.
 _DIRECT_TERMS = 57
 _EXPANSION_ORDER = 19
+# The largest order whose tables hold doubles: the expansion divides by k!
+# up to k = n + 1, and 171! overflows.
+_MAX_POLYLOG_ORDER = 169
 
 
 @functools.cache
@@ -401,9 +398,13 @@ def _polylog_exp_neg(n: int | Sequence[int], t):
     n may also be a sequence of orders: the result then has one row per
     order, each holding the bits the order alone gives, from one Horner
     pass over all rows per branch (tables of unequal length start from
-    leading zeros, which leave the sum unchanged).
+    leading zeros, which leave the sum unchanged).  Orders above 169 are
+    refused: their tables overflow.
     """
     orders = list(n) if isinstance(n, Sequence) else [n]
+    if any(m > _MAX_POLYLOG_ORDER for m in orders):
+        raise DomainError(f"orders above {_MAX_POLYLOG_ORDER} are not tabulated, "
+                          f"got {max(orders)}")
     ta = np.asarray(t, dtype=float)
     flat = ta.ravel()
     bad = flat[~(flat >= 0.0)]
@@ -443,15 +444,17 @@ def _polylog_exp_neg(n: int | Sequence[int], t):
 
 
 def polylog(n: int, x: float) -> float:
-    """Polylogarithm Li_n(x) = sum_{k>=1} x^k / k^n for n >= 1, x in [0, 1].
+    """Polylogarithm Li_n(x) = sum_{k>=1} x^k / k^n for integer orders
+    1 <= n <= 169 (the tables of higher orders overflow) and x in [0, 1].
 
     Direct summation in x itself below x = 1/2, so tiny x keeps full
     relative accuracy; from 1/2 on the expansion about x = 1 in powers of
     log x, which keeps full accuracy up to and including x = 1 (where the
     value is zeta(n)).  Li_1(1) diverges.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"order must be an integer >= 1, got {n!r}")
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= _MAX_POLYLOG_ORDER:
+        raise DomainError(f"order must be an integer in [1, {_MAX_POLYLOG_ORDER}], "
+                          f"got {n!r}")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"argument must lie in [0, 1], got {x!r}")
     if x < 0.5:

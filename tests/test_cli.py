@@ -294,6 +294,13 @@ def test_fit_weak_window_errors(capsys):
     capsys.readouterr()
 
 
+def test_fit_weak_refuses_a_degenerate_grid():
+    # gamma-min = gamma-max would fit five copies of one point
+    code, out, err = run_quiet(["fit-weak", "--gamma-min", "0.01", "--gamma-max", "0.01"])
+    assert (code, out) == (2, "")
+    assert err == "error: need gamma-min < gamma-max\n"
+
+
 # ----------------------------------------------------------------------
 # verify.
 # ----------------------------------------------------------------------
@@ -493,6 +500,10 @@ BAD_FLAGS = st.one_of(
     bad_count(1).map(lambda v: ["solve", *GRID[:4], f"--kappa-points={v}"]),
     bad_count(5).map(lambda v: ["fit-weak", f"--gamma-points={v}"]),
     bad_count(1).map(lambda v: ["verify", "--which", "residue", f"--workers={v}"]),
+    bad_count(love._MIN_NODES).map(lambda v: ["solve", "--kappa", "1", f"--nodes={v}"]),
+    bad_count(love._MIN_NODES).map(
+        lambda v: ["compare-asymptotics", "--kappa", "0.1", f"--nodes={v}"]),
+    bad_count(love._MIN_NODES).map(lambda v: ["fit-weak", f"--nodes={v}"]),
     text().filter(lambda v: v != "all" and v not in conjectures.SUITE).map(
         lambda v: ["verify", f"--which={v}"]),
     text().filter(lambda v: v not in ("csv", "json")).map(
@@ -511,6 +522,7 @@ BAD_CONFIG_LINES = st.one_of(
     bad_kappa(CONFIG_TEXT).map("kappa = {}".format),
     refused_by(int, CONFIG_TEXT).map("workers = {}".format),
     st.integers(max_value=0).map("workers = {}".format),
+    st.integers(max_value=love._MIN_NODES - 1).map("nodes = {}".format),
     CONFIG_TEXT.filter(lambda v: v.strip() not in ("csv", "json")).map("format = {}".format),
 )
 
@@ -518,6 +530,9 @@ BAD_CONFIG_LINES = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(argv=BAD_FLAGS)
 @example(argv=["verify", "--which", "residue", "--workers", "0"])
+@example(argv=["solve", "--kappa", "1", "--nodes", "8"])
+@example(argv=["compare-asymptotics", "--kappa", "0.1", "--nodes", "8"])
+@example(argv=["fit-weak", "--nodes", "3"])
 def test_malformed_flag_values_exit_2(argv):
     assert_usage_error(argv)
 
@@ -525,6 +540,7 @@ def test_malformed_flag_values_exit_2(argv):
 @settings(max_examples=40, deadline=None)
 @given(line=BAD_CONFIG_LINES)
 @example(line="workers = 0")
+@example(line="nodes = 8")
 def test_malformed_config_lines_exit_2(tmp_path_factory, line):
     config = tmp_path_factory.mktemp("config") / "run.cfg"
     config.write_text(line + "\n", encoding="utf-8")

@@ -593,6 +593,15 @@ def test_fit_window_guards():
         ll.weak_coupling_fit(bad)
 
 
+def test_fit_refuses_a_single_gamma():
+    # five copies of one point make a rank-1 design, whose minimum-norm
+    # least-squares answer is no fit
+    points = [ll.EnergyPoint(math.nan, 0.01, math.nan,
+                             ll.energy_series("takahashi", 0.01))] * 5
+    with pytest.raises(WindowError, match="two distinct gamma"):
+        ll.weak_coupling_fit(points)
+
+
 def test_fit_rejects_nan_gamma():
     points = [ll.EnergyPoint(math.nan, g, math.nan, g) for g in
               np.geomspace(2e-3, 4e-2, 6)]

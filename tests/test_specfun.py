@@ -501,6 +501,31 @@ def test_polylog_errors():
         ll.polylog(2, -0.1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ll.polylog(True, 0.5),                       # a bool is no order
+    lambda: ll.polylog(170, 0.9),                        # past the tables
+    lambda: ll.polylog(170, 0.3),
+    lambda: specfun._polylog_exp_neg([2, 200], np.array([0.1, 2.0])),
+    lambda: ll.energy_series("takahashi", math.nan),
+    lambda: ll.energy_series("takahashi", math.inf),
+    lambda: ll.phi_series(math.nan, "small"),
+    lambda: ll.psi_series(math.nan, "large"),
+    lambda: ll.phi_series(math.inf, "large"),
+], ids=["polylog-bool", "polylog-170-expansion", "polylog-170-direct",
+        "polylog-exp-neg-200", "energy-nan", "energy-inf", "phi-nan", "psi-nan",
+        "phi-inf"])
+def test_boundary_refuses_bad_inputs(call):
+    # refused with DomainError, not returned as NaN or raised as OverflowError
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_polylog_highest_order_holds():
+    # Li_169(x) = x (1 + x 2^-169 + ...) is x to double precision
+    for x in (0.0, 1e-300, 0.3, 0.5, 0.9, 1.0):
+        assert ll.polylog(169, x) == pytest.approx(x, rel=1e-15, abs=0.0)
+
+
 def test_polylog_exp_neg_vectorized_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     log2 = math.log(2.0)
