@@ -29,6 +29,8 @@ from .quadrature import _tanh_sinh
 from .specfun import _i1e, _i2e, _k1e, _ke_vec, elliptic_k_derivative, elliptic_ke
 
 __all__ = [
+    "ENERGY_GAMMA2",
+    "ENERGY_GAMMA2_RIVAL",
     "AsymptoticSeries",
     "SeriesTerm",
     "ThirdMomentBreakdown",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RegimeWarning
+from .errors import DomainError, RegimeWarning, _check_int
 from .quadrature import _composite, _log_edges
 from .specfun import _polylog_exp_neg, _w_upper_from_offset
 
@@ -184,8 +184,7 @@ def _orders(n, name: str, top: int) -> list[int]:
     if not orders:
         raise DomainError(f"need at least one {name}")
     for m in orders:
-        if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= top:
-            raise DomainError(f"{name} must be an integer in [1, {top}], got {m!r}")
+        _check_int(m, name, top)
     return orders
 
 

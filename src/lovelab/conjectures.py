@@ -21,7 +21,7 @@ import numpy as np
 
 from .asymptotics import GAMMA0, GAMMA1, GAMMA2_TILDE, INTEGRAL4, _outer_subtracted
 from .capacitor2d import _orders, _phi, _phi_prime_of_w, phi_prime_polylog_integral
-from .errors import DomainError
+from .errors import DomainError, _check_int
 from .quadrature import _composite, _log_edges, _tanh_sinh
 from .specfun import _dk_vec, _w_upper_from_offset
 
@@ -35,8 +35,6 @@ __all__ = [
     "verify_gamma1",
     "verify_gamma2",
     "verify_integral4",
-    "MIN_DIGITS",
-    "SUITE",
     "run_all",
 ]
 
@@ -88,8 +86,7 @@ def tn_first(n: int) -> Fraction:
     Each application consumes one element, so the seed 1..n+1 is the
     shortest that determines the answer.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 7:
-        raise DomainError(f"n must be an integer in [1, 7], got {n!r}")
+    _check_int(n, "n", 7)
     seq: list[Fraction] = [Fraction(i) for i in range(1, n + 2)]
     for _ in range(n):
         seq = t_transform(seq)

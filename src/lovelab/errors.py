@@ -2,6 +2,19 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "LoveLabError",
+    "DomainError",
+    "PoleError",
+    "BranchError",
+    "DivergenceError",
+    "ConvergenceError",
+    "ResolutionError",
+    "WindowError",
+    "ConditioningError",
+    "RegimeWarning",
+]
+
 
 class LoveLabError(Exception):
     """Base class for all lovelab errors."""
@@ -50,3 +63,9 @@ class ConditioningError(LoveLabError):
 
 class RegimeWarning(UserWarning):
     """A series was evaluated outside its documented accuracy regime."""
+
+
+def _check_int(value, name: str, high: int) -> None:
+    """Refuse anything but an int in [1, high]; a bool is not an int here."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= high:
+        raise DomainError(f"{name} must be an integer in [1, {high}], got {value!r}")

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResolutionError, WindowError
-from .quadrature import gauss_legendre
+from .quadrature import _lstsq, gauss_legendre
 
 __all__ = [
     "LoveProblem",
@@ -412,8 +412,9 @@ def weak_coupling_fit(points: list[EnergyPoint]) -> tuple[float, float]:
 
     The reduced quantity r(gamma) = (e - gamma + (4/(3 pi)) gamma^{3/2}) /
     gamma^2 is fitted with c2 + c3 sqrt(gamma); returns (c2, rms residual).
-    Demands at least five points with gamma inside [1e-3, 5e-2], and at
-    least two distinct gammas among them.
+    Demands at least five points with gamma inside [1e-3, 5e-2], at least
+    two distinct gammas among them, and finite energies; a grid too narrow
+    to tell c2 from c3 raises ConditioningError.
     """
     if len(points) < 5:
         raise WindowError(f"need at least 5 points, got {len(points)}")
@@ -426,8 +427,8 @@ def weak_coupling_fit(points: list[EnergyPoint]) -> tuple[float, float]:
             f"[{g.min():.3g}, {g.max():.3g}]")
     if len(np.unique(g)) < 2:
         raise WindowError("need at least two distinct gamma values")
+    if not np.isfinite(e).all():
+        raise DomainError("every energy must be finite")
     r = (e - g + 4.0 / (3.0 * _PI) * g ** 1.5) / g ** 2
-    design = np.column_stack([np.ones_like(g), np.sqrt(g)])
-    coef, *_ = np.linalg.lstsq(design, r, rcond=None)
-    rms = float(np.sqrt(np.mean((r - design @ coef) ** 2)))
+    coef, rms = _lstsq(np.column_stack([np.ones_like(g), np.sqrt(g)]), r)
     return float(coef[0]), rms

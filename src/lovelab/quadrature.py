@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConditioningError, ConvergenceError, DomainError
+from .errors import ConditioningError, ConvergenceError, DomainError, _check_int
 
 __all__ = [
     "QuadratureRule",
@@ -108,8 +108,7 @@ def gauss_legendre(n: int) -> QuadratureRule:
 
     Each rule is built once per n and cached.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 10000:
-        raise DomainError(f"rule size must be an integer in [1, 10000], got {n!r}")
+    _check_int(n, "rule size", 10000)
     return _build_rule(n)
 
 
@@ -297,8 +296,22 @@ def _composite(f: Callable[[np.ndarray], np.ndarray],
 
 
 # ----------------------------------------------------------------------
-# Log-tail fitting.
+# Least squares: log-tail fitting, and the gate every fit here shares.
 # ----------------------------------------------------------------------
+
+def _lstsq(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients of y on the columns of design, and the rms
+    residual.  A design of deficient rank, or whose singular values span
+    more than 13 decades, raises ConditioningError: its coefficients are
+    not determined by the data."""
+    coef, _, rank, sv = np.linalg.lstsq(design, y, rcond=None)
+    with np.errstate(all="ignore"):             # a zero singular value
+        ratio = sv[0] / sv[-1]
+    if rank < design.shape[1] or ratio > 1e13:
+        raise ConditioningError(f"design matrix ill-conditioned (rank {rank} of "
+                                f"{design.shape[1]}, sv ratio {ratio:.2e})")
+    return coef, float(np.sqrt(np.mean((y - design @ coef) ** 2)))
+
 
 def fit_log_tail(samples: Iterable[tuple[float, float]],
                  with_log2: bool = False) -> LogTailFit:
@@ -320,13 +333,7 @@ def fit_log_tail(samples: Iterable[tuple[float, float]],
     ys = np.array([p[1] for p in pts])
     lx = np.log(xs)
     cols = [lx * lx, lx, np.ones_like(lx)] if with_log2 else [lx, np.ones_like(lx)]
-    design = np.column_stack(cols)
-    coef, _, rank, sv = np.linalg.lstsq(design, ys, rcond=None)
-    if rank < design.shape[1] or sv[0] / sv[-1] > 1e13:
-        raise ConditioningError(
-            f"design matrix ill-conditioned (sv ratio {sv[0] / sv[-1]:.2e})")
-    fitted = design @ coef
-    residual = float(np.sqrt(np.mean((ys - fitted) ** 2)))
+    coef, residual = _lstsq(np.column_stack(cols), ys)
     if with_log2:
         c2, c1, c0 = (float(c) for c in coef)
     else:

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (BranchError, ConvergenceError, DivergenceError, DomainError,
-                     PoleError)
+                     PoleError, _check_int)
 
 __all__ = [
     "EllipticPair",
@@ -108,12 +108,16 @@ _DK_SWITCH = 0.2
 _DK_SERIES = tuple(2 * n * (math.comb(2 * n, n) / 4.0 ** n) ** 2 for n in range(1, 13))
 
 
+def _horner(coefficients, x):
+    """sum_k coefficients[k] x^k, elementwise, by Horner's rule."""
+    acc = np.zeros_like(x)
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
+
+
 def _dk_small(r: np.ndarray) -> np.ndarray:
-    r2 = r * r
-    acc = np.zeros_like(r)
-    for c in reversed(_DK_SERIES):
-        acc = acc * r2 + c
-    return (_PI / 2.0) * r * acc
+    return (_PI / 2.0) * r * _horner(_DK_SERIES, r * r)
 
 
 def elliptic_k_derivative(r: float) -> float:
@@ -196,13 +200,6 @@ _MU = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0,
 _P_SERIES = 0.025
 
 
-def _w_branch_series(p):
-    acc = np.zeros_like(p)
-    for c in reversed(_MU):
-        acc = acc * p + c
-    return acc
-
-
 # e as the two-double math.e + _E_LO, and math.e split into 26-bit halves
 # (Veltkamp), so that _e_x_plus_one forms e x + 1 without rounding in the
 # cancellation near the branch point (math.fma needs Python 3.13).
@@ -250,7 +247,7 @@ def lambert_w(x: float) -> float:
         return -1.0
     p = math.sqrt(2.0 * ex1)
     if p < _P_SERIES:
-        return float(_w_branch_series(np.float64(p)))
+        return float(_horner(_MU, np.float64(p)))
     from scipy.special import lambertw
     return float(lambertw(x).real)
 
@@ -278,7 +275,7 @@ def _w_upper_from_offset(d) -> np.ndarray:
     flat = d.ravel()
     W = np.empty(flat.shape, dtype=complex)
     near = flat < 0.5                    # seeds: the series, else the asymptote
-    W[near] = _w_branch_series(1j * np.sqrt(2.0 * np.expm1(flat[near])))
+    W[near] = _horner(_MU, 1j * np.sqrt(2.0 * np.expm1(flat[near])))
     t = flat[~near] - 1.0 + 1j * _PI
     lt = np.log(t)
     W[~near] = t - lt + lt / t
@@ -452,9 +449,7 @@ def polylog(n: int, x: float) -> float:
     log x, which keeps full accuracy up to and including x = 1 (where the
     value is zeta(n)).  Li_1(1) diverges.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= _MAX_POLYLOG_ORDER:
-        raise DomainError(f"order must be an integer in [1, {_MAX_POLYLOG_ORDER}], "
-                          f"got {n!r}")
+    _check_int(n, "order", _MAX_POLYLOG_ORDER)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"argument must lie in [0, 1], got {x!r}")
     if x < 0.5:

@@ -196,10 +196,10 @@ def test_phi_prime_polylog_integral_values():
 
 
 def test_phi_prime_polylog_integral_guards():
-    with pytest.raises(DomainError):
-        ll.phi_prime_polylog_integral(0)
-    with pytest.raises(DomainError):
-        ll.phi_prime_polylog_integral(8)
+    for bad in (0, 8, True):
+        with pytest.raises(DomainError) as info:
+            ll.phi_prime_polylog_integral(bad)
+        assert str(info.value) == f"order must be an integer in [1, 7], got {bad!r}"
 
 
 def test_phi_prime_polylog_integral_sequence_matches_per_order():

@@ -301,6 +301,17 @@ def test_fit_weak_refuses_a_degenerate_grid():
     assert err == "error: need gamma-min < gamma-max\n"
 
 
+@pytest.mark.parametrize("source", [[], ["--synthetic", "takahashi"]],
+                         ids=["solver", "synthetic"])
+def test_fit_weak_refuses_an_ill_conditioned_grid(source):
+    # nine distinct gammas within one ulp cannot separate c2 from c3
+    code, out, err = run_quiet(["fit-weak", "--gamma-min", "0.01",
+                                "--gamma-max", "0.01000000000000001", *source])
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: design matrix ill-conditioned \(rank 1 of 2, "
+                        r"sv ratio [0-9.]+e\+16\)\n", err)
+
+
 # ----------------------------------------------------------------------
 # verify.
 # ----------------------------------------------------------------------

@@ -55,8 +55,9 @@ def test_tn_first_values():
 
 def test_tn_first_guards():
     for bad in (0, 8, True):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as info:
             ll.tn_first(bad)
+        assert str(info.value) == f"n must be an integer in [1, 7], got {bad!r}"
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import lovelab as ll
 from lovelab import love
-from lovelab.errors import DomainError, ResolutionError, WindowError
+from lovelab.errors import ConditioningError, DomainError, ResolutionError, WindowError
 
 PI = math.pi
 
@@ -599,6 +599,25 @@ def test_fit_refuses_a_single_gamma():
     points = [ll.EnergyPoint(math.nan, 0.01, math.nan,
                              ll.energy_series("takahashi", 0.01))] * 5
     with pytest.raises(WindowError, match="two distinct gamma"):
+        ll.weak_coupling_fit(points)
+
+
+def test_fit_refuses_a_grid_too_narrow_to_tell_c2_from_c3():
+    # nine distinct gammas within one ulp: the design has rank 1 (singular
+    # values 3.5e16 apart), and the fit used to print c2 = 0.0647
+    points = [ll.EnergyPoint(math.nan, g, math.nan, ll.energy_series("takahashi", g))
+              for g in np.geomspace(0.01, 0.01000000000000001, 9)]
+    assert len({p.gamma for p in points}) > 1
+    with pytest.raises(ConditioningError, match="rank 1 of 2"):
+        ll.weak_coupling_fit(points)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_refuses_a_non_finite_energy(bad):
+    points = [ll.EnergyPoint(math.nan, g, math.nan, ll.energy_series("takahashi", g))
+              for g in np.geomspace(2e-3, 5e-2, 9)]
+    points[4] = dataclasses.replace(points[4], energy=bad)
+    with pytest.raises(DomainError, match="every energy must be finite"):
         ll.weak_coupling_fit(points)
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import lovelab as ll
-from lovelab.errors import ConvergenceError, DomainError
+from lovelab import quadrature
+from lovelab.errors import ConditioningError, ConvergenceError, DomainError
 from lovelab.quadrature import (_TOL, _TS_FIRST_CALL, _TS_MAX_LEVEL, _TS_TMAX, _composite,
                                 _panel_sum, _tanh_sinh, _ts_unit_level)
 
@@ -73,8 +74,9 @@ def test_doubling_never_hurts_on_smooth_integrand():
 
 def test_rule_size_guards():
     for bad in (0, -3, 10001, True):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as info:
             ll.gauss_legendre(bad)
+        assert str(info.value) == f"rule size must be an integer in [1, 10000], got {bad!r}"
 
 
 # ----------------------------------------------------------------------
@@ -335,3 +337,14 @@ def test_fit_precondition_guards():
         ll.fit_log_tail([(10.0, 1.0), (100.0, 2.0), (1000.0, 3.0)])
     with pytest.raises(DomainError):
         ll.fit_log_tail([(x, 1.0) for x in (10.0, 20.0, 40.0, 80.0)])
+
+
+def test_fit_refuses_a_rank_deficient_design():
+    # two decades, but only two distinct X: three columns of rank 2
+    samples = [(1.0, 0.0), (1.0, 0.0), (100.0, 1.0), (100.0, 1.0)]
+    with pytest.raises(ConditioningError, match=r"rank 2 of 3"):
+        ll.fit_log_tail(samples, with_log2=True)
+    # a zero singular value makes the ratio inf, with no divide warning
+    design = np.column_stack([np.ones(4), np.zeros(4)])
+    with pytest.raises(ConditioningError, match=r"rank 1 of 2, sv ratio inf"):
+        quadrature._lstsq(design, np.arange(4.0))

@@ -493,8 +493,10 @@ def test_polylog_derivative_ladder():
 def test_polylog_errors():
     with pytest.raises(DivergenceError):
         ll.polylog(1, 1.0)
-    with pytest.raises(DomainError):
-        ll.polylog(0, 0.5)
+    for bad in (0, 170, True):
+        with pytest.raises(DomainError) as info:
+            ll.polylog(bad, 0.5)
+        assert str(info.value) == f"order must be an integer in [1, 169], got {bad!r}"
     with pytest.raises(DomainError):
         ll.polylog(2, 1.5)
     with pytest.raises(DomainError):
