@@ -177,25 +177,27 @@ class AsymptoticSeries:
         p, q = min(self._terms, key=lambda k: (k[0], -k[1]))
         return p, q, self._terms[(p, q)]
 
-    def _relative_rest(self, p0: Fraction, c0: float) -> "AsymptoticSeries":
-        rest = AsymptoticSeries()
+    def _compose(self, p0: Fraction, c0: float, start: "AsymptoticSeries",
+                 coefficient: Callable[[int], float]) -> "AsymptoticSeries":
+        """start + sum_{k>=1} coefficient(k) r^k, where r = self / (c0 t^p0) - 1
+        for the leading term c0 t^p0; the sum stops where r^k drops out."""
+        r = AsymptoticSeries()
         for (p, q), c in self._terms.items():
             if (p, q) != (p0, 0):
-                rest._add_term(p - p0, q, c / c0)
-        return rest
+                r._add_term(p - p0, q, c / c0)
+        out, power = start, AsymptoticSeries([(0, 0, 1.0)])
+        for k in range(1, 80):
+            power = power * r
+            if not power._terms:
+                break
+            out = out + power * coefficient(k)
+        return out
 
     def reciprocal(self) -> "AsymptoticSeries":
         p0, q0, c0 = self._leading()
         if q0 != 0:
             raise DomainError("reciprocal needs a log-free leading term")
-        rest = self._relative_rest(p0, c0)
-        geom = AsymptoticSeries([(0, 0, 1.0)])
-        term = AsymptoticSeries([(0, 0, 1.0)])
-        for _ in range(80):
-            term = term * rest * (-1.0)
-            if not term._terms:
-                break
-            geom = geom + term
+        geom = self._compose(p0, c0, AsymptoticSeries([(0, 0, 1.0)]), lambda k: (-1) ** k)
         return AsymptoticSeries((p - p0, q, c / c0) for (p, q), c in geom._terms.items())
 
     def log(self) -> "AsymptoticSeries":
@@ -203,17 +205,8 @@ class AsymptoticSeries:
         p0, q0, c0 = self._leading()
         if q0 != 0 or c0 <= 0.0:
             raise DomainError("log needs a positive log-free leading term")
-        rest = self._relative_rest(p0, c0)
-        out = AsymptoticSeries([(0, 0, math.log(c0)), (0, 1, -float(p0))])
-        term = AsymptoticSeries([(0, 0, 1.0)])
-        sign = -1.0
-        for k in range(1, 80):
-            term = term * rest
-            if not term._terms:
-                break
-            sign = -sign
-            out = out + term * (sign / k)
-        return out
+        start = AsymptoticSeries([(0, 0, math.log(c0)), (0, 1, -float(p0))])
+        return self._compose(p0, c0, start, lambda k: (-1) ** (k + 1) / k)
 
 
 # ----------------------------------------------------------------------
@@ -363,8 +356,8 @@ def green_traces(r: float, r1: float, epsilon: float) -> tuple[float, float]:
         raise DomainError("radii must be positive")
     if r == r1:
         raise DomainError("the traces have a logarithmic singularity at r = r1")
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0.0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
     rlt, rgt = min(r, r1), max(r, r1)
 
     def terms(n: np.ndarray) -> np.ndarray:
@@ -416,10 +409,10 @@ def kernel_k(part: str, r: float, epsilon: float = math.nan) -> float:
           k1's elliptic part by parts; log-divergent at r = 1)
     "full": k1 + k2
     """
-    if not r >= 1.0:
-        raise DomainError(f"kernels are defined for r >= 1, got {r!r}")
-    if part in ("k1", "k2", "full") and not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+    if not 1.0 <= r < math.inf:
+        raise DomainError(f"kernels are defined for finite r >= 1, got {r!r}")
+    if part in ("k1", "k2", "full") and not 0.0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
     if part == "k1":
         return _k1_part(r, epsilon)
     if part == "k3":
@@ -451,6 +444,8 @@ def default_delta(epsilon: float) -> float:
     """Intermediate matching scale: sqrt(0.2 eps), the geometric midpoint
     (in log scale) of the admissible window, floored at 5 eps so the window
     constraint eps/delta <= 0.2 also holds for eps near its upper end."""
+    if not 0.0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
     return max(math.sqrt(0.2 * epsilon), 5.0 * epsilon)
 
 

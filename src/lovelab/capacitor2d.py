@@ -83,8 +83,8 @@ def phi_psi(x: float) -> EdgePotentialSample:
     Psi(0, 0) = 0); the derivative has an inverse-square-root singularity
     there and is reported as -inf.
     """
-    if not x >= 0.0:
-        raise DomainError(f"the modeled half-line is x >= 0, got {x!r}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"the modeled half-line is finite x >= 0, got {x!r}")
     W = _w([x])
     phi, psi, dphi = (float(a[0]) for a in (_phi_of_w(W), -np.log(np.abs(W)) / _PI,
                                             _phi_prime_of_w(W)))
@@ -156,15 +156,15 @@ def cumulative_phi(X: float) -> float:
     over geometrically spaced Gauss panels, so X up to ~1e15 costs only a
     few thousand evaluations.  Grows like (log X)/pi plus a constant.
     """
-    if not X >= 1.0:
-        raise DomainError(f"need X >= 1, got {X!r}")
+    if not 1.0 <= X < math.inf:
+        raise DomainError(f"need finite X >= 1, got {X!r}")
     return _composite(_phi, [0.0, *_log_edges(1.0, X)])
 
 
 def cumulative_phi_log(X: float) -> float:
     """int_0^X Phi(t, 0) log t dt for X >= 1; grows like (log X)^2 / (2 pi)."""
-    if not X >= 1.0:
-        raise DomainError(f"need X >= 1, got {X!r}")
+    if not 1.0 <= X < math.inf:
+        raise DomainError(f"need finite X >= 1, got {X!r}")
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return _phi(t) * np.log(t)

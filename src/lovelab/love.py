@@ -21,7 +21,8 @@ these weights; the system matrix, the defect check, the interpolant and
 the discrete operator norm all use it.  A solve makes one _rows call, on
 its nodes followed by its defect-check midpoints, and slices the system
 rows and the check rows from it; _rows lays its far field out with the
-targets innermost, so its elementwise loops run along the targets.  A
+targets innermost, so its elementwise loops run along the targets, and
+builds its mid and near fields with one BLAS product each.  A
 dense solve of (I - W) f = v0 is refined once with the residual of the
 subtracted form
     leak_i f_i + sum_j W_ij (f_i - f_j) = v0,
@@ -205,8 +206,7 @@ def _cauchy_moments(z: np.ndarray, order: int) -> np.ndarray:
     return _recurrence(q0, 2.0 + z * q0, z, order)
 
 
-def _rows(kappa: float, edges: np.ndarray, order: int,
-          d: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
+def _rows(kappa: float, edges: np.ndarray, order: int, d: np.ndarray) -> np.ndarray:
     """Product-integration weights W, (targets, nodes), at targets x = 1 - d.
 
     W @ f is int_0^1 [k(x - y) + k(x + y)] p(y) dy for the panel
@@ -216,16 +216,10 @@ def _rows(kappa: float, edges: np.ndarray, order: int,
     of z: plain Gauss for rho > 4, the 64-point rule on the interpolant for
     1.5 < rho <= 4, and Legendre moments for rho <= 1.5.
 
-    d is one array of targets, or a tuple of arrays whose rows are stacked
-    in that order: a solve passes its nodes and its defect-check midpoints
-    in one call.  The far field is built in a (2, panels, order, targets)
-    layout, so each elementwise loop runs along the targets.  Each block's
-    mid and near contractions are products of their own, so its rows carry
-    the bits of a call on that block alone (a BLAS product's bits depend on
-    its row count).
+    The far field is built in a (2, panels, order, targets) layout, so each
+    elementwise loop runs along the targets; the mid and the near field are
+    each one masked gather and one BLAS product.
     """
-    blocks = d if isinstance(d, tuple) else (d,)
-    d = np.concatenate(blocks)
     rule, fine = gauss_legendre(order), gauss_legendre(_FINE_ORDER)
     to_nodes, to_fine, _ = _tables(order)
     c, h = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
@@ -246,24 +240,17 @@ def _rows(kappa: float, edges: np.ndarray, order: int,
         mid = x2 / (_FAR * _FAR) + (y2 / (_FAR * _FAR - 1.0))[:, None] <= 1.0
         near = x2 / (_NEAR * _NEAR) + (y2 / (_NEAR * _NEAR - 1.0))[:, None] <= 1.0
     mid &= ~near
-    if mid.any() or near.any():
-        y = np.broadcast_to(y[:, None], x.shape)
-        pairs = w.transpose(0, 1, 3, 2)      # (2, panels, targets, order) view of w
-        start = 0
-        for block in blocks:
-            span = slice(start, start + len(block))
-            start = span.stop
-            xb, yb, wb = x[..., span], y[..., span], pairs[..., span, :]
-            mb, nb = mid[..., span], near[..., span]
-            if mb.any():
-                ym = yb[mb][:, None]
-                fw = fine.nodes - xb[mb][:, None]
-                fw *= fw
-                fw += ym * ym
-                np.divide((fine.weights / _PI) * ym, fw, out=fw)
-                wb[mb] = fw @ to_fine
-            if nb.any():
-                wb[nb] = _cauchy_moments(xb[nb] + 1j * yb[nb], order).imag @ to_nodes / _PI
+    y = np.broadcast_to(y[:, None], x.shape)
+    pairs = w.transpose(0, 1, 3, 2)      # (2, panels, targets, order) view of w
+    if mid.any():
+        ym = y[mid][:, None]
+        fw = fine.nodes - x[mid][:, None]
+        fw *= fw
+        fw += ym * ym
+        np.divide((fine.weights / _PI) * ym, fw, out=fw)
+        pairs[mid] = fw @ to_fine
+    if near.any():
+        pairs[near] = _cauchy_moments(x[near] + 1j * y[near], order).imag @ to_nodes / _PI
     w = np.add(w[0], w[1], out=w[0]).reshape(-1, len(d))
     return np.ascontiguousarray(w.T)
 
@@ -309,18 +296,18 @@ def solve_love(problem: LoveProblem, n: int | None = None,
     in the subtracted form, solve the subtracted system to rounding
     (further steps move m0 and e by at most 6e-16).  The returned residual is the largest
     integral-equation defect of the panel interpolant at the midpoints
-    between adjacent nodes; it must not exceed 1e-8 v0.  One _rows call
-    gives the rows at the nodes and, with check_residual, at the
-    midpoints; without the check the residual is NaN and no midpoint row
-    is built.  The solution is returned on all of [-1, 1], mirrored.
+    between adjacent nodes; it must not exceed 1e-8 v0.  One _rows call,
+    on the nodes followed by the midpoints, gives the system rows and the
+    check rows; without check_residual it is on the nodes alone, and the
+    residual is NaN.  The solution is returned on all of [-1, 1], mirrored.
     """
     kappa, v0 = problem.kappa, problem.v0
     edges, order = _mesh(kappa, n)
     d, weights = _nodes(edges, order)
     m = len(d)
-    targets = (d, _midpoints(d, order)) if check_residual else (d,)
+    targets = np.concatenate([d, _midpoints(d, order)]) if check_residual else d
     rows = _rows(kappa, edges, order, targets)
-    leak = _leak(kappa, np.concatenate(targets))
+    leak = _leak(kappa, targets)
     w = rows[:m]
     system = -w
     system.flat[::m + 1] += 1.0
@@ -361,8 +348,8 @@ def operator_norm_discrete(kappa: float, n: int | None = None) -> float:
     spectral norm of the symmetrized matrix converges to the strictly
     smaller L^2 norm (e.g. 0.4536 vs 0.5 at kappa = 1).
     """
-    if not kappa > 0.0:
-        raise DomainError(f"kappa must be positive, got {kappa!r}")
+    if not 0.0 < kappa < math.inf:
+        raise DomainError(f"kappa must be positive and finite, got {kappa!r}")
     edges, order = _mesh(kappa, n)
     d, _ = _nodes(edges, order)
     return float(np.max(_rows(kappa, edges, order, np.append(d, 1.0)).sum(axis=1)))

@@ -325,12 +325,13 @@ def fit_log_tail(samples: Iterable[tuple[float, float]],
     pts = [(float(x), float(v)) for x, v in samples]
     if len(pts) < 4:
         raise DomainError(f"need at least 4 samples, got {len(pts)}")
-    xs = np.array([p[0] for p in pts])
+    xs, ys = np.array(pts).T
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise DomainError("samples must be finite")
     if np.any(xs <= 0.0):
         raise DomainError("sample abscissae must be positive")
     if np.max(xs) / np.min(xs) < 99.0:
         raise DomainError("samples must span at least two decades in X")
-    ys = np.array([p[1] for p in pts])
     lx = np.log(xs)
     cols = [lx * lx, lx, np.ones_like(lx)] if with_log2 else [lx, np.ones_like(lx)]
     coef, residual = _lstsq(np.column_stack(cols), ys)

@@ -109,7 +109,8 @@ _DK_SERIES = tuple(2 * n * (math.comb(2 * n, n) / 4.0 ** n) ** 2 for n in range(
 
 
 def _horner(coefficients, x):
-    """sum_k coefficients[k] x^k, elementwise, by Horner's rule."""
+    """sum_k coefficients[k] x^k, elementwise, by Horner's rule.  A (terms,
+    rows, 1) table of coefficients gives one row per table column."""
     acc = np.zeros_like(x)
     for c in reversed(coefficients):
         acc = acc * x + c
@@ -217,8 +218,9 @@ _E_HI, _E_HI_LO = _split(math.e)
 
 
 def _e_x_plus_one(x: float) -> float:
-    """e x + 1 for -1/e <= x < 0, to a few units of its own last place:
-    Dekker's error-free product math.e * x, then the e - math.e term."""
+    """e x + 1 for x < 0, to a few units of its own last place: Dekker's
+    error-free product math.e * x, then the e - math.e term.  Both W
+    branches form e x + 1 here; the split needs |x| < 1e300."""
     prod = math.e * x
     hi, lo = _split(x)
     err = ((_E_HI * hi - prod) + _E_HI * lo + _E_HI_LO * hi) + _E_HI_LO * lo
@@ -315,14 +317,14 @@ def lambert_w_upper_cut(x: float) -> complex:
     form w + log w = log(-x) + i pi, which also serves arguments far beyond
     double-precision exponent range of -x on the linear scale.
     """
-    if math.isnan(x):
-        raise DomainError("lambert_w_upper_cut needs a real argument, got nan")
+    if not math.isfinite(x):
+        raise DomainError(f"lambert_w_upper_cut needs a finite real argument, got {x!r}")
     if x >= -_INV_E:
         raise BranchError(
             f"{x!r} is not on the branch cut (needs x < -1/e); "
             "use lambert_w for the real principal branch")
     if -x < 1e300:
-        d = math.log1p(-math.e * x - 1.0)   # log(-x) + 1, accurate near cut
+        d = math.log1p(-_e_x_plus_one(x))   # log(-x) + 1, accurate near cut
     else:
         d = math.log(-x) + 1.0
     return complex(_w_upper_from_offset(max(d, 0.0))[0])
@@ -375,11 +377,8 @@ def _polylog_direct(orders: list[int], x: np.ndarray) -> np.ndarray:
     if logs:
         out[logs] = -np.log1p(-x)
     if series:
-        coefficients = np.array([_direct_coefficients(orders[i]) for i in series]).T
-        acc = np.zeros((len(series), len(x)))
-        for c in coefficients:
-            acc = (acc + c[:, None]) * x
-        out[series] = acc
+        table = np.array([_direct_coefficients(orders[i]) for i in series]).T
+        out[series] = x * _horner(table[::-1, :, None], x)
     return out
 
 
@@ -424,12 +423,10 @@ def _polylog_exp_neg(n: int | Sequence[int], t):
         expand = ~direct & (flat > 0.0)
         if np.any(expand):
             width = max(len(c) for _, c in tables)
-            coefficients = np.array([(0.0,) * (width - len(c)) + c for _, c in tables]).T
+            table = np.array([(0.0,) * (width - len(c)) + c for _, c in tables]).T
             te = flat[expand]
             mu = -te
-            acc = np.zeros((len(series), len(te)))
-            for c in coefficients:
-                acc = acc * mu + c[:, None]
+            acc = _horner(table[::-1, :, None], mu)
             log_te = np.log(te)
             for i, row in zip(series, acc):
                 m = orders[i]

@@ -289,19 +289,14 @@ def test_interpolate_matches_brute_force_rows():
 @pytest.mark.parametrize("kappa", [1e-3, 0.05, 1.0, 100.0])
 def test_one_rows_call_serves_the_system_and_the_defect_check(kappa, order):
     # a solve's one rows call over its nodes and its midpoints gives each
-    # block the rows of a call on that block alone: bit for bit when the
-    # blocks are passed as a tuple (each block's BLAS products are its own),
-    # and to rounding when they are passed as one array
+    # block the rows of a call on that block alone, to rounding
     edges = love._edges(kappa)
     d, _ = love._nodes(edges, order)
     mid = love._midpoints(d, order)
     alone = (love._rows(kappa, edges, order, d), love._rows(kappa, edges, order, mid))
-    fused = love._rows(kappa, edges, order, (d, mid))
     joined = love._rows(kappa, edges, order, np.concatenate([d, mid]))
-    for rows in (fused, joined):
-        assert rows.shape == (len(d) + len(mid), len(d)) and rows.flags.c_contiguous
+    assert joined.shape == (len(d) + len(mid), len(d)) and joined.flags.c_contiguous
     for block, rows in zip((slice(0, len(d)), slice(len(d), None)), alone):
-        np.testing.assert_array_equal(fused[block], rows)
         scale = np.max(np.abs(rows), axis=1, keepdims=True)
         assert np.all(np.abs(joined[block] - rows) <= 1e-15 * scale)
 
@@ -310,7 +305,7 @@ def test_solve_without_the_check_builds_no_midpoint_rows(monkeypatch):
     targets, rows_of = [], love._rows
 
     def rows(kappa, edges, order, d):
-        targets.append(sum(map(len, d)) if isinstance(d, tuple) else len(d))
+        targets.append(len(d))
         return rows_of(kappa, edges, order, d)
 
     monkeypatch.setattr(love, "_rows", rows)
@@ -319,6 +314,38 @@ def test_solve_without_the_check_builds_no_midpoint_rows(monkeypatch):
     assert targets == [nodes] and math.isnan(sol.residual)
     ll.solve_love(ll.LoveProblem(kappa=0.05))
     assert targets[1] == nodes + nodes // 16 * 15
+
+
+# central-difference weights of the 8th-order first derivative, steps 1..4
+_D8 = (4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0)
+
+
+@pytest.mark.parametrize("kappa", np.geomspace(1.2e-3, 3000.0, 9))
+def test_edge_sum_rule(kappa):
+    """m0(kappa) - kappa m0'(kappa) = 2 f(1)^2 / v0, an exact identity.
+
+    On [-B, B], let f_B solve f - K_B f = v0 with the even kernel k and
+    M(B) = int_{-B}^{B} f_B.  Differentiating the equation in B gives
+    (I - K_B) df/dB = f(B) [k(x - B) + k(x + B)], by the evenness of f.
+    As K_B is symmetric and (I - K_B)^{-1} v0 = f,
+        int df/dB = (f(B) / v0) int f(y) [k(y - B) + k(y + B)] dy
+                  = (2 f(B) / v0) (K_B f)(B) = (2 f(B) / v0) (f(B) - v0),
+    the last step by the equation at x = B.  So dM/dB = 2 f(B) + int
+    df/dB = 2 f(B)^2 / v0.  Scaling x = B s gives M(B) = B m0(kappa / B),
+    so dM/dB at B = 1 is m0 - kappa m0'.  Here m0' is the 8th-order
+    central difference with h = 1e-2 kappa, and f(1) the interpolant's.
+    """
+    h = 1e-2 * kappa
+
+    def m0(k):
+        return ll.moments(ll.solve_love(ll.LoveProblem(kappa=k), check_residual=False))[0]
+
+    dm0 = sum(c * (m0(kappa + j * h) - m0(kappa - j * h))
+              for j, c in enumerate(_D8, start=1)) / h
+    sol = ll.solve_love(ll.LoveProblem(kappa=kappa))
+    edge = float(sol.interpolate(1.0)[0])
+    lhs = ll.moments(sol)[0] - kappa * dm0
+    assert lhs == pytest.approx(2.0 * edge * edge / sol.problem.v0, rel=2e-13, abs=0.0)
 
 
 def test_interpolate_refuses_nan(gas_solution_k1):
@@ -367,7 +394,7 @@ def test_residual_gate_flags_perturbed_solution(kappa):
     # the midpoint rows and leak as the solve takes them, from its one
     # rows call over the nodes and the midpoints
     mid = love._midpoints(d, order)
-    w = love._rows(kappa, edges, order, (d, mid))[len(d):]
+    w = love._rows(kappa, edges, order, np.concatenate([d, mid]))[len(d):]
     leak = love._leak(kappa, mid)
     assert love._defect(problem.v0, order, w, leak, f) <= tol
     # f raised by 1e-7 everywhere, by 1e-6 on the panel next to x = 0, and

@@ -341,6 +341,19 @@ def test_upper_cut_offset_form_against_mpmath():
             assert abs(mpmath.mpc(w) - ref) <= 3e-14 * abs(ref), d
 
 
+def test_upper_cut_just_below_the_branch_point_against_mpmath():
+    # x = -1/e - delta: e x + 1 cancels to -e delta, so it must be formed
+    # without rounding; a plain math.e * x + 1 loses 5e-9 at delta = 1e-16
+    mpmath = pytest.importorskip("mpmath")
+    below = np.nextafter(-specfun._INV_E, -1.0)
+    with mpmath.workdps(40):
+        for delta in np.geomspace(1e-17, 1e-2, 191):
+            x = float(min(-specfun._INV_E - delta, below))
+            ref = mpmath.lambertw(mpmath.mpc(x, mpmath.mpf(10) ** -60))
+            w = ll.lambert_w_upper_cut(x)
+            assert abs(mpmath.mpc(w) - ref) <= 3e-14 * abs(ref), x
+
+
 def test_upper_cut_offset_form_is_batch_independent():
     # a value must not depend on which abscissae share the call: the same
     # bits one at a time, in one batch, and in a reversed batch
@@ -513,11 +526,25 @@ def test_polylog_errors():
     lambda: ll.phi_series(math.nan, "small"),
     lambda: ll.psi_series(math.nan, "large"),
     lambda: ll.phi_series(math.inf, "large"),
+    lambda: ll.phi_psi(math.inf),
+    lambda: ll.lambert_w_upper_cut(-math.inf),
+    lambda: ll.green_traces(1.0, 2.0, math.inf),
+    lambda: ll.operator_norm_discrete(math.inf),
+    lambda: ll.kernel_k("k3", math.inf),
+    lambda: ll.cumulative_phi(math.inf),
+    lambda: ll.cumulative_phi_log(math.inf),
+    lambda: ll.fit_log_tail([(10.0, 1.0), (100.0, math.nan), (1e3, 3.0), (1e4, 4.0)]),
+    lambda: ll.fit_log_tail([(10.0, 1.0), (100.0, 2.0), (1e3, 3.0), (math.inf, 4.0)]),
+    lambda: ll.default_delta(math.nan),
 ], ids=["polylog-bool", "polylog-170-expansion", "polylog-170-direct",
         "polylog-exp-neg-200", "energy-nan", "energy-inf", "phi-nan", "psi-nan",
-        "phi-inf"])
+        "phi-inf", "phi-psi-inf", "upper-cut-minus-inf", "green-traces-eps-inf",
+        "operator-norm-discrete-inf", "kernel-k3-inf", "cumulative-phi-inf",
+        "cumulative-phi-log-inf", "fit-log-tail-nan-value", "fit-log-tail-inf-x",
+        "default-delta-nan"])
 def test_boundary_refuses_bad_inputs(call):
-    # refused with DomainError, not returned as NaN or raised as OverflowError
+    # refused up front with DomainError, not iterated to a ConvergenceError,
+    # returned as NaN, or raised as OverflowError or LinAlgError
     with pytest.raises(DomainError):
         call()
 
