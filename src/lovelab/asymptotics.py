@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .capacitor2d import cumulative_phi, cumulative_phi_log, phi_prime_polylog_integral
-from .errors import DomainError, WindowError
+from .errors import ConvergenceError, DomainError, WindowError, _check_real
 from .quadrature import _tanh_sinh
 from .specfun import _i1e, _i2e, _k1e, _ke_vec, elliptic_k_derivative, elliptic_ke
 
@@ -119,8 +119,7 @@ class AsymptoticSeries:
         return self._terms.get((Fraction(power), log_power), 0.0)
 
     def evaluate(self, t: float) -> float:
-        if not 0.0 < t < 1.0:
-            raise DomainError(f"series argument must lie in (0, 1), got {t!r}")
+        _check_real(t, "t", "(0, 1)")
         ell = math.log(1.0 / t)
         return sum(c * t ** float(p) * ell ** q
                    for (p, q), c in self._terms.items())
@@ -152,9 +151,6 @@ class AsymptoticSeries:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "AsymptoticSeries":
         if not isinstance(other, AsymptoticSeries):
@@ -230,8 +226,7 @@ def energy_series(which: str, gamma: float) -> float:
     "takahashi":        ... + (1/6 - 1/pi^2) gamma^2
     "kaminaka_wadati":  ... + (1/8 - 1/pi^2) gamma^2   (the rival value)
     """
-    if not 0.0 <= gamma < math.inf:
-        raise DomainError(f"gamma must be finite and >= 0, got {gamma!r}")
+    _check_real(gamma, "gamma", "[0, inf)")
     if which not in _ENERGY_SERIES:
         raise DomainError(f"unknown energy series {which!r}")
     return gamma - 4.0 / (3.0 * _PI) * gamma ** 1.5 + _ENERGY_SERIES[which] * gamma * gamma
@@ -272,8 +267,7 @@ def capacitance_series(which: str, kappa: float) -> float:
 
     WindowError above kappa = 0.3, where the expansions lose their regime.
     """
-    if not kappa > 0.0:
-        raise DomainError(f"kappa must be positive, got {kappa!r}")
+    _check_real(kappa, "kappa", "(0, inf)")
     if kappa > _KAPPA_WINDOW:
         raise WindowError(f"capacitance expansions need kappa <= {_KAPPA_WINDOW:g}, "
                           f"got {kappa!r}")
@@ -297,8 +291,7 @@ def epsilon_of_gamma(gamma: float) -> float:
     inverted through order gamma^{3/2} with its log^2 and log companions.
     WindowError when 2 eps would pass the capacitance window kappa <= 0.3
     (from gamma ~ 0.2501 on)."""
-    if not gamma > 0.0:
-        raise DomainError(f"gamma must be positive, got {gamma!r}")
+    _check_real(gamma, "gamma", "(0, inf)")
     eps = _epsilon(math.sqrt(gamma), gamma, math.log(gamma))
     if not 2.0 * eps <= _KAPPA_WINDOW:
         raise WindowError(f"eps(gamma) needs 2 eps <= {_KAPPA_WINDOW:g}, got gamma {gamma!r}")
@@ -316,8 +309,7 @@ def far_field(r: float) -> float:
     limit suggests 1/(r^2 - 1), but the modulus corrections cancel that
     order) and diverges like 1/(pi (r-1)) at the edge.  The two terms cancel
     ~2 log10 r digits, so from r = 5 on F = (2/pi) s^2 dK/ds at s = 1/r."""
-    if not r > 1.0:
-        raise DomainError(f"far field needs r > 1, got {r!r}")
+    _check_real(r, "r", "(1, inf)")
     if r >= 5.0:
         return (2.0 / _PI) * elliptic_k_derivative(1.0 / r) / (r * r)
     k = min(2.0 * math.sqrt(r) / (1.0 + r), 1.0)
@@ -332,16 +324,20 @@ _SUM_CAP = 3_000_000
 def _bessel_sum(terms: Callable[[np.ndarray], np.ndarray], rel: float) -> float:
     """sum_{n >= 1} terms(n) for positive, decaying terms, taken in doubling
     chunks of n; stops once a chunk's last term is below `rel` of the
-    running total, or after _SUM_CAP terms."""
+    running total.  The terms fall like e^{-n pi |r - r1| / eps}, and at
+    r = 1 those of k2 only like eps / (2 pi n^2), which no cap takes below
+    1e-15: reaching _SUM_CAP terms raises ConvergenceError with the partial
+    sum and the last term, rather than return the partial sum."""
     total, n0, chunk = 0.0, 1, 64
     while n0 <= _SUM_CAP:
         t = terms(np.arange(n0, min(n0 + chunk, _SUM_CAP + 1), dtype=float))
         total += float(np.sum(t))
         if t[-1] < rel * max(abs(total), 1e-300):
-            break
+            return total
         n0 += len(t)
         chunk = min(2 * chunk, 500_000)
-    return total
+    raise ConvergenceError(f"Bessel sum not below {rel:g} of its total after "
+                           f"{_SUM_CAP} terms", total, float(t[-1]))
 
 
 def green_traces(r: float, r1: float, epsilon: float) -> tuple[float, float]:
@@ -352,12 +348,11 @@ def green_traces(r: float, r1: float, epsilon: float) -> tuple[float, float]:
     truncated once terms drop below 1e-16 of the total.
     g_plus (upper half space): (2/(pi r_<)) (E(r_</r_>) - K(r_</r_>)).
     """
-    if r <= 0.0 or r1 <= 0.0:
-        raise DomainError("radii must be positive")
+    _check_real(r, "r", "(0, inf)")
+    _check_real(r1, "r1", "(0, inf)")
     if r == r1:
         raise DomainError("the traces have a logarithmic singularity at r = r1")
-    if not 0.0 < epsilon < math.inf:
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
+    _check_real(epsilon, "epsilon", "(0, inf)")
     rlt, rgt = min(r, r1), max(r, r1)
 
     def terms(n: np.ndarray) -> np.ndarray:
@@ -409,10 +404,9 @@ def kernel_k(part: str, r: float, epsilon: float = math.nan) -> float:
           k1's elliptic part by parts; log-divergent at r = 1)
     "full": k1 + k2
     """
-    if not 1.0 <= r < math.inf:
-        raise DomainError(f"kernels are defined for finite r >= 1, got {r!r}")
-    if part in ("k1", "k2", "full") and not 0.0 < epsilon < math.inf:
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
+    _check_real(r, "r", "[1, inf)")
+    if part in ("k1", "k2", "full"):
+        _check_real(epsilon, "epsilon", "(0, inf)")
     if part == "k1":
         return _k1_part(r, epsilon)
     if part == "k3":
@@ -444,8 +438,7 @@ def default_delta(epsilon: float) -> float:
     """Intermediate matching scale: sqrt(0.2 eps), the geometric midpoint
     (in log scale) of the admissible window, floored at 5 eps so the window
     constraint eps/delta <= 0.2 also holds for eps near its upper end."""
-    if not 0.0 < epsilon < math.inf:
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
+    _check_real(epsilon, "epsilon", "(0, inf)")
     return max(math.sqrt(0.2 * epsilon), 5.0 * epsilon)
 
 
@@ -505,8 +498,7 @@ def j_split(epsilon: float, delta: float | None = None) -> tuple[float, float]:
     be insensitive to the (arbitrary) delta inside the admissible window;
     enforce eps/delta <= 0.2 and delta <= 0.2.
     """
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+    _check_real(epsilon, "epsilon", "(0, inf)")
     if delta is None:
         delta = default_delta(epsilon)
     if delta > 0.2 + 1e-12 or epsilon / delta > 0.2 + 1e-12:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RegimeWarning, _check_int
+from .errors import DomainError, RegimeWarning, _check_int, _check_real
 from .quadrature import _composite, _log_edges
 from .specfun import _polylog_exp_neg, _w_upper_from_offset
 
@@ -83,8 +83,7 @@ def phi_psi(x: float) -> EdgePotentialSample:
     Psi(0, 0) = 0); the derivative has an inverse-square-root singularity
     there and is reported as -inf.
     """
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"the modeled half-line is finite x >= 0, got {x!r}")
+    _check_real(x, "x", "[0, inf)")
     W = _w([x])
     phi, psi, dphi = (float(a[0]) for a in (_phi_of_w(W), -np.log(np.abs(W)) / _PI,
                                             _phi_prime_of_w(W)))
@@ -117,8 +116,7 @@ def phi_series(x: float, regime: str) -> float:
               - pi^{3/2}/(540 sqrt 2) x^{5/2}        + O(x^{7/2})
     large:  1/(pi x) + log(pi x)/(pi x)^2 ... /pi^2 x^2  + O(log^2 x / x^3)
     """
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"need finite x >= 0, got {x!r}")
+    _check_real(x, "x", "[0, inf)")
     _regime_check(x, regime)
     if regime == "small":
         rx = math.sqrt(x)
@@ -136,8 +134,7 @@ def psi_series(x: float, regime: str) -> float:
             validated against the exact evaluator in the tests.
     large:  -(1/pi) log(pi x) + (log(pi x) + 1)/(pi^2 x) + O(log^2 x / x^2)
     """
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"need finite x >= 0, got {x!r}")
+    _check_real(x, "x", "[0, inf)")
     _regime_check(x, regime)
     if regime == "small":
         return -x / 3.0 + 2.0 * _PI / 135.0 * x * x + 4.0 * _PI ** 2 / 8505.0 * x ** 3
@@ -156,15 +153,13 @@ def cumulative_phi(X: float) -> float:
     over geometrically spaced Gauss panels, so X up to ~1e15 costs only a
     few thousand evaluations.  Grows like (log X)/pi plus a constant.
     """
-    if not 1.0 <= X < math.inf:
-        raise DomainError(f"need finite X >= 1, got {X!r}")
+    _check_real(X, "X", "[1, inf)")
     return _composite(_phi, [0.0, *_log_edges(1.0, X)])
 
 
 def cumulative_phi_log(X: float) -> float:
     """int_0^X Phi(t, 0) log t dt for X >= 1; grows like (log X)^2 / (2 pi)."""
-    if not 1.0 <= X < math.inf:
-        raise DomainError(f"need finite X >= 1, got {X!r}")
+    _check_real(X, "X", "[1, inf)")
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return _phi(t) * np.log(t)

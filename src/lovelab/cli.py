@@ -35,8 +35,6 @@ _FORMATS = ("csv", "json")
 
 def _fmt(value) -> str:
     """One cell: floats at 17 significant digits, ints/str verbatim."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.16e}"
     if value is None:

@@ -69,3 +69,14 @@ def _check_int(value, name: str, high: int) -> None:
     """Refuse anything but an int in [1, high]; a bool is not an int here."""
     if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= high:
         raise DomainError(f"{name} must be an integer in [1, {high}], got {value!r}")
+
+
+def _check_real(value, name: str, interval: str) -> None:
+    """Refuse a real outside interval, written as the docstrings write it:
+    "(0, inf)", "[0, 1]".  Each end is compared as its bracket says, and
+    every comparison with NaN is false, so NaN is refused by construction,
+    as is an infinity at an open end."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    if not ((low < value if interval[0] == "(" else low <= value)
+            and (value < high if interval[-1] == ")" else value <= high)):
+        raise DomainError(f"{name} must lie in {interval}, got {value!r}")

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError, WindowError
-from .quadrature import _lstsq, gauss_legendre
+from .errors import DomainError, ResolutionError, WindowError, _check_real
+from .quadrature import _lstsq, _recurrence, gauss_legendre
 
 __all__ = [
     "LoveProblem",
@@ -80,10 +80,8 @@ class LoveProblem:
     v0: float = GAS_POTENTIAL
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.kappa < math.inf:
-            raise DomainError(f"kappa must be positive and finite, got {self.kappa!r}")
-        if not 0.0 < self.v0 < math.inf:
-            raise DomainError(f"v0 must be positive and finite, got {self.v0!r}")
+        _check_real(self.kappa, "kappa", "(0, inf)")
+        _check_real(self.v0, "v0", "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -126,8 +124,7 @@ class EnergyPoint:
 def _edges(kappa: float) -> np.ndarray:
     """Panel edges in d: 0, kappa/2, kappa, 2 kappa, ... below 1/2, then
     uniform panels of width at most 1/4 up to d = 1."""
-    if not kappa > 0.0:
-        raise DomainError(f"kappa must be positive, got {kappa!r}")
+    _check_real(kappa, "kappa", "(0, inf)")
     edges = [0.0]
     edge = 0.5 * kappa
     while edge < 0.5:
@@ -170,17 +167,6 @@ def _nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return d.ravel(), w.ravel()
 
 
-def _recurrence(p0, p1, z: np.ndarray, order: int) -> np.ndarray:
-    """p_0 .. p_{order-1} of the Legendre recurrence (k + 1) p_{k+1} =
-    (2k + 1) z p_k - k p_{k-1}, started from p_0 and p_1; one row per z."""
-    p = np.empty((len(z), order), dtype=np.result_type(p0, p1, z))
-    p[:, 0] = p0
-    p[:, 1] = p1
-    for k in range(1, order - 1):
-        p[:, k + 1] = ((2 * k + 1) * z * p[:, k] - k * p[:, k - 1]) / (k + 1)
-    return p
-
-
 @functools.lru_cache(maxsize=None)
 def _tables(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only tables of the order-point panel on [-1, 1]: to_nodes maps
@@ -190,8 +176,9 @@ def _tables(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     midpoints between adjacent nodes."""
     rule, fine = gauss_legendre(order), gauss_legendre(_FINE_ORDER)
     u = rule.nodes
-    at_nodes, at_fine, at_mid = (_recurrence(1, x, x, order)
-                                 for x in (u, fine.nodes, 0.5 * (u[:-1] + u[1:])))
+    at_nodes, at_fine, at_mid = (
+        np.column_stack(list(_recurrence(np.ones_like(x), x, x, order)))
+        for x in (u, fine.nodes, 0.5 * (u[:-1] + u[1:])))
     to_nodes = (at_nodes * rule.weights[:, None] * (np.arange(order) + 0.5)).T
     tables = (to_nodes, at_fine @ to_nodes, at_mid @ to_nodes)
     for table in tables:
@@ -203,7 +190,7 @@ def _cauchy_moments(z: np.ndarray, order: int) -> np.ndarray:
     """q_k = int_{-1}^{1} P_k(u) / (u - z) du, k < order, for Im z > 0, by
     forward recurrence, which is accurate only for z near [-1, 1]."""
     q0 = np.log(1.0 - z) - np.log(-1.0 - z)
-    return _recurrence(q0, 2.0 + z * q0, z, order)
+    return np.column_stack(list(_recurrence(q0, 2.0 + z * q0, z, order)))
 
 
 def _rows(kappa: float, edges: np.ndarray, order: int, d: np.ndarray) -> np.ndarray:
@@ -332,8 +319,7 @@ def operator_norm(kappa: float) -> float:
     controls the convergence of the Neumann series.  (The L^2 spectral norm
     is strictly smaller for every kappa; see operator_norm_discrete.)
     """
-    if not kappa > 0.0:
-        raise DomainError(f"kappa must be positive, got {kappa!r}")
+    _check_real(kappa, "kappa", "(0, inf)")
     return (2.0 / _PI) * math.atan(1.0 / kappa)
 
 
@@ -348,8 +334,7 @@ def operator_norm_discrete(kappa: float, n: int | None = None) -> float:
     spectral norm of the symmetrized matrix converges to the strictly
     smaller L^2 norm (e.g. 0.4536 vs 0.5 at kappa = 1).
     """
-    if not 0.0 < kappa < math.inf:
-        raise DomainError(f"kappa must be positive and finite, got {kappa!r}")
+    _check_real(kappa, "kappa", "(0, inf)")
     edges, order = _mesh(kappa, n)
     d, _ = _nodes(edges, order)
     return float(np.max(_rows(kappa, edges, order, np.append(d, 1.0)).sum(axis=1)))

@@ -21,6 +21,7 @@ built once, as read-only tables.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -47,9 +48,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def mapped(self, a, b) -> tuple[np.ndarray, np.ndarray]:
         """Affinely map the rule onto (a, b); column arrays of a and b give
         one row of nodes and weights per interval."""
@@ -71,13 +69,23 @@ class LogTailFit:
 # Gauss-Legendre rules (Newton iteration on P_n, cached per n).
 # ----------------------------------------------------------------------
 
+def _recurrence(p0, p1, z: np.ndarray, order: int):
+    """p_0 .. p_{order-1} of the Legendre recurrence (k + 1) p_{k+1} =
+    (2k + 1) z p_k - k p_{k-1}, started from the arrays p_0 and p_1, one
+    array per k in turn.  The Gauss rules keep the last two, P_{n-1} and
+    P_n, so a rule of n up to 10000 holds two arrays, not n; the solver's
+    panel tables and Cauchy moments stack all of them, one column per k."""
+    yield p0
+    yield p1
+    for k in range(1, order - 1):
+        p0, p1 = p1, ((2 * k + 1) * z * p1 - k * p0) / (k + 1)
+        yield p1
+
+
 def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for j in range(2, n + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    dp = n * (x * p1 - p0) / (x * x - 1.0)
-    return p1, dp
+    """P_n(x) and P_n'(x) = n (x P_n - P_{n-1}) / (x^2 - 1), for n >= 2."""
+    p0, p1 = collections.deque(_recurrence(np.ones_like(x), x, x, n + 1), maxlen=2)
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
 @functools.cache

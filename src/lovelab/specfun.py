@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (BranchError, ConvergenceError, DivergenceError, DomainError,
-                     PoleError, _check_int)
+                     PoleError, _check_int, _check_real)
 
 __all__ = [
     "EllipticPair",
@@ -82,8 +82,7 @@ def elliptic_ke(k: float) -> EllipticPair:
     Accurate to ~1e-15 relative uniformly in k, including moduli
     exponentially close to 1.
     """
-    if not 0.0 <= k <= 1.0:
-        raise DomainError(f"modulus must lie in [0, 1], got {k!r}")
+    _check_real(k, "k", "[0, 1]")
     if k == 1.0:
         raise PoleError("K(k) has a logarithmic pole at k = 1; "
                         "use elliptic_e for E(1) = 1")
@@ -93,8 +92,7 @@ def elliptic_ke(k: float) -> EllipticPair:
 
 def elliptic_e(k: float) -> float:
     """E(k) alone; valid on the closed interval [0, 1] (E(1) = 1 exactly)."""
-    if not 0.0 <= k <= 1.0:
-        raise DomainError(f"modulus must lie in [0, 1], got {k!r}")
+    _check_real(k, "k", "[0, 1]")
     if k == 1.0:
         return 1.0
     return elliptic_ke(k).E
@@ -123,8 +121,7 @@ def _dk_small(r: np.ndarray) -> np.ndarray:
 
 def elliptic_k_derivative(r: float) -> float:
     """dK/dr = (E(r) - (1 - r^2) K(r)) / (r (1 - r^2)) for 0 < r < 1."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"dK/dr needs 0 < r < 1, got {r!r}")
+    _check_real(r, "r", "(0, 1)")
     return float(_dk_vec(np.asarray([r], dtype=float))[0])
 
 
@@ -182,8 +179,7 @@ def bessel_scaled(kind: str, x: float) -> float:
     """
     if kind not in _BESSEL_KINDS:
         raise DomainError(f"unknown Bessel kind {kind!r}; expected I1, I2 or K1")
-    if not x > 0.0:
-        raise DomainError(f"argument must be positive, got {x!r}")
+    _check_real(x, "x", "(0, inf)")
     return float(_bessel_vec(kind, x))
 
 
@@ -447,8 +443,7 @@ def polylog(n: int, x: float) -> float:
     value is zeta(n)).  Li_1(1) diverges.
     """
     _check_int(n, "order", _MAX_POLYLOG_ORDER)
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"argument must lie in [0, 1], got {x!r}")
+    _check_real(x, "x", "[0, 1]")
     if x < 0.5:
         return float(_polylog_direct([n], np.array([x]))[0, 0])
     return _polylog_exp_neg(n, -math.log(x))

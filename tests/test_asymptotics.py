@@ -8,9 +8,10 @@ from scipy.integrate import dblquad
 import lovelab as ll
 from lovelab.asymptotics import _eps_bracket_from_constants, _k2_sum, _outer_subtracted
 from lovelab.capacitor2d import _phi
-from lovelab.errors import DomainError, WindowError
+from lovelab import asymptotics
+from lovelab.errors import ConvergenceError, DomainError, WindowError
 from lovelab.quadrature import _composite
-from lovelab.specfun import _i2e, _k1e, _polylog_exp_neg
+from lovelab.specfun import _i1e, _i2e, _k1e, _polylog_exp_neg
 
 PI = math.pi
 GAMMA0 = (1.0 + math.log(PI)) / PI
@@ -162,6 +163,10 @@ def test_far_field_domain():
         ll.far_field(1.0)
     with pytest.raises(DomainError):
         ll.far_field(0.5)
+    # refused in its own words, not as the modulus 1/r = 0 of dK/dr
+    with pytest.raises(DomainError) as info:
+        ll.far_field(math.inf)
+    assert str(info.value) == "r must lie in (1, inf), got inf"
 
 
 # ----------------------------------------------------------------------
@@ -191,6 +196,29 @@ def test_green_trace_truncation_stability():
         np.sum(_i2e(a) * 0.0 + np.exp(a - b) * _k1e(b) *
                np.array([ll.bessel_scaled("I1", float(v)) for v in a])))
     assert g_minus == pytest.approx(brute, abs=1e-14)
+
+
+def test_green_trace_near_the_diagonal_sums_every_chunk():
+    # about 1.2e5 terms, taken in eleven doubling chunks, against one plain
+    # sum over 4e5 terms
+    r, r1, eps = 1.0, 1.00001, 0.1
+    g_minus, _ = ll.green_traces(r, r1, eps)
+    n = np.arange(1, 400_001, dtype=float)
+    a = n * PI * r / eps
+    b = n * PI * r1 / eps
+    brute = -(r / r1) / (2 * eps) - (2.0 / eps) * float(
+        np.sum(_i1e(a) * _k1e(b) * np.exp(a - b)))
+    assert g_minus == pytest.approx(brute, rel=1e-15, abs=0.0)
+
+
+def test_bessel_sum_refuses_to_stop_at_its_cap(monkeypatch):
+    # the same sum needs more terms than the cap: an error, not a partial sum
+    monkeypatch.setattr(asymptotics, "_SUM_CAP", 10_000)
+    with pytest.raises(ConvergenceError) as info:
+        ll.green_traces(1.0, 1.00001, 0.1)
+    # it carries the partial sum and its last term, still above 1e-16 of it
+    assert info.value.best > 0.0
+    assert info.value.estimate > 1e-16 * info.value.best
 
 
 def test_green_trace_guards():

@@ -213,13 +213,20 @@ def test_csv_quotes_cells_holding_commas(capsys):
 @pytest.mark.parametrize("argv, column, value", [
     (["solve", "--kappa", "1"], "capacitance", 0.5795738606506108),
     (["compare-asymptotics", "--kappa", "0.05"], "c_numeric", 5.4851577466051582),
-], ids=["solve", "compare-asymptotics"])
+    (["verify", "--which", "gamma0"], "digits", 15),
+    (["fit-weak", "--synthetic", "takahashi"], "verdict", "takahashi"),
+], ids=["solve", "compare-asymptotics", "verify", "fit-weak"])
 def test_json_output(capsys, argv, column, value):
+    # a float, an int and a str cell; each reads as its CSV cell does
     code, out = run(capsys, argv + ["--format", "json"])
     assert code == 0
     rows = json.loads(out)
-    assert rows[0]["error"] is None
-    assert rows[0][column] == pytest.approx(value, rel=1e-12)
+    assert rows[0].get("error") is None
+    cell = rows[0][column]
+    assert type(cell) is type(value)
+    assert cell == (pytest.approx(value, rel=1e-12) if isinstance(value, float) else value)
+    _, out = run(capsys, argv)
+    assert type(value)(parse_csv(out)[0][column]) == cell
 
 
 def test_output_file(capsys, tmp_path):

@@ -348,6 +348,46 @@ def test_edge_sum_rule(kappa):
     assert lhs == pytest.approx(2.0 * edge * edge / sol.problem.v0, rel=2e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("kappa", np.geomspace(1.2e-3, 3000.0, 9))
+def test_second_edge_sum_rule(kappa):
+    """3 m2(kappa) - kappa m2'(kappa) = 2 f(1) g(1), with (I - K) g = x^2.
+
+    With f_B as in test_edge_sum_rule, let M2(B) = int_{-B}^{B} x^2 f_B
+    and g_B solve (I - K_B) g = x^2, an even function.  As K_B is
+    symmetric,
+        int x^2 df/dB = f(B) int g(y) [k(y - B) + k(y + B)] dy
+                      = 2 f(B) (K_B g)(B) = 2 f(B) (g(B) - B^2),
+    the last step by g's equation at x = B.  So dM2/dB = 2 B^2 f(B) + int
+    x^2 df/dB = 2 f(B) g(B).  Scaling x = B s gives M2(B) = B^3 m2(kappa /
+    B), so dM2/dB at B = 1 is 3 m2 - kappa m2'.  Here m2' is the 8th-order
+    central difference with h = 1e-2 kappa, f(1) the interpolant's, and g
+    is solved on the solver's own rows as solve_love solves f: one dense
+    solve and one refinement step in the subtracted form.  g(1) is the
+    subtracted equation at d = 0, (1 + W g) / (leak + sum W).
+    """
+    h = 1e-2 * kappa
+
+    def m2(k):
+        return ll.moments(ll.solve_love(ll.LoveProblem(kappa=k), check_residual=False))[1]
+
+    dm2 = sum(c * (m2(kappa + j * h) - m2(kappa - j * h))
+              for j, c in enumerate(_D8, start=1)) / h
+    sol = ll.solve_love(ll.LoveProblem(kappa=kappa))
+    edges, order = love._mesh(kappa)
+    d, _ = love._nodes(edges, order)
+    w = love._rows(kappa, edges, order, np.append(d, 0.0))
+    leak = love._leak(kappa, np.append(d, 0.0))
+    m = len(d)
+    rhs = (1.0 - d) ** 2
+    system = np.eye(m) - w[:m]
+    g = np.linalg.solve(system, rhs)
+    g += np.linalg.solve(system, rhs - love._subtracted(leak[:m], w[:m], g, g))
+    g_edge = (1.0 + w[m] @ g) / (leak[m] + w[m].sum())
+    f_edge = float(sol.interpolate(1.0)[0])
+    lhs = 3.0 * ll.moments(sol)[1] - kappa * dm2
+    assert lhs == pytest.approx(2.0 * f_edge * g_edge, rel=2e-13, abs=0.0)
+
+
 def test_interpolate_refuses_nan(gas_solution_k1):
     with pytest.raises(DomainError):
         gas_solution_k1.interpolate(np.array([0.5, math.nan]))

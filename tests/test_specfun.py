@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import lovelab as ll
 from lovelab import asymptotics, capacitor2d, quadrature, specfun
 from lovelab.errors import (BranchError, ConvergenceError, DivergenceError, DomainError,
-                            PoleError)
+                            PoleError, _check_real)
 
 PI = math.pi
 
@@ -35,6 +36,16 @@ def test_elliptic_degenerate_modulus():
 
 def test_elliptic_e_at_one():
     assert ll.elliptic_e(1.0) == 1.0
+
+
+def test_elliptic_e_against_mpmath():
+    # mpmath's ellipe takes the parameter m = k^2; moduli up to 1 - 1e-15
+    mpmath = pytest.importorskip("mpmath")
+    ks = np.concatenate([np.linspace(0.0, 0.99, 50), 1.0 - np.geomspace(1e-3, 1e-15, 13)])
+    with mpmath.workdps(40):
+        for k in ks:
+            ref = mpmath.ellipe(mpmath.mpf(float(k)) ** 2)
+            assert abs(ll.elliptic_e(float(k)) - ref) <= 1e-15 * ref, k
 
 
 def test_elliptic_k_lemniscatic_point():
@@ -354,6 +365,17 @@ def test_upper_cut_just_below_the_branch_point_against_mpmath():
             assert abs(mpmath.mpc(w) - ref) <= 3e-14 * abs(ref), x
 
 
+def test_upper_cut_far_out_against_mpmath():
+    # from -x = 1e300 on, the offset is log(-x) + 1 itself, since the
+    # error-free split of e x + 1 needs |x| < 1e300; out to the largest double
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for x in (-1e299, -1e300, -3.7e301, -1e305, -1e307, -sys.float_info.max):
+            ref = mpmath.lambertw(mpmath.mpc(x, mpmath.mpf(10) ** -60))
+            w = ll.lambert_w_upper_cut(x)
+            assert abs(mpmath.mpc(w) - ref) <= 1e-15 * abs(ref), x
+
+
 def test_upper_cut_offset_form_is_batch_independent():
     # a value must not depend on which abscissae share the call: the same
     # bits one at a time, in one batch, and in a reversed batch
@@ -536,17 +558,82 @@ def test_polylog_errors():
     lambda: ll.fit_log_tail([(10.0, 1.0), (100.0, math.nan), (1e3, 3.0), (1e4, 4.0)]),
     lambda: ll.fit_log_tail([(10.0, 1.0), (100.0, 2.0), (1e3, 3.0), (math.inf, 4.0)]),
     lambda: ll.default_delta(math.nan),
+    lambda: ll.green_traces(math.inf, 2.0, 0.1),
+    lambda: ll.default_node_count(math.inf),
+    lambda: ll.operator_norm(math.inf),
+    lambda: ll.bessel_scaled("K1", math.inf),
+    lambda: ll.bessel_scaled("I2", math.inf),
+    lambda: ll.capacitance_series("kirchhoff", math.inf),
 ], ids=["polylog-bool", "polylog-170-expansion", "polylog-170-direct",
         "polylog-exp-neg-200", "energy-nan", "energy-inf", "phi-nan", "psi-nan",
         "phi-inf", "phi-psi-inf", "upper-cut-minus-inf", "green-traces-eps-inf",
         "operator-norm-discrete-inf", "kernel-k3-inf", "cumulative-phi-inf",
         "cumulative-phi-log-inf", "fit-log-tail-nan-value", "fit-log-tail-inf-x",
-        "default-delta-nan"])
+        "default-delta-nan", "green-traces-r-inf", "default-node-count-inf",
+        "operator-norm-inf", "bessel-k1-inf", "bessel-i2-inf", "capacitance-inf"])
 def test_boundary_refuses_bad_inputs(call):
     # refused up front with DomainError, not iterated to a ConvergenceError,
-    # returned as NaN, or raised as OverflowError or LinAlgError
+    # returned as NaN or a number, or raised as OverflowError, LinAlgError
+    # or WindowError
     with pytest.raises(DomainError):
         call()
+
+
+# Every real scalar argument whose domain errors._check_real guards: the
+# argument's name, its interval, and a call with the argument in place.
+_REAL_GUARDS = [
+    ("kappa", "(0, inf)", lambda v: ll.LoveProblem(kappa=v), "love-problem-kappa"),
+    ("v0", "(0, inf)", lambda v: ll.LoveProblem(kappa=1.0, v0=v), "love-problem-v0"),
+    ("kappa", "(0, inf)", ll.default_node_count, "default-node-count"),
+    ("kappa", "(0, inf)", ll.operator_norm, "operator-norm"),
+    ("kappa", "(0, inf)", ll.operator_norm_discrete, "operator-norm-discrete"),
+    ("t", "(0, 1)", lambda v: ll.ground_state_series().evaluate(v), "series-evaluate"),
+    ("gamma", "[0, inf)", lambda v: ll.energy_series("takahashi", v), "energy-series"),
+    ("kappa", "(0, inf)", lambda v: ll.capacitance_series("kirchhoff", v),
+     "capacitance-series"),
+    ("gamma", "(0, inf)", ll.epsilon_of_gamma, "epsilon-of-gamma"),
+    ("r", "(0, inf)", lambda v: ll.green_traces(v, 2.0, 0.1), "green-traces-r"),
+    ("r1", "(0, inf)", lambda v: ll.green_traces(1.0, v, 0.1), "green-traces-r1"),
+    ("epsilon", "(0, inf)", lambda v: ll.green_traces(1.0, 2.0, v), "green-traces-eps"),
+    ("r", "(1, inf)", ll.far_field, "far-field"),
+    ("r", "[1, inf)", lambda v: ll.kernel_k("k3", v), "kernel-k-r"),
+    ("epsilon", "(0, inf)", lambda v: ll.kernel_k("k1", 1.5, v), "kernel-k-eps"),
+    ("epsilon", "(0, inf)", ll.default_delta, "default-delta"),
+    ("epsilon", "(0, inf)", ll.j_split, "j-split"),
+    ("x", "[0, inf)", ll.phi_psi, "phi-psi"),
+    ("x", "[0, inf)", lambda v: ll.phi_series(v, "small"), "phi-series"),
+    ("x", "[0, inf)", lambda v: ll.psi_series(v, "large"), "psi-series"),
+    ("X", "[1, inf)", ll.cumulative_phi, "cumulative-phi"),
+    ("X", "[1, inf)", ll.cumulative_phi_log, "cumulative-phi-log"),
+    ("k", "[0, 1]", ll.elliptic_ke, "elliptic-ke"),
+    ("k", "[0, 1]", ll.elliptic_e, "elliptic-e"),
+    ("r", "(0, 1)", ll.elliptic_k_derivative, "elliptic-k-derivative"),
+    ("x", "(0, inf)", lambda v: ll.bessel_scaled("I1", v), "bessel-scaled"),
+    ("x", "[0, 1]", lambda v: ll.polylog(2, v), "polylog"),
+]
+
+
+@pytest.mark.parametrize("name, interval, call",
+                         [guard[:3] for guard in _REAL_GUARDS],
+                         ids=[guard[3] for guard in _REAL_GUARDS])
+def test_real_guards_refuse_nan(name, interval, call):
+    # in the guard's words, naming the caller's own argument rather than an
+    # inner function's (a NaN radius of green_traces is no modulus of K)
+    with pytest.raises(DomainError) as info:
+        call(math.nan)
+    assert type(info.value) is DomainError
+    assert str(info.value) == f"{name} must lie in {interval}, got nan"
+
+
+def test_check_real_compares_each_end_as_its_bracket_says():
+    for value, interval in ((0.0, "[0, 1]"), (1.0, "[0, 1]"), (0.5, "(0, 1)"),
+                            (1.0, "[1, inf)"), (1e308, "(0, inf)")):
+        _check_real(value, "x", interval)
+    for value, interval in ((0.0, "(0, 1)"), (1.0, "(0, 1)"), (-1e-300, "[0, 1]"),
+                            (math.inf, "[1, inf)"), (-math.inf, "[0, inf)")):
+        with pytest.raises(DomainError) as info:
+            _check_real(value, "x", interval)
+        assert str(info.value) == f"x must lie in {interval}, got {value!r}"
 
 
 def test_polylog_highest_order_holds():
