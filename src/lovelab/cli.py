@@ -222,8 +222,8 @@ def cmd_fit_weak(args: argparse.Namespace) -> int:
             raise ValueError(f"gamma grid must lie inside [{lo:g}, {hi:g}]")
         if gmin == gmax:
             raise ValueError("need gamma-min < gamma-max")
-        if points < 5:
-            raise ValueError("need at least 5 gamma points")
+        if points < love._MIN_FIT_POINTS:
+            raise ValueError(f"need at least {love._MIN_FIT_POINTS} gamma points")
         nodes = _nodes(args)
         synthetic = _resolve(args, "synthetic", None, str)
         if synthetic is not None and synthetic not in asymptotics._ENERGY_SERIES:

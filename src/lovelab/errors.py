@@ -6,7 +6,6 @@ __all__ = [
     "LoveLabError",
     "DomainError",
     "PoleError",
-    "BranchError",
     "DivergenceError",
     "ConvergenceError",
     "ResolutionError",
@@ -26,10 +25,6 @@ class DomainError(LoveLabError, ValueError):
 
 class PoleError(DomainError):
     """The requested value sits on a pole (e.g. K(k) at k = 1)."""
-
-
-class BranchError(DomainError):
-    """The argument belongs to a different branch of a multivalued function."""
 
 
 class DivergenceError(LoveLabError):

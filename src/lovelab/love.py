@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,10 +148,14 @@ def _mesh(kappa: float, n: int | None = None) -> tuple[np.ndarray, int]:
     The edges depend on kappa alone; the budget sets the order, n // (2
     panels) clamped to [16, 32].  So any budget up to the default gives
     order 16, and twice the default gives order 32.  Refuses a budget
+    that is not an integer (a float, even an integral one, or a bool) or is
     below 16, then kappa below the solver floor.
     """
-    if n is not None and n < _MIN_NODES:
-        raise DomainError(f"node budget too small: {n!r}")
+    if n is not None:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise DomainError(f"node budget must be an integer, got {n!r}")
+        if n < _MIN_NODES:
+            raise DomainError(f"node budget too small: {n!r}")
     if not kappa >= _KAPPA_MIN:
         raise ResolutionError(
             f"kappa={kappa!r} is below the solver floor {_KAPPA_MIN:g}; for "
@@ -158,7 +163,7 @@ def _mesh(kappa: float, n: int | None = None) -> tuple[np.ndarray, int]:
     edges = _edges(kappa)
     if n is None:
         return edges, _ORDER
-    return edges, min(_MAX_ORDER, max(_ORDER, n // (2 * (len(edges) - 1))))
+    return edges, min(_MAX_ORDER, max(_ORDER, int(n) // (2 * (len(edges) - 1))))
 
 
 def _nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -377,6 +382,7 @@ def third_moment_sigma(sol: LoveSolution) -> float:
 
 
 _WEAK_WINDOW = (1e-3, 5e-2)
+_MIN_FIT_POINTS = 5                      # the fewest points a weak fit takes
 
 
 def weak_coupling_fit(points: list[EnergyPoint]) -> tuple[float, float]:
@@ -388,8 +394,8 @@ def weak_coupling_fit(points: list[EnergyPoint]) -> tuple[float, float]:
     two distinct gammas among them, and finite energies; a grid too narrow
     to tell c2 from c3 raises ConditioningError.
     """
-    if len(points) < 5:
-        raise WindowError(f"need at least 5 points, got {len(points)}")
+    if len(points) < _MIN_FIT_POINTS:
+        raise WindowError(f"need at least {_MIN_FIT_POINTS} points, got {len(points)}")
     g = np.array([p.gamma for p in points])
     e = np.array([p.energy for p in points])
     lo, hi = _WEAK_WINDOW

@@ -124,6 +124,12 @@ def gauss_legendre(n: int) -> QuadratureRule:
 # Gauss panels.
 # ----------------------------------------------------------------------
 
+def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 24-point Gauss-Legendre abscissae and weights of the panels
+    between consecutive edges, as (panels, 24) arrays."""
+    return gauss_legendre(24).mapped(edges[:-1, None], edges[1:, None])
+
+
 def _panel_sum(f: Callable[[np.ndarray], np.ndarray],
                edges: Sequence[float]) -> float | np.ndarray:
     """Composite 24-point Gauss-Legendre sum over consecutive panels.
@@ -135,7 +141,7 @@ def _panel_sum(f: Callable[[np.ndarray], np.ndarray],
     integrand of m rows.
     """
     edges = np.asarray(edges, dtype=float)
-    x, w = gauss_legendre(24).mapped(edges[:-1, None], edges[1:, None])
+    x, w = _panel_nodes(edges)
     fx = np.asarray(f(x.ravel()))
     parts = np.sum(w * fx.reshape(fx.shape[:-1] + x.shape), axis=-1)
     total = 0.0
@@ -280,27 +286,22 @@ def _composite(f: Callable[[np.ndarray], np.ndarray],
     tanh-sinh takes the head [edges[0], edges[1]], where an integrable
     endpoint singularity may sit; 24-point Gauss panels take the smooth
     remainder between the later edges.  The tail's abscissae ride along in
-    the head's first call of f: _panel_sum hands them to `tail`, which runs
-    the head and returns their values from that call.
+    the head's first call of f, and _panel_sum then reads their stored
+    values, so the head has finished before the panel sum starts.
     """
-    head = None
+    edges = np.asarray(edges, dtype=float)
+    xt = _panel_nodes(edges[1:])[0].ravel()
+    ft = []
 
-    def tail(xt: np.ndarray) -> np.ndarray:
-        nonlocal head
-        ft = []
+    def head(x: np.ndarray) -> np.ndarray:
+        if ft:
+            return f(x)
+        fx = np.asarray(f(np.concatenate([x, xt])))
+        ft.append(fx[..., len(x):])
+        return fx[..., :len(x)]
 
-        def g(x: np.ndarray) -> np.ndarray:
-            if ft:
-                return f(x)
-            fx = np.asarray(f(np.concatenate([x, xt])))
-            ft.append(fx[..., len(x):])
-            return fx[..., :len(x)]
-
-        head, _ = _tanh_sinh(g, edges[0], edges[1])
-        return ft[0]
-
-    tail_sum = _panel_sum(tail, edges[1:])     # runs the head, setting head
-    return head + tail_sum
+    value, _ = _tanh_sinh(head, edges[0], edges[1])
+    return value + _panel_sum(lambda x: ft[0], edges[1:])
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Special functions: complete elliptic integrals, exponentially scaled
-modified Bessel functions, Lambert W (real branch and upper-cut limit), and
-polylogarithms.
+modified Bessel functions, Lambert W (upper-cut limit), and polylogarithms.
 
 Conventions
 -----------
@@ -10,14 +9,14 @@ Conventions
   e^{x} K_nu(x).  Unscaled values overflow long before the arguments this
   package feeds them (products of the form I_2(a) K_1(b) with a, b ~ 1e7),
   while the scaled product needs only one extra factor e^{a-b}.
-* lambert_w is the real principal branch W_0 on [-1/e, inf).  For arguments
-  below the branch point -1/e the function is complex; lambert_w_upper_cut
-  returns the limit from above the cut, the branch with Im W in (0, pi).
+* Lambert W is evaluated on one branch: the limit from above the cut at
+  z = -e^{d-1}, Im W in (0, pi), given the offset d = log(-z) + 1 >= 0 that
+  its callers form (d = 0 is the branch point -1/e).
 
 What scipy.special serves is taken from it: K and E (ellipkm1, ellipe), the
-scaled Bessel functions (ive, kve), W_0 (lambertw) and zeta(n) (zeta).  Kept
-here is only what it cannot serve: the upper-cut W solved in the log domain
-(offsets up to ~1e16), Li_n(e^{-t}) with the argument kept in the exponent,
+scaled Bessel functions (ive, kve) and zeta(n) (zeta).  Kept here is only
+what it cannot serve: the upper-cut W solved in the log domain (offsets up
+to ~1e16), Li_n(e^{-t}) with the argument kept in the exponent,
 the Bessel expansions above 1e8 (where ive and kve degrade), the dK/dr series
 at small r (where the closed form cancels), and W's branch-point series.
 
@@ -35,8 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (BranchError, ConvergenceError, DivergenceError, DomainError,
-                     PoleError, _check_int, _check_real)
+from .errors import (ConvergenceError, DivergenceError, DomainError, PoleError, _check_int,
+                     _check_real)
 
 __all__ = [
     "EllipticPair",
@@ -44,13 +43,10 @@ __all__ = [
     "elliptic_e",
     "elliptic_k_derivative",
     "bessel_scaled",
-    "lambert_w",
-    "lambert_w_upper_cut",
     "polylog",
 ]
 
 _PI = math.pi
-_INV_E = math.exp(-1.0)
 
 
 class EllipticPair(NamedTuple):
@@ -192,64 +188,6 @@ def bessel_scaled(kind: str, x: float) -> float:
 _MU = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0,
        769.0 / 17280.0, -221.0 / 8505.0, 680863.0 / 43545600.0)
 
-# Below this |p| the series is the value of W_0: no iteration, and as accurate
-# as scipy's lambertw there (both are bound by W's conditioning ~1/p).
-_P_SERIES = 0.025
-
-
-# e as the two-double math.e + _E_LO, and math.e split into 26-bit halves
-# (Veltkamp), so that _e_x_plus_one forms e x + 1 without rounding in the
-# cancellation near the branch point (math.fma needs Python 3.13).
-_E_LO = 1.4456468917292502e-16
-_VELTKAMP = 134217729.0                  # 2^27 + 1
-
-
-def _split(a: float) -> tuple[float, float]:
-    c = _VELTKAMP * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_E_HI, _E_HI_LO = _split(math.e)
-
-
-def _e_x_plus_one(x: float) -> float:
-    """e x + 1 for x < 0, to a few units of its own last place: Dekker's
-    error-free product math.e * x, then the e - math.e term.  Both W
-    branches form e x + 1 here; the split needs |x| < 1e300."""
-    prod = math.e * x
-    hi, lo = _split(x)
-    err = ((_E_HI * hi - prod) + _E_HI * lo + _E_HI_LO * hi) + _E_HI_LO * lo
-    return (prod + 1.0) + (err + _E_LO * x)
-
-
-def lambert_w(x: float) -> float:
-    """Principal real branch W_0: the solution of w e^w = x for x >= -1/e.
-
-    scipy's lambertw, except at the branch point itself (-1, also for
-    float(-1/e), where lambertw returns nan) and within |p| < _P_SERIES of
-    it, where the series is the value.  p = sqrt(2 (e x + 1)) is formed from
-    the exact e x + 1 of the double x, so the series keeps full relative
-    precision right up to the branch point.  The round trip |W e^W - x|
-    stays below 1e-13 max(1, |x|) over the whole branch.
-    """
-    if math.isnan(x):
-        raise DomainError("lambert_w needs a real argument, got nan")
-    if x < -_INV_E:
-        raise BranchError(
-            f"{x!r} is below the branch point -1/e; the principal branch is "
-            "complex there (use lambert_w_upper_cut)")
-    # distance above the branch point, scaled
-    ex1 = _e_x_plus_one(x) if x < 0.0 else math.e * x + 1.0
-    if ex1 <= 0.0:                  # x == -1/e up to rounding (float(-1/e) < -1/e)
-        return -1.0
-    p = math.sqrt(2.0 * ex1)
-    if p < _P_SERIES:
-        return float(_horner(_MU, np.float64(p)))
-    from scipy.special import lambertw
-    return float(lambertw(x).real)
-
-
 _HALLEY_MAX_ITER = 60
 
 
@@ -301,29 +239,6 @@ def _w_upper_from_offset(d) -> np.ndarray:
             f"still converging after {_HALLEY_MAX_ITER} steps",
             complex(W[worst]), float(last[worst]))
     return W.reshape(d.shape) if d.ndim else W
-
-
-def lambert_w_upper_cut(x: float) -> complex:
-    """Lambert W on the branch cut, approached from above: for x < -1/e the
-    value lim_{eps -> 0+} W(x + i eps), the root of w e^w = x with
-    Im w in (0, pi).
-
-    Near the branch point the value follows the Puiseux series in
-    sqrt(2(e x + 1)); elsewhere Halley iteration runs on the logarithmic
-    form w + log w = log(-x) + i pi, which also serves arguments far beyond
-    double-precision exponent range of -x on the linear scale.
-    """
-    if not math.isfinite(x):
-        raise DomainError(f"lambert_w_upper_cut needs a finite real argument, got {x!r}")
-    if x >= -_INV_E:
-        raise BranchError(
-            f"{x!r} is not on the branch cut (needs x < -1/e); "
-            "use lambert_w for the real principal branch")
-    if -x < 1e300:
-        d = math.log1p(-_e_x_plus_one(x))   # log(-x) + 1, accurate near cut
-    else:
-        d = math.log(-x) + 1.0
-    return complex(_w_upper_from_offset(max(d, 0.0))[0])
 
 
 # ----------------------------------------------------------------------

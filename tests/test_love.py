@@ -141,7 +141,13 @@ def test_node_budget_guard_is_shared():
         for n in (2, 15):
             with pytest.raises(DomainError, match=f"node budget too small: {n}$"):
                 call(n)
+        # a float budget, integral or not, or a bool is refused in words
+        # about the budget, not about an inner rule size
+        for n in (math.nan, math.inf, -math.inf, 200.0, 256.0, True):
+            with pytest.raises(DomainError, match="node budget must be an integer"):
+                call(n)
         call(16)
+        call(np.int64(256))
 
 
 def test_kappa_floor_refused_before_any_kernel(monkeypatch):

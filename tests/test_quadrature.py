@@ -279,6 +279,26 @@ def test_batched_levels_match_the_level_by_level_oracle_bit_for_bit():
         assert np.asarray(_composite(f, edges)).tobytes() == np.asarray(expected).tobytes()
 
 
+def test_composite_leaves_the_head_before_the_panel_sum_starts(monkeypatch):
+    # a span opened around each step nests as the steps run: the head's
+    # tanh-sinh must not run inside the panel sum
+    events = []
+
+    def recorded(name, func):
+        def wrapper(*args):
+            events.append(f"enter {name}")
+            result = func(*args)
+            events.append(f"exit {name}")
+            return result
+        return wrapper
+
+    monkeypatch.setattr(quadrature, "_tanh_sinh", recorded("head", _tanh_sinh))
+    monkeypatch.setattr(quadrature, "_panel_sum", recorded("tail", _panel_sum))
+    value = _composite(lambda x: 1.0 / np.sqrt(x), [0.0, 1.0, 2.0, 4.0])
+    assert value == pytest.approx(4.0, abs=1e-12)
+    assert events == ["enter head", "exit head", "enter tail", "exit tail"]
+
+
 @pytest.mark.parametrize("f", [
     lambda x: 1.0 / x,                                # divergent
     lambda x: np.where(x < 0.3, 1.0, 0.0),            # interior jump

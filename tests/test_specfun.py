@@ -1,15 +1,12 @@
 import math
-import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import lovelab as ll
 from lovelab import asymptotics, capacitor2d, quadrature, specfun
-from lovelab.errors import (BranchError, ConvergenceError, DivergenceError, DomainError,
-                            PoleError, _check_real)
+from lovelab.errors import (ConvergenceError, DivergenceError, DomainError, PoleError,
+                            _check_real)
 
 PI = math.pi
 
@@ -254,56 +251,9 @@ def test_bessel_domain_errors():
 # Lambert W.
 # ----------------------------------------------------------------------
 
-def test_lambert_w_fixed_points():
-    assert ll.lambert_w(0.0) == 0.0
-    assert ll.lambert_w(math.e) == pytest.approx(1.0, abs=1e-15)
-    assert ll.lambert_w(-1.0 / math.e) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_lambert_w_round_trip_grid():
-    xs = np.concatenate([
-        -1.0 / math.e + np.geomspace(1e-12, 0.36, 25),
-        np.geomspace(1e-8, 1e300, 40),
-    ])
-    for x in xs:
-        w = ll.lambert_w(float(x))
-        assert abs(w * math.exp(w) - x) <= 1e-13 * max(1.0, abs(x))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=-0.36787944117144228, max_value=1e12,
-                 allow_nan=False, allow_infinity=False))
-def test_lambert_w_round_trip_property(x):
-    w = ll.lambert_w(x)
-    assert abs(w * math.exp(w) - x) <= 1e-13 * max(1.0, abs(x))
-
-
-def test_lambert_w_against_mpmath():
-    mpmath = pytest.importorskip("mpmath")
-    # away from the branch point -1/e (where W' diverges), out to 1e300
-    xs = np.concatenate([np.linspace(-0.36, -1e-3, 60), -np.geomspace(1e-300, 1e-3, 30),
-                         [0.0], np.geomspace(1e-300, 1e300, 120)])
-    with mpmath.workdps(30):
-        for x in xs:
-            ref = mpmath.lambertw(mpmath.mpf(float(x))).real
-            assert abs(ll.lambert_w(float(x)) - ref) <= 1e-15 * abs(ref), x
-    # just above the branch point, p = sqrt(2 (e x + 1)) in [1e-6, 0.2]: the
-    # series' p must come from the exact e x + 1 of the double x
-    ps = np.geomspace(1e-6, 0.2, 400)
-    with mpmath.workdps(40):
-        for x in (0.5 * ps * ps - 1.0) / math.e:
-            ref = mpmath.lambertw(mpmath.mpf(float(x))).real
-            assert abs(ll.lambert_w(float(x)) - ref) <= 5e-15 * abs(ref), x
-
-
-def test_lambert_w_branch_error():
-    with pytest.raises(BranchError):
-        ll.lambert_w(-0.5)
-
-
 def test_upper_cut_round_trip_and_branch():
     for x in (-0.368, -0.4, -1.0, -10.0, -1e3, -1e8, -1e100):
-        w = ll.lambert_w_upper_cut(x)
+        w = specfun._w_upper_from_offset(math.log(-x) + 1.0)[0]
         assert 0.0 < w.imag < PI
         residual = w * np.exp(w) - x
         assert abs(residual) <= 1e-12 * max(1.0, abs(x))
@@ -312,8 +262,8 @@ def test_upper_cut_round_trip_and_branch():
 def test_upper_cut_branch_point_continuity():
     # approaching -1/e from below: W -> -1 with Im -> 0+
     prev_im = PI
-    for d in (1e-3, 1e-6, 1e-9):
-        w = ll.lambert_w_upper_cut(-(1.0 + d) / math.e)
+    for delta in (1e-3, 1e-6, 1e-9):
+        w = specfun._w_upper_from_offset(math.log1p(delta))[0]   # z = -(1 + delta)/e
         assert abs(w.real + 1.0) < 0.1
         assert 0.0 < w.imag < prev_im
         prev_im = w.imag
@@ -323,18 +273,20 @@ def test_upper_cut_asymptotic_seed_form():
     # W ~ log|x| + i pi - log(log|x| + i pi) to leading orders
     x = -1e8
     t = complex(math.log(abs(x)), PI)
-    w = ll.lambert_w_upper_cut(x)
+    w = specfun._w_upper_from_offset(math.log(-x) + 1.0)[0]
     gap = abs(w - (t - np.log(t)))
     next_order = abs(np.log(t) / t)
     assert 0.5 * next_order < gap < 2.0 * next_order
 
 
 # d = log(-z) + 1 across the seams of _w_upper_from_offset: the branch-point
-# series below 3e-4, Halley from the series seed below 0.5, from the
-# asymptotic seed above, out to d = 1e16.
+# series below 3e-4, down to offsets within a few ulps of the branch point,
+# Halley from the series seed below 0.5, from the asymptotic seed above, out
+# to d = 1e16.
 _W_OFFSETS = np.concatenate([
     [0.0, 3e-4, 0.5],
     np.nextafter([3e-4, 3e-4, 0.5, 0.5], [0.0, 1.0, 0.0, 1.0]),
+    np.geomspace(1e-17, 1e-9, 40),
     np.geomspace(1e-9, 1e-2, 120),
     np.linspace(0.25, 0.75, 41),
     np.geomspace(1.0, 1e16, 120),
@@ -350,30 +302,6 @@ def test_upper_cut_offset_form_against_mpmath():
             # the principal branch, approached from above its cut
             ref = mpmath.lambertw(mpmath.mpc(z, mpmath.mpf(10) ** -40))
             assert abs(mpmath.mpc(w) - ref) <= 3e-14 * abs(ref), d
-
-
-def test_upper_cut_just_below_the_branch_point_against_mpmath():
-    # x = -1/e - delta: e x + 1 cancels to -e delta, so it must be formed
-    # without rounding; a plain math.e * x + 1 loses 5e-9 at delta = 1e-16
-    mpmath = pytest.importorskip("mpmath")
-    below = np.nextafter(-specfun._INV_E, -1.0)
-    with mpmath.workdps(40):
-        for delta in np.geomspace(1e-17, 1e-2, 191):
-            x = float(min(-specfun._INV_E - delta, below))
-            ref = mpmath.lambertw(mpmath.mpc(x, mpmath.mpf(10) ** -60))
-            w = ll.lambert_w_upper_cut(x)
-            assert abs(mpmath.mpc(w) - ref) <= 3e-14 * abs(ref), x
-
-
-def test_upper_cut_far_out_against_mpmath():
-    # from -x = 1e300 on, the offset is log(-x) + 1 itself, since the
-    # error-free split of e x + 1 needs |x| < 1e300; out to the largest double
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        for x in (-1e299, -1e300, -3.7e301, -1e305, -1e307, -sys.float_info.max):
-            ref = mpmath.lambertw(mpmath.mpc(x, mpmath.mpf(10) ** -60))
-            w = ll.lambert_w_upper_cut(x)
-            assert abs(mpmath.mpc(w) - ref) <= 1e-15 * abs(ref), x
 
 
 def test_upper_cut_offset_form_is_batch_independent():
@@ -431,13 +359,6 @@ def test_upper_cut_offset_form_refuses_unconverged(monkeypatch):
     assert info.value.estimate >= 2e-16
     # the branch-point series needs no iteration
     assert specfun._w_upper_from_offset(1e-4).shape == (1,)
-
-
-def test_upper_cut_wrong_branch_errors():
-    with pytest.raises(BranchError):
-        ll.lambert_w_upper_cut(-0.3)
-    with pytest.raises(BranchError):
-        ll.lambert_w_upper_cut(1.0)
 
 
 # ----------------------------------------------------------------------
@@ -549,7 +470,6 @@ def test_polylog_errors():
     lambda: ll.psi_series(math.nan, "large"),
     lambda: ll.phi_series(math.inf, "large"),
     lambda: ll.phi_psi(math.inf),
-    lambda: ll.lambert_w_upper_cut(-math.inf),
     lambda: ll.green_traces(1.0, 2.0, math.inf),
     lambda: ll.operator_norm_discrete(math.inf),
     lambda: ll.kernel_k("k3", math.inf),
@@ -566,7 +486,7 @@ def test_polylog_errors():
     lambda: ll.capacitance_series("kirchhoff", math.inf),
 ], ids=["polylog-bool", "polylog-170-expansion", "polylog-170-direct",
         "polylog-exp-neg-200", "energy-nan", "energy-inf", "phi-nan", "psi-nan",
-        "phi-inf", "phi-psi-inf", "upper-cut-minus-inf", "green-traces-eps-inf",
+        "phi-inf", "phi-psi-inf", "green-traces-eps-inf",
         "operator-norm-discrete-inf", "kernel-k3-inf", "cumulative-phi-inf",
         "cumulative-phi-log-inf", "fit-log-tail-nan-value", "fit-log-tail-inf-x",
         "default-delta-nan", "green-traces-r-inf", "default-node-count-inf",
