@@ -178,9 +178,7 @@ def _orders(n, name: str, top: int) -> list[int]:
     orders = list(n) if isinstance(n, Sequence) else [n]
     if not orders:
         raise DomainError(f"need at least one {name}")
-    for m in orders:
-        _check_int(m, name, top)
-    return orders
+    return [_check_int(m, name, top) for m in orders]
 
 
 def phi_prime_polylog_integral(n: int | Sequence[int]) -> float | list[float]:

@@ -2,7 +2,8 @@
 identity-verification suite, and capacitance comparison tables.
 
 Output is deterministic and machine readable (CSV or JSON, every numeric
-cell printed with 17 significant digits), independent of the worker count.
+cell printed with 17 significant digits).  Every command runs its solves
+and reports in order, in the calling thread.
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
@@ -16,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -103,7 +103,10 @@ def _resolve(args: argparse.Namespace, key: str, default, cast):
     return default
 
 
-def _workers(args: argparse.Namespace) -> int:
+def _check_workers(args: argparse.Namespace) -> None:
+    """Validate the worker count from --workers, the config file or
+    LOVE_LAB_THREADS.  No command reads it: each runs in the calling thread,
+    and the option stays so that existing command lines keep working."""
     env = os.environ.get("LOVE_LAB_THREADS")
     try:
         default = int(env) if env else 1
@@ -114,7 +117,6 @@ def _workers(args: argparse.Namespace) -> int:
     workers = _resolve(args, "workers", default, int)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
 
 
 def _format(args: argparse.Namespace) -> str:
@@ -159,7 +161,7 @@ def _kappa_grid(args: argparse.Namespace) -> list[float]:
 def _kappa_scan(args: argparse.Namespace, columns: Sequence[str],
                 cells: Callable[[love.LoveSolution], dict],
                 kappa_max: float = math.inf) -> int:
-    """Solve at each kappa of the grid on the worker pool and write one row
+    """Solve at each kappa of the grid, in grid order, and write one row
     per kappa: the cells computed from the solution, or the message of a
     LoveLabError in the error column.  A grid past kappa_max (the validity
     window of the expansions a command compares with) is a usage error,
@@ -179,8 +181,7 @@ def _kappa_scan(args: argparse.Namespace, columns: Sequence[str],
         except LoveLabError as exc:
             return {"kappa": kappa, "error": str(exc)}
 
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        rows = list(pool.map(row, grid))
+    rows = [row(kappa) for kappa in grid]
     _write_rows(["kappa", *columns, "error"], rows, args.format, args.output)
     return 1 if any(r.get("error") for r in rows) else 0
 
@@ -244,8 +245,7 @@ def cmd_fit_weak(args: argparse.Namespace) -> int:
             sol = love.solve_love(love.LoveProblem(kappa=kappa), n=nodes)
             return love.observables(sol)
 
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            pts = list(pool.map(solve_point, grid))
+        pts = [solve_point(g) for g in grid]
     try:
         c2, residual = love.weak_coupling_fit(pts)
     except LoveLabError as exc:
@@ -273,9 +273,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(f"unknown conjecture {which!r}; expected one of "
                             + ", ".join(["all", *suite]))
     tasks = list(suite.values()) if which == "all" else [suite[which]]
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        reports = [r for produced in pool.map(lambda task: task(), tasks)
-                   for r in produced]
+    reports = [r for task in tasks for r in task()]
     rows = [{"name": r.name, "computed": r.computed, "target": r.target,
              "abs_error": r.abs_error, "digits": r.digits, "method": r.method}
             for r in reports]
@@ -302,7 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=_FORMATS, help="table format (default: csv)")
         p.add_argument("--output", help="write table here instead of stdout")
         p.add_argument("--workers", type=int,
-                       help="worker threads (default: LOVE_LAB_THREADS or 1)")
+                       help="accepted for compatibility; commands run in the "
+                            "calling thread")
 
     def kappa_scan(p: argparse.ArgumentParser) -> None:
         p.add_argument("--kappa", type=float)
@@ -352,7 +351,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _usage_error(f"{args.config}: not an option of {args.command}: "
                             + ", ".join(unknown))
     try:
-        args.workers = _workers(args)
+        _check_workers(args)
         args.format = _format(args)
         args.output = _resolve(args, "output", None, str)
     except ValueError as exc:

@@ -86,7 +86,7 @@ def tn_first(n: int) -> Fraction:
     Each application consumes one element, so the seed 1..n+1 is the
     shortest that determines the answer.
     """
-    _check_int(n, "n", 7)
+    n = _check_int(n, "n", 7)
     seq: list[Fraction] = [Fraction(i) for i in range(1, n + 2)]
     for _ in range(n):
         seq = t_transform(seq)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 __all__ = [
     "LoveLabError",
     "DomainError",
@@ -60,10 +62,13 @@ class RegimeWarning(UserWarning):
     """A series was evaluated outside its documented accuracy regime."""
 
 
-def _check_int(value, name: str, high: int) -> None:
-    """Refuse anything but an int in [1, high]; a bool is not an int here."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= high:
+def _check_int(value, name: str, high: float) -> int:
+    """value as an int, refusing anything but an integer in [1, high]:
+    Python and numpy integers pass, a bool is not an integer here."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not 1 <= value <= high):
         raise DomainError(f"{name} must be an integer in [1, {high}], got {value!r}")
+    return int(value)
 
 
 def _check_real(value, name: str, interval: str) -> None:

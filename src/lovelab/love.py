@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError, WindowError, _check_real
+from .errors import DomainError, ResolutionError, WindowError, _check_int, _check_real
 from .quadrature import _lstsq, _recurrence, gauss_legendre
 
 __all__ = [
@@ -152,8 +151,7 @@ def _mesh(kappa: float, n: int | None = None) -> tuple[np.ndarray, int]:
     below 16, then kappa below the solver floor.
     """
     if n is not None:
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise DomainError(f"node budget must be an integer, got {n!r}")
+        n = _check_int(n, "node budget", math.inf)
         if n < _MIN_NODES:
             raise DomainError(f"node budget too small: {n!r}")
     if not kappa >= _KAPPA_MIN:
@@ -163,7 +161,7 @@ def _mesh(kappa: float, n: int | None = None) -> tuple[np.ndarray, int]:
     edges = _edges(kappa)
     if n is None:
         return edges, _ORDER
-    return edges, min(_MAX_ORDER, max(_ORDER, int(n) // (2 * (len(edges) - 1))))
+    return edges, min(_MAX_ORDER, max(_ORDER, n // (2 * (len(edges) - 1))))
 
 
 def _nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:

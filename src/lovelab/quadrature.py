@@ -116,8 +116,7 @@ def gauss_legendre(n: int) -> QuadratureRule:
 
     Each rule is built once per n and cached.
     """
-    _check_int(n, "rule size", 10000)
-    return _build_rule(n)
+    return _build_rule(_check_int(n, "rule size", 10000))
 
 
 # ----------------------------------------------------------------------

@@ -357,7 +357,7 @@ def polylog(n: int, x: float) -> float:
     log x, which keeps full accuracy up to and including x = 1 (where the
     value is zeta(n)).  Li_1(1) diverges.
     """
-    _check_int(n, "order", _MAX_POLYLOG_ORDER)
+    n = _check_int(n, "order", _MAX_POLYLOG_ORDER)
     _check_real(x, "x", "[0, 1]")
     if x < 0.5:
         return float(_polylog_direct([n], np.array([x]))[0, 0])

@@ -96,8 +96,7 @@ def test_output_deterministic_across_workers(capsys):
 
 
 # ----------------------------------------------------------------------
-# Fresh interpreters: what a command imports, and first imports inside the
-# worker pool.
+# Fresh interpreters: what a command imports and which threads it starts.
 # ----------------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -110,33 +109,49 @@ def run_python(code, *args):
                           capture_output=True, check=True, timeout=120).stdout
 
 
-SCIPY_PROBE = """
-import contextlib, io, json, sys
+IMPORT_PROBE = """
+import contextlib, io, json, sys, threading
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def modules(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
+
+started = []
+start = threading.Thread.start
+
+def counted_start(thread):
+    started.append(thread.name)
+    start(thread)
+
+threading.Thread.start = counted_start
 
 import lovelab.cli
-steps = [["import lovelab.cli", 0, scipy_modules()]]
+steps = [["import lovelab.cli", 0, modules("scipy"), modules("concurrent"),
+          threading.active_count(), len(started)]]
 for argv in (["solve", "--kappa", "0.5"], ["fit-weak"],
              ["compare-asymptotics", "--kappa", "0.05"],
-             ["verify", "--which", "polylog"]):
+             ["verify", "--which", "all"]):
     with contextlib.redirect_stdout(io.StringIO()):
-        code = lovelab.cli.main(argv)
-    steps.append([" ".join(argv), code, scipy_modules()])
+        code = lovelab.cli.main([*argv, "--workers", "3"])
+    steps.append([" ".join(argv), code, modules("scipy"), modules("concurrent"),
+                  threading.active_count(), len(started)])
 print(json.dumps(steps))
 """
 
 
 def test_solver_commands_import_no_scipy():
-    steps = json.loads(run_python(SCIPY_PROBE))
+    # no command starts a thread or loads an executor, whatever --workers
+    # says; only verify loads scipy.special, which itself imports the
+    # concurrent.futures package but not its thread or process executor
+    steps = json.loads(run_python(IMPORT_PROBE))
     *solver, verify = steps
-    for step, code, scipy in solver:
+    for step, code, scipy, concurrent, threads, started in steps:
         assert code == 0, step
-        assert scipy == [], step
-    step, code, scipy = verify
-    assert code == 0
-    assert "scipy.special" in scipy
+        assert threads == 1 and started == 0, step
+        executors = {"concurrent.futures.thread", "concurrent.futures.process"}
+        assert not executors & set(concurrent), step
+    for step, code, scipy, concurrent, threads, started in solver:
+        assert scipy == concurrent == [], step
+    assert "scipy.special" in verify[2]
 
 
 SEQUENCE_PROBE = """
@@ -173,13 +188,6 @@ def test_parser_reuse_carries_no_option_over():
     assert second[0] == 0 and second[1].startswith("kappa,")
     assert helped == run_sequence(help_text)[0]
     assert helped[0] == 0 and "usage: lovelab" in helped[1]
-
-
-def test_first_scipy_use_inside_the_worker_pool():
-    # scipy.special is first imported by whichever pool thread reaches it
-    cli = "import sys; from lovelab.cli import main; sys.exit(main(sys.argv[1:]))"
-    argv = ["verify", "--which", "all", "--workers"]
-    assert run_python(cli, *argv, "1") == run_python(cli, *argv, "3")
 
 
 def test_seventeen_digit_cells(capsys):
