@@ -62,9 +62,10 @@ def _phi_of_w(W: np.ndarray) -> np.ndarray:
 
 
 def _phi_prime_of_w(W: np.ndarray) -> np.ndarray:
-    """Phi' = -Im W / |1 + W|^2, and -inf at the branch point W = -1."""
+    """Phi' = -Im W / |1 + W|^2, -inf at the branch point W = -1, and -0.0
+    once the square overflows (|W| > 1.3e154, where |Phi'| < 2e-308)."""
     opu = 1.0 + W.real
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(W.imag == 0.0, -np.inf, -W.imag / (opu * opu + W.imag * W.imag))
 
 
@@ -77,13 +78,14 @@ def _phi_prime(x: np.ndarray) -> np.ndarray:
 
 
 def phi_psi(x: float) -> EdgePotentialSample:
-    """Exact potential sample at x >= 0.
+    """Exact potential sample at x >= 0 with pi x finite (x <= 5.7e307).
 
     At x = 0 the potential is exactly 1 and Psi vanishes (our normalization
     Psi(0, 0) = 0); the derivative has an inverse-square-root singularity
     there and is reported as -inf.
     """
     _check_real(x, "x", "[0, inf)")
+    _check_real(_PI * float(x), "pi * x", "[0, inf)")
     W = _w([x])
     phi, psi, dphi = (float(a[0]) for a in (_phi_of_w(W), -np.log(np.abs(W)) / _PI,
                                             _phi_prime_of_w(W)))

@@ -103,22 +103,6 @@ def _resolve(args: argparse.Namespace, key: str, default, cast):
     return default
 
 
-def _check_workers(args: argparse.Namespace) -> None:
-    """Validate the worker count from --workers, the config file or
-    LOVE_LAB_THREADS.  No command reads it: each runs in the calling thread,
-    and the option stays so that existing command lines keep working."""
-    env = os.environ.get("LOVE_LAB_THREADS")
-    try:
-        default = int(env) if env else 1
-        if default < 1:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"LOVE_LAB_THREADS must be an integer >= 1, got {env!r}") from None
-    workers = _resolve(args, "workers", default, int)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
 def _format(args: argparse.Namespace) -> str:
     fmt = _resolve(args, "format", "csv", str)
     if fmt not in _FORMATS:
@@ -272,8 +256,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if which != "all" and which not in suite:
         return _usage_error(f"unknown conjecture {which!r}; expected one of "
                             + ", ".join(["all", *suite]))
-    tasks = list(suite.values()) if which == "all" else [suite[which]]
-    reports = [r for task in tasks for r in task()]
+    reports = conjectures.run_all() if which == "all" else suite[which]()
     rows = [{"name": r.name, "computed": r.computed, "target": r.target,
              "abs_error": r.abs_error, "digits": r.digits, "method": r.method}
             for r in reports]
@@ -300,8 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=_FORMATS, help="table format (default: csv)")
         p.add_argument("--output", help="write table here instead of stdout")
         p.add_argument("--workers", type=int,
-                       help="accepted for compatibility; commands run in the "
-                            "calling thread")
+                       help="accepted and ignored (an integer >= 1); commands "
+                            "run in the calling thread")
 
     def kappa_scan(p: argparse.ArgumentParser) -> None:
         p.add_argument("--kappa", type=float)
@@ -344,14 +327,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         args._config = _read_config(args.config) if args.config else {}
     except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
-    # the namespace holds one attribute per option of the chosen command
-    options = set(vars(args)) - {"command", "config", "_config", "func"}
+    # one attribute per option of the chosen command; --workers is a flag only
+    options = set(vars(args)) - {"command", "config", "_config", "func", "workers"}
     unknown = sorted(set(args._config) - options)
     if unknown:
         return _usage_error(f"{args.config}: not an option of {args.command}: "
                             + ", ".join(unknown))
     try:
-        _check_workers(args)
+        if args.workers is not None and args.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {args.workers}")
         args.format = _format(args)
         args.output = _resolve(args, "output", None, str)
     except ValueError as exc:

@@ -157,8 +157,12 @@ def _bessel_vec(kind: str, x: np.ndarray) -> np.ndarray:
     name, order, c1, c2, front = _BESSEL_KINDS[kind]
     x = np.asarray(x, dtype=float)
     big = x > _BESSEL_ASYMPTOTIC
-    out = getattr(special, name)(order, np.where(big, 1.0, x))
-    return np.where(big, front * x ** -0.5 * (1.0 + (c1 + c2 / x) / x), out)
+    # the expansion runs on the large elements only: at tiny x its powers
+    # overflow.  scipy returns a numpy.float64 for a scalar x, hence asarray
+    out = np.asarray(getattr(special, name)(order, np.where(big, 1.0, x)))
+    xb = x[big]
+    out[big] = front * xb ** -0.5 * (1.0 + (c1 + c2 / xb) / xb)
+    return out
 
 
 _i1e = functools.partial(_bessel_vec, "I1")
@@ -169,9 +173,11 @@ _k1e = functools.partial(_bessel_vec, "K1")
 def bessel_scaled(kind: str, x: float) -> float:
     """e^{-x} I_nu(x) for kind "I1"/"I2", or e^{x} K_1(x) for kind "K1".
 
-    Finite and positive for every positive double; the scaling removes the
-    e^{+-x} growth so products like I_2(a) K_1(b) can be reassembled as
-    scaled-product times e^{a-b} without overflow.
+    Finite and positive for x from 1e-150 up.  Below that scipy's values
+    leave the positive doubles: ive(2, x) is 0 below x ~ 1.8e-152 and
+    ive(1, x) below 7.8e-305, and kve(1, x) is inf below 2.2e-305.  The
+    scaling removes the e^{+-x} growth so products like I_2(a) K_1(b) can be
+    reassembled as scaled-product times e^{a-b} without overflow.
     """
     if kind not in _BESSEL_KINDS:
         raise DomainError(f"unknown Bessel kind {kind!r}; expected I1, I2 or K1")
@@ -190,19 +196,24 @@ _MU = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0,
 
 _HALLEY_MAX_ITER = 60
 
+# Above this offset the seed t - log t + log t / t is the value (its error is
+# O((log t / t)^2) < 1e-36); Halley's w * w overflows from d ~ 1.3e154 on.
+_W_SEED_EXACT = 1e20
+
 
 def _w_upper_from_offset(d) -> np.ndarray:
     """Upper-cut Lambert W at z = -e^{d-1}, parametrized by d = log(-z) + 1 >= 0.
 
     The branch with Im W in (0, pi) satisfies W + Log W = (d - 1) + i pi,
     which is solved entirely in the log domain so d (hence -z = e^{d-1}) may
-    reach ~1e16 and beyond without overflow.  d = 0 is the branch point.
+    be any finite double without overflow.  d = 0 is the branch point.
 
-    Below d = 3e-4 the branch-point series is the value.  Elsewhere Halley
-    refines a seed, and each element stops on its own: when its relative
-    step falls below 2e-16, or when the step no longer shrinks (the rounding
-    floor, reached first near the branch point, where the update divides by
-    W + 1 ~ sqrt(2d)).  A stopped element is never updated again, so every
+    Below d = 3e-4 the branch-point series is the value, and above
+    _W_SEED_EXACT the asymptotic seed is.  Elsewhere Halley refines a seed,
+    and each element stops on its own: when its relative step falls below
+    2e-16, or when the step no longer shrinks (the rounding floor, reached
+    first near the branch point, where the update divides by W + 1 ~
+    sqrt(2d)).  A stopped element is never updated again, so every
     value depends on its own d alone, not on the batch it arrives in.  An
     element still converging after _HALLEY_MAX_ITER steps raises
     ConvergenceError.
@@ -217,7 +228,7 @@ def _w_upper_from_offset(d) -> np.ndarray:
     W[~near] = t - lt + lt / t
     target = flat - 1.0 + 1j * _PI
     last = np.full(flat.shape, np.inf)   # each element's previous step size
-    active = np.flatnonzero(~(flat < 3e-4))
+    active = np.flatnonzero(~((flat < 3e-4) | (flat > _W_SEED_EXACT)))
     for _ in range(_HALLEY_MAX_ITER):
         w = W[active]
         f = w + np.log(w) - target[active]

@@ -177,6 +177,9 @@ def test_green_trace_signs_and_leading_term():
     g_minus, g_plus = ll.green_traces(2.0, 1.0, 0.1)
     assert g_plus < 0.0                      # E(k) < K(k) on (0, 1)
     assert g_minus == pytest.approx(-2.5, abs=1e-12)
+    # a point next to the axis: Bessel arguments down to 3e-299
+    g_minus, _ = ll.green_traces(1e-300, 1.0, 0.1)
+    assert g_minus == pytest.approx(-5e-300, rel=1e-12)
 
 
 def test_green_trace_symmetry():

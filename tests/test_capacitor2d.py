@@ -51,9 +51,21 @@ def test_phi_prime_against_finite_difference():
         assert ll.phi_psi(x).phi_prime == pytest.approx(fd, abs=1e-7)
 
 
+def test_far_field_stays_finite():
+    # Phi ~ 1/(pi x) and Psi ~ -log(pi x)/pi out to the largest admitted x;
+    # Phi' ~ -1/(pi x^2) reads -0.0 once |1 + W|^2 overflows
+    for x in (1e16, 1e200, 1e300, 5.7e307):
+        s = ll.phi_psi(x)
+        assert math.isfinite(s.phi_prime) and s.phi_prime <= 0.0
+        assert s.phi * PI * x == pytest.approx(1.0, rel=1e-14)
+        assert s.psi == pytest.approx(-math.log(PI * x) / PI, rel=1e-14)
+
+
 def test_domain_guard():
     with pytest.raises(DomainError):
         ll.phi_psi(-0.5)
+    with pytest.raises(DomainError, match="pi \\* x"):
+        ll.phi_psi(1e308)                    # pi x overflows
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,9 +209,14 @@ def test_i2_k1_product_leading_order():
 
 
 def test_bessel_finite_positive_over_kernel_range():
-    xs = np.geomspace(1e-8, 700.0 * PI / 1e-4, 60)
+    # the kernel range, then 1e-150 to 1e300: scipy's ive(2, x) is 0 below
+    # x ~ 1.8e-152, and the large-x expansion is evaluated on large x only
+    xs = np.concatenate([np.geomspace(1e-8, 700.0 * PI / 1e-4, 60),
+                         np.geomspace(1e-150, 1e300, 46)])
     for kind in ("I1", "I2", "K1"):
-        vals = np.array([ll.bessel_scaled(kind, float(x)) for x in xs])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = np.array([ll.bessel_scaled(kind, float(x)) for x in xs])
         assert np.all(np.isfinite(vals))
         assert np.all(vals > 0.0)
 
@@ -257,6 +263,15 @@ def test_upper_cut_round_trip_and_branch():
         assert 0.0 < w.imag < PI
         residual = w * np.exp(w) - x
         assert abs(residual) <= 1e-12 * max(1.0, abs(x))
+    # offsets whose z = -e^{d-1} is no double, up to the largest: the log
+    # form W + log W = (d - 1) + i pi, on the cut.  Im W rounds to math.pi,
+    # the double just below pi
+    for d in (1e154, 1e200, 1e300, 1.7e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = specfun._w_upper_from_offset(d)[0]
+        assert np.isfinite(w) and 0.0 < w.imag <= PI
+        assert abs(w + np.log(w) - complex(d - 1.0, PI)) <= 1e-15 * abs(w)
 
 
 def test_upper_cut_branch_point_continuity():
@@ -282,7 +297,7 @@ def test_upper_cut_asymptotic_seed_form():
 # d = log(-z) + 1 across the seams of _w_upper_from_offset: the branch-point
 # series below 3e-4, down to offsets within a few ulps of the branch point,
 # Halley from the series seed below 0.5, from the asymptotic seed above, out
-# to d = 1e16.
+# to d = 1e16, and the asymptotic seed alone far past _W_SEED_EXACT.
 _W_OFFSETS = np.concatenate([
     [0.0, 3e-4, 0.5],
     np.nextafter([3e-4, 3e-4, 0.5, 0.5], [0.0, 1.0, 0.0, 1.0]),
@@ -290,6 +305,7 @@ _W_OFFSETS = np.concatenate([
     np.geomspace(1e-9, 1e-2, 120),
     np.linspace(0.25, 0.75, 41),
     np.geomspace(1.0, 1e16, 120),
+    [1e154, 1e200, 1e300, 1.7e308],
 ])
 
 
