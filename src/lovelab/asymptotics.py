@@ -26,7 +26,7 @@ import numpy as np
 from .capacitor2d import cumulative_phi, cumulative_phi_log, phi_prime_polylog_integral
 from .errors import ConvergenceError, DomainError, WindowError, _check_real
 from .quadrature import _tanh_sinh
-from .specfun import _i1e, _i2e, _k1e, _ke_vec, elliptic_k_derivative, elliptic_ke
+from .specfun import _dk_vec, _i1e, _i2e, _k1e, _ke_vec, elliptic_k_derivative, elliptic_ke
 
 __all__ = [
     "ENERGY_GAMMA2",
@@ -346,7 +346,10 @@ def green_traces(r: float, r1: float, epsilon: float) -> tuple[float, float]:
     g_minus (gap region): -(1/(2 eps)) r_</r_> minus a Bessel sum whose
     term n decays like e^{-n pi (r_> - r_<)/eps}; summed in scaled form and
     truncated once terms drop below 1e-16 of the total.
-    g_plus (upper half space): (2/(pi r_<)) (E(r_</r_>) - K(r_</r_>)).
+    g_plus (upper half space): (2/(pi r_<)) (E(k) - K(k)) at k = r_</r_>,
+    taken as (2/(pi r_>)) ((1 - k^2) dK/dk - k K(k)): the same value through
+    E - K = k (1 - k^2) dK/dk - k^2 K, without the cancellation of E against
+    K at small k.
     """
     _check_real(r, "r", "(0, inf)")
     _check_real(r1, "r1", "(0, inf)")
@@ -362,8 +365,9 @@ def green_traces(r: float, r1: float, epsilon: float) -> tuple[float, float]:
 
     total = _bessel_sum(terms, 1e-16)
     g_minus = -(rlt / rgt) / (2.0 * epsilon) - (2.0 / epsilon) * total
-    pair = elliptic_ke(rlt / rgt)
-    g_plus = (2.0 / (_PI * rlt)) * (pair.E - pair.K)
+    k = rlt / rgt
+    dk = float(_dk_vec(np.asarray([k]))[0])
+    g_plus = (2.0 / (_PI * rgt)) * ((1.0 - k) * (1.0 + k) * dk - k * elliptic_ke(k).K)
     return g_minus, g_plus
 
 

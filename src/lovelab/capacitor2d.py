@@ -18,13 +18,12 @@ W solver works on log(-argument) = pi x - 1 directly.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RegimeWarning, _check_int, _check_real
+from .errors import DomainError, WindowError, _check_int, _check_real
 from .quadrature import _composite, _log_edges
 from .specfun import _polylog_exp_neg, _w_upper_from_offset
 
@@ -100,27 +99,24 @@ _SMALL_MAX = 0.1
 _LARGE_MIN = 5.0
 
 
-def _regime_check(x: float, regime: str) -> None:
-    if regime not in ("small", "large"):
-        raise DomainError(f"regime must be 'small' or 'large', got {regime!r}")
-    if regime == "small" and x > _SMALL_MAX:
-        warnings.warn(f"small-x series evaluated at x={x!r} > {_SMALL_MAX}",
-                      RegimeWarning, stacklevel=3)
-    if regime == "large" and x < _LARGE_MIN:
-        warnings.warn(f"large-x series evaluated at x={x!r} < {_LARGE_MIN}",
-                      RegimeWarning, stacklevel=3)
-
-
-def phi_series(x: float, regime: str) -> float:
-    """Truncated series for Phi(x, 0).
-
-    small:  1 - sqrt(2/pi) x^{1/2} + (1/9) sqrt(pi/2) x^{3/2}
-              - pi^{3/2}/(540 sqrt 2) x^{5/2}        + O(x^{7/2})
-    large:  1/(pi x) + log(pi x)/(pi x)^2 ... /pi^2 x^2  + O(log^2 x / x^3)
-    """
+def _is_small(x: float) -> bool:
+    """Whether the small-x series holds at x, False for the large-x one;
+    WindowError between the two windows, where neither truncation holds."""
     _check_real(x, "x", "[0, inf)")
-    _regime_check(x, regime)
-    if regime == "small":
+    if _SMALL_MAX < x < _LARGE_MIN:
+        raise WindowError(f"the Phi and Psi series need x <= {_SMALL_MAX} or "
+                          f"x >= {_LARGE_MIN:g}, got {x!r}")
+    return x <= _SMALL_MAX
+
+
+def phi_series(x: float) -> float:
+    """Truncated series for Phi(x, 0); WindowError for 0.1 < x < 5.
+
+    x <= 0.1:  1 - sqrt(2/pi) x^{1/2} + (1/9) sqrt(pi/2) x^{3/2}
+                 - pi^{3/2}/(540 sqrt 2) x^{5/2}        + O(x^{7/2})
+    x >= 5:    1/(pi x) + log(pi x)/(pi x)^2             + O(log^2 x / x^3)
+    """
+    if _is_small(x):
         rx = math.sqrt(x)
         return (1.0 - math.sqrt(2.0 / _PI) * rx
                 + math.sqrt(_PI / 2.0) / 9.0 * rx ** 3
@@ -128,17 +124,15 @@ def phi_series(x: float, regime: str) -> float:
     return 1.0 / (_PI * x) + math.log(_PI * x) / (_PI * _PI * x * x)
 
 
-def psi_series(x: float, regime: str) -> float:
-    """Truncated series for Psi(x, 0).
+def psi_series(x: float) -> float:
+    """Truncated series for Psi(x, 0); WindowError for 0.1 < x < 5.
 
-    small:  -x/3 + (2 pi/135) x^2 + (4 pi^2/8505) x^3 + O(x^4); the cubic
-            coefficient follows from the branch-point expansion of W and is
-            validated against the exact evaluator in the tests.
-    large:  -(1/pi) log(pi x) + (log(pi x) + 1)/(pi^2 x) + O(log^2 x / x^2)
+    x <= 0.1:  -x/3 + (2 pi/135) x^2 + (4 pi^2/8505) x^3 + O(x^4); the cubic
+               coefficient follows from the branch-point expansion of W and
+               is validated against the exact evaluator in the tests.
+    x >= 5:    -(1/pi) log(pi x) + (log(pi x) + 1)/(pi^2 x) + O(log^2 x / x^2)
     """
-    _check_real(x, "x", "[0, inf)")
-    _regime_check(x, regime)
-    if regime == "small":
+    if _is_small(x):
         return -x / 3.0 + 2.0 * _PI / 135.0 * x * x + 4.0 * _PI ** 2 / 8505.0 * x ** 3
     lpx = math.log(_PI * x)
     return -lpx / _PI + (lpx + 1.0) / (_PI * _PI * x)

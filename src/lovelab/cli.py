@@ -230,11 +230,7 @@ def cmd_fit_weak(args: argparse.Namespace) -> int:
             return love.observables(sol)
 
         pts = [solve_point(g) for g in grid]
-    try:
-        c2, residual = love.weak_coupling_fit(pts)
-    except LoveLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    c2, residual = love.weak_coupling_fit(pts)
     dist_tak = abs(c2 - asymptotics.ENERGY_GAMMA2)
     dist_kw = abs(c2 - asymptotics.ENERGY_GAMMA2_RIVAL)
     verdict = "takahashi" if dist_tak < dist_kw else "kaminaka_wadati"

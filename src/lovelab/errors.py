@@ -13,7 +13,6 @@ __all__ = [
     "ResolutionError",
     "WindowError",
     "ConditioningError",
-    "RegimeWarning",
 ]
 
 
@@ -56,10 +55,6 @@ class WindowError(LoveLabError, ValueError):
 
 class ConditioningError(LoveLabError):
     """A least-squares design matrix is numerically rank deficient."""
-
-
-class RegimeWarning(UserWarning):
-    """A series was evaluated outside its documented accuracy regime."""
 
 
 def _check_int(value, name: str, high: float) -> int:

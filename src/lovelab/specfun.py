@@ -15,8 +15,8 @@ Conventions
 
 What scipy.special serves is taken from it: K and E (ellipkm1, ellipe), the
 scaled Bessel functions (ive, kve) and zeta(n) (zeta).  Kept here is only
-what it cannot serve: the upper-cut W solved in the log domain (offsets up
-to ~1e16), Li_n(e^{-t}) with the argument kept in the exponent,
+what it cannot serve: the upper-cut W solved in the log domain (every finite
+offset), Li_n(e^{-t}) with the argument kept in the exponent,
 the Bessel expansions above 1e8 (where ive and kve degrade), the dK/dr series
 at small r (where the closed form cancels), and W's branch-point series.
 

@@ -67,6 +67,8 @@ def test_expansions_reject_arguments_past_their_window():
     assert 0.1 < 2.0 * ll.epsilon_of_gamma(0.25) <= 0.3
     with pytest.raises(WindowError):
         ll.epsilon_of_gamma(0.26)
+    with pytest.raises(WindowError):
+        ll.third_moment_expansion(0.06)
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +182,20 @@ def test_green_trace_signs_and_leading_term():
     # a point next to the axis: Bessel arguments down to 3e-299
     g_minus, _ = ll.green_traces(1e-300, 1.0, 0.1)
     assert g_minus == pytest.approx(-5e-300, rel=1e-12)
+
+
+def test_green_trace_g_plus_against_mpmath():
+    # E(k) - K(k) ~ -pi k^2 / 4 cancels between two values near pi/2 at
+    # small k; the reference carries 2 log10(1/k) extra digits through it.
+    # Near r = 1 the g_minus sum outgrows its cap, so the ladder stops short
+    mpmath = pytest.importorskip("mpmath")
+    for r in (1e-300, 1e-100, 1e-30, 1e-12, 1e-8, 1e-5, 1e-3, 0.05, 0.1,
+              0.2, 0.3, 0.5, 0.9, 0.999):
+        _, g_plus = ll.green_traces(r, 1.0, 0.1)
+        k = mpmath.mpf(r)
+        with mpmath.workdps(60 + 2 * int(-mpmath.log10(k))):
+            ref = (2 / (mpmath.pi * k)) * (mpmath.ellipe(k * k) - mpmath.ellipk(k * k))
+            assert abs(g_plus - ref) <= 1e-14 * abs(ref), r
 
 
 def test_green_trace_symmetry():

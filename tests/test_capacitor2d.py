@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import lovelab as ll
-from lovelab.errors import DomainError, RegimeWarning
+from lovelab.errors import DomainError, WindowError
 
 PI = math.pi
 
@@ -75,37 +75,37 @@ def test_domain_guard():
 def test_phi_small_series_window():
     # remainder O(x^{7/2})
     for x in (0.01, 0.04, 0.1):
-        gap = abs(ll.phi_series(x, "small") - ll.phi_psi(x).phi)
+        gap = abs(ll.phi_series(x) - ll.phi_psi(x).phi)
         assert gap <= x ** 3.5
 
 
 def test_phi_small_series_error_slope():
     xs = np.array([0.01, 0.02, 0.04, 0.08])
-    errs = [abs(ll.phi_series(float(x), "small") - ll.phi_psi(float(x)).phi)
+    errs = [abs(ll.phi_series(float(x)) - ll.phi_psi(float(x)).phi)
             for x in xs]
     slope = np.polyfit(np.log(xs), np.log(errs), 1)[0]
     assert slope == pytest.approx(3.5, abs=0.2)
 
 
 def test_phi_small_series_values():
-    assert ll.phi_series(0.0, "small") == 1.0
+    assert ll.phi_series(0.0) == 1.0
     x = 0.01
     expected = 1.0 - math.sqrt(2.0 / PI) * 0.1 + math.sqrt(PI / 2.0) / 9.0 * 1e-3 \
         - PI ** 1.5 / (540.0 * math.sqrt(2.0)) * 1e-5
-    assert ll.phi_series(x, "small") == pytest.approx(expected, rel=1e-15)
+    assert ll.phi_series(x) == pytest.approx(expected, rel=1e-15)
 
 
 def test_phi_large_series_window():
     # remainder O(log^2 x / x^3)
     for x in (5.0, 10.0, 20.0, 50.0):
-        gap = abs(ll.phi_series(x, "large") - ll.phi_psi(x).phi)
+        gap = abs(ll.phi_series(x) - ll.phi_psi(x).phi)
         assert gap <= math.log(x) ** 2 / x ** 3
 
 
 def test_phi_large_series_error_slope():
     # error ~ log^2 x / x^3: effective log-log slope -3 + 2/log x
     xs = np.array([20.0, 40.0, 80.0])
-    errs = [abs(ll.phi_series(float(x), "large") - ll.phi_psi(float(x)).phi)
+    errs = [abs(ll.phi_series(float(x)) - ll.phi_psi(float(x)).phi)
             for x in xs]
     slope = np.polyfit(np.log(xs), np.log(errs), 1)[0]
     expected = -3.0 + 2.0 / math.log(40.0)
@@ -114,13 +114,13 @@ def test_phi_large_series_error_slope():
 
 def test_psi_small_series_window():
     for x in (0.001, 0.01, 0.05):
-        gap = abs(ll.psi_series(x, "small") - ll.phi_psi(x).psi)
+        gap = abs(ll.psi_series(x) - ll.phi_psi(x).psi)
         assert gap <= 5.0 * x ** 4
 
 
 def test_psi_small_leading_term():
     x = 1e-4
-    assert ll.psi_series(x, "small") / x == pytest.approx(-1.0 / 3.0, abs=1e-4)
+    assert ll.psi_series(x) / x == pytest.approx(-1.0 / 3.0, abs=1e-4)
     assert ll.phi_psi(x).psi / x == pytest.approx(-1.0 / 3.0, abs=1e-3)
 
 
@@ -138,21 +138,24 @@ def test_psi_cubic_coefficient_against_oracle():
 def test_psi_large_series_window():
     # remainder O(log^2 x / x^2)
     for x in (5.0, 30.0, 200.0):
-        gap = abs(ll.psi_series(x, "large") - ll.phi_psi(x).psi)
+        gap = abs(ll.psi_series(x) - ll.phi_psi(x).psi)
         assert gap <= math.log(x) ** 2 / x ** 2
 
 
 def test_psi_normalization():
-    assert ll.psi_series(0.0, "small") == 0.0
+    assert ll.psi_series(0.0) == 0.0
 
 
-def test_regime_warnings():
-    with pytest.warns(RegimeWarning):
-        ll.phi_series(3.0, "small")
-    with pytest.warns(RegimeWarning):
-        ll.psi_series(0.5, "large")
-    with pytest.raises(DomainError):
-        ll.phi_series(0.5, "medium")
+@pytest.mark.parametrize("series", [ll.phi_series, ll.psi_series])
+def test_series_refuse_the_gap_between_windows(series):
+    # each window's edge is its own; strictly between them neither
+    # truncation holds
+    for x in (0.1, 5.0):
+        series(x)
+    for x in (0.1 + 1e-12, 0.5, 3.0, 5.0 - 1e-12):
+        with pytest.raises(WindowError) as info:
+            series(x)
+        assert str(info.value) == f"the Phi and Psi series need x <= 0.1 or x >= 5, got {x!r}"
 
 
 # ----------------------------------------------------------------------

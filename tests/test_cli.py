@@ -243,6 +243,13 @@ def test_output_file(capsys, tmp_path):
     assert path.read_text().startswith("kappa,")
 
 
+def test_output_onto_a_directory_is_usage_error(tmp_path):
+    # its parent is a writable directory, so only the write itself fails
+    code, out, err = run_quiet(["solve", "--kappa", "1", "--output", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write the table: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--kappa", "1"],
     ["verify", "--which", "gamma0"],
@@ -548,6 +555,7 @@ BAD_CONFIG_LINES = st.one_of(
 @example(argv=["solve", "--kappa", "1", "--nodes", "8"])
 @example(argv=["compare-asymptotics", "--kappa", "0.1", "--nodes", "8"])
 @example(argv=["fit-weak", "--nodes", "3"])
+@example(argv=["fit-weak", "--synthetic", "nope"])
 def test_malformed_flag_values_exit_2(argv):
     assert_usage_error(argv)
 

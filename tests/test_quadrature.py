@@ -357,6 +357,8 @@ def test_fit_precondition_guards():
         ll.fit_log_tail([(10.0, 1.0), (100.0, 2.0), (1000.0, 3.0)])
     with pytest.raises(DomainError):
         ll.fit_log_tail([(x, 1.0) for x in (10.0, 20.0, 40.0, 80.0)])
+    with pytest.raises(DomainError, match="sample abscissae must be positive"):
+        ll.fit_log_tail([(0.0, 1.0), (10.0, 1.0), (100.0, 2.0), (1000.0, 3.0)])
 
 
 def test_fit_refuses_a_rank_deficient_design():

@@ -482,9 +482,9 @@ def test_polylog_errors():
     lambda: specfun._polylog_exp_neg([2, 200], np.array([0.1, 2.0])),
     lambda: ll.energy_series("takahashi", math.nan),
     lambda: ll.energy_series("takahashi", math.inf),
-    lambda: ll.phi_series(math.nan, "small"),
-    lambda: ll.psi_series(math.nan, "large"),
-    lambda: ll.phi_series(math.inf, "large"),
+    lambda: ll.phi_series(math.nan),
+    lambda: ll.psi_series(math.nan),
+    lambda: ll.phi_series(math.inf),
     lambda: ll.phi_psi(math.inf),
     lambda: ll.green_traces(1.0, 2.0, math.inf),
     lambda: ll.operator_norm_discrete(math.inf),
@@ -500,13 +500,17 @@ def test_polylog_errors():
     lambda: ll.bessel_scaled("K1", math.inf),
     lambda: ll.bessel_scaled("I2", math.inf),
     lambda: ll.capacitance_series("kirchhoff", math.inf),
+    lambda: ll.AsymptoticSeries().reciprocal(),
+    lambda: ll.AsymptoticSeries([(0, 1, 1.0)]).reciprocal(),
+    lambda: ll.AsymptoticSeries([(0, 0, -1.0)]).log(),
 ], ids=["polylog-bool", "polylog-170-expansion", "polylog-170-direct",
         "polylog-exp-neg-200", "energy-nan", "energy-inf", "phi-nan", "psi-nan",
         "phi-inf", "phi-psi-inf", "green-traces-eps-inf",
         "operator-norm-discrete-inf", "kernel-k3-inf", "cumulative-phi-inf",
         "cumulative-phi-log-inf", "fit-log-tail-nan-value", "fit-log-tail-inf-x",
         "default-delta-nan", "green-traces-r-inf", "default-node-count-inf",
-        "operator-norm-inf", "bessel-k1-inf", "bessel-i2-inf", "capacitance-inf"])
+        "operator-norm-inf", "bessel-k1-inf", "bessel-i2-inf", "capacitance-inf",
+        "series-reciprocal-empty", "series-reciprocal-log-led", "series-log-negative-lead"])
 def test_boundary_refuses_bad_inputs(call):
     # refused up front with DomainError, not iterated to a ConvergenceError,
     # returned as NaN or a number, or raised as OverflowError, LinAlgError
@@ -537,8 +541,8 @@ _REAL_GUARDS = [
     ("epsilon", "(0, inf)", ll.default_delta, "default-delta"),
     ("epsilon", "(0, inf)", ll.j_split, "j-split"),
     ("x", "[0, inf)", ll.phi_psi, "phi-psi"),
-    ("x", "[0, inf)", lambda v: ll.phi_series(v, "small"), "phi-series"),
-    ("x", "[0, inf)", lambda v: ll.psi_series(v, "large"), "psi-series"),
+    ("x", "[0, inf)", ll.phi_series, "phi-series"),
+    ("x", "[0, inf)", ll.psi_series, "psi-series"),
     ("X", "[1, inf)", ll.cumulative_phi, "cumulative-phi"),
     ("X", "[1, inf)", ll.cumulative_phi_log, "cumulative-phi-log"),
     ("k", "[0, 1]", ll.elliptic_ke, "elliptic-ke"),
