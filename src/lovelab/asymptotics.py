@@ -395,7 +395,7 @@ def _k1_part(r: float, epsilon: float) -> float:
 
 
 def _k3_part(r: float) -> float:
-    pair = elliptic_ke(1.0 / r)    # PoleError at r = 1: log divergence
+    pair = elliptic_ke(1.0 / r)    # DomainError at r = 1: log divergence
     return 2.0 * r * r * pair.E + (1.0 - 2.0 * r * r) * pair.K
 
 

@@ -101,8 +101,10 @@ _LARGE_MIN = 5.0
 
 def _is_small(x: float) -> bool:
     """Whether the small-x series holds at x, False for the large-x one;
-    WindowError between the two windows, where neither truncation holds."""
+    WindowError between the two windows, where neither truncation holds,
+    and DomainError where pi x overflows, as in phi_psi."""
     _check_real(x, "x", "[0, inf)")
+    _check_real(_PI * x, "pi * x", "[0, inf)")
     if _SMALL_MAX < x < _LARGE_MIN:
         raise WindowError(f"the Phi and Psi series need x <= {_SMALL_MAX} or "
                           f"x >= {_LARGE_MIN:g}, got {x!r}")

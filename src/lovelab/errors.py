@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all lovelab modules."""
+"""Exception hierarchy shared by all lovelab modules.
+
+An argument a function cannot take, a pole (K(k) at k = 1) and a divergent
+value (Li_1(1)) included, raises DomainError.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +11,6 @@ import numbers
 __all__ = [
     "LoveLabError",
     "DomainError",
-    "PoleError",
-    "DivergenceError",
     "ConvergenceError",
     "ResolutionError",
     "WindowError",
@@ -22,14 +24,6 @@ class LoveLabError(Exception):
 
 class DomainError(LoveLabError, ValueError):
     """An argument lies outside the mathematical domain of the function."""
-
-
-class PoleError(DomainError):
-    """The requested value sits on a pole (e.g. K(k) at k = 1)."""
-
-
-class DivergenceError(LoveLabError):
-    """The requested quantity diverges (series or integral)."""
 
 
 class ConvergenceError(LoveLabError):

@@ -14,11 +14,12 @@ Conventions
   its callers form (d = 0 is the branch point -1/e).
 
 What scipy.special serves is taken from it: K and E (ellipkm1, ellipe), the
-scaled Bessel functions (ive, kve) and zeta(n) (zeta).  Kept here is only
-what it cannot serve: the upper-cut W solved in the log domain (every finite
-offset), Li_n(e^{-t}) with the argument kept in the exponent,
-the Bessel expansions above 1e8 (where ive and kve degrade), the dK/dr series
-at small r (where the closed form cancels), and W's branch-point series.
+scaled Bessel functions (ive, kve) and the zeta values of the polylogarithm
+tables (zeta).  Kept here is only what it cannot serve: the upper-cut W
+solved in the log domain (every finite offset), Li_n(e^{-t}) with the
+argument kept in the exponent, the Bessel expansions above 1e8 (where ive
+and kve degrade), the dK/dr series at small r (where the closed form
+cancels), and W's branch-point series.
 
 scipy.special is imported by the functions that use it, on first call, so
 importing lovelab, solving and fitting never load scipy; only the identity
@@ -34,8 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConvergenceError, DivergenceError, DomainError, PoleError, _check_int,
-                     _check_real)
+from .errors import ConvergenceError, DomainError, _check_int, _check_real
 
 __all__ = [
     "EllipticPair",
@@ -80,8 +80,8 @@ def elliptic_ke(k: float) -> EllipticPair:
     """
     _check_real(k, "k", "[0, 1]")
     if k == 1.0:
-        raise PoleError("K(k) has a logarithmic pole at k = 1; "
-                        "use elliptic_e for E(1) = 1")
+        raise DomainError("K(k) has a logarithmic pole at k = 1; "
+                          "use elliptic_e for E(1) = 1")
     K, E = _ke_vec(k, (1.0 - k) * (1.0 + k))
     return EllipticPair(k, float(K), float(E))
 
@@ -274,34 +274,22 @@ def _direct_coefficients(n: int) -> tuple[float, ...]:
 
 
 @functools.cache
-def _expansion_coefficients(n: int) -> tuple:
-    """zeta(n), and the coefficients c_k / k! of the expansion of Li_n about
-    the unit argument, highest power first (c_{n-1} = H_{n-1}, the rest
-    zeta(n - k)).  Built on first use, so importing loads no scipy."""
+def _expansion_coefficients(n: int) -> tuple[float, ...]:
+    """The coefficients c_k / k! of the expansion of Li_n about the unit
+    argument, highest power first: c_{n-1} = H_{n-1}, the rest zeta(n - k),
+    so c_0 = zeta(n) for n >= 2, and for n = 1 c_0 = H_0 = 0.  Built on
+    first use, so importing loads no scipy."""
     from scipy.special import zeta
     harmonic = math.fsum(1.0 / j for j in range(1, n))   # H_{n-1}
-    return zeta(n), tuple((harmonic if k == n - 1 else zeta(n - k)) / math.factorial(k)
-                          for k in range(max(n + 1, _EXPANSION_ORDER), -1, -1))
-
-
-def _split_orders(orders: list[int]) -> tuple[list[int], list[int]]:
-    """The row indices of order 1 (the log form), and those of the others."""
-    return ([i for i, m in enumerate(orders) if m == 1],
-            [i for i, m in enumerate(orders) if m > 1])
+    return tuple((harmonic if k == n - 1 else zeta(n - k)) / math.factorial(k)
+                 for k in range(max(n + 1, _EXPANSION_ORDER), -1, -1))
 
 
 def _polylog_direct(orders: list[int], x: np.ndarray) -> np.ndarray:
     """Li_n(x) for 0 <= x <= 1/2, one row per order, from the defining
-    series by one Horner pass over all rows; -log(1 - x) by log1p for
-    n = 1."""
-    out = np.empty((len(orders), len(x)))
-    logs, series = _split_orders(orders)
-    if logs:
-        out[logs] = -np.log1p(-x)
-    if series:
-        table = np.array([_direct_coefficients(orders[i]) for i in series]).T
-        out[series] = x * _horner(table[::-1, :, None], x)
-    return out
+    series by one Horner pass over all rows."""
+    table = np.array([_direct_coefficients(m) for m in orders]).T
+    return x * _horner(table[::-1, :, None], x)
 
 
 def _polylog_exp_neg(n: int | Sequence[int], t):
@@ -309,9 +297,10 @@ def _polylog_exp_neg(n: int | Sequence[int], t):
 
     Callers integrating against e^{-pi x} tails pass t = pi x directly, so
     arguments exponentially close to 1 lose no precision to exp/log round
-    trips.  t = 0 requires n >= 2 (Li_1 diverges there).  t may be a float,
-    which gives a float, or an array, evaluated elementwise with a fixed
-    number of terms per branch, so each value depends on its own t alone.
+    trips.  t = 0 gives zeta(n) from the same table as every other t, and
+    requires n >= 2 (Li_1 diverges there).  t may be a float, which gives a
+    float, or an array, evaluated elementwise with a fixed number of terms
+    per branch, so each value depends on its own t alone.
 
     n may also be a sequence of orders: the result then has one row per
     order, each holding the bits the order alone gives, from one Horner
@@ -328,31 +317,24 @@ def _polylog_exp_neg(n: int | Sequence[int], t):
     bad = flat[~(flat >= 0.0)]
     if len(bad):
         raise DomainError(f"need t >= 0, got {bad[0]!r}")
+    if 1 in orders and np.any(flat == 0.0):
+        raise DomainError("Li_1(1) diverges")
     direct = flat > math.log(2.0)
+    expand = ~direct
     out = np.empty((len(orders), len(flat)))
-    logs, series = _split_orders(orders)
-    if logs:
-        if np.any(flat == 0.0):
-            raise DivergenceError("Li_1(1) diverges")
-        # -log(1 - x): expm1 keeps t << 1
-        out[np.ix_(logs, ~direct)] = -np.log(-np.expm1(-flat[~direct]))
-    if series:
-        tables = [_expansion_coefficients(orders[i]) for i in series]
-        out[series] = np.array([[zeta_n] for zeta_n, _ in tables])   # t = 0: zeta(n)
-        # expansion in mu = log x = -t about the unit argument (DLMF
-        # 25.12.12); converges for |mu| < 2 pi, fast for |mu| <= log 2.  The
-        # k = n - 1 term carries (H_{n-1} - log t) in place of zeta(1).
-        expand = ~direct & (flat > 0.0)
-        if np.any(expand):
-            width = max(len(c) for _, c in tables)
-            table = np.array([(0.0,) * (width - len(c)) + c for _, c in tables]).T
-            te = flat[expand]
-            mu = -te
-            acc = _horner(table[::-1, :, None], mu)
-            log_te = np.log(te)
-            for i, row in zip(series, acc):
-                m = orders[i]
-                out[i, expand] = row - mu ** (m - 1) / math.factorial(m - 1) * log_te
+    # expansion in mu = log x = -t about the unit argument (DLMF 25.12.12);
+    # converges for |mu| < 2 pi, fast for |mu| <= log 2.  The k = n - 1 term
+    # carries (H_{n-1} - log t) in place of zeta(1).  log t is taken as 0 at
+    # t = 0, where Horner returns c_0 = zeta(n) exactly.
+    tables = [_expansion_coefficients(m) for m in orders]
+    width = max(len(c) for c in tables)
+    table = np.array([(0.0,) * (width - len(c)) + c for c in tables]).T
+    te = flat[expand]
+    mu = -te
+    acc = _horner(table[::-1, :, None], mu)
+    log_te = np.log(te, out=np.zeros_like(te), where=te > 0.0)
+    for i, (m, row) in enumerate(zip(orders, acc)):
+        out[i, expand] = row - mu ** (m - 1) / math.factorial(m - 1) * log_te
     out[:, direct] = _polylog_direct(orders, np.exp(-flat[direct]))
     if isinstance(n, Sequence):
         return out.reshape((len(orders),) + ta.shape)
@@ -366,7 +348,7 @@ def polylog(n: int, x: float) -> float:
     Direct summation in x itself below x = 1/2, so tiny x keeps full
     relative accuracy; from 1/2 on the expansion about x = 1 in powers of
     log x, which keeps full accuracy up to and including x = 1 (where the
-    value is zeta(n)).  Li_1(1) diverges.
+    value is zeta(n)).  Li_1(1) diverges: DomainError.
     """
     n = _check_int(n, "order", _MAX_POLYLOG_ORDER)
     _check_real(x, "x", "[0, 1]")
