@@ -26,7 +26,8 @@ import numpy as np
 from .capacitor2d import cumulative_phi, cumulative_phi_log, phi_prime_polylog_integral
 from .errors import ConvergenceError, DomainError, WindowError, _check_real
 from .quadrature import _tanh_sinh
-from .specfun import _dk_vec, _i1e, _i2e, _k1e, _ke_vec, elliptic_k_derivative, elliptic_ke
+from .specfun import (_dk_vec, _horner, _i1e, _i2e, _k1e, _ke_vec, elliptic_k_derivative,
+                      elliptic_ke)
 
 __all__ = [
     "ENERGY_GAMMA2",
@@ -381,6 +382,31 @@ def _k2_sum(r: float, epsilon: float) -> float:
     return _bessel_sum(terms, 1e-15)
 
 
+# Above r = 1.4 the closed forms of k1's elliptic part and of k3 cancel like
+# r^2 (k3's is off by 2.3e-11 at r = 10, and at r = 1e4 it gives 0.0 against
+# -1.96e-9), so there both are summed from their power series in
+# s^2 = 1/r^2, from
+# K(s) = (pi/2) sum c_n^2 s^{2n}, E(s) = (pi/2) sum c_n^2 s^{2n}/(1 - 2n)
+# with c_n = binom(2n, n)/4^n:
+#   k1's elliptic part = -s sum_{j>=0} (j+1) c_{j+1}^2/((j+2)(2j+1)) s^{2j},
+#   k3 = (pi/2) sum_{m>=1} (c_m^2 - 2 c_{m+1}^2 (2m+2)/(2m+1)) s^{2m}
+#      = -(pi/2) s^2 sum_{j>=0} c_{j+1}^2 (j+1)/(j+2) s^{2j}.
+# Every term is negative, and 60 terms leave a truncation below 1e-17
+# relative at the switch, where the closed forms are still within 1e-14.
+_K_SERIES_SWITCH = 1.4
+_C_SQUARED = [(math.comb(2 * n, n) / 4.0 ** n) ** 2 for n in range(1, 61)]
+_K1_SERIES = tuple(-(j + 1) * c / ((j + 2) * (2 * j + 1)) for j, c in enumerate(_C_SQUARED))
+_K3_SERIES = tuple(-(_PI / 2.0) * c * (j + 1) / (j + 2) for j, c in enumerate(_C_SQUARED))
+
+
+def _ke_inverse(r: float) -> tuple[float, float]:
+    """K and E at the modulus 1/r for r > 1, with 1 - 1/r^2 formed as
+    (r - 1)(r + 1)/r^2: exact as r -> 1, where (1 - 1/r)(1 + 1/r) would
+    carry the rounding of 1/r into K (5e-11 relative in k3 at r = 1 + 1e-9)."""
+    K, E = _ke_vec(1.0 / r, (r - 1.0) * (r + 1.0) / (r * r))
+    return float(K), float(E)
+
+
 def _k1_part(r: float, epsilon: float) -> float:
     # the eps-free elliptic terms are summed first, so adding -1/(8 eps)
     # last rounds once and k1 + 1/(8 eps) is the same for every eps to
@@ -388,15 +414,24 @@ def _k1_part(r: float, epsilon: float) -> float:
     if r == 1.0:
         # (1 - r^2) K(1/r) -> 0; only the E term survives
         return -2.0 / (3.0 * _PI) - 1.0 / (8.0 * epsilon)
-    pair = elliptic_ke(1.0 / r)
-    elliptic = (-4.0 * r * (1.0 - r * r) * pair.K / (3.0 * _PI)
-                + 2.0 * r * (1.0 - 2.0 * r * r) * pair.E / (3.0 * _PI))
+    if r > _K_SERIES_SWITCH:
+        s = 1.0 / r
+        elliptic = s * float(_horner(_K1_SERIES, s * s))
+    else:
+        K, E = _ke_inverse(r)
+        elliptic = (-4.0 * r * (1.0 - r * r) * K / (3.0 * _PI)
+                    + 2.0 * r * (1.0 - 2.0 * r * r) * E / (3.0 * _PI))
     return elliptic - 1.0 / (8.0 * epsilon)
 
 
 def _k3_part(r: float) -> float:
-    pair = elliptic_ke(1.0 / r)    # DomainError at r = 1: log divergence
-    return 2.0 * r * r * pair.E + (1.0 - 2.0 * r * r) * pair.K
+    if r == 1.0:
+        raise DomainError("k3 diverges logarithmically at r = 1")
+    if r > _K_SERIES_SWITCH:
+        s2 = 1.0 / (r * r)
+        return s2 * float(_horner(_K3_SERIES, s2))
+    K, E = _ke_inverse(r)
+    return 2.0 * r * r * E + (1.0 - 2.0 * r * r) * K
 
 
 def kernel_k(part: str, r: float, epsilon: float = math.nan) -> float:
@@ -435,7 +470,7 @@ def k2_energy_integral(epsilon: float) -> float:
     """
     if not 0.0 < epsilon <= 0.05:
         raise WindowError(f"edge approximation needs 0 < eps <= 0.05, got {epsilon!r}")
-    return -(epsilon / _PI ** 2) * phi_prime_polylog_integral(2)
+    return -(epsilon / _PI ** 2) * phi_prime_polylog_integral([2])[0]
 
 
 def default_delta(epsilon: float) -> float:

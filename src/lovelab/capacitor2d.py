@@ -170,23 +170,23 @@ def cumulative_phi_log(X: float) -> float:
 _POLYLOG_CUTOFF = (17.0 * math.log(10.0) + 2.0) / _PI
 
 
-def _orders(n, name: str, top: int) -> list[int]:
-    """One order, or a non-empty sequence of them, as a list; every order
-    must be an integer in [1, top], and not a bool."""
-    orders = list(n) if isinstance(n, Sequence) else [n]
+def _orders(n: Sequence[int], name: str, top: int) -> list[int]:
+    """A non-empty sequence of orders as a list; every order must be an
+    integer in [1, top], and not a bool."""
+    orders = list(n)
     if not orders:
         raise DomainError(f"need at least one {name}")
     return [_check_int(m, name, top) for m in orders]
 
 
-def phi_prime_polylog_integral(n: int | Sequence[int]) -> float | list[float]:
-    """int_0^inf Phi'(x) Li_n(e^{-pi x}) dx for 1 <= n <= 7.
+def phi_prime_polylog_integral(n: Sequence[int]) -> list[float]:
+    """int_0^inf Phi'(x) Li_m(e^{-pi x}) dx for each order m in n, 1 <= m <= 7.
 
     The integrand carries the x^{-1/2} singularity of Phi' at the edge (and
-    for n = 1 an additional log factor); a tanh-sinh panel on [0, 1] absorbs
+    for m = 1 an additional log factor); a tanh-sinh panel on [0, 1] absorbs
     both, with Gauss panels covering the exponentially decaying remainder.
-    A sequence of orders gives the list of their integrals, taken on shared
-    abscissae, so Phi' is evaluated once per abscissa for all of them.
+    The orders share their abscissae, so Phi' is evaluated once per
+    abscissa for all of them.
     """
     orders = _orders(n, "order", 7)
 
@@ -194,4 +194,4 @@ def phi_prime_polylog_integral(n: int | Sequence[int]) -> float | list[float]:
         return _phi_prime(x) * _polylog_exp_neg(orders, _PI * x)
 
     values = _composite(integrand, [0.0, *np.linspace(1.0, _POLYLOG_CUTOFF, 14)])
-    return [float(v) for v in values] if isinstance(n, Sequence) else float(values[0])
+    return [float(v) for v in values]

@@ -93,32 +93,30 @@ def tn_first(n: int) -> Fraction:
     return seq[0]
 
 
-def verify_polylog_claim(n: int | Sequence[int]) -> ConjectureReport | list[ConjectureReport]:
-    """int_0^inf Phi'(x) Li_n(e^{-pi x}) dx against the exact (T^n[N])_1.
-
-    A sequence of orders gives a list of reports, from integrals taken on
-    shared abscissae."""
+def verify_polylog_claim(n: Sequence[int]) -> list[ConjectureReport]:
+    """int_0^inf Phi'(x) Li_m(e^{-pi x}) dx against the exact (T^m[N])_1,
+    one report per order m in n, from integrals taken on shared abscissae."""
     orders = _orders(n, "n", 6)
-    reports = [_report(f"polylog_n{m}", computed, float(tn_first(m)),
-                       "tanh-sinh + Gauss panels of Phi' Li_n(e^{-pi x}) vs exact "
-                       "sequence transform")
-               for m, computed in zip(orders, phi_prime_polylog_integral(orders))]
-    return reports if isinstance(n, Sequence) else reports[0]
+    return [_report(f"polylog_n{m}", computed, float(tn_first(m)),
+                    "tanh-sinh + Gauss panels of Phi' Li_n(e^{-pi x}) vs exact "
+                    "sequence transform")
+            for m, computed in zip(orders, phi_prime_polylog_integral(orders))]
 
 
 # ----------------------------------------------------------------------
 # Residue identity over the branch cut.
 # ----------------------------------------------------------------------
 
-def residue_identity(k: int | Sequence[int]) -> ConjectureReport | list[ConjectureReport]:
-    """Branch-cut integral against the pole residue k^k e^{-k} / (k-1)!.
+def residue_identity(k: Sequence[int]) -> list[ConjectureReport]:
+    """Branch-cut integral against the pole residue j^j e^{-j} / (j-1)!, one
+    report per order j in k.
 
     After x = -e^{t-1} the integral becomes
-    -(k/pi) int_0^inf e^{-k t} Im(1/(1 + W(-e^{t-1}))) dt with W on the
+    -(j/pi) int_0^inf e^{-j t} Im(1/(1 + W(-e^{t-1}))) dt with W on the
     upper cut; the integrand has a t^{-1/2} edge singularity (tanh-sinh)
-    and then decays like e^{-k t} (Gauss panels, count scaled with 1/k).
-    A sequence of orders gives a list of reports: their e^{-k t} rows share
-    one W evaluation per abscissa, on the panels of the smallest k.
+    and then decays like e^{-j t} (Gauss panels, count scaled with 1/j).
+    The e^{-j t} rows share one W evaluation per abscissa, on the panels
+    of the smallest j.
     """
     orders = _orders(k, "k", 8)
 
@@ -127,11 +125,10 @@ def residue_identity(k: int | Sequence[int]) -> ConjectureReport | list[Conjectu
         return np.array([np.exp(-j * t) * im for j in orders])
 
     values = _composite(integrand, [0.0, *np.linspace(1.0, 40.0 / min(orders) + 5.0, 20)])
-    reports = [_report(f"residue_k{j}", -(j / _PI) * float(value),
-                       j ** j * math.exp(-j) / math.factorial(j - 1),
-                       "upper-cut Lambert W branch integral, t = log(-e x) substitution")
-               for j, value in zip(orders, values)]
-    return reports if isinstance(k, Sequence) else reports[0]
+    return [_report(f"residue_k{j}", -(j / _PI) * float(value),
+                    j ** j * math.exp(-j) / math.factorial(j - 1),
+                    "upper-cut Lambert W branch integral, t = log(-e x) substitution")
+            for j, value in zip(orders, values)]
 
 
 # ----------------------------------------------------------------------

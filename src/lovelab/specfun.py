@@ -35,15 +35,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, _check_int, _check_real
+from .errors import ConvergenceError, DomainError, _check_real
 
 __all__ = [
     "EllipticPair",
     "elliptic_ke",
-    "elliptic_e",
     "elliptic_k_derivative",
-    "bessel_scaled",
-    "polylog",
 ]
 
 _PI = math.pi
@@ -80,18 +77,9 @@ def elliptic_ke(k: float) -> EllipticPair:
     """
     _check_real(k, "k", "[0, 1]")
     if k == 1.0:
-        raise DomainError("K(k) has a logarithmic pole at k = 1; "
-                          "use elliptic_e for E(1) = 1")
+        raise DomainError("K(k) has a logarithmic pole at k = 1")
     K, E = _ke_vec(k, (1.0 - k) * (1.0 + k))
     return EllipticPair(k, float(K), float(E))
-
-
-def elliptic_e(k: float) -> float:
-    """E(k) alone; valid on the closed interval [0, 1] (E(1) = 1 exactly)."""
-    _check_real(k, "k", "[0, 1]")
-    if k == 1.0:
-        return 1.0
-    return elliptic_ke(k).E
 
 
 # dK/dr = (pi/2) sum 2n c_n^2 r^{2n-1} with c_n = binom(2n, n)/4^n.  The
@@ -157,9 +145,8 @@ def _bessel_vec(kind: str, x: np.ndarray) -> np.ndarray:
     name, order, c1, c2, front = _BESSEL_KINDS[kind]
     x = np.asarray(x, dtype=float)
     big = x > _BESSEL_ASYMPTOTIC
-    # the expansion runs on the large elements only: at tiny x its powers
-    # overflow.  scipy returns a numpy.float64 for a scalar x, hence asarray
-    out = np.asarray(getattr(special, name)(order, np.where(big, 1.0, x)))
+    # the expansion runs on the large elements only: at tiny x its powers overflow
+    out = getattr(special, name)(order, np.where(big, 1.0, x))
     xb = x[big]
     out[big] = front * xb ** -0.5 * (1.0 + (c1 + c2 / xb) / xb)
     return out
@@ -168,21 +155,6 @@ def _bessel_vec(kind: str, x: np.ndarray) -> np.ndarray:
 _i1e = functools.partial(_bessel_vec, "I1")
 _i2e = functools.partial(_bessel_vec, "I2")
 _k1e = functools.partial(_bessel_vec, "K1")
-
-
-def bessel_scaled(kind: str, x: float) -> float:
-    """e^{-x} I_nu(x) for kind "I1"/"I2", or e^{x} K_1(x) for kind "K1".
-
-    Finite and positive for x from 1e-150 up.  Below that scipy's values
-    leave the positive doubles: ive(2, x) is 0 below x ~ 1.8e-152 and
-    ive(1, x) below 7.8e-305, and kve(1, x) is inf below 2.2e-305.  The
-    scaling removes the e^{+-x} growth so products like I_2(a) K_1(b) can be
-    reassembled as scaled-product times e^{a-b} without overflow.
-    """
-    if kind not in _BESSEL_KINDS:
-        raise DomainError(f"unknown Bessel kind {kind!r}; expected I1, I2 or K1")
-    _check_real(x, "x", "(0, inf)")
-    return float(_bessel_vec(kind, x))
 
 
 # ----------------------------------------------------------------------
@@ -292,23 +264,21 @@ def _polylog_direct(orders: list[int], x: np.ndarray) -> np.ndarray:
     return x * _horner(table[::-1, :, None], x)
 
 
-def _polylog_exp_neg(n: int | Sequence[int], t):
-    """Li_n(e^{-t}) for t >= 0, with the argument kept in the exponent.
+def _polylog_exp_neg(n: Sequence[int], t) -> np.ndarray:
+    """Li_m(e^{-t}) for each order m in n and t >= 0, with the argument
+    kept in the exponent: one row per order, each of t's shape.
 
     Callers integrating against e^{-pi x} tails pass t = pi x directly, so
     arguments exponentially close to 1 lose no precision to exp/log round
-    trips.  t = 0 gives zeta(n) from the same table as every other t, and
-    requires n >= 2 (Li_1 diverges there).  t may be a float, which gives a
-    float, or an array, evaluated elementwise with a fixed number of terms
-    per branch, so each value depends on its own t alone.
-
-    n may also be a sequence of orders: the result then has one row per
-    order, each holding the bits the order alone gives, from one Horner
-    pass over all rows per branch (tables of unequal length start from
+    trips.  t = 0 gives zeta(m) from the same table as every other t, and
+    requires m >= 2 (Li_1 diverges there).  t is evaluated elementwise with
+    a fixed number of terms per branch, so each value depends on its own t
+    alone, and each row holds the bits its order alone gives: one Horner
+    pass runs over all rows per branch (tables of unequal length start from
     leading zeros, which leave the sum unchanged).  Orders above 169 are
     refused: their tables overflow.
     """
-    orders = list(n) if isinstance(n, Sequence) else [n]
+    orders = list(n)
     if any(m > _MAX_POLYLOG_ORDER for m in orders):
         raise DomainError(f"orders above {_MAX_POLYLOG_ORDER} are not tabulated, "
                           f"got {max(orders)}")
@@ -336,22 +306,4 @@ def _polylog_exp_neg(n: int | Sequence[int], t):
     for i, (m, row) in enumerate(zip(orders, acc)):
         out[i, expand] = row - mu ** (m - 1) / math.factorial(m - 1) * log_te
     out[:, direct] = _polylog_direct(orders, np.exp(-flat[direct]))
-    if isinstance(n, Sequence):
-        return out.reshape((len(orders),) + ta.shape)
-    return float(out[0, 0]) if ta.ndim == 0 else out[0].reshape(ta.shape)
-
-
-def polylog(n: int, x: float) -> float:
-    """Polylogarithm Li_n(x) = sum_{k>=1} x^k / k^n for integer orders
-    1 <= n <= 169 (the tables of higher orders overflow) and x in [0, 1].
-
-    Direct summation in x itself below x = 1/2, so tiny x keeps full
-    relative accuracy; from 1/2 on the expansion about x = 1 in powers of
-    log x, which keeps full accuracy up to and including x = 1 (where the
-    value is zeta(n)).  Li_1(1) diverges: DomainError.
-    """
-    n = _check_int(n, "order", _MAX_POLYLOG_ORDER)
-    _check_real(x, "x", "[0, 1]")
-    if x < 0.5:
-        return float(_polylog_direct([n], np.array([x]))[0, 0])
-    return _polylog_exp_neg(n, -math.log(x))
+    return out.reshape((len(orders),) + ta.shape)

@@ -94,7 +94,7 @@ def test_06_integral4(capsys):
 
 
 def test_07_polylog_claims(capsys):
-    reports = [ll.verify_polylog_claim(n) for n in (1, 2, 3, 4)]
+    reports = ll.verify_polylog_claim([1, 2, 3, 4])
     targets = [-1.0, -0.5, -5.0 / 12.0, -7.0 / 18.0]
     ok = all(r.digits >= 13 for r in reports) and all(
         r.target == pytest.approx(t, rel=1e-15)
@@ -104,7 +104,7 @@ def test_07_polylog_claims(capsys):
 
 
 def test_08_residue_identities(capsys):
-    reports = [ll.residue_identity(k) for k in (1, 2, 3, 4)]
+    reports = ll.residue_identity([1, 2, 3, 4])
     ok = all(r.digits >= 13 for r in reports)
     with capsys.disabled():
         report(8, ok, "digits " + ", ".join(str(r.digits) for r in reports))

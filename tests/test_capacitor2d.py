@@ -205,15 +205,16 @@ def test_cumulative_domain_guards():
 # ----------------------------------------------------------------------
 
 def test_phi_prime_polylog_integral_values():
-    assert ll.phi_prime_polylog_integral(2) == pytest.approx(-0.5, abs=1e-10)
-    assert ll.phi_prime_polylog_integral(1) == pytest.approx(-1.0, abs=1e-10)
-    assert ll.phi_prime_polylog_integral(4) == pytest.approx(-7.0 / 18.0, abs=1e-9)
+    n2, n1, n4 = ll.phi_prime_polylog_integral([2, 1, 4])
+    assert n2 == pytest.approx(-0.5, abs=1e-10)
+    assert n1 == pytest.approx(-1.0, abs=1e-10)
+    assert n4 == pytest.approx(-7.0 / 18.0, abs=1e-9)
 
 
 def test_phi_prime_polylog_integral_guards():
     for bad in (0, 8, True):
         with pytest.raises(DomainError) as info:
-            ll.phi_prime_polylog_integral(bad)
+            ll.phi_prime_polylog_integral([bad])
         assert str(info.value) == f"order must be an integer in [1, 7], got {bad!r}"
 
 
@@ -225,7 +226,7 @@ def test_phi_prime_polylog_integral_sequence_matches_per_order():
     together = ll.phi_prime_polylog_integral(orders)
     assert isinstance(together, list) and len(together) == len(orders)
     for n, value in zip(orders, together):
-        single = ll.phi_prime_polylog_integral(n)
+        [single] = ll.phi_prime_polylog_integral([n])
         assert isinstance(single, float)
         assert abs(value - single) <= 4e-16 * abs(single)
 

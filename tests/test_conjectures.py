@@ -65,14 +65,12 @@ def test_tn_first_guards():
 # ----------------------------------------------------------------------
 
 def test_polylog_claim_reports():
-    r2 = ll.verify_polylog_claim(2)
+    r2, r1, r5 = ll.verify_polylog_claim([2, 1, 5])
     assert r2.target == -0.5
     assert r2.abs_error <= 1e-9
     assert r2.digits >= 13
-    r1 = ll.verify_polylog_claim(1)
     assert r1.target == -1.0
     assert r1.digits >= 13
-    r5 = ll.verify_polylog_claim(5)
     assert r5.target == pytest.approx(-1631.0 / 4320.0, rel=1e-15)
     assert r5.target == pytest.approx(-0.377546296, abs=1e-9)
     assert r5.digits >= 13
@@ -83,14 +81,14 @@ def test_polylog_claim_reports():
 # ----------------------------------------------------------------------
 
 def test_residue_targets_and_digits():
-    r1 = ll.residue_identity(1)
+    reports = ll.residue_identity([1, 2, 3, 4])
+    r1, r2 = reports[:2]
     assert r1.target == pytest.approx(math.exp(-1.0), rel=1e-15)
     assert r1.target == pytest.approx(0.3678794, abs=1e-7)
-    r2 = ll.residue_identity(2)
     assert r2.target == pytest.approx(4.0 * math.exp(-2.0), rel=1e-15)
     assert r2.target == pytest.approx(0.5413411, abs=1e-7)
-    for k in range(1, 5):
-        assert ll.residue_identity(k).digits >= 13
+    for report in reports:
+        assert report.digits >= 13
 
 
 def test_residue_integrand_has_one_sign():
@@ -104,11 +102,11 @@ def test_residue_integrand_has_one_sign():
 
 def test_residue_guards():
     with pytest.raises(DomainError):
-        ll.residue_identity(0)
+        ll.residue_identity([0])
     with pytest.raises(DomainError):       # isinstance(True, int) holds
-        ll.residue_identity(True)
+        ll.residue_identity([True])
     with pytest.raises(DomainError):
-        ll.residue_identity(9)
+        ll.residue_identity([9])
 
 
 @pytest.mark.parametrize("check, orders", [
@@ -121,11 +119,27 @@ def test_sequence_forms_match_per_order_calls(check, orders):
     # the per-order calls (each on its own panels) is 0
     together = check(orders)
     assert isinstance(together, list)
-    singles = [check(n) for n in orders]
+    singles = [single for n in orders for single in check([n])]
     assert [r.name for r in together] == [r.name for r in singles]
     for joint, single in zip(together, singles):
         assert joint.target == single.target and joint.method == single.method
         assert abs(joint.computed - single.computed) <= 4e-16 * abs(single.computed)
+
+
+@pytest.mark.parametrize("check", [
+    ll.phi_prime_polylog_integral, ll.verify_polylog_claim, ll.residue_identity,
+])
+def test_a_numpy_array_of_orders_is_a_sequence_of_orders(check):
+    # an array of orders is taken as its elements, each a numpy integer
+    assert check(np.arange(1, 3)) == check([1, 2])
+
+
+@pytest.mark.parametrize("check", [
+    ll.phi_prime_polylog_integral, ll.verify_polylog_claim, ll.residue_identity,
+])
+def test_orders_come_as_a_sequence_only(check):
+    with pytest.raises(TypeError):
+        check(2)
 
 
 @pytest.mark.parametrize("check, bad", [

@@ -7,6 +7,7 @@ import pytest
 import lovelab as ll
 from lovelab import asymptotics, capacitor2d, quadrature, specfun
 from lovelab.errors import ConvergenceError, DomainError, _check_real
+from lovelab.specfun import _i1e, _i2e, _k1e, _polylog_exp_neg
 
 PI = math.pi
 
@@ -31,10 +32,6 @@ def test_elliptic_degenerate_modulus():
     assert pair.E == pytest.approx(PI / 2, abs=1e-15)
 
 
-def test_elliptic_e_at_one():
-    assert ll.elliptic_e(1.0) == 1.0
-
-
 def test_elliptic_e_against_mpmath():
     # mpmath's ellipe takes the parameter m = k^2; moduli up to 1 - 1e-15
     mpmath = pytest.importorskip("mpmath")
@@ -42,7 +39,7 @@ def test_elliptic_e_against_mpmath():
     with mpmath.workdps(40):
         for k in ks:
             ref = mpmath.ellipe(mpmath.mpf(float(k)) ** 2)
-            assert abs(ll.elliptic_e(float(k)) - ref) <= 1e-15 * ref, k
+            assert abs(ll.elliptic_ke(float(k)).E - ref) <= 1e-15 * ref, k
 
 
 def test_elliptic_k_lemniscatic_point():
@@ -151,6 +148,9 @@ def test_k_derivative_against_mpmath():
 # Scaled Bessel functions.
 # ----------------------------------------------------------------------
 
+_SCALED_BESSEL = {"I1": _i1e, "I2": _i2e, "K1": _k1e}
+
+
 def k1_scaled_series_oracle(x):
     """e^x K_1(x) from the ascending series 1/x + log(x/2) I_1(x)
     - (x/4) sum (psi(k+1) + psi(k+2)) (x^2/4)^k / (k! (k+1)!)."""
@@ -176,23 +176,23 @@ def k1_scaled_series_oracle(x):
 
 
 def test_k1_scaled_at_one():
-    assert ll.bessel_scaled("K1", 1.0) == pytest.approx(1.636153486, abs=5e-10)
-    assert ll.bessel_scaled("K1", 1.0) == pytest.approx(
-        k1_scaled_series_oracle(1.0), rel=1e-13)
+    [value] = _k1e(np.array([1.0]))
+    assert value == pytest.approx(1.636153486, abs=5e-10)
+    assert value == pytest.approx(k1_scaled_series_oracle(1.0), rel=1e-13)
 
 
 def test_k1_scaled_series_oracle_grid():
     # the ascending series cancels like e^x, so give it e^x * eps headroom
-    for x in (0.3, 0.7, 2.0, 5.0):
-        assert ll.bessel_scaled("K1", x) == pytest.approx(
+    xs = [0.3, 0.7, 2.0, 5.0]
+    for x, value in zip(xs, _k1e(np.array(xs))):
+        assert value == pytest.approx(
             k1_scaled_series_oracle(x), rel=max(1e-13, 150.0 * math.exp(x) * 2e-16))
 
 
 def test_i2_small_argument_behavior():
     # I_2(x) ~ x^2/8, so the scaled value vanishes quadratically
-    for x in (1e-4, 1e-3):
-        assert ll.bessel_scaled("I2", x) == pytest.approx(
-            x * x / 8.0 * math.exp(-x), rel=1e-3)
+    xs = np.array([1e-4, 1e-3])
+    assert _i2e(xs) == pytest.approx(xs * xs / 8.0 * np.exp(-xs), rel=1e-3)
 
 
 def test_i2_k1_product_leading_order():
@@ -200,8 +200,8 @@ def test_i2_k1_product_leading_order():
     # here.  The first correction is -3/(2x) relative (so ~3% at x = 50):
     # check the value against leading order with that allowance and the
     # deviation itself against its predicted size.
-    for x in (50.0, 200.0):
-        product = ll.bessel_scaled("I2", x) * ll.bessel_scaled("K1", x)
+    xs = np.array([50.0, 200.0])
+    for x, product in zip(xs, _i2e(xs) * _k1e(xs)):
         deviation = product * 2.0 * x - 1.0
         assert abs(deviation) <= 1.2 * 1.5 / x
         assert deviation == pytest.approx(-1.5 / x, rel=0.2)
@@ -212,44 +212,34 @@ def test_bessel_finite_positive_over_kernel_range():
     # x ~ 1.8e-152, and the large-x expansion is evaluated on large x only
     xs = np.concatenate([np.geomspace(1e-8, 700.0 * PI / 1e-4, 60),
                          np.geomspace(1e-150, 1e300, 46)])
-    for kind in ("I1", "I2", "K1"):
+    for scaled in _SCALED_BESSEL.values():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            vals = np.array([ll.bessel_scaled(kind, float(x)) for x in xs])
+            vals = scaled(xs)
         assert np.all(np.isfinite(vals))
         assert np.all(vals > 0.0)
 
 
 def test_bessel_asymptotic_switch_is_seamless():
     from scipy.special import ive, kve
-    x = 1.0e8  # scipy still accurate here; the switch activates just above
-    assert ll.bessel_scaled("I2", x * 1.0000001) == pytest.approx(
-        float(ive(2, x * 1.0000001)), rel=1e-12)
-    assert ll.bessel_scaled("K1", x * 1.0000001) == pytest.approx(
-        float(kve(1, x * 1.0000001)), rel=1e-12)
+    x = np.array([1.0e8 * 1.0000001])  # just above the switch; scipy still holds here
+    assert _i2e(x)[0] == pytest.approx(float(ive(2, x[0])), rel=1e-12)
+    assert _k1e(x)[0] == pytest.approx(float(kve(1, x[0])), rel=1e-12)
 
 
 def test_bessel_scaled_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     # spans scipy's range and the asymptotic expansions above 1e8
     xs = np.concatenate([np.geomspace(1e-3, 1e12, 60), [1e8, np.nextafter(1e8, 2e8)]])
+    values = {kind: scaled(xs) for kind, scaled in _SCALED_BESSEL.items()}
     with mpmath.workdps(30):
-        for x in xs:
+        for i, x in enumerate(xs):
             xm = mpmath.mpf(float(x))
             refs = {"I1": mpmath.besseli(1, xm) * mpmath.exp(-xm),
                     "I2": mpmath.besseli(2, xm) * mpmath.exp(-xm),
                     "K1": mpmath.besselk(1, xm) * mpmath.exp(xm)}
             for kind, ref in refs.items():
-                assert abs(ll.bessel_scaled(kind, float(x)) - ref) <= 3e-15 * ref, (kind, x)
-
-
-def test_bessel_domain_errors():
-    with pytest.raises(DomainError):
-        ll.bessel_scaled("I1", 0.0)
-    with pytest.raises(DomainError):
-        ll.bessel_scaled("I1", -2.0)
-    with pytest.raises(DomainError):
-        ll.bessel_scaled("J0", 1.0)
+                assert abs(values[kind][i] - ref) <= 3e-15 * ref, (kind, x)
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +340,7 @@ _POLYLOG_T = np.concatenate([
 @pytest.mark.parametrize("func, first, second", [
     (capacitor2d._phi, _HEAD, np.concatenate([_UNIT, np.geomspace(1.0, 1e18, 40)])),
     (capacitor2d._phi_prime, _HEAD, np.concatenate([_UNIT, np.geomspace(1.0, 1e18, 40)])),
-    *[(lambda t, n=n: specfun._polylog_exp_neg(n, t), PI * _HEAD, _POLYLOG_T)
+    *[(lambda t, n=n: _polylog_exp_neg([n], t)[0], PI * _HEAD, _POLYLOG_T)
       for n in range(1, 5)],
     (specfun._dk_vec, _HEAD, _UNIT),
     (asymptotics._outer_subtracted, _HEAD, _UNIT),
@@ -388,17 +378,18 @@ def li2_summation_oracle():
 
 
 def test_polylog_at_zero():
-    for n in range(1, 8):
-        assert ll.polylog(n, 0.0) == 0.0
+    # Li_n(e^{-t}) at t = inf, the argument 0
+    assert _polylog_exp_neg(range(1, 8), math.inf).tolist() == [0.0] * 7
 
 
 def test_li1_is_log():
-    assert ll.polylog(1, 0.5) == pytest.approx(math.log(2.0), rel=1e-15)
+    [value] = _polylog_exp_neg([1], math.log(2.0))
+    assert value == pytest.approx(math.log(2.0), rel=1e-15)
 
 
 def test_li2_at_one_against_summation_oracle():
     partial, bound = li2_summation_oracle()
-    value = ll.polylog(2, 1.0)
+    [value] = _polylog_exp_neg([2], 0.0)
     assert abs(value - partial) <= bound
     assert value == pytest.approx(PI * PI / 6.0, abs=1e-14)
 
@@ -406,80 +397,74 @@ def test_li2_at_one_against_summation_oracle():
 def test_polylog_at_one_is_zeta_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        for n in range(2, 61):
+        for n, value in zip(range(2, 61), _polylog_exp_neg(range(2, 61), 0.0)):
             ref = mpmath.zeta(n)
-            assert abs(ll.polylog(n, 1.0) - ref) <= 1e-15 * ref, n
+            assert abs(value - ref) <= 1e-15 * ref, n
 
 
 def test_polylog_any_order_against_mpmath():
-    # the expansion about x = 1 needs H_{n-1} at every order, not only n <= 40
+    # the expansion about the unit argument needs H_{n-1} at every order,
+    # not only n <= 40
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        cases = [(ll.polylog(41, 0.9), mpmath.polylog(41, mpmath.mpf(0.9))),
-                 (ll.polylog(60, 0.99), mpmath.polylog(60, mpmath.mpf(0.99))),
-                 (specfun._polylog_exp_neg(45, 0.1),
-                  mpmath.polylog(45, mpmath.exp(-mpmath.mpf(0.1))))]
-        for value, ref in cases:
-            assert abs(value - ref) <= 1e-14 * ref
+        for n, t in ((41, -math.log(0.9)), (60, -math.log(0.99)), (45, 0.1)):
+            [value] = _polylog_exp_neg([n], t)
+            ref = mpmath.polylog(n, mpmath.exp(-mpmath.mpf(t)))
+            assert abs(value - ref) <= 1e-14 * ref, n
 
 
 def test_polylog_small_argument_against_mpmath():
-    # below x = 1/2 the series runs in x itself, so tiny x keeps full
-    # relative accuracy; mpmath.polylog returns 0 at x = 1e-300, so the
-    # oracle there is the summed series.  Li_1 holds to 2 ulp
+    # above t = log 2 the series runs in e^{-t} itself, so a tiny argument
+    # keeps full relative accuracy; mpmath.polylog returns 0 at e^{-t} =
+    # 1e-300, so the oracle there is the summed series.  Li_1 holds to 2 ulp
     mpmath = pytest.importorskip("mpmath")
-    xs = [1e-300, 1e-100, 1e-20, 1e-5, 0.3, 0.4999999, 0.5, 0.75, 0.999999]
+    ts = [-math.log(x) for x in (1e-300, 1e-100, 1e-20, 1e-5, 0.3, 0.4999999, 0.5,
+                                 0.75, 0.999999)]
     with mpmath.workdps(40):
         for n in (1, 2, 3, 5, 8):
-            for x in xs:
-                xm = mpmath.mpf(x)
-                if x < 0.5:
+            for t, value in zip(ts, _polylog_exp_neg([n], np.array(ts))[0]):
+                xm = mpmath.exp(-mpmath.mpf(t))
+                if t > math.log(2.0):
                     ref = mpmath.nsum(lambda k: xm ** k / k ** n, [1, mpmath.inf])
                 else:
                     ref = mpmath.polylog(n, xm)
                 bound = 4.5e-16 if n == 1 else 1e-15
-                assert abs(ll.polylog(n, x) - ref) <= bound * ref, (n, x)
+                assert abs(value - ref) <= bound * ref, (n, t)
 
 
 def test_polylog_series_ladder_consistency():
     # the direct series and the log-expansion route agree at a common point
-    from lovelab.specfun import _polylog_exp_neg
-
     for n in (2, 3, 5, 7):
         for x in (0.45, 0.55, 0.65):
             direct = sum(x ** k / float(k) ** n for k in range(1, 200))
-            assert _polylog_exp_neg(n, -math.log(x)) == pytest.approx(
-                direct, rel=1e-14)
-            assert ll.polylog(n, x) == pytest.approx(direct, rel=1e-14)
+            [value] = _polylog_exp_neg([n], -math.log(x))
+            assert value == pytest.approx(direct, rel=1e-14)
 
 
 def test_polylog_derivative_ladder():
-    # x * Li_{n+1}'(x) = Li_n(x)
+    # d/dt Li_{n+1}(e^{-t}) = -Li_n(e^{-t})
     h = 1e-6
     for n in (1, 2, 3):
-        for x in (0.3, 0.7):
-            fd = (ll.polylog(n + 1, x + h) - ll.polylog(n + 1, x - h)) / (2 * h)
-            assert fd * x == pytest.approx(ll.polylog(n, x), abs=1e-6)
+        for t in (-math.log(0.3), -math.log(0.7)):
+            up, down = _polylog_exp_neg([n + 1], np.array([t + h, t - h]))[0]
+            [value] = _polylog_exp_neg([n], t)
+            assert -(up - down) / (2 * h) == pytest.approx(value, abs=1e-6)
 
 
 def test_polylog_errors():
-    with pytest.raises(DomainError):
-        ll.polylog(1, 1.0)
-    for bad in (0, 170, True):
-        with pytest.raises(DomainError) as info:
-            ll.polylog(bad, 0.5)
-        assert str(info.value) == f"order must be an integer in [1, 169], got {bad!r}"
-    with pytest.raises(DomainError):
-        ll.polylog(2, 1.5)
-    with pytest.raises(DomainError):
-        ll.polylog(2, -0.1)
+    with pytest.raises(DomainError, match="Li_1"):
+        _polylog_exp_neg([1], 0.0)
+    with pytest.raises(DomainError, match="orders above 169 are not tabulated, got 170$"):
+        _polylog_exp_neg([170], 0.5)
+    with pytest.raises(DomainError, match="need t >= 0"):
+        _polylog_exp_neg([2], -0.1)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: ll.polylog(True, 0.5),                       # a bool is no order
-    lambda: ll.polylog(170, 0.9),                        # past the tables
-    lambda: ll.polylog(170, 0.3),
-    lambda: specfun._polylog_exp_neg([2, 200], np.array([0.1, 2.0])),
+    lambda: ll.phi_prime_polylog_integral([True]),       # a bool is no order
+    lambda: _polylog_exp_neg([170], 0.1),                # past the tables
+    lambda: _polylog_exp_neg([170], 1.2),
+    lambda: _polylog_exp_neg([2, 200], np.array([0.1, 2.0])),
     lambda: ll.energy_series("takahashi", math.nan),
     lambda: ll.energy_series("takahashi", math.inf),
     lambda: ll.phi_series(math.nan),
@@ -499,8 +484,6 @@ def test_polylog_errors():
     lambda: ll.green_traces(math.inf, 2.0, 0.1),
     lambda: ll.default_node_count(math.inf),
     lambda: ll.operator_norm(math.inf),
-    lambda: ll.bessel_scaled("K1", math.inf),
-    lambda: ll.bessel_scaled("I2", math.inf),
     lambda: ll.capacitance_series("kirchhoff", math.inf),
     lambda: ll.AsymptoticSeries().reciprocal(),
     lambda: ll.AsymptoticSeries([(0, 1, 1.0)]).reciprocal(),
@@ -511,7 +494,7 @@ def test_polylog_errors():
         "operator-norm-discrete-inf", "kernel-k3-inf", "cumulative-phi-inf",
         "cumulative-phi-log-inf", "fit-log-tail-nan-value", "fit-log-tail-inf-x",
         "default-delta-nan", "green-traces-r-inf", "default-node-count-inf",
-        "operator-norm-inf", "bessel-k1-inf", "bessel-i2-inf", "capacitance-inf",
+        "operator-norm-inf", "capacitance-inf",
         "series-reciprocal-empty", "series-reciprocal-log-led", "series-log-negative-lead"])
 def test_boundary_refuses_bad_inputs(call):
     # refused up front with DomainError, not iterated to a ConvergenceError,
@@ -548,10 +531,7 @@ _REAL_GUARDS = [
     ("X", "[1, inf)", ll.cumulative_phi, "cumulative-phi"),
     ("X", "[1, inf)", ll.cumulative_phi_log, "cumulative-phi-log"),
     ("k", "[0, 1]", ll.elliptic_ke, "elliptic-ke"),
-    ("k", "[0, 1]", ll.elliptic_e, "elliptic-e"),
     ("r", "(0, 1)", ll.elliptic_k_derivative, "elliptic-k-derivative"),
-    ("x", "(0, inf)", lambda v: ll.bessel_scaled("I1", v), "bessel-scaled"),
-    ("x", "[0, 1]", lambda v: ll.polylog(2, v), "polylog"),
 ]
 
 
@@ -580,8 +560,8 @@ def test_check_real_compares_each_end_as_its_bracket_says():
 
 def test_polylog_highest_order_holds():
     # Li_169(x) = x (1 + x 2^-169 + ...) is x to double precision
-    for x in (0.0, 1e-300, 0.3, 0.5, 0.9, 1.0):
-        assert ll.polylog(169, x) == pytest.approx(x, rel=1e-15, abs=0.0)
+    t = np.array([math.inf, 690.0, 1.2, math.log(2.0), 0.1, 0.0])
+    assert _polylog_exp_neg([169], t)[0] == pytest.approx(np.exp(-t), rel=1e-15, abs=0.0)
 
 
 def test_polylog_exp_neg_vectorized_against_mpmath():
@@ -591,9 +571,9 @@ def test_polylog_exp_neg_vectorized_against_mpmath():
     t = np.concatenate([np.geomspace(1e-6, 40.0, 150),
                         np.nextafter(log2, [0.0, 1.0]), [log2]])
     with mpmath.workdps(30):
-        for n in range(1, 8):
-            values = specfun._polylog_exp_neg(n, t)
-            assert values.shape == t.shape
+        rows = _polylog_exp_neg(range(1, 8), t)
+        assert rows.shape == (7,) + t.shape
+        for n, values in zip(range(1, 8), rows):
             for ti, v in zip(t, values):
                 ref = mpmath.polylog(n, mpmath.exp(-mpmath.mpf(float(ti))))
                 assert abs(v - ref) <= 1e-14 * abs(ref), (n, ti)
@@ -601,7 +581,7 @@ def test_polylog_exp_neg_vectorized_against_mpmath():
     # the oracle keeps its digits on one side of t = 1 only
     t1 = np.concatenate([np.geomspace(1e-300, 700.0, 300), t])
     with mpmath.workdps(40):
-        for ti, v in zip(t1, specfun._polylog_exp_neg(1, t1)):
+        for ti, v in zip(t1, _polylog_exp_neg([1], t1)[0]):
             tm = mpmath.mpf(float(ti))
             ref = (-mpmath.log(-mpmath.expm1(-tm)) if ti < 1.0
                    else -mpmath.log1p(-mpmath.exp(-tm)))
@@ -609,18 +589,17 @@ def test_polylog_exp_neg_vectorized_against_mpmath():
 
 
 def test_polylog_exp_neg_scalar_and_array_agree():
+    # a float t gives one value per order, each the bits of the array form
     t = np.array([0.0, 1e-3, 0.5, math.log(2.0), 2.0, 30.0])
-    for n in (2, 3, 7):
-        values = specfun._polylog_exp_neg(n, t)
-        for ti, v in zip(t, values):
-            scalar = specfun._polylog_exp_neg(n, float(ti))
-            assert isinstance(scalar, float)
-            assert scalar == v
-        assert values[0] == ll.polylog(n, 1.0)
+    rows = _polylog_exp_neg([2, 3, 7], t)
+    for i, ti in enumerate(t):
+        column = _polylog_exp_neg([2, 3, 7], float(ti))
+        assert column.shape == (3,)
+        assert column.tobytes() == rows[:, i].tobytes()
     with pytest.raises(DomainError):
-        specfun._polylog_exp_neg(1, t)
+        _polylog_exp_neg([1], t)
     with pytest.raises(DomainError):
-        specfun._polylog_exp_neg(2, np.array([1.0, -1e-3]))
+        _polylog_exp_neg([2], np.array([1.0, -1e-3]))
 
 
 @pytest.mark.parametrize("orders", [(1, 2, 3, 4), (2, 7), (5, 19, 45)])
@@ -633,19 +612,17 @@ def test_polylog_exp_neg_order_rows_equal_single_orders_bit_for_bit(orders):
     if 1 not in orders:
         t = np.concatenate([[0.0], t])
     for ts in (t, t[:200].reshape(10, 20)):
-        rows = specfun._polylog_exp_neg(list(orders), ts)
+        rows = _polylog_exp_neg(orders, ts)
         assert rows.shape == (len(orders),) + ts.shape
         for n, row in zip(orders, rows):
-            assert row.tobytes() == specfun._polylog_exp_neg(n, ts).tobytes()
-    rows = specfun._polylog_exp_neg(orders, 0.25)
-    assert rows.tolist() == [specfun._polylog_exp_neg(n, 0.25) for n in orders]
+            assert row.tobytes() == _polylog_exp_neg([n], ts)[0].tobytes()
 
 
 def test_polylog_exp_neg_order_rows_refuse_bad_arguments():
     for bad in (np.array([0.5, np.nan]), np.array([1.0, -1e-3]), -2.0):
         with pytest.raises(DomainError):
-            specfun._polylog_exp_neg([2, 3], bad)
+            _polylog_exp_neg([2, 3], bad)
     with pytest.raises(DomainError):
-        specfun._polylog_exp_neg([3, 1], np.array([0.5, 0.0]))
+        _polylog_exp_neg([3, 1], np.array([0.5, 0.0]))
     # Li_1 diverges only at t = 0
-    assert np.all(np.isfinite(specfun._polylog_exp_neg([3, 1], np.array([0.5, 1e-300]))))
+    assert np.all(np.isfinite(_polylog_exp_neg([3, 1], np.array([0.5, 1e-300]))))
