@@ -26,8 +26,8 @@ import numpy as np
 from .capacitor2d import cumulative_phi, cumulative_phi_log, phi_prime_polylog_integral
 from .errors import ConvergenceError, DomainError, WindowError, _check_real
 from .quadrature import _tanh_sinh
-from .specfun import (_dk_vec, _horner, _i1e, _i2e, _k1e, _ke_vec, elliptic_k_derivative,
-                      elliptic_ke)
+from .specfun import (_DK_SWITCH, _dk_vec, _horner, _i1e, _i2e, _k1e, _ke_vec,
+                      elliptic_k_derivative)
 
 __all__ = [
     "ENERGY_GAMMA2",
@@ -350,7 +350,8 @@ def green_traces(r: float, r1: float, epsilon: float) -> tuple[float, float]:
     g_plus (upper half space): (2/(pi r_<)) (E(k) - K(k)) at k = r_</r_>,
     taken as (2/(pi r_>)) ((1 - k^2) dK/dk - k K(k)): the same value through
     E - K = k (1 - k^2) dK/dk - k^2 K, without the cancellation of E against
-    K at small k.
+    K at small k.  1 - k^2 is formed as (r_> - r_<)(r_> + r_<)/r_>^2, so
+    near the diagonal K carries no rounding of k.
     """
     _check_real(r, "r", "(0, inf)")
     _check_real(r1, "r1", "(0, inf)")
@@ -367,8 +368,13 @@ def green_traces(r: float, r1: float, epsilon: float) -> tuple[float, float]:
     total = _bessel_sum(terms, 1e-16)
     g_minus = -(rlt / rgt) / (2.0 * epsilon) - (2.0 / epsilon) * total
     k = rlt / rgt
-    dk = float(_dk_vec(np.asarray([k]))[0])
-    g_plus = (2.0 / (_PI * rgt)) * ((1.0 - k) * (1.0 + k) * dk - k * elliptic_ke(k).K)
+    kc2 = (rgt - rlt) * (rgt + rlt) / (rgt * rgt)   # 1 - k^2, exact as r1 -> r
+    K, E = (float(v) for v in _ke_vec(k, kc2))
+    # (1 - k^2) dK/dk = (E - (1 - k^2) K) / k, from the dK/dk series where
+    # that difference cancels
+    kc2_dk = (kc2 * float(_dk_vec(np.asarray([k]))[0]) if k < _DK_SWITCH
+              else (E - kc2 * K) / k)
+    g_plus = (2.0 / (_PI * rgt)) * (kc2_dk - k * K)
     return g_minus, g_plus
 
 

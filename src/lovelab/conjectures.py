@@ -8,10 +8,16 @@ identity evaluated over the Lambert branch cut.
 Every check produces a ConjectureReport carrying the computed value, the
 closed-form target, and the number of matched significant digits.  The
 sequence-transform table is exact: it never touches floating point.
+
+Within one run_all call each shared integral is evaluated once: gamma0 and
+gamma1 are the two rows of one composite integral (one Lambert-W pass),
+and integral4 serves both its own report and route (a) of gamma2.  No value
+outlives the call; a producer called on its own computes its own.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,31 +79,40 @@ def _report(name: str, computed: float, target: float, method: str) -> Conjectur
 
 def t_transform(seq: Sequence[Fraction | int]) -> list[Fraction]:
     """One application of the transform T[s]_k = (s_k - s_{k+1}) / k
-    (1-based k); output is one element shorter than the input."""
+    (1-based k); output is one element shorter than the input.  Every
+    element must be finite (an int, a Fraction, or a finite float)."""
     if len(seq) < 2:
         raise DomainError(f"need at least 2 elements, got {len(seq)}")
-    s = [Fraction(v) for v in seq]
+    try:
+        s = [Fraction(v) for v in seq]
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"elements must be finite: {exc}") from None
     return [(s[i] - s[i + 1]) / Fraction(i + 1) for i in range(len(s) - 1)]
 
 
-def tn_first(n: int) -> Fraction:
-    """First element of T^n applied to the natural numbers, exactly.
-
-    Each application consumes one element, so the seed 1..n+1 is the
-    shortest that determines the answer.
-    """
-    n = _check_int(n, "n", 7)
+def _tn_firsts(n: int) -> list[Fraction]:
+    """First elements of T^0 .. T^n applied to the natural numbers, from one
+    pass: each application consumes one element, and (T^k s)_1 depends on
+    s_1..s_{k+1} only, so the seed 1..n+1 determines them all."""
     seq: list[Fraction] = [Fraction(i) for i in range(1, n + 2)]
+    firsts = [seq[0]]
     for _ in range(n):
         seq = t_transform(seq)
-    return seq[0]
+        firsts.append(seq[0])
+    return firsts
+
+
+def tn_first(n: int) -> Fraction:
+    """First element of T^n applied to the natural numbers, exactly."""
+    return _tn_firsts(_check_int(n, "n", 7))[-1]
 
 
 def verify_polylog_claim(n: Sequence[int]) -> list[ConjectureReport]:
     """int_0^inf Phi'(x) Li_m(e^{-pi x}) dx against the exact (T^m[N])_1,
     one report per order m in n, from integrals taken on shared abscissae."""
     orders = _orders(n, "n", 6)
-    return [_report(f"polylog_n{m}", computed, float(tn_first(m)),
+    targets = _tn_firsts(max(orders))
+    return [_report(f"polylog_n{m}", computed, float(targets[m]),
                     "tanh-sinh + Gauss panels of Phi' Li_n(e^{-pi x}) vs exact "
                     "sequence transform")
             for m, computed in zip(orders, phi_prime_polylog_integral(orders))]
@@ -135,26 +150,50 @@ def residue_identity(k: Sequence[int]) -> list[ConjectureReport]:
 # Cumulative-potential constants.
 # ----------------------------------------------------------------------
 
-def _subtracted_moment(power: int) -> float:
-    """int_0^inf (Phi(t) - [t > 1]/(pi t)) log^power t dt, a convergent integral:
-    tanh-sinh on the cusp head [0, 1], with the jump of the subtraction on its
-    edge, then geometric Gauss panels up to 1e18 (the rest is below 1e-15)."""
+# The values shared within one run_all call, by the function that computes
+# them; None outside a run, where every call computes its own.
+_RUN_VALUES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "lovelab_run_values", default=None)
+
+
+def _once_per_run(func: Callable[[], object]) -> Callable[[], object]:
+    """func, whose value run_all computes once and shares with every later
+    call made in the same run."""
+    def shared():
+        values = _RUN_VALUES.get()
+        if values is None:
+            return func()
+        if func not in values:
+            values[func] = func()
+        return values[func]
+    return shared
+
+
+@_once_per_run
+def _subtracted_moments() -> np.ndarray:
+    """int_0^inf (Phi(t) - [t > 1]/(pi t)) log^p t dt for p = 0, 1, convergent
+    integrals taken as the two rows of one composite integral, so Phi is
+    evaluated once per abscissa: tanh-sinh on the cusp head [0, 1], with the
+    jump of the subtraction on its edge, then geometric Gauss panels up to
+    1e18 (the rest is below 1e-15).  Each row converges and is summed on
+    its own, so each keeps the bits of its integral taken alone."""
     def integrand(t: np.ndarray) -> np.ndarray:
-        return (_phi(t) - np.where(t > 1.0, 1.0 / (_PI * t), 0.0)) * np.log(t) ** power
+        g = _phi(t) - np.where(t > 1.0, 1.0 / (_PI * t), 0.0)
+        return np.array([g, g * np.log(t)])
 
     return _composite(integrand, [0.0, *_log_edges(1.0, 1e18)])
 
 
 def verify_gamma0() -> ConjectureReport:
     """Constant of int_0^X Phi dt - (log X)/pi, against (1 + log pi)/pi."""
-    return _report("gamma0", _subtracted_moment(0), GAMMA0,
+    return _report("gamma0", float(_subtracted_moments()[0]), GAMMA0,
                    "tanh-sinh + Gauss panels of Phi - 1/(pi t) past t = 1")
 
 
 def verify_gamma1() -> ConjectureReport:
     """Constant of int_0^X Phi log t dt - log^2 X/(2 pi), against
     pi/6 - 1/pi - log(pi)/pi - log^2(pi)/(2 pi)."""
-    return _report("gamma1", _subtracted_moment(1), GAMMA1,
+    return _report("gamma1", float(_subtracted_moments()[1]), GAMMA1,
                    "tanh-sinh + Gauss panels of (Phi - 1/(pi t) past t = 1) log t")
 
 
@@ -162,6 +201,7 @@ def verify_gamma1() -> ConjectureReport:
 # Outer-integral constant, two independent routes.
 # ----------------------------------------------------------------------
 
+@_once_per_run
 def _integral4_value() -> float:
     def integrand(r: np.ndarray) -> np.ndarray:
         dk = _dk_vec(r)
@@ -216,5 +256,13 @@ SUITE: dict[str, Callable[[], list[ConjectureReport]]] = {
 
 def run_all() -> list[ConjectureReport]:
     """The full suite in SUITE order: gamma0, gamma1, both gamma2 routes,
-    integral4, polylog claims n = 1..4, residue identities k = 1..4."""
-    return [r for task in SUITE.values() for r in task()]
+    integral4, polylog claims n = 1..4, residue identities k = 1..4.
+
+    The producers share their common integrals for the length of this call
+    only: each call starts afresh, and keeps no value once it returns or
+    raises."""
+    token = _RUN_VALUES.set({})
+    try:
+        return [r for task in SUITE.values() for r in task()]
+    finally:
+        _RUN_VALUES.reset(token)

@@ -16,7 +16,8 @@ at level 5, so each of its integrals calls its integrand once.  Sums are
 formed per level and per panel from their own values, so results keep their
 bits provided a value depends on its own abscissa alone, as every integrand
 here does.  The nodes of each tanh-sinh level on the unit interval are
-built once, as read-only tables.
+built once, as read-only tables, and so are their abscissae and weights on
+each interval an integral asks for (a bounded cache).
 """
 
 from __future__ import annotations
@@ -192,18 +193,23 @@ def _ts_unit_level(level: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+@functools.lru_cache(maxsize=64)
 def _ts_level(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Abscissae and weights that tanh-sinh level `level` adds on (a, b):
-    the midpoint (level 0 only), then the new nodes near a, then those
-    near b."""
+    """Read-only abscissae and weights that tanh-sinh level `level` adds on
+    (a, b): the midpoint (level 0 only), then the new nodes near a, then
+    those near b.  Built once per interval and level; the cache is bounded,
+    as callers may pass any interval."""
     s, w = _ts_unit_level(level)
     width = b - a
     xl = a + width * s
     xr = b - width * s
     lok, rok = xl > a, xr < b
     x0, w0 = ([a + 0.5 * width], [0.5 * _PI]) if level == 0 else ([], [])
-    return (np.concatenate([x0, xl[lok], xr[rok]]),
-            np.concatenate([w0, w[lok], w[rok]]))
+    tables = (np.concatenate([x0, xl[lok], xr[rok]]),
+              np.concatenate([w0, w[lok], w[rok]]))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,

@@ -92,10 +92,14 @@ _DK_SERIES = tuple(2 * n * (math.comb(2 * n, n) / 4.0 ** n) ** 2 for n in range(
 
 def _horner(coefficients, x):
     """sum_k coefficients[k] x^k, elementwise, by Horner's rule.  A (terms,
-    rows, 1) table of coefficients gives one row per table column."""
-    acc = np.zeros_like(x)
+    rows, 1) table of coefficients gives one row per table column.  The
+    steps run in place on one accumulator: the same operations, so the
+    same bits, without a new array per term."""
+    acc = np.zeros(np.broadcast_shapes(np.shape(coefficients[0]), np.shape(x)),
+                   dtype=np.result_type(x, coefficients[0]))
     for c in reversed(coefficients):
-        acc = acc * x + c
+        acc *= x
+        acc += c
     return acc
 
 

@@ -198,6 +198,20 @@ def test_green_trace_g_plus_against_mpmath():
             assert abs(g_plus - ref) <= 1e-14 * abs(ref), r
 
 
+def test_green_trace_g_plus_near_the_diagonal_against_mpmath():
+    # 1 - k^2 comes from r and r1, not from the rounded k = r/r1, so K keeps
+    # its digits as r1 -> r (it was 1.5e-12 off at r1 = 1 + 1e-6); past
+    # 1 + 1e-6 the g_minus sum outgrows its cap
+    mpmath = pytest.importorskip("mpmath")
+    for p in range(1, 7):
+        r1 = 1.0 + 10.0 ** -p
+        _, g_plus = ll.green_traces(1.0, r1, 0.1)
+        with mpmath.workdps(50):
+            k = 1 / mpmath.mpf(r1)
+            ref = (2 / mpmath.pi) * (mpmath.ellipe(k * k) - mpmath.ellipk(k * k))
+            assert abs(g_plus - ref) <= 1e-15 * abs(ref), r1
+
+
 def test_green_trace_symmetry():
     a = ll.green_traces(2.0, 1.0, 0.25)
     b = ll.green_traces(1.0, 2.0, 0.25)

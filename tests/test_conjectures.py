@@ -46,6 +46,12 @@ def test_transform_requires_two_elements():
         ll.t_transform([F(1)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_transform_refuses_non_finite_elements(bad):
+    with pytest.raises(DomainError, match="finite"):
+        ll.t_transform([1, bad, 3])
+
+
 def test_tn_first_values():
     assert ll.tn_first(1) == F(-1)
     assert ll.tn_first(3) == F(-5, 12)
@@ -189,12 +195,9 @@ def test_one_w_evaluation_per_level_and_one_for_the_panels(capsys, monkeypatch, 
     assert counts[0] == counts[1]
 
 
-def test_one_integrand_call_per_integral_of_the_suite(monkeypatch):
-    # every tanh-sinh integral of the suite converges at level 5, so its
-    # integrand's first call (levels 0-5 and any Gauss tail) is its only
-    # one; the four W integrals call W once each, and the polylog orders
-    # share one _polylog_exp_neg call; per-level calls would make 21, 12
-    # and 12
+def _count_suite_calls(monkeypatch) -> dict:
+    """Counts of integrand calls (one per tanh-sinh integral call of f), W
+    calls and polylog calls, kept up to date while the patches stand."""
     calls = {"integrand": 0, "w": 0, "polylog": 0}
     tanh_sinh = quadrature._tanh_sinh
 
@@ -214,8 +217,53 @@ def test_one_integrand_call_per_integral_of_the_suite(monkeypatch):
         monkeypatch.setattr(module, "_w_upper_from_offset", w_upper)
     monkeypatch.setattr(capacitor2d, "_polylog_exp_neg",
                         counted("polylog", specfun._polylog_exp_neg))
+    return calls
+
+
+def test_one_integrand_call_per_integral_of_the_suite(monkeypatch):
+    # every tanh-sinh integral of the suite converges at level 5, so its
+    # integrand's first call (levels 0-5 and any Gauss tail) is its only
+    # one; gamma0 and gamma1 are two rows of one W integral, integral4 is
+    # taken once for its report and gamma2's route (a), and the polylog
+    # orders share one _polylog_exp_neg call; per-level calls would make
+    # 21, 12 and 12, and unshared integrals 7, 4 and 1
+    calls = _count_suite_calls(monkeypatch)
     assert len(conjectures.run_all()) == 13
-    assert calls == {"integrand": 7, "w": 4, "polylog": 1}
+    assert calls == {"integrand": 5, "w": 3, "polylog": 1}
+
+
+def test_no_shared_value_outlives_its_run(monkeypatch):
+    # each run computes its shared integrals afresh
+    calls = _count_suite_calls(monkeypatch)
+    for _ in range(2):
+        calls.update(integrand=0, w=0)
+        assert len(conjectures.run_all()) == 13
+        assert (calls["integrand"], calls["w"]) == (5, 3)
+
+
+def test_no_shared_value_outlives_a_failed_run(monkeypatch):
+    # the last group raises after gamma0 and gamma1 took their shared
+    # integral; a later check on its own computes it again
+    def refuse(k):
+        raise DomainError("refused")
+
+    calls = _count_suite_calls(monkeypatch)
+    monkeypatch.setattr(conjectures, "residue_identity", refuse)
+    with pytest.raises(DomainError):
+        conjectures.run_all()
+    calls["w"] = 0
+    assert conjectures.verify_gamma0().digits >= 15
+    assert calls["w"] == 1
+
+
+def test_run_all_equals_each_group_alone():
+    # sharing within a run moves no bit of any report
+    def fields(report):
+        return (report.name, report.computed.hex(), report.target.hex(),
+                report.abs_error.hex(), report.digits, report.method)
+
+    alone = [fields(r) for task in conjectures.SUITE.values() for r in task()]
+    assert [fields(r) for r in conjectures.run_all()] == alone
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import lovelab as ll
 from lovelab import quadrature
 from lovelab.errors import ConditioningError, ConvergenceError, DomainError
 from lovelab.quadrature import (_TOL, _TS_FIRST_CALL, _TS_MAX_LEVEL, _TS_TMAX, _composite,
-                                _panel_sum, _tanh_sinh, _ts_unit_level)
+                                _panel_sum, _tanh_sinh, _ts_level, _ts_unit_level)
 
 PI = math.pi
 
@@ -230,6 +230,14 @@ def test_level_tables_are_read_only():
             with pytest.raises(ValueError):
                 table[0] = 0.5
     assert _ts_unit_level(4) is _ts_unit_level(4)
+
+
+def test_mapped_level_tables_are_built_once_and_read_only():
+    # each interval's level tables are shared by every integral on it
+    for level in range(_TS_MAX_LEVEL + 1):
+        for table in _ts_level(0.0, 1.0, level):
+            assert not table.flags.writeable
+    assert _ts_level(0.5, 3.0, 2) is _ts_level(0.5, 3.0, 2)
 
 
 @pytest.mark.parametrize("f, best", [
