@@ -26,8 +26,7 @@ import numpy as np
 from .capacitor2d import cumulative_phi, cumulative_phi_log, phi_prime_polylog_integral
 from .errors import ConvergenceError, DomainError, WindowError, _check_real
 from .quadrature import _tanh_sinh
-from .specfun import (_DK_SWITCH, _dk_vec, _horner, _i1e, _i2e, _k1e, _ke_vec,
-                      elliptic_k_derivative)
+from .specfun import _dk_vec, _horner, _i1e, _i2e, _k1e, _ke_vec
 
 __all__ = [
     "ENERGY_GAMMA2",
@@ -312,7 +311,8 @@ def far_field(r: float) -> float:
     ~2 log10 r digits, so from r = 5 on F = (2/pi) s^2 dK/ds at s = 1/r."""
     _check_real(r, "r", "(1, inf)")
     if r >= 5.0:
-        return (2.0 / _PI) * elliptic_k_derivative(1.0 / r) / (r * r)
+        s = np.array([1.0 / r])
+        return (2.0 / _PI) * float(_dk_vec(s, (1.0 - s) * (1.0 + s))[0]) / (r * r)
     k = min(2.0 * math.sqrt(r) / (1.0 + r), 1.0)
     kc = (r - 1.0) / (r + 1.0)      # 1 - k^2 = kc^2, exact as r -> 1
     K, E = _ke_vec(k, kc * kc)
@@ -350,8 +350,9 @@ def green_traces(r: float, r1: float, epsilon: float) -> tuple[float, float]:
     g_plus (upper half space): (2/(pi r_<)) (E(k) - K(k)) at k = r_</r_>,
     taken as (2/(pi r_>)) ((1 - k^2) dK/dk - k K(k)): the same value through
     E - K = k (1 - k^2) dK/dk - k^2 K, without the cancellation of E against
-    K at small k.  1 - k^2 is formed as (r_> - r_<)(r_> + r_<)/r_>^2, so
-    near the diagonal K carries no rounding of k.
+    K at small k, where dK/dk is its series.  1 - k^2 is formed as
+    (r_> - r_<)(r_> + r_<)/r_>^2, so near the diagonal K carries no rounding
+    of k.
     """
     _check_real(r, "r", "(0, inf)")
     _check_real(r1, "r1", "(0, inf)")
@@ -367,15 +368,11 @@ def green_traces(r: float, r1: float, epsilon: float) -> tuple[float, float]:
 
     total = _bessel_sum(terms, 1e-16)
     g_minus = -(rlt / rgt) / (2.0 * epsilon) - (2.0 / epsilon) * total
-    k = rlt / rgt
-    kc2 = (rgt - rlt) * (rgt + rlt) / (rgt * rgt)   # 1 - k^2, exact as r1 -> r
-    K, E = (float(v) for v in _ke_vec(k, kc2))
-    # (1 - k^2) dK/dk = (E - (1 - k^2) K) / k, from the dK/dk series where
-    # that difference cancels
-    kc2_dk = (kc2 * float(_dk_vec(np.asarray([k]))[0]) if k < _DK_SWITCH
-              else (E - kc2 * K) / k)
-    g_plus = (2.0 / (_PI * rgt)) * (kc2_dk - k * K)
-    return g_minus, g_plus
+    k = np.array([rlt / rgt])
+    kc2 = np.array([(rgt - rlt) * (rgt + rlt) / (rgt * rgt)])   # exact as r1 -> r
+    K, _ = _ke_vec(k, kc2)
+    g_plus = (2.0 / (_PI * rgt)) * (kc2 * _dk_vec(k, kc2) - k * K)
+    return g_minus, float(g_plus[0])
 
 
 def _k2_sum(r: float, epsilon: float) -> float:
@@ -405,12 +402,12 @@ _K1_SERIES = tuple(-(j + 1) * c / ((j + 2) * (2 * j + 1)) for j, c in enumerate(
 _K3_SERIES = tuple(-(_PI / 2.0) * c * (j + 1) / (j + 2) for j, c in enumerate(_C_SQUARED))
 
 
-def _ke_inverse(r: float) -> tuple[float, float]:
-    """K and E at the modulus 1/r for r > 1, with 1 - 1/r^2 formed as
-    (r - 1)(r + 1)/r^2: exact as r -> 1, where (1 - 1/r)(1 + 1/r) would
-    carry the rounding of 1/r into K (5e-11 relative in k3 at r = 1 + 1e-9)."""
-    K, E = _ke_vec(1.0 / r, (r - 1.0) * (r + 1.0) / (r * r))
-    return float(K), float(E)
+def _inverse(r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The modulus s = 1/r for r > 1 and 1 - s^2, as one-element arrays, the
+    latter formed as (r - 1)(r + 1)/r^2: exact as r -> 1, where
+    (1 - s)(1 + s) would carry the rounding of 1/r into K (5e-11 relative
+    in k3 at r = 1 + 1e-9)."""
+    return np.array([1.0 / r]), np.array([(r - 1.0) * (r + 1.0) / (r * r)])
 
 
 def _k1_part(r: float, epsilon: float) -> float:
@@ -424,20 +421,26 @@ def _k1_part(r: float, epsilon: float) -> float:
         s = 1.0 / r
         elliptic = s * float(_horner(_K1_SERIES, s * s))
     else:
-        K, E = _ke_inverse(r)
+        K, E = (float(v[0]) for v in _ke_vec(*_inverse(r)))
         elliptic = (-4.0 * r * (1.0 - r * r) * K / (3.0 * _PI)
                     + 2.0 * r * (1.0 - 2.0 * r * r) * E / (3.0 * _PI))
     return elliptic - 1.0 / (8.0 * epsilon)
 
 
-def _k3_part(r: float) -> float:
-    if r == 1.0:
-        raise DomainError("k3 diverges logarithmically at r = 1")
-    if r > _K_SERIES_SWITCH:
-        s2 = 1.0 / (r * r)
-        return s2 * float(_horner(_K3_SERIES, s2))
-    K, E = _ke_inverse(r)
-    return 2.0 * r * r * E + (1.0 - 2.0 * r * r) * K
+def _k3(s: np.ndarray, kc2: np.ndarray) -> np.ndarray:
+    """k3 at r = 1/s for s in (0, 1), elementwise, with kc2 = 1 - s^2 formed
+    by the caller: the series in s^2 below s = 1/1.4, the closed form
+    (2 E(s) - (1 + kc2) K(s)) / s^2 above."""
+    out = np.empty_like(s)
+    series = s < 1.0 / _K_SERIES_SWITCH
+    s2 = s[series] ** 2
+    out[series] = s2 * _horner(_K3_SERIES, s2)
+    closed = ~series
+    if np.any(closed):
+        sc, kc2c = s[closed], kc2[closed]
+        K, E = _ke_vec(sc, kc2c)
+        out[closed] = (2.0 * E - (1.0 + kc2c) * K) / (sc * sc)
+    return out
 
 
 def kernel_k(part: str, r: float, epsilon: float = math.nan) -> float:
@@ -455,7 +458,9 @@ def kernel_k(part: str, r: float, epsilon: float = math.nan) -> float:
     if part == "k1":
         return _k1_part(r, epsilon)
     if part == "k3":
-        return _k3_part(r)
+        if r == 1.0:
+            raise DomainError("k3 diverges logarithmically at r = 1")
+        return float(_k3(*_inverse(r))[0])
     if part in ("k2", "full"):
         k2 = -(2.0 / _PI) * r * _k2_sum(r, epsilon)
         return k2 if part == "k2" else _k1_part(r, epsilon) + k2
@@ -474,7 +479,8 @@ def k2_energy_integral(epsilon: float) -> float:
     equals -(eps/pi^2) int_0^inf Phi'(x) Li_2(e^{-pi x}) dx = eps/(2 pi^2),
     evaluated here by quadrature rather than asserted.
     """
-    if not 0.0 < epsilon <= 0.05:
+    _check_real(epsilon, "epsilon", "(0, inf)")
+    if epsilon > 0.05:
         raise WindowError(f"edge approximation needs 0 < eps <= 0.05, got {epsilon!r}")
     return -(epsilon / _PI ** 2) * phi_prime_polylog_integral([2])[0]
 
@@ -495,35 +501,11 @@ _SUB_C1 = 2.0 / _PI - _LOG8 / (2.0 * _PI)
 
 def _outer_transformed(s: np.ndarray) -> np.ndarray:
     """F(1/s) k3(1/s) / s^2 for s in (0, 1): the outer integrand after
-    r -> 1/s, expressed through same-modulus elliptic integrals.
-
-    A Landen-type descent turns the half-angle moduli into
-    (2/(pi s^3 (1-s^2))) [2E - (2-s^2)K] [E - (1-s^2)K] (all at modulus s).
-    The first bracket is O(s^4) by cancellation, so a series form takes
-    over below s = 0.05; near s = 1 the factor 1 - s^2 is assembled as
-    (1-s)(1+s) to keep the exact endpoint distance.
-    """
-    s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
-    small = s < 0.05
-    ss = s[small]
-    if ss.size:
-        s2 = ss * ss
-        pa = (1.0 + 0.75 * s2 + (75.0 / 128.0) * s2 * s2
-              + (245.0 / 512.0) * s2 ** 3)
-        pb = (1.0 + s2 / 8.0 + (3.0 / 64.0) * s2 * s2
-              + (25.0 / 1024.0) * s2 ** 3 + (245.0 / 16384.0) * s2 ** 4)
-        # combined form: the s^6/s^3 cancellation done symbolically so s^3
-        # may underflow to an honest 0
-        out[small] = -(_PI / 32.0) * ss ** 3 * pa * pb / (1.0 - s2)
-    sl = s[~small]
-    if sl.size:
-        oms2 = (1.0 - sl) * (1.0 + sl)
-        K, E = _ke_vec(sl, oms2)
-        A = 2.0 * E - (2.0 - sl * sl) * K
-        B = E - oms2 * K
-        out[~small] = (2.0 / (_PI * sl ** 3 * oms2)) * A * B
-    return out
+    r -> 1/s, from the dK/dk of far_field and the k3 of kernel_k, as
+    F(1/s) = (2/pi) s^2 dK/ds.  1 - s^2 is formed as (1 - s)(1 + s), which
+    keeps the exact endpoint distance."""
+    kc2 = (1.0 - s) * (1.0 + s)
+    return (2.0 / _PI) * _dk_vec(s, kc2) * _k3(s, kc2)
 
 
 def _outer_subtracted(s: np.ndarray) -> np.ndarray:
@@ -546,6 +528,7 @@ def j_split(epsilon: float, delta: float | None = None) -> tuple[float, float]:
     _check_real(epsilon, "epsilon", "(0, inf)")
     if delta is None:
         delta = default_delta(epsilon)
+    _check_real(delta, "delta", "(0, inf)")
     if delta > 0.2 + 1e-12 or epsilon / delta > 0.2 + 1e-12:
         raise WindowError(
             f"(epsilon, delta)=({epsilon!r}, {delta!r}) violates "
@@ -604,7 +587,8 @@ def _kernel_integral_terms(eps, inv_eps, log_eps):
 
 def third_moment_expansion(epsilon: float) -> ThirdMomentBreakdown:
     """Evaluate the kernel integral expansion and the implied third moment."""
-    if not 0.0 < epsilon <= 0.05:
+    _check_real(epsilon, "epsilon", "(0, inf)")
+    if epsilon > 0.05:
         raise WindowError(f"expansion needs 0 < eps <= 0.05, got {epsilon!r}")
     terms = _kernel_integral_terms(epsilon, 1.0 / epsilon, math.log(epsilon))
     # left to right, as for the series (sum() compensates floats from 3.12 on)

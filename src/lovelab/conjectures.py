@@ -11,8 +11,12 @@ sequence-transform table is exact: it never touches floating point.
 
 Within one run_all call each shared integral is evaluated once: gamma0 and
 gamma1 are the two rows of one composite integral (one Lambert-W pass),
-and integral4 serves both its own report and route (a) of gamma2.  No value
-outlives the call; a producer called on its own computes its own.
+and integral4 and the subtracted outer integrand of gamma2's route (b) are
+the two rows of one tanh-sinh integral on (0, 1), whose integral4 also
+serves route (a).  The outer integrand is built from the dK/dk of
+far_field and the k3 of kernel_k, so route (b) checks those very kernels.
+A run makes 4 tanh-sinh integrals.  No value outlives the call; a
+producer called on its own computes its own.
 """
 
 from __future__ import annotations
@@ -202,20 +206,25 @@ def verify_gamma1() -> ConjectureReport:
 # ----------------------------------------------------------------------
 
 @_once_per_run
-def _integral4_value() -> float:
+def _unit_integrals() -> tuple[float, float]:
+    """integral4, (2/pi) int_0^1 { 2 (1/r - r) (dK/dr)^2 - 1/(1-r) } dr, and
+    the integral of the subtracted outer integrand over s in (0, 1), from
+    the two rows of one tanh-sinh integral on (0, 1).  Each row converges
+    on its own, so each keeps the bits of its integral taken alone."""
     def integrand(r: np.ndarray) -> np.ndarray:
-        dk = _dk_vec(r)
         omr2 = (1.0 - r) * (1.0 + r)
-        return 2.0 * (omr2 / r) * dk * dk - 1.0 / (1.0 - r)
+        dk = _dk_vec(r, omr2)
+        return np.array([2.0 * (omr2 / r) * dk * dk - 1.0 / (1.0 - r),
+                         _outer_subtracted(r)])
 
-    value, _ = _tanh_sinh(integrand, 0.0, 1.0)
-    return (2.0 / _PI) * value
+    (integral4, outer), _ = _tanh_sinh(integrand, 0.0, 1.0)
+    return (2.0 / _PI) * float(integral4), float(outer)
 
 
 def verify_integral4() -> ConjectureReport:
     """(2/pi) int_0^1 { 2 (1/r - r) (dK/dr)^2 - 1/(1-r) } dr against
     -2/pi - pi/2 + 2 log 8 / pi."""
-    return _report("integral4", _integral4_value(), INTEGRAL4,
+    return _report("integral4", _unit_integrals()[0], INTEGRAL4,
                    "tanh-sinh of the dK/dr integrand with a series guard at r -> 0")
 
 
@@ -228,8 +237,8 @@ def verify_gamma2() -> list[ConjectureReport]:
         its logarithmic endpoint growth subtracted in closed form.
     Both must match -2/pi - pi/4 - log^2(8)/(4 pi) + 2 log(8)/pi.
     """
-    route_a = _integral4_value() + _PI / 4.0 - 9.0 * math.log(2.0) ** 2 / (4.0 * _PI)
-    direct, _ = _tanh_sinh(_outer_subtracted, 0.0, 1.0)
+    integral4, direct = _unit_integrals()
+    route_a = integral4 + _PI / 4.0 - 9.0 * math.log(2.0) ** 2 / (4.0 * _PI)
     return [
         _report("gamma2_tilde_via_integral4", route_a, GAMMA2_TILDE,
                 "elliptic-derivative integral plus exact companion terms"),

@@ -4,7 +4,9 @@ modified Bessel functions, Lambert W (upper-cut limit), and polylogarithms.
 Conventions
 -----------
 * Elliptic integrals use the modulus k (not the parameter m = k^2):
-  K(k) = int_0^{pi/2} dt / sqrt(1 - k^2 sin^2 t), likewise E(k).
+  K(k) = int_0^{pi/2} dt / sqrt(1 - k^2 sin^2 t), likewise E(k).  K, E and
+  dK/dk each have one path, and each takes the complementary parameter
+  1 - k^2 from its caller, who forms it without cancellation.
 * Bessel values are always exponentially scaled: e^{-x} I_nu(x) and
   e^{x} K_nu(x).  Unscaled values overflow long before the arguments this
   package feeds them (products of the form I_2(a) K_1(b) with a, b ~ 1e7),
@@ -18,8 +20,12 @@ scaled Bessel functions (ive, kve) and the zeta values of the polylogarithm
 tables (zeta).  Kept here is only what it cannot serve: the upper-cut W
 solved in the log domain (every finite offset), Li_n(e^{-t}) with the
 argument kept in the exponent, the Bessel expansions above 1e8 (where ive
-and kve degrade), the dK/dr series at small r (where the closed form
+and kve degrade), the dK/dk series at small k (where the closed form
 cancels), and W's branch-point series.
+
+Every function here is private and vectorized: the package publishes no
+special function, and its callers (the kernels of asymptotics, the
+integrands of capacitor2d and conjectures) pass arrays.
 
 scipy.special is imported by the functions that use it, on first call, so
 importing lovelab, solving and fitting never load scipy; only the identity
@@ -31,27 +37,14 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, _check_real
+from .errors import ConvergenceError, DomainError
 
-__all__ = [
-    "EllipticPair",
-    "elliptic_ke",
-    "elliptic_k_derivative",
-]
+__all__: list[str] = []
 
 _PI = math.pi
-
-
-class EllipticPair(NamedTuple):
-    """Complete elliptic integrals of a common modulus."""
-
-    k: float
-    K: float
-    E: float
 
 
 # ----------------------------------------------------------------------
@@ -69,22 +62,9 @@ def _ke_vec(k: np.ndarray, kc2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ellipkm1(kc2), ellipe(k * k)
 
 
-def elliptic_ke(k: float) -> EllipticPair:
-    """Complete elliptic integrals (K, E) for modulus k in [0, 1).
-
-    Accurate to ~1e-15 relative uniformly in k, including moduli
-    exponentially close to 1.
-    """
-    _check_real(k, "k", "[0, 1]")
-    if k == 1.0:
-        raise DomainError("K(k) has a logarithmic pole at k = 1")
-    K, E = _ke_vec(k, (1.0 - k) * (1.0 + k))
-    return EllipticPair(k, float(K), float(E))
-
-
-# dK/dr = (pi/2) sum 2n c_n^2 r^{2n-1} with c_n = binom(2n, n)/4^n.  The
-# closed form below loses digits like 1/r^2 as r -> 0 (2.4e-13 relative at
-# r = 0.05, 1.5e-14 at 0.2), so the series takes over below r = 0.2, where
+# dK/dk = (pi/2) sum 2n c_n^2 k^{2n-1} with c_n = binom(2n, n)/4^n.  The
+# closed form loses digits like 1/k^2 as k -> 0 (2.4e-13 relative at
+# k = 0.05, 1.5e-14 at 0.2), so the series takes over below k = 0.2, where
 # its first 12 terms leave a truncation below 1e-16 relative.
 _DK_SWITCH = 0.2
 _DK_SERIES = tuple(2 * n * (math.comb(2 * n, n) / 4.0 ** n) ** 2 for n in range(1, 13))
@@ -103,26 +83,19 @@ def _horner(coefficients, x):
     return acc
 
 
-def _dk_small(r: np.ndarray) -> np.ndarray:
-    return (_PI / 2.0) * r * _horner(_DK_SERIES, r * r)
-
-
-def elliptic_k_derivative(r: float) -> float:
-    """dK/dr = (E(r) - (1 - r^2) K(r)) / (r (1 - r^2)) for 0 < r < 1."""
-    _check_real(r, "r", "(0, 1)")
-    return float(_dk_vec(np.asarray([r], dtype=float))[0])
-
-
-def _dk_vec(r: np.ndarray) -> np.ndarray:
-    out = np.empty_like(r)
-    small = r < _DK_SWITCH
-    out[small] = _dk_small(r[small])
+def _dk_vec(k: np.ndarray, kc2: np.ndarray) -> np.ndarray:
+    """dK/dk = (E(k) - (1 - k^2) K(k)) / (k (1 - k^2)) elementwise for k in
+    (0, 1), with kc2 = 1 - k^2 formed by the caller, as for _ke_vec; the
+    series below k = 0.2, where the closed form cancels."""
+    out = np.empty_like(k)
+    small = k < _DK_SWITCH
+    ks = k[small]
+    out[small] = (_PI / 2.0) * ks * _horner(_DK_SERIES, ks * ks)
     big = ~small
     if np.any(big):
-        rb = r[big]
-        omr2 = (1.0 - rb) * (1.0 + rb)
-        K, E = _ke_vec(rb, omr2)
-        out[big] = (E - omr2 * K) / (rb * omr2)
+        kb, kc2b = k[big], kc2[big]
+        K, E = _ke_vec(kb, kc2b)
+        out[big] = (E - kc2b * K) / (kb * kc2b)
     return out
 
 

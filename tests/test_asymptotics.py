@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import dblquad
 
 import lovelab as ll
-from lovelab.asymptotics import _eps_bracket_from_constants, _k2_sum, _outer_subtracted
+from lovelab.asymptotics import (_eps_bracket_from_constants, _k2_sum, _outer_subtracted,
+                                 _outer_transformed)
 from lovelab.capacitor2d import _phi
 from lovelab import asymptotics
 from lovelab.errors import ConvergenceError, DomainError, WindowError
@@ -419,6 +420,24 @@ def test_j_split_window_guards():
         ll.j_split(1e-3, delta=0.3)
     with pytest.raises(WindowError):
         ll.j_split(1e-2, delta=0.02)
+
+
+def test_outer_integrand_against_mpmath():
+    # F(1/s) k3(1/s) / s^2 = (2/pi) dK/ds k3(1/s), from s = 1e-6 to 1e-12
+    # short of the endpoint.  The oracle's closed form cancels like s^4, so
+    # it carries 4 log10(1/s) more digits
+    mpmath = pytest.importorskip("mpmath")
+    ss = np.concatenate([np.geomspace(1e-6, 0.5, 20), np.linspace(0.5, 0.99, 15),
+                         1.0 - np.geomspace(1e-2, 1e-12, 8)])
+    for s, value in zip(ss, _outer_transformed(ss)):
+        with mpmath.workdps(30 + int(4 * math.log10(1.0 / s))):
+            sm = mpmath.mpf(float(s))
+            m = sm * sm
+            K, E = mpmath.ellipk(m), mpmath.ellipe(m)
+            dk = (E - (1 - m) * K) / (sm * (1 - m))
+            k3 = (2 * E - (2 - m) * K) / m
+            ref = (2 / mpmath.pi) * dk * k3
+            assert abs(value - ref) <= 2e-14 * abs(ref), s
 
 
 def test_outer_subtracted_integrand_is_tame():

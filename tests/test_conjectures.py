@@ -223,13 +223,14 @@ def _count_suite_calls(monkeypatch) -> dict:
 def test_one_integrand_call_per_integral_of_the_suite(monkeypatch):
     # every tanh-sinh integral of the suite converges at level 5, so its
     # integrand's first call (levels 0-5 and any Gauss tail) is its only
-    # one; gamma0 and gamma1 are two rows of one W integral, integral4 is
-    # taken once for its report and gamma2's route (a), and the polylog
-    # orders share one _polylog_exp_neg call; per-level calls would make
-    # 21, 12 and 12, and unshared integrals 7, 4 and 1
+    # one; gamma0 and gamma1 are two rows of one W integral, integral4 and
+    # gamma2's subtracted outer integrand are two rows of one integral on
+    # (0, 1), whose integral4 also serves gamma2's route (a), and the
+    # polylog orders share one _polylog_exp_neg call; per-level calls would
+    # make 21, 12 and 12, and unshared integrals 7, 4 and 1
     calls = _count_suite_calls(monkeypatch)
     assert len(conjectures.run_all()) == 13
-    assert calls == {"integrand": 5, "w": 3, "polylog": 1}
+    assert calls == {"integrand": 4, "w": 3, "polylog": 1}
 
 
 def test_no_shared_value_outlives_its_run(monkeypatch):
@@ -238,7 +239,7 @@ def test_no_shared_value_outlives_its_run(monkeypatch):
     for _ in range(2):
         calls.update(integrand=0, w=0)
         assert len(conjectures.run_all()) == 13
-        assert (calls["integrand"], calls["w"]) == (5, 3)
+        assert (calls["integrand"], calls["w"]) == (4, 3)
 
 
 def test_no_shared_value_outlives_a_failed_run(monkeypatch):

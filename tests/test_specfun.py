@@ -7,7 +7,7 @@ import pytest
 import lovelab as ll
 from lovelab import asymptotics, capacitor2d, quadrature, specfun
 from lovelab.errors import ConvergenceError, DomainError, _check_real
-from lovelab.specfun import _i1e, _i2e, _k1e, _polylog_exp_neg
+from lovelab.specfun import _dk_vec, _i1e, _i2e, _k1e, _ke_vec, _polylog_exp_neg
 
 PI = math.pi
 
@@ -26,10 +26,21 @@ def agm_oracle_k(k):
     return PI / (2.0 * a)
 
 
+def ke(k):
+    """K(k) and E(k), with 1 - k^2 formed as (1 - k)(1 + k)."""
+    return _ke_vec(k, (1.0 - k) * (1.0 + k))
+
+
+def dk(r):
+    """dK/dr at each modulus of r, with 1 - r^2 formed as (1 - r)(1 + r)."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    return _dk_vec(r, (1.0 - r) * (1.0 + r))
+
+
 def test_elliptic_degenerate_modulus():
-    pair = ll.elliptic_ke(0.0)
-    assert pair.K == pytest.approx(PI / 2, abs=1e-15)
-    assert pair.E == pytest.approx(PI / 2, abs=1e-15)
+    K, E = ke(0.0)
+    assert K == pytest.approx(PI / 2, abs=1e-15)
+    assert E == pytest.approx(PI / 2, abs=1e-15)
 
 
 def test_elliptic_e_against_mpmath():
@@ -37,41 +48,31 @@ def test_elliptic_e_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     ks = np.concatenate([np.linspace(0.0, 0.99, 50), 1.0 - np.geomspace(1e-3, 1e-15, 13)])
     with mpmath.workdps(40):
-        for k in ks:
+        for k, E in zip(ks, ke(ks)[1]):
             ref = mpmath.ellipe(mpmath.mpf(float(k)) ** 2)
-            assert abs(ll.elliptic_ke(float(k)).E - ref) <= 1e-15 * ref, k
+            assert abs(E - ref) <= 1e-15 * ref, k
 
 
 def test_elliptic_k_lemniscatic_point():
     k = 1.0 / math.sqrt(2.0)
-    pair = ll.elliptic_ke(k)
-    assert pair.K == pytest.approx(1.854074677301372, abs=2e-15)
-    assert pair.K == pytest.approx(agm_oracle_k(k), rel=1e-15)
+    K, _ = ke(k)
+    assert K == pytest.approx(1.854074677301372, abs=2e-15)
+    assert K == pytest.approx(agm_oracle_k(k), rel=1e-15)
 
 
 def test_elliptic_ordering_invariant():
-    for k in np.linspace(0.0, 0.999999, 25):
-        pair = ll.elliptic_ke(float(k))
-        assert pair.K >= PI / 2 - 1e-14
-        assert pair.E <= PI / 2 + 1e-14
-        assert pair.K >= pair.E
-
-
-def test_elliptic_domain_errors():
-    with pytest.raises(DomainError):
-        ll.elliptic_ke(-0.1)
-    with pytest.raises(DomainError):
-        ll.elliptic_ke(1.2)
-    with pytest.raises(DomainError):
-        ll.elliptic_ke(1.0)
+    for K, E in zip(*ke(np.linspace(0.0, 0.999999, 25))):
+        assert K >= PI / 2 - 1e-14
+        assert E <= PI / 2 + 1e-14
+        assert K >= E
 
 
 def test_legendre_relation():
     # E(k) K(k') + E(k') K(k) - K(k) K(k') = pi/2
     for k in np.linspace(0.05, 0.95, 19):
         kp = math.sqrt((1.0 - k) * (1.0 + k))
-        a, b = ll.elliptic_ke(float(k)), ll.elliptic_ke(kp)
-        lhs = a.E * b.K + b.E * a.K - a.K * b.K
+        (K, E), (Kp, Ep) = ke(k), ke(kp)
+        lhs = E * Kp + Ep * K - K * Kp
         assert lhs == pytest.approx(PI / 2, abs=1e-12)
 
 
@@ -81,40 +82,34 @@ def test_landen_identities():
     #   E(up) = (2E(r) - (1-r^2) K(r)) / (1+r)
     # (the coefficient of K is 1 - r^2; a (2 - r^2) variant circulating in
     # print is off by K(r), as is easily checked at r = 1/4), together with
-    # the bracket combination the outer-integrand transform relies on:
+    # the bracket combination behind far_field's (2/pi) s^2 dK/ds form:
     #   (1+r) E(up) - (1-r) K(up) = 2 (E(r) - (1-r^2) K(r)).
     for r in np.linspace(0.05, 0.9, 18):
         up = 2.0 * math.sqrt(r) / (1.0 + r)
-        low = ll.elliptic_ke(float(r))
-        high = ll.elliptic_ke(up)
+        K, E = ke(r)
+        Kup, Eup = ke(up)
         omr2 = (1.0 - r) * (1.0 + r)
-        assert high.K == pytest.approx((1.0 + r) * low.K, rel=1e-12)
-        assert high.E == pytest.approx(
-            (2.0 * low.E - omr2 * low.K) / (1.0 + r), rel=1e-12)
-        assert (1.0 + r) * high.E - (1.0 - r) * high.K == pytest.approx(
-            2.0 * (low.E - omr2 * low.K), rel=1e-11, abs=1e-13)
+        assert Kup == pytest.approx((1.0 + r) * K, rel=1e-12)
+        assert Eup == pytest.approx((2.0 * E - omr2 * K) / (1.0 + r), rel=1e-12)
+        assert (1.0 + r) * Eup - (1.0 - r) * Kup == pytest.approx(
+            2.0 * (E - omr2 * K), rel=1e-11, abs=1e-13)
 
 
 def test_k_derivative_against_finite_difference():
     r, h = 0.5, 1e-5
-    fd = (ll.elliptic_ke(r + h).K - ll.elliptic_ke(r - h).K) / (2.0 * h)
-    assert ll.elliptic_k_derivative(r) == pytest.approx(fd, abs=1e-8)
+    fd = (ke(r + h)[0] - ke(r - h)[0]) / (2.0 * h)
+    assert dk(r)[0] == pytest.approx(fd, abs=1e-8)
 
 
 def test_k_derivative_small_r_series():
     # K = (pi/2)(1 + r^2/4 + ...)  =>  dK/dr ~ (pi/4) r
     for r in (1e-4, 1e-3, 1e-2):
-        assert ll.elliptic_k_derivative(r) == pytest.approx(PI * r / 4, rel=1e-3)
+        assert dk(r)[0] == pytest.approx(PI * r / 4, rel=1e-3)
 
 
 def test_k_derivative_monotone_toward_pole():
-    assert ll.elliptic_k_derivative(0.9) > ll.elliptic_k_derivative(0.5) > 0.0
-
-
-def test_k_derivative_guards():
-    for bad in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(DomainError):
-            ll.elliptic_k_derivative(bad)
+    high, low = dk([0.9, 0.5])
+    assert high > low > 0.0
 
 
 def test_elliptic_ke_against_mpmath():
@@ -122,11 +117,10 @@ def test_elliptic_ke_against_mpmath():
     ks = np.concatenate([np.linspace(0.0, 0.99, 100),
                          1.0 - np.geomspace(1e-16, 1e-2, 60)])
     with mpmath.workdps(30):
-        for k in ks:
-            pair = ll.elliptic_ke(float(k))
+        for k, K, E in zip(ks, *ke(ks)):
             m = mpmath.mpf(float(k)) ** 2
-            assert abs(pair.K - mpmath.ellipk(m)) <= 1e-15 * mpmath.ellipk(m), k
-            assert abs(pair.E - mpmath.ellipe(m)) <= 1e-15 * mpmath.ellipe(m), k
+            assert abs(K - mpmath.ellipk(m)) <= 1e-15 * mpmath.ellipk(m), k
+            assert abs(E - mpmath.ellipe(m)) <= 1e-15 * mpmath.ellipe(m), k
 
 
 def test_k_derivative_against_mpmath():
@@ -137,11 +131,11 @@ def test_k_derivative_against_mpmath():
                          np.nextafter(0.2, [0.0, 1.0]),
                          np.linspace(0.4, 0.99, 60), 1.0 - np.geomspace(1e-12, 1e-2, 20)])
     with mpmath.workdps(40):
-        for r in rs:
+        for r, value in zip(rs, dk(rs)):
             rm = mpmath.mpf(float(r))
             m = rm * rm
             ref = (mpmath.ellipe(m) - (1 - m) * mpmath.ellipk(m)) / (rm * (1 - m))
-            assert abs(ll.elliptic_k_derivative(float(r)) - ref) <= 3e-14 * ref, r
+            assert abs(value - ref) <= 3e-14 * ref, r
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +336,7 @@ _POLYLOG_T = np.concatenate([
     (capacitor2d._phi_prime, _HEAD, np.concatenate([_UNIT, np.geomspace(1.0, 1e18, 40)])),
     *[(lambda t, n=n: _polylog_exp_neg([n], t)[0], PI * _HEAD, _POLYLOG_T)
       for n in range(1, 5)],
-    (specfun._dk_vec, _HEAD, _UNIT),
+    (lambda r: specfun._dk_vec(r, (1.0 - r) * (1.0 + r)), _HEAD, _UNIT),
     (asymptotics._outer_subtracted, _HEAD, _UNIT),
 ], ids=["phi", "phi_prime", "polylog_n1", "polylog_n2", "polylog_n3", "polylog_n4",
         "dk", "outer_subtracted"])
@@ -488,6 +482,12 @@ def test_polylog_errors():
     lambda: ll.AsymptoticSeries().reciprocal(),
     lambda: ll.AsymptoticSeries([(0, 1, 1.0)]).reciprocal(),
     lambda: ll.AsymptoticSeries([(0, 0, -1.0)]).log(),
+    lambda: ll.kernel_k("k3", 1.0),                     # K's pole at modulus 1
+    lambda: ll.j_split(1e-3, 0.0),
+    lambda: ll.j_split(1e-3, -0.1),
+    lambda: ll.j_split(1e-3, math.nan),
+    *[lambda v=v: ll.k2_energy_integral(v) for v in (math.nan, 0.0, -1.0, math.inf)],
+    *[lambda v=v: ll.third_moment_expansion(v) for v in (math.nan, 0.0, -1.0, math.inf)],
 ], ids=["polylog-bool", "polylog-170-expansion", "polylog-170-direct",
         "polylog-exp-neg-200", "energy-nan", "energy-inf", "phi-nan", "psi-nan",
         "phi-inf", "phi-pi-x-inf", "psi-pi-x-inf", "phi-psi-inf", "green-traces-eps-inf",
@@ -495,7 +495,10 @@ def test_polylog_errors():
         "cumulative-phi-log-inf", "fit-log-tail-nan-value", "fit-log-tail-inf-x",
         "default-delta-nan", "green-traces-r-inf", "default-node-count-inf",
         "operator-norm-inf", "capacitance-inf",
-        "series-reciprocal-empty", "series-reciprocal-log-led", "series-log-negative-lead"])
+        "series-reciprocal-empty", "series-reciprocal-log-led", "series-log-negative-lead",
+        "kernel-k3-pole", "j-split-delta-zero", "j-split-delta-negative", "j-split-delta-nan",
+        *[f"k2-energy-integral-{v}" for v in ("nan", "zero", "negative", "inf")],
+        *[f"third-moment-expansion-{v}" for v in ("nan", "zero", "negative", "inf")]])
 def test_boundary_refuses_bad_inputs(call):
     # refused up front with DomainError, not iterated to a ConvergenceError,
     # returned as NaN or a number, or raised as OverflowError, LinAlgError
@@ -525,13 +528,14 @@ _REAL_GUARDS = [
     ("epsilon", "(0, inf)", lambda v: ll.kernel_k("k1", 1.5, v), "kernel-k-eps"),
     ("epsilon", "(0, inf)", ll.default_delta, "default-delta"),
     ("epsilon", "(0, inf)", ll.j_split, "j-split"),
+    ("delta", "(0, inf)", lambda v: ll.j_split(1e-3, v), "j-split-delta"),
+    ("epsilon", "(0, inf)", ll.k2_energy_integral, "k2-energy-integral"),
+    ("epsilon", "(0, inf)", ll.third_moment_expansion, "third-moment-expansion"),
     ("x", "[0, inf)", ll.phi_psi, "phi-psi"),
     ("x", "[0, inf)", ll.phi_series, "phi-series"),
     ("x", "[0, inf)", ll.psi_series, "psi-series"),
     ("X", "[1, inf)", ll.cumulative_phi, "cumulative-phi"),
     ("X", "[1, inf)", ll.cumulative_phi_log, "cumulative-phi-log"),
-    ("k", "[0, 1]", ll.elliptic_ke, "elliptic-ke"),
-    ("r", "(0, 1)", ll.elliptic_k_derivative, "elliptic-k-derivative"),
 ]
 
 

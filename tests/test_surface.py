@@ -18,20 +18,19 @@ from lovelab.quadrature import gauss_legendre
 PUBLIC_NAMES = [
     "AsymptoticSeries", "ConditioningError", "ConjectureReport", "ConvergenceError",
     "DomainError", "ENERGY_GAMMA2", "ENERGY_GAMMA2_RIVAL", "EdgePotentialSample",
-    "EllipticPair", "EnergyPoint", "GAS_POTENTIAL", "LogTailFit", "LoveLabError",
-    "LoveProblem", "LoveSolution", "QuadratureRule", "ResolutionError", "SeriesTerm",
+    "EnergyPoint", "GAS_POTENTIAL", "LogTailFit", "LoveLabError", "LoveProblem",
+    "LoveSolution", "QuadratureRule", "ResolutionError", "SeriesTerm",
     "ThirdMomentBreakdown", "WindowError", "assemble_ground_state", "asymptotics",
     "capacitance_series", "capacitor2d", "conjectures", "cumulative_phi",
-    "cumulative_phi_log", "default_delta", "default_node_count",
-    "elliptic_k_derivative", "elliptic_ke", "energy_series", "epsilon_of_gamma",
-    "epsilon_series", "errors", "far_field", "fit_log_tail", "gauss_legendre",
-    "green_traces", "ground_state_series", "j_split", "k2_energy_integral",
-    "kernel_k", "love", "moments", "observables", "operator_norm",
+    "cumulative_phi_log", "default_delta", "default_node_count", "energy_series",
+    "epsilon_of_gamma", "epsilon_series", "errors", "far_field", "fit_log_tail",
+    "gauss_legendre", "green_traces", "ground_state_series", "j_split",
+    "k2_energy_integral", "kernel_k", "love", "moments", "observables", "operator_norm",
     "operator_norm_discrete", "phi_prime_polylog_integral", "phi_psi", "phi_series",
-    "psi_series", "quadrature", "residue_identity", "run_all", "solve_love",
-    "specfun", "t_transform", "third_moment_expansion", "third_moment_sigma",
-    "tn_first", "verify_gamma0", "verify_gamma1", "verify_gamma2",
-    "verify_integral4", "verify_polylog_claim", "weak_coupling_fit",
+    "psi_series", "quadrature", "residue_identity", "run_all", "solve_love", "specfun",
+    "t_transform", "third_moment_expansion", "third_moment_sigma", "tn_first",
+    "verify_gamma0", "verify_gamma1", "verify_gamma2", "verify_integral4",
+    "verify_polylog_claim", "weak_coupling_fit",
 ]
 
 
@@ -44,7 +43,7 @@ def test_public_names_are_pinned():
         [sys.executable, "-c",
          "import lovelab; print(*(n for n in dir(lovelab) if not n.startswith('_')))"],
         env=env, capture_output=True, check=True, text=True, timeout=120).stdout.split()
-    assert len(PUBLIC_NAMES) == 67
+    assert len(PUBLIC_NAMES) == 64
     assert sorted(names) == PUBLIC_NAMES
 
 
