@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -187,6 +188,25 @@ def test_parser_reuse_carries_no_option_over():
     assert second[0] == 0 and second[1].startswith("kappa,")
     assert helped == run_sequence(help_text)[0]
     assert helped[0] == 0 and "usage: lovelab" in helped[1]
+
+
+def test_scan_rows_depend_on_their_kappa_alone():
+    # a 16-point scan across kappa ~ 0.192, above which the rows builder
+    # skips its mid- and near-field pass, prints each row as a run at that
+    # kappa alone does: after the scan in its process, and in a fresh
+    # process that runs them in reverse order
+    scan = ["solve", "--kappa-min", "0.05", "--kappa-max", "2", "--kappa-points", "16"]
+    (code, out), *after_scan = run_sequence(scan, *(
+        ["solve", "--kappa", f"{kappa:.16e}"] for kappa in np.geomspace(0.05, 2.0, 16)))
+    header, *rows = out.splitlines()
+    assert code == 0 and len(rows) == 16
+    kappas = [row.split(",")[0] for row in rows]
+    assert kappas == [f"{kappa:.16e}" for kappa in np.geomspace(0.05, 2.0, 16)]
+    assert float(kappas[0]) < 0.19 < 0.2 < float(kappas[-1])
+    reverse = run_sequence(*(["solve", "--kappa", kappa] for kappa in kappas[::-1]))[::-1]
+    for runs in (after_scan, reverse):
+        assert [code for code, _ in runs] == [0] * 16
+        assert [out.splitlines() for _, out in runs] == [[header, row] for row in rows]
 
 
 def test_seventeen_digit_cells(capsys):

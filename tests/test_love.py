@@ -249,6 +249,76 @@ def test_rows_match_brute_force_weights(kappa, order, targets, seed):
     assert np.max(np.abs(fast @ f - brute @ f)) <= 1e-14 * np.max(np.abs(brute) @ f)
 
 
+def linspace_edges(kappa):
+    """Bit-for-bit oracle of love._edges: its uniform edges from np.linspace."""
+    edges = [0.0]
+    edge = 0.5 * kappa
+    while edge < 0.5:
+        edges.append(edge)
+        edge *= 2.0
+    last = edges[-1]
+    uniform = np.linspace(last, 1.0, math.ceil((1.0 - last) / 0.25) + 1)
+    return np.concatenate([edges, uniform[1:]])
+
+
+def masked_rows(kappa, edges, order, d):
+    """Bit-for-bit oracle of love._rows: every pair goes through both
+    ellipse tests, and the mid and near fields are masked gathers over
+    all of them."""
+    rule, fine = ll.gauss_legendre(order), ll.gauss_legendre(love._FINE_ORDER)
+    to_nodes, to_fine, _ = love._tables(order)
+    a_mid, a_near = love._FAR, love._NEAR
+    c, h = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    y = kappa / h
+    x = np.empty((2, len(c), len(d)))
+    np.subtract(d, c[:, None], out=x[0])
+    np.subtract(2.0 - d, c[:, None], out=x[1])
+    x /= h[:, None]
+    with np.errstate(over="ignore"):
+        w = rule.nodes[:, None] - x[:, :, None, :]
+        w *= w
+        y2 = y * y
+        w += y2[:, None, None]
+        np.divide(((rule.weights / PI) * y[:, None])[..., None], w, out=w)
+        x2 = x * x
+        mid = x2 / (a_mid * a_mid) + (y2 / (a_mid * a_mid - 1.0))[:, None] <= 1.0
+        near = x2 / (a_near * a_near) + (y2 / (a_near * a_near - 1.0))[:, None] <= 1.0
+    mid &= ~near
+    y = np.broadcast_to(y[:, None], x.shape)
+    pairs = w.transpose(0, 1, 3, 2)
+    if mid.any():
+        ym = y[mid][:, None]
+        fw = fine.nodes - x[mid][:, None]
+        fw *= fw
+        fw += ym * ym
+        np.divide((fine.weights / PI) * ym, fw, out=fw)
+        pairs[mid] = fw @ to_fine
+    if near.any():
+        pairs[near] = love._cauchy_moments(x[near] + 1j * y[near], order).imag @ to_nodes / PI
+    w = np.add(w[0], w[1], out=w[0]).reshape(-1, len(d))
+    return np.ascontiguousarray(w.T)
+
+
+@pytest.mark.parametrize("order", [16, 32])
+def test_rows_and_edges_keep_the_bits_of_the_masked_gather(order):
+    # kappa on both sides of ~0.192, above which no panel of the default
+    # mesh can hold a pair inside the rho = 4 ellipse and _rows skips its
+    # mid- and near-field pass; targets as a solve (nodes, or nodes and
+    # midpoints) and interpolate (x = 0 at d = 1, |x| > 1 at d < 0) pass
+    kappas = np.concatenate([np.geomspace(1e-3, 1e3, 19), [0.15, 0.19, 0.1915, 0.193, 0.2]])
+    skipped = 0
+    for kappa in kappas:
+        edges = love._edges(kappa)
+        assert np.array_equal(edges, linspace_edges(kappa))
+        h = 0.5 * (edges[1:] - edges[:-1])
+        skipped += bool(np.all((kappa / h) ** 2 > love._FAR ** 2 - 1.0))
+        d, _ = love._nodes(edges, order)
+        for t in (d, np.concatenate([d, love._midpoints(d, order), [1.0, -0.5, -3.0]])):
+            assert np.array_equal(love._rows(kappa, edges, order, t),
+                                  masked_rows(kappa, edges, order, t))
+    assert 0 < skipped < len(kappas)
+
+
 @pytest.mark.parametrize("kappa", [1.0, 0.1, 0.02, 0.01])
 def test_solve_matches_dense_oracle(kappa):
     # the subtracted system on brute-force weights, solved densely
