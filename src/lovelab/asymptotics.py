@@ -302,21 +302,26 @@ def epsilon_of_gamma(gamma: float) -> float:
 # Far field, Green traces, kernels.
 # ----------------------------------------------------------------------
 
+def _modulus(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """k = lo/hi for radii 0 < lo < hi, and 1 - k^2 formed as
+    ((hi - lo)/hi)(1 + k), as one-element arrays.  hi - lo is exact for
+    close radii, so K carries no rounding of k near the diagonal (from 1/r
+    rounded, k3 is 5e-11 off at r = 1 + 1e-9), and no factor can overflow
+    or underflow, as (hi - lo)(hi + lo)/hi^2 does past hi ~ 1.3e154."""
+    k = lo / hi
+    return np.array([k]), np.array([(hi - lo) / hi * (1.0 + k)])
+
+
 def far_field(r: float) -> float:
     """Free-space potential scale outside the disc (coefficient of epsilon):
-    F(r) = E(2 sqrt(r)/(1+r)) / (pi (r-1)) - K(2 sqrt(r)/(1+r)) / (pi (r+1)),
-    valid for r > 1; decays like 1/(2 r^3) far out (the naive K, E -> pi/2
-    limit suggests 1/(r^2 - 1), but the modulus corrections cancel that
-    order) and diverges like 1/(pi (r-1)) at the edge.  The two terms cancel
-    ~2 log10 r digits, so from r = 5 on F = (2/pi) s^2 dK/ds at s = 1/r."""
+    F(r) = E(2 sqrt(r)/(1+r)) / (pi (r-1)) - K(2 sqrt(r)/(1+r)) / (pi (r+1))
+    for r > 1, taken as (2/pi) s^2 dK/ds at s = 1/r, the F of the outer
+    integrand that the identity suite integrates; decays like 1/(2 r^3) far
+    out (the naive K, E -> pi/2 limit suggests 1/(r^2 - 1), but the modulus
+    corrections cancel that order) and diverges like 1/(pi (r-1)) at the
+    edge."""
     _check_real(r, "r", "(1, inf)")
-    if r >= 5.0:
-        s = np.array([1.0 / r])
-        return (2.0 / _PI) * float(_dk_vec(s, (1.0 - s) * (1.0 + s))[0]) / (r * r)
-    k = min(2.0 * math.sqrt(r) / (1.0 + r), 1.0)
-    kc = (r - 1.0) / (r + 1.0)      # 1 - k^2 = kc^2, exact as r -> 1
-    K, E = _ke_vec(k, kc * kc)
-    return float(E) / (_PI * (r - 1.0)) - float(K) / (_PI * (r + 1.0))
+    return (2.0 / _PI) * float(_dk_vec(*_modulus(1.0, r))[0]) / (r * r)
 
 
 _SUM_CAP = 3_000_000
@@ -368,8 +373,7 @@ def green_traces(r: float, r1: float, epsilon: float) -> tuple[float, float]:
 
     total = _bessel_sum(terms, 1e-16)
     g_minus = -(rlt / rgt) / (2.0 * epsilon) - (2.0 / epsilon) * total
-    k = np.array([rlt / rgt])
-    kc2 = np.array([(rgt - rlt) * (rgt + rlt) / (rgt * rgt)])   # exact as r1 -> r
+    k, kc2 = _modulus(rlt, rgt)
     K, _ = _ke_vec(k, kc2)
     g_plus = (2.0 / (_PI * rgt)) * (kc2 * _dk_vec(k, kc2) - k * K)
     return g_minus, float(g_plus[0])
@@ -402,14 +406,6 @@ _K1_SERIES = tuple(-(j + 1) * c / ((j + 2) * (2 * j + 1)) for j, c in enumerate(
 _K3_SERIES = tuple(-(_PI / 2.0) * c * (j + 1) / (j + 2) for j, c in enumerate(_C_SQUARED))
 
 
-def _inverse(r: float) -> tuple[np.ndarray, np.ndarray]:
-    """The modulus s = 1/r for r > 1 and 1 - s^2, as one-element arrays, the
-    latter formed as (r - 1)(r + 1)/r^2: exact as r -> 1, where
-    (1 - s)(1 + s) would carry the rounding of 1/r into K (5e-11 relative
-    in k3 at r = 1 + 1e-9)."""
-    return np.array([1.0 / r]), np.array([(r - 1.0) * (r + 1.0) / (r * r)])
-
-
 def _k1_part(r: float, epsilon: float) -> float:
     # the eps-free elliptic terms are summed first, so adding -1/(8 eps)
     # last rounds once and k1 + 1/(8 eps) is the same for every eps to
@@ -421,7 +417,7 @@ def _k1_part(r: float, epsilon: float) -> float:
         s = 1.0 / r
         elliptic = s * float(_horner(_K1_SERIES, s * s))
     else:
-        K, E = (float(v[0]) for v in _ke_vec(*_inverse(r)))
+        K, E = (float(v[0]) for v in _ke_vec(*_modulus(1.0, r)))
         elliptic = (-4.0 * r * (1.0 - r * r) * K / (3.0 * _PI)
                     + 2.0 * r * (1.0 - 2.0 * r * r) * E / (3.0 * _PI))
     return elliptic - 1.0 / (8.0 * epsilon)
@@ -460,7 +456,7 @@ def kernel_k(part: str, r: float, epsilon: float = math.nan) -> float:
     if part == "k3":
         if r == 1.0:
             raise DomainError("k3 diverges logarithmically at r = 1")
-        return float(_k3(*_inverse(r))[0])
+        return float(_k3(*_modulus(1.0, r))[0])
     if part in ("k2", "full"):
         k2 = -(2.0 / _PI) * r * _k2_sum(r, epsilon)
         return k2 if part == "k2" else _k1_part(r, epsilon) + k2
@@ -499,18 +495,15 @@ _SUB_C0 = 1.0 / (2.0 * _PI)
 _SUB_C1 = 2.0 / _PI - _LOG8 / (2.0 * _PI)
 
 
-def _outer_transformed(s: np.ndarray) -> np.ndarray:
-    """F(1/s) k3(1/s) / s^2 for s in (0, 1): the outer integrand after
-    r -> 1/s, from the dK/dk of far_field and the k3 of kernel_k, as
-    F(1/s) = (2/pi) s^2 dK/ds.  1 - s^2 is formed as (1 - s)(1 + s), which
-    keeps the exact endpoint distance."""
-    kc2 = (1.0 - s) * (1.0 + s)
-    return (2.0 / _PI) * _dk_vec(s, kc2) * _k3(s, kc2)
-
-
-def _outer_subtracted(s: np.ndarray) -> np.ndarray:
+def _outer_subtracted(s: np.ndarray, dk: np.ndarray) -> np.ndarray:
+    """F(1/s) k3(1/s) / s^2 for s in (0, 1), the outer integrand after
+    r -> 1/s, less c0 log(1-s)/(1-s) + c1/(1-s).  The caller passes dk =
+    dK/ds, as _dk_vec(s, (1 - s)(1 + s)); F(1/s) = (2/pi) s^2 dK/ds is
+    far_field's F and k3 is kernel_k's.  1 - s^2 = (1 - s)(1 + s) keeps
+    the exact endpoint distance."""
     om = 1.0 - s
-    return _outer_transformed(s) - _SUB_C0 * np.log(om) / om - _SUB_C1 / om
+    return ((2.0 / _PI) * dk * _k3(s, om * (1.0 + s))
+            - _SUB_C0 * np.log(om) / om - _SUB_C1 / om)
 
 
 def j_split(epsilon: float, delta: float | None = None) -> tuple[float, float]:
@@ -539,7 +532,8 @@ def j_split(epsilon: float, delta: float | None = None) -> tuple[float, float]:
                     + (0.5 * math.log(epsilon / 8.0) + 2.0) * cumulative_phi(cutoff))
 
     S = 1.0 / (1.0 + delta)
-    val, _ = _tanh_sinh(_outer_subtracted, 0.0, S)
+    val, _ = _tanh_sinh(lambda s: _outer_subtracted(s, _dk_vec(s, (1.0 - s) * (1.0 + s))),
+                        0.0, S)
     om = 1.0 - S                      # = delta / (1 + delta)
     val += -0.5 * _SUB_C0 * math.log(om) ** 2 - _SUB_C1 * math.log(om)
     j2 = epsilon * val

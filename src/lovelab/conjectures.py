@@ -13,10 +13,11 @@ Within one run_all call each shared integral is evaluated once: gamma0 and
 gamma1 are the two rows of one composite integral (one Lambert-W pass),
 and integral4 and the subtracted outer integrand of gamma2's route (b) are
 the two rows of one tanh-sinh integral on (0, 1), whose integral4 also
-serves route (a).  The outer integrand is built from the dK/dk of
-far_field and the k3 of kernel_k, so route (b) checks those very kernels.
-A run makes 4 tanh-sinh integrals.  No value outlives the call; a
-producer called on its own computes its own.
+serves route (a); both rows take dK/dk from one pass per abscissa.  The
+outer integrand is far_field's F = (2/pi) s^2 dK/ds times the k3 of
+kernel_k, so route (b) checks those very kernels.  A run makes 4
+tanh-sinh integrals.  No value outlives the call; a producer called on
+its own computes its own.
 """
 
 from __future__ import annotations
@@ -209,13 +210,14 @@ def verify_gamma1() -> ConjectureReport:
 def _unit_integrals() -> tuple[float, float]:
     """integral4, (2/pi) int_0^1 { 2 (1/r - r) (dK/dr)^2 - 1/(1-r) } dr, and
     the integral of the subtracted outer integrand over s in (0, 1), from
-    the two rows of one tanh-sinh integral on (0, 1).  Each row converges
-    on its own, so each keeps the bits of its integral taken alone."""
+    the two rows of one tanh-sinh integral on (0, 1), which share one dK/dk
+    pass.  Each row converges on its own, so each keeps the bits of its
+    integral taken alone."""
     def integrand(r: np.ndarray) -> np.ndarray:
         omr2 = (1.0 - r) * (1.0 + r)
         dk = _dk_vec(r, omr2)
         return np.array([2.0 * (omr2 / r) * dk * dk - 1.0 / (1.0 - r),
-                         _outer_subtracted(r)])
+                         _outer_subtracted(r, dk)])
 
     (integral4, outer), _ = _tanh_sinh(integrand, 0.0, 1.0)
     return (2.0 / _PI) * float(integral4), float(outer)

@@ -75,13 +75,15 @@ _FAR, _NEAR = 2.125, 13.0 / 12.0
 
 @dataclass(frozen=True)
 class LoveProblem:
-    """Problem data: kernel width kappa and constant right-hand side v0."""
+    """Problem data: kernel width kappa, with pi kappa finite (so gamma <=
+    pi kappa is), and constant right-hand side v0."""
 
     kappa: float
     v0: float = GAS_POTENTIAL
 
     def __post_init__(self) -> None:
         _check_real(self.kappa, "kappa", "(0, inf)")
+        _check_real(_PI * self.kappa, "pi * kappa", "(0, inf)")
         _check_real(self.v0, "v0", "(0, inf)")
 
 
@@ -218,7 +220,7 @@ def _rows(kappa: float, edges: np.ndarray, order: int, d: np.ndarray) -> np.ndar
     """
     rule = gauss_legendre(order)
     c, h = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    y = kappa / h
+    y = min(kappa, 1e300) / h           # finite; w = 0 from kappa ~ 1e153 on
     x = np.empty((2, len(c), len(d)))   # (2, panels, targets)
     np.subtract(d, c[:, None], out=x[0])
     np.subtract(2.0 - d, c[:, None], out=x[1])

@@ -58,9 +58,8 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class LogTailFit:
-    """Result of fitting c2 log^2 X + c1 log X + c0 to cumulative samples."""
+    """Result of fitting c1 log X + c0 to cumulative samples."""
 
-    c2: float
     c1: float
     c0: float
     residual: float
@@ -327,14 +326,12 @@ def _lstsq(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return coef, float(np.sqrt(np.mean((y - design @ coef) ** 2)))
 
 
-def fit_log_tail(samples: Iterable[tuple[float, float]],
-                 with_log2: bool = False) -> LogTailFit:
-    """Least-squares fit of c2 log^2 X + c1 log X + c0 to (X, value) samples.
+def fit_log_tail(samples: Iterable[tuple[float, float]]) -> LogTailFit:
+    """Least-squares fit of c1 log X + c0 to (X, value) samples.
 
     The constant c0 is the quantity of interest (the extracted limit of a
-    logarithmically growing cumulative integral); c2 is pinned to zero
-    unless with_log2 is set.  Needs at least four samples spanning two
-    decades in X; equal weights.
+    logarithmically growing cumulative integral).  Needs at least four
+    samples spanning two decades in X; equal weights.
     """
     pts = [(float(x), float(v)) for x, v in samples]
     if len(pts) < 4:
@@ -347,10 +344,5 @@ def fit_log_tail(samples: Iterable[tuple[float, float]],
     if np.max(xs) / np.min(xs) < 99.0:
         raise DomainError("samples must span at least two decades in X")
     lx = np.log(xs)
-    cols = [lx * lx, lx, np.ones_like(lx)] if with_log2 else [lx, np.ones_like(lx)]
-    coef, residual = _lstsq(np.column_stack(cols), ys)
-    if with_log2:
-        c2, c1, c0 = (float(c) for c in coef)
-    else:
-        c2, (c1, c0) = 0.0, (float(coef[0]), float(coef[1]))
-    return LogTailFit(c2=c2, c1=c1, c0=c0, residual=residual)
+    (c1, c0), residual = _lstsq(np.column_stack([lx, np.ones_like(lx)]), ys)
+    return LogTailFit(c1=float(c1), c0=float(c0), residual=residual)

@@ -6,13 +6,13 @@ import pytest
 from scipy.integrate import dblquad
 
 import lovelab as ll
-from lovelab.asymptotics import (_eps_bracket_from_constants, _k2_sum, _outer_subtracted,
-                                 _outer_transformed)
+from lovelab.asymptotics import (_eps_bracket_from_constants, _k2_sum, _k3, _modulus,
+                                 _outer_subtracted)
 from lovelab.capacitor2d import _phi
 from lovelab import asymptotics
 from lovelab.errors import ConvergenceError, DomainError, WindowError
 from lovelab.quadrature import _composite
-from lovelab.specfun import _i1e, _i2e, _k1e, _polylog_exp_neg
+from lovelab.specfun import _dk_vec, _i1e, _i2e, _k1e, _polylog_exp_neg
 
 PI = math.pi
 GAMMA0 = (1.0 + math.log(PI)) / PI
@@ -148,6 +148,21 @@ def test_far_field_near_the_edge_against_mpmath():
             assert abs(ll.far_field(r) - ref) <= 2e-14 * ref, d
 
 
+def test_far_field_inside_r5_against_mpmath():
+    # F is (2/pi) s^2 dK/ds for every r, the integrand gamma2_tilde's route
+    # (b) integrates; below r = 5 it carries _dk_vec's closed-form error,
+    # largest next to its k = 0.2 series switch
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for r in np.concatenate([np.geomspace(1.01, 5.0, 60)[:-1],
+                                 np.nextafter(5.0, 0.0) - np.geomspace(1e-12, 0.5, 20)]):
+            rm = mpmath.mpf(float(r))
+            m = 4 * rm / (1 + rm) ** 2
+            ref = (mpmath.ellipe(m) / (mpmath.pi * (rm - 1))
+                   - mpmath.ellipk(m) / (mpmath.pi * (rm + 1)))
+            assert abs(ll.far_field(float(r)) - ref) <= 3e-14 * ref, r
+
+
 def test_far_field_far_out_against_mpmath():
     # the reference's own E/K difference cancels about 2 log10 r digits,
     # so it is evaluated with 60 digits
@@ -211,6 +226,31 @@ def test_green_trace_g_plus_near_the_diagonal_against_mpmath():
             k = 1 / mpmath.mpf(r1)
             ref = (2 / mpmath.pi) * (mpmath.ellipe(k * k) - mpmath.ellipk(k * k))
             assert abs(g_plus - ref) <= 1e-15 * abs(ref), r1
+
+
+def test_green_trace_g_plus_far_apart_is_finite():
+    # 1 - k^2 from _modulus neither overflows nor underflows: g_plus is
+    # -(1/(2 r_>)) k to leading order, -5e-156 at r_> = 1e155 and 0 once
+    # that underflows (it was NaN from r_> ~ 1.3e154 on)
+    for rgt in (1e155, 1e200, 1e300):
+        _, g_plus = ll.green_traces(1.0, rgt, 0.1)
+        assert math.isfinite(g_plus) and g_plus <= 0.0, rgt
+    _, g_plus = ll.green_traces(1.0, 1e155, 0.1)
+    assert g_plus == pytest.approx(-0.5e-310, rel=1e-3)
+
+
+def test_modulus_complement_against_exact_fractions():
+    # 1 - k^2 for k = lo/hi, within 1e-15 relative of exact arithmetic
+    # from radii one ulp apart to radii 1e300 apart
+    pairs = [(1.0, math.nextafter(1.0, 2.0)), (math.nextafter(1.0, 0.0), 1.0),
+             (1e200, math.nextafter(1e200, math.inf)), (1.0, 1.0 + 1e-12),
+             (1.0, 1.0 + 1e-6), (0.3, 0.7), (1.0, 2.0), (1.0, 5.0), (2.5, 1e3),
+             (1e-150, 1e150), (1e-300, 1.0), (1.0, 1e300), (3.0, 1e300)]
+    for lo, hi in pairs:
+        k, kc2 = _modulus(lo, hi)
+        assert k[0] == lo / hi
+        exact = 1 - (Fraction(lo) / Fraction(hi)) ** 2
+        assert abs(Fraction(float(kc2[0])) - exact) <= Fraction(1e-15) * exact, (lo, hi)
 
 
 def test_green_trace_symmetry():
@@ -423,13 +463,15 @@ def test_j_split_window_guards():
 
 
 def test_outer_integrand_against_mpmath():
-    # F(1/s) k3(1/s) / s^2 = (2/pi) dK/ds k3(1/s), from s = 1e-6 to 1e-12
-    # short of the endpoint.  The oracle's closed form cancels like s^4, so
-    # it carries 4 log10(1/s) more digits
+    # F(1/s) k3(1/s) / s^2 = (2/pi) dK/ds k3(1/s), the product
+    # _outer_subtracted forms, from s = 1e-6 to 1e-12 short of the
+    # endpoint.  The oracle's closed form cancels like s^4, so it carries
+    # 4 log10(1/s) more digits
     mpmath = pytest.importorskip("mpmath")
     ss = np.concatenate([np.geomspace(1e-6, 0.5, 20), np.linspace(0.5, 0.99, 15),
                          1.0 - np.geomspace(1e-2, 1e-12, 8)])
-    for s, value in zip(ss, _outer_transformed(ss)):
+    kc2 = (1.0 - ss) * (1.0 + ss)
+    for s, value in zip(ss, (2.0 / PI) * _dk_vec(ss, kc2) * _k3(ss, kc2)):
         with mpmath.workdps(30 + int(4 * math.log10(1.0 / s))):
             sm = mpmath.mpf(float(s))
             m = sm * sm
@@ -444,7 +486,8 @@ def test_outer_subtracted_integrand_is_tame():
     # the subtraction removes the 1/(1-s) and log(1-s)/(1-s) growth; what
     # remains is bounded by a slowly growing log^2 envelope
     for d in (1e-3, 1e-6, 1e-9, 1e-12):
-        value = float(_outer_subtracted(np.array([1.0 - d]))[0])
+        s = np.array([1.0 - d])
+        value = float(_outer_subtracted(s, _dk_vec(s, (1.0 - s) * (1.0 + s)))[0])
         assert abs(value) <= 2.0 + math.log(d) ** 2 / (4.0 * PI)
 
 

@@ -419,6 +419,16 @@ def test_kappa_below_floor_is_error_row(capsys, command):
     assert solved["error"] == ""
 
 
+def test_kappa_whose_pi_kappa_overflows_is_error_row(capsys):
+    assert main(["solve", "--kappa", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (row,) = csv.DictReader(io.StringIO(captured.out))
+    assert float(row["kappa"]) == 1e308
+    assert row["gamma"] == ""
+    assert row["error"] == "pi * kappa must lie in (0, inf), got inf"
+
+
 # ----------------------------------------------------------------------
 # configuration plumbing.
 # ----------------------------------------------------------------------

@@ -197,8 +197,9 @@ def test_one_w_evaluation_per_level_and_one_for_the_panels(capsys, monkeypatch, 
 
 def _count_suite_calls(monkeypatch) -> dict:
     """Counts of integrand calls (one per tanh-sinh integral call of f), W
-    calls and polylog calls, kept up to date while the patches stand."""
-    calls = {"integrand": 0, "w": 0, "polylog": 0}
+    calls, polylog calls and dK/dk calls, kept up to date while the patches
+    stand."""
+    calls = {"integrand": 0, "w": 0, "polylog": 0, "dk": 0}
     tanh_sinh = quadrature._tanh_sinh
 
     def counted(key, func):
@@ -217,6 +218,9 @@ def _count_suite_calls(monkeypatch) -> dict:
         monkeypatch.setattr(module, "_w_upper_from_offset", w_upper)
     monkeypatch.setattr(capacitor2d, "_polylog_exp_neg",
                         counted("polylog", specfun._polylog_exp_neg))
+    dk = counted("dk", specfun._dk_vec)
+    for module in (asymptotics, conjectures):
+        monkeypatch.setattr(module, "_dk_vec", dk)
     return calls
 
 
@@ -226,11 +230,12 @@ def test_one_integrand_call_per_integral_of_the_suite(monkeypatch):
     # one; gamma0 and gamma1 are two rows of one W integral, integral4 and
     # gamma2's subtracted outer integrand are two rows of one integral on
     # (0, 1), whose integral4 also serves gamma2's route (a), and the
-    # polylog orders share one _polylog_exp_neg call; per-level calls would
-    # make 21, 12 and 12, and unshared integrals 7, 4 and 1
+    # polylog orders share one _polylog_exp_neg call, and the two rows on
+    # (0, 1) one dK/dk pass; per-level calls would make 21, 12 and 12, and
+    # unshared integrals 7, 4 and 1
     calls = _count_suite_calls(monkeypatch)
     assert len(conjectures.run_all()) == 13
-    assert calls == {"integrand": 4, "w": 3, "polylog": 1}
+    assert calls == {"integrand": 4, "w": 3, "polylog": 1, "dk": 1}
 
 
 def test_no_shared_value_outlives_its_run(monkeypatch):

@@ -648,10 +648,19 @@ def test_free_fermion_limit_value():
 
 
 def test_huge_kappa_reaches_the_free_limit_quietly():
-    # the kernel vanishes: f = v0, with no overflow warning on the way
-    sol = ll.solve_love(ll.LoveProblem(kappa=1e200, v0=1.0))
-    np.testing.assert_allclose(sol.f, 1.0, rtol=1e-15, atol=0.0)
-    assert sol.residual <= 1e-8
+    # the kernel vanishes: f = v0, with no overflow warning on the way, up
+    # to the largest kappa whose pi kappa, and so gamma, is finite
+    for kappa in (1e200, 3e307, 5.72e307):
+        sol = ll.solve_love(ll.LoveProblem(kappa=kappa, v0=1.0))
+        np.testing.assert_allclose(sol.f, 1.0, rtol=1e-15, atol=0.0)
+        assert sol.residual <= 1e-8
+        assert math.isfinite(ll.observables(sol).gamma)
+
+
+@pytest.mark.parametrize("kappa", [5.73e307, 1.7e308])
+def test_kappa_whose_pi_kappa_overflows_is_refused(kappa):
+    with pytest.raises(DomainError, match=r"pi \* kappa must lie in \(0, inf\)"):
+        ll.LoveProblem(kappa=kappa)
 
 
 def test_infinite_plate_capacitance_limit():

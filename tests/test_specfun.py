@@ -337,7 +337,8 @@ _POLYLOG_T = np.concatenate([
     *[(lambda t, n=n: _polylog_exp_neg([n], t)[0], PI * _HEAD, _POLYLOG_T)
       for n in range(1, 5)],
     (lambda r: specfun._dk_vec(r, (1.0 - r) * (1.0 + r)), _HEAD, _UNIT),
-    (asymptotics._outer_subtracted, _HEAD, _UNIT),
+    (lambda s: asymptotics._outer_subtracted(s, specfun._dk_vec(s, (1.0 - s) * (1.0 + s))),
+     _HEAD, _UNIT),
 ], ids=["phi", "phi_prime", "polylog_n1", "polylog_n2", "polylog_n3", "polylog_n4",
         "dk", "outer_subtracted"])
 def test_integrand_building_blocks_are_batch_independent(func, first, second):
