@@ -10,8 +10,10 @@ The kernel is a Lorentzian of width kappa, but the solution f is smooth:
 its singularities sit at x = +-1 + i m kappa, off the interval ends.  So
 the mesh resolves f, not the kernel.  f is even, and it is held on [0, 1]
 in the distance d = 1 - |x| from the edge, on Gauss panels with edges 0,
-kappa/2, kappa, 2 kappa, ... below d = 1/2 and uniform panels of width at
-most 1/4 above: O(log 1/kappa) panels, 208 unknowns at kappa = 1e-3.
+3 kappa/4, 3 kappa/2, 3 kappa, ... below d = 1/2 and uniform panels of
+width at most 1/3 above, graded so that each panel sees those
+singularities on or outside one Bernstein ellipse: O(log 1/kappa) panels,
+192 unknowns at kappa = 1e-3.
 
 The kernel is a Cauchy kernel, k(x - y) = (1/pi) Im 1/(y - x - i kappa),
 so the weights that integrate the panel interpolant of f exactly against
@@ -125,16 +127,23 @@ class EnergyPoint:
 
 
 def _edges(kappa: float) -> np.ndarray:
-    """Panel edges in d: 0, kappa/2, kappa, 2 kappa, ... below 1/2, then
-    uniform panels of width at most 1/4 up to d = 1."""
+    """Panel edges in d: 0, 3 kappa/4, 3 kappa/2, 3 kappa, ... below 1/2,
+    then uniform panels of width at most 1/3 up to d = 1.
+
+    Each panel sees f's singularities on or outside one Bernstein ellipse,
+    rho = 3 + sqrt(8): on [0, 3 kappa/4] the nearest, d = i kappa, lies at
+    -1 + (8/3) i on it, and each panel [a, 2 a] sees d = 0 on it.  The
+    last geometric edge is at least 1/4, so a uniform width of at most
+    1/3 keeps each uniform panel's end ratio at or below 2.  For kappa >=
+    2/3 there is no geometric edge: three panels of width 1/3."""
     _check_real(kappa, "kappa", "(0, inf)")
     edges = [0.0]
-    edge = 0.5 * kappa
+    edge = 0.75 * kappa
     while edge < 0.5:
         edges.append(edge)
         edge *= 2.0
     last = edges[-1]
-    div = math.ceil((1.0 - last) / 0.25)
+    div = math.ceil(3.0 * (1.0 - last))
     step = (1.0 - last) / div            # the edges of np.linspace(last, 1.0, div + 1)
     return np.array(edges + [i * step + last for i in range(1, div)] + [1.0])
 
@@ -215,8 +224,9 @@ def _rows(kappa: float, edges: np.ndarray, order: int, d: np.ndarray) -> np.ndar
     each one gather by flat (term, panel, target) index, in C order, and
     one BLAS product.  A pair can have rho <= 4 only on a panel with y^2 /
     (a^2 - 1) <= 1 (a = 2.125); where no panel has, the ellipse tests and
-    both fields are skipped, with the same bits: from kappa ~ 0.192 up on
-    the default mesh.
+    both fields are skipped, with the same bits: on the default mesh from
+    kappa ~ 0.2128 up to 2/9 (where the uniform panels go from three to
+    two) and from kappa ~ 0.2752 up.
     """
     rule = gauss_legendre(order)
     c, h = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
@@ -309,11 +319,11 @@ def solve_love(problem: LoveProblem, n: int | None = None,
     check rows; without check_residual it is on the nodes alone, and the
     residual is NaN.  The solution is returned on all of [-1, 1], mirrored.
 
-    At kappa = 0.1 (112 unknowns; 2 vCPUs, one BLAS thread) the _rows
-    call takes about 47 % of a solve, the two LU solves 33 %, _subtracted
-    and _defect 10 %, and the mesh, the nodes and the rest 10 %; at kappa
-    = 0.5 (64 unknowns, no mid or near pair) _rows takes a third, as do
-    the two LU solves.
+    At kappa = 0.1 (96 unknowns; 2 vCPUs, one BLAS thread) the _rows
+    call takes about 48 % of a solve, the two LU solves 29 %, _subtracted
+    and _defect 11 %, and the mesh, the nodes and the rest 12 %; at kappa
+    = 0.5 (48 unknowns, no mid or near pair) _rows takes 31 %, the two LU
+    solves 28 %, _subtracted and _defect 16 % and the rest a quarter.
     """
     kappa, v0 = problem.kappa, problem.v0
     edges, order = _mesh(kappa, n)

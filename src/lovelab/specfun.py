@@ -64,10 +64,10 @@ def _ke_vec(k: np.ndarray, kc2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # dK/dk = (pi/2) sum 2n c_n^2 k^{2n-1} with c_n = binom(2n, n)/4^n.  The
 # closed form loses digits like 1/k^2 as k -> 0 (2.4e-13 relative at
-# k = 0.05, 1.5e-14 at 0.2), so the series takes over below k = 0.2, where
-# its first 12 terms leave a truncation below 1e-16 relative.
-_DK_SWITCH = 0.2
-_DK_SERIES = tuple(2 * n * (math.comb(2 * n, n) / 4.0 ** n) ** 2 for n in range(1, 13))
+# k = 0.05, 1.5e-14 at 0.2, 3e-15 at 0.4), so the series takes over below
+# k = 0.4, where its first 40 terms leave a truncation below 1e-31 relative.
+_DK_SWITCH = 0.4
+_DK_SERIES = tuple(2 * n * (math.comb(2 * n, n) / 4.0 ** n) ** 2 for n in range(1, 41))
 
 
 def _horner(coefficients, x):
@@ -86,7 +86,7 @@ def _horner(coefficients, x):
 def _dk_vec(k: np.ndarray, kc2: np.ndarray) -> np.ndarray:
     """dK/dk = (E(k) - (1 - k^2) K(k)) / (k (1 - k^2)) elementwise for k in
     (0, 1), with kc2 = 1 - k^2 formed by the caller, as for _ke_vec; the
-    series below k = 0.2, where the closed form cancels."""
+    series below k = 0.4, where the closed form cancels."""
     out = np.empty_like(k)
     small = k < _DK_SWITCH
     ks = k[small]

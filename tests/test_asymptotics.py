@@ -150,8 +150,8 @@ def test_far_field_near_the_edge_against_mpmath():
 
 def test_far_field_inside_r5_against_mpmath():
     # F is (2/pi) s^2 dK/ds for every r, the integrand gamma2_tilde's route
-    # (b) integrates; below r = 5 it carries _dk_vec's closed-form error,
-    # largest next to its k = 0.2 series switch
+    # (b) integrates; below r = 2.5 it carries _dk_vec's closed-form error,
+    # largest next to its k = 0.4 series switch
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         for r in np.concatenate([np.geomspace(1.01, 5.0, 60)[:-1],
@@ -161,6 +161,21 @@ def test_far_field_inside_r5_against_mpmath():
             ref = (mpmath.ellipe(m) / (mpmath.pi * (rm - 1))
                    - mpmath.ellipk(m) / (mpmath.pi * (rm + 1)))
             assert abs(ll.far_field(float(r)) - ref) <= 3e-14 * ref, r
+
+
+def test_far_field_on_one_to_five_at_5e_15():
+    # dK/dk takes its series below k = 1/r = 0.4, so the closed form runs
+    # only where it keeps about 3e-15 (just above k = 0.2 it is 1.5e-14 off)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for r in np.concatenate([np.geomspace(1.001, 5.0, 400)[1:-1],
+                                 2.5 + np.geomspace(1e-12, 0.3, 40),
+                                 2.5 - np.geomspace(1e-12, 0.3, 40)]):
+            rm = mpmath.mpf(float(r))
+            m = 4 * rm / (1 + rm) ** 2
+            ref = (mpmath.ellipe(m) / (mpmath.pi * (rm - 1))
+                   - mpmath.ellipk(m) / (mpmath.pi * (rm + 1)))
+            assert abs(ll.far_field(float(r)) - ref) <= 5e-15 * ref, r
 
 
 def test_far_field_far_out_against_mpmath():

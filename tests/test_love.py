@@ -164,11 +164,11 @@ def test_kappa_floor_refused_before_any_kernel(monkeypatch):
 
 
 def test_solve_at_the_kappa_floor():
-    # 13 panels of 16 points on each half: 0, kappa/2, ..., 0.256, then 3
+    # 12 panels of 16 points on each half: 0, 3 kappa/4, ..., 0.384, then 2
     # uniform panels up to d = 1
     problem = ll.LoveProblem(kappa=1e-3)
     sol = ll.solve_love(problem)
-    assert ll.default_node_count(1e-3) == len(sol.nodes) == 2 * 13 * 16
+    assert ll.default_node_count(1e-3) == len(sol.nodes) == 2 * 12 * 16
     assert sol.residual <= love._RESIDUAL_TOL * problem.v0
     c = ll.observables(sol).capacitance
     ce = ll.capacitance_series("extended", 1e-3)
@@ -194,16 +194,20 @@ def test_residual_gate_rejects_nan(monkeypatch):
 def test_node_budget_sets_the_panel_order():
     # the panels depend on kappa alone; the budget buys orders 16 to 32
     panels = ll.default_node_count(0.01) // 32
-    assert panels == 10
-    for n, order in ((16, 16), (320, 16), (480, 24), (639, 31), (640, 32), (10 ** 6, 32)):
+    assert panels == 9
+    for n, order in ((16, 16), (288, 16), (432, 24), (575, 31), (576, 32), (10 ** 6, 32)):
         edges, got = love._mesh(0.01, n)
         assert len(edges) == panels + 1 and got == order
-    assert len(ll.solve_love(ll.LoveProblem(kappa=0.01), n=640).nodes) == 640
+    assert len(ll.solve_love(ll.LoveProblem(kappa=0.01), n=576).nodes) == 576
 
 
-@pytest.mark.parametrize("kappa", [0.1, 0.01, 1e-3])
+@pytest.mark.parametrize("kappa", [1e-3, 1.4e-3, 3e-3, 0.01, 0.03, 0.1, 0.12, 0.3, 0.4,
+                                   0.5, 0.7, 1.0, 1e3])
 def test_panel_orders_agree(kappa):
-    # orders 16, 24 and 32 on the same panels: the mesh resolves f
+    # orders 16, 24 and 32 on the same panels: the mesh resolves f.  The
+    # ladder has two uniform top panels (1e-3, 0.01, 0.03, 0.12, 0.3, 0.5),
+    # three (1.4e-3, whose last geometric edge 0.269 is near 1/4, 3e-3, 0.1,
+    # 0.4), and no geometric edge at all (kappa >= 2/3)
     panels = ll.default_node_count(kappa) // 32
     points = [ll.observables(ll.solve_love(ll.LoveProblem(kappa=kappa), n=2 * panels * order))
               for order in (16, 24, 32)]
@@ -252,12 +256,12 @@ def test_rows_match_brute_force_weights(kappa, order, targets, seed):
 def linspace_edges(kappa):
     """Bit-for-bit oracle of love._edges: its uniform edges from np.linspace."""
     edges = [0.0]
-    edge = 0.5 * kappa
+    edge = 0.75 * kappa
     while edge < 0.5:
         edges.append(edge)
         edge *= 2.0
     last = edges[-1]
-    uniform = np.linspace(last, 1.0, math.ceil((1.0 - last) / 0.25) + 1)
+    uniform = np.linspace(last, 1.0, math.ceil(3.0 * (1.0 - last)) + 1)
     return np.concatenate([edges, uniform[1:]])
 
 
@@ -301,11 +305,14 @@ def masked_rows(kappa, edges, order, d):
 
 @pytest.mark.parametrize("order", [16, 32])
 def test_rows_and_edges_keep_the_bits_of_the_masked_gather(order):
-    # kappa on both sides of ~0.192, above which no panel of the default
-    # mesh can hold a pair inside the rho = 4 ellipse and _rows skips its
-    # mid- and near-field pass; targets as a solve (nodes, or nodes and
-    # midpoints) and interpolate (x = 0 at d = 1, |x| > 1 at d < 0) pass
-    kappas = np.concatenate([np.geomspace(1e-3, 1e3, 19), [0.15, 0.19, 0.1915, 0.193, 0.2]])
+    # kappa on both sides of ~0.2128, 2/9 and ~0.2752: no panel of the
+    # default mesh can hold a pair inside the rho = 4 ellipse, and _rows
+    # skips its mid- and near-field pass, from ~0.2128 up to 2/9 (where the
+    # uniform panels go from three to two) and from ~0.2752 up;
+    # targets as a solve (nodes, or nodes and midpoints) and interpolate
+    # (x = 0 at d = 1, |x| > 1 at d < 0) pass
+    kappas = np.concatenate([np.geomspace(1e-3, 1e3, 19),
+                             [0.2, 0.2127, 0.213, 0.222, 0.2223, 0.275, 0.2753, 0.28]])
     skipped = 0
     for kappa in kappas:
         edges = love._edges(kappa)
