@@ -65,9 +65,9 @@ def _ke_vec(k: np.ndarray, kc2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # dK/dk = (pi/2) sum 2n c_n^2 k^{2n-1} with c_n = binom(2n, n)/4^n.  The
 # closed form loses digits like 1/k^2 as k -> 0 (2.4e-13 relative at
 # k = 0.05, 1.5e-14 at 0.2, 3e-15 at 0.4), so the series takes over below
-# k = 0.4, where its first 40 terms leave a truncation below 1e-31 relative.
+# k = 0.4, where its first 21 terms leave a truncation below 3e-17 relative.
 _DK_SWITCH = 0.4
-_DK_SERIES = tuple(2 * n * (math.comb(2 * n, n) / 4.0 ** n) ** 2 for n in range(1, 41))
+_DK_SERIES = tuple(2 * n * (math.comb(2 * n, n) / 4.0 ** n) ** 2 for n in range(1, 22))
 
 
 def _horner(coefficients, x):
@@ -138,16 +138,58 @@ _k1e = functools.partial(_bessel_vec, "K1")
 # Lambert W.
 # ----------------------------------------------------------------------
 
-# Branch-point expansion W = sum mu_k p^k, p = sqrt(2 (e z + 1))
-# (Corless et al. 1996, eq. 4.22).  Truncation error ~ |p|^8.
-_MU = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0,
-       769.0 / 17280.0, -221.0 / 8505.0, 680863.0 / 43545600.0)
+# Branch-point expansion W = sum mu_k p^k, p = sqrt(2 (e z + 1)) = i sqrt(2
+# expm1(d)) on the upper cut (Corless et al. 1996, eqs. 4.22-4.24): mu_0 = -1,
+# mu_1 = 1, alpha_0 = 2, alpha_1 = -1, and for k >= 2
+#   alpha_k = sum_{j=2}^{k-1} mu_j mu_{k+1-j},
+#   mu_k = (k-1)/(k+1) (mu_{k-2}/2 + alpha_{k-2}/4) - alpha_k/2 - mu_{k-1}/(k+1),
+# rounded from exact fractions (the tests rebuild them).  The radius is
+# |p| = sqrt(2); below _W_SERIES_MAX, |p|/sqrt(2) < 0.15 and the 24 terms
+# leave a truncation below 1e-19, so the series is the value there.  Its
+# first _W_SEED_TERMS terms seed Halley up to d = _W_ASYMPTOTE_SEED.
+_MU = (-1.0, 1.0, -0.3333333333333333, 0.1527777777777778, -0.07962962962962963,
+       0.044502314814814814, -0.02598471487360376, 0.01563563253233392,
+       -0.009616892024299432, 0.006014543252956118, -0.0038112980348919993,
+       0.0024408779911439826, -0.0015769303446867841, 0.0010262633205076071,
+       -0.0006720616311561362, 0.0004424730618146209, -0.00029267722472962746,
+       0.00019438727605453933, -0.00012957426685274883, 8.665035805208128e-05,
+       -5.811360750441382e-05, 3.907668486743905e-05, -2.63380647472311e-05,
+       1.7790345805079586e-05)
+_W_SERIES_MAX = 0.02
+_W_SEED_TERMS = 8
+_W_ASYMPTOTE_SEED = 0.5
+# With p = i q, q^2 = 2 expm1(d), the series splits into two real ones in
+# q^2: W = sum_j (-1)^j mu_2j q^2j + i q sum_j (-1)^j mu_2j+1 q^2j, whose
+# coefficients are the rows of this (terms / 2, 2, 1) table.
+_MU_TABLE = (np.array(_MU).reshape(-1, 2)
+             * (-1.0) ** np.arange(len(_MU) // 2)[:, None])[:, :, None]
 
-_HALLEY_MAX_ITER = 60
+# From the seeds, three Halley steps reach the rounding floor on all of
+# [_W_SERIES_MAX, _W_SEED_EXACT] (two leave 5.5e-6 at d = 0.5); a relative
+# residual above _W_RESIDUAL_TOL after them raises ConvergenceError.
+_HALLEY_STEPS = 3
+_W_RESIDUAL_TOL = 1e-14
 
 # Above this offset the seed t - log t + log t / t is the value (its error is
 # O((log t / t)^2) < 1e-36); Halley's w * w overflows from d ~ 1.3e154 on.
 _W_SEED_EXACT = 1e20
+
+
+def _log(w: np.ndarray) -> np.ndarray:
+    """The principal complex log, as log|w| + i arg w: the same branch as
+    np.log, in a fraction of its time."""
+    out = np.log(np.abs(w)).astype(complex)
+    out.imag = np.arctan2(w.imag, w.real)
+    return out
+
+
+def _branch_point_series(d: np.ndarray, terms: int) -> np.ndarray:
+    """The first `terms` terms of the branch-point series at offsets d."""
+    q2 = 2.0 * np.expm1(d)
+    re, im = _horner(_MU_TABLE[:terms // 2], q2)
+    out = re.astype(complex)
+    out.imag = np.sqrt(q2) * im
+    return out
 
 
 def _w_upper_from_offset(d) -> np.ndarray:
@@ -157,47 +199,43 @@ def _w_upper_from_offset(d) -> np.ndarray:
     which is solved entirely in the log domain so d (hence -z = e^{d-1}) may
     be any finite double without overflow.  d = 0 is the branch point.
 
-    Below d = 3e-4 the branch-point series is the value, and above
-    _W_SEED_EXACT the asymptotic seed is.  Elsewhere Halley refines a seed,
-    and each element stops on its own: when its relative step falls below
-    2e-16, or when the step no longer shrinks (the rounding floor, reached
-    first near the branch point, where the update divides by W + 1 ~
-    sqrt(2d)).  A stopped element is never updated again, so every
-    value depends on its own d alone, not on the batch it arrives in.  An
-    element still converging after _HALLEY_MAX_ITER steps raises
-    ConvergenceError.
+    Below d = 0.02 the 24-term branch-point series is the value, and above
+    _W_SEED_EXACT the asymptote t - log t + log t / t (t = d - 1 + i pi) is.
+    In between, exactly three Halley steps run on the whole slice, from the
+    8-term series below d = 0.5 and from the asymptote above it.  Every
+    element takes the same operations, so each value depends on its own d
+    alone, not on the batch it arrives in.  An element whose residual
+    |W + log W - (d - 1 + i pi)| / (1 + |W|) exceeds 1e-14 after the third
+    step raises ConvergenceError, so no unconverged value is returned.
     """
     d = np.asarray(d, dtype=float)
     flat = d.ravel()
     W = np.empty(flat.shape, dtype=complex)
-    near = flat < 0.5                    # seeds: the series, else the asymptote
-    W[near] = _horner(_MU, 1j * np.sqrt(2.0 * np.expm1(flat[near])))
-    t = flat[~near] - 1.0 + 1j * _PI
-    lt = np.log(t)
-    W[~near] = t - lt + lt / t
-    target = flat - 1.0 + 1j * _PI
-    last = np.full(flat.shape, np.inf)   # each element's previous step size
-    active = np.flatnonzero(~((flat < 3e-4) | (flat > _W_SEED_EXACT)))
-    for _ in range(_HALLEY_MAX_ITER):
-        w = W[active]
-        f = w + np.log(w) - target[active]
-        fp = (w + 1.0) / w
-        halley = f * (-1.0 / (w * w)) / (2.0 * fp)
-        step = f / (fp - halley)
-        w = w - step
-        W[active] = w
-        size = np.abs(step) / (1.0 + np.abs(w))
-        done = (size < 2e-16) | (size >= last[active])
-        last[active] = size
-        active = active[~done]
-        if not len(active):
-            break
-    else:
-        worst = active[np.argmax(last[active])]
+    series = flat < _W_SERIES_MAX
+    W[series] = _branch_point_series(flat[series], len(_MU))
+    far = flat >= _W_ASYMPTOTE_SEED
+    t = flat[far] - 1.0 + 1j * _PI
+    lt = _log(t)
+    W[far] = t - lt + lt / t
+    halley = ~(series | (flat > _W_SEED_EXACT))
+    near = halley & ~far
+    W[near] = _branch_point_series(flat[near], _W_SEED_TERMS)
+    w = W[halley]
+    target = flat[halley] - 1.0 + 1j * _PI
+    for _ in range(_HALLEY_STEPS):
+        # Halley on g = w + log w - target, g' = (w + 1)/w, g'' = -1/w^2
+        f = w + _log(w) - target
+        wp = w + 1.0
+        w = w - 2.0 * f * wp * w / (2.0 * wp * wp + f)
+    residual = np.abs(w + _log(w) - target) / (1.0 + np.abs(w))
+    missed = np.flatnonzero(~(residual <= _W_RESIDUAL_TOL))
+    if len(missed):
+        worst = missed[np.argmax(residual[missed])]     # a NaN residual is the worst
         raise ConvergenceError(
-            f"Halley iteration for the upper-cut Lambert W at d = {flat[worst]!r} "
-            f"still converging after {_HALLEY_MAX_ITER} steps",
-            complex(W[worst]), float(last[worst]))
+            f"Halley iteration for the upper-cut Lambert W at "
+            f"d = {float(flat[halley][worst])!r} missed residual {_W_RESIDUAL_TOL:g} "
+            f"after {_HALLEY_STEPS} steps", complex(w[worst]), float(residual[worst]))
+    W[halley] = w
     return W.reshape(d.shape) if d.ndim else W
 
 

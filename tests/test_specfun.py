@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -277,15 +278,18 @@ def test_upper_cut_asymptotic_seed_form():
     assert 0.5 * next_order < gap < 2.0 * next_order
 
 
-# d = log(-z) + 1 across the seams of _w_upper_from_offset: the branch-point
-# series below 3e-4, down to offsets within a few ulps of the branch point,
-# Halley from the series seed below 0.5, from the asymptotic seed above, out
-# to d = 1e16, and the asymptotic seed alone far past _W_SEED_EXACT.
+# d = log(-z) + 1 across the seams of _w_upper_from_offset: the 24-term
+# branch-point series below 0.02, down to offsets within a few ulps of the
+# branch point, three Halley steps from the 8-term series below 0.5 and from
+# the asymptotic seed above, out to d = 1e16, and the asymptotic seed alone
+# far past _W_SEED_EXACT.
 _W_OFFSETS = np.concatenate([
-    [0.0, 3e-4, 0.5],
-    np.nextafter([3e-4, 3e-4, 0.5, 0.5], [0.0, 1.0, 0.0, 1.0]),
+    [0.0, 3e-4, 0.02, 0.5],
+    np.nextafter([0.02, 0.02, 0.5, 0.5], [0.0, 1.0, 0.0, 1.0]),
     np.geomspace(1e-17, 1e-9, 40),
     np.geomspace(1e-9, 1e-2, 120),
+    np.geomspace(3e-4, 1e-2, 40),
+    np.linspace(0.015, 0.025, 41),
     np.linspace(0.25, 0.75, 41),
     np.geomspace(1.0, 1e16, 120),
     [1e154, 1e200, 1e300, 1.7e308],
@@ -300,7 +304,20 @@ def test_upper_cut_offset_form_against_mpmath():
             z = -mpmath.exp(mpmath.mpf(float(d)) - 1)
             # the principal branch, approached from above its cut
             ref = mpmath.lambertw(mpmath.mpc(z, mpmath.mpf(10) ** -40))
-            assert abs(mpmath.mpc(w) - ref) <= 3e-14 * abs(ref), d
+            assert abs(mpmath.mpc(w) - ref) <= 3e-15 * abs(ref), d
+
+
+def test_branch_point_coefficients_follow_the_corless_recurrence():
+    # mu_k of W = sum mu_k p^k rebuilt in exact arithmetic (Corless et al.
+    # 1996, eqs. 4.23-4.24); the stored literals are their roundings
+    mu, alpha = [Fraction(-1), Fraction(1)], [Fraction(2), Fraction(-1)]
+    for k in range(2, len(specfun._MU)):
+        alpha.append(sum((mu[j] * mu[k + 1 - j] for j in range(2, k)), Fraction(0)))
+        mu.append(Fraction(k - 1, k + 1) * (mu[k - 2] / 2 + alpha[k - 2] / 4)
+                  - alpha[k] / 2 - mu[k - 1] / (k + 1))
+    assert len(mu) == 24
+    assert mu[:4] == [-1, 1, Fraction(-1, 3), Fraction(11, 72)]
+    assert specfun._MU == tuple(float(m) for m in mu)
 
 
 def test_upper_cut_offset_form_is_batch_independent():
@@ -352,13 +369,19 @@ def test_integrand_building_blocks_are_batch_independent(func, first, second):
 
 
 def test_upper_cut_offset_form_refuses_unconverged(monkeypatch):
-    monkeypatch.setattr(specfun, "_HALLEY_MAX_ITER", 2)
-    with pytest.raises(ConvergenceError) as info:
+    # a seed table three times too large leaves Halley short of the
+    # rounding floor after its three steps: the residual guard raises
+    # rather than return the value
+    monkeypatch.setattr(specfun, "_MU_TABLE", 3.0 * specfun._MU_TABLE)
+    with pytest.raises(ConvergenceError, match=r"at d = 0\.3 missed residual 1e-14") as info:
         specfun._w_upper_from_offset(np.array([1e-4, 0.3, 40.0]))
     assert 0.0 < info.value.best.imag < PI
-    assert info.value.estimate >= 2e-16
-    # the branch-point series needs no iteration
-    assert specfun._w_upper_from_offset(1e-4).shape == (1,)
+    assert info.value.estimate > 1e-14
+    # the asymptotic seed needs no table, and a NaN offset, whose residual
+    # is NaN, is refused by the same guard
+    assert specfun._w_upper_from_offset(40.0).shape == (1,)
+    with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError, match="at d = nan"):
+        specfun._w_upper_from_offset(math.nan)
 
 
 # ----------------------------------------------------------------------
