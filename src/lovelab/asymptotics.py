@@ -23,10 +23,10 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .capacitor2d import cumulative_phi, cumulative_phi_log, phi_prime_polylog_integral
+from .capacitor2d import _phi_moments, phi_prime_polylog_integral
 from .errors import ConvergenceError, DomainError, WindowError, _check_real
 from .quadrature import _tanh_sinh
-from .specfun import _dk_vec, _horner, _i1e, _i2e, _k1e, _ke_vec
+from .specfun import _dk_vec, _i1e, _i2e, _k1e, _k3
 
 __all__ = [
     "ENERGY_GAMMA2",
@@ -353,11 +353,11 @@ def green_traces(r: float, r1: float, epsilon: float) -> tuple[float, float]:
     term n decays like e^{-n pi (r_> - r_<)/eps}; summed in scaled form and
     truncated once terms drop below 1e-16 of the total.
     g_plus (upper half space): (2/(pi r_<)) (E(k) - K(k)) at k = r_</r_>,
-    taken as (2/(pi r_>)) ((1 - k^2) dK/dk - k K(k)): the same value through
-    E - K = k (1 - k^2) dK/dk - k^2 K, without the cancellation of E against
-    K at small k, where dK/dk is its series.  1 - k^2 is formed as
-    (r_> - r_<)(r_> + r_<)/r_>^2, so near the diagonal K carries no rounding
-    of k.
+    taken as (2/(pi r_>)) (k k3(1/k) - (1 - k^2) dK/dk): the same value
+    through (E - K)/k = k k3 - (1 - k^2) dK/dk, from the two elliptic
+    primitives of kernel_k, without the cancellation of E against K at
+    small k, where both are their series.  1 - k^2 comes from _modulus, so
+    near the diagonal K carries no rounding of k.
     """
     _check_real(r, "r", "(0, inf)")
     _check_real(r1, "r1", "(0, inf)")
@@ -374,8 +374,7 @@ def green_traces(r: float, r1: float, epsilon: float) -> tuple[float, float]:
     total = _bessel_sum(terms, 1e-16)
     g_minus = -(rlt / rgt) / (2.0 * epsilon) - (2.0 / epsilon) * total
     k, kc2 = _modulus(rlt, rgt)
-    K, _ = _ke_vec(k, kc2)
-    g_plus = (2.0 / (_PI * rgt)) * (kc2 * _dk_vec(k, kc2) - k * K)
+    g_plus = (2.0 / (_PI * rgt)) * (k * _k3(k, kc2) - kc2 * _dk_vec(k, kc2))
     return g_minus, float(g_plus[0])
 
 
@@ -389,54 +388,21 @@ def _k2_sum(r: float, epsilon: float) -> float:
     return _bessel_sum(terms, 1e-15)
 
 
-# Above r = 1.4 the closed forms of k1's elliptic part and of k3 cancel like
-# r^2 (k3's is off by 2.3e-11 at r = 10, and at r = 1e4 it gives 0.0 against
-# -1.96e-9), so there both are summed from their power series in
-# s^2 = 1/r^2, from
-# K(s) = (pi/2) sum c_n^2 s^{2n}, E(s) = (pi/2) sum c_n^2 s^{2n}/(1 - 2n)
-# with c_n = binom(2n, n)/4^n:
-#   k1's elliptic part = -s sum_{j>=0} (j+1) c_{j+1}^2/((j+2)(2j+1)) s^{2j},
-#   k3 = (pi/2) sum_{m>=1} (c_m^2 - 2 c_{m+1}^2 (2m+2)/(2m+1)) s^{2m}
-#      = -(pi/2) s^2 sum_{j>=0} c_{j+1}^2 (j+1)/(j+2) s^{2j}.
-# Every term is negative, and 60 terms leave a truncation below 1e-17
-# relative at the switch, where the closed forms are still within 1e-14.
-_K_SERIES_SWITCH = 1.4
-_C_SQUARED = [(math.comb(2 * n, n) / 4.0 ** n) ** 2 for n in range(1, 61)]
-_K1_SERIES = tuple(-(j + 1) * c / ((j + 2) * (2 * j + 1)) for j, c in enumerate(_C_SQUARED))
-_K3_SERIES = tuple(-(_PI / 2.0) * c * (j + 1) / (j + 2) for j, c in enumerate(_C_SQUARED))
-
-
 def _k1_part(r: float, epsilon: float) -> float:
     # the eps-free elliptic terms are summed first, so adding -1/(8 eps)
     # last rounds once and k1 + 1/(8 eps) is the same for every eps to
     # half an ulp of 1/(8 eps)
     if r == 1.0:
         # (1 - r^2) K(1/r) -> 0; only the E term survives
-        return -2.0 / (3.0 * _PI) - 1.0 / (8.0 * epsilon)
-    if r > _K_SERIES_SWITCH:
-        s = 1.0 / r
-        elliptic = s * float(_horner(_K1_SERIES, s * s))
+        elliptic = -2.0 / (3.0 * _PI)
+    elif r > 1e150:
+        # -s/8 to rounding (the next term is s^2/4 of it); k3 ~ -(pi/16) s^2
+        # underflows from r ~ 6.7e153 on, and would take a third of it along
+        elliptic = -0.125 / r
     else:
-        K, E = (float(v[0]) for v in _ke_vec(*_modulus(1.0, r)))
-        elliptic = (-4.0 * r * (1.0 - r * r) * K / (3.0 * _PI)
-                    + 2.0 * r * (1.0 - 2.0 * r * r) * E / (3.0 * _PI))
+        s, kc2 = _modulus(1.0, r)
+        elliptic = float(((-2.0 / (3.0 * _PI)) * kc2 * (_dk_vec(s, kc2) + _k3(s, kc2) / s))[0])
     return elliptic - 1.0 / (8.0 * epsilon)
-
-
-def _k3(s: np.ndarray, kc2: np.ndarray) -> np.ndarray:
-    """k3 at r = 1/s for s in (0, 1), elementwise, with kc2 = 1 - s^2 formed
-    by the caller: the series in s^2 below s = 1/1.4, the closed form
-    (2 E(s) - (1 + kc2) K(s)) / s^2 above."""
-    out = np.empty_like(s)
-    series = s < 1.0 / _K_SERIES_SWITCH
-    s2 = s[series] ** 2
-    out[series] = s2 * _horner(_K3_SERIES, s2)
-    closed = ~series
-    if np.any(closed):
-        sc, kc2c = s[closed], kc2[closed]
-        K, E = _ke_vec(sc, kc2c)
-        out[closed] = (2.0 * E - (1.0 + kc2c) * K) / (sc * sc)
-    return out
 
 
 def kernel_k(part: str, r: float, epsilon: float = math.nan) -> float:
@@ -447,6 +413,10 @@ def kernel_k(part: str, r: float, epsilon: float = math.nan) -> float:
     "k3": 2 r^2 E(1/r) + (1 - 2 r^2) K(1/r)   (the bracket from integrating
           k1's elliptic part by parts; log-divergent at r = 1)
     "full": k1 + k2
+
+    k3 and dK/ds at s = 1/r are the two elliptic primitives of specfun, and
+    k1's elliptic part is built from them, as -(2/(3 pi)) (1 - s^2)
+    (dK/ds + k3/s), for every r > 1 (-s/8 past r = 1e150).
     """
     _check_real(r, "r", "[1, inf)")
     if part in ("k1", "k2", "full"):
@@ -526,10 +496,14 @@ def j_split(epsilon: float, delta: float | None = None) -> tuple[float, float]:
         raise WindowError(
             f"(epsilon, delta)=({epsilon!r}, {delta!r}) violates "
             "eps/delta <= 0.2 and delta <= 0.2")
+    if 1.0 + delta == 1.0:
+        raise WindowError(f"1 + delta rounds to 1 at delta = {delta!r}: no outer range is left")
 
     cutoff = delta / epsilon
-    j1 = epsilon * (0.5 * cumulative_phi_log(cutoff)
-                    + (0.5 * math.log(epsilon / 8.0) + 2.0) * cumulative_phi(cutoff))
+    m0, m1 = _phi_moments(cutoff).tolist()
+    lx = math.log(cutoff)
+    j1 = epsilon * (0.5 * (m1 + lx * lx / (2.0 * _PI))
+                    + (0.5 * math.log(epsilon / 8.0) + 2.0) * (m0 + lx / _PI))
 
     S = 1.0 / (1.0 + delta)
     val, _ = _tanh_sinh(lambda s: _outer_subtracted(s, _dk_vec(s, (1.0 - s) * (1.0 + s))),

@@ -144,25 +144,31 @@ def psi_series(x: float) -> float:
 # Cumulative integrals.
 # ----------------------------------------------------------------------
 
-def cumulative_phi(X: float) -> float:
-    """int_0^X Phi(t, 0) dt for X >= 1.
+def _phi_moments(X: float) -> np.ndarray:
+    """int_0^X (Phi(t) - [t > 1]/(pi t)) log^p t dt for p = 0, 1 and X >= 1,
+    the two rows of one composite integral, so Phi is evaluated once per
+    abscissa: tanh-sinh on the cusp head [0, 1], with the jump of the
+    subtraction on its edge, then geometric Gauss panels up to X.  Each row
+    is summed on its own, so each keeps the bits of its integral taken
+    alone.  As X -> inf the rows tend to gamma0 and gamma1."""
+    def integrand(t: np.ndarray) -> np.ndarray:
+        g = _phi(t) - np.where(t > 1.0, 1.0 / (_PI * t), 0.0)
+        return np.array([g, g * np.log(t)])
 
-    tanh-sinh handles the sqrt cusp at t = 0; the smooth remainder is summed
-    over geometrically spaced Gauss panels, so X up to ~1e15 costs only a
-    few thousand evaluations.  Grows like (log X)/pi plus a constant.
-    """
+    return _composite(integrand, [0.0, *_log_edges(1.0, X)])
+
+
+def cumulative_phi(X: float) -> float:
+    """int_0^X Phi(t, 0) dt for X >= 1; grows like (log X)/pi plus gamma0."""
     _check_real(X, "X", "[1, inf)")
-    return _composite(_phi, [0.0, *_log_edges(1.0, X)])
+    return float(_phi_moments(X)[0]) + math.log(X) / _PI
 
 
 def cumulative_phi_log(X: float) -> float:
-    """int_0^X Phi(t, 0) log t dt for X >= 1; grows like (log X)^2 / (2 pi)."""
+    """int_0^X Phi(t, 0) log t dt for X >= 1; grows like (log X)^2/(2 pi)
+    plus gamma1."""
     _check_real(X, "X", "[1, inf)")
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return _phi(t) * np.log(t)
-
-    return _composite(integrand, [0.0, *_log_edges(1.0, X)])
+    return float(_phi_moments(X)[1]) + math.log(X) ** 2 / (2.0 * _PI)
 
 
 # Beyond this point Li_n(e^{-pi x}) < 1e-17 for every n >= 1; the omitted

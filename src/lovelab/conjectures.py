@@ -31,9 +31,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .asymptotics import GAMMA0, GAMMA1, GAMMA2_TILDE, INTEGRAL4, _outer_subtracted
-from .capacitor2d import _orders, _phi, _phi_prime_of_w, phi_prime_polylog_integral
+from .capacitor2d import _orders, _phi_moments, _phi_prime_of_w, phi_prime_polylog_integral
 from .errors import DomainError, _check_int
-from .quadrature import _composite, _log_edges, _tanh_sinh
+from .quadrature import _composite, _tanh_sinh
 from .specfun import _dk_vec, _w_upper_from_offset
 
 __all__ = [
@@ -176,17 +176,8 @@ def _once_per_run(func: Callable[[], object]) -> Callable[[], object]:
 
 @_once_per_run
 def _subtracted_moments() -> np.ndarray:
-    """int_0^inf (Phi(t) - [t > 1]/(pi t)) log^p t dt for p = 0, 1, convergent
-    integrals taken as the two rows of one composite integral, so Phi is
-    evaluated once per abscissa: tanh-sinh on the cusp head [0, 1], with the
-    jump of the subtraction on its edge, then geometric Gauss panels up to
-    1e18 (the rest is below 1e-15).  Each row converges and is summed on
-    its own, so each keeps the bits of its integral taken alone."""
-    def integrand(t: np.ndarray) -> np.ndarray:
-        g = _phi(t) - np.where(t > 1.0, 1.0 / (_PI * t), 0.0)
-        return np.array([g, g * np.log(t)])
-
-    return _composite(integrand, [0.0, *_log_edges(1.0, 1e18)])
+    """gamma0 and gamma1: the two Phi moments up to 1e18 (the rest is below 1e-15)."""
+    return _phi_moments(1e18)
 
 
 def verify_gamma0() -> ConjectureReport:

@@ -4,9 +4,11 @@ modified Bessel functions, Lambert W (upper-cut limit), and polylogarithms.
 Conventions
 -----------
 * Elliptic integrals use the modulus k (not the parameter m = k^2):
-  K(k) = int_0^{pi/2} dt / sqrt(1 - k^2 sin^2 t), likewise E(k).  K, E and
-  dK/dk each have one path, and each takes the complementary parameter
-  1 - k^2 from its caller, who forms it without cancellation.
+  K(k) = int_0^{pi/2} dt / sqrt(1 - k^2 sin^2 t), likewise E(k).  K, E,
+  dK/dk and kernel_k's k3 each have one path, and each takes the
+  complementary parameter 1 - k^2 from its caller, who forms it without
+  cancellation.  dK/dk and k3 are the two primitives every elliptic
+  combination of the third-moment chain is built from.
 * Bessel values are always exponentially scaled: e^{-x} I_nu(x) and
   e^{x} K_nu(x).  Unscaled values overflow long before the arguments this
   package feeds them (products of the form I_2(a) K_1(b) with a, b ~ 1e7),
@@ -20,8 +22,8 @@ scaled Bessel functions (ive, kve) and the zeta values of the polylogarithm
 tables (zeta).  Kept here is only what it cannot serve: the upper-cut W
 solved in the log domain (every finite offset), Li_n(e^{-t}) with the
 argument kept in the exponent, the Bessel expansions above 1e8 (where ive
-and kve degrade), the dK/dk series at small k (where the closed form
-cancels), and W's branch-point series.
+and kve degrade), the dK/dk and k3 series at small k (where their closed
+forms cancel), and W's branch-point series.
 
 Every function here is private and vectorized: the package publishes no
 special function, and its callers (the kernels of asymptotics, the
@@ -62,12 +64,20 @@ def _ke_vec(k: np.ndarray, kc2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ellipkm1(kc2), ellipe(k * k)
 
 
-# dK/dk = (pi/2) sum 2n c_n^2 k^{2n-1} with c_n = binom(2n, n)/4^n.  The
-# closed form loses digits like 1/k^2 as k -> 0 (2.4e-13 relative at
-# k = 0.05, 1.5e-14 at 0.2, 3e-15 at 0.4), so the series takes over below
-# k = 0.4, where its first 21 terms leave a truncation below 3e-17 relative.
+# The two elliptic primitives of the third-moment chain, dK/dk and k3, each
+# switch from a closed form to a power series where the closed form cancels
+# like 1/k^2.  From K = (pi/2) sum c_n^2 k^{2n}, E = (pi/2) sum c_n^2
+# k^{2n}/(1 - 2n), c_n = binom(2n, n)/4^n:
+#   dK/dk = (pi/2) sum_{n>=1} 2n c_n^2 k^{2n-1}: the closed form is 2.4e-13
+#     off at k = 0.05 and 3e-15 at 0.4, below which 21 terms leave < 3e-17;
+#   k3 = -(pi/2) k^2 sum_{j>=0} c_{j+1}^2 (j+1)/(j+2) k^{2j}: the closed
+#     form is 2.3e-11 off at k = 0.1 and within 1e-14 at k = 1/1.4, below
+#     which 60 terms, all negative, leave < 1e-17.
+_C_SQUARED = [(math.comb(2 * n, n) / 4.0 ** n) ** 2 for n in range(1, 61)]
 _DK_SWITCH = 0.4
-_DK_SERIES = tuple(2 * n * (math.comb(2 * n, n) / 4.0 ** n) ** 2 for n in range(1, 22))
+_DK_SERIES = tuple(2 * n * c for n, c in enumerate(_C_SQUARED[:21], 1))
+_K_SERIES_SWITCH = 1.4
+_K3_SERIES = tuple(-(_PI / 2.0) * c * (j + 1) / (j + 2) for j, c in enumerate(_C_SQUARED))
 
 
 def _horner(coefficients, x):
@@ -96,6 +106,23 @@ def _dk_vec(k: np.ndarray, kc2: np.ndarray) -> np.ndarray:
         kb, kc2b = k[big], kc2[big]
         K, E = _ke_vec(kb, kc2b)
         out[big] = (E - kc2b * K) / (kb * kc2b)
+    return out
+
+
+def _k3(s: np.ndarray, kc2: np.ndarray) -> np.ndarray:
+    """k3 = 2 r^2 E(1/r) + (1 - 2 r^2) K(1/r) at r = 1/s, elementwise for s
+    in (0, 1), with kc2 = 1 - s^2 formed by the caller, as for _ke_vec: the
+    series in s^2 below s = 1/1.4, the closed form (2 E(s) - (1 + kc2) K(s))
+    / s^2 above."""
+    out = np.empty_like(s)
+    series = s < 1.0 / _K_SERIES_SWITCH
+    s2 = s[series] ** 2
+    out[series] = s2 * _horner(_K3_SERIES, s2)
+    closed = ~series
+    if np.any(closed):
+        sc, kc2c = s[closed], kc2[closed]
+        K, E = _ke_vec(sc, kc2c)
+        out[closed] = (2.0 * E - (1.0 + kc2c) * K) / (sc * sc)
     return out
 
 

@@ -6,13 +6,12 @@ import pytest
 from scipy.integrate import dblquad
 
 import lovelab as ll
-from lovelab.asymptotics import (_eps_bracket_from_constants, _k2_sum, _k3, _modulus,
-                                 _outer_subtracted)
+from lovelab.asymptotics import _eps_bracket_from_constants, _k2_sum, _modulus, _outer_subtracted
 from lovelab.capacitor2d import _phi
-from lovelab import asymptotics
+from lovelab import asymptotics, capacitor2d
 from lovelab.errors import ConvergenceError, DomainError, WindowError
 from lovelab.quadrature import _composite
-from lovelab.specfun import _dk_vec, _i1e, _i2e, _k1e, _polylog_exp_neg
+from lovelab.specfun import _dk_vec, _i1e, _i2e, _k1e, _k3, _polylog_exp_neg
 
 PI = math.pi
 GAMMA0 = (1.0 + math.log(PI)) / PI
@@ -220,8 +219,10 @@ def test_green_trace_g_plus_against_mpmath():
     # small k; the reference carries 2 log10(1/k) extra digits through it.
     # Near r = 1 the g_minus sum outgrows its cap, so the ladder stops short
     mpmath = pytest.importorskip("mpmath")
-    for r in (1e-300, 1e-100, 1e-30, 1e-12, 1e-8, 1e-5, 1e-3, 0.05, 0.1,
-              0.2, 0.3, 0.5, 0.9, 0.999):
+    # the dense rung on [0.3, 0.8] spans dK/dk's switch at k = 0.4 and k3's
+    # at k = 1/1.4
+    for r in [1e-300, 1e-100, 1e-30, 1e-12, 1e-8, 1e-5, 1e-3, 0.05, 0.1,
+              0.2, 0.3, 0.5, 0.9, 0.999, *np.linspace(0.3, 0.8, 60).tolist()]:
         _, g_plus = ll.green_traces(r, 1.0, 0.1)
         k = mpmath.mpf(r)
         with mpmath.workdps(60 + 2 * int(-mpmath.log10(k))):
@@ -346,20 +347,33 @@ def test_k3_edge_law():
 
 
 def test_k1_and_k3_against_mpmath():
-    # closed forms in K(1/r) and E(1/r) up to r = 1.4, series in 1/r^2 above,
-    # where the closed forms cancel like r^2; the oracle's closed forms get
-    # the digits that cancellation takes.  At eps = 1e300 k1 is its elliptic
-    # part to rounding
+    # k3 is its closed form in K(1/r) and E(1/r) up to r = 1.4 and its
+    # series in 1/r^2 above, where the closed form cancels like r^2; k1's
+    # elliptic part is built from k3 and dK/ds, which switches from its
+    # closed form to its series at r = 2.5.  The dense rung on [1.001, 10]
+    # spans both switches.  The oracle's closed forms get the digits that
+    # cancellation takes.  At eps = 1e300 k1 is its elliptic part to
+    # rounding
     mpmath = pytest.importorskip("mpmath")
-    rs = np.concatenate([1.0 + np.geomspace(1e-9, 1e-4, 6), np.geomspace(1.001, 1e100, 120)])
+    rs = np.concatenate([1.0 + np.geomspace(1e-9, 1e-4, 6), np.geomspace(1.001, 10.0, 200),
+                         np.geomspace(1.001, 1e100, 120)])
     for r in rs.tolist():
         with mpmath.workdps(40 + 5 * int(math.log10(r))):
             rm = mpmath.mpf(r)
             K, E = mpmath.ellipk(1 / rm ** 2), mpmath.ellipe(1 / rm ** 2)
             k1 = (-4 * rm * (1 - rm ** 2) * K + 2 * rm * (1 - 2 * rm ** 2) * E) / (3 * mpmath.pi)
             k3 = 2 * rm ** 2 * E + (1 - 2 * rm ** 2) * K
-            assert abs(ll.kernel_k("k1", r, 1e300) - k1) <= 2e-14 * abs(k1), r
+            assert abs(ll.kernel_k("k1", r, 1e300) - k1) <= 5e-15 * abs(k1), r
             assert abs(ll.kernel_k("k3", r) - k3) <= 2e-14 * abs(k3), r
+
+
+def test_k1_past_the_underflow_of_k3():
+    # k3 ~ -(pi/16)/r^2 underflows from r ~ 6.7e153 on, but k1's elliptic
+    # part, -1/(8 r) (1 + 1/(4 r^2) + ...), keeps its digits out to
+    # r = 1e300
+    for r in (1e150, 1e153, 1e155, 1e160, 1e200, 1e250, 1e300):
+        assert ll.kernel_k("k1", r, 1e300) + 1.0 / 8e300 == pytest.approx(
+            -0.125 / r, rel=5e-15, abs=0.0), r
 
 
 def test_kernel_full_is_sum_of_parts():
@@ -475,6 +489,28 @@ def test_j_split_window_guards():
         ll.j_split(1e-3, delta=0.3)
     with pytest.raises(WindowError):
         ll.j_split(1e-2, delta=0.02)
+    # 1 + delta rounds to 1: the default delta below eps ~ 6e-32, or an
+    # explicit delta below 1.1e-16
+    with pytest.raises(WindowError):
+        ll.j_split(1e-300)
+    with pytest.raises(WindowError):
+        ll.j_split(1e-40, 1e-17)
+
+
+@pytest.mark.parametrize("eps,delta", [(1e-2, None), (1e-4, None), (1e-5, 0.2)])
+def test_j_split_inner_is_one_w_pass(monkeypatch, eps, delta):
+    # both edge-potential moments of J1 are rows of one composite integral,
+    # whose tanh-sinh head converges on its first integrand call
+    calls = []
+    w_upper = capacitor2d._w_upper_from_offset
+
+    def counted(d):
+        calls.append(d)
+        return w_upper(d)
+
+    monkeypatch.setattr(capacitor2d, "_w_upper_from_offset", counted)
+    ll.j_split(eps, delta)
+    assert len(calls) == 1
 
 
 def test_outer_integrand_against_mpmath():

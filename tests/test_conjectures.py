@@ -433,7 +433,7 @@ def _rule_sum(group, edges, n, mpmath):
 
 
 @pytest.mark.parametrize("group, producer, module", [
-    ("gamma", ll.verify_gamma0, conjectures),
+    ("gamma", ll.verify_gamma0, capacitor2d),
     ("polylog", lambda: ll.verify_polylog_claim(range(1, 5)), capacitor2d),
     ("residue", lambda: ll.residue_identity(range(1, 5)), conjectures),
 ])
