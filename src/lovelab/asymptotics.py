@@ -119,10 +119,12 @@ class AsymptoticSeries:
         return self._terms.get((Fraction(power), log_power), 0.0)
 
     def evaluate(self, t: float) -> float:
+        """The terms at t, added left to right in the order they were formed
+        (builtin sum() compensates floats from Python 3.12 on)."""
         _check_real(t, "t", "(0, 1)")
         ell = math.log(1.0 / t)
-        return sum(c * t ** float(p) * ell ** q
-                   for (p, q), c in self._terms.items())
+        return functools.reduce(operator.add, (c * t ** float(p) * ell ** q
+                                               for (p, q), c in self._terms.items()), 0.0)
 
     def truncated(self, max_power: Fraction | int) -> "AsymptoticSeries":
         return AsymptoticSeries((p, q, c) for (p, q), c in self._terms.items()

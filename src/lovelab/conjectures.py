@@ -142,7 +142,7 @@ def residue_identity(k: Sequence[int]) -> list[ConjectureReport]:
 
     def integrand(t: np.ndarray) -> np.ndarray:
         im = _phi_prime_of_w(_w_upper_from_offset(t))   # Im 1/(1 + W)
-        return np.array([np.exp(-j * t) * im for j in orders])
+        return np.exp(-np.multiply.outer(orders, t)) * im
 
     values = _composite(integrand, [0.0, *np.linspace(1.0, 40.0 / min(orders) + 5.0, 20)])
     return [_report(f"residue_k{j}", -(j / _PI) * float(value),

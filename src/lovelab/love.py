@@ -101,19 +101,22 @@ class LoveSolution:
 
     def interpolate(self, x: np.ndarray) -> np.ndarray:
         """Nystrom interpolant: f(x) solving the subtracted equation at x,
-        (v0 + sum_j W_xj f_j) / (leak(x) + sum_j W_xj); it returns f at
-        the nodes themselves.  For |x| > 1 it is the equation's own
-        extension v0 + (K f)(x), and v0, the limit, at x = +-inf.  NaN is
-        refused."""
+        (v0 + sum_j W_xj f_j) / (leak(x) + sum_j W_xj), in the shape of
+        np.atleast_1d(x).  At the nodes it is within 4e-14 of f, not equal
+        (2.6e-14 relative at kappa = 1e-3, the worst of 61 kappa on [1e-3,
+        1e3] at the default budget and twice it).  For |x| > 1 it is the
+        equation's own extension v0 + (K f)(x), and v0, the limit, at x =
+        +-inf.  NaN is refused."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if np.isnan(x).any():
             raise DomainError("interpolate needs x that is not NaN")
         kappa = self.problem.kappa
         edges, order = _mesh(kappa, len(self.nodes))
-        d = 1.0 - np.abs(x)
+        d = 1.0 - np.abs(x.ravel())
         w = _rows(kappa, edges, order, d)
         f = self.f[:len(self.f) // 2]    # the half x <= 0, in ascending d
-        return (self.problem.v0 + w @ f) / (_leak(kappa, d) + w.sum(axis=1))
+        fx = (self.problem.v0 + w @ f) / (_leak(kappa, d) + w.sum(axis=1))
+        return fx.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -269,7 +272,7 @@ def _rows(kappa: float, edges: np.ndarray, order: int, d: np.ndarray) -> np.ndar
             row, j = np.divmod(at, targets)
             z = x.take(at) + 1j * y[row % panels]
             pairs[row, :, j] = _cauchy_moments(z, order).imag @ to_nodes / _PI
-    w = np.add(w[0], w[1], out=w[0]).reshape(-1, len(d))
+    w = np.add(w[0], w[1], out=w[0]).reshape(len(c) * order, len(d))
     return np.ascontiguousarray(w.T)
 
 

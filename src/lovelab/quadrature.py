@@ -11,13 +11,15 @@ and whatever the rows have in common is evaluated once per abscissa.
 Every abscissa is evaluated once, and calls are few: tanh-sinh passes the
 nodes of its levels 0-5 in one call and each later level in a call of its
 own, the composite path adds all Gauss-tail abscissae to that first call,
-and a lone panel sum makes one call.  Every identity of the suite converges
-at level 5, so each of its integrals calls its integrand once.  Sums are
-formed per level and per panel from their own values, so results keep their
-bits provided a value depends on its own abscissa alone, as every integrand
-here does.  The nodes of each tanh-sinh level on the unit interval are
-built once, as read-only tables, and so are their abscissae and weights on
-each interval an integral asks for (a bounded cache).
+and a lone panel sum makes one call.  After each call one array test over
+every level seen decides convergence, first at level 5; every identity of
+the suite converges there, so each of its integrals calls its integrand
+once.  Sums are formed per level and per panel from their own values, so
+results keep their bits provided a value depends on its own abscissa
+alone, as every integrand here does.  The nodes of each tanh-sinh level on
+the unit interval are built once, as read-only tables, and so are their
+abscissae and weights on each interval an integral asks for (a bounded
+cache).
 """
 
 from __future__ import annotations
@@ -171,12 +173,9 @@ def _log_edges(a: float, b: float) -> np.ndarray:
 _TS_TMAX = 6.1
 _TS_MAX_LEVEL = 12
 _TOL = 1e-13            # relative tolerance of every tanh-sinh integral here
-# the level of the first convergence test: every level up to it is
-# evaluated on every call
-_TS_FIRST_TEST = 3
-# the last level of the integrand's first call: the identity suite's
-# integrals converge at level 5, so they need no further call, while an
-# integrand that converges at level 3 or 4 evaluates the rest for nothing
+# the last level of the integrand's first call, and the first level tested
+# for convergence: the identity suite's integrals converge at level 5, so
+# they need no further call
 _TS_FIRST_CALL = 5
 
 
@@ -235,9 +234,11 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
     formed from its own values, so the batching moves no bit as long as a
     value of f depends on its own abscissa alone.
 
-    A row converges when two consecutive level refinements change its value
-    by less than _TOL (relative to max(1, |I|)), and keeps the value of that
-    level: a row's result does not depend on the rows it shares f with.
+    After each call, one array expression forms the value of every level
+    seen, and one test runs over all of them: a row converges at the first
+    level from 5 on whose last two refinements both change its value by
+    less than _TOL (relative to max(1, |I|)), and keeps the value of that
+    level.  A row's result does not depend on the rows it shares f with.
     Returns (value, error estimate), as floats or, for an integrand of m
     rows, as arrays of m values, once every row has converged; raises
     ConvergenceError, carrying the last value and change of the first row
@@ -252,8 +253,8 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
         nonlocal ndim
         nodes = [_ts_level(a, b, level) for level in levels]
         x = np.concatenate([xj for xj, _ in nodes])
-        if not len(x):
-            return [0.0] * len(nodes)
+        if not len(x):                  # every node rounded onto an endpoint
+            return [np.zeros_like(sums[0])] * len(nodes)
         fx = np.asarray(f(x))
         ndim = fx.ndim
         rows = fx.reshape(-1, len(x))
@@ -261,34 +262,29 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
         return [np.array([np.dot(wj, row[end - len(wj):end]) for row in rows])
                 for (_, wj), end in zip(nodes, ends)]
 
-    head = level_sums(range(_TS_FIRST_CALL + 1))
-    h = 1.0
-    raw = head[0]
-    value = 0.5 * width * h * raw
-    history = [value]
-    best, error = value.copy(), np.zeros_like(value)
-    done = np.zeros(value.shape, dtype=bool)
-    for level in range(1, _TS_MAX_LEVEL + 1):
-        h *= 0.5
-        raw += head[level] if level < len(head) else level_sums([level])[0]
-        value = 0.5 * width * h * raw
-        history.append(value)
-        if level >= _TS_FIRST_TEST:
-            scale = np.maximum(1.0, np.abs(value))
-            d1 = np.abs(history[-1] - history[-2])
-            d2 = np.abs(history[-2] - history[-3])
-            now = ~done & (d1 < _TOL * scale) & (d2 < _TOL * scale)
-            best[now] = value[now]
-            error[now] = np.maximum(d1, 4e-16 * scale)[now]
-            done |= now
-            if done.all():
-                return (float(best[0]), float(error[0])) if ndim == 1 else (best, error)
-    row = int(np.flatnonzero(~done)[0])
-    where = "" if ndim == 1 else f", row {row}"
-    raise ConvergenceError(
-        f"tanh-sinh on ({a:g}, {b:g}){where} missed tolerance {_TOL:g} "
-        f"at level {_TS_MAX_LEVEL}",
-        float(value[row]), float(abs(history[-1][row] - history[-2][row])))
+    sums = level_sums(range(_TS_FIRST_CALL + 1))    # never empty: level 0 holds the midpoint
+    while True:
+        h = 0.5 ** np.arange(len(sums))
+        values = (0.5 * width * h)[:, None] * np.add.accumulate(sums)
+        steps = np.abs(np.diff(values, axis=0))     # steps[l - 1]: level l's change
+        scale = np.maximum(1.0, np.abs(values))
+        tol = _TOL * scale[_TS_FIRST_CALL:]
+        done = ((steps[_TS_FIRST_CALL - 1:] < tol)
+                & (steps[_TS_FIRST_CALL - 2:-1] < tol))
+        converged = done.any(axis=0)
+        if converged.all():
+            level = _TS_FIRST_CALL + np.argmax(done, axis=0)
+            rows = np.arange(values.shape[1])
+            value = values[level, rows]
+            error = np.maximum(steps[level - 1, rows], 4e-16 * scale[level, rows])
+            return (float(value[0]), float(error[0])) if ndim == 1 else (value, error)
+        if len(sums) > _TS_MAX_LEVEL:
+            row = int(np.flatnonzero(~converged)[0])
+            where = "" if ndim == 1 else f", row {row}"
+            raise ConvergenceError(
+                f"tanh-sinh on ({a:g}, {b:g}){where} missed tolerance {_TOL:g} "
+                f"at level {_TS_MAX_LEVEL}", float(values[-1, row]), float(steps[-1, row]))
+        sums += level_sums([len(sums)])
 
 
 def _composite(f: Callable[[np.ndarray], np.ndarray],

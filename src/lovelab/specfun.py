@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Sequence
 
 import numpy as np
@@ -281,29 +282,26 @@ _EXPANSION_ORDER = 19
 _MAX_POLYLOG_ORDER = 169
 
 
-@functools.cache
-def _direct_coefficients(n: int) -> tuple[float, ...]:
-    """1/k^n of the defining series of Li_n, highest k first."""
-    return tuple(1.0 / float(k) ** n for k in range(_DIRECT_TERMS, 0, -1))
-
-
-@functools.cache
-def _expansion_coefficients(n: int) -> tuple[float, ...]:
-    """The coefficients c_k / k! of the expansion of Li_n about the unit
-    argument, highest power first: c_{n-1} = H_{n-1}, the rest zeta(n - k),
-    so c_0 = zeta(n) for n >= 2, and for n = 1 c_0 = H_0 = 0.  Built on
-    first use, so importing loads no scipy."""
+@functools.lru_cache(maxsize=64)
+def _polylog_tables(orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Read-only tables of Li_n, one column per order n in orders: the
+    (terms, orders, 1) coefficients 1/(k + 1)^n of the defining series and
+    c_k / k! of the expansion about the unit argument (c_{n-1} = H_{n-1},
+    the rest zeta(n - k); zero past power max(n + 1, 19)), lowest power
+    first, and the (orders, 1) columns n - 1 and (n - 1)! of its log t
+    term.  Built on first use, so importing loads no scipy."""
     from scipy.special import zeta
-    harmonic = math.fsum(1.0 / j for j in range(1, n))   # H_{n-1}
-    return tuple((harmonic if k == n - 1 else zeta(n - k)) / math.factorial(k)
-                 for k in range(max(n + 1, _EXPANSION_ORDER), -1, -1))
-
-
-def _polylog_direct(orders: list[int], x: np.ndarray) -> np.ndarray:
-    """Li_n(x) for 0 <= x <= 1/2, one row per order, from the defining
-    series by one Horner pass over all rows."""
-    table = np.array([_direct_coefficients(m) for m in orders]).T
-    return x * _horner(table[::-1, :, None], x)
+    top = max(max(orders) + 1, _EXPANSION_ORDER)
+    direct = [[1.0 / float(k) ** n for n in orders] for k in range(1, _DIRECT_TERMS + 1)]
+    expansion = [[0.0 if k > max(n + 1, _EXPANSION_ORDER) else
+                  (math.fsum(1.0 / j for j in range(1, n)) if k == n - 1 else zeta(n - k))
+                  / math.factorial(k) for n in orders] for k in range(top + 1)]
+    tables = (np.array(direct)[:, :, None], np.array(expansion)[:, :, None],
+              np.array(orders, dtype=float)[:, None] - 1.0,
+              np.array([float(math.factorial(n - 1)) for n in orders])[:, None])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _polylog_exp_neg(n: Sequence[int], t) -> np.ndarray:
@@ -316,11 +314,13 @@ def _polylog_exp_neg(n: Sequence[int], t) -> np.ndarray:
     requires m >= 2 (Li_1 diverges there).  t is evaluated elementwise with
     a fixed number of terms per branch, so each value depends on its own t
     alone, and each row holds the bits its order alone gives: one Horner
-    pass runs over all rows per branch (tables of unequal length start from
-    leading zeros, which leave the sum unchanged).  Orders above 169 are
-    refused: their tables overflow.
+    pass runs over all rows per branch, on the tables _polylog_tables builds
+    once per set of orders (a lower order's expansion is padded with zeros
+    at its high powers, which leave the sum unchanged), and the log t term
+    is one broadcast over the orders.  Orders above 169 are refused: their
+    tables overflow.
     """
-    orders = list(n)
+    orders = tuple(map(operator.index, n))
     if any(m > _MAX_POLYLOG_ORDER for m in orders):
         raise DomainError(f"orders above {_MAX_POLYLOG_ORDER} are not tabulated, "
                           f"got {max(orders)}")
@@ -331,6 +331,7 @@ def _polylog_exp_neg(n: Sequence[int], t) -> np.ndarray:
         raise DomainError(f"need t >= 0, got {bad[0]!r}")
     if 1 in orders and np.any(flat == 0.0):
         raise DomainError("Li_1(1) diverges")
+    direct_table, expansion_table, power, factorial = _polylog_tables(orders)
     direct = flat > math.log(2.0)
     expand = ~direct
     out = np.empty((len(orders), len(flat)))
@@ -338,14 +339,10 @@ def _polylog_exp_neg(n: Sequence[int], t) -> np.ndarray:
     # converges for |mu| < 2 pi, fast for |mu| <= log 2.  The k = n - 1 term
     # carries (H_{n-1} - log t) in place of zeta(1).  log t is taken as 0 at
     # t = 0, where Horner returns c_0 = zeta(n) exactly.
-    tables = [_expansion_coefficients(m) for m in orders]
-    width = max(len(c) for c in tables)
-    table = np.array([(0.0,) * (width - len(c)) + c for c in tables]).T
     te = flat[expand]
     mu = -te
-    acc = _horner(table[::-1, :, None], mu)
     log_te = np.log(te, out=np.zeros_like(te), where=te > 0.0)
-    for i, (m, row) in enumerate(zip(orders, acc)):
-        out[i, expand] = row - mu ** (m - 1) / math.factorial(m - 1) * log_te
-    out[:, direct] = _polylog_direct(orders, np.exp(-flat[direct]))
+    out[:, expand] = _horner(expansion_table, mu) - mu ** power / factorial * log_te
+    x = np.exp(-flat[direct])
+    out[:, direct] = x * _horner(direct_table, x)
     return out.reshape((len(orders),) + ta.shape)

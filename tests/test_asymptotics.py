@@ -599,3 +599,21 @@ def test_series_terms_sorted_by_growth():
 def test_series_evaluate_domain():
     with pytest.raises(DomainError):
         ll.ground_state_series().evaluate(1.5)
+
+
+def test_series_evaluate_folds_its_terms_left_to_right():
+    # evaluate adds its terms in the order they were formed, one after the
+    # other, as third_moment_expansion does: builtin sum() would compensate
+    # them from Python 3.12 on, and move the last bits with the interpreter.
+    # At some of these t a compensated sum differs from the fold
+    compensated = 0
+    for series in (ll.ground_state_series(), ll.epsilon_series()):
+        for t in np.geomspace(1e-8, 0.99, 50).tolist():
+            ell = math.log(1.0 / t)
+            terms = [c * t ** float(p) * ell ** q for (p, q), c in series._terms.items()]
+            total = 0.0
+            for term in terms:
+                total = total + term
+            assert series.evaluate(t) == total
+            compensated += math.fsum(terms) != total
+    assert compensated > 0

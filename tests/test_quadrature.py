@@ -125,8 +125,9 @@ def level_by_level_tanh_sinh(f, a, b):
     """The nested tanh-sinh rule with one integrand call per level, in the
     plainest form: the oracle whose (value, error) bits, and whose
     ConvergenceError, the batched _tanh_sinh must reproduce.  Level j adds
-    the nodes t = k 2^-j for odd k (every k at level 0, plus the midpoint).
-    Returns the abscissae of each level along with the result."""
+    the nodes t = k 2^-j for odd k (every k at level 0, plus the midpoint),
+    and convergence is tested from level 5 on.  Returns the abscissae of
+    each level along with the result."""
     width = b - a
     xs, history = [], []
     raw = ndim = done = best = error = value = None
@@ -156,7 +157,7 @@ def level_by_level_tanh_sinh(f, a, b):
         if level == 0:
             best, error = value.copy(), np.zeros_like(value)
             done = np.zeros(value.shape, dtype=bool)
-        if level >= 3:
+        if level >= _TS_FIRST_CALL:
             scale = np.maximum(1.0, np.abs(value))
             d1 = np.abs(history[-1] - history[-2])
             d2 = np.abs(history[-2] - history[-3])
@@ -285,6 +286,19 @@ def test_batched_levels_match_the_level_by_level_oracle_bit_for_bit():
         (head, _), _ = level_by_level_tanh_sinh(f, edges[0], edges[1])
         expected = head + _panel_sum(f, edges[1:])
         assert np.asarray(_composite(f, edges)).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_rows_that_meet_the_tolerance_early_keep_their_level_five_value():
+    # a constant and x^3 on (-1, 1) change by less than the tolerance from
+    # level 3 on: the first test, at level 5, keeps level 5's value, and
+    # the integrand is called once
+    for f in (np.ones_like, lambda x: x ** 3):
+        calls = []
+        got = _tanh_sinh(lambda x: calls.append(x) or f(x), -1.0, 1.0)
+        want, levels = level_by_level_tanh_sinh(f, -1.0, 1.0)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert len(levels) == _TS_FIRST_CALL + 1 and len(calls) == 1
+    assert _tanh_sinh(np.ones_like, -1.0, 1.0)[0] == pytest.approx(2.0, rel=2e-16, abs=0.0)
 
 
 def test_composite_leaves_the_head_before_the_panel_sum_starts(monkeypatch):
