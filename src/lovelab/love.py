@@ -103,7 +103,7 @@ class LoveSolution:
         """Nystrom interpolant: f(x) solving the subtracted equation at x,
         (v0 + sum_j W_xj f_j) / (leak(x) + sum_j W_xj), in the shape of
         np.atleast_1d(x).  At the nodes it is within 4e-14 of f, not equal
-        (2.6e-14 relative at kappa = 1e-3, the worst of 61 kappa on [1e-3,
+        (2.5e-14 relative at kappa = 1e-3, the worst of 61 kappa on [1e-3,
         1e3] at the default budget and twice it).  For |x| > 1 it is the
         equation's own extension v0 + (K f)(x), and v0, the limit, at x =
         +-inf.  NaN is refused."""
@@ -192,13 +192,24 @@ def _tables(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Legendre moments int P_k(u) g(u) du to weights at the Gauss nodes, so
     that they integrate the interpolant exactly; to_fine and to_mid map
     node values to the interpolant at the 64-point rule and at the
-    midpoints between adjacent nodes."""
+    midpoints between adjacent nodes.
+
+    to_nodes is the inverse of P_k at the nodes as stored.  The Gauss
+    shortcut, (k + 1/2) w_j P_k(u_j), holds only for the exact nodes and
+    weights: with both rounded, it moves the interpolant at the panel
+    ends by ~order^2 ulp, and a pole 1e-4 from an end (kappa = 1e-3,
+    order 31) turns that into 1.2e-14 of a row's value, against 2.6e-15
+    by the inverse.  Its k = 0 row stays w_j / 2, so that the near field
+    integrates a constant with the far field's weights: with the row of
+    the inverse, gamma, C and e at kappa = 1e-3 spread by 7e-14 over
+    orders 16, 24 and 32, against 3e-15."""
     rule, fine = gauss_legendre(order), gauss_legendre(_FINE_ORDER)
     u = rule.nodes
     at_nodes, at_fine, at_mid = (
         np.column_stack(list(_recurrence(np.ones_like(x), x, x, order)))
         for x in (u, fine.nodes, 0.5 * (u[:-1] + u[1:])))
-    to_nodes = (at_nodes * rule.weights[:, None] * (np.arange(order) + 0.5)).T
+    to_nodes = np.linalg.inv(at_nodes)
+    to_nodes[0] = 0.5 * rule.weights
     tables = (to_nodes, at_fine @ to_nodes, at_mid @ to_nodes)
     for table in tables:
         table.flags.writeable = False

@@ -238,6 +238,7 @@ def test_weak_coupling_series_oracle():
        seed=st.integers(0, 2 ** 32 - 1))
 @example(kappa=1e-3, order=32, targets="uniform", seed=0)
 @example(kappa=0.05, order=16, targets="midpoints", seed=1)
+@example(kappa=1e-3, order=31, targets="nodes", seed=1)   # a pole 1.4e-4 from a panel end
 def test_rows_match_brute_force_weights(kappa, order, targets, seed):
     # rows applied to a smooth f, the kind the solver sees: single weights
     # differ more, by up to ~rho^-order where plain Gauss serves (rho > 4)
@@ -514,7 +515,7 @@ def test_interpolate_keeps_the_shape_of_its_input(gas_solution_k1):
 
 def test_interpolate_at_the_nodes_agrees_with_f():
     # not bit for bit: the quotient (v0 + W f) / (leak + sum W) rounds
-    # otherwise than the solve; the worst, 2.6e-14 relative, is at kappa = 1e-3
+    # otherwise than the solve; the worst, 2.5e-14 relative, is at kappa = 1e-3
     worst = 0.0
     for kappa in np.geomspace(1e-3, 1e3, 61):
         for budget in (1, 2):
