@@ -18,13 +18,14 @@ W solver works on log(-argument) = pi x - 1 directly.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, WindowError, _check_int, _check_real
-from .quadrature import _composite, _log_edges
+from .quadrature import _tanh_sinh
 from .specfun import _polylog_exp_neg, _w_upper_from_offset
 
 __all__ = [
@@ -144,18 +145,54 @@ def psi_series(x: float) -> float:
 # Cumulative integrals.
 # ----------------------------------------------------------------------
 
+def _phi_tail_of_w(W: np.ndarray) -> np.ndarray:
+    """t (Phi(t) - 1/(pi t)) from the upper-cut W at the offset pi t, free
+    of that difference's cancellation: with W = rho e^{i theta}, the real
+    and imaginary parts of W + log W = pi t - 1 + i pi give
+
+        pi^2 t (Phi - 1/(pi t)) = theta log rho + rho (theta cos theta - sin theta),
+
+    whose last factor is its odd series below theta = 0.1 (t ~ 11)."""
+    rho, theta = np.abs(W), np.arctan2(W.imag, W.real)
+    t2 = theta * theta
+    series = theta * t2 * (-1.0 / 3.0 + t2 * (1.0 / 30.0 + t2 * (
+        -1.0 / 840.0 + t2 * (1.0 / 45360.0 - t2 / 3991680.0))))
+    bracket = np.where(theta < 0.1, series, theta * np.cos(theta) - np.sin(theta))
+    return (theta * np.log(rho) + rho * bracket) / (_PI * _PI)
+
+
+# The smallest s at which the tail beyond X is taken, so that pi / s stays
+# finite; flooring s there changes that tail by less than 1e-300.
+_S_MIN = 4.0 / sys.float_info.max
+
+
 def _phi_moments(X: float) -> np.ndarray:
     """int_0^X (Phi(t) - [t > 1]/(pi t)) log^p t dt for p = 0, 1 and X >= 1,
-    the two rows of one composite integral, so Phi is evaluated once per
-    abscissa: tanh-sinh on the cusp head [0, 1], with the jump of the
-    subtraction on its edge, then geometric Gauss panels up to X.  Each row
-    is summed on its own, so each keeps the bits of its integral taken
-    alone.  As X -> inf the rows tend to gamma0 and gamma1."""
-    def integrand(t: np.ndarray) -> np.ndarray:
-        g = _phi(t) - np.where(t > 1.0, 1.0 / (_PI * t), 0.0)
-        return np.array([g, g * np.log(t)])
+    X = inf included, the two rows of one tanh-sinh integral on (0, 1).
 
-    return _composite(integrand, [0.0, *_log_edges(1.0, X)])
+    At each u in (0, 1), the head takes Phi(u) log^p u; the tail over
+    (1, inf) takes t = 1/u, and the tail over (X, inf), subtracted from it,
+    takes t = 1/s with s = u / X (floored at _S_MIN), each with
+    _phi_tail_of_w's product over its own s.  Every singularity of the
+    three sits at u = 0 (Phi's branch points t = 2ik accumulate at t = inf),
+    so every X converges at level 5; one W call per integrand call serves
+    all three (two at X = inf).  Each row is summed on its own, so each
+    keeps the bits of its integral taken alone.  As X -> inf the rows tend
+    to gamma0 and gamma1."""
+    a = 1.0 / X                         # 0 at X = inf, whose (X, inf) tail is empty
+
+    def integrand(u: np.ndarray) -> np.ndarray:
+        s = np.maximum(a * u, _S_MIN)
+        n = len(u)
+        W = _w(np.concatenate([u, 1.0 / u, 1.0 / s] if a else [u, 1.0 / u]))
+        phi = _phi_of_w(W[:n])
+        near = _phi_tail_of_w(W[n:2 * n]) / u
+        far = a * _phi_tail_of_w(W[2 * n:]) / s if a else 0.0
+        lu = np.log(u)
+        return np.array([phi + near - far, phi * lu - near * lu + far * np.log(s)])
+
+    value, _ = _tanh_sinh(integrand, 0.0, 1.0)
+    return value
 
 
 def cumulative_phi(X: float) -> float:
@@ -171,11 +208,6 @@ def cumulative_phi_log(X: float) -> float:
     return float(_phi_moments(X)[1]) + math.log(X) ** 2 / (2.0 * _PI)
 
 
-# Beyond this point Li_n(e^{-pi x}) < 1e-17 for every n >= 1; the omitted
-# tail is below double precision against the O(1/x^2) decay of Phi'.
-_POLYLOG_CUTOFF = (17.0 * math.log(10.0) + 2.0) / _PI
-
-
 def _orders(n: Sequence[int], name: str, top: int) -> list[int]:
     """A non-empty sequence of orders as a list; every order must be an
     integer in [1, top], and not a bool."""
@@ -188,16 +220,18 @@ def _orders(n: Sequence[int], name: str, top: int) -> list[int]:
 def phi_prime_polylog_integral(n: Sequence[int]) -> list[float]:
     """int_0^inf Phi'(x) Li_m(e^{-pi x}) dx for each order m in n, 1 <= m <= 7.
 
-    The integrand carries the x^{-1/2} singularity of Phi' at the edge (and
-    for m = 1 an additional log factor); a tanh-sinh panel on [0, 1] absorbs
-    both, with Gauss panels covering the exponentially decaying remainder.
-    The orders share their abscissae, so Phi' is evaluated once per
-    abscissa for all of them.
+    One tanh-sinh integral on (0, 1), by t = pi x = -log(1 - s), so that
+    e^{-t} = 1 - s and dx = ds / (pi (1 - s)).  The x^{-1/2} singularity of
+    Phi' at the edge (for m = 1 with a log factor) sits at s = 0, and the
+    e^{-pi x} decay becomes the factor Li_m(1 - s) / (1 - s), bounded at
+    s = 1.  The orders are the rows of one integrand, so Phi' is evaluated
+    once per abscissa for all of them.
     """
     orders = _orders(n, "order", 7)
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return _phi_prime(x) * _polylog_exp_neg(orders, _PI * x)
+    def integrand(s: np.ndarray) -> np.ndarray:
+        t = -np.log1p(-s)
+        return _phi_prime(t / _PI) * _polylog_exp_neg(orders, t) / (_PI * (1.0 - s))
 
-    values = _composite(integrand, [0.0, *np.linspace(1.0, _POLYLOG_CUTOFF, 14)])
+    values, _ = _tanh_sinh(integrand, 0.0, 1.0)
     return [float(v) for v in values]

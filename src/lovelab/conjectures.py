@@ -9,15 +9,16 @@ Every check produces a ConjectureReport carrying the computed value, the
 closed-form target, and the number of matched significant digits.  The
 sequence-transform table is exact: it never touches floating point.
 
-Within one run_all call each shared integral is evaluated once: gamma0 and
-gamma1 are the two rows of one composite integral (one Lambert-W pass),
+Every integral of the suite is one tanh-sinh integral on (0, 1), its
+half-line, where it has one, mapped there, and the integrals of a group are
+its rows.  Within one run_all call each shared integral is evaluated once:
+gamma0 and gamma1 are the two rows of one integral (one Lambert-W pass),
 and integral4 and the subtracted outer integrand of gamma2's route (b) are
-the two rows of one tanh-sinh integral on (0, 1), whose integral4 also
-serves route (a); both rows take dK/dk from one pass per abscissa.  The
-outer integrand is far_field's F = (2/pi) s^2 dK/ds times the k3 of
-kernel_k, so route (b) checks those very kernels.  A run makes 4
-tanh-sinh integrals.  No value outlives the call; a producer called on
-its own computes its own.
+the two rows of another, whose integral4 also serves route (a); both rows
+take dK/dk from one pass per abscissa.  The outer integrand is
+far_field's F = (2/pi) s^2 dK/ds times the k3 of kernel_k, so route (b)
+checks those very kernels.  A run makes 4 tanh-sinh integrals.  No value
+outlives the call; a producer called on its own computes its own.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .asymptotics import GAMMA0, GAMMA1, GAMMA2_TILDE, INTEGRAL4, _outer_subtracted
 from .capacitor2d import _orders, _phi_moments, _phi_prime_of_w, phi_prime_polylog_integral
 from .errors import DomainError, _check_int
-from .quadrature import _composite, _tanh_sinh
+from .quadrature import _tanh_sinh
 from .specfun import _dk_vec, _w_upper_from_offset
 
 __all__ = [
@@ -118,8 +119,8 @@ def verify_polylog_claim(n: Sequence[int]) -> list[ConjectureReport]:
     orders = _orders(n, "n", 6)
     targets = _tn_firsts(max(orders))
     return [_report(f"polylog_n{m}", computed, float(targets[m]),
-                    "tanh-sinh + Gauss panels of Phi' Li_n(e^{-pi x}) vs exact "
-                    "sequence transform")
+                    "tanh-sinh of Phi' Li_n(e^{-pi x}) at pi x = -log(1 - s) vs "
+                    "exact sequence transform")
             for m, computed in zip(orders, phi_prime_polylog_integral(orders))]
 
 
@@ -133,18 +134,18 @@ def residue_identity(k: Sequence[int]) -> list[ConjectureReport]:
 
     After x = -e^{t-1} the integral becomes
     -(j/pi) int_0^inf e^{-j t} Im(1/(1 + W(-e^{t-1}))) dt with W on the
-    upper cut; the integrand has a t^{-1/2} edge singularity (tanh-sinh)
-    and then decays like e^{-j t} (Gauss panels, count scaled with 1/j).
-    The e^{-j t} rows share one W evaluation per abscissa, on the panels
-    of the smallest j.
+    upper cut, and t = -log(1 - s) maps it onto s in (0, 1), where it is
+    -(j/pi) int_0^1 (1 - s)^{j-1} Im(1/(1 + W)) ds: one tanh-sinh integral,
+    whose t^{-1/2} edge singularity sits at s = 0.  The orders are its rows
+    and share one W evaluation per abscissa.
     """
     orders = _orders(k, "k", 8)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        im = _phi_prime_of_w(_w_upper_from_offset(t))   # Im 1/(1 + W)
-        return np.exp(-np.multiply.outer(orders, t)) * im
+    def integrand(s: np.ndarray) -> np.ndarray:
+        im = _phi_prime_of_w(_w_upper_from_offset(-np.log1p(-s)))   # Im 1/(1 + W)
+        return (1.0 - s) ** (np.array(orders, dtype=float)[:, None] - 1.0) * im
 
-    values = _composite(integrand, [0.0, *np.linspace(1.0, 40.0 / min(orders) + 5.0, 20)])
+    values, _ = _tanh_sinh(integrand, 0.0, 1.0)
     return [_report(f"residue_k{j}", -(j / _PI) * float(value),
                     j ** j * math.exp(-j) / math.factorial(j - 1),
                     "upper-cut Lambert W branch integral, t = log(-e x) substitution")
@@ -176,21 +177,21 @@ def _once_per_run(func: Callable[[], object]) -> Callable[[], object]:
 
 @_once_per_run
 def _subtracted_moments() -> np.ndarray:
-    """gamma0 and gamma1: the two Phi moments up to 1e18 (the rest is below 1e-15)."""
-    return _phi_moments(1e18)
+    """gamma0 and gamma1: the two Phi moments over the whole half-line."""
+    return _phi_moments(math.inf)
 
 
 def verify_gamma0() -> ConjectureReport:
     """Constant of int_0^X Phi dt - (log X)/pi, against (1 + log pi)/pi."""
     return _report("gamma0", float(_subtracted_moments()[0]), GAMMA0,
-                   "tanh-sinh + Gauss panels of Phi - 1/(pi t) past t = 1")
+                   "tanh-sinh of Phi - 1/(pi t) past t = 1, tails at t = 1/s")
 
 
 def verify_gamma1() -> ConjectureReport:
     """Constant of int_0^X Phi log t dt - log^2 X/(2 pi), against
     pi/6 - 1/pi - log(pi)/pi - log^2(pi)/(2 pi)."""
     return _report("gamma1", float(_subtracted_moments()[1]), GAMMA1,
-                   "tanh-sinh + Gauss panels of (Phi - 1/(pi t) past t = 1) log t")
+                   "tanh-sinh of (Phi - 1/(pi t) past t = 1) log t, tails at t = 1/s")
 
 
 # ----------------------------------------------------------------------

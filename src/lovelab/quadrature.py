@@ -1,25 +1,25 @@
 """Integration engines: Gauss-Legendre rules, tanh-sinh (double-exponential)
-quadrature for endpoint singularities, the composite path that joins the two
-(a tanh-sinh head where the singularity sits, Gauss panels on the tail), and
+quadrature for endpoint singularities, a composite Gauss panel sum, and
 least-squares extraction of constants from logarithmically growing integrals.
 
 Integrands are called with numpy arrays of abscissae.  An integrand returns
 either one value per abscissa or an (m, len(x)) array, one row for each of m
-integrals sharing those abscissae; the composite path then returns m values,
-and whatever the rows have in common is evaluated once per abscissa.
+integrals sharing those abscissae; the engine then returns m values, and
+whatever the rows have in common is evaluated once per abscissa.
 
-Every abscissa is evaluated once, and calls are few: tanh-sinh passes the
-nodes of its levels 0-5 in one call and each later level in a call of its
-own, the composite path adds all Gauss-tail abscissae to that first call,
-and a lone panel sum makes one call.  After each call one array test over
-every level seen decides convergence, first at level 5; every identity of
-the suite converges there, so each of its integrals calls its integrand
-once.  Sums are formed per level and per panel from their own values, so
-results keep their bits provided a value depends on its own abscissa
-alone, as every integrand here does.  The nodes of each tanh-sinh level on
-the unit interval are built once, as read-only tables, and so are their
-abscissae and weights on each interval an integral asks for (a bounded
-cache).
+Every identity integral of the suite is one tanh-sinh integral on (0, 1),
+its half-line mapped there by its caller.  Every abscissa is evaluated once,
+and calls are few: tanh-sinh passes the nodes of its levels 0-5 in one call
+and each later level in a call of its own, and a panel sum makes one call.
+After each call one array test over every level seen decides convergence,
+first at level 5; every identity of the suite converges there, so each of
+its integrals calls its integrand once.  Sums are formed per level and per
+panel from their own values, so results keep their bits provided a value
+depends on its own abscissa alone, as every integrand here does.  The nodes
+of each tanh-sinh level on the unit interval are built once, as read-only
+tables, and so are their abscissae and weights on each interval an integral
+asks for (a bounded cache).  No package code calls the panel sum; it is an
+independent second rule for checking tanh-sinh integrals.
 """
 
 from __future__ import annotations
@@ -125,20 +125,6 @@ def gauss_legendre(n: int) -> QuadratureRule:
 # Gauss panels.
 # ----------------------------------------------------------------------
 
-# The Gauss tails' integrands are analytic but for their nearest singularity,
-# at the left edge of the first panel (t = 0, W's branch point) or beyond;
-# a panel [a, sqrt(10) a] of two per decade sees it on the Bernstein ellipse
-# rho = 3.57, where 16 points leave about rho^-32 = 2e-18.
-_PANEL_POINTS = 16
-_PANELS_PER_DECADE = 2
-
-
-def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 16-point Gauss-Legendre abscissae and weights of the panels
-    between consecutive edges, as (panels, 16) arrays."""
-    return gauss_legendre(_PANEL_POINTS).mapped(edges[:-1, None], edges[1:, None])
-
-
 def _panel_sum(f: Callable[[np.ndarray], np.ndarray],
                edges: Sequence[float]) -> float | np.ndarray:
     """Composite 16-point Gauss-Legendre sum over consecutive panels.
@@ -151,19 +137,11 @@ def _panel_sum(f: Callable[[np.ndarray], np.ndarray],
     values for an integrand of m rows.
     """
     edges = np.asarray(edges, dtype=float)
-    x, w = _panel_nodes(edges)
+    x, w = gauss_legendre(16).mapped(edges[:-1, None], edges[1:, None])
     fx = np.asarray(f(x.ravel()))
     parts = np.sum(w * fx.reshape(fx.shape[:-1] + x.shape), axis=-1)
     total = np.add.accumulate(parts, axis=-1)[..., -1]
     return float(total) if fx.ndim == 1 else total
-
-
-def _log_edges(a: float, b: float) -> np.ndarray:
-    """Geometrically spaced panel edges on [a, b], 0 < a < b, two per
-    decade: each panel [c, sqrt(10) c] sees a singularity at t = 0 on the
-    Bernstein ellipse rho = 3.57."""
-    n = max(1, int(math.ceil(_PANELS_PER_DECADE * math.log10(b / a))))
-    return np.exp(np.linspace(math.log(a), math.log(b), n + 1))
 
 
 # ----------------------------------------------------------------------
@@ -285,33 +263,6 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
                 f"tanh-sinh on ({a:g}, {b:g}){where} missed tolerance {_TOL:g} "
                 f"at level {_TS_MAX_LEVEL}", float(values[-1, row]), float(steps[-1, row]))
         sums += level_sums([len(sums)])
-
-
-def _composite(f: Callable[[np.ndarray], np.ndarray],
-               edges: Sequence[float]) -> float | np.ndarray:
-    """Integral of f over [edges[0], edges[-1]]: a float, or an array of m
-    values for an integrand of m rows.
-
-    tanh-sinh takes the head [edges[0], edges[1]], where an integrable
-    endpoint singularity may sit; 16-point Gauss panels take the smooth
-    remainder between the later edges (geometric tails come from
-    _log_edges, two panels per decade).  The tail's abscissae ride along in
-    the head's first call of f, and _panel_sum then reads their stored
-    values, so the head has finished before the panel sum starts.
-    """
-    edges = np.asarray(edges, dtype=float)
-    xt = _panel_nodes(edges[1:])[0].ravel()
-    ft = []
-
-    def head(x: np.ndarray) -> np.ndarray:
-        if ft:
-            return f(x)
-        fx = np.asarray(f(np.concatenate([x, xt])))
-        ft.append(fx[..., len(x):])
-        return fx[..., :len(x)]
-
-    value, _ = _tanh_sinh(head, edges[0], edges[1])
-    return value + _panel_sum(lambda x: ft[0], edges[1:])
 
 
 # ----------------------------------------------------------------------

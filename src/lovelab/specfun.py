@@ -317,11 +317,15 @@ def _polylog_exp_neg(n: Sequence[int], t) -> np.ndarray:
     pass runs over all rows per branch, on the tables _polylog_tables builds
     once per set of orders (a lower order's expansion is padded with zeros
     at its high powers, which leave the sum unchanged), and the log t term
-    is one broadcast over the orders.  Orders above 169 are refused: their
-    tables overflow.
+    is one broadcast over the orders.  Orders above 169 are refused, as
+    their tables overflow, and so are orders below 1 and an empty sequence.
     """
     orders = tuple(map(operator.index, n))
-    if any(m > _MAX_POLYLOG_ORDER for m in orders):
+    if not orders:
+        raise DomainError("need at least one order")
+    if min(orders) < 1:
+        raise DomainError(f"orders below 1 are not tabulated, got {min(orders)}")
+    if max(orders) > _MAX_POLYLOG_ORDER:
         raise DomainError(f"orders above {_MAX_POLYLOG_ORDER} are not tabulated, "
                           f"got {max(orders)}")
     ta = np.asarray(t, dtype=float)

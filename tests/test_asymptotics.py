@@ -10,7 +10,7 @@ from lovelab.asymptotics import _eps_bracket_from_constants, _k2_sum, _modulus, 
 from lovelab.capacitor2d import _phi
 from lovelab import asymptotics, capacitor2d
 from lovelab.errors import ConvergenceError, DomainError, WindowError
-from lovelab.quadrature import _composite
+from lovelab.quadrature import _panel_sum, _tanh_sinh
 from lovelab.specfun import _dk_vec, _i1e, _i2e, _k1e, _k3, _polylog_exp_neg
 
 PI = math.pi
@@ -470,8 +470,9 @@ def test_j_split_constant_term():
 @pytest.mark.parametrize("eps,delta", [(1e-2, None), (1e-3, None), (1e-3, 0.03),
                                         (1e-3, 0.06), (1e-4, None), (1e-5, 0.2)])
 def test_j_split_inner_against_one_integral(eps, delta):
-    # oracle: J1 as one composite integral of Phi(x) [log(x eps/8)/2 + 2]
-    # on six panels per decade, independent of the cumulative integrals
+    # oracle: J1 as one integral of Phi(x) [log(x eps/8)/2 + 2], by
+    # tanh-sinh on (0, 1) and 16-point Gauss panels, six per decade, past
+    # x = 1: independent of the mapped tail of the cumulative integrals
     delta = ll.default_delta(eps) if delta is None else delta
     cutoff = delta / eps
     n = math.ceil(6 * math.log10(cutoff))
@@ -481,7 +482,8 @@ def test_j_split_inner_against_one_integral(eps, delta):
         return _phi(x) * (0.5 * np.log(x * eps / 8.0) + 2.0)
 
     j1, _ = ll.j_split(eps, delta)
-    assert j1 == pytest.approx(eps * _composite(inner, [0.0, *edges]), rel=1e-14, abs=0.0)
+    head, _ = _tanh_sinh(inner, 0.0, 1.0)
+    assert j1 == pytest.approx(eps * (head + _panel_sum(inner, edges)), rel=1e-14, abs=0.0)
 
 
 def test_j_split_window_guards():
@@ -499,8 +501,9 @@ def test_j_split_window_guards():
 
 @pytest.mark.parametrize("eps,delta", [(1e-2, None), (1e-4, None), (1e-5, 0.2)])
 def test_j_split_inner_is_one_w_pass(monkeypatch, eps, delta):
-    # both edge-potential moments of J1 are rows of one composite integral,
-    # whose tanh-sinh head converges on its first integrand call
+    # both edge-potential moments of J1 are rows of one tanh-sinh integral
+    # on (0, 1), head and mapped tail, which converges on its first
+    # integrand call
     calls = []
     w_upper = capacitor2d._w_upper_from_offset
 

@@ -1,9 +1,12 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import lovelab as ll
+from lovelab.conjectures import GAMMA0, GAMMA1
 from lovelab.errors import DomainError, WindowError
 
 PI = math.pi
@@ -191,6 +194,21 @@ def test_cumulative_phi_log_growth():
     d1 = ll.cumulative_phi_log(1e6) - ll.cumulative_phi_log(1e4)
     expected = (math.log(1e6) ** 2 - math.log(1e4) ** 2) / (2.0 * PI)
     assert d1 == pytest.approx(expected, rel=2e-3)
+
+
+@pytest.mark.parametrize("X", [1.7e308, sys.float_info.max])
+def test_cumulative_integrals_up_to_the_largest_double(X):
+    # the tail beyond X is mapped onto (0, 1) with no abscissa past the
+    # largest finite offset pi t: both values are finite, with no warning
+    # (tier-1 makes a RuntimeWarning an error), and past their log growth
+    # they are the constants, to the rounding of log X / pi ~ 226 and
+    # log^2 X / (2 pi) ~ 8e4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, value_log = ll.cumulative_phi(X), ll.cumulative_phi_log(X)
+    assert math.isfinite(value) and math.isfinite(value_log)
+    assert abs(value - math.log(X) / PI - GAMMA0) <= 1e-13
+    assert abs(value_log - math.log(X) ** 2 / (2.0 * PI) - GAMMA1) <= 5e-11
 
 
 def test_cumulative_domain_guards():

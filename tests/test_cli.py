@@ -240,7 +240,7 @@ def test_csv_quotes_cells_holding_commas(capsys):
 @pytest.mark.parametrize("argv, column, value", [
     (["solve", "--kappa", "1"], "capacitance", 0.5795738606506108),
     (["compare-asymptotics", "--kappa", "0.05"], "c_numeric", 5.4851577466051582),
-    (["verify", "--which", "gamma0"], "digits", 15),
+    (["verify", "--which", "gamma0"], "digits", 17),
     (["fit-weak", "--synthetic", "takahashi"], "verdict", "takahashi"),
 ], ids=["solve", "compare-asymptotics", "verify", "fit-weak"])
 def test_json_output(capsys, argv, column, value):

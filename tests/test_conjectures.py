@@ -9,6 +9,7 @@ from lovelab import asymptotics, capacitor2d, conjectures, quadrature, specfun
 from lovelab.cli import main
 from lovelab.conjectures import GAMMA0, GAMMA1, GAMMA2_TILDE, INTEGRAL4
 from lovelab.errors import DomainError
+from test_quadrature import level_by_level_tanh_sinh
 
 PI = math.pi
 
@@ -164,9 +165,8 @@ def test_sequence_guards_reject_a_bad_order_anywhere(check, bad):
 @pytest.mark.parametrize("which", ["polylog", "residue"])
 def test_one_w_evaluation_per_level_and_one_for_the_panels(capsys, monkeypatch, which):
     # the group's orders share one W per abscissa set: one call per
-    # integrand call of the tanh-sinh head, whose first call also holds the
-    # Gauss panels, and the same count on a repeat, since nothing is kept
-    # from one command to the next
+    # integrand call of its tanh-sinh integral on (0, 1), and the same count
+    # on a repeat, since nothing is kept from one command to the next
     w_calls, levels = [], []
     w_upper = specfun._w_upper_from_offset
     tanh_sinh = quadrature._tanh_sinh
@@ -183,7 +183,7 @@ def test_one_w_evaluation_per_level_and_one_for_the_panels(capsys, monkeypatch, 
 
     for module in (capacitor2d, conjectures):
         monkeypatch.setattr(module, "_w_upper_from_offset", counted_w)
-    monkeypatch.setattr(quadrature, "_tanh_sinh", counted_levels)
+        monkeypatch.setattr(module, "_tanh_sinh", counted_levels)
     counts = []
     for _ in range(2):
         w_calls.clear()
@@ -197,9 +197,9 @@ def test_one_w_evaluation_per_level_and_one_for_the_panels(capsys, monkeypatch, 
 
 def _count_suite_calls(monkeypatch) -> dict:
     """Counts of integrand calls (one per tanh-sinh integral call of f), W
-    calls, polylog calls and dK/dk calls, kept up to date while the patches
-    stand."""
-    calls = {"integrand": 0, "w": 0, "polylog": 0, "dk": 0}
+    calls, polylog calls, dK/dk calls and Gauss panel sums, kept up to date
+    while the patches stand."""
+    calls = {"integrand": 0, "w": 0, "polylog": 0, "dk": 0, "panel_sum": 0}
     tanh_sinh = quadrature._tanh_sinh
 
     def counted(key, func):
@@ -211,8 +211,9 @@ def _count_suite_calls(monkeypatch) -> dict:
     def counted_integrand(f, a, b):
         return tanh_sinh(counted("integrand", f), a, b)
 
-    for module in (quadrature, conjectures, asymptotics):
+    for module in (quadrature, capacitor2d, conjectures, asymptotics):
         monkeypatch.setattr(module, "_tanh_sinh", counted_integrand)
+    monkeypatch.setattr(quadrature, "_panel_sum", counted("panel_sum", quadrature._panel_sum))
     w_upper = counted("w", specfun._w_upper_from_offset)
     for module in (capacitor2d, conjectures):
         monkeypatch.setattr(module, "_w_upper_from_offset", w_upper)
@@ -225,17 +226,17 @@ def _count_suite_calls(monkeypatch) -> dict:
 
 
 def test_one_integrand_call_per_integral_of_the_suite(monkeypatch):
-    # every tanh-sinh integral of the suite converges at level 5, so its
-    # integrand's first call (levels 0-5 and any Gauss tail) is its only
-    # one; gamma0 and gamma1 are two rows of one W integral, integral4 and
-    # gamma2's subtracted outer integrand are two rows of one integral on
-    # (0, 1), whose integral4 also serves gamma2's route (a), and the
+    # every integral of the suite is one tanh-sinh integral on (0, 1) that
+    # converges at level 5, so its integrand's first call (levels 0-5) is
+    # its only one; gamma0 and gamma1 are two rows of one W integral,
+    # integral4 and gamma2's subtracted outer integrand are two rows of one
+    # integral, whose integral4 also serves gamma2's route (a), and the
     # polylog orders share one _polylog_exp_neg call, and the two rows on
     # (0, 1) one dK/dk pass; per-level calls would make 21, 12 and 12, and
-    # unshared integrals 7, 4 and 1
+    # unshared integrals 7, 4 and 1.  No Gauss panel is summed
     calls = _count_suite_calls(monkeypatch)
     assert len(conjectures.run_all()) == 13
-    assert calls == {"integrand": 4, "w": 3, "polylog": 1, "dk": 1}
+    assert calls == {"integrand": 4, "w": 3, "polylog": 1, "dk": 1, "panel_sum": 0}
 
 
 def test_no_shared_value_outlives_its_run(monkeypatch):
@@ -373,98 +374,64 @@ def test_run_all_contents_and_digits():
 
 
 # ----------------------------------------------------------------------
-# The Gauss tails against a finer rule.
+# Each group's one tanh-sinh integral against its own next level, and the
+# tail product of gamma0 and gamma1 against mpmath.
 # ----------------------------------------------------------------------
-
-def _exact_rows(group, ts, mpmath):
-    """The rows of a group's integrand at the tail abscissae ts, in mpmath's
-    working precision: W from the float solver, refined by two Halley
-    steps, so neither the rounding of the float integrands nor the
-    cancellation in Phi - 1/(pi t) out to t = 1e18 hides the rule's
-    truncation."""
-    pi, rows = mpmath.pi, []
-    offsets = ts if group == "residue" else [pi * t for t in ts]
-    for t, d, w in zip(ts, offsets, specfun._w_upper_from_offset(np.array(offsets, dtype=float))):
-        w, target = mpmath.mpc(w), mpmath.mpc(d - 1, pi)
-        for _ in range(2):
-            f = w + mpmath.log(w) - target
-            w -= 2 * f * (w + 1) * w / (2 * (w + 1) ** 2 + f)
-        if group == "gamma":
-            g = mpmath.arg(w) / pi - 1 / (pi * t)
-            rows.append([g, g * mpmath.log(t)])
-        else:
-            phi_prime = -w.imag / abs(1 + w) ** 2
-            if group == "polylog":
-                rows.append([phi_prime * mpmath.polylog(n, mpmath.exp(-pi * t))
-                             for n in range(1, 5)])
-            else:
-                rows.append([mpmath.exp(-j * t) * phi_prime for j in range(1, 5)])
-    return rows
-
-
-def _mp_gauss(n, mpmath):
-    """The n-point Gauss-Legendre nodes and weights in mpmath's precision:
-    Newton on P_n from the float rule.  The float tables themselves are off
-    by up to 4e-16 in their moments, more than the truncation looked for."""
-    rule = ll.gauss_legendre(n)
-    nodes, weights = [], []
-    for x in map(mpmath.mpf, rule.nodes.tolist()):
-        for _ in range(4):
-            p0, p1 = mpmath.mpf(1), x
-            for k in range(1, n):
-                p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            x -= p1 / dp
-        nodes.append(x)
-        weights.append(2 / ((1 - x * x) * dp * dp))
-    return nodes, weights
-
-
-def _rule_sum(group, edges, n, mpmath):
-    """The n-point Gauss sum of a group's rows over the panels between
-    edges, in exact arithmetic: nodes, mapping, integrand and sum."""
-    nodes, weights = _mp_gauss(n, mpmath)
-    x, w = [], []
-    for a, b in zip(map(mpmath.mpf, edges[:-1].tolist()), map(mpmath.mpf, edges[1:].tolist())):
-        x += [(a + b) / 2 + (b - a) / 2 * node for node in nodes]
-        w += [(b - a) / 2 * weight for weight in weights]
-    rows = _exact_rows(group, x, mpmath)
-    return [mpmath.fsum(wi * r[i] for wi, r in zip(w, rows)) for i in range(len(rows[0]))]
-
 
 @pytest.mark.parametrize("group, producer, module", [
     ("gamma", ll.verify_gamma0, capacitor2d),
-    ("polylog", lambda: ll.verify_polylog_claim(range(1, 5)), capacitor2d),
-    ("residue", lambda: ll.residue_identity(range(1, 5)), conjectures),
+    ("gamma-to-2e4", lambda: ll.cumulative_phi(2e4), capacitor2d),
+    ("polylog", lambda: ll.phi_prime_polylog_integral(range(1, 8)), capacitor2d),
+    ("residue", lambda: ll.residue_identity(range(1, 9)), conjectures),
 ])
-def test_gauss_tails_match_a_finer_rule(monkeypatch, group, producer, module):
-    # each group's Gauss tail, on its own panels and with the rule size
-    # _panel_nodes takes, against 32 points on panels half as wide (four
-    # per decade on the geometric tail of gamma0 and gamma1), both in exact
-    # arithmetic: the rule's truncation is below 2e-16 of each row's
-    # integral.  t = 1e18 needs W to 55 digits
-    mpmath = pytest.importorskip("mpmath")
+def test_one_more_tanh_sinh_level_moves_no_row(monkeypatch, group, producer, module):
+    # each group, every order included, is one tanh-sinh integral on (0, 1)
+    # that converges at level 5, and so are the Phi moments up to a finite
+    # X; taken on through level 6, every row moves by at most 5e-16 of its
+    # value, so the rule's truncation is at rounding
     calls = []
-    composite = quadrature._composite
 
-    def recorded(f, edges):
-        values = composite(f, edges)
-        calls.append((np.asarray(edges, dtype=float), np.atleast_1d(values)))
-        return values
+    def recorded(f, a, b):
+        result = quadrature._tanh_sinh(f, a, b)
+        calls.append((f, a, b, result))
+        return result
 
-    monkeypatch.setattr(module, "_composite", recorded)
+    monkeypatch.setattr(module, "_tanh_sinh", recorded)
     producer()
-    [(edges, values)] = calls
-    tail = edges[1:]
-    if group == "gamma":
-        decades = math.log10(tail[-1] / tail[0])
-        assert len(tail) - 1 == math.ceil(2 * decades)
-        fine = np.geomspace(tail[0], tail[-1], math.ceil(4 * decades) + 1)
-    else:
-        fine = np.sort(np.concatenate([tail, 0.5 * (tail[:-1] + tail[1:])]))
-    points = quadrature._panel_nodes(tail)[0].shape[1]
-    with mpmath.workdps(70 if group == "gamma" else 30):
-        got = _rule_sum(group, tail, points, mpmath)
-        want = _rule_sum(group, fine, 32, mpmath)
-        for g, r, value in zip(got, want, values):
-            assert abs(g - r) <= 2e-16 * abs(value), (group, float(g), float(r))
+    [(f, a, b, (values, _))] = calls
+    assert (a, b) == (0.0, 1.0)
+    (finer, _), levels = level_by_level_tanh_sinh(f, a, b, first=quadrature._TS_FIRST_CALL + 1)
+    assert len(levels) == quadrature._TS_FIRST_CALL + 2
+    assert np.all(np.abs(finer - values) <= 5e-16 * np.abs(values)), (group, finer - values)
+
+
+def _mp_upper_w(d, mpmath):
+    """The upper-cut W at the float offset d, in mpmath's working precision:
+    Halley on W + log W = d - 1 + i pi from the float solver's value, to
+    convergence (each step triples the digits)."""
+    w = mpmath.mpc(complex(specfun._w_upper_from_offset(d)[0]))
+    target = mpmath.mpc(mpmath.mpf(d) - 1, mpmath.pi)
+    for _ in range(8):
+        f = w + mpmath.log(w) - target
+        w -= 2 * f * (w + 1) * w / (2 * (w + 1) ** 2 + f)
+    return w
+
+
+def test_phi_tail_product_against_mpmath():
+    # t (Phi(t) - 1/(pi t)) from W's polar form, from t = 1 to the largest
+    # tail abscissa and beyond, one ulp either side of the series switch
+    # theta = 0.1 (t ~ 11.06), at the float offset pi t the quadrature
+    # evaluates.  The oracle's own arg(W)/pi - 1/(pi t) cancels about
+    # 2 log10 t digits, which it carries on top of 40
+    mpmath = pytest.importorskip("mpmath")
+    switch = 11.055254414364697
+    ts = [1.0, 1.5, 2.0, 3.0, 5.0, 8.0, math.nextafter(switch, 0.0), switch,
+          math.nextafter(switch, 20.0), 20.0, 1e2, 1e3, 1e4, 1e6, 1e8, 1e12, 1e16,
+          1e24, 1e32, 1e64, 1e128, 1e200, 1e256, 1e302, 1e305, 5e307]
+    offsets = PI * np.array(ts)
+    got = capacitor2d._phi_tail_of_w(specfun._w_upper_from_offset(offsets))
+    for t, d, value in zip(ts, offsets, got):
+        with mpmath.workdps(int(2 * math.log10(t)) + 40):
+            d = mpmath.mpf(float(d))
+            ref = (d * mpmath.arg(_mp_upper_w(float(d), mpmath)) / mpmath.pi - 1) / mpmath.pi
+            assert abs(value - ref) <= 4e-15 * abs(ref), (t, float((value - ref) / ref))

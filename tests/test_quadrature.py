@@ -6,8 +6,8 @@ import pytest
 import lovelab as ll
 from lovelab import quadrature
 from lovelab.errors import ConditioningError, ConvergenceError, DomainError
-from lovelab.quadrature import (_TOL, _TS_FIRST_CALL, _TS_MAX_LEVEL, _TS_TMAX, _composite,
-                                _panel_sum, _tanh_sinh, _ts_level, _ts_unit_level)
+from lovelab.quadrature import (_TOL, _TS_FIRST_CALL, _TS_MAX_LEVEL, _TS_TMAX, _panel_sum,
+                                _tanh_sinh, _ts_level, _ts_unit_level)
 
 PI = math.pi
 
@@ -80,54 +80,43 @@ def test_rule_size_guards():
 
 
 # ----------------------------------------------------------------------
-# tanh-sinh and the composite head-plus-panels path.
+# tanh-sinh and the Gauss panel sum.
 # ----------------------------------------------------------------------
 
 def test_polynomial_both_schemes():
     value, est = _tanh_sinh(lambda x: x * x, 0.0, 1.0)
     assert value == pytest.approx(1.0 / 3.0, abs=1e-13)
     assert est < 1e-13
-    value = _composite(lambda x: x * x, [0.0, 0.5, 1.0, 2.0])
+    value = _panel_sum(lambda x: x * x, [0.0, 0.5, 1.0, 2.0])
     assert value == pytest.approx(8.0 / 3.0, abs=1e-13)
 
 
 def test_tanh_sinh_inverse_sqrt_singularity():
     value, _ = _tanh_sinh(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
     assert value == pytest.approx(2.0, abs=1e-12)
-    # the singular head goes to tanh-sinh, the panels never see x = 0
-    value = _composite(lambda x: 1.0 / np.sqrt(x), [0.0, 1.0, 2.0, 4.0])
-    assert value == pytest.approx(4.0, abs=1e-12)
 
 
 def test_log_endpoint_singularity():
     # antiderivative (1-x) log(1-x) - (1-x)  =>  integral is exactly 1
     value, _ = _tanh_sinh(lambda x: np.log(1.0 / (1.0 - x)), 0.0, 1.0)
     assert value == pytest.approx(1.0, abs=1e-12)
-    # and log t on (0, 1] as a composite head: int_0^e log t dt = 0
-    value = _composite(np.log, [0.0, 1.0, math.e])
-    assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_scheme_cross_check_smooth():
     f = lambda x: np.exp(-x * x) * np.cos(3.0 * x)
     a, _ = _tanh_sinh(f, 0.0, 2.0)
-    b = _composite(f, np.linspace(0.0, 2.0, 5))
+    b = _panel_sum(f, np.linspace(0.0, 2.0, 5))
     assert a == pytest.approx(b, abs=1e-13)
 
 
-def test_composite_zero_width_tail_adds_nothing():
-    f = lambda x: 1.0 / np.sqrt(x)
-    head, _ = _tanh_sinh(f, 0.0, 1.0)
-    assert _composite(f, [0.0, 1.0, 1.0]) == head
-
-
-def level_by_level_tanh_sinh(f, a, b):
+def level_by_level_tanh_sinh(f, a, b, first=_TS_FIRST_CALL):
     """The nested tanh-sinh rule with one integrand call per level, in the
     plainest form: the oracle whose (value, error) bits, and whose
     ConvergenceError, the batched _tanh_sinh must reproduce.  Level j adds
     the nodes t = k 2^-j for odd k (every k at level 0, plus the midpoint),
-    and convergence is tested from level 5 on.  Returns the abscissae of
-    each level along with the result."""
+    and convergence is tested from level `first` on (5, as in _tanh_sinh;
+    one more takes an integral that converges at 5 through level 6).
+    Returns the abscissae of each level along with the result."""
     width = b - a
     xs, history = [], []
     raw = ndim = done = best = error = value = None
@@ -157,7 +146,7 @@ def level_by_level_tanh_sinh(f, a, b):
         if level == 0:
             best, error = value.copy(), np.zeros_like(value)
             done = np.zeros(value.shape, dtype=bool)
-        if level >= _TS_FIRST_CALL:
+        if level >= first:
             scale = np.maximum(1.0, np.abs(value))
             d1 = np.abs(history[-1] - history[-2])
             d2 = np.abs(history[-2] - history[-3])
@@ -187,10 +176,9 @@ def test_one_integrand_call_per_panel_set_and_per_level():
     edges = np.geomspace(1.0, 1e3, 13)
     value = _panel_sum(f, edges)
     assert value == pytest.approx(math.log(1e3), abs=1e-13)
-    assert len(calls) == 1 and calls[0].shape == (12 * quadrature._PANEL_POINTS,)
+    assert len(calls) == 1 and calls[0].shape == (12 * 16,)
     # abscissae arrive panel after panel, in edge order
     assert np.all(np.diff(calls[0]) > 0.0)
-    tail = calls[0]
 
     calls.clear()
     value, _ = _tanh_sinh(f, 1.0, 3.0)
@@ -214,14 +202,6 @@ def test_one_integrand_call_per_panel_set_and_per_level():
     for x, level in zip(calls[1:], levels[_TS_FIRST_CALL + 1:]):
         assert x.tolist() == level.tolist()
         assert x.min() < 0.5 < x.max()
-
-    # under _composite the first call also holds every tail abscissa
-    calls.clear()
-    value = _composite(f, np.concatenate([[0.5], edges]))
-    assert value == pytest.approx(math.log(2e3), abs=1e-13)
-    _, levels = level_by_level_tanh_sinh(lambda x: 1.0 / x, 0.5, 1.0)
-    assert len(levels) == _TS_FIRST_CALL + 1 and len(calls) == 1
-    assert calls[0].tolist() == np.concatenate(levels + [tail]).tolist()
 
 
 def test_level_tables_are_read_only():
@@ -269,23 +249,17 @@ def test_vector_integrand_rows_equal_scalar_calls_bit_for_bit():
     assert values.shape == errors.shape == (4,)
     for f, value, error in zip(ROWS, values, errors):
         assert (value, error) == _tanh_sinh(f, 0.0, 1.0)
-    edges = [0.0, 0.5, 0.75, 0.9, 0.99]
-    values = _composite(stacked, edges)
-    assert values.tolist() == [_composite(f, edges) for f in ROWS]
-    values = _panel_sum(stacked, edges[1:])
-    assert values.tolist() == [_panel_sum(f, edges[1:]) for f in ROWS]
+    edges = [0.5, 0.75, 0.9, 0.99]
+    values = _panel_sum(stacked, edges)
+    assert values.tolist() == [_panel_sum(f, edges) for f in ROWS]
 
 
 def test_batched_levels_match_the_level_by_level_oracle_bit_for_bit():
-    edges = [0.0, 0.5, 0.75, 0.9, 0.99]
     for f in [stacked, *ROWS]:
         (value, error), _ = level_by_level_tanh_sinh(f, 0.0, 1.0)
         got_value, got_error = _tanh_sinh(f, 0.0, 1.0)
         assert np.asarray(got_value).tobytes() == np.asarray(value).tobytes()
         assert np.asarray(got_error).tobytes() == np.asarray(error).tobytes()
-        (head, _), _ = level_by_level_tanh_sinh(f, edges[0], edges[1])
-        expected = head + _panel_sum(f, edges[1:])
-        assert np.asarray(_composite(f, edges)).tobytes() == np.asarray(expected).tobytes()
 
 
 def test_rows_that_meet_the_tolerance_early_keep_their_level_five_value():
@@ -299,26 +273,6 @@ def test_rows_that_meet_the_tolerance_early_keep_their_level_five_value():
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert len(levels) == _TS_FIRST_CALL + 1 and len(calls) == 1
     assert _tanh_sinh(np.ones_like, -1.0, 1.0)[0] == pytest.approx(2.0, rel=2e-16, abs=0.0)
-
-
-def test_composite_leaves_the_head_before_the_panel_sum_starts(monkeypatch):
-    # a span opened around each step nests as the steps run: the head's
-    # tanh-sinh must not run inside the panel sum
-    events = []
-
-    def recorded(name, func):
-        def wrapper(*args):
-            events.append(f"enter {name}")
-            result = func(*args)
-            events.append(f"exit {name}")
-            return result
-        return wrapper
-
-    monkeypatch.setattr(quadrature, "_tanh_sinh", recorded("head", _tanh_sinh))
-    monkeypatch.setattr(quadrature, "_panel_sum", recorded("tail", _panel_sum))
-    value = _composite(lambda x: 1.0 / np.sqrt(x), [0.0, 1.0, 2.0, 4.0])
-    assert value == pytest.approx(4.0, abs=1e-12)
-    assert events == ["enter head", "exit head", "enter tail", "exit tail"]
 
 
 @pytest.mark.parametrize("f", [

@@ -351,17 +351,20 @@ _POLYLOG_T = np.concatenate([
 @pytest.mark.parametrize("func, first, second", [
     (capacitor2d._phi, _HEAD, np.concatenate([_UNIT, np.geomspace(1.0, 1e18, 40)])),
     (capacitor2d._phi_prime, _HEAD, np.concatenate([_UNIT, np.geomspace(1.0, 1e18, 40)])),
+    (lambda t: capacitor2d._phi_tail_of_w(capacitor2d._w(t)), 1.0 / _HEAD,
+     np.concatenate([1.0 / _UNIT, np.geomspace(1.0, 1e300, 40),
+                     np.nextafter([11.055254414364697] * 2, [0.0, 20.0])])),
     *[(lambda t, n=n: _polylog_exp_neg([n], t)[0], PI * _HEAD, _POLYLOG_T)
       for n in range(1, 5)],
     (lambda r: specfun._dk_vec(r, (1.0 - r) * (1.0 + r)), _HEAD, _UNIT),
     (lambda s: asymptotics._outer_subtracted(s, specfun._dk_vec(s, (1.0 - s) * (1.0 + s))),
      _HEAD, _UNIT),
-], ids=["phi", "phi_prime", "polylog_n1", "polylog_n2", "polylog_n3", "polylog_n4",
+], ids=["phi", "phi_prime", "phi_tail", "polylog_n1", "polylog_n2", "polylog_n3", "polylog_n4",
         "dk", "outer_subtracted"])
 def test_integrand_building_blocks_are_batch_independent(func, first, second):
-    # the quadrature evaluates several tanh-sinh levels and the Gauss tail in
-    # one call; that keeps every bit only if a value depends on its own
-    # abscissa alone
+    # the quadrature evaluates several tanh-sinh levels, and the head and
+    # tails of the Phi moments, in one call; that keeps every bit only if a
+    # value depends on its own abscissa alone
     alone = np.concatenate([func(first), func(second)])
     together = func(np.concatenate([first, second]))
     assert np.all(np.isfinite(alone))
@@ -483,6 +486,9 @@ def test_polylog_errors():
     lambda: _polylog_exp_neg([170], 0.1),                # past the tables
     lambda: _polylog_exp_neg([170], 1.2),
     lambda: _polylog_exp_neg([2, 200], np.array([0.1, 2.0])),
+    lambda: _polylog_exp_neg([0], 1.0),                  # below the tables
+    lambda: _polylog_exp_neg([-1], 1.0),
+    lambda: _polylog_exp_neg([], 1.0),                   # no order
     lambda: ll.energy_series("takahashi", math.nan),
     lambda: ll.energy_series("takahashi", math.inf),
     lambda: ll.phi_series(math.nan),
@@ -513,7 +519,8 @@ def test_polylog_errors():
     *[lambda v=v: ll.k2_energy_integral(v) for v in (math.nan, 0.0, -1.0, math.inf)],
     *[lambda v=v: ll.third_moment_expansion(v) for v in (math.nan, 0.0, -1.0, math.inf)],
 ], ids=["polylog-bool", "polylog-170-expansion", "polylog-170-direct",
-        "polylog-exp-neg-200", "energy-nan", "energy-inf", "phi-nan", "psi-nan",
+        "polylog-exp-neg-200", "polylog-exp-neg-0", "polylog-exp-neg-negative",
+        "polylog-exp-neg-none", "energy-nan", "energy-inf", "phi-nan", "psi-nan",
         "phi-inf", "phi-pi-x-inf", "psi-pi-x-inf", "phi-psi-inf", "green-traces-eps-inf",
         "operator-norm-discrete-inf", "kernel-k3-inf", "cumulative-phi-inf",
         "cumulative-phi-log-inf", "fit-log-tail-nan-value", "fit-log-tail-inf-x",
