@@ -26,7 +26,7 @@ import numpy as np
 from .capacitor2d import _phi_moments, phi_prime_polylog_integral
 from .errors import ConvergenceError, DomainError, WindowError, _check_real
 from .quadrature import _tanh_sinh
-from .specfun import _dk_vec, _i1e, _i2e, _k1e, _k3
+from .specfun import _dk_vec, _i1e, _i2e, _k1e, _k3, _polylog_exp_neg
 
 __all__ = [
     "ENERGY_GAMMA2",
@@ -327,23 +327,31 @@ def far_field(r: float) -> float:
 
 
 _SUM_CAP = 3_000_000
+# the direct terms of a sum with a tail: its first six chunks
+_TAIL_FROM = 64 * (2 ** 6 - 1)
 
 
-def _bessel_sum(terms: Callable[[np.ndarray], np.ndarray], rel: float) -> float:
+def _bessel_sum(terms: Callable[[np.ndarray], np.ndarray], rel: float,
+                tail: Callable[[int], float] | None = None) -> float:
     """sum_{n >= 1} terms(n) for positive, decaying terms, taken in doubling
     chunks of n; stops once a chunk's last term is below `rel` of the
     running total.  The terms fall like e^{-n pi |r - r1| / eps}, and at
     r = 1 those of k2 only like eps / (2 pi n^2), which no cap takes below
-    1e-15: reaching _SUM_CAP terms raises ConvergenceError with the partial
-    sum and the last term, rather than return the partial sum."""
+    1e-15.  Given tail(N), the sum of every term past N, the direct sum
+    stops after N = _TAIL_FROM terms and adds it; without, reaching
+    _SUM_CAP terms raises ConvergenceError with the partial sum and the
+    last term, rather than return the partial sum."""
+    cap = _SUM_CAP if tail is None else _TAIL_FROM
     total, n0, chunk = 0.0, 1, 64
-    while n0 <= _SUM_CAP:
-        t = terms(np.arange(n0, min(n0 + chunk, _SUM_CAP + 1), dtype=float))
+    while n0 <= cap:
+        t = terms(np.arange(n0, min(n0 + chunk, cap + 1), dtype=float))
         total += float(np.sum(t))
         if t[-1] < rel * max(abs(total), 1e-300):
             return total
         n0 += len(t)
         chunk = min(2 * chunk, 500_000)
+    if tail is not None:
+        return total + tail(cap)
     raise ConvergenceError(f"Bessel sum not below {rel:g} of its total after "
                            f"{_SUM_CAP} terms", total, float(t[-1]))
 
@@ -380,14 +388,49 @@ def green_traces(r: float, r1: float, epsilon: float) -> tuple[float, float]:
     return g_minus, float(g_plus[0])
 
 
+def _hankel(nu: int, k: int) -> float:
+    """a_k(nu) of the large-argument expansions of I_nu and K_nu (DLMF
+    10.17.1): I_nu(z) ~ e^z / sqrt(2 pi z) sum_k (-1)^k a_k / z^k and
+    K_nu(z) ~ sqrt(pi / (2 z)) e^{-z} sum_k a_k / z^k (DLMF 10.40.1-2)."""
+    return (math.prod(4 * nu * nu - (2 * i - 1) ** 2 for i in range(1, k + 1))
+            / (math.factorial(k) * 8.0 ** k))
+
+
+# powers of 1/n taken in k2's tail: past n = _TAIL_FROM with a = pi/eps >= 1
+# the next is below 1e-15 of the tail's first
+_K2_TAIL_TERMS = 4
+
+
+def _k2_tail(r: float, epsilon: float, N: int) -> float:
+    """sum_{n > N} (1/n) I_2(a n) K_1(b n), a = pi/eps, b = pi r/eps, from
+    the product of the large-argument expansions (_hankel): each term is
+    e^{-n x} / (2 sqrt(a b)) sum_k C_k n^{-k-2} with x = pi (r - 1)/eps and
+    C_k = sum_{j+l=k} (-1)^j a_j(2) a^{-j} a_l(1) b^{-l}, and
+    sum_{n > N} e^{-n x} n^{-s} is Li_s(e^{-x}), zeta(s) at r = 1, less its
+    first N terms.  The C_k grow like eps^k, so the cancellation of that
+    difference costs digits once a < 1: k2 takes this tail for eps <= pi."""
+    a, b = _PI / epsilon, _PI * r / epsilon
+    x = _PI * (r - 1.0) / epsilon
+    c = [sum((-1) ** j * _hankel(2, j) / a ** j * _hankel(1, k - j) / b ** (k - j)
+             for j in range(k + 1)) for k in range(_K2_TAIL_TERMS)]
+    orders = list(range(2, _K2_TAIL_TERMS + 2))
+    n = np.arange(1.0, N + 1.0)
+    head = np.exp(-x * n) / n ** np.array(orders, dtype=float)[:, None]
+    tails = _polylog_exp_neg(orders, x) - np.sum(head, axis=1)
+    return float(np.dot(c, tails)) / (2.0 * math.sqrt(a * b))
+
+
 def _k2_sum(r: float, epsilon: float) -> float:
-    """sum_n (1/n) I_2(n pi/eps) K_1(n pi r/eps), to relative 1e-15."""
+    """sum_n (1/n) I_2(n pi/eps) K_1(n pi r/eps), to relative 1e-15: its
+    first _TAIL_FROM terms directly, and (for eps <= pi) the rest from
+    _k2_tail, so r = 1 costs no more terms than any other r."""
     def terms(n: np.ndarray) -> np.ndarray:
         a = n * _PI / epsilon
         b = n * _PI * r / epsilon
         return (1.0 / n) * _i2e(a) * _k1e(b) * np.exp(a - b)
 
-    return _bessel_sum(terms, 1e-15)
+    tail = (lambda N: _k2_tail(r, epsilon, N)) if epsilon <= _PI else None
+    return _bessel_sum(terms, 1e-15, tail)
 
 
 def _k1_part(r: float, epsilon: float) -> float:

@@ -73,10 +73,6 @@ def _phi(x: np.ndarray) -> np.ndarray:
     return _phi_of_w(_w(x))
 
 
-def _phi_prime(x: np.ndarray) -> np.ndarray:
-    return _phi_prime_of_w(_w(x))
-
-
 def phi_psi(x: float) -> EdgePotentialSample:
     """Exact potential sample at x >= 0 with pi x finite (x <= 5.7e307).
 
@@ -166,30 +162,42 @@ def _phi_tail_of_w(W: np.ndarray) -> np.ndarray:
 _S_MIN = 4.0 / sys.float_info.max
 
 
+def _phi_moment_rows(u: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The two rows of _phi_moments at X = inf at the abscissae u in
+    (0, 1), from the upper-cut W at the offsets pi u and then pi / u: the
+    head Phi(u) log^p u plus the tail over (1, inf) at t = 1/u."""
+    n = len(u)
+    phi = _phi_of_w(W[:n])
+    near = _phi_tail_of_w(W[n:]) / u
+    lu = np.log(u)
+    return np.array([phi + near, phi * lu - near * lu])
+
+
 def _phi_moments(X: float) -> np.ndarray:
     """int_0^X (Phi(t) - [t > 1]/(pi t)) log^p t dt for p = 0, 1 and X >= 1,
     X = inf included, the two rows of one tanh-sinh integral on (0, 1).
 
     At each u in (0, 1), the head takes Phi(u) log^p u; the tail over
-    (1, inf) takes t = 1/u, and the tail over (X, inf), subtracted from it,
-    takes t = 1/s with s = u / X (floored at _S_MIN), each with
-    _phi_tail_of_w's product over its own s.  Every singularity of the
-    three sits at u = 0 (Phi's branch points t = 2ik accumulate at t = inf),
-    so every X converges at level 5; one W call per integrand call serves
-    all three (two at X = inf).  Each row is summed on its own, so each
-    keeps the bits of its integral taken alone.  As X -> inf the rows tend
-    to gamma0 and gamma1."""
+    (1, inf) takes t = 1/u (the two form _phi_moment_rows), and the tail
+    over (X, inf), subtracted from it, takes t = 1/s with s = u / X
+    (floored at _S_MIN), each with _phi_tail_of_w's product over its own s.
+    Every singularity of the three sits at u = 0 (Phi's branch points
+    t = 2ik accumulate at t = inf), so every X converges at level 5; one W
+    call per integrand call serves all three (two at X = inf).  Each row is
+    summed on its own, so each keeps the bits of its integral taken alone.
+    As X -> inf the rows tend to gamma0 and gamma1."""
     a = 1.0 / X                         # 0 at X = inf, whose (X, inf) tail is empty
 
     def integrand(u: np.ndarray) -> np.ndarray:
         s = np.maximum(a * u, _S_MIN)
         n = len(u)
         W = _w(np.concatenate([u, 1.0 / u, 1.0 / s] if a else [u, 1.0 / u]))
-        phi = _phi_of_w(W[:n])
-        near = _phi_tail_of_w(W[n:2 * n]) / u
-        far = a * _phi_tail_of_w(W[2 * n:]) / s if a else 0.0
-        lu = np.log(u)
-        return np.array([phi + near - far, phi * lu - near * lu + far * np.log(s)])
+        rows = _phi_moment_rows(u, W[:2 * n])
+        if a:
+            far = a * _phi_tail_of_w(W[2 * n:]) / s
+            rows[0] -= far
+            rows[1] += far * np.log(s)
+        return rows
 
     value, _ = _tanh_sinh(integrand, 0.0, 1.0)
     return value
@@ -217,6 +225,13 @@ def _orders(n: Sequence[int], name: str, top: int) -> list[int]:
     return [_check_int(m, name, top) for m in orders]
 
 
+def _phi_prime_polylog_rows(s: np.ndarray, t: np.ndarray, W: np.ndarray,
+                            orders: list[int]) -> np.ndarray:
+    """The rows of phi_prime_polylog_integral at the abscissae s in (0, 1),
+    from t = -log(1 - s) and the upper-cut W at the offset t."""
+    return _phi_prime_of_w(W) * _polylog_exp_neg(orders, t) / (_PI * (1.0 - s))
+
+
 def phi_prime_polylog_integral(n: Sequence[int]) -> list[float]:
     """int_0^inf Phi'(x) Li_m(e^{-pi x}) dx for each order m in n, 1 <= m <= 7.
 
@@ -225,13 +240,13 @@ def phi_prime_polylog_integral(n: Sequence[int]) -> list[float]:
     Phi' at the edge (for m = 1 with a log factor) sits at s = 0, and the
     e^{-pi x} decay becomes the factor Li_m(1 - s) / (1 - s), bounded at
     s = 1.  The orders are the rows of one integrand, so Phi' is evaluated
-    once per abscissa for all of them.
+    once per abscissa for all of them, from W at the offset t itself.
     """
     orders = _orders(n, "order", 7)
 
     def integrand(s: np.ndarray) -> np.ndarray:
         t = -np.log1p(-s)
-        return _phi_prime(t / _PI) * _polylog_exp_neg(orders, t) / (_PI * (1.0 - s))
+        return _phi_prime_polylog_rows(s, t, _w_upper_from_offset(t), orders)
 
     values, _ = _tanh_sinh(integrand, 0.0, 1.0)
     return [float(v) for v in values]

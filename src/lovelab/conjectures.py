@@ -11,14 +11,18 @@ sequence-transform table is exact: it never touches floating point.
 
 Every integral of the suite is one tanh-sinh integral on (0, 1), its
 half-line, where it has one, mapped there, and the integrals of a group are
-its rows.  Within one run_all call each shared integral is evaluated once:
-gamma0 and gamma1 are the two rows of one integral (one Lambert-W pass),
-and integral4 and the subtracted outer integrand of gamma2's route (b) are
-the two rows of another, whose integral4 also serves route (a); both rows
-take dK/dk from one pass per abscissa.  The outer integrand is
-far_field's F = (2/pi) s^2 dK/ds times the k3 of kernel_k, so route (b)
-checks those very kernels.  A run makes 4 tanh-sinh integrals.  No value
-outlives the call; a producer called on its own computes its own.
+its rows, built by one row function per group: gamma0 and gamma1 (one
+Lambert-W pass), integral4 and the subtracted outer integrand of gamma2's
+route (b), whose integral4 also serves route (a) (one dK/dk pass), the
+polylog orders (one polylog call) and the residue orders.  The outer
+integrand is far_field's F = (2/pi) s^2 dK/ds times the k3 of kernel_k, so
+route (b) checks those very kernels.  A run_all call takes all 12 rows as
+one tanh-sinh integral, whose integrand makes one W call on the offsets
+pi s, pi / s and -log(1 - s) (the polylog and residue rows share the last)
+and one call each of dK/dk and the polylog; each producer reads its rows
+from it.  No value outlives the call; a producer called on its own
+integrates its own group only.  Every row is summed from its own values,
+so each keeps its bits whichever rows share its integral.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .asymptotics import GAMMA0, GAMMA1, GAMMA2_TILDE, INTEGRAL4, _outer_subtracted
-from .capacitor2d import _orders, _phi_moments, _phi_prime_of_w, phi_prime_polylog_integral
+from .capacitor2d import (_orders, _phi_moment_rows, _phi_moments, _phi_prime_of_w,
+                          _phi_prime_polylog_rows, phi_prime_polylog_integral)
 from .errors import DomainError, _check_int
 from .quadrature import _tanh_sinh
 from .specfun import _dk_vec, _w_upper_from_offset
@@ -118,15 +123,23 @@ def verify_polylog_claim(n: Sequence[int]) -> list[ConjectureReport]:
     one report per order m in n, from integrals taken on shared abscissae."""
     orders = _orders(n, "n", 6)
     targets = _tn_firsts(max(orders))
-    return [_report(f"polylog_n{m}", computed, float(targets[m]),
+    values = _group_values("polylog", lambda: phi_prime_polylog_integral(orders), orders)
+    return [_report(f"polylog_n{m}", float(computed), float(targets[m]),
                     "tanh-sinh of Phi' Li_n(e^{-pi x}) at pi x = -log(1 - s) vs "
                     "exact sequence transform")
-            for m, computed in zip(orders, phi_prime_polylog_integral(orders))]
+            for m, computed in zip(orders, values)]
 
 
 # ----------------------------------------------------------------------
 # Residue identity over the branch cut.
 # ----------------------------------------------------------------------
+
+def _residue_rows(s: np.ndarray, W: np.ndarray, orders: list[int]) -> np.ndarray:
+    """The rows (1 - s)^(j-1) Im 1/(1 + W) of residue_identity at the
+    abscissae s in (0, 1), before their factors -j/pi, from the upper-cut W
+    at the offset -log(1 - s)."""
+    return (1.0 - s) ** (np.array(orders, dtype=float)[:, None] - 1.0) * _phi_prime_of_w(W)
+
 
 def residue_identity(k: Sequence[int]) -> list[ConjectureReport]:
     """Branch-cut integral against the pole residue j^j e^{-j} / (j-1)!, one
@@ -141,11 +154,11 @@ def residue_identity(k: Sequence[int]) -> list[ConjectureReport]:
     """
     orders = _orders(k, "k", 8)
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        im = _phi_prime_of_w(_w_upper_from_offset(-np.log1p(-s)))   # Im 1/(1 + W)
-        return (1.0 - s) ** (np.array(orders, dtype=float)[:, None] - 1.0) * im
+    def alone() -> np.ndarray:
+        return _tanh_sinh(lambda s: _residue_rows(s, _w_upper_from_offset(-np.log1p(-s)),
+                                                  orders), 0.0, 1.0)[0]
 
-    values, _ = _tanh_sinh(integrand, 0.0, 1.0)
+    values = _group_values("residue", alone, orders)
     return [_report(f"residue_k{j}", -(j / _PI) * float(value),
                     j ** j * math.exp(-j) / math.factorial(j - 1),
                     "upper-cut Lambert W branch integral, t = log(-e x) substitution")
@@ -156,29 +169,9 @@ def residue_identity(k: Sequence[int]) -> list[ConjectureReport]:
 # Cumulative-potential constants.
 # ----------------------------------------------------------------------
 
-# The values shared within one run_all call, by the function that computes
-# them; None outside a run, where every call computes its own.
-_RUN_VALUES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "lovelab_run_values", default=None)
-
-
-def _once_per_run(func: Callable[[], object]) -> Callable[[], object]:
-    """func, whose value run_all computes once and shares with every later
-    call made in the same run."""
-    def shared():
-        values = _RUN_VALUES.get()
-        if values is None:
-            return func()
-        if func not in values:
-            values[func] = func()
-        return values[func]
-    return shared
-
-
-@_once_per_run
-def _subtracted_moments() -> np.ndarray:
+def _subtracted_moments() -> Sequence[float]:
     """gamma0 and gamma1: the two Phi moments over the whole half-line."""
-    return _phi_moments(math.inf)
+    return _group_values("phi", lambda: _phi_moments(math.inf))
 
 
 def verify_gamma0() -> ConjectureReport:
@@ -198,20 +191,21 @@ def verify_gamma1() -> ConjectureReport:
 # Outer-integral constant, two independent routes.
 # ----------------------------------------------------------------------
 
-@_once_per_run
+def _unit_rows(r: np.ndarray) -> np.ndarray:
+    """The two rows of _unit_integrals at the abscissae r in (0, 1), which
+    share one dK/dk pass: integral4's integrand before its factor 2/pi, and
+    the subtracted outer integrand."""
+    omr2 = (1.0 - r) * (1.0 + r)
+    dk = _dk_vec(r, omr2)
+    return np.array([2.0 * (omr2 / r) * dk * dk - 1.0 / (1.0 - r),
+                     _outer_subtracted(r, dk)])
+
+
 def _unit_integrals() -> tuple[float, float]:
     """integral4, (2/pi) int_0^1 { 2 (1/r - r) (dK/dr)^2 - 1/(1-r) } dr, and
-    the integral of the subtracted outer integrand over s in (0, 1), from
-    the two rows of one tanh-sinh integral on (0, 1), which share one dK/dk
-    pass.  Each row converges on its own, so each keeps the bits of its
-    integral taken alone."""
-    def integrand(r: np.ndarray) -> np.ndarray:
-        omr2 = (1.0 - r) * (1.0 + r)
-        dk = _dk_vec(r, omr2)
-        return np.array([2.0 * (omr2 / r) * dk * dk - 1.0 / (1.0 - r),
-                         _outer_subtracted(r, dk)])
-
-    (integral4, outer), _ = _tanh_sinh(integrand, 0.0, 1.0)
+    the integral of the subtracted outer integrand over s in (0, 1), the two
+    rows of one tanh-sinh integral on (0, 1)."""
+    integral4, outer = _group_values("unit", lambda: _tanh_sinh(_unit_rows, 0.0, 1.0)[0])
     return (2.0 / _PI) * float(integral4), float(outer)
 
 
@@ -241,6 +235,50 @@ def verify_gamma2() -> list[ConjectureReport]:
     ]
 
 
+# ----------------------------------------------------------------------
+# The suite, and its one integral per run.
+# ----------------------------------------------------------------------
+
+# The orders of the polylog and residue groups of the suite.
+_SUITE_ORDERS = [1, 2, 3, 4]
+
+# Where each group's rows sit among the rows of the suite's one integral.
+_SUITE_ROWS = {"phi": slice(0, 2), "unit": slice(2, 4), "polylog": slice(4, 8),
+               "residue": slice(8, 12)}
+
+
+def _suite_rows(s: np.ndarray) -> np.ndarray:
+    """All 12 rows of the suite at the abscissae s in (0, 1), in
+    _SUITE_ROWS order, from one W call on the offsets pi s, pi / s and
+    t = -log(1 - s), whose last block the polylog and residue rows share."""
+    n = len(s)
+    t = -np.log1p(-s)
+    W = _w_upper_from_offset(np.concatenate([_PI * s, _PI * (1.0 / s), t]))
+    return np.concatenate([_phi_moment_rows(s, W[:2 * n]), _unit_rows(s),
+                           _phi_prime_polylog_rows(s, t, W[2 * n:], _SUITE_ORDERS),
+                           _residue_rows(s, W[2 * n:], _SUITE_ORDERS)])
+
+
+# The values of the suite's one integral within a run_all call, once taken;
+# None outside a run, where every group integrates its own rows.
+_RUN_VALUES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "lovelab_run_values", default=None)
+
+
+def _group_values(group: str, alone: Callable[[], Sequence[float]],
+                  orders: list[int] | None = None) -> Sequence[float]:
+    """The values of one group's rows (for its orders, where it has them):
+    within run_all, its rows of the suite's one integral, taken on first
+    use and kept for the rest of the call; elsewhere, or for orders other
+    than the suite's, alone(), the group's own integral."""
+    values = _RUN_VALUES.get()
+    if values is None or orders not in (None, _SUITE_ORDERS):
+        return alone()
+    if not values:
+        values["suite"], _ = _tanh_sinh(_suite_rows, 0.0, 1.0)
+    return values["suite"][_SUITE_ROWS[group]]
+
+
 # Every report of the suite must match this many significant digits.
 MIN_DIGITS = 13
 
@@ -252,8 +290,8 @@ SUITE: dict[str, Callable[[], list[ConjectureReport]]] = {
     "gamma1": lambda: [verify_gamma1()],
     "gamma2": lambda: verify_gamma2(),
     "integral4": lambda: [verify_integral4()],
-    "polylog": lambda: verify_polylog_claim(range(1, 5)),
-    "residue": lambda: residue_identity(range(1, 5)),
+    "polylog": lambda: verify_polylog_claim(_SUITE_ORDERS),
+    "residue": lambda: residue_identity(_SUITE_ORDERS),
 }
 
 
@@ -261,9 +299,9 @@ def run_all() -> list[ConjectureReport]:
     """The full suite in SUITE order: gamma0, gamma1, both gamma2 routes,
     integral4, polylog claims n = 1..4, residue identities k = 1..4.
 
-    The producers share their common integrals for the length of this call
-    only: each call starts afresh, and keeps no value once it returns or
-    raises."""
+    All 12 rows are one tanh-sinh integral, which the producers share for
+    the length of this call only: each call starts afresh, and keeps no
+    value once it returns or raises."""
     token = _RUN_VALUES.set({})
     try:
         return [r for task in SUITE.values() for r in task()]

@@ -404,6 +404,47 @@ def test_k2_capped_sum_matches_adaptive_for_decaying_tail():
     assert _k2_sum(r, eps) == pytest.approx(brute, rel=1e-14)
 
 
+def test_k2_at_the_edge_against_mpmath(monkeypatch):
+    # at r = 1 the terms of k2's Bessel sum fall only like 1/n^2: past its
+    # first _TAIL_FROM terms the sum is the large-argument tail, so it
+    # evaluates no more Bessel terms than that, and keeps its digits.  The
+    # oracle sums 60 terms at 40 digits and takes the rest from 14 powers of
+    # the same expansion through mpmath's Hurwitz zeta and Lerch phi
+    mpmath = pytest.importorskip("mpmath")
+    evaluated = []
+
+    def counted(x):
+        evaluated.append(np.size(x))
+        return _i2e(x)
+
+    monkeypatch.setattr(asymptotics, "_i2e", counted)
+
+    def hankel(nu, k):
+        return mpmath.fprod(4 * nu * nu - (2 * i - 1) ** 2 for i in range(1, k + 1)) / (
+            mpmath.factorial(k) * mpmath.mpf(8) ** k)
+
+    def oracle(r, eps, head_terms=60, powers=14):
+        a, b, x = mpmath.pi / eps, mpmath.pi * r / eps, mpmath.pi * (r - 1) / eps
+        head = mpmath.fsum(mpmath.besseli(2, n * a) * mpmath.besselk(1, n * b) / n
+                           for n in range(1, head_terms + 1))
+        tail = mpmath.fsum(
+            mpmath.fsum((-1) ** j * hankel(2, j) / a ** j * hankel(1, k - j) / b ** (k - j)
+                        for j in range(k + 1))
+            * (mpmath.zeta(k + 2, head_terms + 1) if x == 0 else
+               mpmath.exp(-(head_terms + 1) * x) * mpmath.lerchphi(mpmath.exp(-x), k + 2,
+                                                                    head_terms + 1))
+            for k in range(powers))
+        return -(2 / mpmath.pi) * r * (head + tail / (2 * mpmath.sqrt(a * b)))
+
+    for r in (1.0, 1.0 + 1e-9):
+        evaluated.clear()
+        value = ll.kernel_k("k2", r, 0.1)
+        assert sum(evaluated) <= asymptotics._TAIL_FROM
+        with mpmath.workdps(40):
+            want = oracle(mpmath.mpf(r), mpmath.mpf(0.1))
+        assert abs(value - want) <= 1e-13 * abs(want), r
+
+
 def test_kernel_guards():
     with pytest.raises(DomainError):
         ll.kernel_k("k1", 0.9, 0.1)

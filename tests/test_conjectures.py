@@ -197,9 +197,9 @@ def test_one_w_evaluation_per_level_and_one_for_the_panels(capsys, monkeypatch, 
 
 def _count_suite_calls(monkeypatch) -> dict:
     """Counts of integrand calls (one per tanh-sinh integral call of f), W
-    calls, polylog calls, dK/dk calls and Gauss panel sums, kept up to date
-    while the patches stand."""
-    calls = {"integrand": 0, "w": 0, "polylog": 0, "dk": 0, "panel_sum": 0}
+    calls and the offsets they take, polylog calls, dK/dk calls and Gauss
+    panel sums, kept up to date while the patches stand."""
+    calls = {"integrand": 0, "w": 0, "w_elems": 0, "polylog": 0, "dk": 0, "panel_sum": 0}
     tanh_sinh = quadrature._tanh_sinh
 
     def counted(key, func):
@@ -214,7 +214,12 @@ def _count_suite_calls(monkeypatch) -> dict:
     for module in (quadrature, capacitor2d, conjectures, asymptotics):
         monkeypatch.setattr(module, "_tanh_sinh", counted_integrand)
     monkeypatch.setattr(quadrature, "_panel_sum", counted("panel_sum", quadrature._panel_sum))
-    w_upper = counted("w", specfun._w_upper_from_offset)
+    counted_w = counted("w", specfun._w_upper_from_offset)
+
+    def w_upper(d):
+        calls["w_elems"] += np.size(d)
+        return counted_w(d)
+
     for module in (capacitor2d, conjectures):
         monkeypatch.setattr(module, "_w_upper_from_offset", w_upper)
     monkeypatch.setattr(capacitor2d, "_polylog_exp_neg",
@@ -225,32 +230,52 @@ def _count_suite_calls(monkeypatch) -> dict:
     return calls
 
 
+# the abscissae of tanh-sinh levels 0-5 on (0, 1), where every integral of
+# the suite converges
+_NODES = sum(len(quadrature._ts_level(0.0, 1.0, level)[0])
+             for level in range(quadrature._TS_FIRST_CALL + 1))
+
+
 def test_one_integrand_call_per_integral_of_the_suite(monkeypatch):
-    # every integral of the suite is one tanh-sinh integral on (0, 1) that
+    # all 12 rows of the suite are one tanh-sinh integral on (0, 1) that
     # converges at level 5, so its integrand's first call (levels 0-5) is
-    # its only one; gamma0 and gamma1 are two rows of one W integral,
-    # integral4 and gamma2's subtracted outer integrand are two rows of one
-    # integral, whose integral4 also serves gamma2's route (a), and the
-    # polylog orders share one _polylog_exp_neg call, and the two rows on
-    # (0, 1) one dK/dk pass; per-level calls would make 21, 12 and 12, and
-    # unshared integrals 7, 4 and 1.  No Gauss panel is summed
+    # its only one.  That call makes one W call on the offsets pi s, pi / s
+    # and -log(1 - s), whose last block the polylog and residue rows
+    # share, one dK/dk pass and one _polylog_exp_neg call; per-group
+    # integrals would make 4 integrand and 3 W calls on 4 blocks.  No Gauss
+    # panel is summed
+    assert _NODES == 297
     calls = _count_suite_calls(monkeypatch)
     assert len(conjectures.run_all()) == 13
-    assert calls == {"integrand": 4, "w": 3, "polylog": 1, "dk": 1, "panel_sum": 0}
+    assert calls == {"integrand": 1, "w": 1, "w_elems": 3 * _NODES, "polylog": 1, "dk": 1,
+                     "panel_sum": 0}
+
+
+@pytest.mark.parametrize("group, w_blocks, polylog, dk", [
+    ("gamma0", 2, 0, 0), ("gamma1", 2, 0, 0), ("gamma2", 0, 0, 1), ("integral4", 0, 0, 1),
+    ("polylog", 1, 1, 0), ("residue", 1, 0, 0),
+])
+def test_a_group_alone_integrates_its_own_rows(monkeypatch, group, w_blocks, polylog, dk):
+    # outside run_all a group takes one integral of its own rows only, with
+    # at most one W call, on its own offsets
+    calls = _count_suite_calls(monkeypatch)
+    conjectures.SUITE[group]()
+    assert calls == {"integrand": 1, "w": min(w_blocks, 1), "w_elems": w_blocks * _NODES,
+                     "polylog": polylog, "dk": dk, "panel_sum": 0}
 
 
 def test_no_shared_value_outlives_its_run(monkeypatch):
-    # each run computes its shared integrals afresh
+    # each run computes its shared integral afresh
     calls = _count_suite_calls(monkeypatch)
     for _ in range(2):
         calls.update(integrand=0, w=0)
         assert len(conjectures.run_all()) == 13
-        assert (calls["integrand"], calls["w"]) == (4, 3)
+        assert (calls["integrand"], calls["w"]) == (1, 1)
 
 
 def test_no_shared_value_outlives_a_failed_run(monkeypatch):
-    # the last group raises after gamma0 and gamma1 took their shared
-    # integral; a later check on its own computes it again
+    # the last group raises after gamma0 and gamma1 read the suite's
+    # shared integral; a later check on its own computes its own
     def refuse(k):
         raise DomainError("refused")
 

@@ -39,3 +39,22 @@ def test_verify_all_matches_the_golden_table(capsys):
         # the noise columns only by the gate they encode
         assert int(digits) >= conjectures.MIN_DIGITS, name
         assert float(abs_error) <= 10.0 ** -conjectures.MIN_DIGITS * abs(float(target)), name
+
+
+def test_each_group_prints_its_rows_of_the_suite(capsys):
+    # the suite's rows are one shared integral, and no group's value may
+    # depend on the others: each group alone prints exactly, byte for byte,
+    # its rows of `verify --which all` (which the golden table pins to
+    # ULPS: a host's SIMD dispatch may move a row, but every group alone
+    # moves with it)
+    assert main(["verify", "--which", "all"]) == 0
+    suite = capsys.readouterr().out.splitlines()
+    golden = (GOLDEN / "verify-all.csv").read_text().splitlines()
+    groups = []
+    for group in conjectures.SUITE:
+        assert main(["verify", "--which", group]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == suite[0] == golden[0]
+        groups += rows
+    assert groups == suite[1:]
+    assert [row.split(",")[0] for row in groups] == [row.split(",")[0] for row in golden[1:]]

@@ -350,7 +350,8 @@ _POLYLOG_T = np.concatenate([
 
 @pytest.mark.parametrize("func, first, second", [
     (capacitor2d._phi, _HEAD, np.concatenate([_UNIT, np.geomspace(1.0, 1e18, 40)])),
-    (capacitor2d._phi_prime, _HEAD, np.concatenate([_UNIT, np.geomspace(1.0, 1e18, 40)])),
+    (lambda x: capacitor2d._phi_prime_of_w(capacitor2d._w(x)), _HEAD,
+     np.concatenate([_UNIT, np.geomspace(1.0, 1e18, 40)])),
     (lambda t: capacitor2d._phi_tail_of_w(capacitor2d._w(t)), 1.0 / _HEAD,
      np.concatenate([1.0 / _UNIT, np.geomspace(1.0, 1e300, 40),
                      np.nextafter([11.055254414364697] * 2, [0.0, 20.0])])),
