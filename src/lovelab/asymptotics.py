@@ -423,11 +423,16 @@ def _k2_tail(r: float, epsilon: float, N: int) -> float:
 def _k2_sum(r: float, epsilon: float) -> float:
     """sum_n (1/n) I_2(n pi/eps) K_1(n pi r/eps), to relative 1e-15: its
     first _TAIL_FROM terms directly, and (for eps <= pi) the rest from
-    _k2_tail, so r = 1 costs no more terms than any other r."""
+    _k2_tail, so r = 1 costs no more terms than any other r.  The scaled
+    Bessel factors leave e^{-n x}, x = pi (r - 1)/eps, which is taken as it
+    stands: e^{a - b} from the rounded a and b would carry their rounding
+    error, of order n pi/eps ulps, into its exponent."""
+    x = _PI * (r - 1.0) / epsilon
+
     def terms(n: np.ndarray) -> np.ndarray:
         a = n * _PI / epsilon
         b = n * _PI * r / epsilon
-        return (1.0 / n) * _i2e(a) * _k1e(b) * np.exp(a - b)
+        return (1.0 / n) * _i2e(a) * _k1e(b) * np.exp(-n * x)
 
     tail = (lambda N: _k2_tail(r, epsilon, N)) if epsilon <= _PI else None
     return _bessel_sum(terms, 1e-15, tail)
@@ -551,8 +556,12 @@ def j_split(epsilon: float, delta: float | None = None) -> tuple[float, float]:
                     + (0.5 * math.log(epsilon / 8.0) + 2.0) * (m0 + lx / _PI))
 
     S = 1.0 / (1.0 + delta)
-    val, _ = _tanh_sinh(lambda s: _outer_subtracted(s, _dk_vec(s, (1.0 - s) * (1.0 + s))),
-                        0.0, S)
+
+    def outer(u: np.ndarray) -> np.ndarray:
+        s = S * u                     # int_0^S g(s) ds = S int_0^1 g(S u) du
+        return _outer_subtracted(s, _dk_vec(s, (1.0 - s) * (1.0 + s)))
+
+    val = S * _tanh_sinh(outer)[0]
     om = 1.0 - S                      # = delta / (1 + delta)
     val += -0.5 * _SUB_C0 * math.log(om) ** 2 - _SUB_C1 * math.log(om)
     j2 = epsilon * val

@@ -69,10 +69,6 @@ def _phi_prime_of_w(W: np.ndarray) -> np.ndarray:
         return np.where(W.imag == 0.0, -np.inf, -W.imag / (opu * opu + W.imag * W.imag))
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    return _phi_of_w(_w(x))
-
-
 def phi_psi(x: float) -> EdgePotentialSample:
     """Exact potential sample at x >= 0 with pi x finite (x <= 5.7e307).
 
@@ -163,9 +159,10 @@ _S_MIN = 4.0 / sys.float_info.max
 
 
 def _phi_moment_rows(u: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The two rows of _phi_moments at X = inf at the abscissae u in
-    (0, 1), from the upper-cut W at the offsets pi u and then pi / u: the
-    head Phi(u) log^p u plus the tail over (1, inf) at t = 1/u."""
+    """The two rows of the Phi moments over the whole half-line at the
+    abscissae u in (0, 1), from the upper-cut W at the offsets pi u and then
+    pi / u: the head Phi(u) log^p u plus the tail over (1, inf) at t = 1/u.
+    Their integrals over (0, 1) are gamma0 and gamma1."""
     n = len(u)
     phi = _phi_of_w(W[:n])
     near = _phi_tail_of_w(W[n:]) / u
@@ -174,8 +171,8 @@ def _phi_moment_rows(u: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def _phi_moments(X: float) -> np.ndarray:
-    """int_0^X (Phi(t) - [t > 1]/(pi t)) log^p t dt for p = 0, 1 and X >= 1,
-    X = inf included, the two rows of one tanh-sinh integral on (0, 1).
+    """int_0^X (Phi(t) - [t > 1]/(pi t)) log^p t dt for p = 0, 1 and finite
+    X >= 1, the two rows of one tanh-sinh integral on (0, 1).
 
     At each u in (0, 1), the head takes Phi(u) log^p u; the tail over
     (1, inf) takes t = 1/u (the two form _phi_moment_rows), and the tail
@@ -183,23 +180,22 @@ def _phi_moments(X: float) -> np.ndarray:
     (floored at _S_MIN), each with _phi_tail_of_w's product over its own s.
     Every singularity of the three sits at u = 0 (Phi's branch points
     t = 2ik accumulate at t = inf), so every X converges at level 5; one W
-    call per integrand call serves all three (two at X = inf).  Each row is
-    summed on its own, so each keeps the bits of its integral taken alone.
-    As X -> inf the rows tend to gamma0 and gamma1."""
-    a = 1.0 / X                         # 0 at X = inf, whose (X, inf) tail is empty
+    call per integrand call serves all three.  Each row is summed on its
+    own, so each keeps the bits of its integral taken alone.  As X -> inf
+    the rows tend to gamma0 and gamma1."""
+    a = 1.0 / X
 
     def integrand(u: np.ndarray) -> np.ndarray:
         s = np.maximum(a * u, _S_MIN)
         n = len(u)
-        W = _w(np.concatenate([u, 1.0 / u, 1.0 / s] if a else [u, 1.0 / u]))
+        W = _w(np.concatenate([u, 1.0 / u, 1.0 / s]))
         rows = _phi_moment_rows(u, W[:2 * n])
-        if a:
-            far = a * _phi_tail_of_w(W[2 * n:]) / s
-            rows[0] -= far
-            rows[1] += far * np.log(s)
+        far = a * _phi_tail_of_w(W[2 * n:]) / s
+        rows[0] -= far
+        rows[1] += far * np.log(s)
         return rows
 
-    value, _ = _tanh_sinh(integrand, 0.0, 1.0)
+    value, _ = _tanh_sinh(integrand)
     return value
 
 
@@ -248,5 +244,5 @@ def phi_prime_polylog_integral(n: Sequence[int]) -> list[float]:
         t = -np.log1p(-s)
         return _phi_prime_polylog_rows(s, t, _w_upper_from_offset(t), orders)
 
-    values, _ = _tanh_sinh(integrand, 0.0, 1.0)
+    values, _ = _tanh_sinh(integrand)
     return [float(v) for v in values]

@@ -36,8 +36,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .asymptotics import GAMMA0, GAMMA1, GAMMA2_TILDE, INTEGRAL4, _outer_subtracted
-from .capacitor2d import (_orders, _phi_moment_rows, _phi_moments, _phi_prime_of_w,
-                          _phi_prime_polylog_rows, phi_prime_polylog_integral)
+from .capacitor2d import (_orders, _phi_moment_rows, _phi_prime_of_w, _phi_prime_polylog_rows,
+                          phi_prime_polylog_integral)
 from .errors import DomainError, _check_int
 from .quadrature import _tanh_sinh
 from .specfun import _dk_vec, _w_upper_from_offset
@@ -156,7 +156,7 @@ def residue_identity(k: Sequence[int]) -> list[ConjectureReport]:
 
     def alone() -> np.ndarray:
         return _tanh_sinh(lambda s: _residue_rows(s, _w_upper_from_offset(-np.log1p(-s)),
-                                                  orders), 0.0, 1.0)[0]
+                                                  orders))[0]
 
     values = _group_values("residue", alone, orders)
     return [_report(f"residue_k{j}", -(j / _PI) * float(value),
@@ -170,8 +170,12 @@ def residue_identity(k: Sequence[int]) -> list[ConjectureReport]:
 # ----------------------------------------------------------------------
 
 def _subtracted_moments() -> Sequence[float]:
-    """gamma0 and gamma1: the two Phi moments over the whole half-line."""
-    return _group_values("phi", lambda: _phi_moments(math.inf))
+    """gamma0 and gamma1: the two Phi moments over the whole half-line, one
+    tanh-sinh integral of _phi_moment_rows on (0, 1)."""
+    def rows(u: np.ndarray) -> np.ndarray:
+        return _phi_moment_rows(u, _w_upper_from_offset(_PI * np.concatenate([u, 1.0 / u])))
+
+    return _group_values("phi", lambda: _tanh_sinh(rows)[0])
 
 
 def verify_gamma0() -> ConjectureReport:
@@ -205,7 +209,7 @@ def _unit_integrals() -> tuple[float, float]:
     """integral4, (2/pi) int_0^1 { 2 (1/r - r) (dK/dr)^2 - 1/(1-r) } dr, and
     the integral of the subtracted outer integrand over s in (0, 1), the two
     rows of one tanh-sinh integral on (0, 1)."""
-    integral4, outer = _group_values("unit", lambda: _tanh_sinh(_unit_rows, 0.0, 1.0)[0])
+    integral4, outer = _group_values("unit", lambda: _tanh_sinh(_unit_rows)[0])
     return (2.0 / _PI) * float(integral4), float(outer)
 
 
@@ -275,7 +279,7 @@ def _group_values(group: str, alone: Callable[[], Sequence[float]],
     if values is None or orders not in (None, _SUITE_ORDERS):
         return alone()
     if not values:
-        values["suite"], _ = _tanh_sinh(_suite_rows, 0.0, 1.0)
+        values["suite"], _ = _tanh_sinh(_suite_rows)
     return values["suite"][_SUITE_ROWS[group]]
 
 

@@ -7,19 +7,19 @@ either one value per abscissa or an (m, len(x)) array, one row for each of m
 integrals sharing those abscissae; the engine then returns m values, and
 whatever the rows have in common is evaluated once per abscissa.
 
-Every identity integral of the suite is one tanh-sinh integral on (0, 1),
-its half-line mapped there by its caller.  Every abscissa is evaluated once,
-and calls are few: tanh-sinh passes the nodes of its levels 0-5 in one call
-and each later level in a call of its own, and a panel sum makes one call.
-After each call one array test over every level seen decides convergence,
-first at level 5; every identity of the suite converges there, so each of
-its integrals calls its integrand once.  Sums are formed per level and per
-panel from their own values, so results keep their bits provided a value
-depends on its own abscissa alone, as every integrand here does.  The nodes
-of each tanh-sinh level on the unit interval are built once, as read-only
-tables, and so are their abscissae and weights on each interval an integral
-asks for (a bounded cache).  No package code calls the panel sum; it is an
-independent second rule for checking tanh-sinh integrals.
+Tanh-sinh integrates on (0, 1) only, and each caller maps its interval or
+half-line there; every identity integral of the suite is one tanh-sinh
+integral.  Every abscissa is evaluated once, and calls are few: tanh-sinh
+passes the nodes of its levels 0-5 in one call and each later level in a
+call of its own, and a panel sum makes one call.  After each call one
+array test over every level seen decides convergence, first at level 5;
+every identity of the suite converges there, so each of its integrals
+calls its integrand once.  Sums are formed per level and per panel from
+their own values, so results keep their bits provided a value depends on
+its own abscissa alone, as every integrand here does.  The abscissae and
+weights of each tanh-sinh level are built once, as read-only tables.  No
+package code calls the panel sum; it is an independent second rule for
+checking tanh-sinh integrals.
 """
 
 from __future__ import annotations
@@ -158,10 +158,12 @@ _TS_FIRST_CALL = 5
 
 
 @functools.lru_cache(maxsize=None)
-def _ts_unit_level(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only tables of the nodes tanh-sinh level `level` adds near each
-    end of the unit interval: their distances s from the endpoint and their
-    weights, the midpoint of level 0 left out."""
+def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only abscissae and weights that tanh-sinh level `level` adds on
+    (0, 1): the midpoint (level 0 only), then the new nodes near 0, at their
+    distances s from it, then those near 1, at 1 - s.  A node whose weight
+    underflows is left out, and so is a node near 1 whose 1 - s rounds to
+    1; no node near 0 is, since a positive weight has a positive s."""
     h = 0.5 ** level
     k = np.arange(1, int(math.floor(_TS_TMAX / h)) + 1)
     if level:
@@ -172,42 +174,27 @@ def _ts_unit_level(level: int) -> tuple[np.ndarray, np.ndarray]:
     s = q / (1.0 + q)                       # distance from the endpoint
     w = 2.0 * _PI * np.cosh(t) * q / (1.0 + q) ** 2
     keep = w > 0.0
-    tables = (s[keep], w[keep])
+    s, w = s[keep], w[keep]
+    right = 1.0 - s < 1.0
+    x0, w0 = ([0.5], [0.5 * _PI]) if level == 0 else ([], [])
+    tables = (np.concatenate([x0, s, 1.0 - s[right]]),
+              np.concatenate([w0, w, w[right]]))
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-@functools.lru_cache(maxsize=64)
-def _ts_level(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only abscissae and weights that tanh-sinh level `level` adds on
-    (a, b): the midpoint (level 0 only), then the new nodes near a, then
-    those near b.  Built once per interval and level; the cache is bounded,
-    as callers may pass any interval."""
-    s, w = _ts_unit_level(level)
-    width = b - a
-    xl = a + width * s
-    xr = b - width * s
-    lok, rok = xl > a, xr < b
-    x0, w0 = ([a + 0.5 * width], [0.5 * _PI]) if level == 0 else ([], [])
-    tables = (np.concatenate([x0, xl[lok], xr[rok]]),
-              np.concatenate([w0, w[lok], w[rok]]))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray]
+               ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Double-exponential quadrature on (0, 1).
 
-
-def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
-               b: float) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Double-exponential quadrature on (a, b).
-
-    Nodes near the endpoints are generated as exact distances s from a or b
+    Nodes near the endpoints are generated as exact distances s from 0 or 1
     (s = e^{-2u}/(1 + e^{-2u}) with u = (pi/2) sinh t), so integrands with
     integrable endpoint singularities receive cancellation-free abscissae.
-    Nodes whose position rounds onto an endpoint are dropped; their weights
-    are below double precision for any integrable singularity.  The first
-    call of f holds the nodes of levels 0-5, level after level (level 0
-    also takes the midpoint); from level 6 on, each level calls f once.
+    A node whose 1 - s rounds to 1 is dropped; its weight is below double
+    precision for any integrable singularity.  The first call of f holds
+    the nodes of levels 0-5, level after level (level 0 also takes the
+    midpoint); from level 6 on, each level calls f once.
     Every level's nodes sit near both endpoints, and its weighted sum is
     formed from its own values, so the batching moves no bit as long as a
     value of f depends on its own abscissa alone.
@@ -222,17 +209,14 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
     ConvergenceError, carrying the last value and change of the first row
     that missed, if level 12 gets there first.
     """
-    width = b - a
     ndim = 1
 
     def level_sums(levels: Iterable[int]) -> list:
         """Each level's weighted sums of f's rows, from one call of f on the
         nodes of all the levels."""
         nonlocal ndim
-        nodes = [_ts_level(a, b, level) for level in levels]
+        nodes = [_ts_level(level) for level in levels]
         x = np.concatenate([xj for xj, _ in nodes])
-        if not len(x):                  # every node rounded onto an endpoint
-            return [np.zeros_like(sums[0])] * len(nodes)
         fx = np.asarray(f(x))
         ndim = fx.ndim
         rows = fx.reshape(-1, len(x))
@@ -240,10 +224,10 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
         return [np.array([np.dot(wj, row[end - len(wj):end]) for row in rows])
                 for (_, wj), end in zip(nodes, ends)]
 
-    sums = level_sums(range(_TS_FIRST_CALL + 1))    # never empty: level 0 holds the midpoint
+    sums = level_sums(range(_TS_FIRST_CALL + 1))
     while True:
         h = 0.5 ** np.arange(len(sums))
-        values = (0.5 * width * h)[:, None] * np.add.accumulate(sums)
+        values = (0.5 * h)[:, None] * np.add.accumulate(sums)
         steps = np.abs(np.diff(values, axis=0))     # steps[l - 1]: level l's change
         scale = np.maximum(1.0, np.abs(values))
         tol = _TOL * scale[_TS_FIRST_CALL:]
@@ -260,7 +244,7 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
             row = int(np.flatnonzero(~converged)[0])
             where = "" if ndim == 1 else f", row {row}"
             raise ConvergenceError(
-                f"tanh-sinh on ({a:g}, {b:g}){where} missed tolerance {_TOL:g} "
+                f"tanh-sinh on (0, 1){where} missed tolerance {_TOL:g} "
                 f"at level {_TS_MAX_LEVEL}", float(values[-1, row]), float(steps[-1, row]))
         sums += level_sums([len(sums)])
 

@@ -7,7 +7,7 @@ from scipy.integrate import dblquad
 
 import lovelab as ll
 from lovelab.asymptotics import _eps_bracket_from_constants, _k2_sum, _modulus, _outer_subtracted
-from lovelab.capacitor2d import _phi
+from lovelab.capacitor2d import _phi_of_w, _w
 from lovelab import asymptotics, capacitor2d
 from lovelab.errors import ConvergenceError, DomainError, WindowError
 from lovelab.quadrature import _panel_sum, _tanh_sinh
@@ -396,20 +396,26 @@ def test_k2_truncation_stability():
 
 
 def test_k2_capped_sum_matches_adaptive_for_decaying_tail():
+    # the scaled Bessel factors leave e^{-n x}, taken from x = pi (r - 1)/eps
     r, eps = 1.5, 0.01
     n = np.arange(1, 5001, dtype=float)
     a = n * PI / eps
     b = n * PI * r / eps
-    brute = float(np.sum((1.0 / n) * _i2e(a) * _k1e(b) * np.exp(a - b)))
-    assert _k2_sum(r, eps) == pytest.approx(brute, rel=1e-14)
+    x = PI * (r - 1.0) / eps
+    brute = float(np.sum((1.0 / n) * _i2e(a) * _k1e(b) * np.exp(-n * x)))
+    # the sum is 7.8e-72: approx's default absolute tolerance would pass anything
+    assert _k2_sum(r, eps) == pytest.approx(brute, rel=1e-14, abs=0.0)
 
 
 def test_k2_at_the_edge_against_mpmath(monkeypatch):
     # at r = 1 the terms of k2's Bessel sum fall only like 1/n^2: past its
     # first _TAIL_FROM terms the sum is the large-argument tail, so it
-    # evaluates no more Bessel terms than that, and keeps its digits.  The
-    # oracle sums 60 terms at 40 digits and takes the rest from 14 powers of
-    # the same expansion through mpmath's Hurwitz zeta and Lerch phi
+    # evaluates no more Bessel terms than that, and keeps its digits.  Near
+    # r = 1 at small eps, the direct terms keep theirs too: e^{-n x} is
+    # taken from x = pi (r - 1)/eps, where e^{a - b} from the rounded a and
+    # b missed by 2e-13 at eps = 1e-3.  The oracle sums 60 terms at 40
+    # digits and takes the rest from 14 powers of the same expansion
+    # through mpmath's Hurwitz zeta and Lerch phi
     mpmath = pytest.importorskip("mpmath")
     evaluated = []
 
@@ -436,13 +442,15 @@ def test_k2_at_the_edge_against_mpmath(monkeypatch):
             for k in range(powers))
         return -(2 / mpmath.pi) * r * (head + tail / (2 * mpmath.sqrt(a * b)))
 
-    for r in (1.0, 1.0 + 1e-9):
+    for r, eps, bound in ((1.0, 0.1, 1e-13), (1.0 + 1e-9, 0.1, 1e-13),
+                          (1.0 + 1e-9, 1e-3, 1e-14), (1.0 + 1e-6, 1e-3, 1e-14),
+                          (1.0 + 1e-4, 1e-3, 1e-14), (1.5, 0.01, 1e-14)):
         evaluated.clear()
-        value = ll.kernel_k("k2", r, 0.1)
+        value = ll.kernel_k("k2", r, eps)
         assert sum(evaluated) <= asymptotics._TAIL_FROM
         with mpmath.workdps(40):
-            want = oracle(mpmath.mpf(r), mpmath.mpf(0.1))
-        assert abs(value - want) <= 1e-13 * abs(want), r
+            want = oracle(mpmath.mpf(r), mpmath.mpf(eps))
+        assert abs(value - want) <= bound * abs(want), (r, eps)
 
 
 def test_kernel_guards():
@@ -520,10 +528,10 @@ def test_j_split_inner_against_one_integral(eps, delta):
     edges = np.exp(np.linspace(0.0, math.log(cutoff), n + 1))
 
     def inner(x):
-        return _phi(x) * (0.5 * np.log(x * eps / 8.0) + 2.0)
+        return _phi_of_w(_w(x)) * (0.5 * np.log(x * eps / 8.0) + 2.0)
 
     j1, _ = ll.j_split(eps, delta)
-    head, _ = _tanh_sinh(inner, 0.0, 1.0)
+    head, _ = _tanh_sinh(inner)
     assert j1 == pytest.approx(eps * (head + _panel_sum(inner, edges)), rel=1e-14, abs=0.0)
 
 

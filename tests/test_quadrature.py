@@ -7,7 +7,7 @@ import lovelab as ll
 from lovelab import quadrature
 from lovelab.errors import ConditioningError, ConvergenceError, DomainError
 from lovelab.quadrature import (_TOL, _TS_FIRST_CALL, _TS_MAX_LEVEL, _TS_TMAX, _panel_sum,
-                                _tanh_sinh, _ts_level, _ts_unit_level)
+                                _tanh_sinh, _ts_level)
 
 PI = math.pi
 
@@ -84,7 +84,7 @@ def test_rule_size_guards():
 # ----------------------------------------------------------------------
 
 def test_polynomial_both_schemes():
-    value, est = _tanh_sinh(lambda x: x * x, 0.0, 1.0)
+    value, est = _tanh_sinh(lambda x: x * x)
     assert value == pytest.approx(1.0 / 3.0, abs=1e-13)
     assert est < 1e-13
     value = _panel_sum(lambda x: x * x, [0.0, 0.5, 1.0, 2.0])
@@ -92,32 +92,33 @@ def test_polynomial_both_schemes():
 
 
 def test_tanh_sinh_inverse_sqrt_singularity():
-    value, _ = _tanh_sinh(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
+    value, _ = _tanh_sinh(lambda x: 1.0 / np.sqrt(x))
     assert value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_log_endpoint_singularity():
     # antiderivative (1-x) log(1-x) - (1-x)  =>  integral is exactly 1
-    value, _ = _tanh_sinh(lambda x: np.log(1.0 / (1.0 - x)), 0.0, 1.0)
+    value, _ = _tanh_sinh(lambda x: np.log(1.0 / (1.0 - x)))
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_scheme_cross_check_smooth():
+    # on (0, 2), mapped onto (0, 1) by x = 2 u
     f = lambda x: np.exp(-x * x) * np.cos(3.0 * x)
-    a, _ = _tanh_sinh(f, 0.0, 2.0)
+    a, _ = _tanh_sinh(lambda u: 2.0 * f(2.0 * u))
     b = _panel_sum(f, np.linspace(0.0, 2.0, 5))
     assert a == pytest.approx(b, abs=1e-13)
 
 
-def level_by_level_tanh_sinh(f, a, b, first=_TS_FIRST_CALL):
-    """The nested tanh-sinh rule with one integrand call per level, in the
-    plainest form: the oracle whose (value, error) bits, and whose
-    ConvergenceError, the batched _tanh_sinh must reproduce.  Level j adds
-    the nodes t = k 2^-j for odd k (every k at level 0, plus the midpoint),
-    and convergence is tested from level `first` on (5, as in _tanh_sinh;
-    one more takes an integral that converges at 5 through level 6).
-    Returns the abscissae of each level along with the result."""
-    width = b - a
+def level_by_level_tanh_sinh(f, first=_TS_FIRST_CALL):
+    """The nested tanh-sinh rule on (0, 1) with one integrand call per
+    level, in the plainest form: the oracle whose (value, error) bits, and
+    whose ConvergenceError, the batched _tanh_sinh must reproduce.  Level j
+    adds the nodes t = k 2^-j for odd k (every k at level 0, plus the
+    midpoint), at s and 1 - s, each kept if it lies inside (0, 1), and
+    convergence is tested from level `first` on (5, as in _tanh_sinh; one
+    more takes an integral that converges at 5 through level 6).  Returns
+    the abscissae of each level along with the result."""
     xs, history = [], []
     raw = ndim = done = best = error = value = None
     for level in range(_TS_MAX_LEVEL + 1):
@@ -130,18 +131,16 @@ def level_by_level_tanh_sinh(f, a, b, first=_TS_FIRST_CALL):
         s = q / (1.0 + q)
         w = 2.0 * PI * np.cosh(t) * q / (1.0 + q) ** 2
         s, w = s[w > 0.0], w[w > 0.0]
-        xl, xr = a + width * s, b - width * s
-        lok, rok = xl > a, xr < b
-        x = np.concatenate([[a + 0.5 * width] if level == 0 else [], xl[lok], xr[rok]])
+        xl, xr = s, 1.0 - s
+        lok, rok = xl > 0.0, xr < 1.0
+        x = np.concatenate([[0.5] if level == 0 else [], xl[lok], xr[rok]])
         w = np.concatenate([[0.5 * PI] if level == 0 else [], w[lok], w[rok]])
         xs.append(x)
-        part = 0.0
-        if len(x):
-            fx = np.asarray(f(x))
-            ndim = fx.ndim
-            part = np.array([np.dot(w, row) for row in fx.reshape(-1, len(x))])
+        fx = np.asarray(f(x))
+        ndim = fx.ndim
+        part = np.array([np.dot(w, row) for row in fx.reshape(-1, len(x))])
         raw = part if raw is None else raw + part
-        value = 0.5 * width * h * raw
+        value = 0.5 * h * raw
         history.append(value)
         if level == 0:
             best, error = value.copy(), np.zeros_like(value)
@@ -180,22 +179,24 @@ def test_one_integrand_call_per_panel_set_and_per_level():
     # abscissae arrive panel after panel, in edge order
     assert np.all(np.diff(calls[0]) > 0.0)
 
+    # 1/x on (1, 3), mapped onto (0, 1) by x = 1 + 2 u
+    mapped = lambda u: 2.0 / (1.0 + 2.0 * u)
     calls.clear()
-    value, _ = _tanh_sinh(f, 1.0, 3.0)
+    value, _ = _tanh_sinh(recorded(mapped))
     assert value == pytest.approx(math.log(3.0), abs=1e-13)
-    _, levels = level_by_level_tanh_sinh(lambda x: 1.0 / x, 1.0, 3.0)
+    _, levels = level_by_level_tanh_sinh(mapped)
     # the first call holds levels 0-5, with nodes near both endpoints: 1/x
     # converges at level 5, so it makes no other call
     assert len(levels) == _TS_FIRST_CALL + 1 and len(calls) == 1
     assert calls[0].tolist() == np.concatenate(levels).tolist()
-    assert calls[0].min() < 1.0 + 1e-4 and calls[0].max() > 3.0 - 1e-4
+    assert calls[0].min() < 1e-4 and calls[0].max() > 1.0 - 1e-4
 
     # the narrow Lorentzian converges at level 8: each level after the
     # first call holds one call; no abscissa is evaluated twice
     lorentzian = ROWS[3]
     calls.clear()
-    got = _tanh_sinh(recorded(lorentzian), 0.0, 1.0)
-    want, levels = level_by_level_tanh_sinh(lorentzian, 0.0, 1.0)
+    got = _tanh_sinh(recorded(lorentzian))
+    want, levels = level_by_level_tanh_sinh(lorentzian)
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert len(levels) == 9 and len(calls) == len(levels) - _TS_FIRST_CALL
     assert calls[0].tolist() == np.concatenate(levels[:_TS_FIRST_CALL + 1]).tolist()
@@ -205,20 +206,15 @@ def test_one_integrand_call_per_panel_set_and_per_level():
 
 
 def test_level_tables_are_read_only():
+    # built once per level, every abscissa inside (0, 1) with a positive weight
     for level in range(_TS_MAX_LEVEL + 1):
-        for table in _ts_unit_level(level):
+        x, w = _ts_level(level)
+        assert np.all((x > 0.0) & (x < 1.0)) and np.all(w > 0.0)
+        for table in (x, w):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0.5
-    assert _ts_unit_level(4) is _ts_unit_level(4)
-
-
-def test_mapped_level_tables_are_built_once_and_read_only():
-    # each interval's level tables are shared by every integral on it
-    for level in range(_TS_MAX_LEVEL + 1):
-        for table in _ts_level(0.0, 1.0, level):
-            assert not table.flags.writeable
-    assert _ts_level(0.5, 3.0, 2) is _ts_level(0.5, 3.0, 2)
+    assert _ts_level(4) is _ts_level(4)
 
 
 @pytest.mark.parametrize("f, best", [
@@ -227,7 +223,7 @@ def test_mapped_level_tables_are_built_once_and_read_only():
 ])
 def test_tanh_sinh_raises_at_level_cap(f, best):
     with pytest.raises(ConvergenceError) as info:
-        _tanh_sinh(f, 0.0, 1.0)
+        _tanh_sinh(f)
     assert info.value.estimate > 1e-13
     if best is not None:
         assert info.value.best == pytest.approx(best, abs=1e-3)
@@ -245,10 +241,10 @@ def stacked(x):
 def test_vector_integrand_rows_equal_scalar_calls_bit_for_bit():
     # each row keeps the value of the level at which it converged; refined
     # on to the Lorentzian's level, x^2 would move in its last bit
-    values, errors = _tanh_sinh(stacked, 0.0, 1.0)
+    values, errors = _tanh_sinh(stacked)
     assert values.shape == errors.shape == (4,)
     for f, value, error in zip(ROWS, values, errors):
-        assert (value, error) == _tanh_sinh(f, 0.0, 1.0)
+        assert (value, error) == _tanh_sinh(f)
     edges = [0.5, 0.75, 0.9, 0.99]
     values = _panel_sum(stacked, edges)
     assert values.tolist() == [_panel_sum(f, edges) for f in ROWS]
@@ -256,23 +252,24 @@ def test_vector_integrand_rows_equal_scalar_calls_bit_for_bit():
 
 def test_batched_levels_match_the_level_by_level_oracle_bit_for_bit():
     for f in [stacked, *ROWS]:
-        (value, error), _ = level_by_level_tanh_sinh(f, 0.0, 1.0)
-        got_value, got_error = _tanh_sinh(f, 0.0, 1.0)
+        (value, error), _ = level_by_level_tanh_sinh(f)
+        got_value, got_error = _tanh_sinh(f)
         assert np.asarray(got_value).tobytes() == np.asarray(value).tobytes()
         assert np.asarray(got_error).tobytes() == np.asarray(error).tobytes()
 
 
 def test_rows_that_meet_the_tolerance_early_keep_their_level_five_value():
-    # a constant and x^3 on (-1, 1) change by less than the tolerance from
-    # level 3 on: the first test, at level 5, keeps level 5's value, and
-    # the integrand is called once
-    for f in (np.ones_like, lambda x: x ** 3):
+    # a constant and x^3 on (-1, 1), mapped onto (0, 1) by x = 2 u - 1,
+    # change by less than the tolerance from level 3 on: the first test, at
+    # level 5, keeps level 5's value, and the integrand is called once
+    constant = lambda u: np.full_like(u, 2.0)
+    for f in (constant, lambda u: 2.0 * (2.0 * u - 1.0) ** 3):
         calls = []
-        got = _tanh_sinh(lambda x: calls.append(x) or f(x), -1.0, 1.0)
-        want, levels = level_by_level_tanh_sinh(f, -1.0, 1.0)
+        got = _tanh_sinh(lambda x: calls.append(x) or f(x))
+        want, levels = level_by_level_tanh_sinh(f)
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert len(levels) == _TS_FIRST_CALL + 1 and len(calls) == 1
-    assert _tanh_sinh(np.ones_like, -1.0, 1.0)[0] == pytest.approx(2.0, rel=2e-16, abs=0.0)
+    assert _tanh_sinh(constant)[0] == pytest.approx(2.0, rel=2e-16, abs=0.0)
 
 
 @pytest.mark.parametrize("f", [
@@ -282,9 +279,9 @@ def test_rows_that_meet_the_tolerance_early_keep_their_level_five_value():
 ])
 def test_level_cap_error_matches_the_level_by_level_oracle(f):
     with pytest.raises(ConvergenceError) as want:
-        level_by_level_tanh_sinh(f, 0.0, 1.0)
+        level_by_level_tanh_sinh(f)
     with pytest.raises(ConvergenceError) as got:
-        _tanh_sinh(f, 0.0, 1.0)
+        _tanh_sinh(f)
     assert (got.value.best, got.value.estimate) == (want.value.best, want.value.estimate)
 
 
@@ -292,8 +289,8 @@ def test_vector_tanh_sinh_raises_when_one_row_diverges():
     def f(x):
         return np.array([x * x, 1.0 / x])
 
-    with pytest.raises(ConvergenceError, match="row 1") as info:
-        _tanh_sinh(f, 0.0, 1.0)
+    with pytest.raises(ConvergenceError, match=r"on \(0, 1\), row 1") as info:
+        _tanh_sinh(f)
     assert info.value.estimate > 1e-13
 
 

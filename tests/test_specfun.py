@@ -337,7 +337,7 @@ def test_upper_cut_offset_form_is_batch_independent():
 # head on (0, 1) (levels 0-5, its first call, down to ~1e-275 from either
 # end), and a set reaching every other branch, with points one ulp either side
 # of each switch
-_HEAD = np.concatenate([quadrature._ts_level(0.0, 1.0, j)[0]
+_HEAD = np.concatenate([quadrature._ts_level(j)[0]
                         for j in range(quadrature._TS_FIRST_CALL + 1)])
 _UNIT = np.concatenate([
     np.geomspace(1e-12, 1e-2, 30), np.linspace(0.01, 0.99, 50),
@@ -349,7 +349,8 @@ _POLYLOG_T = np.concatenate([
 
 
 @pytest.mark.parametrize("func, first, second", [
-    (capacitor2d._phi, _HEAD, np.concatenate([_UNIT, np.geomspace(1.0, 1e18, 40)])),
+    (lambda x: capacitor2d._phi_of_w(capacitor2d._w(x)), _HEAD,
+     np.concatenate([_UNIT, np.geomspace(1.0, 1e18, 40)])),
     (lambda x: capacitor2d._phi_prime_of_w(capacitor2d._w(x)), _HEAD,
      np.concatenate([_UNIT, np.geomspace(1.0, 1e18, 40)])),
     (lambda t: capacitor2d._phi_tail_of_w(capacitor2d._w(t)), 1.0 / _HEAD,
