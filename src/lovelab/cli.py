@@ -5,15 +5,19 @@ Output is deterministic and machine readable (CSV or JSON, every numeric
 cell printed with 17 significant digits).  Every command runs its solves
 and reports in order, in the calling thread.
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
+
+Importing this module loads the solver alone; each command imports the
+other modules it runs (the asymptotics, the identity suite, json) when it
+runs, so a `solve` process never loads them.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
-import json
 import math
 import os
 import sys
@@ -21,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import asymptotics, conjectures, love
+from . import love
 from .errors import LoveLabError
 
 # epsilon_of_gamma truncates its series, so a solve aimed at gamma lands
@@ -44,6 +48,8 @@ def _fmt(value) -> str:
 
 def _json_cell(value) -> str:
     """One JSON value: finite floats as 17-digit cells, other floats null."""
+    import json
+
     if isinstance(value, float):
         return _fmt(value) if math.isfinite(value) else "null"
     if value is None or isinstance(value, (str, bool)):
@@ -62,6 +68,8 @@ def _write_rows(columns: Sequence[str], rows: Iterable[dict], fmt: str,
         writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
         text = buffer.getvalue()
     else:
+        import json
+
         body = []
         for row in rows:
             cells = [f"{json.dumps(c)}: {_json_cell(row.get(c))}" for c in columns]
@@ -180,6 +188,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import asymptotics
+
     def cells(sol: love.LoveSolution) -> dict:
         kappa = sol.problem.kappa
         c = love.observables(sol).capacitance
@@ -198,6 +208,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_fit_weak(args: argparse.Namespace) -> int:
+    from . import asymptotics
+
     try:
         gmin = _resolve(args, "gamma_min", 2e-3, float)
         gmax = _resolve(args, "gamma_max", 5e-2, float)
@@ -247,6 +259,8 @@ def cmd_fit_weak(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import conjectures
+
     which = _resolve(args, "which", "all", str)
     suite = conjectures.SUITE
     if which != "all" and which not in suite:
@@ -342,6 +356,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not os.path.isdir(directory) or not os.access(directory, os.W_OK):
             return _usage_error(f"cannot write the table: {directory!r} is not "
                                 f"a writable directory")
+        if os.path.isdir(args.output):
+            # the message open() would give, before any work
+            exc = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
+            return _usage_error(f"cannot write the table: {exc}")
     try:
         return args.func(args)
     except LoveLabError as exc:

@@ -25,20 +25,20 @@ def test_energy_series_values():
     assert ll.energy_series("takahashi", 0.0) == 0.0
     g = 0.37
     diff = ll.energy_series("takahashi", g) - ll.energy_series("bogoliubov", g)
-    assert diff == pytest.approx(ll.ENERGY_GAMMA2 * g * g, rel=1e-14)
+    assert diff == pytest.approx(ll.ENERGY_GAMMA2 * g * g, rel=1e-14, abs=0)
     gap = ll.energy_series("takahashi", 0.01) - ll.energy_series("kaminaka_wadati", 0.01)
-    assert gap == pytest.approx((1.0 / 6.0 - 1.0 / 8.0) * 1e-4, rel=1e-12)
-    assert gap == pytest.approx(4.1667e-6, rel=1e-4)
+    assert gap == pytest.approx((1.0 / 6.0 - 1.0 / 8.0) * 1e-4, rel=1e-12, abs=0)
+    assert gap == pytest.approx(4.1667e-6, rel=1e-4, abs=0)
 
 
 def test_capacitance_series_values():
     kappa = 0.1
     kirchhoff = ll.capacitance_series("kirchhoff", kappa)
     expected = 2.5 + math.log(10.0) / (4 * PI) + (math.log(16 * PI) - 1.0) / (4 * PI)
-    assert kirchhoff == pytest.approx(expected, rel=1e-15)
+    assert kirchhoff == pytest.approx(expected, rel=1e-15, abs=0)
     extended = ll.capacitance_series("extended", kappa)
     assert extended - kirchhoff == pytest.approx(
-        kappa / (16 * PI ** 2) * (math.log(kappa / (16 * PI)) ** 2 - 2.0), rel=1e-13)
+        kappa / (16 * PI ** 2) * (math.log(kappa / (16 * PI)) ** 2 - 2.0), rel=1e-13, abs=0)
 
 
 def test_capacitance_series_vs_solver():
@@ -77,14 +77,14 @@ def test_expansions_reject_arguments_past_their_window():
 
 def test_epsilon_leading_order():
     for g in (1e-8, 1e-10):
-        assert ll.epsilon_of_gamma(g) / math.sqrt(g) == pytest.approx(0.25, rel=1e-3)
+        assert ll.epsilon_of_gamma(g) / math.sqrt(g) == pytest.approx(0.25, rel=1e-3, abs=0)
 
 
 def test_epsilon_a5_coefficient():
     L = math.log(32.0 * PI)
     a5 = (1.0 - 4.0 * L + 2.0 * L * L) / (128.0 * PI ** 2)
     series = ll.epsilon_series()
-    assert series.coefficient(Fraction(3, 2), 0) == pytest.approx(a5, rel=1e-15)
+    assert series.coefficient(Fraction(3, 2), 0) == pytest.approx(a5, rel=1e-15, abs=0)
 
 
 def test_epsilon_round_trip():
@@ -103,7 +103,7 @@ def test_epsilon_round_trip():
 def test_epsilon_series_evaluation_matches_closed_form():
     series = ll.epsilon_series()
     for g in (1e-3, 1e-2):
-        assert series.evaluate(g) == pytest.approx(ll.epsilon_of_gamma(g), rel=1e-14)
+        assert series.evaluate(g) == pytest.approx(ll.epsilon_of_gamma(g), rel=1e-14, abs=0)
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +120,7 @@ def test_far_field_limits():
         assert ll.far_field(r) == pytest.approx(tail, rel=3e-15 + 1.2 / r ** 4,
                                                 abs=0.0)
     r = 1.0 + 1e-6
-    assert ll.far_field(r) == pytest.approx(1.0 / (PI * (r - 1.0)), rel=1e-3)
+    assert ll.far_field(r) == pytest.approx(1.0 / (PI * (r - 1.0)), rel=1e-3, abs=0)
 
 
 def test_far_field_against_double_integral():
@@ -211,7 +211,7 @@ def test_green_trace_signs_and_leading_term():
     assert g_minus == pytest.approx(-2.5, abs=1e-12)
     # a point next to the axis: Bessel arguments down to 3e-299
     g_minus, _ = ll.green_traces(1e-300, 1.0, 0.1)
-    assert g_minus == pytest.approx(-5e-300, rel=1e-12)
+    assert g_minus == pytest.approx(-5e-300, rel=1e-12, abs=0)
 
 
 def test_green_trace_g_plus_against_mpmath():
@@ -252,7 +252,7 @@ def test_green_trace_g_plus_far_apart_is_finite():
         _, g_plus = ll.green_traces(1.0, rgt, 0.1)
         assert math.isfinite(g_plus) and g_plus <= 0.0, rgt
     _, g_plus = ll.green_traces(1.0, 1e155, 0.1)
-    assert g_plus == pytest.approx(-0.5e-310, rel=1e-3)
+    assert g_plus == pytest.approx(-0.5e-310, rel=1e-3, abs=0)
 
 
 def test_modulus_complement_against_exact_fractions():
@@ -335,7 +335,7 @@ def test_k2_edge_law():
     for x in (1.0, 2.0):
         value = ll.kernel_k("k2", 1.0 + eps * x, eps)
         law = -(eps / PI ** 2) * _polylog_exp_neg([2], PI * x)[0]
-        assert value == pytest.approx(law, rel=5e-3)
+        assert value == pytest.approx(law, rel=5e-3, abs=0)
 
 
 def test_k3_edge_law():
@@ -380,7 +380,7 @@ def test_kernel_full_is_sum_of_parts():
     r, eps = 1.2, 0.02
     full = ll.kernel_k("full", r, eps)
     assert full == pytest.approx(
-        ll.kernel_k("k1", r, eps) + ll.kernel_k("k2", r, eps), rel=1e-14)
+        ll.kernel_k("k1", r, eps) + ll.kernel_k("k2", r, eps), rel=1e-14, abs=0)
 
 
 def test_k2_truncation_stability():
@@ -610,9 +610,9 @@ def test_bracket_forms_agree():
 def test_third_moment_breakdown_consistency():
     b = ll.third_moment_expansion(0.02)
     parts = b.leading + b.constant + b.log2_term + b.log_term + b.order_eps_term
-    assert b.total == pytest.approx(parts, rel=1e-15)
+    assert b.total == pytest.approx(parts, rel=1e-15, abs=0)
     assert b.third_moment == pytest.approx(b.capacitance_c1 - 2.0 * b.total,
-                                           rel=1e-15)
+                                           rel=1e-15, abs=0)
 
 
 def test_third_moment_infinite_plate_trend():

@@ -158,6 +158,71 @@ def test_solver_commands_import_no_scipy():
     assert "scipy.special" in verify[2]
 
 
+# imports no json itself: one line per statement, the modules loaded after it
+LOAD_PROBE = """
+import contextlib, io, sys
+
+steps = []
+for statement in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(statement)
+    steps.append(" ".join(sorted(m for m in sys.modules if m == "lovelab"
+                                 or m.startswith("lovelab.")
+                                 or m in ("decimal", "fractions", "json"))))
+print("\\n".join(steps))
+"""
+
+
+def loaded_modules(*statements):
+    """The modules of LOAD_PROBE's list loaded after each statement, run in
+    order in a fresh interpreter."""
+    return [line.split() for line in run_python(LOAD_PROBE, *statements).decode().splitlines()]
+
+
+SOLVER = ["lovelab", "lovelab.cli", "lovelab.errors", "lovelab.love", "lovelab.quadrature"]
+EXPANSIONS = ["decimal", "fractions", "lovelab.asymptotics", "lovelab.capacitor2d",
+              "lovelab.specfun"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["solve", "--kappa", "0.5"], SOLVER),
+    (["solve", "--kappa", "0.5", "--format", "json"], ["json", *SOLVER]),
+    (["fit-weak"], sorted(SOLVER + EXPANSIONS)),
+    (["compare-asymptotics", "--kappa", "0.05"], sorted(SOLVER + EXPANSIONS)),
+    (["verify", "--which", "all"], sorted(SOLVER + EXPANSIONS + ["lovelab.conjectures"])),
+])
+def test_each_command_loads_only_its_own_modules(argv, loaded):
+    # in a fresh interpreter: `import lovelab` loads no submodule, and
+    # `import lovelab.cli` only the solver, all that `solve` runs
+    *imports, run = loaded_modules("import lovelab", "import lovelab.cli",
+                                   f"assert lovelab.cli.main({argv!r}) == 0")
+    assert imports == [["lovelab"], SOLVER]
+    if argv[0] == "verify":             # scipy.special imports json itself
+        run = [m for m in run if m != "json"]
+    assert run == loaded
+
+
+STAR_PROBE = """
+from lovelab import *
+star = sorted(name for name in globals() if not name.startswith("_"))
+import lovelab as _lovelab
+print(len(star), star == sorted(name for name in dir(_lovelab) if not name.startswith("_")))
+"""
+
+
+def test_star_import_gives_the_public_names():
+    # the names resolved on first use are the names of dir(lovelab), which
+    # test_surface pins
+    assert run_python(STAR_PROBE).split() == [b"64", b"True"]
+
+
+def test_the_identity_suite_loads_no_solver():
+    *_, run = loaded_modules("import lovelab.conjectures", "lovelab.conjectures.run_all()")
+    expected = sorted(EXPANSIONS + ["lovelab", "lovelab.conjectures", "lovelab.errors",
+                                    "lovelab.quadrature"])
+    assert [m for m in run if m != "json"] == expected
+
+
 SEQUENCE_PROBE = """
 import contextlib, io, json, sys
 import lovelab.cli
@@ -255,7 +320,7 @@ def test_json_output(capsys, argv, column, value):
     assert rows[0].get("error") is None
     cell = rows[0][column]
     assert type(cell) is type(value)
-    assert cell == (pytest.approx(value, rel=1e-12) if isinstance(value, float) else value)
+    assert cell == (pytest.approx(value, rel=1e-12, abs=0) if isinstance(value, float) else value)
     _, out = run(capsys, argv)
     assert type(value)(parse_csv(out)[0][column]) == cell
 
@@ -272,6 +337,27 @@ def test_output_onto_a_directory_is_usage_error(tmp_path):
     code, out, err = run_quiet(["solve", "--kappa", "1", "--output", str(tmp_path)])
     assert (code, out) == (2, "")
     assert err == f"error: cannot write the table: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+@pytest.mark.parametrize("argv", [["solve", "--kappa", "0.5"], ["verify", "--which", "all"]])
+def test_output_onto_a_directory_is_refused_before_the_work(capsys, tmp_path, monkeypatch,
+                                                              argv):
+    calls = []
+
+    def counted(function):
+        def call(*args, **kwargs):
+            calls.append(function.__name__)
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(love, "solve_love", counted(love.solve_love))
+    monkeypatch.setattr(conjectures, "run_all", counted(conjectures.run_all))
+    assert main(argv + ["--output", str(tmp_path)]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write the table: [Errno 21] Is a directory: "
+                            f"{str(tmp_path)!r}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -78,7 +78,7 @@ def test_polylog_claim_reports():
     assert r2.digits >= 13
     assert r1.target == -1.0
     assert r1.digits >= 13
-    assert r5.target == pytest.approx(-1631.0 / 4320.0, rel=1e-15)
+    assert r5.target == pytest.approx(-1631.0 / 4320.0, rel=1e-15, abs=0)
     assert r5.target == pytest.approx(-0.377546296, abs=1e-9)
     assert r5.digits >= 13
 
@@ -90,9 +90,9 @@ def test_polylog_claim_reports():
 def test_residue_targets_and_digits():
     reports = ll.residue_identity([1, 2, 3, 4])
     r1, r2 = reports[:2]
-    assert r1.target == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert r1.target == pytest.approx(math.exp(-1.0), rel=1e-15, abs=0)
     assert r1.target == pytest.approx(0.3678794, abs=1e-7)
-    assert r2.target == pytest.approx(4.0 * math.exp(-2.0), rel=1e-15)
+    assert r2.target == pytest.approx(4.0 * math.exp(-2.0), rel=1e-15, abs=0)
     assert r2.target == pytest.approx(0.5413411, abs=1e-7)
     for report in reports:
         assert report.digits >= 13
@@ -346,7 +346,7 @@ def test_gamma0_fit_self_consistency():
 def test_integral4_report():
     report = ll.verify_integral4()
     assert report.target == pytest.approx(-2.0 / PI - PI / 2.0 + 2.0 * math.log(8.0) / PI,
-                                          rel=1e-15)
+                                          rel=1e-15, abs=0)
     assert report.digits >= 13
 
 
@@ -367,7 +367,7 @@ def test_elliptic_routes_reach_fourteen_digits():
 
 
 def test_constants_closed_forms():
-    assert GAMMA0 == pytest.approx((1.0 + math.log(PI)) / PI, rel=1e-15)
+    assert GAMMA0 == pytest.approx((1.0 + math.log(PI)) / PI, rel=1e-15, abs=0)
     assert GAMMA1 == pytest.approx(-0.367647624035, abs=1e-12)
     assert GAMMA2_TILDE == pytest.approx(-0.442303459247, abs=1e-12)
     assert INTEGRAL4 == pytest.approx(-0.883602498247, abs=1e-12)

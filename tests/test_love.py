@@ -633,8 +633,8 @@ def test_moments_weak_kernel_limit():
     v0 = 1.0
     sol = ll.solve_love(ll.LoveProblem(kappa=1e6, v0=v0), n=240)
     m0, m2 = ll.moments(sol)
-    assert m0 == pytest.approx(2.0 * v0, rel=1e-5)
-    assert m2 == pytest.approx(2.0 * v0 / 3.0, rel=1e-5)
+    assert m0 == pytest.approx(2.0 * v0, rel=1e-5, abs=0)
+    assert m2 == pytest.approx(2.0 * v0 / 3.0, rel=1e-5, abs=0)
 
 
 def test_odd_moment_vanishes(gas_solution_k1):
@@ -645,14 +645,14 @@ def test_odd_moment_vanishes(gas_solution_k1):
 
 def test_gamma_capacitance_identity(gas_solution_k1):
     point = ll.observables(gas_solution_k1)
-    assert point.gamma * point.capacitance == pytest.approx(point.kappa, rel=1e-10)
+    assert point.gamma * point.capacitance == pytest.approx(point.kappa, rel=1e-10, abs=0)
 
 
 def test_observables_independent_of_v0():
     a = ll.observables(ll.solve_love(ll.LoveProblem(kappa=0.5)))
     b = ll.observables(ll.solve_love(ll.LoveProblem(kappa=0.5, v0=1.0)))
-    assert a.gamma == pytest.approx(b.gamma, rel=1e-12)
-    assert a.energy == pytest.approx(b.energy, rel=1e-12)
+    assert a.gamma == pytest.approx(b.gamma, rel=1e-12, abs=0)
+    assert a.energy == pytest.approx(b.energy, rel=1e-12, abs=0)
 
 
 def test_energy_via_third_moment_route(gas_solution_k1):
@@ -661,7 +661,7 @@ def test_energy_via_third_moment_route(gas_solution_k1):
     point = ll.observables(sol)
     tm = ll.third_moment_sigma(sol)
     e_sigma = (PI / 2.0) * tm / point.capacitance ** 3
-    assert e_sigma == pytest.approx(point.energy, rel=1e-12)
+    assert e_sigma == pytest.approx(point.energy, rel=1e-12, abs=0)
 
 
 def test_strong_coupling_energy_limit():
@@ -669,7 +669,7 @@ def test_strong_coupling_energy_limit():
     sol = ll.solve_love(ll.LoveProblem(kappa=50.0), n=400)
     point = ll.observables(sol)
     tonks = PI ** 2 / 3.0 * (point.gamma / (point.gamma + 2.0)) ** 2
-    assert point.energy == pytest.approx(tonks, rel=1e-4)
+    assert point.energy == pytest.approx(tonks, rel=1e-4, abs=0)
 
 
 def strong_coupling_series(gamma, terms):
@@ -700,8 +700,8 @@ def test_strong_coupling_series_oracle(kappa, bound):
 def test_free_fermion_limit_value():
     # e -> pi^2/3 itself once kappa is large enough that 4/gamma is le 1e-6
     point = ll.observables(ll.solve_love(ll.LoveProblem(kappa=1e6), n=240))
-    assert point.energy == pytest.approx(PI ** 2 / 3.0, rel=1e-5)
-    assert point.gamma == pytest.approx(PI * 1e6, rel=1e-5)
+    assert point.energy == pytest.approx(PI ** 2 / 3.0, rel=1e-5, abs=0)
+    assert point.gamma == pytest.approx(PI * 1e6, rel=1e-5, abs=0)
 
 
 def test_huge_kappa_reaches_the_free_limit_quietly():
@@ -741,7 +741,7 @@ def test_third_moment_constant_density_limit():
     v0 = 1.0
     sol = ll.solve_love(ll.LoveProblem(kappa=1e6, v0=v0), n=240)
     assert ll.third_moment_sigma(sol) == pytest.approx(
-        2.0 * v0 / (3.0 * PI * PI), rel=1e-5)
+        2.0 * v0 / (3.0 * PI * PI), rel=1e-5, abs=0)
 
 
 def test_third_moment_infinite_plate_trend():
@@ -779,7 +779,7 @@ def test_fit_recovers_synthetic_coefficient():
 
 def test_fit_on_solver_points(weak_coupling_points):
     c2, residual = ll.weak_coupling_fit(weak_coupling_points)
-    assert c2 == pytest.approx(ll.ENERGY_GAMMA2, rel=0.10)
+    assert c2 == pytest.approx(ll.ENERGY_GAMMA2, rel=0.10, abs=0)
     # the rival coefficient must sit far outside the fit's 3 sigma band
     g = np.array([p.gamma for p in weak_coupling_points])
     e = np.array([p.energy for p in weak_coupling_points])
