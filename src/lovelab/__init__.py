@@ -7,7 +7,7 @@ package republishes them all, and its submodules, on first use (PEP 562),
 so ``import lovelab`` loads no submodule and a command loads only the
 modules it runs: ``import lovelab.cli`` and ``solve`` load ``errors``,
 ``quadrature`` and ``love``; ``fit-weak`` and ``compare-asymptotics`` add
-``specfun``, ``capacitor2d`` and ``asymptotics``; ``verify`` adds
+``specfun`` and ``asymptotics``; ``verify`` adds ``capacitor2d`` and
 ``conjectures``.  A name is looked up in the submodules in dependency
 order, each imported until one lists it: so ``lovelab.solve_love`` loads
 ``errors``, ``quadrature`` and ``love``, while ``dir(lovelab)`` and
@@ -18,8 +18,8 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 # each imports only modules before it
-_SUBMODULES = ("errors", "quadrature", "love", "specfun", "capacitor2d",
-               "asymptotics", "conjectures")
+_SUBMODULES = ("errors", "quadrature", "love", "specfun", "asymptotics",
+               "capacitor2d", "conjectures")
 
 
 def _submodule(name):

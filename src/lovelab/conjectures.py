@@ -15,14 +15,15 @@ its rows, built by one row function per group: gamma0 and gamma1 (one
 Lambert-W pass), integral4 and the subtracted outer integrand of gamma2's
 route (b), whose integral4 also serves route (a) (one dK/dk pass), the
 polylog orders (one polylog call) and the residue orders.  The outer
-integrand is far_field's F = (2/pi) s^2 dK/ds times the k3 of kernel_k, so
-route (b) checks those very kernels.  A run_all call takes all 12 rows as
-one tanh-sinh integral, whose integrand makes one W call on the offsets
-pi s, pi / s and -log(1 - s) (the polylog and residue rows share the last)
-and one call each of dK/dk and the polylog; each producer reads its rows
-from it.  No value outlives the call; a producer called on its own
-integrates its own group only.  Every row is summed from its own values,
-so each keeps its bits whichever rows share its integral.
+integrand is the far field F = (2/pi) s^2 dK/ds times k3, so route (b)
+checks the two elliptic primitives, _dk_vec and _k3, directly.  A run_all
+call takes all 12 rows as one tanh-sinh integral, whose integrand makes
+one W call on the offsets pi s, pi / s and -log(1 - s) (the polylog and
+residue rows share the last) and one call each of dK/dk and the polylog;
+each producer reads its rows from it.  No value outlives the call; a
+producer called on its own integrates its own group only.  Every row is
+summed from its own values, so each keeps its bits whichever rows share
+its integral.
 """
 
 from __future__ import annotations
@@ -41,14 +42,13 @@ import numpy as np
 from . import asymptotics, capacitor2d
 from .asymptotics import GAMMA0, GAMMA1, GAMMA2_TILDE, INTEGRAL4
 from .capacitor2d import _orders, _phi_moment_rows, _phi_prime_of_w, _phi_prime_polylog_rows
-from .errors import DomainError, _check_int
+from .errors import DomainError
 from .quadrature import _tanh_sinh
 from .specfun import _dk_vec, _w_upper_from_offset
 
 __all__ = [
     "ConjectureReport",
     "t_transform",
-    "tn_first",
     "verify_polylog_claim",
     "residue_identity",
     "verify_gamma0",
@@ -114,11 +114,6 @@ def _tn_firsts(n: int) -> list[Fraction]:
         seq = t_transform(seq)
         firsts.append(seq[0])
     return firsts
-
-
-def tn_first(n: int) -> Fraction:
-    """First element of T^n applied to the natural numbers, exactly."""
-    return _tn_firsts(_check_int(n, "n", 7))[-1]
 
 
 def verify_polylog_claim(n: Sequence[int]) -> list[ConjectureReport]:

@@ -1,8 +1,7 @@
 """Exception hierarchy shared by all lovelab modules.
 
-An argument a function cannot take, a pole (kernel_k("k3", 1.0), where
-K(1/r) diverges) and a divergent value (Li_1(e^{-t}) at t = 0) included,
-raises DomainError.
+An argument a function cannot take, a divergent value (Li_1(e^{-t}) at
+t = 0) included, raises DomainError.
 """
 
 from __future__ import annotations

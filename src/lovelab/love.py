@@ -19,15 +19,14 @@ The kernel is a Cauchy kernel, k(x - y) = (1/pi) Im 1/(y - x - i kappa),
 so the weights that integrate the panel interpolant of f exactly against
 k(x - y) + k(x + y) (product integration) come from the Legendre moments
 of 1/(u - z) on each panel.  One rows builder, _rows, maps any targets to
-these weights; the system matrix, the defect check, the interpolant and
-the discrete operator norm all use it.  A solve makes one _rows call, on
-its nodes followed by its defect-check midpoints, and slices the system
-rows and the check rows from it; _rows lays its far field out with the
-targets innermost, so its elementwise loops run along the targets, and
-builds its mid and near fields with one BLAS product each, or not at all
-where no panel can hold a pair close enough to need them.  A
-dense solve of (I - W) f = v0 is refined once with the residual of the
-subtracted form
+these weights; the system matrix and the defect check both use it.  A
+solve makes one _rows call, on its nodes followed by its defect-check
+midpoints, and slices the system rows and the check rows from it; _rows
+lays its far field out with the targets innermost, so its elementwise
+loops run along the targets, and builds its mid and near fields with one
+BLAS product each, or not at all where no panel can hold a pair close
+enough to need them.  A dense solve of (I - W) f = v0 is refined once
+with the residual of the subtracted form
     leak_i f_i + sum_j W_ij (f_i - f_j) = v0,
 whose leak 1 - int k is exact, so the large near-diagonal weights at small
 kappa act on differences of f only.  The solver's floor is kappa >= 1e-3
@@ -52,8 +51,6 @@ __all__ = [
     "GAS_POTENTIAL",
     "default_node_count",
     "solve_love",
-    "operator_norm",
-    "operator_norm_discrete",
     "moments",
     "observables",
     "third_moment_sigma",
@@ -98,25 +95,6 @@ class LoveSolution:
     weights: np.ndarray
     f: np.ndarray
     residual: float
-
-    def interpolate(self, x: np.ndarray) -> np.ndarray:
-        """Nystrom interpolant: f(x) solving the subtracted equation at x,
-        (v0 + sum_j W_xj f_j) / (leak(x) + sum_j W_xj), in the shape of
-        np.atleast_1d(x).  At the nodes it is within 4e-14 of f, not equal
-        (2.5e-14 relative at kappa = 1e-3, the worst of 61 kappa on [1e-3,
-        1e3] at the default budget and twice it).  For |x| > 1 it is the
-        equation's own extension v0 + (K f)(x), and v0, the limit, at x =
-        +-inf.  NaN is refused."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.isnan(x).any():
-            raise DomainError("interpolate needs x that is not NaN")
-        kappa = self.problem.kappa
-        edges, order = _mesh(kappa, len(self.nodes))
-        d = 1.0 - np.abs(x.ravel())
-        w = _rows(kappa, edges, order, d)
-        f = self.f[:len(self.f) // 2]    # the half x <= 0, in ascending d
-        fx = (self.problem.v0 + w @ f) / (_leak(kappa, d) + w.sum(axis=1))
-        return fx.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -361,34 +339,6 @@ def solve_love(problem: LoveProblem, n: int | None = None,
     return LoveSolution(problem=problem, nodes=np.concatenate([d - 1.0, (1.0 - d)[::-1]]),
                         weights=np.concatenate([weights, weights[::-1]]),
                         f=np.concatenate([f, f[::-1]]), residual=residual)
-
-
-def operator_norm(kappa: float) -> float:
-    """Norm of the Love operator on C[-1, 1]: (2/pi) arctan(1/kappa).
-
-    This is the supremum over x of int |k(x, y)| dy, attained at x = 0; it
-    controls the convergence of the Neumann series.  (The L^2 spectral norm
-    is strictly smaller for every kappa; see operator_norm_discrete.)
-    """
-    _check_real(kappa, "kappa", "(0, inf)")
-    return (2.0 / _PI) * math.atan(1.0 / kappa)
-
-
-def operator_norm_discrete(kappa: float, n: int | None = None) -> float:
-    """Discrete counterpart of operator_norm: the largest row sum of the
-    product-integration weights over the nodes and x = 0, where the row
-    integral is maximal.
-
-    Converges to (2/pi) arctan(1/kappa) with the quadrature; the agreement
-    to ~1e-12 is a mesh-quality check.  Note the matrix sup-norm, not its
-    largest singular value, discretizes the operator norm above: the
-    spectral norm of the symmetrized matrix converges to the strictly
-    smaller L^2 norm (e.g. 0.4536 vs 0.5 at kappa = 1).
-    """
-    _check_real(kappa, "kappa", "(0, inf)")
-    edges, order = _mesh(kappa, n)
-    d, _ = _nodes(edges, order)
-    return float(np.max(_rows(kappa, edges, order, np.append(d, 1.0)).sum(axis=1)))
 
 
 def moments(sol: LoveSolution) -> tuple[float, float]:

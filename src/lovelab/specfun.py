@@ -1,32 +1,27 @@
-"""Special functions: complete elliptic integrals, exponentially scaled
-modified Bessel functions, Lambert W (upper-cut limit), and polylogarithms.
+"""Special functions: complete elliptic integrals, Lambert W (upper-cut
+limit), and polylogarithms.
 
 Conventions
 -----------
 * Elliptic integrals use the modulus k (not the parameter m = k^2):
   K(k) = int_0^{pi/2} dt / sqrt(1 - k^2 sin^2 t), likewise E(k).  K, E,
-  dK/dk and kernel_k's k3 each have one path, and each takes the
-  complementary parameter 1 - k^2 from its caller, who forms it without
-  cancellation.  dK/dk and k3 are the two primitives every elliptic
-  combination of the third-moment chain is built from.
-* Bessel values are always exponentially scaled: e^{-x} I_nu(x) and
-  e^{x} K_nu(x).  Unscaled values overflow long before the arguments this
-  package feeds them (products of the form I_2(a) K_1(b) with a, b ~ 1e7),
-  while the scaled product needs only one extra factor e^{a-b}.
+  dK/dk and k3 = 2 r^2 E(1/r) + (1 - 2 r^2) K(1/r) each have one path, and
+  each takes the complementary parameter 1 - k^2 from its caller, who
+  forms it without cancellation.  dK/dk and k3 are the two primitives
+  every elliptic combination of the third-moment chain is built from.
 * Lambert W is evaluated on one branch: the limit from above the cut at
   z = -e^{d-1}, Im W in (0, pi), given the offset d = log(-z) + 1 >= 0 that
   its callers form (d = 0 is the branch point -1/e).
 
-What scipy.special serves is taken from it: K and E (ellipkm1, ellipe), the
-scaled Bessel functions (ive, kve) and the zeta values of the polylogarithm
-tables (zeta).  Kept here is only what it cannot serve: the upper-cut W
-solved in the log domain (every finite offset), Li_n(e^{-t}) with the
-argument kept in the exponent, the Bessel expansions above 1e8 (where ive
-and kve degrade), the dK/dk and k3 series at small k (where their closed
-forms cancel), and W's branch-point series.
+What scipy.special serves is taken from it: K and E (ellipkm1, ellipe) and
+the zeta values of the polylogarithm tables (zeta).  Kept here is only what
+it cannot serve: the upper-cut W solved in the log domain (every finite
+offset), Li_n(e^{-t}) with the argument kept in the exponent, the dK/dk and
+k3 series at small k (where their closed forms cancel), and W's
+branch-point series.
 
 Every function here is private and vectorized: the package publishes no
-special function, and its callers (the kernels of asymptotics, the
+special function, and its callers (the outer integrand of asymptotics, the
 integrands of capacitor2d and conjectures) pass arrays.
 
 scipy.special is imported by the functions that use it, on first call, so
@@ -125,41 +120,6 @@ def _k3(s: np.ndarray, kc2: np.ndarray) -> np.ndarray:
         K, E = _ke_vec(sc, kc2c)
         out[closed] = (2.0 * E - (1.0 + kc2c) * K) / (sc * sc)
     return out
-
-
-# ----------------------------------------------------------------------
-# Exponentially scaled modified Bessel functions (scipy-backed).
-# ----------------------------------------------------------------------
-
-# scipy's ive/kve degrade to nan somewhere above 1e9; beyond the switch the
-# large-argument expansions are exact to double precision anyway (the next
-# omitted term is O(x^-3) with an O(100) numerator).
-_BESSEL_ASYMPTOTIC = 1e8
-
-# kind: (scipy.special function, order, the coefficients c1, c2 of the
-# large-x expansion front x^{-1/2} (1 + c1/x + c2/x^2), front)
-_BESSEL_KINDS = {
-    "I1": ("ive", 1, -3.0 / 8.0, -15.0 / 128.0, 1.0 / math.sqrt(2.0 * _PI)),
-    "I2": ("ive", 2, -15.0 / 8.0, 105.0 / 128.0, 1.0 / math.sqrt(2.0 * _PI)),
-    "K1": ("kve", 1, 3.0 / 8.0, -15.0 / 128.0, math.sqrt(_PI / 2.0)),
-}
-
-
-def _bessel_vec(kind: str, x: np.ndarray) -> np.ndarray:
-    from scipy import special
-    name, order, c1, c2, front = _BESSEL_KINDS[kind]
-    x = np.asarray(x, dtype=float)
-    big = x > _BESSEL_ASYMPTOTIC
-    # the expansion runs on the large elements only: at tiny x its powers overflow
-    out = getattr(special, name)(order, np.where(big, 1.0, x))
-    xb = x[big]
-    out[big] = front * xb ** -0.5 * (1.0 + (c1 + c2 / xb) / xb)
-    return out
-
-
-_i1e = functools.partial(_bessel_vec, "I1")
-_i2e = functools.partial(_bessel_vec, "I2")
-_k1e = functools.partial(_bessel_vec, "K1")
 
 
 # ----------------------------------------------------------------------

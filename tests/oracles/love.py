@@ -1,0 +1,62 @@
+"""The Nystrom interpolant of a solution and the operator norms of the
+Love operator, continuous and discrete, from the solver's own mesh and
+product-integration rows."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from lovelab.errors import DomainError, _check_real
+from lovelab.love import LoveSolution, _leak, _mesh, _nodes, _rows
+
+_PI = math.pi
+
+
+def interpolate(sol: LoveSolution, x: np.ndarray) -> np.ndarray:
+    """Nystrom interpolant: f(x) solving the subtracted equation at x,
+    (v0 + sum_j W_xj f_j) / (leak(x) + sum_j W_xj), in the shape of
+    np.atleast_1d(x).  At the nodes it is within 4e-14 of f, not equal
+    (2.5e-14 relative at kappa = 1e-3, the worst of 61 kappa on [1e-3,
+    1e3] at the default budget and twice it).  For |x| > 1 it is the
+    equation's own extension v0 + (K f)(x), and v0, the limit, at x =
+    +-inf.  NaN is refused."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.isnan(x).any():
+        raise DomainError("interpolate needs x that is not NaN")
+    kappa = sol.problem.kappa
+    edges, order = _mesh(kappa, len(sol.nodes))
+    d = 1.0 - np.abs(x.ravel())
+    w = _rows(kappa, edges, order, d)
+    f = sol.f[:len(sol.f) // 2]    # the half x <= 0, in ascending d
+    fx = (sol.problem.v0 + w @ f) / (_leak(kappa, d) + w.sum(axis=1))
+    return fx.reshape(x.shape)
+
+
+def operator_norm(kappa: float) -> float:
+    """Norm of the Love operator on C[-1, 1]: (2/pi) arctan(1/kappa).
+
+    This is the supremum over x of int |k(x, y)| dy, attained at x = 0; it
+    controls the convergence of the Neumann series.  (The L^2 spectral norm
+    is strictly smaller for every kappa; see operator_norm_discrete.)
+    """
+    _check_real(kappa, "kappa", "(0, inf)")
+    return (2.0 / _PI) * math.atan(1.0 / kappa)
+
+
+def operator_norm_discrete(kappa: float, n: int | None = None) -> float:
+    """Discrete counterpart of operator_norm: the largest row sum of the
+    product-integration weights over the nodes and x = 0, where the row
+    integral is maximal.
+
+    Converges to (2/pi) arctan(1/kappa) with the quadrature; the agreement
+    to ~1e-12 is a mesh-quality check.  Note the matrix sup-norm, not its
+    largest singular value, discretizes the operator norm above: the
+    spectral norm of the symmetrized matrix converges to the strictly
+    smaller L^2 norm (e.g. 0.4536 vs 0.5 at kappa = 1).
+    """
+    _check_real(kappa, "kappa", "(0, inf)")
+    edges, order = _mesh(kappa, n)
+    d, _ = _nodes(edges, order)
+    return float(np.max(_rows(kappa, edges, order, np.append(d, 1.0)).sum(axis=1)))

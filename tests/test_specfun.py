@@ -8,7 +8,12 @@ import pytest
 import lovelab as ll
 from lovelab import asymptotics, capacitor2d, quadrature, specfun
 from lovelab.errors import ConvergenceError, DomainError, _check_real
-from lovelab.specfun import _dk_vec, _i1e, _i2e, _k1e, _ke_vec, _polylog_exp_neg
+from lovelab.specfun import _dk_vec, _ke_vec, _polylog_exp_neg
+from oracles.asymptotics import default_delta, far_field, green_traces, j_split, \
+    k2_energy_integral, kernel_k
+from oracles.capacitor2d import phi_psi, phi_series, psi_series
+from oracles.love import operator_norm, operator_norm_discrete
+from oracles.specfun import _i1e, _i2e, _k1e
 
 PI = math.pi
 
@@ -493,32 +498,32 @@ def test_polylog_errors():
     lambda: _polylog_exp_neg([], 1.0),                   # no order
     lambda: ll.energy_series("takahashi", math.nan),
     lambda: ll.energy_series("takahashi", math.inf),
-    lambda: ll.phi_series(math.nan),
-    lambda: ll.psi_series(math.nan),
-    lambda: ll.phi_series(math.inf),
-    lambda: ll.phi_series(1e308),                        # pi x overflows
-    lambda: ll.psi_series(1.7e308),
-    lambda: ll.phi_psi(math.inf),
-    lambda: ll.green_traces(1.0, 2.0, math.inf),
-    lambda: ll.operator_norm_discrete(math.inf),
-    lambda: ll.kernel_k("k3", math.inf),
+    lambda: phi_series(math.nan),
+    lambda: psi_series(math.nan),
+    lambda: phi_series(math.inf),
+    lambda: phi_series(1e308),                           # pi x overflows
+    lambda: psi_series(1.7e308),
+    lambda: phi_psi(math.inf),
+    lambda: green_traces(1.0, 2.0, math.inf),
+    lambda: operator_norm_discrete(math.inf),
+    lambda: kernel_k("k3", math.inf),
     lambda: ll.cumulative_phi(math.inf),
     lambda: ll.cumulative_phi_log(math.inf),
     lambda: ll.fit_log_tail([(10.0, 1.0), (100.0, math.nan), (1e3, 3.0), (1e4, 4.0)]),
     lambda: ll.fit_log_tail([(10.0, 1.0), (100.0, 2.0), (1e3, 3.0), (math.inf, 4.0)]),
-    lambda: ll.default_delta(math.nan),
-    lambda: ll.green_traces(math.inf, 2.0, 0.1),
+    lambda: default_delta(math.nan),
+    lambda: green_traces(math.inf, 2.0, 0.1),
     lambda: ll.default_node_count(math.inf),
-    lambda: ll.operator_norm(math.inf),
+    lambda: operator_norm(math.inf),
     lambda: ll.capacitance_series("kirchhoff", math.inf),
     lambda: ll.AsymptoticSeries().reciprocal(),
     lambda: ll.AsymptoticSeries([(0, 1, 1.0)]).reciprocal(),
     lambda: ll.AsymptoticSeries([(0, 0, -1.0)]).log(),
-    lambda: ll.kernel_k("k3", 1.0),                     # K's pole at modulus 1
-    lambda: ll.j_split(1e-3, 0.0),
-    lambda: ll.j_split(1e-3, -0.1),
-    lambda: ll.j_split(1e-3, math.nan),
-    *[lambda v=v: ll.k2_energy_integral(v) for v in (math.nan, 0.0, -1.0, math.inf)],
+    lambda: kernel_k("k3", 1.0),                        # K's pole at modulus 1
+    lambda: j_split(1e-3, 0.0),
+    lambda: j_split(1e-3, -0.1),
+    lambda: j_split(1e-3, math.nan),
+    *[lambda v=v: k2_energy_integral(v) for v in (math.nan, 0.0, -1.0, math.inf)],
     *[lambda v=v: ll.third_moment_expansion(v) for v in (math.nan, 0.0, -1.0, math.inf)],
 ], ids=["polylog-bool", "polylog-170-expansion", "polylog-170-direct",
         "polylog-exp-neg-200", "polylog-exp-neg-0", "polylog-exp-neg-negative",
@@ -546,27 +551,27 @@ _REAL_GUARDS = [
     ("kappa", "(0, inf)", lambda v: ll.LoveProblem(kappa=v), "love-problem-kappa"),
     ("v0", "(0, inf)", lambda v: ll.LoveProblem(kappa=1.0, v0=v), "love-problem-v0"),
     ("kappa", "(0, inf)", ll.default_node_count, "default-node-count"),
-    ("kappa", "(0, inf)", ll.operator_norm, "operator-norm"),
-    ("kappa", "(0, inf)", ll.operator_norm_discrete, "operator-norm-discrete"),
+    ("kappa", "(0, inf)", operator_norm, "operator-norm"),
+    ("kappa", "(0, inf)", operator_norm_discrete, "operator-norm-discrete"),
     ("t", "(0, 1)", lambda v: ll.ground_state_series().evaluate(v), "series-evaluate"),
     ("gamma", "[0, inf)", lambda v: ll.energy_series("takahashi", v), "energy-series"),
     ("kappa", "(0, inf)", lambda v: ll.capacitance_series("kirchhoff", v),
      "capacitance-series"),
     ("gamma", "(0, inf)", ll.epsilon_of_gamma, "epsilon-of-gamma"),
-    ("r", "(0, inf)", lambda v: ll.green_traces(v, 2.0, 0.1), "green-traces-r"),
-    ("r1", "(0, inf)", lambda v: ll.green_traces(1.0, v, 0.1), "green-traces-r1"),
-    ("epsilon", "(0, inf)", lambda v: ll.green_traces(1.0, 2.0, v), "green-traces-eps"),
-    ("r", "(1, inf)", ll.far_field, "far-field"),
-    ("r", "[1, inf)", lambda v: ll.kernel_k("k3", v), "kernel-k-r"),
-    ("epsilon", "(0, inf)", lambda v: ll.kernel_k("k1", 1.5, v), "kernel-k-eps"),
-    ("epsilon", "(0, inf)", ll.default_delta, "default-delta"),
-    ("epsilon", "(0, inf)", ll.j_split, "j-split"),
-    ("delta", "(0, inf)", lambda v: ll.j_split(1e-3, v), "j-split-delta"),
-    ("epsilon", "(0, inf)", ll.k2_energy_integral, "k2-energy-integral"),
+    ("r", "(0, inf)", lambda v: green_traces(v, 2.0, 0.1), "green-traces-r"),
+    ("r1", "(0, inf)", lambda v: green_traces(1.0, v, 0.1), "green-traces-r1"),
+    ("epsilon", "(0, inf)", lambda v: green_traces(1.0, 2.0, v), "green-traces-eps"),
+    ("r", "(1, inf)", far_field, "far-field"),
+    ("r", "[1, inf)", lambda v: kernel_k("k3", v), "kernel-k-r"),
+    ("epsilon", "(0, inf)", lambda v: kernel_k("k1", 1.5, v), "kernel-k-eps"),
+    ("epsilon", "(0, inf)", default_delta, "default-delta"),
+    ("epsilon", "(0, inf)", j_split, "j-split"),
+    ("delta", "(0, inf)", lambda v: j_split(1e-3, v), "j-split-delta"),
+    ("epsilon", "(0, inf)", k2_energy_integral, "k2-energy-integral"),
     ("epsilon", "(0, inf)", ll.third_moment_expansion, "third-moment-expansion"),
-    ("x", "[0, inf)", ll.phi_psi, "phi-psi"),
-    ("x", "[0, inf)", ll.phi_series, "phi-series"),
-    ("x", "[0, inf)", ll.psi_series, "psi-series"),
+    ("x", "[0, inf)", phi_psi, "phi-psi"),
+    ("x", "[0, inf)", phi_series, "phi-series"),
+    ("x", "[0, inf)", psi_series, "psi-series"),
     ("X", "[1, inf)", ll.cumulative_phi, "cumulative-phi"),
     ("X", "[1, inf)", ll.cumulative_phi_log, "cumulative-phi-log"),
 ]
