@@ -22,7 +22,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import DomainError, _check_int, _check_real
+from .errors import _check_real, _orders
 from .quadrature import _tanh_sinh
 from .specfun import _polylog_exp_neg, _w_upper_from_offset
 
@@ -130,15 +130,6 @@ def cumulative_phi_log(X: float) -> float:
     plus gamma1."""
     _check_real(X, "X", "[1, inf)")
     return float(_phi_moments(X)[1]) + math.log(X) ** 2 / (2.0 * _PI)
-
-
-def _orders(n: Sequence[int], name: str, top: int) -> list[int]:
-    """A non-empty sequence of orders as a list; every order must be an
-    integer in [1, top], and not a bool."""
-    orders = list(n)
-    if not orders:
-        raise DomainError(f"need at least one {name}")
-    return [_check_int(m, name, top) for m in orders]
 
 
 def _phi_prime_polylog_rows(s: np.ndarray, t: np.ndarray, W: np.ndarray,

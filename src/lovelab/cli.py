@@ -225,10 +225,10 @@ def cmd_fit_weak(args: argparse.Namespace) -> int:
         synthetic = _resolve(args, "synthetic", None, str)
         if synthetic is not None and synthetic not in asymptotics._ENERGY_SERIES:
             raise ValueError(f"unknown synthetic source {synthetic!r}")
+        grid = np.geomspace(gmin, gmax, points)
     except ValueError as exc:
         return _usage_error(str(exc))
 
-    grid = np.geomspace(gmin, gmax, points)
     if synthetic:
         pts = [love.EnergyPoint(kappa=math.nan, gamma=g,
                                 capacitance=math.nan,

@@ -41,8 +41,8 @@ import numpy as np
 # sets one) is then the one called here, however late this module is imported
 from . import asymptotics, capacitor2d
 from .asymptotics import GAMMA0, GAMMA1, GAMMA2_TILDE, INTEGRAL4
-from .capacitor2d import _orders, _phi_moment_rows, _phi_prime_of_w, _phi_prime_polylog_rows
-from .errors import DomainError
+from .capacitor2d import _phi_moment_rows, _phi_prime_of_w, _phi_prime_polylog_rows
+from .errors import DomainError, _orders
 from .quadrature import _tanh_sinh
 from .specfun import _dk_vec, _w_upper_from_offset
 

@@ -7,6 +7,7 @@ t = 0) included, raises DomainError.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Sequence
 
 __all__ = [
     "LoveLabError",
@@ -58,6 +59,15 @@ def _check_int(value, name: str, high: float) -> int:
             or not 1 <= value <= high):
         raise DomainError(f"{name} must be an integer in [1, {high}], got {value!r}")
     return int(value)
+
+
+def _orders(n: Sequence[int], name: str, top: int) -> list[int]:
+    """A non-empty sequence of orders as a list; every order must be an
+    integer in [1, top], and not a bool."""
+    orders = list(n)
+    if not orders:
+        raise DomainError(f"need at least one {name}")
+    return [_check_int(m, name, top) for m in orders]
 
 
 def _check_real(value, name: str, interval: str) -> None:

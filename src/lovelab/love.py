@@ -3,8 +3,7 @@
     f(x) - (kappa/pi) int_{-1}^{1} f(y) / ((x - y)^2 + kappa^2) dy = v0
 
 on [-1, 1], and the physical observables built from the moments of f:
-capacitance, dimensionless coupling, ground-state energy per particle, and
-the third moment of the disc charge density.
+capacitance, dimensionless coupling and ground-state energy per particle.
 
 The kernel is a Lorentzian of width kappa, but the solution f is smooth:
 its singularities sit at x = +-1 + i m kappa, off the interval ends.  So
@@ -53,7 +52,6 @@ __all__ = [
     "solve_love",
     "moments",
     "observables",
-    "third_moment_sigma",
     "weak_coupling_fit",
 ]
 
@@ -363,18 +361,6 @@ def observables(sol: LoveSolution) -> EnergyPoint:
     gamma = kappa / m0
     return EnergyPoint(kappa=kappa, gamma=gamma, capacitance=m0,
                        energy=m2 / m0 ** 3)
-
-
-def third_moment_sigma(sol: LoveSolution) -> float:
-    """int_0^1 r^3 sigma(r) dr of the disc charge density, as m2 / pi^2.
-
-    The Abel-type relation between f and sigma gives, after exchanging the
-    order of integration, int_{-1}^{1} x^2 f dx = pi^2 int_0^1 r^3 sigma dr
-    for the unit-potential disc; solutions with v0 != 1 are rescaled by
-    linearity.
-    """
-    _, m2 = moments(sol)
-    return m2 / (sol.problem.v0 * _PI * _PI)
 
 
 _WEAK_WINDOW = (1e-3, 5e-2)

@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _orders
 
 __all__: list[str] = []
 
@@ -277,17 +276,10 @@ def _polylog_exp_neg(n: Sequence[int], t) -> np.ndarray:
     pass runs over all rows per branch, on the tables _polylog_tables builds
     once per set of orders (a lower order's expansion is padded with zeros
     at its high powers, which leave the sum unchanged), and the log t term
-    is one broadcast over the orders.  Orders above 169 are refused, as
-    their tables overflow, and so are orders below 1 and an empty sequence.
+    is one broadcast over the orders.  Every order must be an integer in
+    [1, 169] (errors._orders), as the tables of a higher one overflow.
     """
-    orders = tuple(map(operator.index, n))
-    if not orders:
-        raise DomainError("need at least one order")
-    if min(orders) < 1:
-        raise DomainError(f"orders below 1 are not tabulated, got {min(orders)}")
-    if max(orders) > _MAX_POLYLOG_ORDER:
-        raise DomainError(f"orders above {_MAX_POLYLOG_ORDER} are not tabulated, "
-                          f"got {max(orders)}")
+    orders = tuple(_orders(n, "order", _MAX_POLYLOG_ORDER))
     ta = np.asarray(t, dtype=float)
     flat = ta.ravel()
     bad = flat[~(flat >= 0.0)]

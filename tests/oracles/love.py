@@ -1,6 +1,7 @@
 """The Nystrom interpolant of a solution and the operator norms of the
 Love operator, continuous and discrete, from the solver's own mesh and
-product-integration rows."""
+product-integration rows, and the third moment of the disc charge density
+from the solver's own moments."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import math
 import numpy as np
 
 from lovelab.errors import DomainError, _check_real
-from lovelab.love import LoveSolution, _leak, _mesh, _nodes, _rows
+from lovelab.love import LoveSolution, _leak, _mesh, _nodes, _rows, moments
 
 _PI = math.pi
 
@@ -60,3 +61,15 @@ def operator_norm_discrete(kappa: float, n: int | None = None) -> float:
     edges, order = _mesh(kappa, n)
     d, _ = _nodes(edges, order)
     return float(np.max(_rows(kappa, edges, order, np.append(d, 1.0)).sum(axis=1)))
+
+
+def third_moment_sigma(sol: LoveSolution) -> float:
+    """int_0^1 r^3 sigma(r) dr of the disc charge density, as m2 / pi^2.
+
+    The Abel-type relation between f and sigma gives, after exchanging the
+    order of integration, int_{-1}^{1} x^2 f dx = pi^2 int_0^1 r^3 sigma dr
+    for the unit-potential disc; solutions with v0 != 1 are rescaled by
+    linearity.
+    """
+    _, m2 = moments(sol)
+    return m2 / (sol.problem.v0 * _PI * _PI)

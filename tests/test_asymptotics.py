@@ -8,15 +8,17 @@ import pytest
 from scipy.integrate import dblquad
 
 import lovelab as ll
-from lovelab.asymptotics import _eps_bracket_from_constants, _outer_subtracted
+from lovelab.asymptotics import _outer_subtracted
 from lovelab.capacitor2d import _phi_of_w, _w
 from lovelab import capacitor2d
 from lovelab.errors import ConvergenceError, DomainError, WindowError
 from lovelab.quadrature import _panel_sum, _tanh_sinh
 from lovelab.specfun import _dk_vec, _k3, _polylog_exp_neg
 from oracles import asymptotics
-from oracles.asymptotics import (_k2_sum, _modulus, default_delta, far_field, green_traces,
-                                 j_split, k2_energy_integral, kernel_k)
+from oracles.asymptotics import (_eps_bracket_from_constants, _k2_sum, _modulus,
+                                 default_delta, epsilon_series, far_field, green_traces,
+                                 ground_state_series, j_split, k2_energy_integral,
+                                 kernel_k, third_moment_expansion)
 from oracles.specfun import _i1e, _i2e, _k1e
 
 PI = math.pi
@@ -74,7 +76,7 @@ def test_expansions_reject_arguments_past_their_window():
     with pytest.raises(WindowError):
         ll.epsilon_of_gamma(0.26)
     with pytest.raises(WindowError):
-        ll.third_moment_expansion(0.06)
+        third_moment_expansion(0.06)
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +91,7 @@ def test_epsilon_leading_order():
 def test_epsilon_a5_coefficient():
     L = math.log(32.0 * PI)
     a5 = (1.0 - 4.0 * L + 2.0 * L * L) / (128.0 * PI ** 2)
-    series = ll.epsilon_series()
+    series = epsilon_series()
     assert series.coefficient(Fraction(3, 2), 0) == pytest.approx(a5, rel=1e-15, abs=0)
 
 
@@ -107,7 +109,7 @@ def test_epsilon_round_trip():
 
 
 def test_epsilon_series_evaluation_matches_closed_form():
-    series = ll.epsilon_series()
+    series = epsilon_series()
     for g in (1e-3, 1e-2):
         assert series.evaluate(g) == pytest.approx(ll.epsilon_of_gamma(g), rel=1e-14, abs=0)
 
@@ -606,7 +608,7 @@ def test_bracket_forms_agree():
 
 
 def test_third_moment_breakdown_consistency():
-    b = ll.third_moment_expansion(0.02)
+    b = third_moment_expansion(0.02)
     parts = b.leading + b.constant + b.log2_term + b.log_term + b.order_eps_term
     assert b.total == pytest.approx(parts, rel=1e-15, abs=0)
     assert b.third_moment == pytest.approx(b.capacitance_c1 - 2.0 * b.total,
@@ -615,14 +617,14 @@ def test_third_moment_breakdown_consistency():
 
 def test_third_moment_infinite_plate_trend():
     # 4 pi int r^3 sigma ~ 1/(4 eps) at leading order
-    devs = [abs(ll.third_moment_expansion(e).third_moment * 4.0 * e - 1.0)
+    devs = [abs(third_moment_expansion(e).third_moment * 4.0 * e - 1.0)
             for e in (0.02, 0.01, 0.005)]
     assert devs == sorted(devs, reverse=True)
     assert devs[-1] < 0.05
 
 
 def test_ground_state_series_coefficients():
-    series = ll.ground_state_series()
+    series = ground_state_series()
     assert series.coefficient(1, 0) == pytest.approx(1.0, abs=1e-12)
     assert series.coefficient(Fraction(3, 2), 0) == pytest.approx(
         -4.0 / (3.0 * PI), abs=1e-12)
@@ -636,19 +638,19 @@ def test_ground_state_series_coefficients():
 
 def test_ground_state_value_matches_energy_series():
     for g in (0.01, 0.05):
-        assert ll.assemble_ground_state(g) == pytest.approx(
+        assert ground_state_series().evaluate(g) == pytest.approx(
             ll.energy_series("takahashi", g), abs=1e-12)
 
 
 def test_series_terms_sorted_by_growth():
-    series = ll.ground_state_series()
+    series = ground_state_series()
     keys = [(t.power, -t.log_power) for t in series.terms]
     assert keys == sorted(keys)
 
 
 def test_series_evaluate_domain():
     with pytest.raises(DomainError):
-        ll.ground_state_series().evaluate(1.5)
+        ground_state_series().evaluate(1.5)
 
 
 def test_series_evaluate_folds_its_terms_left_to_right():
@@ -657,7 +659,7 @@ def test_series_evaluate_folds_its_terms_left_to_right():
     # them from Python 3.12 on, and move the last bits with the interpreter.
     # At some of these t a compensated sum differs from the fold
     compensated = 0
-    for series in (ll.ground_state_series(), ll.epsilon_series()):
+    for series in (ground_state_series(), epsilon_series()):
         for t in np.geomspace(1e-8, 0.99, 50).tolist():
             ell = math.log(1.0 / t)
             terms = [c * t ** float(p) * ell ** q for (p, q), c in series._terms.items()]

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 import lovelab as ll
 from lovelab import love
 from lovelab.errors import ConditioningError, DomainError, ResolutionError, WindowError
-from oracles.love import interpolate, operator_norm, operator_norm_discrete
+from oracles.asymptotics import third_moment_expansion
+from oracles.love import interpolate, operator_norm, operator_norm_discrete, third_moment_sigma
 
 PI = math.pi
 
@@ -660,7 +661,7 @@ def test_energy_via_third_moment_route(gas_solution_k1):
     # e = (pi/2) (gamma/kappa)^3 * int r^3 sigma must equal the m2 route
     sol = gas_solution_k1
     point = ll.observables(sol)
-    tm = ll.third_moment_sigma(sol)
+    tm = third_moment_sigma(sol)
     e_sigma = (PI / 2.0) * tm / point.capacitance ** 3
     assert e_sigma == pytest.approx(point.energy, rel=1e-12, abs=0)
 
@@ -741,7 +742,7 @@ def test_energy_linear_at_weak_coupling(weak_coupling_points):
 def test_third_moment_constant_density_limit():
     v0 = 1.0
     sol = ll.solve_love(ll.LoveProblem(kappa=1e6, v0=v0), n=240)
-    assert ll.third_moment_sigma(sol) == pytest.approx(
+    assert third_moment_sigma(sol) == pytest.approx(
         2.0 * v0 / (3.0 * PI * PI), rel=1e-5, abs=0)
 
 
@@ -750,7 +751,7 @@ def test_third_moment_infinite_plate_trend():
     devs = []
     for kappa in (0.1, 0.05, 0.02):
         sol = ll.solve_love(ll.LoveProblem(kappa=kappa, v0=1.0))
-        devs.append(abs(ll.third_moment_sigma(sol) * 8.0 * PI * kappa - 1.0))
+        devs.append(abs(third_moment_sigma(sol) * 8.0 * PI * kappa - 1.0))
     assert devs == sorted(devs, reverse=True)
     assert devs[-1] < 0.25
 
@@ -759,8 +760,8 @@ def test_third_moment_vs_expansion(capacitor_solution_k005):
     # kappa = 0.05 -> eps = 0.025; cross-module agreement within the
     # o(eps) budget 3 eps |log eps|
     eps = 0.025
-    breakdown = ll.third_moment_expansion(eps)
-    numeric = 4.0 * PI * ll.third_moment_sigma(capacitor_solution_k005)
+    breakdown = third_moment_expansion(eps)
+    numeric = 4.0 * PI * third_moment_sigma(capacitor_solution_k005)
     assert abs(numeric - breakdown.third_moment) <= 3.0 * eps * abs(math.log(eps))
 
 

@@ -6,7 +6,8 @@ usage error and a `--config` file among them.  They run in process, in a
 fresh interpreter (so no cache another test filled hides a call), under
 sys.setprofile, which records every Python function entered.  A function
 that only tests call fails this test until it moves to tests/oracles/ or a
-command runs it.
+command runs it.  Each argv's exit status is checked too, so README's
+examples must exit 0 in tier-1, not only in CI.
 """
 
 import json
@@ -62,21 +63,6 @@ UNREACHED = {
         "capacitor2d._phi_moments", "capacitor2d._w", "capacitor2d.cumulative_phi",
         "capacitor2d.cumulative_phi_log", "quadrature._panel_sum", "quadrature.fit_log_tail",
     ],
-    # the symbolic assembly of the gamma^2 coefficient, for a later command
-    "the derivation's symbolic half": [
-        "asymptotics.AsymptoticSeries.__add__", "asymptotics.AsymptoticSeries.__init__",
-        "asymptotics.AsymptoticSeries.__mul__", "asymptotics.AsymptoticSeries.__neg__",
-        "asymptotics.AsymptoticSeries.__sub__", "asymptotics.AsymptoticSeries.__truediv__",
-        "asymptotics.AsymptoticSeries._add_term", "asymptotics.AsymptoticSeries._coerce",
-        "asymptotics.AsymptoticSeries._compose", "asymptotics.AsymptoticSeries._leading",
-        "asymptotics.AsymptoticSeries.coefficient", "asymptotics.AsymptoticSeries.evaluate",
-        "asymptotics.AsymptoticSeries.log", "asymptotics.AsymptoticSeries.reciprocal",
-        "asymptotics.AsymptoticSeries.terms", "asymptotics.AsymptoticSeries.truncated",
-        "asymptotics._eps_bracket_from_constants", "asymptotics._kernel_integral_terms",
-        "asymptotics.assemble_ground_state", "asymptotics.epsilon_series",
-        "asymptotics.ground_state_series", "asymptotics.third_moment_expansion",
-        "love.third_moment_sigma",
-    ],
     # called through the library, by CI and the benchmark, not by a command
     "library-only API": [
         "__init__.__dir__", "__init__._public_names", "love.default_node_count",
@@ -103,12 +89,13 @@ def profile(frame, event, arg):
 
 
 sys.setprofile(profile)
+exits = []
 for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            lovelab.cli.main(argv)
-        except SystemExit:
-            pass
+            exits.append(lovelab.cli.main(argv))
+        except SystemExit as exit:
+            exits.append(exit.code)
 sys.setprofile(None)
 
 
@@ -133,8 +120,17 @@ for info in [None, *pkgutil.iter_modules(lovelab.__path__)]:
     for qualname, code in codes(module, module):
         if code not in entered:
             names.add(label + "." + qualname)
-print(json.dumps(sorted(names)))
+print(json.dumps([exits, sorted(names)]))
 """
+
+# the argv that exit other than 0: an ill-conditioned fit and an error row
+# exit 1, usage errors 2
+EXIT_CODES = {
+    ("fit-weak", "--gamma-min", "0.01", "--gamma-max", "0.01000000000000001"): 1,
+    ("solve", "--kappa", "1e308"): 1,
+    ("verify", "--which", "nope"): 2,
+    ("solve", "--kappa", "0.5", "--nodes", "8"): 2,
+}
 
 
 def test_every_function_no_command_enters_is_listed(tmp_path):
@@ -150,5 +146,7 @@ def test_every_function_no_command_enters_is_listed(tmp_path):
                                                       env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argvs)], env=env,
                          capture_output=True, check=True, text=True, timeout=300).stdout
+    exits, unreached = json.loads(out)
+    assert exits == [EXIT_CODES.get(tuple(argv), 0) for argv in argvs]
     listed = sorted(name for names in UNREACHED.values() for name in names)
-    assert json.loads(out) == listed
+    assert unreached == listed
