@@ -69,7 +69,7 @@ def energy_series(which: str, gamma: float) -> float:
     "takahashi":        ... + (1/6 - 1/pi^2) gamma^2
     "kaminaka_wadati":  ... + (1/8 - 1/pi^2) gamma^2   (the rival value)
     """
-    _check_real(gamma, "gamma", "[0, inf)")
+    gamma = _check_real(gamma, "gamma", "[0, inf)")
     if which not in _ENERGY_SERIES:
         raise DomainError(f"unknown energy series {which!r}")
     return gamma - 4.0 / (3.0 * _PI) * gamma ** 1.5 + _ENERGY_SERIES[which] * gamma * gamma
@@ -110,7 +110,7 @@ def capacitance_series(which: str, kappa: float) -> float:
 
     WindowError above kappa = 0.3, where the expansions lose their regime.
     """
-    _check_real(kappa, "kappa", "(0, inf)")
+    kappa = _check_real(kappa, "kappa", "(0, inf)")
     if kappa > _KAPPA_WINDOW:
         raise WindowError(f"capacitance expansions need kappa <= {_KAPPA_WINDOW:g}, "
                           f"got {kappa!r}")
@@ -126,7 +126,7 @@ def epsilon_of_gamma(gamma: float) -> float:
     inverted through order gamma^{3/2} with its log^2 and log companions.
     WindowError when 2 eps would pass the capacitance window kappa <= 0.3
     (from gamma ~ 0.2501 on)."""
-    _check_real(gamma, "gamma", "(0, inf)")
+    gamma = _check_real(gamma, "gamma", "(0, inf)")
     eps = _epsilon(math.sqrt(gamma), gamma, math.log(gamma))
     if not 2.0 * eps <= _KAPPA_WINDOW:
         raise WindowError(f"eps(gamma) needs 2 eps <= {_KAPPA_WINDOW:g}, got gamma {gamma!r}")

@@ -121,14 +121,14 @@ def _phi_moments(X: float) -> np.ndarray:
 
 def cumulative_phi(X: float) -> float:
     """int_0^X Phi(t, 0) dt for X >= 1; grows like (log X)/pi plus gamma0."""
-    _check_real(X, "X", "[1, inf)")
+    X = _check_real(X, "X", "[1, inf)")
     return float(_phi_moments(X)[0]) + math.log(X) / _PI
 
 
 def cumulative_phi_log(X: float) -> float:
     """int_0^X Phi(t, 0) log t dt for X >= 1; grows like (log X)^2/(2 pi)
     plus gamma1."""
-    _check_real(X, "X", "[1, inf)")
+    X = _check_real(X, "X", "[1, inf)")
     return float(_phi_moments(X)[1]) + math.log(X) ** 2 / (2.0 * _PI)
 
 

@@ -75,7 +75,7 @@ def _write_rows(columns: Sequence[str], rows: Iterable[dict], fmt: str,
             cells = [f"{json.dumps(c)}: {_json_cell(row.get(c))}" for c in columns]
             body.append("  {" + ", ".join(cells) + "}")
         text = "[\n" + ",\n".join(body) + "\n]\n"
-    if path:
+    if path is not None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
@@ -350,15 +350,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.output = _resolve(args, "output", None, str)
     except ValueError as exc:
         return _usage_error(str(exc))
-    if args.output:
-        # refuse a table that could not be written before doing the work
-        directory = os.path.dirname(os.path.abspath(args.output))
+    if args.output is not None:
+        # refuse a table that could not be written before doing the work; a
+        # path that names no file (empty, a directory, or ending in a
+        # separator) gets the message open() would give
+        path = args.output
+        if not path:
+            exc = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+            return _usage_error(f"cannot write the table: {exc}")
+        directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory) or not os.access(directory, os.W_OK):
             return _usage_error(f"cannot write the table: {directory!r} is not "
                                 f"a writable directory")
-        if os.path.isdir(args.output):
-            # the message open() would give, before any work
-            exc = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
+        if os.path.isdir(path) or not os.path.basename(path):
+            exc = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             return _usage_error(f"cannot write the table: {exc}")
     try:
         return args.func(args)

@@ -10,11 +10,13 @@ closed-form target, and the number of matched significant digits.  The
 sequence-transform table is exact: it never touches floating point.
 
 Every integral of the suite is one tanh-sinh integral on (0, 1), its
-half-line, where it has one, mapped there, and the integrals of a group are
-its rows, built by one row function per group: gamma0 and gamma1 (one
-Lambert-W pass), integral4 and the subtracted outer integrand of gamma2's
-route (b), whose integral4 also serves route (a) (one dK/dk pass), the
-polylog orders (one polylog call) and the residue orders.  The outer
+half-line, where it has one, mapped there: one call of its integrand on the
+fixed rule's 297 abscissae, where every row converges with room (gamma2's
+direct row, the tightest, at 0.053 of its tolerance).  The integrals of
+a group are its rows, built by one row function per group: gamma0 and
+gamma1 (one Lambert-W pass), integral4 and the subtracted outer integrand
+of gamma2's route (b), whose integral4 also serves route (a) (one dK/dk
+pass), the polylog orders (one polylog call) and the residue orders.  The outer
 integrand is the far field F = (2/pi) s^2 dK/ds times k3, so route (b)
 checks the two elliptic primitives, _dk_vec and _k3, directly.  A run_all
 call takes all 12 rows as one tanh-sinh integral, whose integrand makes

@@ -70,12 +70,16 @@ def _orders(n: Sequence[int], name: str, top: int) -> list[int]:
     return [_check_int(m, name, top) for m in orders]
 
 
-def _check_real(value, name: str, interval: str) -> None:
-    """Refuse a real outside interval, written as the docstrings write it:
-    "(0, inf)", "[0, 1]".  Each end is compared as its bracket says, and
-    every comparison with NaN is false, so NaN is refused by construction,
-    as is an infinity at an open end."""
+def _check_real(value, name: str, interval: str) -> float:
+    """value as a Python float, refusing a real outside interval, written as
+    the docstrings write it: "(0, inf)", "[0, 1]".  A numpy float32 or a
+    Fraction is tested and returned as the float it converts to, so callers
+    compute in double precision.  Each end is compared as its bracket says,
+    and every comparison with NaN is false, so NaN is refused by
+    construction, as is an infinity at an open end."""
     low, high = (float(end) for end in interval[1:-1].split(","))
-    if not ((low < value if interval[0] == "(" else low <= value)
-            and (value < high if interval[-1] == ")" else value <= high)):
+    x = float(value) if isinstance(value, numbers.Real) else value
+    if not ((low < x if interval[0] == "(" else low <= x)
+            and (x < high if interval[-1] == ")" else x <= high)):
         raise DomainError(f"{name} must lie in {interval}, got {value!r}")
+    return float(x)

@@ -79,9 +79,10 @@ class LoveProblem:
     v0: float = GAS_POTENTIAL
 
     def __post_init__(self) -> None:
-        _check_real(self.kappa, "kappa", "(0, inf)")
+        # stored as Python floats: every solve runs in double precision
+        object.__setattr__(self, "kappa", _check_real(self.kappa, "kappa", "(0, inf)"))
         _check_real(_PI * self.kappa, "pi * kappa", "(0, inf)")
-        _check_real(self.v0, "v0", "(0, inf)")
+        object.__setattr__(self, "v0", _check_real(self.v0, "v0", "(0, inf)"))
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def _edges(kappa: float) -> np.ndarray:
     last geometric edge is at least 1/4, so a uniform width of at most
     1/3 keeps each uniform panel's end ratio at or below 2.  For kappa >=
     2/3 there is no geometric edge: three panels of width 1/3."""
-    _check_real(kappa, "kappa", "(0, inf)")
+    kappa = _check_real(kappa, "kappa", "(0, inf)")
     edges = [0.0]
     edge = 0.75 * kappa
     while edge < 0.5:

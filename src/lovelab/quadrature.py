@@ -9,12 +9,10 @@ whatever the rows have in common is evaluated once per abscissa.
 
 Tanh-sinh integrates on (0, 1) only, and each caller maps its interval or
 half-line there; every identity integral of the suite is one tanh-sinh
-integral.  Every abscissa is evaluated once, and calls are few: tanh-sinh
-passes the nodes of its levels 0-5 in one call and each later level in a
-call of its own, and a panel sum makes one call.  After each call one
-array test over every level seen decides convergence, first at level 5;
-every identity of the suite converges there, so each of its integrals
-calls its integrand once.  Sums are formed per level and per panel from
+integral.  Tanh-sinh is one fixed rule: it calls its integrand once, on the
+297 abscissae of levels 0-5, and raises ConvergenceError for a row that
+levels 4 and 5 still move; every identity of the suite converges there.  A
+panel sum makes one call too.  Sums are formed per level and per panel from
 their own values, so results keep their bits provided a value depends on
 its own abscissa alone, as every integrand here does.  The abscissae and
 weights of each tanh-sinh level are built once, as read-only tables.  No
@@ -85,15 +83,13 @@ def _recurrence(p0, p1, z: np.ndarray, order: int):
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) = n (x P_n - P_{n-1}) / (x^2 - 1), for n >= 2."""
+    """P_n(x) and P_n'(x) = n (x P_n - P_{n-1}) / (x^2 - 1)."""
     p0, p1 = collections.deque(_recurrence(np.ones_like(x), x, x, n + 1), maxlen=2)
     return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
 @functools.cache
 def _build_rule(n: int) -> QuadratureRule:
-    if n == 1:
-        return QuadratureRule(np.zeros(1), np.full(1, 2.0))
     # asymptotic initial guesses for the roots of P_n, then Newton
     k = np.arange(1, n + 1, dtype=float)
     x = np.cos(_PI * (k - 0.25) / (n + 0.5))
@@ -149,15 +145,11 @@ def _panel_sum(f: Callable[[np.ndarray], np.ndarray],
 # ----------------------------------------------------------------------
 
 _TS_TMAX = 6.1
-_TS_MAX_LEVEL = 12
+_TS_DEPTH = 5           # the rule's last level: levels 0-5 hold 297 abscissae
 _TOL = 1e-13            # relative tolerance of every tanh-sinh integral here
-# the last level of the integrand's first call, and the first level tested
-# for convergence: the identity suite's integrals converge at level 5, so
-# they need no further call
-_TS_FIRST_CALL = 5
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only abscissae and weights that tanh-sinh level `level` adds on
     (0, 1): the midpoint (level 0 only), then the new nodes near 0, at their
@@ -186,67 +178,44 @@ def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray]
                ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Double-exponential quadrature on (0, 1).
+    """Double-exponential quadrature on (0, 1), one fixed rule.
 
     Nodes near the endpoints are generated as exact distances s from 0 or 1
     (s = e^{-2u}/(1 + e^{-2u}) with u = (pi/2) sinh t), so integrands with
     integrable endpoint singularities receive cancellation-free abscissae.
     A node whose 1 - s rounds to 1 is dropped; its weight is below double
-    precision for any integrable singularity.  The first call of f holds
-    the nodes of levels 0-5, level after level (level 0 also takes the
-    midpoint); from level 6 on, each level calls f once.
-    Every level's nodes sit near both endpoints, and its weighted sum is
-    formed from its own values, so the batching moves no bit as long as a
-    value of f depends on its own abscissa alone.
+    precision for any integrable singularity.  f is called once, on the
+    nodes of levels 0-5, level after level (level 0 also takes the
+    midpoint).  Each level's weighted sum is formed from its own values, so
+    a row's result does not depend on the rows it shares f with, as long
+    as a value of f depends on its own abscissa alone.
 
-    After each call, one array expression forms the value of every level
-    seen, and one test runs over all of them: a row converges at the first
-    level from 5 on whose last two refinements both change its value by
-    less than _TOL (relative to max(1, |I|)), and keeps the value of that
-    level.  A row's result does not depend on the rows it shares f with.
-    Returns (value, error estimate), as floats or, for an integrand of m
-    rows, as arrays of m values, once every row has converged; raises
-    ConvergenceError, carrying the last value and change of the first row
-    that missed, if level 12 gets there first.
+    A row converges when levels 4 and 5 both change its value by less than
+    _TOL (relative to max(1, |I|)).  Returns (value, error estimate) of
+    level 5, as floats or, for an integrand of m rows, as arrays of m
+    values; raises ConvergenceError, carrying level 5's value and change of
+    the first row that missed.
     """
-    ndim = 1
-
-    def level_sums(levels: Iterable[int]) -> list:
-        """Each level's weighted sums of f's rows, from one call of f on the
-        nodes of all the levels."""
-        nonlocal ndim
-        nodes = [_ts_level(level) for level in levels]
-        x = np.concatenate([xj for xj, _ in nodes])
-        fx = np.asarray(f(x))
-        ndim = fx.ndim
-        rows = fx.reshape(-1, len(x))
-        ends = np.cumsum([len(xj) for xj, _ in nodes])
-        return [np.array([np.dot(wj, row[end - len(wj):end]) for row in rows])
-                for (_, wj), end in zip(nodes, ends)]
-
-    sums = level_sums(range(_TS_FIRST_CALL + 1))
-    while True:
-        h = 0.5 ** np.arange(len(sums))
-        values = (0.5 * h)[:, None] * np.add.accumulate(sums)
-        steps = np.abs(np.diff(values, axis=0))     # steps[l - 1]: level l's change
-        scale = np.maximum(1.0, np.abs(values))
-        tol = _TOL * scale[_TS_FIRST_CALL:]
-        done = ((steps[_TS_FIRST_CALL - 1:] < tol)
-                & (steps[_TS_FIRST_CALL - 2:-1] < tol))
-        converged = done.any(axis=0)
-        if converged.all():
-            level = _TS_FIRST_CALL + np.argmax(done, axis=0)
-            rows = np.arange(values.shape[1])
-            value = values[level, rows]
-            error = np.maximum(steps[level - 1, rows], 4e-16 * scale[level, rows])
-            return (float(value[0]), float(error[0])) if ndim == 1 else (value, error)
-        if len(sums) > _TS_MAX_LEVEL:
-            row = int(np.flatnonzero(~converged)[0])
-            where = "" if ndim == 1 else f", row {row}"
-            raise ConvergenceError(
-                f"tanh-sinh on (0, 1){where} missed tolerance {_TOL:g} "
-                f"at level {_TS_MAX_LEVEL}", float(values[-1, row]), float(steps[-1, row]))
-        sums += level_sums([len(sums)])
+    tables = [_ts_level(level) for level in range(_TS_DEPTH + 1)]
+    x = np.concatenate([xj for xj, _ in tables])
+    fx = np.asarray(f(x))
+    rows = fx.reshape(-1, len(x))
+    ends = np.cumsum([len(xj) for xj, _ in tables])
+    sums = [np.array([np.dot(wj, row[end - len(wj):end]) for row in rows])
+            for (_, wj), end in zip(tables, ends)]
+    h = 0.5 ** np.arange(_TS_DEPTH + 1)
+    values = (0.5 * h)[:, None] * np.add.accumulate(sums)
+    steps = np.abs(np.diff(values[-3:], axis=0))    # levels 4 and 5's changes
+    value, scale = values[-1], np.maximum(1.0, np.abs(values[-1]))
+    missed = np.flatnonzero(~(steps < _TOL * scale).all(axis=0))
+    if missed.size:
+        row = int(missed[0])
+        where = "" if fx.ndim == 1 else f", row {row}"
+        raise ConvergenceError(
+            f"tanh-sinh on (0, 1){where} missed tolerance {_TOL:g} at level {_TS_DEPTH}",
+            float(value[row]), float(steps[-1, row]))
+    error = np.maximum(steps[-1], 4e-16 * scale)
+    return (float(value[0]), float(error[0])) if fx.ndim == 1 else (value, error)
 
 
 # ----------------------------------------------------------------------

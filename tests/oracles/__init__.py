@@ -6,6 +6,7 @@ third-moment expansion and the symbolic assembly of the gamma^2
 coefficient (``asymptotics``), the plate samples and series
 (``capacitor2d``), the operator norms, the Nystrom interpolant and the
 third moment of the charge density (``love``), the single sequence-transform
-value (``conjectures``) and the scaled Bessel functions (``specfun``).  A
-test that checks an oracle so checks those primitives too.
+value (``conjectures``), the level-by-level tanh-sinh rule that the fixed
+rule is cut from (``quadrature``) and the scaled Bessel functions
+(``specfun``).  A test that checks an oracle so checks those primitives too.
 """

@@ -66,8 +66,8 @@ from lovelab.asymptotics import (GAMMA0, GAMMA1, GAMMA2_TILDE, _LOG8, _SUB_C0, _
                                  capacitance_series)
 from lovelab.capacitor2d import _phi_moments, phi_prime_polylog_integral
 from lovelab.errors import ConvergenceError, DomainError, WindowError, _check_real
-from lovelab.quadrature import _tanh_sinh
 from lovelab.specfun import _dk_vec, _k3, _polylog_exp_neg
+from oracles.quadrature import level_by_level_tanh_sinh
 from oracles.specfun import _i1e, _i2e, _k1e
 
 _PI = math.pi
@@ -317,7 +317,8 @@ def j_split(epsilon: float, delta: float | None = None) -> tuple[float, float]:
         s = S * u                     # int_0^S g(s) ds = S int_0^1 g(S u) du
         return _outer_subtracted(s, _dk_vec(s, (1.0 - s) * (1.0 + s)))
 
-    val = S * _tanh_sinh(outer)[0]
+    (integral, _), _ = level_by_level_tanh_sinh(outer)   # level 6 at eps = 1e-4
+    val = S * integral
     om = 1.0 - S                      # = delta / (1 + delta)
     val += -0.5 * _SUB_C0 * math.log(om) ** 2 - _SUB_C1 * math.log(om)
     j2 = epsilon * val

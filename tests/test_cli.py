@@ -354,12 +354,16 @@ def test_output_onto_a_directory_is_refused_before_the_work(capsys, tmp_path, mo
 
     monkeypatch.setattr(love, "solve_love", counted(love.solve_love))
     monkeypatch.setattr(conjectures, "run_all", counted(conjectures.run_all))
-    assert main(argv + ["--output", str(tmp_path)]) == 2
-    assert calls == []
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"error: cannot write the table: [Errno 21] Is a directory: "
-                            f"{str(tmp_path)!r}\n")
+    # a directory, a missing one (its trailing separator names no file) and
+    # the empty path, each with the message open() would give
+    for path, error in [(str(tmp_path), "[Errno 21] Is a directory"),
+                        (str(tmp_path / "nodir") + os.sep, "[Errno 21] Is a directory"),
+                        ("", "[Errno 2] No such file or directory")]:
+        assert main(argv + ["--output", path]) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write the table: {error}: {path!r}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -691,6 +695,7 @@ def test_malformed_flag_values_exit_2(argv):
 @given(line=BAD_CONFIG_LINES)
 @example(line="workers = 0")
 @example(line="nodes = 8")
+@example(line="output =")
 def test_malformed_config_lines_exit_2(tmp_path_factory, line):
     config = tmp_path_factory.mktemp("config") / "run.cfg"
     config.write_text(line + "\n", encoding="utf-8")

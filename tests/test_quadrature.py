@@ -6,8 +6,8 @@ import pytest
 import lovelab as ll
 from lovelab import quadrature
 from lovelab.errors import ConditioningError, ConvergenceError, DomainError
-from lovelab.quadrature import (_TOL, _TS_FIRST_CALL, _TS_MAX_LEVEL, _TS_TMAX, _panel_sum,
-                                _tanh_sinh, _ts_level)
+from lovelab.quadrature import _TS_DEPTH, _panel_sum, _tanh_sinh, _ts_level
+from oracles.quadrature import level_by_level_tanh_sinh
 
 PI = math.pi
 
@@ -110,57 +110,6 @@ def test_scheme_cross_check_smooth():
     assert a == pytest.approx(b, abs=1e-13)
 
 
-def level_by_level_tanh_sinh(f, first=_TS_FIRST_CALL):
-    """The nested tanh-sinh rule on (0, 1) with one integrand call per
-    level, in the plainest form: the oracle whose (value, error) bits, and
-    whose ConvergenceError, the batched _tanh_sinh must reproduce.  Level j
-    adds the nodes t = k 2^-j for odd k (every k at level 0, plus the
-    midpoint), at s and 1 - s, each kept if it lies inside (0, 1), and
-    convergence is tested from level `first` on (5, as in _tanh_sinh; one
-    more takes an integral that converges at 5 through level 6).  Returns
-    the abscissae of each level along with the result."""
-    xs, history = [], []
-    raw = ndim = done = best = error = value = None
-    for level in range(_TS_MAX_LEVEL + 1):
-        h = 0.5 ** level
-        k = np.arange(1, int(math.floor(_TS_TMAX / h)) + 1)
-        if level:
-            k = k[k % 2 == 1]
-        t = k * h
-        q = np.exp(-2.0 * (0.5 * PI * np.sinh(t)))
-        s = q / (1.0 + q)
-        w = 2.0 * PI * np.cosh(t) * q / (1.0 + q) ** 2
-        s, w = s[w > 0.0], w[w > 0.0]
-        xl, xr = s, 1.0 - s
-        lok, rok = xl > 0.0, xr < 1.0
-        x = np.concatenate([[0.5] if level == 0 else [], xl[lok], xr[rok]])
-        w = np.concatenate([[0.5 * PI] if level == 0 else [], w[lok], w[rok]])
-        xs.append(x)
-        fx = np.asarray(f(x))
-        ndim = fx.ndim
-        part = np.array([np.dot(w, row) for row in fx.reshape(-1, len(x))])
-        raw = part if raw is None else raw + part
-        value = 0.5 * h * raw
-        history.append(value)
-        if level == 0:
-            best, error = value.copy(), np.zeros_like(value)
-            done = np.zeros(value.shape, dtype=bool)
-        if level >= first:
-            scale = np.maximum(1.0, np.abs(value))
-            d1 = np.abs(history[-1] - history[-2])
-            d2 = np.abs(history[-2] - history[-3])
-            now = ~done & (d1 < _TOL * scale) & (d2 < _TOL * scale)
-            best[now] = value[now]
-            error[now] = np.maximum(d1, 4e-16 * scale)[now]
-            done |= now
-            if done.all():
-                result = (float(best[0]), float(error[0])) if ndim == 1 else (best, error)
-                return result, xs
-    row = int(np.flatnonzero(~done)[0])
-    raise ConvergenceError("level cap", float(value[row]),
-                           float(abs(history[-1][row] - history[-2][row])))
-
-
 def test_one_integrand_call_per_panel_set_and_per_level():
     calls = []
 
@@ -185,29 +134,25 @@ def test_one_integrand_call_per_panel_set_and_per_level():
     value, _ = _tanh_sinh(recorded(mapped))
     assert value == pytest.approx(math.log(3.0), abs=1e-13)
     _, levels = level_by_level_tanh_sinh(mapped)
-    # the first call holds levels 0-5, with nodes near both endpoints: 1/x
-    # converges at level 5, so it makes no other call
-    assert len(levels) == _TS_FIRST_CALL + 1 and len(calls) == 1
+    # the one call holds levels 0-5, with nodes near both endpoints
+    assert len(levels) == _TS_DEPTH + 1 and len(calls) == 1
     assert calls[0].tolist() == np.concatenate(levels).tolist()
     assert calls[0].min() < 1e-4 and calls[0].max() > 1.0 - 1e-4
 
-    # the narrow Lorentzian converges at level 8: each level after the
-    # first call holds one call; no abscissa is evaluated twice
+    # the narrow Lorentzian converges at level 8 of the level-by-level
+    # rule: the fixed rule raises after its one call, on the same nodes
     lorentzian = ROWS[3]
     calls.clear()
-    got = _tanh_sinh(recorded(lorentzian))
-    want, levels = level_by_level_tanh_sinh(lorentzian)
-    assert np.array(got).tobytes() == np.array(want).tobytes()
-    assert len(levels) == 9 and len(calls) == len(levels) - _TS_FIRST_CALL
-    assert calls[0].tolist() == np.concatenate(levels[:_TS_FIRST_CALL + 1]).tolist()
-    for x, level in zip(calls[1:], levels[_TS_FIRST_CALL + 1:]):
-        assert x.tolist() == level.tolist()
-        assert x.min() < 0.5 < x.max()
+    with pytest.raises(ConvergenceError):
+        _tanh_sinh(recorded(lorentzian))
+    _, levels = level_by_level_tanh_sinh(lorentzian)
+    assert len(levels) == 9 and len(calls) == 1
+    assert calls[0].tolist() == np.concatenate(levels[:_TS_DEPTH + 1]).tolist()
 
 
 def test_level_tables_are_read_only():
     # built once per level, every abscissa inside (0, 1) with a positive weight
-    for level in range(_TS_MAX_LEVEL + 1):
+    for level in range(_TS_DEPTH + 1):
         x, w = _ts_level(level)
         assert np.all((x > 0.0) & (x < 1.0)) and np.all(w > 0.0)
         for table in (x, w):
@@ -222,40 +167,53 @@ def test_level_tables_are_read_only():
     (lambda x: np.where(x < 0.3, 1.0, 0.0), 0.3),     # interior jump
 ])
 def test_tanh_sinh_raises_at_level_cap(f, best):
-    with pytest.raises(ConvergenceError) as info:
-        _tanh_sinh(f)
+    calls = []
+    with pytest.raises(ConvergenceError, match="at level 5") as info:
+        _tanh_sinh(lambda x: calls.append(x) or f(x))
+    assert len(calls) == 1
     assert info.value.estimate > 1e-13
     if best is not None:
         assert info.value.best == pytest.approx(best, abs=1e-3)
 
 
-# the narrow Lorentzian converges at level 8, three levels after the others
+# the narrow Lorentzian needs level 8, three levels past the fixed rule's 5
 ROWS = [lambda x: x * x, lambda x: 1.0 / np.sqrt(x),
         lambda x: np.log(1.0 / (1.0 - x)), lambda x: 1.0 / (0.01 + (x - 0.5) ** 2)]
 
 
-def stacked(x):
-    return np.array([f(x) for f in ROWS])
+def stacked(x, rows=ROWS):
+    return np.array([f(x) for f in rows])
+
+
+def converging(x):
+    return stacked(x, ROWS[:3])
 
 
 def test_vector_integrand_rows_equal_scalar_calls_bit_for_bit():
-    # each row keeps the value of the level at which it converged; refined
-    # on to the Lorentzian's level, x^2 would move in its last bit
-    values, errors = _tanh_sinh(stacked)
-    assert values.shape == errors.shape == (4,)
+    values, errors = _tanh_sinh(converging)
+    assert values.shape == errors.shape == (3,)
     for f, value, error in zip(ROWS, values, errors):
         assert (value, error) == _tanh_sinh(f)
+    # the Lorentzian misses alone and as the last row of four
+    with pytest.raises(ConvergenceError, match=r"on \(0, 1\) missed"):
+        _tanh_sinh(ROWS[3])
+    with pytest.raises(ConvergenceError, match=r"on \(0, 1\), row 3 missed"):
+        _tanh_sinh(stacked)
     edges = [0.5, 0.75, 0.9, 0.99]
     values = _panel_sum(stacked, edges)
     assert values.tolist() == [_panel_sum(f, edges) for f in ROWS]
 
 
 def test_batched_levels_match_the_level_by_level_oracle_bit_for_bit():
-    for f in [stacked, *ROWS]:
+    for f in [converging, *ROWS[:3]]:
         (value, error), _ = level_by_level_tanh_sinh(f)
         got_value, got_error = _tanh_sinh(f)
         assert np.asarray(got_value).tobytes() == np.asarray(value).tobytes()
         assert np.asarray(got_error).tobytes() == np.asarray(error).tobytes()
+    # the oracle takes the Lorentzian on to level 8; the fixed rule raises
+    level_by_level_tanh_sinh(ROWS[3])
+    with pytest.raises(ConvergenceError):
+        _tanh_sinh(ROWS[3])
 
 
 def test_rows_that_meet_the_tolerance_early_keep_their_level_five_value():
@@ -268,18 +226,34 @@ def test_rows_that_meet_the_tolerance_early_keep_their_level_five_value():
         got = _tanh_sinh(lambda x: calls.append(x) or f(x))
         want, levels = level_by_level_tanh_sinh(f)
         assert np.array(got).tobytes() == np.array(want).tobytes()
-        assert len(levels) == _TS_FIRST_CALL + 1 and len(calls) == 1
+        assert len(levels) == _TS_DEPTH + 1 and len(calls) == 1
     assert _tanh_sinh(constant)[0] == pytest.approx(2.0, rel=2e-16, abs=0.0)
+
+
+def still_at_level_five(x):
+    """Below 1/2, 1 at the nodes of levels 0-3, 0 at level 4's and, at level
+    5's, the constant whose level sum equals that of levels 0-4 (0 above
+    1/2).  Level 5 then changes the value by rounding only, since h_5/2
+    times (level 5's sum - the sum through level 4) is the change, while
+    level 4 halves it."""
+    left = [xj[xj < 0.5] for xj, _ in map(_ts_level, range(_TS_DEPTH + 1))]
+    weight = [wj[xj < 0.5].sum() for xj, wj in map(_ts_level, range(_TS_DEPTH + 1))]
+    f = np.zeros_like(x)
+    f[np.isin(x, np.concatenate(left[:4]))] = 1.0
+    f[np.isin(x, left[5])] = sum(weight[:4]) / weight[5]
+    return f
 
 
 @pytest.mark.parametrize("f", [
     lambda x: 1.0 / x,                                # divergent
     lambda x: np.where(x < 0.3, 1.0, 0.0),            # interior jump
     lambda x: np.array([x * x, 1.0 / x]),             # one row diverges
+    still_at_level_five,                              # level 4 moves it
 ])
 def test_level_cap_error_matches_the_level_by_level_oracle(f):
+    # the fixed rule's error carries the oracle's level-5 value and change
     with pytest.raises(ConvergenceError) as want:
-        level_by_level_tanh_sinh(f)
+        level_by_level_tanh_sinh(f, last=_TS_DEPTH)
     with pytest.raises(ConvergenceError) as got:
         _tanh_sinh(f)
     assert (got.value.best, got.value.estimate) == (want.value.best, want.value.estimate)

@@ -343,7 +343,7 @@ def test_upper_cut_offset_form_is_batch_independent():
 # end), and a set reaching every other branch, with points one ulp either side
 # of each switch
 _HEAD = np.concatenate([quadrature._ts_level(j)[0]
-                        for j in range(quadrature._TS_FIRST_CALL + 1)])
+                        for j in range(quadrature._TS_DEPTH + 1)])
 _UNIT = np.concatenate([
     np.geomspace(1e-12, 1e-2, 30), np.linspace(0.01, 0.99, 50),
     np.nextafter([0.05, 0.05, 0.2, 0.2], [0.0, 1.0, 0.0, 1.0]),

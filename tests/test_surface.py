@@ -1,7 +1,10 @@
+import dataclasses
 import os
 import subprocess
 import sys
 import types
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -91,3 +94,31 @@ def test_integer_guard_takes_numpy_integers_but_not_bool(call, n):
         assert call(numpy_int) == expected
     with pytest.raises(DomainError, match=r"must be an integer in \[1, \d+\], got True$"):
         call(True)
+
+
+def _solved(**data):
+    return lovelab.observables(lovelab.solve_love(lovelab.LoveProblem(**data)))
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda x: _solved(kappa=x), "0.1"),
+    (lambda x: _solved(kappa=0.5, v0=x), "0.1"),
+    (lovelab.default_node_count, "0.1"),
+    (lambda x: lovelab.energy_series("takahashi", x), "0.01"),
+    (lambda x: lovelab.capacitance_series("extended", x), "0.1"),
+    (lovelab.epsilon_of_gamma, "0.01"),
+    (lovelab.cumulative_phi, "10.3"),
+    (lovelab.cumulative_phi_log, "10.3"),
+], ids=["LoveProblem.kappa", "LoveProblem.v0", "default_node_count", "energy_series",
+        "capacitance_series", "epsilon_of_gamma", "cumulative_phi", "cumulative_phi_log"])
+def test_real_guard_computes_in_double_precision(call, value):
+    # the one real guard: a float32, float16 or Fraction argument is the
+    # Python float it converts to, with that call's bits and no warning
+    for x in (np.float32(value), np.float16(value), Fraction(value)):
+        want = call(float(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = call(x)
+        leaves = dataclasses.astuple(got) if dataclasses.is_dataclass(got) else (got,)
+        assert all(type(leaf) in (float, int) for leaf in leaves), (x, got)
+        assert repr(got) == repr(want), x
