@@ -76,10 +76,12 @@ def _check_real(value, name: str, interval: str) -> float:
     Fraction is tested and returned as the float it converts to, so callers
     compute in double precision.  Each end is compared as its bracket says,
     and every comparison with NaN is false, so NaN is refused by
-    construction, as is an infinity at an open end."""
+    construction, as is an infinity at an open end.  A bool, Python's or
+    numpy's, is not a real here, as it is not an integer for _check_int."""
     low, high = (float(end) for end in interval[1:-1].split(","))
+    boolean = isinstance(value, bool) or getattr(value, "dtype", None) == bool
     x = float(value) if isinstance(value, numbers.Real) else value
-    if not ((low < x if interval[0] == "(" else low <= x)
-            and (x < high if interval[-1] == ")" else x <= high)):
+    if boolean or not ((low < x if interval[0] == "(" else low <= x)
+                       and (x < high if interval[-1] == ")" else x <= high)):
         raise DomainError(f"{name} must lie in {interval}, got {value!r}")
     return float(x)

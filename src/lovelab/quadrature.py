@@ -15,9 +15,12 @@ levels 4 and 5 still move; every identity of the suite converges there.  A
 panel sum makes one call too.  Sums are formed per level and per panel from
 their own values, so results keep their bits provided a value depends on
 its own abscissa alone, as every integrand here does.  The abscissae and
-weights of each tanh-sinh level are built once, as read-only tables.  No
-package code calls the panel sum; it is an independent second rule for
-checking tanh-sinh integrals.
+weights of each tanh-sinh level are built once, as read-only tables, and so
+are the rule's joined abscissae and level slices; a level's sums over all
+rows are one stacked matmul, which numpy takes by the BLAS dot of np.dot,
+so each sum has the bits of a per-row dot.  No package code calls the
+panel sum; it is an independent second rule for checking tanh-sinh
+integrals.
 """
 
 from __future__ import annotations
@@ -176,6 +179,23 @@ def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+@functools.cache
+def _ts_rule() -> tuple[np.ndarray, tuple[tuple[slice, np.ndarray], ...], np.ndarray]:
+    """The fixed rule's constants, built once from the _ts_level tables: the
+    abscissae of levels 0-5 in turn, as one read-only array; each level's
+    slice of it, with its weights as an (n, 1) column; and the (levels, 1)
+    column of half steps h/2 that scale the accumulated level sums."""
+    tables = [_ts_level(level) for level in range(_TS_DEPTH + 1)]
+    x = np.concatenate([xj for xj, _ in tables])
+    x.flags.writeable = False
+    ends = np.cumsum([len(xj) for xj, _ in tables])
+    levels = tuple((slice(end - len(wj), end), wj[:, None])
+                   for (_, wj), end in zip(tables, ends))
+    half_steps = (0.5 * 0.5 ** np.arange(_TS_DEPTH + 1))[:, None]
+    half_steps.flags.writeable = False
+    return x, levels, half_steps
+
+
 def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray]
                ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Double-exponential quadrature on (0, 1), one fixed rule.
@@ -196,15 +216,14 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray]
     values; raises ConvergenceError, carrying level 5's value and change of
     the first row that missed.
     """
-    tables = [_ts_level(level) for level in range(_TS_DEPTH + 1)]
-    x = np.concatenate([xj for xj, _ in tables])
+    x, levels, half_steps = _ts_rule()
     fx = np.asarray(f(x))
     rows = fx.reshape(-1, len(x))
-    ends = np.cumsum([len(xj) for xj, _ in tables])
-    sums = [np.array([np.dot(wj, row[end - len(wj):end]) for row in rows])
-            for (_, wj), end in zip(tables, ends)]
-    h = 0.5 ** np.arange(_TS_DEPTH + 1)
-    values = (0.5 * h)[:, None] * np.add.accumulate(sums)
+    # one stacked vector-vector matmul per level: numpy takes each row's
+    # sum by the BLAS ddot that np.dot(wj, row[part]) calls, so every row
+    # keeps the bits of a per-row dot (a matrix-vector product does not)
+    sums = [np.matmul(rows[:, None, part], wj)[:, 0, 0] for part, wj in levels]
+    values = half_steps * np.add.accumulate(sums)
     steps = np.abs(np.diff(values[-3:], axis=0))    # levels 4 and 5's changes
     value, scale = values[-1], np.maximum(1.0, np.abs(values[-1]))
     missed = np.flatnonzero(~(steps < _TOL * scale).all(axis=0))

@@ -276,8 +276,10 @@ def _polylog_exp_neg(n: Sequence[int], t) -> np.ndarray:
     pass runs over all rows per branch, on the tables _polylog_tables builds
     once per set of orders (a lower order's expansion is padded with zeros
     at its high powers, which leave the sum unchanged), and the log t term
-    is one broadcast over the orders.  Every order must be an integer in
-    [1, 169] (errors._orders), as the tables of a higher one overflow.
+    is one broadcast over the orders, with pow on the rows of power 2 and
+    up only (mu^0 and mu^1 are pow's own 1.0 and mu).  Every order must be
+    an integer in [1, 169] (errors._orders), as the tables of a higher one
+    overflow.
     """
     orders = tuple(_orders(n, "order", _MAX_POLYLOG_ORDER))
     ta = np.asarray(t, dtype=float)
@@ -298,7 +300,10 @@ def _polylog_exp_neg(n: Sequence[int], t) -> np.ndarray:
     te = flat[expand]
     mu = -te
     log_te = np.log(te, out=np.zeros_like(te), where=te > 0.0)
-    out[:, expand] = _horner(expansion_table, mu) - mu ** power / factorial * log_te
+    mu_power = np.where(power == 0.0, 1.0, mu)
+    high = power[:, 0] >= 2.0
+    mu_power[high] = mu ** power[high]
+    out[:, expand] = _horner(expansion_table, mu) - mu_power / factorial * log_te
     x = np.exp(-flat[direct])
     out[:, direct] = x * _horner(direct_table, x)
     return out.reshape((len(orders),) + ta.shape)

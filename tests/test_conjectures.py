@@ -61,6 +61,21 @@ def test_tn_first_values():
     assert tn_first(7) == F(-40291823, 108864000)
 
 
+def test_tn_firsts_are_built_once_as_an_immutable_tuple():
+    # exact rationals, like GAMMA0: every call returns the tuple built by
+    # the first, equal to a fresh pass of the transform over 1..n+1
+    for n in range(1, 7):
+        firsts = conjectures._tn_firsts(n)
+        assert type(firsts) is tuple and conjectures._tn_firsts(n) is firsts
+        seq = [F(i) for i in range(1, n + 2)]
+        fresh = [seq[0]]
+        for _ in range(n):
+            seq = ll.t_transform(seq)
+            fresh.append(seq[0])
+        assert firsts == tuple(fresh)
+        assert all(type(v) is F for v in firsts)
+
+
 def test_tn_first_guards():
     for bad in (0, 8, True):
         with pytest.raises(DomainError) as info:

@@ -5,6 +5,7 @@ import pytest
 
 import lovelab as ll
 from lovelab import quadrature
+from lovelab.conjectures import _suite_rows
 from lovelab.errors import ConditioningError, ConvergenceError, DomainError
 from lovelab.quadrature import _TS_DEPTH, _panel_sum, _tanh_sinh, _ts_level
 from oracles.quadrature import level_by_level_tanh_sinh
@@ -160,6 +161,15 @@ def test_level_tables_are_read_only():
             with pytest.raises(ValueError):
                 table[0] = 0.5
     assert _ts_level(4) is _ts_level(4)
+    # and so are the rule's joined abscissae, level slices and half steps
+    x, levels, half_steps = quadrature._ts_rule()
+    assert quadrature._ts_rule()[0] is x and len(x) == 297
+    for level, (part, wj) in enumerate(levels):
+        assert x[part].tobytes() == _ts_level(level)[0].tobytes()
+        assert wj[:, 0].tobytes() == _ts_level(level)[1].tobytes()
+    assert sum(len(wj) for _, wj in levels) == len(x)
+    for table in (x, half_steps, *(wj for _, wj in levels)):
+        assert not table.flags.writeable
 
 
 @pytest.mark.parametrize("f, best", [
@@ -205,7 +215,8 @@ def test_vector_integrand_rows_equal_scalar_calls_bit_for_bit():
 
 
 def test_batched_levels_match_the_level_by_level_oracle_bit_for_bit():
-    for f in [converging, *ROWS[:3]]:
+    # _suite_rows: the 12 rows of verify's one integral
+    for f in [converging, *ROWS[:3], _suite_rows]:
         (value, error), _ = level_by_level_tanh_sinh(f)
         got_value, got_error = _tanh_sinh(f)
         assert np.asarray(got_value).tobytes() == np.asarray(value).tobytes()
@@ -301,3 +312,49 @@ def test_fit_refuses_a_rank_deficient_design():
     design = np.column_stack([np.ones(4), np.zeros(4)])
     with pytest.raises(ConditioningError, match=r"rank 1 of 2, sv ratio inf"):
         quadrature._lstsq(design, np.arange(4.0))
+
+
+# ----------------------------------------------------------------------
+# The stacked level sums keep the bits of per-row dots.
+# ----------------------------------------------------------------------
+
+# every abscissa of levels 0-5, once, so that a tabulated integrand's value
+# depends on its own abscissa alone, as the rule's sums require
+_ABSCISSAE = np.unique(np.concatenate([_ts_level(level)[0] for level in range(_TS_DEPTH + 1)]))
+
+
+def tabulated(table):
+    """An integrand of len(table) rows taking table's column at each
+    abscissa of the rule (a one-row table gives a 1-D integrand)."""
+    def f(x):
+        at = np.searchsorted(_ABSCISSAE, x)
+        assert np.array_equal(_ABSCISSAE[at], x)
+        return table[0, at] if len(table) == 1 else table[:, at]
+    return f
+
+
+@pytest.mark.parametrize("m", [1, 4, 12])
+def test_stacked_level_sums_match_per_row_dots_bit_for_bit(m):
+    # smooth rows carrying random last bits at every abscissa of every
+    # level converge, and each sum's rounding depends on the order of its
+    # terms: value and error are the level-by-level oracle's, whose level
+    # sums are one np.dot per row
+    rng = np.random.default_rng(m)
+    x = _ABSCISSAE
+    smooth = np.array([x ** (k % 5) * np.log(1.0 / (1.0 - x)) ** (k // 5) / np.sqrt(x)
+                       for k in range(m)])
+    f = tabulated(smooth * (1.0 + 2.0 ** -50 * rng.standard_normal(smooth.shape)))
+    (value, error), _ = level_by_level_tanh_sinh(f)
+    got = _tanh_sinh(f)
+    assert np.asarray(got[0]).tobytes() == np.asarray(value).tobytes()
+    assert np.asarray(got[1]).tobytes() == np.asarray(error).tobytes()
+    # random rows over 60 decades converge nowhere: each row in turn is the
+    # first that misses, and carries the oracle's level-5 value and change
+    table = rng.standard_normal((m, len(x))) * 10.0 ** rng.uniform(-30.0, 30.0, (m, len(x)))
+    for row in range(m):
+        f = tabulated(np.roll(table, -row, axis=0))
+        with pytest.raises(ConvergenceError) as want:
+            level_by_level_tanh_sinh(f, last=_TS_DEPTH)
+        with pytest.raises(ConvergenceError) as got:
+            _tanh_sinh(f)
+        assert (got.value.best, got.value.estimate) == (want.value.best, want.value.estimate)

@@ -589,6 +589,20 @@ def test_real_guards_refuse_nan(name, interval, call):
     assert str(info.value) == f"{name} must lie in {interval}, got nan"
 
 
+@pytest.mark.parametrize("name, interval, call",
+                         [guard[:3] for guard in _REAL_GUARDS],
+                         ids=[guard[3] for guard in _REAL_GUARDS])
+def test_real_guards_refuse_a_bool(name, interval, call):
+    # a bool is no real, as it is no integer for _check_int: True is not
+    # taken as 1.0 (LoveProblem(kappa=True).kappa, cumulative_phi(True)),
+    # nor False as 0.0 where the interval holds 0 (energy_series)
+    for value in (True, False, np.True_, np.False_):
+        with pytest.raises(DomainError) as info:
+            call(value)
+        assert type(info.value) is DomainError
+        assert str(info.value) == f"{name} must lie in {interval}, got {value!r}"
+
+
 def test_check_real_compares_each_end_as_its_bracket_says():
     for value, interval in ((0.0, "[0, 1]"), (1.0, "[0, 1]"), (0.5, "(0, 1)"),
                             (1.0, "[1, inf)"), (1e308, "(0, inf)")):
@@ -598,6 +612,34 @@ def test_check_real_compares_each_end_as_its_bracket_says():
         with pytest.raises(DomainError) as info:
             _check_real(value, "x", interval)
         assert str(info.value) == f"x must lie in {interval}, got {value!r}"
+
+
+def _polylog_by_float_powers(orders, t):
+    """_polylog_exp_neg with the expansion's mu^(n-1) taken by pow on every
+    order's row, as one broadcast of the power column."""
+    direct_table, expansion_table, power, factorial = specfun._polylog_tables(tuple(orders))
+    direct = t > math.log(2.0)
+    out = np.empty((len(orders), len(t)))
+    te = t[~direct]
+    mu = -te
+    log_te = np.log(te, out=np.zeros_like(te), where=te > 0.0)
+    out[:, ~direct] = specfun._horner(expansion_table, mu) - mu ** power / factorial * log_te
+    x = np.exp(-t[direct])
+    out[:, direct] = x * specfun._horner(direct_table, x)
+    return out
+
+
+@pytest.mark.parametrize("orders", [[1, 2, 3, 4], [2, 3, 4, 5, 6, 7], [1], [2], [1, 7, 169]])
+def test_polylog_power_split_keeps_the_bits_of_pow(orders):
+    # orders 1 and 2 take 1.0 and mu for mu^0 and mu^1, which is what pow
+    # returns; the rows of power 2 and up still call it
+    log2 = math.log(2.0)
+    s = np.concatenate([quadrature._ts_level(j)[0] for j in range(quadrature._TS_DEPTH + 1)])
+    t = np.concatenate([[0.0, 5e-324, log2], np.nextafter(log2, [0.0, 1.0]),
+                        s, -np.log1p(-s), math.pi * s])
+    if 1 in orders:
+        t = t[t > 0.0]                          # Li_1(1) diverges
+    assert np.array_equal(_polylog_exp_neg(orders, t), _polylog_by_float_powers(orders, t))
 
 
 def test_polylog_highest_order_holds():
