@@ -20,6 +20,7 @@ import functools
 import io
 import math
 import os
+import re
 import sys
 from typing import Callable, Iterable, Sequence
 
@@ -91,7 +92,8 @@ def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
+            # a comment starts at a "#" that begins the line or follows a space
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -19,21 +19,20 @@ gamma1 (one Lambert-W pass), integral4 and the subtracted outer integrand
 of gamma2's route (b), whose integral4 also serves route (a) (one dK/dk
 pass), the polylog orders (one polylog call) and the residue orders.  The outer
 integrand is the far field F = (2/pi) s^2 dK/ds times k3, so route (b)
-checks the two elliptic primitives, _dk_vec and _k3, directly.  A run_all
-call takes all 12 rows as one tanh-sinh integral, whose integrand makes
-one W call on the offsets pi s, pi / s and -log(1 - s) (the polylog and
-residue rows share the last) and one call each of dK/dk and the polylog;
-each producer reads its rows from it.  No value outlives the call; a
-producer called on its own integrates its own group only.  Every row is
-summed from its own values, so each keeps its bits whichever rows share
-its integral.
+checks the two elliptic primitives, _dk_vec and _k3, directly.  run_all
+takes all 12 rows as one tanh-sinh integral, whose integrand makes one W
+call on the offsets pi s, pi / s and -log(1 - s) (the polylog and residue
+rows share the last) and one call each of dK/dk and the polylog, and hands
+each producer its group's values as an argument; a producer called without
+them integrates its own group only.  Every row is summed from its own
+values, so each keeps its bits whichever rows share its integral.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -46,7 +45,7 @@ import numpy as np
 from . import asymptotics, capacitor2d
 from .asymptotics import GAMMA0, GAMMA1, GAMMA2_TILDE, INTEGRAL4
 from .capacitor2d import _phi_moment_rows, _phi_prime_of_w, _phi_prime_polylog_rows
-from .errors import DomainError, _orders
+from .errors import DomainError, _check_real, _orders
 from .quadrature import _tanh_sinh
 from .specfun import _dk_vec, _w_upper_from_offset
 
@@ -97,14 +96,18 @@ def _report(name: str, computed: float, target: float, method: str) -> Conjectur
 
 def t_transform(seq: Sequence[Fraction | int]) -> list[Fraction]:
     """One application of the transform T[s]_k = (s_k - s_{k+1}) / k
-    (1-based k); output is one element shorter than the input.  Every
-    element must be finite (an int, a Fraction, or a finite float)."""
+    (1-based k); output is one element shorter than the input.  An int (not
+    a bool) or a Fraction is taken exactly, any other finite real as the
+    double errors._check_real makes of it."""
     if len(seq) < 2:
         raise DomainError(f"need at least 2 elements, got {len(seq)}")
     try:
-        s = [Fraction(v) for v in seq]
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(f"elements must be finite: {exc}") from None
+        s = [v if isinstance(v, Fraction)
+             else Fraction(int(v) if isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                           else _check_real(v, "element", "(-inf, inf)"))
+             for v in seq]
+    except DomainError as exc:
+        raise DomainError(f"elements must be finite reals: {exc}") from None
     return [(s[i] - s[i + 1]) / Fraction(i + 1) for i in range(len(s) - 1)]
 
 
@@ -122,17 +125,19 @@ def _tn_firsts(n: int) -> tuple[Fraction, ...]:
     return tuple(firsts)
 
 
-def verify_polylog_claim(n: Sequence[int]) -> list[ConjectureReport]:
+def verify_polylog_claim(n: Sequence[int], values: Sequence[float] | None = None,
+                         ) -> list[ConjectureReport]:
     """int_0^inf Phi'(x) Li_m(e^{-pi x}) dx against the exact (T^m[N])_1,
-    one report per order m in n, from integrals taken on shared abscissae."""
+    one report per order m in n, from values (one per order) or its own
+    integral, taken on shared abscissae."""
     orders = _orders(n, "n", 6)
     targets = _tn_firsts(max(orders))
-    values = _group_values("polylog",
-                           lambda: capacitor2d.phi_prime_polylog_integral(orders), orders)
+    if values is None:
+        values = capacitor2d.phi_prime_polylog_integral(orders)
     return [_report(f"polylog_n{m}", float(computed), float(targets[m]),
                     "tanh-sinh of Phi' Li_n(e^{-pi x}) at pi x = -log(1 - s) vs "
                     "exact sequence transform")
-            for m, computed in zip(orders, values)]
+            for m, computed in zip(orders, values, strict=True)]
 
 
 # ----------------------------------------------------------------------
@@ -146,9 +151,10 @@ def _residue_rows(s: np.ndarray, W: np.ndarray, orders: list[int]) -> np.ndarray
     return (1.0 - s) ** (np.array(orders, dtype=float)[:, None] - 1.0) * _phi_prime_of_w(W)
 
 
-def residue_identity(k: Sequence[int]) -> list[ConjectureReport]:
+def residue_identity(k: Sequence[int], values: Sequence[float] | None = None,
+                     ) -> list[ConjectureReport]:
     """Branch-cut integral against the pole residue j^j e^{-j} / (j-1)!, one
-    report per order j in k.
+    report per order j in k, from values (one per order) or its own integral.
 
     After x = -e^{t-1} the integral becomes
     -(j/pi) int_0^inf e^{-j t} Im(1/(1 + W(-e^{t-1}))) dt with W on the
@@ -158,41 +164,38 @@ def residue_identity(k: Sequence[int]) -> list[ConjectureReport]:
     and share one W evaluation per abscissa.
     """
     orders = _orders(k, "k", 8)
-
-    def alone() -> np.ndarray:
-        return _tanh_sinh(lambda s: _residue_rows(s, _w_upper_from_offset(-np.log1p(-s)),
-                                                  orders))[0]
-
-    values = _group_values("residue", alone, orders)
+    if values is None:
+        values, _ = _tanh_sinh(
+            lambda s: _residue_rows(s, _w_upper_from_offset(-np.log1p(-s)), orders))
     return [_report(f"residue_k{j}", -(j / _PI) * float(value),
                     j ** j * math.exp(-j) / math.factorial(j - 1),
                     "upper-cut Lambert W branch integral, t = log(-e x) substitution")
-            for j, value in zip(orders, values)]
+            for j, value in zip(orders, values, strict=True)]
 
 
 # ----------------------------------------------------------------------
 # Cumulative-potential constants.
 # ----------------------------------------------------------------------
 
-def _subtracted_moments() -> Sequence[float]:
-    """gamma0 and gamma1: the two Phi moments over the whole half-line, one
-    tanh-sinh integral of _phi_moment_rows on (0, 1)."""
+def _subtracted_moments(values: Sequence[float] | None) -> Sequence[float]:
+    """gamma0 and gamma1: the two Phi moments over the whole half-line, as
+    given in values, else one tanh-sinh integral of _phi_moment_rows."""
     def rows(u: np.ndarray) -> np.ndarray:
         return _phi_moment_rows(u, _w_upper_from_offset(_PI * np.concatenate([u, 1.0 / u])))
 
-    return _group_values("phi", lambda: _tanh_sinh(rows)[0])
+    return _tanh_sinh(rows)[0] if values is None else values
 
 
-def verify_gamma0() -> ConjectureReport:
+def verify_gamma0(values: Sequence[float] | None = None) -> ConjectureReport:
     """Constant of int_0^X Phi dt - (log X)/pi, against (1 + log pi)/pi."""
-    return _report("gamma0", float(_subtracted_moments()[0]), GAMMA0,
+    return _report("gamma0", float(_subtracted_moments(values)[0]), GAMMA0,
                    "tanh-sinh of Phi - 1/(pi t) past t = 1, tails at t = 1/s")
 
 
-def verify_gamma1() -> ConjectureReport:
+def verify_gamma1(values: Sequence[float] | None = None) -> ConjectureReport:
     """Constant of int_0^X Phi log t dt - log^2 X/(2 pi), against
     pi/6 - 1/pi - log(pi)/pi - log^2(pi)/(2 pi)."""
-    return _report("gamma1", float(_subtracted_moments()[1]), GAMMA1,
+    return _report("gamma1", float(_subtracted_moments(values)[1]), GAMMA1,
                    "tanh-sinh of (Phi - 1/(pi t) past t = 1) log t, tails at t = 1/s")
 
 
@@ -210,22 +213,22 @@ def _unit_rows(r: np.ndarray) -> np.ndarray:
                      asymptotics._outer_subtracted(r, dk)])
 
 
-def _unit_integrals() -> tuple[float, float]:
+def _unit_integrals(values: Sequence[float] | None) -> tuple[float, float]:
     """integral4, (2/pi) int_0^1 { 2 (1/r - r) (dK/dr)^2 - 1/(1-r) } dr, and
-    the integral of the subtracted outer integrand over s in (0, 1), the two
-    rows of one tanh-sinh integral on (0, 1)."""
-    integral4, outer = _group_values("unit", lambda: _tanh_sinh(_unit_rows)[0])
+    the integral of the subtracted outer integrand over s in (0, 1), from
+    values, _unit_rows integrated, else one tanh-sinh integral of them."""
+    integral4, outer = _tanh_sinh(_unit_rows)[0] if values is None else values
     return (2.0 / _PI) * float(integral4), float(outer)
 
 
-def verify_integral4() -> ConjectureReport:
+def verify_integral4(values: Sequence[float] | None = None) -> ConjectureReport:
     """(2/pi) int_0^1 { 2 (1/r - r) (dK/dr)^2 - 1/(1-r) } dr against
     -2/pi - pi/2 + 2 log 8 / pi."""
-    return _report("integral4", _unit_integrals()[0], INTEGRAL4,
+    return _report("integral4", _unit_integrals(values)[0], INTEGRAL4,
                    "tanh-sinh of the dK/dr integrand with a series guard at r -> 0")
 
 
-def verify_gamma2() -> list[ConjectureReport]:
+def verify_gamma2(values: Sequence[float] | None = None) -> list[ConjectureReport]:
     """The outer-integral constant by two independent routes.
 
     (a) through the elliptic-derivative integral plus its exact companions:
@@ -234,7 +237,7 @@ def verify_gamma2() -> list[ConjectureReport]:
         its logarithmic endpoint growth subtracted in closed form.
     Both must match -2/pi - pi/4 - log^2(8)/(4 pi) + 2 log(8)/pi.
     """
-    integral4, direct = _unit_integrals()
+    integral4, direct = _unit_integrals(values)
     route_a = integral4 + _PI / 4.0 - 9.0 * math.log(2.0) ** 2 / (4.0 * _PI)
     return [
         _report("gamma2_tilde_via_integral4", route_a, GAMMA2_TILDE,
@@ -251,9 +254,10 @@ def verify_gamma2() -> list[ConjectureReport]:
 # The orders of the polylog and residue groups of the suite.
 _SUITE_ORDERS = [1, 2, 3, 4]
 
-# Where each group's rows sit among the rows of the suite's one integral.
-_SUITE_ROWS = {"phi": slice(0, 2), "unit": slice(2, 4), "polylog": slice(4, 8),
-               "residue": slice(8, 12)}
+# Where each SUITE group's rows sit among the rows of the suite's one
+# integral; gamma0 and gamma1 share theirs, as do gamma2 and integral4.
+_SUITE_ROWS = {"gamma0": slice(0, 2), "gamma1": slice(0, 2), "gamma2": slice(2, 4),
+               "integral4": slice(2, 4), "polylog": slice(4, 8), "residue": slice(8, 12)}
 
 
 def _suite_rows(s: np.ndarray) -> np.ndarray:
@@ -268,39 +272,20 @@ def _suite_rows(s: np.ndarray) -> np.ndarray:
                            _residue_rows(s, W[2 * n:], _SUITE_ORDERS)])
 
 
-# The values of the suite's one integral within a run_all call, once taken;
-# None outside a run, where every group integrates its own rows.
-_RUN_VALUES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "lovelab_run_values", default=None)
-
-
-def _group_values(group: str, alone: Callable[[], Sequence[float]],
-                  orders: list[int] | None = None) -> Sequence[float]:
-    """The values of one group's rows (for its orders, where it has them):
-    within run_all, its rows of the suite's one integral, taken on first
-    use and kept for the rest of the call; elsewhere, or for orders other
-    than the suite's, alone(), the group's own integral."""
-    values = _RUN_VALUES.get()
-    if values is None or orders not in (None, _SUITE_ORDERS):
-        return alone()
-    if not values:
-        values["suite"], _ = _tanh_sinh(_suite_rows)
-    return values["suite"][_SUITE_ROWS[group]]
-
-
 # Every report of the suite must match this many significant digits.
 MIN_DIGITS = 13
 
-# The suite in report order, each group name with its report producer.  The
-# producers look their check up by name when called, so a wrapper put on a
-# module attribute sees every call.
-SUITE: dict[str, Callable[[], list[ConjectureReport]]] = {
-    "gamma0": lambda: [verify_gamma0()],
-    "gamma1": lambda: [verify_gamma1()],
-    "gamma2": lambda: verify_gamma2(),
-    "integral4": lambda: [verify_integral4()],
-    "polylog": lambda: verify_polylog_claim(_SUITE_ORDERS),
-    "residue": lambda: residue_identity(_SUITE_ORDERS),
+# The suite in report order, each group name with its report producer,
+# which takes the group's rows of the suite's integral where it is handed
+# them and integrates its own otherwise.  The producers look their check up
+# by name when called, so a wrapper put on a module attribute sees every call.
+SUITE: dict[str, Callable[..., list[ConjectureReport]]] = {
+    "gamma0": lambda values=None: [verify_gamma0(values=values)],
+    "gamma1": lambda values=None: [verify_gamma1(values=values)],
+    "gamma2": lambda values=None: verify_gamma2(values=values),
+    "integral4": lambda values=None: [verify_integral4(values=values)],
+    "polylog": lambda values=None: verify_polylog_claim(_SUITE_ORDERS, values=values),
+    "residue": lambda values=None: residue_identity(_SUITE_ORDERS, values=values),
 }
 
 
@@ -308,11 +293,7 @@ def run_all() -> list[ConjectureReport]:
     """The full suite in SUITE order: gamma0, gamma1, both gamma2 routes,
     integral4, polylog claims n = 1..4, residue identities k = 1..4.
 
-    All 12 rows are one tanh-sinh integral, which the producers share for
-    the length of this call only: each call starts afresh, and keeps no
-    value once it returns or raises."""
-    token = _RUN_VALUES.set({})
-    try:
-        return [r for task in SUITE.values() for r in task()]
-    finally:
-        _RUN_VALUES.reset(token)
+    All 12 rows are one tanh-sinh integral, taken here on each call, and
+    each producer is handed its group's rows of it."""
+    values, _ = _tanh_sinh(_suite_rows)
+    return [r for group, task in SUITE.items() for r in task(values[_SUITE_ROWS[group]])]

@@ -557,6 +557,22 @@ def test_config_file_sets_format_and_output(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: format")
 
 
+def test_config_comment_starts_only_at_line_start_or_after_whitespace(capsys, tmp_path):
+    # a '#' inside a value is part of it: the table goes to run#2.csv, as
+    # --output 'run#2.csv' sends it, not to a file named run
+    table = tmp_path / "run#2.csv"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# a whole-line comment\noutput = {table}\nkappa = 1\t# after a tab\n")
+    code, out = run(capsys, ["--config", str(config), "solve"])
+    assert code == 0 and out == ""
+    assert table.read_text().startswith("kappa,")
+    assert not (tmp_path / "run").exists()
+    # so a value with a '#' glued to it is that whole value
+    config.write_text("kappa = 0.5#x\n")
+    assert main(["--config", str(config), "solve"]) == 2
+    assert "0.5#x" in capsys.readouterr().err
+
+
 def test_config_file_rejects_garbage(capsys, tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("kappa 2.0\n")
@@ -660,7 +676,8 @@ BAD_FLAGS = st.one_of(
         lambda v: ["verify", "--which", "gamma0", f"--format={v}"]),
 )
 
-# one config line: '#' starts a comment and '=' splits key from value
+# one config line: '#' (at the line's start or after whitespace) starts a
+# comment and '=' splits key from value
 CONFIG_TEXT = text(exclude="\n\r#=")
 SOLVE_OPTIONS = {"kappa", "kappa_min", "kappa_max", "kappa_points", "nodes",
                  "format", "output"}

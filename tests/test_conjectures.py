@@ -54,6 +54,26 @@ def test_transform_refuses_non_finite_elements(bad):
         ll.t_transform([1, bad, 3])
 
 
+@pytest.mark.parametrize("bad", [True, np.True_])
+def test_transform_refuses_bools(bad):
+    # a bool is not a real here, as it is not an integer for the orders
+    with pytest.raises(DomainError, match="finite"):
+        ll.t_transform([1, bad, 3])
+
+
+def test_transform_refuses_strings():
+    # a str is refused as errors._check_real refuses it, not parsed
+    with pytest.raises(TypeError):
+        ll.t_transform(["1", "2", "7/3"])
+
+
+def test_transform_takes_numpy_reals():
+    # a numpy float is the double it converts to; a numpy int is exact, in
+    # Python ints, so the differences cannot wrap around at 2^63
+    assert ll.t_transform([np.float32(2.5), 1]) == [F(3, 2)]
+    assert ll.t_transform([np.int64(2 ** 62), np.int64(-2 ** 62)]) == [F(2 ** 63)]
+
+
 def test_tn_first_values():
     assert tn_first(1) == F(-1)
     assert tn_first(3) == F(-5, 12)
@@ -279,7 +299,7 @@ def test_one_integrand_call_per_integral_of_the_suite(monkeypatch):
     ("polylog", 1, 1, 0), ("residue", 1, 0, 0),
 ])
 def test_a_group_alone_integrates_its_own_rows(monkeypatch, group, w_blocks, polylog, dk):
-    # outside run_all a group takes one integral of its own rows only, with
+    # called without its rows, a group takes one integral of its own only, with
     # at most one W call, on its own offsets
     calls = _count_suite_calls(monkeypatch)
     conjectures.SUITE[group]()
@@ -299,7 +319,7 @@ def test_no_shared_value_outlives_its_run(monkeypatch):
 def test_no_shared_value_outlives_a_failed_run(monkeypatch):
     # the last group raises after gamma0 and gamma1 read the suite's
     # shared integral; a later check on its own computes its own
-    def refuse(k):
+    def refuse(k, values=None):
         raise DomainError("refused")
 
     calls = _count_suite_calls(monkeypatch)
@@ -311,14 +331,37 @@ def test_no_shared_value_outlives_a_failed_run(monkeypatch):
     assert calls["w"] == 1
 
 
+def _fields(report):
+    return (report.name, report.computed.hex(), report.target.hex(),
+            report.abs_error.hex(), report.digits, report.method)
+
+
+@pytest.mark.parametrize("group", list(conjectures.SUITE))
+def test_a_group_handed_its_rows_integrates_nothing(monkeypatch, group):
+    # run_all hands each producer its rows of the suite's one integral: from
+    # them it makes no integrand, W, dK/dk or polylog call, and the reports
+    # it builds are those of the group run on its own, to the bit
+    values, _ = quadrature._tanh_sinh(conjectures._suite_rows)
+    alone = [_fields(r) for r in conjectures.SUITE[group]()]
+    calls = _count_suite_calls(monkeypatch)
+    handed = conjectures.SUITE[group](values[conjectures._SUITE_ROWS[group]])
+    assert calls == dict.fromkeys(calls, 0)
+    assert [_fields(r) for r in handed] == alone
+
+
+@pytest.mark.parametrize("producer", [conjectures.verify_polylog_claim,
+                                      conjectures.residue_identity])
+def test_values_of_the_wrong_length_raise(producer):
+    # three values for four orders drop no report silently
+    values, _ = quadrature._tanh_sinh(conjectures._suite_rows)
+    with pytest.raises(ValueError):
+        producer([1, 2, 3, 4], values=values[4:7])
+
+
 def test_run_all_equals_each_group_alone():
     # sharing within a run moves no bit of any report
-    def fields(report):
-        return (report.name, report.computed.hex(), report.target.hex(),
-                report.abs_error.hex(), report.digits, report.method)
-
-    alone = [fields(r) for task in conjectures.SUITE.values() for r in task()]
-    assert [fields(r) for r in conjectures.run_all()] == alone
+    alone = [_fields(r) for task in conjectures.SUITE.values() for r in task()]
+    assert [_fields(r) for r in conjectures.run_all()] == alone
 
 
 # ----------------------------------------------------------------------
