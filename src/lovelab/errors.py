@@ -6,6 +6,7 @@ t = 0) included, raises DomainError.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Sequence
 
@@ -72,16 +73,23 @@ def _orders(n: Sequence[int], name: str, top: int) -> list[int]:
 
 def _check_real(value, name: str, interval: str) -> float:
     """value as a Python float, refusing a real outside interval, written as
-    the docstrings write it: "(0, inf)", "[0, 1]".  A numpy float32 or a
-    Fraction is tested and returned as the float it converts to, so callers
-    compute in double precision.  Each end is compared as its bracket says,
-    and every comparison with NaN is false, so NaN is refused by
-    construction, as is an infinity at an open end.  A bool, Python's or
+    the docstrings write it: "(0, inf)", "[0, 1]".  A numpy float32, a 0-d
+    real array, a Fraction or a Decimal is tested and returned as the float
+    it converts to, so callers compute in double precision.  Each end is
+    compared as its bracket says, and every comparison with NaN is false,
+    so NaN is refused by construction, as is an infinity at an open end.
+    Anything else (a str, None, a complex, a sequence or a 1-d array) is
+    taken as NaN, so it is refused in the same words.  A bool, Python's or
     numpy's, is not a real here, as it is not an integer for _check_int."""
     low, high = (float(end) for end in interval[1:-1].split(","))
-    boolean = isinstance(value, bool) or getattr(value, "dtype", None) == bool
-    x = float(value) if isinstance(value, numbers.Real) else value
+    kind = getattr(getattr(value, "dtype", None), "kind", None)
+    boolean = isinstance(value, bool) or kind == "b"
+    # numbers.Real leaves out Decimal, a Number that is no Complex
+    real = (isinstance(value, numbers.Real)
+            or isinstance(value, numbers.Number) and not isinstance(value, numbers.Complex)
+            or getattr(value, "shape", None) == () and kind in ("f", "i", "u"))
+    x = float(value) if real else math.nan
     if boolean or not ((low < x if interval[0] == "(" else low <= x)
                        and (x < high if interval[-1] == ")" else x <= high)):
         raise DomainError(f"{name} must lie in {interval}, got {value!r}")
-    return float(x)
+    return x

@@ -1,35 +1,14 @@
-"""The r-space kernels of the third-moment identity, the Green traces, the
-far field, the inner/outer J split with its edge integrals, the
+"""The far field, the inner/outer J split with its edge integrals, the
 third-moment expansion, and the symbolic assembly of the ground-state
 energy through order gamma^2.
 
-They are built from the package's two elliptic primitives, dK/dk and k3
+They are built from the package's elliptic primitive dK/dk
 (``lovelab.specfun``), the moments of the plate-edge potential
 (``lovelab.capacitor2d._phi_moments``) and the subtracted outer integrand
 that ``verify`` integrates (``lovelab.asymptotics._outer_subtracted``), so
-their tests check those too.  One modulus builder, ``_modulus``, serves
-every kernel: k = r_</r_> and 1 - k^2 as ((r_> - r_<)/r_>)(1 + k), not
-from the rounded k, and with no product that overflows.
-
-Bessel sums.  Every Bessel value is exponentially scaled
-(``oracles.specfun``): the sums reassemble I_2(a) K_1(b) e^{a-b}, so
-millions of terms near r = 1 stay in range.  k2 takes that exponent as
--n x with x = pi (r - 1)/eps: a - b from the rounded a and b would carry
-about n pi/eps ulps of error into it, 2e-13 relative at eps = 1e-3 near
-r = 1, where the x form is within 3e-16 of mpmath.  A sum stops once a
-chunk's last term is below 1e-16 (green_traces) or 1e-15 (kernel_k) of
-its total.  At r = 1 the k2 terms fall only like eps / (2 pi n^2), so for
-eps <= pi kernel_k("k2", r, eps) sums its first 4032 terms (_TAIL_FROM)
-directly and takes the rest from the large-argument product
-I_2(a n) K_1(b n) ~ e^{-n x} / (2 n sqrt(a b)) sum_k C_k n^{-k} (DLMF
-10.40.1-2), whose power sums are Li_s(e^{-x}) (zeta(s) at r = 1) less
-their first 4032 terms: at r = 1 and 1 + 1e-9 it is within 1e-13 of
-mpmath (4e-16 and 3e-15 at eps = 0.1) in about 2 ms.  Any other sum
-raises ConvergenceError, with the partial sum and the last term, if it
-takes more than 3,000,000 terms (_SUM_CAP; k2 at r = 1 for eps > pi,
-where the C_k grow like eps^k and the differences above would cost
-digits).  Above x = 1e8 the scaled functions switch to their asymptotic
-expansions (scipy's ive/kve degrade there).
+their tests check those too.  The modulus builder ``_modulus`` forms k =
+r_</r_> and 1 - k^2 as ((r_> - r_<)/r_>)(1 + k), not from the rounded k,
+and with no product that overflows; the k3 tests call ``specfun._k3`` on it.
 
 Far field.  far_field has one formula, F = (2/pi) s^2 dK/ds at s = 1/r,
 the factor whose integral gamma2_tilde_direct checks to 14 digits.  Above
@@ -65,16 +44,15 @@ from lovelab.asymptotics import (GAMMA0, GAMMA1, GAMMA2_TILDE, _LOG8, _SUB_C0, _
                                  _capacitance, _epsilon, _outer_subtracted,
                                  capacitance_series)
 from lovelab.capacitor2d import _phi_moments, phi_prime_polylog_integral
-from lovelab.errors import ConvergenceError, DomainError, WindowError, _check_real
-from lovelab.specfun import _dk_vec, _k3, _polylog_exp_neg
+from lovelab.errors import DomainError, WindowError, _check_real
+from lovelab.specfun import _dk_vec
 from oracles.quadrature import level_by_level_tanh_sinh
-from oracles.specfun import _i1e, _i2e, _k1e
 
 _PI = math.pi
 
 
 # ----------------------------------------------------------------------
-# Far field, Green traces, kernels.
+# Far field.
 # ----------------------------------------------------------------------
 
 def _modulus(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -99,163 +77,6 @@ def far_field(r: float) -> float:
     return (2.0 / _PI) * float(_dk_vec(*_modulus(1.0, r))[0]) / (r * r)
 
 
-_SUM_CAP = 3_000_000
-# the direct terms of a sum with a tail: its first six chunks
-_TAIL_FROM = 64 * (2 ** 6 - 1)
-
-
-def _bessel_sum(terms: Callable[[np.ndarray], np.ndarray], rel: float,
-                tail: Callable[[int], float] | None = None) -> float:
-    """sum_{n >= 1} terms(n) for positive, decaying terms, taken in doubling
-    chunks of n; stops once a chunk's last term is below `rel` of the
-    running total.  The terms fall like e^{-n pi |r - r1| / eps}, and at
-    r = 1 those of k2 only like eps / (2 pi n^2), which no cap takes below
-    1e-15.  Given tail(N), the sum of every term past N, the direct sum
-    stops after N = _TAIL_FROM terms and adds it; without, reaching
-    _SUM_CAP terms raises ConvergenceError with the partial sum and the
-    last term, rather than return the partial sum."""
-    cap = _SUM_CAP if tail is None else _TAIL_FROM
-    total, n0, chunk = 0.0, 1, 64
-    while n0 <= cap:
-        t = terms(np.arange(n0, min(n0 + chunk, cap + 1), dtype=float))
-        total += float(np.sum(t))
-        if t[-1] < rel * max(abs(total), 1e-300):
-            return total
-        n0 += len(t)
-        chunk = min(2 * chunk, 500_000)
-    if tail is not None:
-        return total + tail(cap)
-    raise ConvergenceError(f"Bessel sum not below {rel:g} of its total after "
-                           f"{_SUM_CAP} terms", total, float(t[-1]))
-
-
-def green_traces(r: float, r1: float, epsilon: float) -> tuple[float, float]:
-    """Boundary traces of the two Green functions at z = z1 = 0.
-
-    g_minus (gap region): -(1/(2 eps)) r_</r_> minus a Bessel sum whose
-    term n decays like e^{-n pi (r_> - r_<)/eps}; summed in scaled form and
-    truncated once terms drop below 1e-16 of the total.
-    g_plus (upper half space): (2/(pi r_<)) (E(k) - K(k)) at k = r_</r_>,
-    taken as (2/(pi r_>)) (k k3(1/k) - (1 - k^2) dK/dk): the same value
-    through (E - K)/k = k k3 - (1 - k^2) dK/dk, from the two elliptic
-    primitives of kernel_k, without the cancellation of E against K at
-    small k, where both are their series.  1 - k^2 comes from _modulus, so
-    near the diagonal K carries no rounding of k.
-    """
-    _check_real(r, "r", "(0, inf)")
-    _check_real(r1, "r1", "(0, inf)")
-    if r == r1:
-        raise DomainError("the traces have a logarithmic singularity at r = r1")
-    _check_real(epsilon, "epsilon", "(0, inf)")
-    rlt, rgt = min(r, r1), max(r, r1)
-
-    def terms(n: np.ndarray) -> np.ndarray:
-        a = n * _PI * rlt / epsilon
-        b = n * _PI * rgt / epsilon
-        return _i1e(a) * _k1e(b) * np.exp(a - b)
-
-    total = _bessel_sum(terms, 1e-16)
-    g_minus = -(rlt / rgt) / (2.0 * epsilon) - (2.0 / epsilon) * total
-    k, kc2 = _modulus(rlt, rgt)
-    g_plus = (2.0 / (_PI * rgt)) * (k * _k3(k, kc2) - kc2 * _dk_vec(k, kc2))
-    return g_minus, float(g_plus[0])
-
-
-def _hankel(nu: int, k: int) -> float:
-    """a_k(nu) of the large-argument expansions of I_nu and K_nu (DLMF
-    10.17.1): I_nu(z) ~ e^z / sqrt(2 pi z) sum_k (-1)^k a_k / z^k and
-    K_nu(z) ~ sqrt(pi / (2 z)) e^{-z} sum_k a_k / z^k (DLMF 10.40.1-2)."""
-    return (math.prod(4 * nu * nu - (2 * i - 1) ** 2 for i in range(1, k + 1))
-            / (math.factorial(k) * 8.0 ** k))
-
-
-# powers of 1/n taken in k2's tail: past n = _TAIL_FROM with a = pi/eps >= 1
-# the next is below 1e-15 of the tail's first
-_K2_TAIL_TERMS = 4
-
-
-def _k2_tail(r: float, epsilon: float, N: int) -> float:
-    """sum_{n > N} (1/n) I_2(a n) K_1(b n), a = pi/eps, b = pi r/eps, from
-    the product of the large-argument expansions (_hankel): each term is
-    e^{-n x} / (2 sqrt(a b)) sum_k C_k n^{-k-2} with x = pi (r - 1)/eps and
-    C_k = sum_{j+l=k} (-1)^j a_j(2) a^{-j} a_l(1) b^{-l}, and
-    sum_{n > N} e^{-n x} n^{-s} is Li_s(e^{-x}), zeta(s) at r = 1, less its
-    first N terms.  The C_k grow like eps^k, so the cancellation of that
-    difference costs digits once a < 1: k2 takes this tail for eps <= pi."""
-    a, b = _PI / epsilon, _PI * r / epsilon
-    x = _PI * (r - 1.0) / epsilon
-    c = [sum((-1) ** j * _hankel(2, j) / a ** j * _hankel(1, k - j) / b ** (k - j)
-             for j in range(k + 1)) for k in range(_K2_TAIL_TERMS)]
-    orders = list(range(2, _K2_TAIL_TERMS + 2))
-    n = np.arange(1.0, N + 1.0)
-    head = np.exp(-x * n) / n ** np.array(orders, dtype=float)[:, None]
-    tails = _polylog_exp_neg(orders, x) - np.sum(head, axis=1)
-    return float(np.dot(c, tails)) / (2.0 * math.sqrt(a * b))
-
-
-def _k2_sum(r: float, epsilon: float) -> float:
-    """sum_n (1/n) I_2(n pi/eps) K_1(n pi r/eps), to relative 1e-15: its
-    first _TAIL_FROM terms directly, and (for eps <= pi) the rest from
-    _k2_tail, so r = 1 costs no more terms than any other r.  The scaled
-    Bessel factors leave e^{-n x}, x = pi (r - 1)/eps, which is taken as it
-    stands: e^{a - b} from the rounded a and b would carry their rounding
-    error, of order n pi/eps ulps, into its exponent."""
-    x = _PI * (r - 1.0) / epsilon
-
-    def terms(n: np.ndarray) -> np.ndarray:
-        a = n * _PI / epsilon
-        b = n * _PI * r / epsilon
-        return (1.0 / n) * _i2e(a) * _k1e(b) * np.exp(-n * x)
-
-    tail = (lambda N: _k2_tail(r, epsilon, N)) if epsilon <= _PI else None
-    return _bessel_sum(terms, 1e-15, tail)
-
-
-def _k1_part(r: float, epsilon: float) -> float:
-    # the eps-free elliptic terms are summed first, so adding -1/(8 eps)
-    # last rounds once and k1 + 1/(8 eps) is the same for every eps to
-    # half an ulp of 1/(8 eps)
-    if r == 1.0:
-        # (1 - r^2) K(1/r) -> 0; only the E term survives
-        elliptic = -2.0 / (3.0 * _PI)
-    elif r > 1e150:
-        # -s/8 to rounding (the next term is s^2/4 of it); k3 ~ -(pi/16) s^2
-        # underflows from r ~ 6.7e153 on, and would take a third of it along
-        elliptic = -0.125 / r
-    else:
-        s, kc2 = _modulus(1.0, r)
-        elliptic = float(((-2.0 / (3.0 * _PI)) * kc2 * (_dk_vec(s, kc2) + _k3(s, kc2) / s))[0])
-    return elliptic - 1.0 / (8.0 * epsilon)
-
-
-def kernel_k(part: str, r: float, epsilon: float = math.nan) -> float:
-    """Kernels of the third-moment identity, for r >= 1.
-
-    "k1": -1/(8 eps) - (4 r (1-r^2)/(3 pi)) K(1/r) + (2 r (1-2 r^2)/(3 pi)) E(1/r)
-    "k2": -(2 r / pi) sum_n (1/n) I_2(n pi/eps) K_1(n pi r/eps)
-    "k3": 2 r^2 E(1/r) + (1 - 2 r^2) K(1/r)   (the bracket from integrating
-          k1's elliptic part by parts; log-divergent at r = 1)
-    "full": k1 + k2
-
-    k3 and dK/ds at s = 1/r are the two elliptic primitives of specfun, and
-    k1's elliptic part is built from them, as -(2/(3 pi)) (1 - s^2)
-    (dK/ds + k3/s), for every r > 1 (-s/8 past r = 1e150).
-    """
-    _check_real(r, "r", "[1, inf)")
-    if part in ("k1", "k2", "full"):
-        _check_real(epsilon, "epsilon", "(0, inf)")
-    if part == "k1":
-        return _k1_part(r, epsilon)
-    if part == "k3":
-        if r == 1.0:
-            raise DomainError("k3 diverges logarithmically at r = 1")
-        return float(_k3(*_modulus(1.0, r))[0])
-    if part in ("k2", "full"):
-        k2 = -(2.0 / _PI) * r * _k2_sum(r, epsilon)
-        return k2 if part == "k2" else _k1_part(r, epsilon) + k2
-    raise DomainError(f"unknown kernel part {part!r}")
-
-
 # ----------------------------------------------------------------------
 # Edge-approximation integrals.
 # ----------------------------------------------------------------------
@@ -263,10 +84,11 @@ def kernel_k(part: str, r: float, epsilon: float = math.nan) -> float:
 def k2_energy_integral(epsilon: float) -> float:
     """int_1^inf phi'(r) k2(r) dr in the edge approximation.
 
-    Under r = 1 + eps x the Bessel sum collapses to a dilogarithm,
-    k2 ~ -(eps/pi^2) Li_2(e^{-pi x}), and phi' dr = Phi' dx, so the integral
-    equals -(eps/pi^2) int_0^inf Phi'(x) Li_2(e^{-pi x}) dx = eps/(2 pi^2),
-    evaluated here by quadrature rather than asserted.
+    Under r = 1 + eps x the Bessel sum of the kernel,
+    k2 = -(2 r/pi) sum_n (1/n) I_2(n pi/eps) K_1(n pi r/eps), collapses to a
+    dilogarithm, k2 ~ -(eps/pi^2) Li_2(e^{-pi x}), and phi' dr = Phi' dx,
+    so the integral equals -(eps/pi^2) int_0^inf Phi'(x) Li_2(e^{-pi x}) dx
+    = eps/(2 pi^2), evaluated here by quadrature rather than asserted.
     """
     _check_real(epsilon, "epsilon", "(0, inf)")
     if epsilon > 0.05:

@@ -1,9 +1,9 @@
-"""Exponentially scaled modified Bessel functions, e^{-x} I_nu(x) and
-e^{x} K_nu(x), for the Bessel sums of the oracle kernels: scipy's ive and
+"""Exponentially scaled modified Bessel functions, e^{-x} I_2(x) and
+e^{x} K_1(x), for the Bessel-block clause of acceptance 14: scipy's ive and
 kve, and their large-argument expansions above 1e8.  Unscaled values
-overflow long before the arguments those sums reach (products of the form
-I_2(a) K_1(b) with a, b ~ 1e7), while the scaled product needs only one
-extra factor e^{a-b}."""
+overflow long before the arguments that clause reaches (products of the
+form I_2(a) K_1(b) with a, b ~ 2e8), while the scaled product needs only
+one extra factor e^{a-b}."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ _BESSEL_ASYMPTOTIC = 1e8
 # kind: (scipy.special function, order, the coefficients c1, c2 of the
 # large-x expansion front x^{-1/2} (1 + c1/x + c2/x^2), front)
 _BESSEL_KINDS = {
-    "I1": ("ive", 1, -3.0 / 8.0, -15.0 / 128.0, 1.0 / math.sqrt(2.0 * _PI)),
     "I2": ("ive", 2, -15.0 / 8.0, 105.0 / 128.0, 1.0 / math.sqrt(2.0 * _PI)),
     "K1": ("kve", 1, 3.0 / 8.0, -15.0 / 128.0, math.sqrt(_PI / 2.0)),
 }
@@ -40,6 +39,5 @@ def _bessel_vec(kind: str, x: np.ndarray) -> np.ndarray:
     return out
 
 
-_i1e = functools.partial(_bessel_vec, "I1")
 _i2e = functools.partial(_bessel_vec, "I2")
 _k1e = functools.partial(_bessel_vec, "K1")

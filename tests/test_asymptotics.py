@@ -1,7 +1,5 @@
-import csv
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,15 +9,12 @@ import lovelab as ll
 from lovelab.asymptotics import _outer_subtracted
 from lovelab.capacitor2d import _phi_of_w, _w
 from lovelab import capacitor2d
-from lovelab.errors import ConvergenceError, DomainError, WindowError
+from lovelab.errors import DomainError, WindowError
 from lovelab.quadrature import _panel_sum, _tanh_sinh
-from lovelab.specfun import _dk_vec, _k3, _polylog_exp_neg
-from oracles import asymptotics
-from oracles.asymptotics import (_eps_bracket_from_constants, _k2_sum, _modulus,
-                                 default_delta, epsilon_series, far_field, green_traces,
-                                 ground_state_series, j_split, k2_energy_integral,
-                                 kernel_k, third_moment_expansion)
-from oracles.specfun import _i1e, _i2e, _k1e
+from lovelab.specfun import _dk_vec, _k3
+from oracles.asymptotics import (_eps_bracket_from_constants, _modulus, default_delta,
+                                 epsilon_series, far_field, ground_state_series, j_split,
+                                 k2_energy_integral, third_moment_expansion)
 
 PI = math.pi
 GAMMA0 = (1.0 + math.log(PI)) / PI
@@ -198,69 +193,16 @@ def test_far_field_far_out_against_mpmath():
 
 
 def test_far_field_domain():
-    with pytest.raises(DomainError):
-        far_field(1.0)
-    with pytest.raises(DomainError):
-        far_field(0.5)
-    # refused in its own words, not as the modulus 1/r = 0 of dK/dr
-    with pytest.raises(DomainError) as info:
-        far_field(math.inf)
-    assert str(info.value) == "r must lie in (1, inf), got inf"
+    # refused in its own words (at inf, not as the modulus 1/r = 0 of dK/dr)
+    for r in (1.0, 0.5, math.inf):
+        with pytest.raises(DomainError) as info:
+            far_field(r)
+        assert str(info.value) == f"r must lie in (1, inf), got {r!r}"
 
 
 # ----------------------------------------------------------------------
-# Green traces.
+# The modulus and the kernel k3.
 # ----------------------------------------------------------------------
-
-def test_green_trace_signs_and_leading_term():
-    g_minus, g_plus = green_traces(2.0, 1.0, 0.1)
-    assert g_plus < 0.0                      # E(k) < K(k) on (0, 1)
-    assert g_minus == pytest.approx(-2.5, abs=1e-12)
-    # a point next to the axis: Bessel arguments down to 3e-299
-    g_minus, _ = green_traces(1e-300, 1.0, 0.1)
-    assert g_minus == pytest.approx(-5e-300, rel=1e-12, abs=0)
-
-
-def test_green_trace_g_plus_against_mpmath():
-    # E(k) - K(k) ~ -pi k^2 / 4 cancels between two values near pi/2 at
-    # small k; the reference carries 2 log10(1/k) extra digits through it.
-    # Near r = 1 the g_minus sum outgrows its cap, so the ladder stops short
-    mpmath = pytest.importorskip("mpmath")
-    # the dense rung on [0.3, 0.8] spans dK/dk's switch at k = 0.4 and k3's
-    # at k = 1/1.4
-    for r in [1e-300, 1e-100, 1e-30, 1e-12, 1e-8, 1e-5, 1e-3, 0.05, 0.1,
-              0.2, 0.3, 0.5, 0.9, 0.999, *np.linspace(0.3, 0.8, 60).tolist()]:
-        _, g_plus = green_traces(r, 1.0, 0.1)
-        k = mpmath.mpf(r)
-        with mpmath.workdps(60 + 2 * int(-mpmath.log10(k))):
-            ref = (2 / (mpmath.pi * k)) * (mpmath.ellipe(k * k) - mpmath.ellipk(k * k))
-            assert abs(g_plus - ref) <= 1e-14 * abs(ref), r
-
-
-def test_green_trace_g_plus_near_the_diagonal_against_mpmath():
-    # 1 - k^2 comes from r and r1, not from the rounded k = r/r1, so K keeps
-    # its digits as r1 -> r (it was 1.5e-12 off at r1 = 1 + 1e-6); past
-    # 1 + 1e-6 the g_minus sum outgrows its cap
-    mpmath = pytest.importorskip("mpmath")
-    for p in range(1, 7):
-        r1 = 1.0 + 10.0 ** -p
-        _, g_plus = green_traces(1.0, r1, 0.1)
-        with mpmath.workdps(50):
-            k = 1 / mpmath.mpf(r1)
-            ref = (2 / mpmath.pi) * (mpmath.ellipe(k * k) - mpmath.ellipk(k * k))
-            assert abs(g_plus - ref) <= 1e-15 * abs(ref), r1
-
-
-def test_green_trace_g_plus_far_apart_is_finite():
-    # 1 - k^2 from _modulus neither overflows nor underflows: g_plus is
-    # -(1/(2 r_>)) k to leading order, -5e-156 at r_> = 1e155 and 0 once
-    # that underflows (it was NaN from r_> ~ 1.3e154 on)
-    for rgt in (1e155, 1e200, 1e300):
-        _, g_plus = green_traces(1.0, rgt, 0.1)
-        assert math.isfinite(g_plus) and g_plus <= 0.0, rgt
-    _, g_plus = green_traces(1.0, 1e155, 0.1)
-    assert g_plus == pytest.approx(-0.5e-310, rel=1e-3, abs=0)
-
 
 def test_modulus_complement_against_exact_fractions():
     # 1 - k^2 for k = lo/hi, within 1e-15 relative of exact arithmetic
@@ -276,91 +218,19 @@ def test_modulus_complement_against_exact_fractions():
         assert abs(Fraction(float(kc2[0])) - exact) <= Fraction(1e-15) * exact, (lo, hi)
 
 
-def test_green_trace_symmetry():
-    a = green_traces(2.0, 1.0, 0.25)
-    b = green_traces(1.0, 2.0, 0.25)
-    assert a == b
-
-
-def test_green_trace_truncation_stability():
-    # the summed tail beyond the stopping point is below 1e-14
-    r, r1, eps = 1.3, 1.0, 0.5
-    g_minus, _ = green_traces(r, r1, eps)
-    n = np.arange(1, 3000, dtype=float)
-    a = n * PI * r1 / eps
-    b = n * PI * r / eps
-    brute = -(r1 / r) / (2 * eps) - (2.0 / eps) * float(
-        np.sum(_i1e(a) * _k1e(b) * np.exp(a - b)))
-    assert g_minus == pytest.approx(brute, abs=1e-14)
-
-
-def test_green_trace_near_the_diagonal_sums_every_chunk():
-    # about 1.2e5 terms, taken in eleven doubling chunks, against one plain
-    # sum over 4e5 terms
-    r, r1, eps = 1.0, 1.00001, 0.1
-    g_minus, _ = green_traces(r, r1, eps)
-    n = np.arange(1, 400_001, dtype=float)
-    a = n * PI * r / eps
-    b = n * PI * r1 / eps
-    brute = -(r / r1) / (2 * eps) - (2.0 / eps) * float(
-        np.sum(_i1e(a) * _k1e(b) * np.exp(a - b)))
-    assert g_minus == pytest.approx(brute, rel=1e-15, abs=0.0)
-
-
-def test_bessel_sum_refuses_to_stop_at_its_cap(monkeypatch):
-    # the same sum needs more terms than the cap: an error, not a partial sum
-    monkeypatch.setattr(asymptotics, "_SUM_CAP", 10_000)
-    with pytest.raises(ConvergenceError) as info:
-        green_traces(1.0, 1.00001, 0.1)
-    # it carries the partial sum and its last term, still above 1e-16 of it
-    assert info.value.best > 0.0
-    assert info.value.estimate > 1e-16 * info.value.best
-
-
-def test_green_trace_guards():
-    with pytest.raises(DomainError):
-        green_traces(1.0, 1.0, 0.1)
-    with pytest.raises(DomainError):
-        green_traces(1.0, 2.0, 0.0)
-
-
-# ----------------------------------------------------------------------
-# Kernels.
-# ----------------------------------------------------------------------
-
-def test_k1_epsilon_shift_invariance():
-    # only the -1/(8 eps) term carries eps
-    for r in (1.0, 1.5, 3.0):
-        a = kernel_k("k1", r, 1e-3) + 1.0 / (8.0 * 1e-3)
-        b = kernel_k("k1", r, 0.037) + 1.0 / (8.0 * 0.037)
-        assert a == pytest.approx(b, abs=1e-14)
-
-
-def test_k2_edge_law():
-    # k2(1 + eps x) ~ -(eps/pi^2) Li_2(e^{-pi x}) to 0.5% at eps = 1e-3
-    eps = 1e-3
-    for x in (1.0, 2.0):
-        value = kernel_k("k2", 1.0 + eps * x, eps)
-        law = -(eps / PI ** 2) * _polylog_exp_neg([2], PI * x)[0]
-        assert value == pytest.approx(law, rel=5e-3, abs=0)
-
-
 def test_k3_edge_law():
     # k3(1 + eps x) = (1/2) log(x eps/8) + 2 + O(eps log eps)
     eps, x = 1e-4, 2.0
-    value = kernel_k("k3", 1.0 + eps * x)
+    value = float(_k3(*_modulus(1.0, 1.0 + eps * x))[0])
     law = 0.5 * math.log(x * eps / 8.0) + 2.0
     assert abs(value - law) <= 5.0 * eps * abs(math.log(eps))
 
 
-def test_k1_and_k3_against_mpmath():
-    # k3 is its closed form in K(1/r) and E(1/r) up to r = 1.4 and its
-    # series in 1/r^2 above, where the closed form cancels like r^2; k1's
-    # elliptic part is built from k3 and dK/ds, which switches from its
-    # closed form to its series at r = 2.5.  The dense rung on [1.001, 10]
-    # spans both switches.  The oracle's closed forms get the digits that
-    # cancellation takes.  At eps = 1e300 k1 is its elliptic part to
-    # rounding
+def test_k3_against_mpmath():
+    # k3 = 2 r^2 E(1/r) + (1 - 2 r^2) K(1/r) is its closed form in K and E
+    # up to r = 1.4 and its series in 1/r^2 above, where the closed form
+    # cancels like r^2.  The dense rung on [1.001, 10] spans the switch.
+    # The oracle's closed form gets the digits that cancellation takes
     mpmath = pytest.importorskip("mpmath")
     rs = np.concatenate([1.0 + np.geomspace(1e-9, 1e-4, 6), np.geomspace(1.001, 10.0, 200),
                          np.geomspace(1.001, 1e100, 120)])
@@ -368,98 +238,8 @@ def test_k1_and_k3_against_mpmath():
         with mpmath.workdps(40 + 5 * int(math.log10(r))):
             rm = mpmath.mpf(r)
             K, E = mpmath.ellipk(1 / rm ** 2), mpmath.ellipe(1 / rm ** 2)
-            k1 = (-4 * rm * (1 - rm ** 2) * K + 2 * rm * (1 - 2 * rm ** 2) * E) / (3 * mpmath.pi)
             k3 = 2 * rm ** 2 * E + (1 - 2 * rm ** 2) * K
-            assert abs(kernel_k("k1", r, 1e300) - k1) <= 5e-15 * abs(k1), r
-            assert abs(kernel_k("k3", r) - k3) <= 2e-14 * abs(k3), r
-
-
-def test_k1_past_the_underflow_of_k3():
-    # k3 ~ -(pi/16)/r^2 underflows from r ~ 6.7e153 on, but k1's elliptic
-    # part, -1/(8 r) (1 + 1/(4 r^2) + ...), keeps its digits out to
-    # r = 1e300
-    for r in (1e150, 1e153, 1e155, 1e160, 1e200, 1e250, 1e300):
-        assert kernel_k("k1", r, 1e300) + 1.0 / 8e300 == pytest.approx(
-            -0.125 / r, rel=5e-15, abs=0.0), r
-
-
-def test_kernel_full_is_sum_of_parts():
-    r, eps = 1.2, 0.02
-    full = kernel_k("full", r, eps)
-    assert full == pytest.approx(
-        kernel_k("k1", r, eps) + kernel_k("k2", r, eps), rel=1e-14, abs=0)
-
-
-def test_k2_truncation_stability():
-    # ten extra terms beyond the cap move the sum by less than 1e-14
-    for eps, r, cap in ((0.05, 1.0, 3_000_000), (1e-4, 1.0, 3_000_000),
-                        (0.01, 1.5, 10_000), (0.05, 3.0, 10_000)):
-        n = np.arange(cap + 1, cap + 11, dtype=float)
-        a = n * PI / eps
-        b = n * PI * r / eps
-        block = (2.0 / PI) * r * float(
-            np.sum((1.0 / n) * _i2e(a) * _k1e(b) * np.exp(a - b)))
-        assert abs(block) < 1e-14
-
-
-def test_k2_capped_sum_matches_adaptive_for_decaying_tail():
-    # the scaled Bessel factors leave e^{-n x}, taken from x = pi (r - 1)/eps
-    r, eps = 1.5, 0.01
-    n = np.arange(1, 5001, dtype=float)
-    a = n * PI / eps
-    b = n * PI * r / eps
-    x = PI * (r - 1.0) / eps
-    brute = float(np.sum((1.0 / n) * _i2e(a) * _k1e(b) * np.exp(-n * x)))
-    # the sum is 7.8e-72: approx's default absolute tolerance would pass anything
-    assert _k2_sum(r, eps) == pytest.approx(brute, rel=1e-14, abs=0.0)
-
-
-def k2_edge_table():
-    """{(r, eps): k2} of tests/reference/k2_edge.csv, each k2 an exact
-    Fraction of its 30 digits."""
-    path = Path(__file__).resolve().parent / "reference" / "k2_edge.csv"
-    with path.open(encoding="utf-8") as handle:
-        return {(float(row["r"]), float(row["eps"])): Fraction(row["k2"])
-                for row in csv.DictReader(handle)}
-
-
-def test_k2_at_the_edge_against_mpmath(monkeypatch):
-    # at r = 1 the terms of k2's Bessel sum fall only like 1/n^2: past its
-    # first _TAIL_FROM terms the sum is the large-argument tail, so it
-    # evaluates no more Bessel terms than that, and keeps its digits.  Near
-    # r = 1 at small eps, the direct terms keep theirs too: e^{-n x} is
-    # taken from x = pi (r - 1)/eps, where e^{a - b} from the rounded a and
-    # b missed by 2e-13 at eps = 1e-3.  The oracle, 40-digit mpmath, is
-    # tests/reference/generate.py, which sums 60 terms and takes the rest
-    # from 14 powers of the same expansion through mpmath's Hurwitz zeta and
-    # Lerch phi; its table holds each value to 30 digits
-    evaluated = []
-
-    def counted(x):
-        evaluated.append(np.size(x))
-        return _i2e(x)
-
-    monkeypatch.setattr(asymptotics, "_i2e", counted)
-    cases = ((1.0, 0.1, 1e-13), (1.0 + 1e-9, 0.1, 1e-13),
-             (1.0 + 1e-9, 1e-3, 1e-14), (1.0 + 1e-6, 1e-3, 1e-14),
-             (1.0 + 1e-4, 1e-3, 1e-14), (1.5, 0.01, 1e-14))
-    table = k2_edge_table()
-    assert sorted(table) == sorted((r, eps) for r, eps, _ in cases)
-    for r, eps, bound in cases:
-        evaluated.clear()
-        value = kernel_k("k2", r, eps)
-        assert sum(evaluated) <= asymptotics._TAIL_FROM
-        want = table[r, eps]
-        assert abs(Fraction(value) - want) <= Fraction(bound) * abs(want), (r, eps)
-
-
-def test_kernel_guards():
-    with pytest.raises(DomainError):
-        kernel_k("k1", 0.9, 0.1)
-    with pytest.raises(DomainError):
-        kernel_k("k2", 1.5, -0.1)
-    with pytest.raises(DomainError):
-        kernel_k("k9", 1.5, 0.1)
+            assert abs(float(_k3(*_modulus(1.0, r))[0]) - k3) <= 2e-14 * abs(k3), r
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ from lovelab import capacitor2d, conjectures, quadrature, specfun
 from lovelab.cli import main
 from lovelab.conjectures import GAMMA0, GAMMA1, GAMMA2_TILDE, INTEGRAL4
 from lovelab.errors import DomainError
-from oracles.conjectures import tn_first
 from oracles.quadrature import level_by_level_tanh_sinh
 
 PI = math.pi
@@ -62,8 +61,8 @@ def test_transform_refuses_bools(bad):
 
 
 def test_transform_refuses_strings():
-    # a str is refused as errors._check_real refuses it, not parsed
-    with pytest.raises(TypeError):
+    # a str is no real for errors._check_real: refused, not parsed
+    with pytest.raises(DomainError, match="finite"):
         ll.t_transform(["1", "2", "7/3"])
 
 
@@ -75,10 +74,11 @@ def test_transform_takes_numpy_reals():
 
 
 def test_tn_first_values():
-    assert tn_first(1) == F(-1)
-    assert tn_first(3) == F(-5, 12)
-    assert tn_first(4) == F(-7, 18)
-    assert tn_first(7) == F(-40291823, 108864000)
+    firsts = conjectures._tn_firsts(7)
+    assert firsts[1] == F(-1)
+    assert firsts[3] == F(-5, 12)
+    assert firsts[4] == F(-7, 18)
+    assert firsts[7] == F(-40291823, 108864000)
 
 
 def test_tn_firsts_are_built_once_as_an_immutable_tuple():
@@ -94,22 +94,6 @@ def test_tn_firsts_are_built_once_as_an_immutable_tuple():
             fresh.append(seq[0])
         assert firsts == tuple(fresh)
         assert all(type(v) is F for v in firsts)
-
-
-def test_tn_first_guards():
-    for bad in (0, 8, True):
-        with pytest.raises(DomainError) as info:
-            tn_first(bad)
-        assert str(info.value) == f"n must be an integer in [1, 7], got {bad!r}"
-
-
-def test_tn_first_takes_numpy_integers_but_not_bool():
-    # the package's one integer guard, as test_surface checks it on the
-    # public functions: a numpy integer is the Python int of the same value
-    for numpy_int in (np.int64(2), np.int32(2)):
-        assert tn_first(numpy_int) == tn_first(2)
-    with pytest.raises(DomainError, match=r"must be an integer in \[1, \d+\], got True$"):
-        tn_first(True)
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import types
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -112,9 +113,11 @@ def _solved(**data):
 ], ids=["LoveProblem.kappa", "LoveProblem.v0", "default_node_count", "energy_series",
         "capacitance_series", "epsilon_of_gamma", "cumulative_phi", "cumulative_phi_log"])
 def test_real_guard_computes_in_double_precision(call, value):
-    # the one real guard: a float32, float16 or Fraction argument is the
-    # Python float it converts to, with that call's bits and no warning
-    for x in (np.float32(value), np.float16(value), Fraction(value)):
+    # the one real guard: a float32, float16, 0-d array, Fraction or Decimal
+    # argument is the Python float it converts to, with that call's bits and
+    # no warning
+    for x in (np.float32(value), np.float16(value), np.array(np.float32(value)),
+              Fraction(value), Decimal(value)):
         want = call(float(x))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
