@@ -79,7 +79,9 @@ def _check_real(value, name: str, interval: str) -> float:
     compared as its bracket says, and every comparison with NaN is false,
     so NaN is refused by construction, as is an infinity at an open end.
     Anything else (a str, None, a complex, a sequence or a 1-d array) is
-    taken as NaN, so it is refused in the same words.  A bool, Python's or
+    taken as NaN, so it is refused in the same words, and so is a real that
+    has no double (an int or Fraction past the float range, a signaling
+    Decimal NaN), where float() overflows or refuses.  A bool, Python's or
     numpy's, is not a real here, as it is not an integer for _check_int."""
     low, high = (float(end) for end in interval[1:-1].split(","))
     kind = getattr(getattr(value, "dtype", None), "kind", None)
@@ -88,7 +90,10 @@ def _check_real(value, name: str, interval: str) -> float:
     real = (isinstance(value, numbers.Real)
             or isinstance(value, numbers.Number) and not isinstance(value, numbers.Complex)
             or getattr(value, "shape", None) == () and kind in ("f", "i", "u"))
-    x = float(value) if real else math.nan
+    try:
+        x = float(value) if real else math.nan
+    except (OverflowError, ValueError):    # a real with no double: 10**400, sNaN
+        x = math.nan
     if boolean or not ((low < x if interval[0] == "(" else low <= x)
                        and (x < high if interval[-1] == ")" else x <= high)):
         raise DomainError(f"{name} must lie in {interval}, got {value!r}")

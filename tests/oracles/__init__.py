@@ -4,10 +4,9 @@ Each module builds on the private primitives of its namesake in the
 package: the far field, the J split, the third-moment expansion and the
 symbolic assembly of the gamma^2 coefficient (``asymptotics``), the plate
 samples and series (``capacitor2d``), the operator norms, the Nystrom
-interpolant and the third moment of the charge density (``love``), the
+interpolant and the third moment of the charge density (``love``) and the
 level-by-level tanh-sinh rule that the fixed rule is cut from
-(``quadrature``) and the scaled Bessel functions of acceptance 14
-(``specfun``).  A test that checks an oracle so checks those primitives
-too.  An oracle refuses a real argument outside its interval with the
-package's own guard (``lovelab.errors._check_real``), so in the same words.
+(``quadrature``).  A test that checks an oracle so checks those primitives
+too.  An oracle takes its inputs as given: the input guards are the
+package's, and their tests call the package.
 """

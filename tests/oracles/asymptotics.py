@@ -44,7 +44,7 @@ from lovelab.asymptotics import (GAMMA0, GAMMA1, GAMMA2_TILDE, _LOG8, _SUB_C0, _
                                  _capacitance, _epsilon, _outer_subtracted,
                                  capacitance_series)
 from lovelab.capacitor2d import _phi_moments, phi_prime_polylog_integral
-from lovelab.errors import DomainError, WindowError, _check_real
+from lovelab.errors import DomainError, WindowError
 from lovelab.specfun import _dk_vec
 from oracles.quadrature import level_by_level_tanh_sinh
 
@@ -73,7 +73,6 @@ def far_field(r: float) -> float:
     out (the naive K, E -> pi/2 limit suggests 1/(r^2 - 1), but the modulus
     corrections cancel that order) and diverges like 1/(pi (r-1)) at the
     edge."""
-    _check_real(r, "r", "(1, inf)")
     return (2.0 / _PI) * float(_dk_vec(*_modulus(1.0, r))[0]) / (r * r)
 
 
@@ -90,7 +89,6 @@ def k2_energy_integral(epsilon: float) -> float:
     so the integral equals -(eps/pi^2) int_0^inf Phi'(x) Li_2(e^{-pi x}) dx
     = eps/(2 pi^2), evaluated here by quadrature rather than asserted.
     """
-    _check_real(epsilon, "epsilon", "(0, inf)")
     if epsilon > 0.05:
         raise WindowError(f"edge approximation needs 0 < eps <= 0.05, got {epsilon!r}")
     return -(epsilon / _PI ** 2) * phi_prime_polylog_integral([2])[0]
@@ -100,7 +98,6 @@ def default_delta(epsilon: float) -> float:
     """Intermediate matching scale: sqrt(0.2 eps), the geometric midpoint
     (in log scale) of the admissible window, floored at 5 eps so the window
     constraint eps/delta <= 0.2 also holds for eps near its upper end."""
-    _check_real(epsilon, "epsilon", "(0, inf)")
     return max(math.sqrt(0.2 * epsilon), 5.0 * epsilon)
 
 
@@ -116,10 +113,8 @@ def j_split(epsilon: float, delta: float | None = None) -> tuple[float, float]:
     J1 + J2 must be insensitive to the (arbitrary) delta inside the
     admissible window; enforce eps/delta <= 0.2 and delta <= 0.2.
     """
-    _check_real(epsilon, "epsilon", "(0, inf)")
     if delta is None:
         delta = default_delta(epsilon)
-    _check_real(delta, "delta", "(0, inf)")
     if delta > 0.2 + 1e-12 or epsilon / delta > 0.2 + 1e-12:
         raise WindowError(
             f"(epsilon, delta)=({epsilon!r}, {delta!r}) violates "
@@ -199,7 +194,6 @@ class AsymptoticSeries:
     def evaluate(self, t: float) -> float:
         """The terms at t, added left to right in the order they were formed
         (builtin sum() compensates floats from Python 3.12 on)."""
-        _check_real(t, "t", "(0, 1)")
         ell = math.log(1.0 / t)
         return functools.reduce(operator.add, (c * t ** float(p) * ell ** q
                                                for (p, q), c in self._terms.items()), 0.0)
@@ -334,7 +328,6 @@ def _kernel_integral_terms(eps, inv_eps, log_eps):
 
 def third_moment_expansion(epsilon: float) -> ThirdMomentBreakdown:
     """Evaluate the kernel integral expansion and the implied third moment."""
-    _check_real(epsilon, "epsilon", "(0, inf)")
     if epsilon > 0.05:
         raise WindowError(f"expansion needs 0 < eps <= 0.05, got {epsilon!r}")
     terms = _kernel_integral_terms(epsilon, 1.0 / epsilon, math.log(epsilon))

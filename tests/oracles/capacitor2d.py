@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lovelab.capacitor2d import _phi_of_w, _phi_prime_of_w, _w
-from lovelab.errors import WindowError, _check_real
+from lovelab.errors import WindowError
 
 _PI = math.pi
 
@@ -32,8 +32,6 @@ def phi_psi(x: float) -> EdgePotentialSample:
     Psi(0, 0) = 0); the derivative has an inverse-square-root singularity
     there and is reported as -inf.
     """
-    _check_real(x, "x", "[0, inf)")
-    _check_real(_PI * float(x), "pi * x", "[0, inf)")
     W = _w([x])
     phi, psi, dphi = (float(a[0]) for a in (_phi_of_w(W), -np.log(np.abs(W)) / _PI,
                                             _phi_prime_of_w(W)))
@@ -50,10 +48,7 @@ _LARGE_MIN = 5.0
 
 def _is_small(x: float) -> bool:
     """Whether the small-x series holds at x, False for the large-x one;
-    WindowError between the two windows, where neither truncation holds,
-    and DomainError where pi x overflows, as in phi_psi."""
-    _check_real(x, "x", "[0, inf)")
-    _check_real(_PI * x, "pi * x", "[0, inf)")
+    WindowError between the two windows, where neither truncation holds."""
     if _SMALL_MAX < x < _LARGE_MIN:
         raise WindowError(f"the Phi and Psi series need x <= {_SMALL_MAX} or "
                           f"x >= {_LARGE_MIN:g}, got {x!r}")

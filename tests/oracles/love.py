@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from lovelab.errors import DomainError, _check_real
+from lovelab.errors import DomainError
 from lovelab.love import LoveSolution, _leak, _mesh, _nodes, _rows, moments
 
 _PI = math.pi
@@ -42,7 +42,6 @@ def operator_norm(kappa: float) -> float:
     controls the convergence of the Neumann series.  (The L^2 spectral norm
     is strictly smaller for every kappa; see operator_norm_discrete.)
     """
-    _check_real(kappa, "kappa", "(0, inf)")
     return (2.0 / _PI) * math.atan(1.0 / kappa)
 
 
@@ -57,7 +56,6 @@ def operator_norm_discrete(kappa: float, n: int | None = None) -> float:
     spectral norm of the symmetrized matrix converges to the strictly
     smaller L^2 norm (e.g. 0.4536 vs 0.5 at kappa = 1).
     """
-    _check_real(kappa, "kappa", "(0, inf)")
     edges, order = _mesh(kappa, n)
     d, _ = _nodes(edges, order)
     return float(np.max(_rows(kappa, edges, order, np.append(d, 1.0)).sum(axis=1)))

@@ -192,14 +192,6 @@ def test_far_field_far_out_against_mpmath():
             assert abs(far_field(float(r)) - ref) <= 3e-15 * ref, r
 
 
-def test_far_field_domain():
-    # refused in its own words (at inf, not as the modulus 1/r = 0 of dK/dr)
-    for r in (1.0, 0.5, math.inf):
-        with pytest.raises(DomainError) as info:
-            far_field(r)
-        assert str(info.value) == f"r must lie in (1, inf), got {r!r}"
-
-
 # ----------------------------------------------------------------------
 # The modulus and the kernel k3.
 # ----------------------------------------------------------------------
@@ -426,11 +418,6 @@ def test_series_terms_sorted_by_growth():
     series = ground_state_series()
     keys = [(t.power, -t.log_power) for t in series.terms]
     assert keys == sorted(keys)
-
-
-def test_series_evaluate_domain():
-    with pytest.raises(DomainError):
-        ground_state_series().evaluate(1.5)
 
 
 def test_series_evaluate_folds_its_terms_left_to_right():

@@ -65,13 +65,6 @@ def test_far_field_stays_finite():
         assert s.psi == pytest.approx(-math.log(PI * x) / PI, rel=1e-14, abs=0)
 
 
-def test_domain_guard():
-    with pytest.raises(DomainError):
-        phi_psi(-0.5)
-    with pytest.raises(DomainError, match="pi \\* x"):
-        phi_psi(1e308)                    # pi x overflows
-
-
 # ----------------------------------------------------------------------
 # Series.
 # ----------------------------------------------------------------------
