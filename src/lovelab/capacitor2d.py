@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import _check_real, _orders
 from .quadrature import _tanh_sinh
-from .specfun import _polylog_exp_neg, _w_upper_from_offset
+from .specfun import _MAX_POLYLOG_ORDER, _polylog_exp_neg, _w_upper_from_offset
 
 __all__ = [
     "cumulative_phi",
@@ -33,11 +33,6 @@ __all__ = [
 ]
 
 _PI = math.pi
-
-
-def _w(x) -> np.ndarray:
-    """The upper-cut W(-e^{pi x - 1}) at the points x >= 0."""
-    return _w_upper_from_offset(_PI * np.asarray(x, dtype=float))
 
 
 def _phi_of_w(W: np.ndarray) -> np.ndarray:
@@ -108,7 +103,7 @@ def _phi_moments(X: float) -> np.ndarray:
     def integrand(u: np.ndarray) -> np.ndarray:
         s = np.maximum(a * u, _S_MIN)
         n = len(u)
-        W = _w(np.concatenate([u, 1.0 / u, 1.0 / s]))
+        W = _w_upper_from_offset(_PI * np.concatenate([u, 1.0 / u, 1.0 / s]))
         rows = _phi_moment_rows(u, W[:2 * n])
         far = a * _phi_tail_of_w(W[2 * n:]) / s
         rows[0] -= far
@@ -149,7 +144,7 @@ def phi_prime_polylog_integral(n: Sequence[int]) -> list[float]:
     s = 1.  The orders are the rows of one integrand, so Phi' is evaluated
     once per abscissa for all of them, from W at the offset t itself.
     """
-    orders = _orders(n, "order", 7)
+    orders = _orders(n, "order", _MAX_POLYLOG_ORDER)
 
     def integrand(s: np.ndarray) -> np.ndarray:
         t = -np.log1p(-s)

@@ -90,7 +90,8 @@ def _usage_error(message: str) -> int:
 
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark some editors write first
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, 1):
             # a comment starts at a "#" that begins the line or follows a space
             line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()

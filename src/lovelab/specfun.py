@@ -236,25 +236,22 @@ def _w_upper_from_offset(d) -> np.ndarray:
 # |mu|^{k+1}/k! < 1e-19 from power k = 19 on.
 _DIRECT_TERMS = 57
 _EXPANSION_ORDER = 19
-# The largest order whose tables hold doubles: the expansion divides by k!
-# up to k = n + 1, and 171! overflows.
-_MAX_POLYLOG_ORDER = 169
+# The highest order any caller takes (phi_prime_polylog_integral's cap).
+_MAX_POLYLOG_ORDER = 7
 
 
 @functools.lru_cache(maxsize=64)
 def _polylog_tables(orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Read-only tables of Li_n, one column per order n in orders: the
     (terms, orders, 1) coefficients 1/(k + 1)^n of the defining series and
-    c_k / k! of the expansion about the unit argument (c_{n-1} = H_{n-1},
-    the rest zeta(n - k); zero past power max(n + 1, 19)), lowest power
-    first, and the (orders, 1) columns n - 1 and (n - 1)! of its log t
-    term.  Built on first use, so importing loads no scipy."""
+    c_k / k! of the expansion about the unit argument on powers 0..19
+    (c_{n-1} = H_{n-1}, the rest zeta(n - k)), lowest power first, and the
+    (orders, 1) columns n - 1 and (n - 1)! of its log t term.  Built on
+    first use, so importing loads no scipy."""
     from scipy.special import zeta
-    top = max(max(orders) + 1, _EXPANSION_ORDER)
     direct = [[1.0 / float(k) ** n for n in orders] for k in range(1, _DIRECT_TERMS + 1)]
-    expansion = [[0.0 if k > max(n + 1, _EXPANSION_ORDER) else
-                  (math.fsum(1.0 / j for j in range(1, n)) if k == n - 1 else zeta(n - k))
-                  / math.factorial(k) for n in orders] for k in range(top + 1)]
+    expansion = [[(math.fsum(1.0 / j for j in range(1, n)) if k == n - 1 else zeta(n - k))
+                  / math.factorial(k) for n in orders] for k in range(_EXPANSION_ORDER + 1)]
     tables = (np.array(direct)[:, :, None], np.array(expansion)[:, :, None],
               np.array(orders, dtype=float)[:, None] - 1.0,
               np.array([float(math.factorial(n - 1)) for n in orders])[:, None])
@@ -274,12 +271,10 @@ def _polylog_exp_neg(n: Sequence[int], t) -> np.ndarray:
     a fixed number of terms per branch, so each value depends on its own t
     alone, and each row holds the bits its order alone gives: one Horner
     pass runs over all rows per branch, on the tables _polylog_tables builds
-    once per set of orders (a lower order's expansion is padded with zeros
-    at its high powers, which leave the sum unchanged), and the log t term
-    is one broadcast over the orders, with pow on the rows of power 2 and
-    up only (mu^0 and mu^1 are pow's own 1.0 and mu).  Every order must be
-    an integer in [1, 169] (errors._orders), as the tables of a higher one
-    overflow.
+    once per set of orders, and the log t term is one broadcast over the
+    orders, with pow on the rows of power 2 and up only (mu^0 and mu^1 are
+    pow's own 1.0 and mu).  Every order must be an integer in [1, 7]
+    (errors._orders), the most any caller takes.
     """
     orders = tuple(_orders(n, "order", _MAX_POLYLOG_ORDER))
     ta = np.asarray(t, dtype=float)

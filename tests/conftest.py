@@ -1,7 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import lovelab as ll
+
+TESTS = Path(__file__).resolve().parent
+
+
+def run_python(code, *args):
+    """stdout of code, given args, in a fresh interpreter with src/ and
+    tests/ on its path; a non-zero exit fails the calling test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(TESTS.parent / "src"), str(TESTS), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          check=True, text=True, timeout=300).stdout
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lovelab.capacitor2d import _phi_of_w, _phi_prime_of_w, _w
+from lovelab.capacitor2d import _phi_of_w, _phi_prime_of_w
 from lovelab.errors import WindowError
+from lovelab.specfun import _w_upper_from_offset
 
 _PI = math.pi
 
@@ -32,7 +33,7 @@ def phi_psi(x: float) -> EdgePotentialSample:
     Psi(0, 0) = 0); the derivative has an inverse-square-root singularity
     there and is reported as -inf.
     """
-    W = _w([x])
+    W = _w_upper_from_offset(_PI * np.array([x], dtype=float))
     phi, psi, dphi = (float(a[0]) for a in (_phi_of_w(W), -np.log(np.abs(W)) / _PI,
                                             _phi_prime_of_w(W)))
     return EdgePotentialSample(x=x, phi=phi, psi=psi, phi_prime=dphi)

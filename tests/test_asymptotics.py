@@ -7,11 +7,11 @@ from scipy.integrate import dblquad
 
 import lovelab as ll
 from lovelab.asymptotics import _outer_subtracted
-from lovelab.capacitor2d import _phi_of_w, _w
+from lovelab.capacitor2d import _phi_of_w
 from lovelab import capacitor2d
 from lovelab.errors import DomainError, WindowError
 from lovelab.quadrature import _panel_sum, _tanh_sinh
-from lovelab.specfun import _dk_vec, _k3
+from lovelab.specfun import _dk_vec, _k3, _w_upper_from_offset
 from oracles.asymptotics import (_eps_bracket_from_constants, _modulus, default_delta,
                                  epsilon_series, far_field, ground_state_series, j_split,
                                  k2_energy_integral, third_moment_expansion)
@@ -300,7 +300,7 @@ def test_j_split_inner_against_one_integral(eps, delta):
     edges = np.exp(np.linspace(0.0, math.log(cutoff), n + 1))
 
     def inner(x):
-        return _phi_of_w(_w(x)) * (0.5 * np.log(x * eps / 8.0) + 2.0)
+        return _phi_of_w(_w_upper_from_offset(PI * x)) * (0.5 * np.log(x * eps / 8.0) + 2.0)
 
     j1, _ = j_split(eps, delta)
     head, _ = _tanh_sinh(inner)

@@ -5,14 +5,12 @@ import json
 import math
 import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import run_python
 from lovelab import conjectures, love
 from lovelab.cli import _write_rows, main
 
@@ -99,16 +97,6 @@ def test_output_deterministic_across_workers(capsys):
 # Fresh interpreters: what a command imports and which threads it starts.
 # ----------------------------------------------------------------------
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def run_python(code, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, check=True, timeout=120).stdout
-
-
 IMPORT_PROBE = """
 import contextlib, io, json, sys, threading
 
@@ -176,7 +164,7 @@ print("\\n".join(steps))
 def loaded_modules(*statements):
     """The modules of LOAD_PROBE's list loaded after each statement, run in
     order in a fresh interpreter."""
-    return [line.split() for line in run_python(LOAD_PROBE, *statements).decode().splitlines()]
+    return [line.split() for line in run_python(LOAD_PROBE, *statements).splitlines()]
 
 
 SOLVER = ["lovelab", "lovelab.cli", "lovelab.errors", "lovelab.love", "lovelab.quadrature"]
@@ -216,7 +204,7 @@ print(len(star), star == sorted(name for name in dir(_lovelab) if not name.start
 def test_star_import_gives_the_public_names():
     # the names resolved on first use are the names of dir(lovelab), which
     # test_surface pins
-    assert run_python(STAR_PROBE).split() == [b"43", b"True"]
+    assert run_python(STAR_PROBE).split() == ["43", "True"]
 
 
 def test_the_identity_suite_loads_no_solver():
@@ -571,6 +559,16 @@ def test_config_comment_starts_only_at_line_start_or_after_whitespace(capsys, tm
     config.write_text("kappa = 0.5#x\n")
     assert main(["--config", str(config), "solve"]) == 2
     assert "0.5#x" in capsys.readouterr().err
+
+
+def test_config_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    # a file an editor saved as UTF-8 with a BOM reads as the plain one
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(b"kappa = 0.5\n")
+    marked.write_bytes(b"\xef\xbb\xbfkappa = 0.5\n")
+    code, want = run(capsys, ["--config", str(plain), "solve"])
+    assert code == 0 and want.startswith("kappa,")
+    assert run(capsys, ["--config", str(marked), "solve"]) == (0, want)
 
 
 def test_config_file_rejects_garbage(capsys, tmp_path):

@@ -192,11 +192,11 @@ def test_sequence_guards_reject_a_bad_order_anywhere(check, bad):
 
 
 @pytest.mark.parametrize("which", ["polylog", "residue"])
-def test_one_w_evaluation_per_level_and_one_for_the_panels(capsys, monkeypatch, which):
-    # the group's orders share one W per abscissa set: one call per
-    # integrand call of its tanh-sinh integral on (0, 1), and the same count
-    # on a repeat, since nothing is kept from one command to the next
-    w_calls, levels = [], []
+def test_a_group_alone_makes_one_w_call_per_integrand_call(capsys, monkeypatch, which):
+    # run as a command, the group's orders share one W call per integrand
+    # call of its tanh-sinh integral on (0, 1), and a repeat makes as many,
+    # since nothing is kept from one command to the next
+    w_calls, integrand_calls = [], []
     w_upper = specfun._w_upper_from_offset
     tanh_sinh = quadrature._tanh_sinh
 
@@ -204,21 +204,21 @@ def test_one_w_evaluation_per_level_and_one_for_the_panels(capsys, monkeypatch, 
         w_calls.append(d)
         return w_upper(d)
 
-    def counted_levels(f):
-        def level(x):
-            levels.append(x)
+    def counted_integrand(f):
+        def integrand(x):
+            integrand_calls.append(x)
             return f(x)
-        return tanh_sinh(level)
+        return tanh_sinh(integrand)
 
     for module in (capacitor2d, conjectures):
         monkeypatch.setattr(module, "_w_upper_from_offset", counted_w)
-        monkeypatch.setattr(module, "_tanh_sinh", counted_levels)
+        monkeypatch.setattr(module, "_tanh_sinh", counted_integrand)
     counts = []
     for _ in range(2):
         w_calls.clear()
-        levels.clear()
+        integrand_calls.clear()
         assert main(["verify", "--which", which]) == 0
-        assert 0 < len(w_calls) == len(levels)
+        assert 0 < len(w_calls) == len(integrand_calls)
         counts.append(len(w_calls))
     capsys.readouterr()
     assert counts[0] == counts[1]
@@ -227,7 +227,8 @@ def test_one_w_evaluation_per_level_and_one_for_the_panels(capsys, monkeypatch, 
 def _count_suite_calls(monkeypatch) -> dict:
     """Counts of integrand calls (one per tanh-sinh integral call of f), W
     calls and the offsets they take, polylog calls, dK/dk calls and Gauss
-    panel sums, kept up to date while the patches stand."""
+    panel sums, kept up to date while the patches stand.  The suite sums no
+    panel, so the panel_sum counter is the check that it still sums none."""
     calls = {"integrand": 0, "w": 0, "w_elems": 0, "polylog": 0, "dk": 0, "panel_sum": 0}
     tanh_sinh = quadrature._tanh_sinh
 

@@ -4,18 +4,18 @@ package that no command enters is named here, with the reason it stays.
 The argv are those of CI's console step and README's CLI examples, with a
 usage error and a `--config` file among them.  They run in process, in a
 fresh interpreter (so no cache another test filled hides a call), under
-sys.setprofile, which records every Python function entered.  A function
+sys.setprofile, which records every Python function entered, and under
+pytest's warning filters (pyproject.toml), so a warning fails it.  A function
 that only tests call fails this test until it moves to tests/oracles/ or a
 command runs it.  Each argv's exit status is checked too, so README's
 examples must exit 0 in tier-1, not only in CI.
 """
 
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
+
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,7 +60,7 @@ def readme_examples():
 UNREACHED = {
     # the benchmark spans these by name, so they stay until it drops them
     "spanned by the frozen benchmark": [
-        "capacitor2d._phi_moments", "capacitor2d._w", "capacitor2d.cumulative_phi",
+        "capacitor2d._phi_moments", "capacitor2d.cumulative_phi",
         "capacitor2d.cumulative_phi_log", "quadrature._panel_sum", "quadrature.fit_log_tail",
     ],
     # called through the library, by CI and the benchmark, not by a command
@@ -74,7 +74,11 @@ UNREACHED = {
 }
 
 PROBE = """
-import contextlib, inspect, io, json, pkgutil, sys
+import contextlib, inspect, io, json, pkgutil, sys, warnings
+
+# pytest's two filters (pyproject.toml): a warning in any argv fails the probe
+warnings.filterwarnings("error", category=RuntimeWarning)
+warnings.filterwarnings("error", module="lovelab")
 import lovelab, lovelab.cli
 
 argvs = json.loads(sys.argv[1])
@@ -141,12 +145,7 @@ def test_every_function_no_command_enters_is_listed(tmp_path):
              ["verify", "--which", "nope"],                 # usage error, exit 2
              ["solve", "--kappa", "0.5", "--nodes", "8"]]
     assert len(readme_examples()) >= 5
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argvs)], env=env,
-                         capture_output=True, check=True, text=True, timeout=300).stdout
-    exits, unreached = json.loads(out)
+    exits, unreached = json.loads(run_python(PROBE, json.dumps(argvs)))
     assert exits == [EXIT_CODES.get(tuple(argv), 0) for argv in argvs]
     listed = sorted(name for names in UNREACHED.values() for name in names)
     assert unreached == listed

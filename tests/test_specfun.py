@@ -254,11 +254,11 @@ _POLYLOG_T = np.concatenate([
 
 
 @pytest.mark.parametrize("func, first, second", [
-    (lambda x: capacitor2d._phi_of_w(capacitor2d._w(x)), _HEAD,
+    (lambda x: capacitor2d._phi_of_w(specfun._w_upper_from_offset(PI * x)), _HEAD,
      np.concatenate([_UNIT, np.geomspace(1.0, 1e18, 40)])),
-    (lambda x: capacitor2d._phi_prime_of_w(capacitor2d._w(x)), _HEAD,
+    (lambda x: capacitor2d._phi_prime_of_w(specfun._w_upper_from_offset(PI * x)), _HEAD,
      np.concatenate([_UNIT, np.geomspace(1.0, 1e18, 40)])),
-    (lambda t: capacitor2d._phi_tail_of_w(capacitor2d._w(t)), 1.0 / _HEAD,
+    (lambda t: capacitor2d._phi_tail_of_w(specfun._w_upper_from_offset(PI * t)), 1.0 / _HEAD,
      np.concatenate([1.0 / _UNIT, np.geomspace(1.0, 1e300, 40),
                      np.nextafter([11.055254414364697] * 2, [0.0, 20.0])])),
     *[(lambda t, n=n: _polylog_exp_neg([n], t)[0], PI * _HEAD, _POLYLOG_T)
@@ -325,20 +325,9 @@ def test_li2_at_one_against_summation_oracle():
 def test_polylog_at_one_is_zeta_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        for n, value in zip(range(2, 61), _polylog_exp_neg(range(2, 61), 0.0)):
+        for n, value in zip(range(2, 8), _polylog_exp_neg(range(2, 8), 0.0)):
             ref = mpmath.zeta(n)
             assert abs(value - ref) <= 1e-15 * ref, n
-
-
-def test_polylog_any_order_against_mpmath():
-    # the expansion about the unit argument needs H_{n-1} at every order,
-    # not only n <= 40
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        for n, t in ((41, -math.log(0.9)), (60, -math.log(0.99)), (45, 0.1)):
-            [value] = _polylog_exp_neg([n], t)
-            ref = mpmath.polylog(n, mpmath.exp(-mpmath.mpf(t)))
-            assert abs(value - ref) <= 1e-14 * ref, n
 
 
 def test_polylog_small_argument_against_mpmath():
@@ -349,7 +338,7 @@ def test_polylog_small_argument_against_mpmath():
     ts = [-math.log(x) for x in (1e-300, 1e-100, 1e-20, 1e-5, 0.3, 0.4999999, 0.5,
                                  0.75, 0.999999)]
     with mpmath.workdps(40):
-        for n in (1, 2, 3, 5, 8):
+        for n in (1, 2, 3, 5, 7):
             for t, value in zip(ts, _polylog_exp_neg([n], np.array(ts))[0]):
                 xm = mpmath.exp(-mpmath.mpf(t))
                 if t > math.log(2.0):
@@ -382,16 +371,16 @@ def test_polylog_derivative_ladder():
 def test_polylog_errors():
     with pytest.raises(DomainError, match="Li_1"):
         _polylog_exp_neg([1], 0.0)
-    with pytest.raises(DomainError, match=r"order must be an integer in \[1, 169\], got 170$"):
-        _polylog_exp_neg([170], 0.5)
+    with pytest.raises(DomainError, match=r"order must be an integer in \[1, 7\], got 8$"):
+        _polylog_exp_neg([8], 0.5)
     with pytest.raises(DomainError, match="need t >= 0"):
         _polylog_exp_neg([2], -0.1)
 
 
 @pytest.mark.parametrize("call", [
     lambda: ll.phi_prime_polylog_integral([True]),       # a bool is no order
-    lambda: _polylog_exp_neg([170], 0.1),                # past the tables
-    lambda: _polylog_exp_neg([170], 1.2),
+    lambda: _polylog_exp_neg([8], 0.1),                  # past the cap
+    lambda: _polylog_exp_neg([8], 1.2),
     lambda: _polylog_exp_neg([2, 200], np.array([0.1, 2.0])),
     lambda: _polylog_exp_neg([0], 1.0),                  # below the tables
     lambda: _polylog_exp_neg([-1], 1.0),
@@ -504,7 +493,7 @@ def _polylog_by_float_powers(orders, t):
     return out
 
 
-@pytest.mark.parametrize("orders", [[1, 2, 3, 4], [2, 3, 4, 5, 6, 7], [1], [2], [1, 7, 169]])
+@pytest.mark.parametrize("orders", [[1, 2, 3, 4], [2, 3, 4, 5, 6, 7], [1], [2], [1, 7]])
 def test_polylog_power_split_keeps_the_bits_of_pow(orders):
     # orders 1 and 2 take 1.0 and mu for mu^0 and mu^1, which is what pow
     # returns; the rows of power 2 and up still call it
@@ -515,12 +504,6 @@ def test_polylog_power_split_keeps_the_bits_of_pow(orders):
     if 1 in orders:
         t = t[t > 0.0]                          # Li_1(1) diverges
     assert np.array_equal(_polylog_exp_neg(orders, t), _polylog_by_float_powers(orders, t))
-
-
-def test_polylog_highest_order_holds():
-    # Li_169(x) = x (1 + x 2^-169 + ...) is x to double precision
-    t = np.array([math.inf, 690.0, 1.2, math.log(2.0), 0.1, 0.0])
-    assert _polylog_exp_neg([169], t)[0] == pytest.approx(np.exp(-t), rel=1e-15, abs=0.0)
 
 
 def test_polylog_exp_neg_vectorized_against_mpmath():
@@ -561,10 +544,9 @@ def test_polylog_exp_neg_scalar_and_array_agree():
         _polylog_exp_neg([2], np.array([1.0, -1e-3]))
 
 
-@pytest.mark.parametrize("orders", [(1, 2, 3, 4), (2, 7), (5, 19, 45)])
+@pytest.mark.parametrize("orders", [(1, 2, 3, 4), (2, 7), (5, 6, 7)])
 def test_polylog_exp_neg_order_rows_equal_single_orders_bit_for_bit(orders):
-    # both branches, their switch at log 2, and t = 0 where no row is
-    # Li_1; the expansion tables of 19 and 45 are longer than the rest
+    # both branches, their switch at log 2, and t = 0 where no row is Li_1
     log2 = math.log(2.0)
     t = np.concatenate([np.geomspace(1e-17, 50.0, 200),
                         np.nextafter(log2, [0.0, 1.0]), [log2]])

@@ -1,17 +1,14 @@
 import dataclasses
-import os
-import subprocess
-import sys
 import types
 import warnings
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lovelab
+from conftest import run_python
 from lovelab.capacitor2d import phi_prime_polylog_integral
 from lovelab.conjectures import residue_identity, verify_polylog_claim
 from lovelab.errors import DomainError
@@ -31,18 +28,6 @@ PUBLIC_NAMES = [
     "solve_love", "specfun", "t_transform", "verify_gamma0", "verify_gamma1", "verify_gamma2",
     "verify_integral4", "verify_polylog_claim", "weak_coupling_fit",
 ]
-
-TESTS = Path(__file__).resolve().parent
-
-
-def run_python(code):
-    """stdout of code in a fresh interpreter with src/ and tests/ on its path."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(TESTS.parent / "src"), str(TESTS), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          check=True, text=True, timeout=120).stdout
-
 
 def test_public_names_are_pinned():
     # in a fresh interpreter: importing lovelab.cli here would add "cli"
